@@ -140,8 +140,10 @@ func NewProblem(name string, size int) (Problem, error) {
 	return problems.New(name, size)
 }
 
-// NewProblemFactory returns a factory of fresh instances of a
-// registered benchmark, for SolveParallel.
+// NewProblemFactory returns a factory of independent instances of a
+// registered benchmark, for SolveParallel. Every call returns an
+// instance nobody else holds; the first returns the one that was built
+// to validate name and size.
 func NewProblemFactory(name string, size int) (ProblemFactory, error) {
 	f, err := problems.NewFactory(name, size)
 	if err != nil {

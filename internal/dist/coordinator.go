@@ -193,6 +193,8 @@ type Coordinator struct {
 	mSpecWon       atomic.Int64
 	mSpecLost      atomic.Int64
 	mSpecCancelled atomic.Int64
+	mFirstSent     atomic.Int64
+	mFirstAcked    atomic.Int64
 }
 
 // newFleetClient is the coordinator's default HTTP client: one shared
@@ -434,6 +436,11 @@ func (c *Coordinator) BackendMetrics() map[string]int64 {
 		"speculations_cancelled": c.mSpecCancelled.Load(),
 		"shards_tracked":         tracked,
 		"shard_progress_age_ms":  maxAge,
+		// The paper's own mechanism: cancel RPCs a solved shard sent to
+		// the job's other shards, and how many of them interrupted a run
+		// that was still live (the rest found it already finished).
+		"first_solution_cancels_sent":  c.mFirstSent.Load(),
+		"first_solution_cancels_acked": c.mFirstAcked.Load(),
 	}
 }
 
@@ -626,6 +633,8 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// bound reaps the run itself.
 	reqCtx, hardCancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer hardCancel()
+	stop := &jobStop{c: c, hardCancel: hardCancel}
+	defer stop.release()
 	// Recovery rounds add their own shards after dispatch starts, so
 	// external cancellation targets a live list, not the initial plan.
 	var plansMu sync.Mutex
@@ -641,9 +650,9 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		copy(plans, activePlans)
 		plansMu.Unlock()
 		for _, p := range plans {
-			c.cancelShards(p, -1)
+			c.cancelShards(p)
 		}
-		time.AfterFunc(cancelGrace, hardCancel)
+		stop.armGrace()
 	})
 	defer stopNotify()
 
@@ -678,12 +687,11 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		defer c.clearJobProgress(fmt.Sprintf("job%06d-", jobID))
 	}
 
-	var solvedOnce sync.Once
 	var outcomes []shardOutcome
 	if speculating {
-		outcomes = c.dispatchSpeculative(reqCtx, job, plan, &solvedOnce, hardCancel, params, jobID, addPlan)
+		outcomes = c.dispatchSpeculative(reqCtx, job, plan, stop, params, jobID, addPlan)
 	} else {
-		outcomes = c.dispatch(reqCtx, mode, job, plan, &solvedOnce, hardCancel, params)
+		outcomes = c.dispatch(reqCtx, mode, job, plan, stop, params)
 	}
 
 	shards := make([]multiwalk.Result, 0, len(plan))
@@ -738,7 +746,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		rparams := params
 		rparams.progressBase, rparams.progressStream, rparams.progressMS = "", "", 0
 		rparams.deadline = deadlineMS(ctx)
-		routs := c.dispatch(reqCtx, mode, job, rplan, &solvedOnce, hardCancel, rparams)
+		routs := c.dispatch(reqCtx, mode, job, rplan, stop, rparams)
 		lost = uncovered
 		for i, out := range routs {
 			if out.err != nil {
@@ -767,11 +775,8 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		// indices). Surface it as an error, never as a fabricated run.
 		return multiwalk.Result{}, fmt.Errorf("dist: inconsistent shard stats: %w", err)
 	}
-	if anyLost {
-		res.Truncated = true
-		c.mTruncations.Add(1)
-	}
-	if mode == ModeRun && res.Solved {
+	switch {
+	case mode == ModeRun && res.Solved:
 		// Losers interrupted after the winner's cancel are the normal
 		// completion mechanism, exactly as in multiwalk.Run: a solved
 		// wall-clock run is never truncated (a lost loser leaves its
@@ -780,6 +785,9 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		// taints the deterministic winner even when another solved,
 		// matching RunVirtual's mid-sweep cancellation semantics.
 		res.Truncated = false
+	case anyLost:
+		res.Truncated = true
+		c.mTruncations.Add(1)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -849,35 +857,87 @@ func deadlineMS(ctx context.Context) int64 {
 	return ms
 }
 
+// jobStop is the stop machinery all of one job's dispatch rounds share:
+// the once-guard of first-solution termination, and the grace timer
+// that backs every cancel fan-out (first solution or caller
+// cancellation) with a hard cancel, so a stalled loser — or a cancel
+// RPC that raced the run registration — cannot block the job forever.
+type jobStop struct {
+	c          *Coordinator
+	hardCancel context.CancelFunc
+	solved     sync.Once
+
+	mu       sync.Mutex
+	grace    *time.Timer
+	released bool
+}
+
+// armGrace starts the grace period, once per job; the first fan-out
+// sets the clock.
+func (s *jobStop) armGrace() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.grace == nil && !s.released {
+		s.grace = time.AfterFunc(cancelGrace, s.hardCancel)
+	}
+}
+
+// release stops the grace timer when run returns (which hard-cancels on
+// its own): a timer left to expire would pin the job's request context
+// for the whole grace period, one per solved job.
+func (s *jobStop) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.released = true
+	if s.grace != nil {
+		s.grace.Stop()
+	}
+}
+
+// firstSolution is first-solution termination: the first solved shard
+// of the job tells every other in-flight run to stop. Cancel RPCs — not
+// aborted connections — so the losers still deliver their partial
+// statistics. Later calls (a second shard that solved before its cancel
+// landed, a recovery round) are no-ops, and a job with no other run has
+// nobody to cancel and arms nothing.
+func (s *jobStop) firstSolution(winner *assignment, runs []*assignment) {
+	s.solved.Do(func() {
+		for _, a := range runs {
+			if a == winner {
+				continue
+			}
+			s.armGrace() // with the first cancel; never, when there is none
+			s.c.mFirstSent.Add(1)
+			go func(a *assignment) {
+				if _, live := s.c.cancelRun(a); live {
+					s.c.mFirstAcked.Add(1)
+				}
+			}(a)
+		}
+	})
+}
+
 // dispatch runs every assignment in plan concurrently and returns their
 // outcomes. Each shard's slot reservation is released the moment its
 // outcome is in, so later recovery rounds can plan into the freed
-// capacity. The solvedOnce/hardCancel pair implements first-solution
-// termination across all rounds of one job.
-func (c *Coordinator) dispatch(ctx context.Context, mode string, job JobSpec, plan []assignment, solvedOnce *sync.Once, hardCancel context.CancelFunc, p shardParams) []shardOutcome {
+// capacity.
+func (c *Coordinator) dispatch(ctx context.Context, mode string, job JobSpec, plan []assignment, stop *jobStop, p shardParams) []shardOutcome {
 	outcomes := make([]shardOutcome, len(plan))
-	var wg sync.WaitGroup
+	runs := make([]*assignment, len(plan))
 	for i := range plan {
+		runs[i] = &plan[i]
+	}
+	var wg sync.WaitGroup
+	for i, a := range runs {
 		wg.Add(1)
-		go func(i int) {
+		go func(out *shardOutcome, a *assignment) {
 			defer wg.Done()
-			a := &plan[i]
-			outcomes[i] = c.runShard(ctx, a, shardRequest(mode, &job, a, &p))
+			*out = c.runShard(ctx, a, shardRequest(mode, &job, a, &p))
 			c.releaseOne(a)
-			if mode == ModeRun && outcomes[i].err == nil && !outcomes[i].lost && outcomes[i].res.Solved {
-				// First-solution termination: tell the other workers to
-				// stop. Cancel RPCs — not aborted connections — so the
-				// losers still deliver their partial statistics; the
-				// same grace-then-hard-cancel backstop as external
-				// cancellation keeps a stalled loser (or a cancel RPC
-				// that raced the run registration) from blocking the
-				// job forever.
-				solvedOnce.Do(func() {
-					c.cancelShards(plan, i)
-					time.AfterFunc(cancelGrace, hardCancel)
-				})
+			if mode == ModeRun && out.res.Solved {
+				stop.firstSolution(a, runs)
 			}
-		}(i)
+		}(&outcomes[i], a)
 	}
 	wg.Wait()
 	return outcomes
@@ -1153,32 +1213,39 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 // severs the connections.
 const cancelGrace = 30 * time.Second
 
-// cancelShards delivers best-effort cancel RPCs to every shard except
-// skip (pass -1 to cancel all). A bounded background context — not the
-// job context — carries them, so cancellation still reaches workers
-// when the caller's context is the thing that expired.
-func (c *Coordinator) cancelShards(plan []assignment, skip int) {
+// cancelShards delivers best-effort cancel RPCs to every shard of plan.
+// A bounded background context — not the job context — carries them, so
+// cancellation still reaches workers when the caller's context is the
+// thing that expired.
+func (c *Coordinator) cancelShards(plan []assignment) {
 	for i := range plan {
-		if i == skip {
-			continue
-		}
 		go c.cancelRun(&plan[i])
 	}
 }
 
 // cancelRun delivers one best-effort cancel RPC on its own bounded
-// background context, reporting whether the worker acknowledged it.
-func (c *Coordinator) cancelRun(a *assignment) bool {
+// background context. acked reports that the worker answered 200, live
+// that the cancel interrupted a run still in flight (a finished or
+// not-yet-registered run answers cancelled: false). The body is read to
+// EOF so the keep-alive connection returns to the pool: closed unread,
+// every cancel would cost the next one a fresh dial.
+func (c *Coordinator) cancelRun(a *assignment) (acked, live bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.worker.base+"/v1/runs/"+a.runID+"/cancel", nil)
 	if err != nil {
-		return false
+		return false, false
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return false
+		return false, false
 	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	defer resp.Body.Close()
+	var ack struct {
+		Cancelled bool `json:"cancelled"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&ack) // an unreadable ack is not a live one
+	_, _ = io.Copy(io.Discard, resp.Body)       // past the decoded value to EOF
+	acked = resp.StatusCode == http.StatusOK
+	return acked, acked && ack.Cancelled
 }

@@ -335,32 +335,6 @@ func TestMidRunCancelSurfacesAsTruncated(t *testing.T) {
 	}
 }
 
-// TestFirstSolutionCancelsOtherWorkers: in wall-clock mode a solved
-// shard triggers cancel RPCs, and the other workers' walkers come back
-// interrupted rather than running out their budgets.
-func TestFirstSolutionCancelsOtherWorkers(t *testing.T) {
-	f := newFleet(t, 1, 1)
-	// Walker 0 (worker A) solves a trivial instance immediately; walker
-	// 1 (worker B) would burn an enormous budget if not cancelled.
-	engine := tunedEngine(t, "queens", 30)
-	engine.MaxRuns = 0
-	engine.CheckEvery = 8
-	start := time.Now()
-	res, err := f.coord.Run(context.Background(), JobSpec{Problem: "queens", Size: 30, Walkers: 2, Seed: 1, Engine: engine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatalf("queens-30 not solved: %+v", res)
-	}
-	if res.Truncated {
-		t.Fatalf("normal first-solution completion flagged Truncated")
-	}
-	if el := time.Since(start); el > 30*time.Second {
-		t.Fatalf("cross-worker cancellation too slow: %v", el)
-	}
-}
-
 // TestWorkerRejectsOverCapacityAndDuplicates covers the worker-side
 // guards a well-behaved coordinator never trips.
 func TestWorkerRejectsOverCapacityAndDuplicates(t *testing.T) {

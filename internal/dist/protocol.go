@@ -677,7 +677,10 @@ func wireResult(res multiwalk.Result) RunResponse {
 // resultFromWire converts a RunResponse back into a shard Result. The
 // aggregate fields (winner, totals) are recomputed by CombineShards on
 // the merged stats, so only the per-walker data and the shard-level
-// completion accounting cross the wire.
+// completion accounting cross the wire. Solved is the exception: the
+// coordinator acts on it before any merge (first-solution termination,
+// the recovery gate), so it is re-derived here from the stats — "some
+// walker of this shard solved", as multiwalk defines it.
 func resultFromWire(resp RunResponse) multiwalk.Result {
 	res := multiwalk.Result{
 		Winner:    -1,
@@ -688,6 +691,7 @@ func resultFromWire(resp RunResponse) multiwalk.Result {
 	}
 	for i, w := range resp.Stats {
 		res.Walkers[i] = statFromWire(w)
+		res.Solved = res.Solved || w.Solved
 	}
 	return res
 }

@@ -9,9 +9,11 @@ import (
 	"time"
 )
 
-// Straggler speculation. A wall-clock job finishes when its slowest
-// shard does — min-order statistics, the same tail the paper's §2
-// analysis is about, now over shards instead of walkers. PR 8 recovers
+// Straggler speculation. A wall-clock job that runs out its budget
+// unsolved finishes when its slowest shard does (a solved one ends at
+// its first solved shard, which cancels the rest) — order statistics,
+// the same tail the paper's §2 analysis is about, now over shards
+// instead of walkers. PR 8 recovers
 // shards whose worker *died*; a slow-but-alive worker (CPU-throttled
 // box, paused VM, noisy neighbor) still holds the whole job hostage.
 // The fix is classic speculative execution, made correctness-free by
@@ -235,7 +237,7 @@ func (c *Coordinator) deliverSpec(s *specSlot, from *assignment, out shardOutcom
 // for that drain would hold capacity the planner could already reuse
 // (releases are idempotent, so the eventual second release is a no-op).
 func (c *Coordinator) cancelLoser(a *assignment) {
-	if c.cancelRun(a) {
+	if acked, _ := c.cancelRun(a); acked {
 		c.mSpecCancelled.Add(1)
 		c.releaseOne(a)
 	}
@@ -361,7 +363,7 @@ func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}
 // recovery paths are unchanged. Loser goroutines are NOT waited for:
 // the stalled worker is the very thing being routed around, and run()'s
 // deferred hard-cancel severs their connections when the job returns.
-func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan []assignment, solvedOnce *sync.Once, hardCancel context.CancelFunc, p shardParams, jobID uint64, addPlan func([]assignment)) []shardOutcome {
+func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan []assignment, stop *jobStop, p shardParams, jobID uint64, addPlan func([]assignment)) []shardOutcome {
 	slots := make([]*specSlot, len(plan))
 	var resolvedWG sync.WaitGroup
 	resolvedWG.Add(len(plan))
@@ -383,20 +385,13 @@ func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan
 			if loser != nil {
 				go c.cancelLoser(loser)
 			}
-			if final.err == nil && !final.lost && final.res.Solved {
+			if final.res.Solved {
 				// First-solution termination across all copies of all
 				// slots, same contract as dispatch.
-				solvedOnce.Do(func() {
-					runsMu.Lock()
-					all := append([]*assignment(nil), runs...)
-					runsMu.Unlock()
-					for _, o := range all {
-						if o != a {
-							go c.cancelRun(o)
-						}
-					}
-					time.AfterFunc(cancelGrace, hardCancel)
-				})
+				runsMu.Lock()
+				all := append([]*assignment(nil), runs...)
+				runsMu.Unlock()
+				stop.firstSolution(a, all)
 			}
 			resolvedWG.Done()
 		}()

@@ -479,8 +479,10 @@ func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 	cancel, ok := wk.runs[id]
 	wk.mu.Unlock()
 	if ok {
-		cancel()
+		// Counted before it takes effect, so whoever sees the run's
+		// interrupted stats also sees the cancel in cancels_total.
 		wk.mCancelled.Add(1)
+		cancel()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"cancelled": ok})
 }

@@ -94,6 +94,13 @@ func runGoldenCase(t *testing.T, problem, strategy string) goldenTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return goldenTraceOn(t, p, size, strategy)
+}
+
+// goldenTraceOn runs the pinned search on the given instance (of the
+// given registry size).
+func goldenTraceOn(t *testing.T, p core.Problem, size int, strategy string) goldenTrace {
+	t.Helper()
 	opts := core.TunedOptions(p)
 	opts.Strategy = strategy
 	opts.Seed = goldenSeed

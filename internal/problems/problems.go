@@ -22,13 +22,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// Factory builds a fresh, independent Problem instance. Multi-walk
-// execution requires one instance per walker because encodings cache
-// incremental state.
+// Factory returns an independent Problem instance: unused, and held by
+// nobody else. Multi-walk execution requires one instance per walker
+// because encodings cache incremental state.
 type Factory func() (core.Problem, error)
 
 // ErrBadParams marks a construction request with unknown or invalid
@@ -120,15 +121,21 @@ func NewWithParams(name string, size int, params map[string]int) (core.Problem, 
 	return b.build(size)
 }
 
-// NewFactory returns a Factory producing fresh instances of the named
-// benchmark; the size parameter is validated once, eagerly.
+// NewFactory returns a Factory producing independent instances of the
+// named benchmark; the size parameter is validated once, eagerly, by
+// building an instance, which the first Factory call hands out (see
+// NewFactoryParams).
 func NewFactory(name string, size int) (Factory, error) {
 	return NewFactoryParams(name, size, nil)
 }
 
 // NewFactoryParams is the params-aware NewFactory: size and params are
-// validated once, eagerly, and every Factory call builds a fresh
-// instance with the same settings.
+// validated once, eagerly, by building an instance. That instance is
+// not thrown away: the first Factory call returns it — untouched, so
+// indistinguishable from a fresh one — and every later call builds a
+// new instance with the same settings. Every call still returns an
+// instance nobody else holds, and the Factory is safe to call from
+// concurrent goroutines (multiwalk.Run calls it from every walker's).
 func NewFactoryParams(name string, size int, params map[string]int) (Factory, error) {
 	b, ok := registry[name]
 	if !ok {
@@ -137,11 +144,18 @@ func NewFactoryParams(name string, size int, params map[string]int) (Factory, er
 	if size <= 0 {
 		size = b.defaultSize
 	}
-	if _, err := NewWithParams(name, size, params); err != nil {
+	validated, err := NewWithParams(name, size, params)
+	if err != nil {
 		return nil, err
 	}
-	n := size
-	return func() (core.Problem, error) { return NewWithParams(name, n, params) }, nil
+	var first atomic.Pointer[core.Problem]
+	first.Store(&validated)
+	return func() (core.Problem, error) {
+		if p := first.Swap(nil); p != nil {
+			return *p, nil
+		}
+		return NewWithParams(name, size, params)
+	}, nil
 }
 
 // abs is the integer absolute value used throughout the encodings.

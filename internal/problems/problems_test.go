@@ -2,7 +2,10 @@ package problems
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -360,6 +363,70 @@ func TestFactoryInstancesAreIndependent(t *testing.T) {
 	}
 	if _, err := NewFactory("langford", 5); err == nil {
 		t.Fatal("NewFactory did not validate size eagerly")
+	}
+}
+
+// TestFactoryHandsOutValidatedInstanceOnce pins the factory contract
+// behind "validate by building, then hand that instance out": called
+// from many goroutines at once (as multiwalk.Run does) every call gets
+// an instance nobody else holds, and a search on the first instance —
+// the one built to validate the arguments — is the golden trace of a
+// fresh one, for every benchmark.
+func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
+	blob, err := os.ReadFile(goldenPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenTrace
+	if err := json.Unmarshal(blob, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range Names() {
+		t.Run(problem, func(t *testing.T) {
+			size := goldenSizes[problem]
+			f, err := NewFactoryParams(problem, size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := f()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := golden[problem+"/"+core.StrategyAdaptive]
+			if !ok {
+				t.Fatalf("no golden trace for %s/%s", problem, core.StrategyAdaptive)
+			}
+			if got := goldenTraceOn(t, first, size, core.StrategyAdaptive); got != want {
+				t.Fatalf("validated instance drifted from the golden trace:\n got %s\nwant %s", formatTrace(got), formatTrace(want))
+			}
+
+			f, err = NewFactoryParams(problem, size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const callers = 16
+			got := make([]core.Problem, callers)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					p, err := f()
+					if err != nil {
+						t.Error(err)
+					}
+					got[i] = p
+				}(i)
+			}
+			wg.Wait()
+			seen := make(map[core.Problem]bool, callers)
+			for i, p := range got {
+				if p == nil || seen[p] {
+					t.Fatalf("caller %d got an instance another caller holds (or none)", i)
+				}
+				seen[p] = true
+			}
+		})
 	}
 }
 
