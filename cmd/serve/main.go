@@ -56,14 +56,12 @@
 //	GET  /metrics               scheduler counters (JSON)
 //	GET  /debug/vars            process-wide expvar (memstats etc.)
 //
-// With -stream, the server additionally opens the persistent binary
-// streaming control plane (internal/wire): a job-progress stream
-// listener clients discover through /healthz ("stream_addr") and
-// subscribe to instead of polling GET /v1/jobs/{id}, and — under
-// -workers — streaming board sync, where each worker holds one
-// multiplexed TCP connection to the coordinator's board instead of
-// the periodic POST loop. HTTP stays as the fallback transport either
-// way (see DESIGN.md §11).
+// With -stream, the server additionally opens the client progress
+// stream (internal/wire): a listener clients discover through /healthz
+// ("stream_addr") and subscribe to instead of polling GET
+// /v1/jobs/{id}; polling keeps working beside it. The flag concerns
+// this client hop only — coordinator and workers always speak
+// HTTP/JSON (see DESIGN.md §11).
 //
 // With -calibration FILE, the server loads a runtime-calibration store
 // (seed it offline with `experiments -calibrate FILE`), enabling
@@ -129,10 +127,9 @@ func run() error {
 		boardAddr      = flag.String("board-addr", "", "exchange-board listen address for distributed dependent runs (empty = 127.0.0.1:0; the server starts lazily on the first exchange job)")
 		boardAdvertise = flag.String("board-advertise", "", "base URL workers use to reach the exchange board (empty = derived from the board listener; set it when workers are on other hosts)")
 		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs (0 = 50ms)")
-		stream         = flag.Bool("stream", false, "enable the persistent binary streaming control plane: job-progress streaming plus, with -workers, streaming board sync")
+		stream         = flag.Bool("stream", false, "open the client progress stream: async jobs can be awaited over one persistent binary connection instead of GET polling")
 		streamAddr     = flag.String("stream-addr", "", "job-progress stream listen address (empty = 127.0.0.1:0)")
 		streamAdv      = flag.String("stream-advertise", "", "host:port clients use to reach the progress stream (empty = derived from the stream listener; set it when clients are on other hosts)")
-		boardStream    = flag.String("board-stream-addr", "", "board stream listen address for -stream -workers fleets (empty = 127.0.0.1:0; started lazily on the first exchange job)")
 		speculate      = flag.Bool("speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first (needs a distributed backend)")
 		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
@@ -140,8 +137,6 @@ func run() error {
 		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed offline with `experiments -calibrate`)")
 	)
 	flag.Parse()
-
-	streaming := *stream
 
 	tenantPolicies, err := parseTenants(*tenants)
 	if err != nil {
@@ -163,8 +158,6 @@ func run() error {
 			BoardAddr:          *boardAddr,
 			BoardAdvertise:     *boardAdvertise,
 			BoardSync:          *boardSync,
-			Stream:             streaming,
-			StreamAddr:         *boardStream,
 			Speculate:          *speculate,
 			SpeculateThreshold: *speculateThr,
 		})
@@ -204,7 +197,7 @@ func run() error {
 	})
 	expvar.Publish("scheduler", expvar.Func(func() any { return sched.Stats() }))
 
-	if streaming {
+	if *stream {
 		sv, err := service.NewStreamServer(sched, *streamAddr)
 		if err != nil {
 			sched.Close()

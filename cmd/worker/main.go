@@ -6,7 +6,7 @@
 // Usage:
 //
 //	worker -addr :9101 -slots 4
-//	worker -addr :9101 -slots 4 -stream -telemetry worker.ftdc
+//	worker -addr :9101 -slots 4 -telemetry worker.ftdc
 //	worker -addr :9101 -coordinator http://host:8080 -advertise http://me:9101
 //
 // With -coordinator, the worker enrolls itself in the coordinator's
@@ -16,19 +16,14 @@
 // gracefully — on shutdown. -advertise is the URL the coordinator
 // should dial back; it defaults to http://<hostname><addr port>.
 //
-// With -stream, dependent (exchange) shard runs negotiate streaming
-// board sync: the worker keeps one persistent multiplexed binary
-// connection to the coordinator's board and publishes deltas on
-// change, instead of the periodic HTTP POST loop. A dead stream falls
-// back to HTTP mid-run and re-dials on the next run. When a run
-// request carries a progress feed (the coordinator's -speculate mode),
-// the worker also reports per-shard iteration counts on the requested
-// cadence — over the stream when one is up, HTTP otherwise — so the
-// coordinator's straggler detector can see how far behind this shard
-// is. With -telemetry
-// FILE, per-walker iteration/cost samples are appended to FILE in the
-// FTDC-style schema-delta encoding (decode with `experiments
-// -ftdc-decode FILE`).
+// Dependent (exchange) shard runs sync a local board cache with the
+// coordinator's board by POST, on change (-board-sync is the tick).
+// When a run request carries a progress feed (the coordinator's
+// -speculate mode), the worker also POSTs per-shard iteration counts on
+// the requested cadence, so the coordinator's straggler detector can
+// see how far behind this shard is. With -telemetry FILE, per-walker
+// iteration/cost samples are appended to FILE in the FTDC-style
+// schema-delta encoding (decode with `experiments -ftdc-decode FILE`).
 //
 // Endpoints:
 //
@@ -70,7 +65,6 @@ func run() error {
 		addr           = flag.String("addr", ":9101", "listen address")
 		slots          = flag.Int("slots", 0, "walker-slot capacity (0 = GOMAXPROCS)")
 		boardSync      = flag.Duration("board-sync", 0, "fallback board-cache sync period for dependent (exchange) shard runs when the coordinator does not pin one (0 = 50ms)")
-		stream         = flag.Bool("stream", false, "enable streaming board sync over the persistent binary transport (HTTP remains the fallback)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style per-walker telemetry frames to this file (empty = off)")
 		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
@@ -79,7 +73,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	cfg := dist.WorkerConfig{Slots: *slots, BoardSync: *boardSync, Stream: *stream, TelemetryInterval: *telemetryEvery}
+	cfg := dist.WorkerConfig{Slots: *slots, BoardSync: *boardSync, TelemetryInterval: *telemetryEvery}
 	if *telemetryPath != "" {
 		f, err := os.Create(*telemetryPath)
 		if err != nil {
@@ -114,7 +108,6 @@ func run() error {
 			Advertise:   adv,
 			Worker:      wk,
 			Interval:    *heartbeat,
-			Wire:        true,
 			Logf:        log.Printf,
 		})
 		if err != nil {

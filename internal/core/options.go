@@ -174,7 +174,7 @@ func (o *Options) Validate(n int) error {
 	if o.FreezeLocMin < 0 || o.FreezeSwap < 0 || o.ResetLimit < 0 || o.CheckEvery < 0 {
 		return errors.New("core: freeze/reset/check options must be >= 0")
 	}
-	if o.Strategy != "" && !strategyKnown(o.Strategy) {
+	if o.Strategy != "" && !KnownStrategy(o.Strategy) {
 		return unknownStrategyError(o.Strategy)
 	}
 	if o.InitialConfig != nil && len(o.InitialConfig) != n {

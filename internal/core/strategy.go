@@ -313,8 +313,10 @@ func strategyFor(name string) (Strategy, error) {
 	return st, nil
 }
 
-// strategyKnown reports whether name resolves in the registry.
-func strategyKnown(name string) bool {
+// KnownStrategy reports whether name resolves in the registry — the
+// check every request validator (core, dist, service) applies to a
+// non-empty Options.Strategy.
+func KnownStrategy(name string) bool {
 	strategyMu.RLock()
 	defer strategyMu.RUnlock()
 	_, ok := strategyRegistry[name]

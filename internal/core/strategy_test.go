@@ -100,6 +100,29 @@ func TestStrategyNamesContainBuiltins(t *testing.T) {
 	}
 }
 
+// TestKnownStrategy: the one registry lookup core, dist and service
+// validate strategy names with. "" is not a name — callers treat it as
+// "use the default" before asking.
+func TestKnownStrategy(t *testing.T) {
+	RegisterStrategy("test-known", func() Strategy { return Strategy{} })
+	cases := []struct {
+		name string
+		want bool
+	}{
+		{StrategyAdaptive, true},
+		{StrategyRandomWalk, true},
+		{StrategyMetropolis, true},
+		{"test-known", true},
+		{"", false},
+		{"no-such-strategy", false},
+	}
+	for _, tc := range cases {
+		if got := KnownStrategy(tc.name); got != tc.want {
+			t.Errorf("KnownStrategy(%q) = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestAlternativeStrategiesSolve: the new walkers must solve the toy
 // problem and stay deterministic per seed.
 func TestAlternativeStrategiesSolve(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/perm"
-	"repro/internal/wire"
 )
 
 // defaultBoardSync is the worker cache's board reconciliation period
@@ -40,78 +39,44 @@ const boardSyncTimeout = 5 * time.Second
 // fetch). The hub is lazy so fleets that never run dependent jobs pay
 // nothing — no port, no goroutine.
 type boardHub struct {
-	addr       string // listen address; "" selects 127.0.0.1:0
-	advertise  string // advertised base URL; "" derives from the listener
-	streamAddr string // stream listen address; "" selects 127.0.0.1:0
+	addr      string // listen address; "" selects 127.0.0.1:0
+	advertise string // advertised base URL; "" derives from the listener
 
-	mu         sync.Mutex
-	ln         net.Listener
-	srv        *http.Server
-	base       string
-	sln        net.Listener // stream listener (lazy, like the HTTP one)
-	streamBase string       // advertised stream host:port
-	conns      map[*wire.Conn]struct{}
-	boards     map[string]*boardEntry
+	mu     sync.Mutex
+	ln     net.Listener
+	srv    *http.Server
+	base   string
+	boards map[string]*boardEntry
 
-	// Traffic accounting sampled by telemetry: HTTP sync round trips
-	// and total board bytes each way (HTTP bodies + stream frames of
-	// closed connections; live connections are added in traffic()).
+	// Traffic accounting sampled by telemetry: sync round trips and
+	// total board body bytes each way.
 	mHTTPSyncs atomic.Int64
 	mRxBytes   atomic.Int64
 	mTxBytes   atomic.Int64
 
 	// onShardProgress, when set, receives every shard progress report
-	// the hub hears — over HTTP (POST /v1/runs/{id}/progress) or as
-	// TypeShardProgress stream frames. Set once by the owning
-	// Coordinator before any server starts; the callback must be
+	// the hub hears (POST /v1/runs/{id}/progress). Set once by the
+	// owning Coordinator before any server starts; the callback must be
 	// cheap and concurrency-safe.
 	onShardProgress func(runID string, iters, walkers, best int64)
-
-	// Per-job HTTP sync counts, keyed by board job id. Server-side
-	// accounting lags client completion — a straggler POST from a
-	// finished run can be handled after its coordinator Run returned —
-	// so tests that pin "this run never fell back to HTTP" must scope
-	// the assertion to the run's own job rather than the global total.
-	syncMu     sync.Mutex
-	syncsByJob map[string]int64
-}
-
-// countJobSync records one HTTP sync against a board job id.
-func (h *boardHub) countJobSync(jobID string) {
-	h.syncMu.Lock()
-	if h.syncsByJob == nil {
-		h.syncsByJob = make(map[string]int64)
-	}
-	h.syncsByJob[jobID]++
-	h.syncMu.Unlock()
-}
-
-// syncsFor reports the HTTP sync count recorded for one board job id.
-func (h *boardHub) syncsFor(jobID string) int64 {
-	h.syncMu.Lock()
-	defer h.syncMu.Unlock()
-	return h.syncsByJob[jobID]
 }
 
 // boardEntry is one job's global board plus the probe instance the hub
-// uses to verify publishes and the stream subscribers to notify on
-// improvements. The probe is a live problem encoding whose Cost call
-// may mutate cached internal state; mu serializes it, and also guards
-// the generation counter and subscriber set so "verify, publish, bump
-// gen" is atomic against concurrent syncs.
+// uses to verify publishes. The probe is a live problem encoding whose
+// Cost call may mutate cached internal state; mu serializes it, and
+// also guards the generation counter so "verify, publish, bump gen" is
+// atomic against concurrent syncs.
 type boardEntry struct {
 	board multiwalk.Board
 	probe core.Problem
 
-	mu   sync.Mutex
-	gen  uint64
-	subs map[*wire.Conn]struct{}
+	mu  sync.Mutex
+	gen uint64
 }
 
-// merge verifies and applies one publish claim, returning whether the
-// board improved (callers broadcast on true) and a rejection reason
-// for claims that failed verification. A claim that does not improve
-// the current best is a benign no-op, not an error.
+// merge verifies and applies one publish claim, returning a rejection
+// reason for claims that failed verification. A claim that does not
+// improve the current best is a benign no-op, not an error.
 //
 // The board crosses trust boundaries between processes, and its
 // contents steer every walker of the job, so the claim is verified
@@ -123,7 +88,7 @@ type boardEntry struct {
 // Honest publishes always match: the engine's incrementally maintained
 // cost equals the recomputed one (pinned by the core equivalence
 // suites).
-func (e *boardEntry) merge(valid bool, cost int, cfg []int) (improved bool, err error) {
+func (e *boardEntry) merge(valid bool, cost int, cfg []int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur, _, curOK := e.board.Snapshot()
@@ -132,25 +97,25 @@ func (e *boardEntry) merge(valid bool, cost int, cfg []int) (improved bool, err 
 		// the board keeps strict improvements only, so skipping the rest
 		// (the steady-state case) is behavior-identical and saves a full
 		// cost recomputation per sync.
-		return false, nil
+		return nil
 	}
 	// Structural verification is encoding-aware: permutation problems
 	// demand a permutation of the instance size, finite-domain problems
 	// a configuration inside every variable's domain.
 	if fd, ok := e.probe.(core.FDProblem); ok {
 		if err := core.ValidateFDConfig(fd, cfg); err != nil {
-			return false, fmt.Errorf("board sync configuration rejected: %v", err)
+			return fmt.Errorf("board sync configuration rejected: %v", err)
 		}
 	} else if len(cfg) != e.probe.Size() || perm.Validate(cfg) != nil {
-		return false, errors.New("board sync configuration is not a permutation of the job's instance size")
+		return errors.New("board sync configuration is not a permutation of the job's instance size")
 	}
 	actual := e.probe.Cost(cfg)
 	if actual != cost {
-		return false, fmt.Errorf("board sync cost %d does not match the configuration's actual cost %d", cost, actual)
+		return fmt.Errorf("board sync cost %d does not match the configuration's actual cost %d", cost, actual)
 	}
 	e.board.Publish(actual, cfg)
 	e.gen++
-	return true, nil
+	return nil
 }
 
 // state snapshots the entry's global best and generation together.
@@ -161,13 +126,11 @@ func (e *boardEntry) state() (cost int, cfg []int, ok bool, gen uint64) {
 	return cost, cfg, ok, e.gen
 }
 
-func newBoardHub(addr, advertise, streamAddr string) *boardHub {
+func newBoardHub(addr, advertise string) *boardHub {
 	return &boardHub{
-		addr:       addr,
-		advertise:  advertise,
-		streamAddr: streamAddr,
-		conns:      make(map[*wire.Conn]struct{}),
-		boards:     make(map[string]*boardEntry),
+		addr:      addr,
+		advertise: advertise,
+		boards:    make(map[string]*boardEntry),
 	}
 }
 
@@ -189,7 +152,7 @@ func (h *boardHub) open(jobID string, probe core.Problem) (url string, board mul
 		return "", nil, nil, fmt.Errorf("dist: board for job %q already open", jobID)
 	}
 	board = multiwalk.NewLocalBoard()
-	h.boards[jobID] = &boardEntry{board: board, probe: probe, subs: make(map[*wire.Conn]struct{})}
+	h.boards[jobID] = &boardEntry{board: board, probe: probe}
 	release = func() {
 		h.mu.Lock()
 		delete(h.boards, jobID)
@@ -236,8 +199,8 @@ func (h *boardHub) ensureServerLocked() error {
 
 // ensureServer starts the hub's HTTP server if needed and returns its
 // base URL — the straggler detector reuses the board listener for the
-// progress fallback route, so speculation-enabled fleets pay for one
-// listener, not two.
+// progress route, so speculation-enabled fleets pay for one listener,
+// not two.
 func (h *boardHub) ensureServer() (string, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -250,10 +213,9 @@ func (h *boardHub) ensureServer() (string, error) {
 // maxProgressBodyLen caps one progress report body: three integers.
 const maxProgressBodyLen = 4096
 
-// handleProgress records one shard progress report (the HTTP fallback
-// for stream-less workers). Reports are advisory — unknown run ids are
-// acknowledged and dropped, since a straggling report racing the
-// shard's own completion is benign.
+// handleProgress records one shard progress report. Reports are
+// advisory — unknown run ids are acknowledged and dropped, since a
+// straggling report racing the shard's own completion is benign.
 func (h *boardHub) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var rep ShardProgressReport
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxProgressBodyLen)).Decode(&rep); err != nil {
@@ -273,7 +235,6 @@ func (h *boardHub) handleProgress(w http.ResponseWriter, r *http.Request) {
 // configuration it already holds.
 func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.mHTTPSyncs.Add(1)
-	h.countJobSync(r.PathValue("id"))
 	if r.ContentLength > 0 {
 		h.mRxBytes.Add(r.ContentLength)
 	}
@@ -291,13 +252,9 @@ func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid board sync: " + err.Error()})
 		return
 	}
-	improved, err := entry.merge(msg.Valid, msg.Cost, msg.Cfg)
-	if err != nil {
+	if err := entry.merge(msg.Valid, msg.Cost, msg.Cfg); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
-	}
-	if improved {
-		h.broadcast(id, entry)
 	}
 	cost, cfg, ok, gen := entry.state()
 	resp := BoardSync{Valid: ok, Cost: cost, Gen: gen, Cfg: cfg}
@@ -318,40 +275,20 @@ func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(payload)
 }
 
-// traffic reports cumulative board bytes each way: HTTP sync bodies
-// plus the frames of every stream connection, live and closed.
+// traffic reports cumulative board sync body bytes each way.
 func (h *boardHub) traffic() (rx, tx int64) {
-	rx, tx = h.mRxBytes.Load(), h.mTxBytes.Load()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for c := range h.conns {
-		rx += c.BytesRead()
-		tx += c.BytesWritten()
-	}
-	return rx, tx
+	return h.mRxBytes.Load(), h.mTxBytes.Load()
 }
 
-// close shuts the board server down; in-flight syncs and stream
-// connections are severed (the scheme is best-effort, and the owning
-// coordinator is going away).
+// close shuts the board server down; in-flight syncs are severed (the
+// scheme is best-effort, and the owning coordinator is going away).
 func (h *boardHub) close() {
 	h.mu.Lock()
 	srv := h.srv
-	sln := h.sln
-	conns := make([]*wire.Conn, 0, len(h.conns))
-	for c := range h.conns {
-		conns = append(conns, c)
-	}
-	h.srv, h.ln, h.sln = nil, nil, nil
+	h.srv, h.ln = nil, nil
 	h.mu.Unlock()
 	if srv != nil {
 		_ = srv.Close()
-	}
-	if sln != nil {
-		_ = sln.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
 	}
 }
 
@@ -374,26 +311,17 @@ const boardRefreshTicks = 4
 // dirty only when it actually improves the local best, a dirty tick
 // does the full publish-and-fetch, and a clean tick is skipped
 // entirely until the boardRefreshTicks staleness bound forces a
-// gen-only refresh probe. With a stream session attached (sess) the
-// ticker is bypassed altogether — improvements push over the
-// persistent connection the moment they happen and global deltas
-// arrive as frames — and the HTTP loop is the fallback when the
-// stream dies mid-run.
+// gen-only refresh probe.
 type remoteBoard struct {
 	cache  multiwalk.Board
 	url    string
 	client *http.Client
 	period time.Duration
 
-	job  string      // hub-side job key (stream frames are tagged with it)
-	sess *streamSess // non-nil when a stream session is attached
-
 	mu        sync.Mutex
 	dirty     bool
 	lastGen   uint64
 	idleTicks int
-
-	notify chan struct{} // cap 1; poked by markDirty for the stream loop
 
 	stopSync context.CancelFunc
 	stopOnce sync.Once
@@ -409,7 +337,6 @@ func newRemoteBoard(url string, client *http.Client, period time.Duration) *remo
 		url:    url,
 		client: client,
 		period: period,
-		notify: make(chan struct{}, 1),
 	}
 }
 
@@ -437,9 +364,9 @@ func (b *remoteBoard) Publish(cost int, cfg []int) {
 // Snapshot implements multiwalk.Board against the local cache.
 func (b *remoteBoard) Snapshot() (int, []int, bool) { return b.cache.Snapshot() }
 
-// applyGlobal merges a board delta received from the hub (stream frame
-// or HTTP response body) into the cache. Hub-originated publishes keep
-// the dirty flag untouched: only local improvements need pushing.
+// applyGlobal merges the hub's answer to a sync into the cache.
+// Hub-originated publishes keep the dirty flag untouched: only local
+// improvements need pushing.
 func (b *remoteBoard) applyGlobal(valid bool, cost int, cfg []int, gen uint64) {
 	if valid && len(cfg) > 0 {
 		b.cache.Publish(cost, cfg)
@@ -451,17 +378,12 @@ func (b *remoteBoard) applyGlobal(valid bool, cost int, cfg []int, gen uint64) {
 	b.mu.Unlock()
 }
 
-// markDirty flags the cache for the next sync and pokes the stream
-// loop (non-blocking; a pending poke already covers this change).
+// markDirty flags the cache for the next sync.
 func (b *remoteBoard) markDirty() {
 	b.mu.Lock()
 	b.dirty = true
 	b.idleTicks = 0
 	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
-	}
 }
 
 // takeDirty consumes the dirty flag, reporting whether a sync is due:
@@ -485,24 +407,13 @@ func (b *remoteBoard) takeDirty() (due, dirty bool, gen uint64) {
 }
 
 // start launches the background syncer. It runs until stop is called
-// or ctx is cancelled, whichever comes first. With a stream session
-// the syncer is push-driven; if the stream dies mid-run it degrades to
-// the HTTP ticker for the rest of the run.
+// or ctx is cancelled, whichever comes first.
 func (b *remoteBoard) start(ctx context.Context) {
 	syncCtx, cancel := context.WithCancel(ctx)
 	b.stopSync = cancel
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		if b.sess != nil {
-			b.runStream(syncCtx)
-			if syncCtx.Err() != nil {
-				return
-			}
-			// Stream died mid-run: fall back to the HTTP ticker. A
-			// best published while the stream was wedged is still
-			// flagged dirty, so the first tick pushes it.
-		}
 		tick := time.NewTicker(b.period)
 		defer tick.Stop()
 		for {
@@ -516,51 +427,11 @@ func (b *remoteBoard) start(ctx context.Context) {
 	}()
 }
 
-// runStream is the push-driven sync loop: wait for a local
-// improvement, flush it as one frame. Global deltas arrive through the
-// session's reader (applyGlobal), not here. Returns when the context
-// or the session dies.
-func (b *remoteBoard) runStream(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-b.sess.dead:
-			return
-		case <-b.notify:
-			b.flushStream()
-		}
-	}
-}
-
-// flushStream pushes the cache's current best over the stream if the
-// dirty flag is set. On failure the flag is restored — the session is
-// dying, and the HTTP fallback picks the improvement up.
-func (b *remoteBoard) flushStream() {
-	b.mu.Lock()
-	if !b.dirty {
-		b.mu.Unlock()
-		return
-	}
-	b.dirty = false
-	gen := b.lastGen
-	b.mu.Unlock()
-	cost, cfg, ok := b.cache.Snapshot()
-	if !ok {
-		return
-	}
-	if err := b.sess.publish(b.job, cost, cfg, gen); err != nil {
-		b.markDirty()
-	}
-}
-
 // stop halts the syncer and performs one final flush, so a win
 // published after the last tick (or after the run context was
 // cancelled) still reaches the global board before the shard answers
-// the coordinator. The flush goes over the stream when one is alive
-// (keeping streamed runs POST-free), over HTTP otherwise — and only
-// when there is something unsynced to push. Idempotent: later calls
-// are no-ops.
+// the coordinator — only when there is something unsynced to push.
+// Idempotent: later calls are no-ops.
 func (b *remoteBoard) stop() {
 	if b.stopSync == nil {
 		return
@@ -570,27 +441,12 @@ func (b *remoteBoard) stop() {
 		b.wg.Wait()
 		b.mu.Lock()
 		dirty := b.dirty
-		b.dirty = false
 		b.mu.Unlock()
-		defer func() {
-			if b.sess != nil {
-				b.sess.leave(b.job)
-			}
-		}()
 		if !dirty {
 			return
 		}
-		if b.sess != nil && b.sess.alive() {
-			cost, cfg, ok := b.cache.Snapshot()
-			if ok && b.sess.publish(b.job, cost, cfg, 0) == nil {
-				return
-			}
-		}
 		flushCtx, cancel := context.WithTimeout(context.Background(), boardSyncTimeout)
 		defer cancel()
-		b.mu.Lock()
-		b.dirty = true
-		b.mu.Unlock()
 		b.sync(flushCtx)
 	})
 }

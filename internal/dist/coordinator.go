@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
-	"repro/internal/wire"
 )
 
 // CoordinatorConfig configures a coordinator over a worker fleet.
@@ -67,17 +66,6 @@ type CoordinatorConfig struct {
 	// reconcile with the global board. 0 lets each worker apply its
 	// default (50ms).
 	BoardSync time.Duration
-	// Stream enables the streaming control plane: shard dispatch as
-	// binary RunSpec frames and, for exchange jobs, a persistent
-	// multiplexed board stream in place of the periodic POST loop.
-	// Both are negotiated per worker — a worker that does not
-	// advertise wire support keeps the HTTP/JSON paths — so mixed
-	// fleets work with no flag coordination.
-	Stream bool
-	// StreamAddr is the listen address of the board stream hub. Empty
-	// selects 127.0.0.1:0; set it (with a routable host) when workers
-	// are on other machines. Only used when Stream is set.
-	StreamAddr string
 	// Speculate enables straggler speculation for wall-clock (Run mode)
 	// jobs: workers report per-shard progress, a detector compares each
 	// running shard against the job's median, and a shard lagging past
@@ -152,8 +140,9 @@ type JobSpec struct {
 // healthy workers and re-run — global walker identity makes the re-run
 // bit-for-bit identical — before the job is ever truncated.
 type Coordinator struct {
-	client *http.Client
-	reg    *registry
+	client     *http.Client
+	ownsClient bool // client was built here, so Close releases it
+	reg        *registry
 
 	probeTimeout    time.Duration
 	hbInterval      time.Duration
@@ -163,7 +152,6 @@ type Coordinator struct {
 
 	boards    *boardHub
 	boardSync time.Duration
-	stream    bool
 
 	speculate     bool
 	specThreshold float64
@@ -172,9 +160,8 @@ type Coordinator struct {
 	progInterval  time.Duration
 
 	// prog is the straggler detector's input: one entry per tracked
-	// in-flight shard run, fed by worker progress reports (stream
-	// frames or HTTP fallback) and finalized from the shard's own
-	// outcome when it resolves.
+	// in-flight shard run, fed by worker progress reports and finalized
+	// from the shard's own outcome when it resolves.
 	progMu sync.Mutex
 	prog   map[string]*shardProg
 
@@ -225,7 +212,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, errors.New("dist: coordinator needs at least one worker URL")
 	}
 	client := cfg.Client
-	if client == nil {
+	ownsClient := client == nil
+	if ownsClient {
 		client = newFleetClient(len(cfg.Workers))
 	}
 	probeTimeout := cfg.ProbeTimeout
@@ -260,13 +248,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		client:          client,
+		ownsClient:      ownsClient,
 		reg:             newRegistry(),
 		probeTimeout:    probeTimeout,
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
-		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise, cfg.StreamAddr),
+		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise),
 		boardSync:       cfg.BoardSync,
-		stream:          cfg.Stream,
 		speculate:       cfg.Speculate,
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
@@ -279,11 +267,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.boards.onShardProgress = c.recordShardProgress
 	now := time.Now()
 	for _, base := range cfg.Workers {
-		slots, wireOK, err := c.probe(base, probeTimeout)
+		slots, err := c.probe(base, probeTimeout)
 		if err != nil {
+			if ownsClient {
+				client.CloseIdleConnections()
+			}
 			return nil, fmt.Errorf("dist: enrolling worker %s: %w", base, err)
 		}
-		c.reg.upsert(base, slots, wireOK, now)
+		c.reg.upsert(base, slots, now)
 	}
 	if hbInterval > 0 {
 		go c.monitor()
@@ -293,38 +284,35 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// probe reads a worker's slot capacity and wire capability from its
-// health endpoint. Every probe runs on its own short timeout context,
-// independent of any job deadline — a hung worker costs one bounded
-// probe, never the job. Workers that predate the streaming control
-// plane simply omit the wire field and stay on HTTP/JSON.
-func (c *Coordinator) probe(base string, timeout time.Duration) (int, bool, error) {
+// probe reads a worker's slot capacity from its health endpoint. Every
+// probe runs on its own short timeout context, independent of any job
+// deadline — a hung worker costs one bounded probe, never the job.
+func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
 	c.mProbesDone.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Slots int  `json:"slots"`
-		Wire  bool `json:"wire"`
+		Slots int `json:"slots"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		return 0, false, fmt.Errorf("decoding healthz: %w", err)
+		return 0, fmt.Errorf("decoding healthz: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, false, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return 0, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
 	if health.Slots < 1 {
-		return 0, false, fmt.Errorf("worker reports %d slots", health.Slots)
+		return 0, fmt.Errorf("worker reports %d slots", health.Slots)
 	}
-	return health.Slots, health.Wire, nil
+	return health.Slots, nil
 }
 
 // monitor is the fleet liveness loop: each tick it probes every worker
@@ -357,28 +345,26 @@ func (c *Coordinator) sweep() {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			slots, wireOK, err := c.probe(w.base, c.probeTimeout)
+			slots, err := c.probe(w.base, c.probeTimeout)
 			if err != nil {
 				c.mProbeFails.Add(1)
 				c.reg.reportFailure(w)
 				return
 			}
-			c.reg.probeOK(w, slots, wireOK, time.Now())
+			c.reg.probeOK(w, slots, time.Now())
 		}(w)
 	}
 	wg.Wait()
 }
 
-// BoardTraffic reports the cumulative exchange-board bytes moved each
-// way (HTTP sync bodies plus stream frames) — the board-sync bytes
-// metric the telemetry sampler records.
+// BoardTraffic reports the cumulative exchange-board sync body bytes
+// moved each way — the board-sync bytes metric the telemetry sampler
+// records.
 func (c *Coordinator) BoardTraffic() (rx, tx int64) {
 	return c.boards.traffic()
 }
 
-// BoardHTTPSyncs reports how many per-tick board POSTs the hub has
-// served. With streaming negotiated fleet-wide it stays zero — the
-// invariant the streaming exchange test asserts.
+// BoardHTTPSyncs reports how many board sync POSTs the hub has served.
 func (c *Coordinator) BoardHTTPSyncs() int64 {
 	return c.boards.mHTTPSyncs.Load()
 }
@@ -444,15 +430,20 @@ func (c *Coordinator) BackendMetrics() map[string]int64 {
 	}
 }
 
-// Close releases the coordinator: the liveness monitor stops and the
+// Close releases the coordinator: the liveness monitor stops, the
 // exchange-board server shuts down (its absence degrades in-flight
 // dependent runs to independent walks — the scheme's designed failure
-// mode). Runs in flight keep their slot reservations until they
-// unwind.
+// mode) and the fleet client's keep-alive connections are released when
+// the coordinator built the client itself; a caller-supplied Client
+// stays the caller's to close. Runs in flight keep their slot
+// reservations until they unwind.
 func (c *Coordinator) Close() {
 	c.monitorOnce.Do(func() { close(c.monitorStop) })
 	<-c.monitorDone
 	c.boards.close()
+	if c.ownsClient {
+		c.client.CloseIdleConnections()
+	}
 }
 
 // Run executes the job in wall-clock mode: every shard's walkers run
@@ -578,7 +569,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// The board lives exactly as long as the job — run() waits for all
 	// shard responses (including recovery rounds) before releasing it,
 	// so no shard ever syncs into a reassigned board.
-	var boardURL, boardStream, boardJob string
+	var boardURL string
 	if job.Exchange.Enabled {
 		// The probe instance lets the board server verify every publish
 		// against the actual problem (see boardHub.handleSync); building
@@ -587,25 +578,12 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		if err != nil {
 			return multiwalk.Result{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		boardJob = fmt.Sprintf("job%06d", jobID)
-		url, _, releaseBoard, err := c.boards.open(boardJob, probe)
+		url, _, releaseBoard, err := c.boards.open(fmt.Sprintf("job%06d", jobID), probe)
 		if err != nil {
 			return multiwalk.Result{}, err
 		}
 		defer releaseBoard()
 		boardURL = url
-		if c.stream {
-			// Streaming fleets also get the hub's persistent-frame
-			// address; wire-capable workers replace their POST loops
-			// with it, others ignore the field. The HTTP URL stays in
-			// the request as the in-run fallback path.
-			boardStream, err = c.boards.ensureStream()
-			if err != nil {
-				return multiwalk.Result{}, err
-			}
-		} else {
-			boardJob = ""
-		}
 	}
 
 	// Pre-cancelled caller: don't contact the fleet at all — report
@@ -657,17 +635,15 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	defer stopNotify()
 
 	params := shardParams{
-		engine:      engineSpec,
-		portfolio:   portfolio,
-		exchange:    exchangeSpec,
-		boardURL:    boardURL,
-		boardStream: boardStream,
-		boardJob:    boardJob,
-		deadline:    deadlineMS(ctx),
+		engine:    engineSpec,
+		portfolio: portfolio,
+		exchange:  exchangeSpec,
+		boardURL:  boardURL,
+		deadline:  deadlineMS(ctx),
 	}
 
 	// Straggler speculation needs the progress feed: stamp the report
-	// endpoints into every shard request and track the shards. Virtual
+	// endpoint into every shard request and track the shards. Virtual
 	// mode is excluded (its shards are sequential sweeps whose runtimes
 	// are the experiment itself), as are single-shard jobs (no median
 	// to lag behind).
@@ -679,11 +655,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		}
 		params.progressBase = base
 		params.progressMS = c.progInterval.Milliseconds()
-		if c.stream {
-			if params.progressStream, err = c.boards.ensureStream(); err != nil {
-				return multiwalk.Result{}, err
-			}
-		}
 		defer c.clearJobProgress(fmt.Sprintf("job%06d-", jobID))
 	}
 
@@ -744,7 +715,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		// feed — and they see the deadline budget that remains now, not
 		// the one the job started with.
 		rparams := params
-		rparams.progressBase, rparams.progressStream, rparams.progressMS = "", "", 0
+		rparams.progressBase, rparams.progressMS = "", 0
 		rparams.deadline = deadlineMS(ctx)
 		routs := c.dispatch(reqCtx, mode, job, rplan, stop, rparams)
 		lost = uncovered
@@ -796,19 +767,16 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 // shardParams bundles the per-job request fields shared by every shard
 // dispatch (initial plan and recovery rounds alike).
 type shardParams struct {
-	engine      EngineSpec
-	portfolio   []PortfolioSpec
-	exchange    ExchangeSpec
-	boardURL    string
-	boardStream string
-	boardJob    string
-	deadline    int64
-	// Progress feed endpoints for straggler speculation; empty when the
-	// job does not speculate. progressBase is the hub's HTTP base URL
-	// (each shard's report route is derived from its run id).
-	progressBase   string
-	progressStream string
-	progressMS     int64
+	engine    EngineSpec
+	portfolio []PortfolioSpec
+	exchange  ExchangeSpec
+	boardURL  string
+	deadline  int64
+	// Progress feed for straggler speculation; empty when the job does
+	// not speculate. progressBase is the hub's HTTP base URL (each
+	// shard's report route is derived from its run id).
+	progressBase string
+	progressMS   int64
 }
 
 // shardRequest builds one shard's run request from the job, the
@@ -831,12 +799,9 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		DeadlineMS:   p.deadline,
 		Exchange:     p.exchange,
 		Board:        p.boardURL,
-		BoardStream:  p.boardStream,
-		BoardJob:     p.boardJob,
 	}
 	if p.progressBase != "" {
 		req.ProgressURL = p.progressBase + "/v1/runs/" + a.runID + "/progress"
-		req.ProgressStream = p.progressStream
 		req.ProgressMS = p.progressMS
 	}
 	return req
@@ -1140,42 +1105,25 @@ func (c *Coordinator) releaseAll(plan []assignment) {
 }
 
 // runShard posts one shard run and waits for its statistics. The
-// worker's capability is re-validated against the registry at dispatch
+// worker's health is re-validated against the registry at dispatch
 // time — plan-time snapshots go stale in an elastic fleet — and a
 // worker that went dead or draining in the gap is failed over (the
 // shard reports lost, flowing into recovery) instead of erroring the
-// job. Dispatch is a binary RunSpec frame when streaming is on and the
-// worker currently advertises wire support, JSON otherwise; responses
-// are JSON either way (one response per shard — framing buys nothing
-// there).
+// job.
 func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRequest) shardOutcome {
-	wireOK, ok := c.reg.dispatchable(a.worker)
-	if !ok {
+	if !c.reg.dispatchable(a.worker) {
 		c.mFailovers.Add(1)
 		return shardOutcome{lost: true}
 	}
-	var payload []byte
-	contentType := "application/json"
-	if c.stream && wireOK {
-		var enc wire.Encoder
-		spec := wireRunSpec(&reqBody)
-		framed, err := enc.RunSpecFrame(nil, &spec)
-		if err != nil {
-			return shardOutcome{err: err}
-		}
-		payload, contentType = framed, ContentTypeWire
-	} else {
-		var err error
-		payload, err = json.Marshal(reqBody)
-		if err != nil {
-			return shardOutcome{err: err}
-		}
+	payload, err := json.Marshal(reqBody)
+	if err != nil {
+		return shardOutcome{err: err}
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.worker.base+"/v1/run", bytes.NewReader(payload))
 	if err != nil {
 		return shardOutcome{err: err}
 	}
-	httpReq.Header.Set("Content-Type", contentType)
+	httpReq.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(httpReq)
 	if err != nil {
 		// Transport loss: connection refused, reset mid-run, context

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
+	"repro/internal/wire"
 )
 
 // fleet is a test harness: n in-process workers behind httptest
@@ -381,6 +383,26 @@ func TestWorkerRejectsOverCapacityAndDuplicates(t *testing.T) {
 	}
 	if oresp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("overflow shard: status %d, want 400", oresp.StatusCode)
+	}
+
+	// A coordinator from before the binary dispatch was retired still
+	// posts RunSpec frames: it must be told 400 (ErrBadRequest) at once,
+	// never left hanging on a body the worker no longer reads.
+	var enc wire.Encoder
+	frame, err := enc.RunSpecFrame(nil, &wire.RunSpec{ID: "old", Mode: ModeRun, Problem: "queens", Size: 8, TotalWalkers: 1, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresp, err := http.Post(srv.URL+"/v1/run", "application/x-repro-wire", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatalf("wire-frame request killed the connection: %v", err)
+	}
+	var rejected struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(fresp.Body).Decode(&rejected)
+	if fresp.StatusCode != http.StatusBadRequest || !strings.Contains(rejected.Error, ErrBadRequest.Error()) {
+		t.Fatalf("wire-frame run request: status %d error %q, want 400 wrapping ErrBadRequest", fresp.StatusCode, rejected.Error)
 	}
 }
 

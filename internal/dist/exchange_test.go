@@ -213,7 +213,7 @@ func (p hubProbe) CostIfSwap(cfg []int, cost, i, j int) int {
 // cost that does not match the configuration) must never poison the
 // job's elite pool or stand the fleet down.
 func TestBoardHubProtocol(t *testing.T) {
-	h := newBoardHub("", "", "")
+	h := newBoardHub("", "")
 	t.Cleanup(h.close)
 	url, board, release, err := h.open("jobX", hubProbe{n: 3})
 	if err != nil {
@@ -277,4 +277,52 @@ func TestBoardHubProtocol(t *testing.T) {
 	if _, code := post(BoardSync{}); code != http.StatusNotFound {
 		t.Fatalf("sync against a released board: code %d, want 404", code)
 	}
+}
+
+// TestRemoteBoardDirtyFlagSkipsIdleSyncs pins the change-driven sync
+// behavior: an idle cache must not POST every tick — only the bounded-
+// staleness refresh probe, one tick in boardRefreshTicks — while a
+// local improvement still flows out promptly.
+func TestRemoteBoardDirtyFlagSkipsIdleSyncs(t *testing.T) {
+	h := newBoardHub("", "")
+	t.Cleanup(h.close)
+	url, global, release, err := h.open("jobIdle", hubProbe{n: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(release)
+
+	const period = 10 * time.Millisecond
+	b := newRemoteBoard(url, newBoardClient(), period)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.start(ctx)
+
+	// Idle phase: no publish ever happens. Over ~40 ticks an
+	// every-tick syncer would POST ~40 times; the dirty-flag syncer
+	// probes only every boardRefreshTicks ticks.
+	const idleTicks = 40
+	time.Sleep(idleTicks * period)
+	idleSyncs := h.mHTTPSyncs.Load()
+	if idleSyncs == 0 {
+		t.Fatal("idle cache never probed the board: the staleness bound is gone and laggards would never adopt")
+	}
+	if max := int64(idleTicks/boardRefreshTicks + 3); idleSyncs > max {
+		t.Fatalf("idle cache synced %d times over %d ticks (want <= %d): no-change ticks are not being skipped", idleSyncs, idleTicks, max)
+	}
+
+	// Improvement phase: a publish must reach the global board within
+	// a couple of ticks, not after the staleness window.
+	b.Publish(1, []int{1, 0, 2, 3}) // one inversion under hubProbe
+	deadline := time.Now().Add(20 * period)
+	for {
+		if cost, _, ok := global.Snapshot(); ok && cost == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("published improvement never reached the global board")
+		}
+		time.Sleep(period / 4)
+	}
+	b.stop()
 }

@@ -4,11 +4,9 @@ package dist
 // (registration, heartbeat and drain endpoints over the shared
 // registry) and the worker side (FleetAgent, the background
 // register/heartbeat/drain loop cmd/worker runs against a
-// coordinator).
-//
-// Like shard dispatch, every fleet message has two encodings selected
-// by Content-Type: JSON (the fallback and debugging surface) and a
-// binary wire frame (Register/Heartbeat, spoken by streaming fleets).
+// coordinator). Every fleet message is one JSON body, decoded with
+// DisallowUnknownFields so a peer speaking another revision of the
+// protocol is rejected loudly instead of half-understood.
 
 import (
 	"bytes"
@@ -21,21 +19,17 @@ import (
 	"net/url"
 	"strings"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// RegisterRequest is the JSON form of a worker's fleet announcement.
-// The coordinator probes URL back before enrolling, so the Slots/Wire
-// claims are advisory — the probe's answer wins.
+// RegisterRequest is a worker's fleet announcement. The coordinator
+// probes URL back before enrolling, so the Slots claim is advisory —
+// the probe's answer wins.
 type RegisterRequest struct {
-	URL    string `json:"url"`
-	Slots  int    `json:"slots"`
-	Wire   bool   `json:"wire"`
-	Stream bool   `json:"stream"`
+	URL   string `json:"url"`
+	Slots int    `json:"slots"`
 }
 
-// HeartbeatRequest is the JSON form of a worker's liveness refresh.
+// HeartbeatRequest is a worker's liveness refresh.
 type HeartbeatRequest struct {
 	URL      string `json:"url"`
 	Slots    int    `json:"slots"`
@@ -61,26 +55,6 @@ func (c *Coordinator) FleetHandler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/deregister", c.handleDeregister)
 	mux.HandleFunc("GET /v1/fleet", c.handleFleet)
 	return mux
-}
-
-// decodeFleetFrame reads one wire frame of the wanted type from an
-// HTTP body.
-func decodeFleetFrame(r *http.Request, want byte) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxFleetBodyLen+1))
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
-	}
-	if len(body) > maxFleetBodyLen {
-		return nil, fmt.Errorf("%w: fleet message exceeds %d bytes", ErrBadRequest, maxFleetBodyLen)
-	}
-	typ, payload, rest, err := wire.DecodeFrame(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if typ != want || len(rest) != 0 {
-		return nil, fmt.Errorf("%w: expected one frame of type %#x", ErrBadRequest, want)
-	}
-	return payload, nil
 }
 
 func decodeJSONBody(r *http.Request, v any) error {
@@ -114,19 +88,7 @@ func validateWorkerURL(raw string) error {
 // instead of surfacing as lost shards later.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg RegisterRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeWire) {
-		payload, err := decodeFleetFrame(r, wire.TypeRegister)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		m, err := wire.DecodeRegister(payload)
-		if err != nil {
-			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-			return
-		}
-		reg = RegisterRequest{URL: m.URL, Slots: int(m.Slots), Wire: m.Wire, Stream: m.Stream}
-	} else if err := decodeJSONBody(r, &reg); err != nil {
+	if err := decodeJSONBody(r, &reg); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -135,13 +97,13 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base := strings.TrimSuffix(reg.URL, "/")
-	slots, wireOK, err := c.probe(base, c.probeTimeout)
+	slots, err := c.probe(base, c.probeTimeout)
 	if err != nil {
 		writeError(w, fmt.Errorf("probing %s: %w", base, err))
 		return
 	}
-	c.reg.upsert(base, slots, wireOK, time.Now())
-	writeJSON(w, http.StatusOK, map[string]any{"enrolled": true, "slots": slots, "wire": wireOK})
+	c.reg.upsert(base, slots, time.Now())
+	writeJSON(w, http.StatusOK, map[string]any{"enrolled": true, "slots": slots})
 }
 
 // handleHeartbeat refreshes a worker's liveness. Unknown workers get a
@@ -149,19 +111,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 // the registry; workers re-join on their next heartbeat cycle).
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb HeartbeatRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeWire) {
-		payload, err := decodeFleetFrame(r, wire.TypeHeartbeat)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		m, err := wire.DecodeHeartbeat(payload)
-		if err != nil {
-			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-			return
-		}
-		hb = HeartbeatRequest{URL: m.URL, Slots: int(m.Slots), Busy: int(m.Busy), Draining: m.Draining}
-	} else if err := decodeJSONBody(r, &hb); err != nil {
+	if err := decodeJSONBody(r, &hb); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -222,8 +172,6 @@ type AgentConfig struct {
 	// Client is the HTTP client for registry traffic. nil selects a
 	// default with per-call timeouts.
 	Client *http.Client
-	// Wire sends binary Register/Heartbeat frames instead of JSON.
-	Wire bool
 	// Logf, when non-nil, receives agent lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -319,33 +267,11 @@ func (a *FleetAgent) loop() {
 
 // register announces the worker once.
 func (a *FleetAgent) register() error {
-	var body []byte
-	contentType := "application/json"
-	if a.cfg.Wire {
-		var enc wire.Encoder
-		framed, err := enc.RegisterFrame(nil, &wire.Register{
-			URL:    a.cfg.Advertise,
-			Slots:  int64(a.cfg.Worker.Slots()),
-			Wire:   true,
-			Stream: a.cfg.Worker.streams != nil,
-		})
-		if err != nil {
-			return err
-		}
-		body, contentType = framed, ContentTypeWire
-	} else {
-		var err error
-		body, err = json.Marshal(RegisterRequest{
-			URL:    a.cfg.Advertise,
-			Slots:  a.cfg.Worker.Slots(),
-			Wire:   true,
-			Stream: a.cfg.Worker.streams != nil,
-		})
-		if err != nil {
-			return err
-		}
+	body, err := json.Marshal(RegisterRequest{URL: a.cfg.Advertise, Slots: a.cfg.Worker.Slots()})
+	if err != nil {
+		return err
 	}
-	return a.post("/v1/fleet/register", body, contentType)
+	return a.post("/v1/fleet/register", body)
 }
 
 // heartbeats runs the heartbeat cadence. It returns false when the
@@ -359,27 +285,12 @@ func (a *FleetAgent) heartbeats() bool {
 		case <-a.ctx.Done():
 			return false
 		case <-tick.C:
-			var body []byte
-			contentType := "application/json"
-			if a.cfg.Wire {
-				var enc wire.Encoder
-				framed, err := enc.HeartbeatFrame(nil, &wire.Heartbeat{
-					URL:   a.cfg.Advertise,
-					Slots: int64(a.cfg.Worker.Slots()),
-					Busy:  int64(a.cfg.Worker.Busy()),
-				})
-				if err != nil {
-					continue
-				}
-				body, contentType = framed, ContentTypeWire
-			} else {
-				body, _ = json.Marshal(HeartbeatRequest{
-					URL:   a.cfg.Advertise,
-					Slots: a.cfg.Worker.Slots(),
-					Busy:  a.cfg.Worker.Busy(),
-				})
-			}
-			err := a.post("/v1/fleet/heartbeat", body, contentType)
+			body, _ := json.Marshal(HeartbeatRequest{
+				URL:   a.cfg.Advertise,
+				Slots: a.cfg.Worker.Slots(),
+				Busy:  a.cfg.Worker.Busy(),
+			})
+			err := a.post("/v1/fleet/heartbeat", body)
 			if errors.Is(err, errUnknownWorker) {
 				a.cfg.Logf("fleet: coordinator forgot %s; re-registering", a.cfg.Advertise)
 				return true
@@ -395,14 +306,14 @@ func (a *FleetAgent) heartbeats() bool {
 // know this worker (typically after a restart) and it must re-register.
 var errUnknownWorker = errors.New("dist: coordinator does not know this worker")
 
-func (a *FleetAgent) post(path string, body []byte, contentType string) error {
+func (a *FleetAgent) post(path string, body []byte) error {
 	ctx, cancel := context.WithTimeout(a.ctx, 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := a.client.Do(req)
 	if err != nil {
 		return err

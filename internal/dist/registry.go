@@ -42,8 +42,7 @@ type workerRef struct {
 	index int
 	base  string
 	slots int
-	wire  bool // healthz/register advertised wire-frame support
-	busy  int  // coordinator-side slot reservations
+	busy  int // coordinator-side slot reservations
 
 	state    workerState
 	lastSeen time.Time // last successful probe or push heartbeat
@@ -95,7 +94,7 @@ func (r *registry) setOnChange(f func()) {
 
 // upsert registers a worker (or refreshes a returning one), marking it
 // healthy. Returns true when the call changed membership or capacity.
-func (r *registry) upsert(base string, slots int, wireOK bool, now time.Time) bool {
+func (r *registry) upsert(base string, slots int, now time.Time) bool {
 	r.mu.Lock()
 	w, ok := r.byURL[base]
 	changed := false
@@ -110,7 +109,6 @@ func (r *registry) upsert(base string, slots int, wireOK bool, now time.Time) bo
 		changed = true
 	}
 	w.slots = slots
-	w.wire = wireOK
 	w.state = stateHealthy
 	w.fails = 0
 	w.lastSeen = now
@@ -195,14 +193,13 @@ func (r *registry) reportFailure(w *workerRef) {
 }
 
 // probeOK records a successful health probe.
-func (r *registry) probeOK(w *workerRef, slots int, wireOK bool, now time.Time) {
+func (r *registry) probeOK(w *workerRef, slots int, now time.Time) {
 	r.mu.Lock()
 	changed := w.state == stateSuspect || w.state == stateDead || w.slots != slots
 	if w.state != stateDraining {
 		w.state = stateHealthy
 	}
 	w.slots = slots
-	w.wire = wireOK
 	w.fails = 0
 	w.lastSeen = now
 	r.mu.Unlock()
@@ -282,12 +279,12 @@ func (r *registry) counts() (healthy, suspect, dead, draining int) {
 }
 
 // dispatchable re-validates a worker at dispatch time: its current
-// health and wire capability, read fresh from the registry rather than
-// from the plan-time snapshot. Suspect workers stay dispatchable — the
-// in-flight failure that made them suspect may have been another job's
-// — but dead and draining workers are not.
-func (r *registry) dispatchable(w *workerRef) (wireOK, ok bool) {
+// health, read fresh from the registry rather than from the plan-time
+// snapshot. Suspect workers stay dispatchable — the in-flight failure
+// that made them suspect may have been another job's — but dead and
+// draining workers are not.
+func (r *registry) dispatchable(w *workerRef) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return w.wire, w.state == stateHealthy || w.state == stateSuspect
+	return w.state == stateHealthy || w.state == stateSuspect
 }

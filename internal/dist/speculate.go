@@ -24,9 +24,9 @@ import (
 //
 // Three pieces:
 //
-//   - a progress feed: speculation-enabled shard requests carry report
-//     endpoints, and workers push per-shard iteration counts every
-//     ProgressMS (TypeShardProgress stream frames, HTTP POST fallback);
+//   - a progress feed: speculation-enabled shard requests carry a
+//     report endpoint, and workers POST per-shard iteration counts to
+//     it every ProgressMS;
 //   - a detector: per job, compare each unresolved shard's per-walker
 //     iteration count against the job median; lagging more than
 //     SpeculateThreshold behind (with a minimum job age, a
@@ -65,10 +65,9 @@ func (c *Coordinator) trackShard(runID string, start, count int) {
 	c.progMu.Unlock()
 }
 
-// recordShardProgress is the hub's report callback (HTTP and stream
-// paths both land here). Reports for unknown or already-resolved runs
-// are dropped; iteration counts are monotone, so a report reordered
-// behind a larger one is ignored.
+// recordShardProgress is the hub's report callback. Reports for
+// unknown or already-resolved runs are dropped; iteration counts are
+// monotone, so a report reordered behind a larger one is ignored.
 func (c *Coordinator) recordShardProgress(runID string, iters, walkers, best int64) {
 	c.progMu.Lock()
 	defer c.progMu.Unlock()

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +33,6 @@ type WorkerConfig struct {
 	// per-tick sync cadence against one coordinator host (each sync is
 	// bounded by its own timeout, so no global one is set).
 	BoardClient *http.Client
-	// Stream enables the worker side of the streaming control plane:
-	// exchange runs whose request carries a BoardStream address attach
-	// to the coordinator's persistent board stream instead of running
-	// the periodic POST loop. Binary run dispatch needs no flag — the
-	// run endpoint always accepts wire frames.
-	Stream bool
 	// Telemetry, when non-nil, receives periodic FTDC-style samples:
 	// worker gauges plus per-walker iteration and cost series for
 	// every active run. The caller owns the recorder's sink.
@@ -77,7 +70,7 @@ type Worker struct {
 	slots       int
 	boardSync   time.Duration
 	boardClient *http.Client
-	streams     *streamPool // nil unless WorkerConfig.Stream
+	ownsClient  bool // boardClient was built here, so Close releases it
 	telem       *telemetry.Recorder
 	telemEvery  time.Duration
 
@@ -111,7 +104,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.BoardSync <= 0 {
 		cfg.BoardSync = defaultBoardSync
 	}
-	if cfg.BoardClient == nil {
+	ownsClient := cfg.BoardClient == nil
+	if ownsClient {
 		cfg.BoardClient = newBoardClient()
 	}
 	if cfg.TelemetryInterval <= 0 {
@@ -122,15 +116,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		slots:       cfg.Slots,
 		boardSync:   cfg.BoardSync,
 		boardClient: cfg.BoardClient,
+		ownsClient:  ownsClient,
 		telem:       cfg.Telemetry,
 		telemEvery:  cfg.TelemetryInterval,
 		ctx:         ctx,
 		cancel:      cancel,
 		runs:        make(map[string]context.CancelFunc),
 		telemRuns:   make(map[string]*runTelem),
-	}
-	if cfg.Stream {
-		wk.streams = newStreamPool()
 	}
 	if wk.telem != nil {
 		go wk.sampleTelemetry()
@@ -150,15 +142,17 @@ func (wk *Worker) Busy() int {
 }
 
 // Close cancels every in-flight run and waits for them to unwind. New
-// runs are rejected afterwards.
+// runs are rejected afterwards. The board client's keep-alive
+// connections are released when the worker built the client itself; a
+// caller-supplied BoardClient stays the caller's to close.
 func (wk *Worker) Close() {
 	wk.mu.Lock()
 	wk.closed = true
 	wk.mu.Unlock()
 	wk.cancel()
 	wk.wg.Wait()
-	if wk.streams != nil {
-		wk.streams.close()
+	if wk.ownsClient {
+		wk.boardClient.CloseIdleConnections()
 	}
 }
 
@@ -192,13 +186,6 @@ func (wk *Worker) sampleTelemetry() {
 				telemetry.Metric{Name: "runs_total", Value: wk.mRuns.Load()},
 				telemetry.Metric{Name: "slots_busy", Value: int64(busy)},
 			)
-			if wk.streams != nil {
-				rx, tx := wk.streams.traffic()
-				metrics = append(metrics,
-					telemetry.Metric{Name: "board_stream_rx_bytes", Value: rx},
-					telemetry.Metric{Name: "board_stream_tx_bytes", Value: tx},
-				)
-			}
 			sort.Slice(metrics, func(i, j int) bool { return metrics[i].Name < metrics[j].Name })
 			_ = wk.telem.Record(now, metrics)
 		}
@@ -248,17 +235,8 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 }
 
 // handleRun executes one shard run and answers with its statistics.
-// The request body is JSON or a binary RunSpec frame, dispatched on
-// Content-Type; wire decoding is always available — it is stream
-// *sync* that is opt-in, not the codec.
 func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeWire) {
-		req, err = DecodeRunRequestWire(r.Body)
-	} else {
-		req, err = DecodeRunRequest(r.Body)
-	}
+	req, err := DecodeRunRequest(r.Body)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -353,16 +331,6 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			period = wk.boardSync
 		}
 		board = newRemoteBoard(req.Board, wk.boardClient, period)
-		if wk.streams != nil && req.BoardStream != "" {
-			// Streaming board sync, negotiated per run: attach the
-			// cache to the persistent hub connection. A failed dial is
-			// not an error — the run silently keeps the HTTP loop, the
-			// scheme's designed degradation.
-			if sess, serr := wk.streams.join(req.BoardStream, req.BoardJob, board); serr == nil {
-				board.sess = sess
-				board.job = req.BoardJob
-			}
-		}
 		board.start(runCtx)
 		defer board.stop() // idempotent backstop for early returns
 		opts.Board = board
@@ -413,23 +381,15 @@ func (rt *runTelem) snapshot() ShardProgressReport {
 }
 
 // reportProgress is the straggler detector's feed: a periodic loop
-// pushing the run's progress snapshot to the coordinator, over the
-// persistent wire stream when one is negotiated (ProgressStream) and
-// the HTTP fallback endpoint otherwise. Reports are advisory —
-// failures are dropped, never retried, and never slow the run; losing
-// the feed only makes this shard look like a straggler, which costs
-// the fleet one redundant backup run at worst.
+// pushing the run's progress snapshot to the coordinator's ProgressURL.
+// Reports are advisory — failures are dropped, never retried, and never
+// slow the run; losing the feed only makes this shard look like a
+// straggler, which costs the fleet one redundant backup run at worst.
 func (wk *Worker) reportProgress(ctx context.Context, wg *sync.WaitGroup, req *RunRequest, rt *runTelem) {
 	defer wg.Done()
 	period := time.Duration(req.ProgressMS) * time.Millisecond
 	if period <= 0 {
 		period = defaultProgressPeriod
-	}
-	var sess *streamSess
-	if wk.streams != nil && req.ProgressStream != "" {
-		if s, err := wk.streams.sess(req.ProgressStream); err == nil {
-			sess = s
-		}
 	}
 	tick := time.NewTicker(period)
 	defer tick.Stop()
@@ -440,17 +400,11 @@ func (wk *Worker) reportProgress(ctx context.Context, wg *sync.WaitGroup, req *R
 		case <-tick.C:
 		}
 		rep := rt.snapshot()
-		if sess != nil && sess.alive() {
-			if sess.reportProgress(req.ID, rep.Iters, rep.Walkers, rep.Best) == nil {
-				continue
-			}
-			sess = nil // stream died: fall back to HTTP for the rest
-		}
 		wk.postProgress(ctx, req.ProgressURL, &rep)
 	}
 }
 
-// postProgress sends one report over the HTTP fallback route.
+// postProgress sends one report.
 func (wk *Worker) postProgress(ctx context.Context, url string, rep *ShardProgressReport) {
 	payload, err := json.Marshal(rep)
 	if err != nil {
@@ -506,12 +460,6 @@ func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"active_runs":   active,
 		"runs_total":    wk.mRuns.Load(),
 		"cancels_total": wk.mCancelled.Load(),
-		// Capability advertisement for the coordinator's probe: wire is
-		// unconditional (the run endpoint always decodes binary
-		// frames); stream reports whether this worker will attach to a
-		// board stream when offered one.
-		"wire":   true,
-		"stream": wk.streams != nil,
 	})
 }
 

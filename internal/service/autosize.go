@@ -99,7 +99,7 @@ func (s *Scheduler) autoSize(req *Request) error {
 		// is not the sequential one the model was fitted to.
 		return fmt.Errorf("%w: autosize requires an independent single-strategy job", ErrBadRequest)
 	}
-	if req.Strategy != "" && !knownStrategy(req.Strategy) {
+	if req.Strategy != "" && !core.KnownStrategy(req.Strategy) {
 		// normalizeRequest validates the strategy after sizing; check it
 		// here too so an unknown strategy is a 400, not a misleading
 		// no-calibration 409.

@@ -324,7 +324,7 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 		engine.MaxRuns = req.MaxRuns
 	}
 	if req.Strategy != "" {
-		if !knownStrategy(req.Strategy) {
+		if !core.KnownStrategy(req.Strategy) {
 			return nil, zero, fmt.Errorf("%w: unknown strategy %q (known: %v)", ErrBadRequest, req.Strategy, core.StrategyNames())
 		}
 		engine.Strategy = req.Strategy
@@ -350,7 +350,7 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	}
 	prefix := 0
 	for i, spec := range req.Portfolio {
-		if !knownStrategy(spec.Strategy) {
+		if !core.KnownStrategy(spec.Strategy) {
 			return nil, zero, fmt.Errorf("%w: portfolio[%d]: unknown strategy %q (known: %v)", ErrBadRequest, i, spec.Strategy, core.StrategyNames())
 		}
 		if spec.Weight < 0 {
@@ -373,16 +373,6 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: spec.Weight, Engine: entry})
 	}
 	return factory, opts, nil
-}
-
-// knownStrategy checks a name against the engine's strategy registry.
-func knownStrategy(name string) bool {
-	for _, n := range core.StrategyNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // timeoutFor resolves the job deadline from the request and the

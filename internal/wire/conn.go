@@ -13,7 +13,7 @@ import (
 
 // defaultWriteTimeout bounds one frame write. A peer that cannot drain
 // a few-hundred-byte frame in this window is effectively dead; callers
-// drop the connection on error and fall back to HTTP.
+// drop the connection on error (its client re-dials or polls).
 const defaultWriteTimeout = 10 * time.Second
 
 // Conn is a framed stream connection: a net.Conn plus buffered frame
@@ -167,31 +167,10 @@ func (c *Conn) WriteSubscribe(job string) error {
 	})
 }
 
-// WriteBoardSync sends a BoardSync frame.
-func (c *Conn) WriteBoardSync(m *BoardSync) error {
-	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.BoardSyncFrame(dst, m)
-	})
-}
-
 // WriteProgress sends a Progress frame.
 func (c *Conn) WriteProgress(p *Progress) error {
 	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
 		return e.ProgressFrame(dst, p)
-	})
-}
-
-// WriteShardProgress sends a ShardProgress frame.
-func (c *Conn) WriteShardProgress(p *ShardProgress) error {
-	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.ShardProgressFrame(dst, p)
-	})
-}
-
-// WriteRunSpec sends a RunSpec frame.
-func (c *Conn) WriteRunSpec(r *RunSpec) error {
-	return c.writeFrame(func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.RunSpecFrame(dst, r)
 	})
 }
 

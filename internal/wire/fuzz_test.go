@@ -16,7 +16,7 @@ func FuzzWireDecode(f *testing.F) {
 		{0x01},
 		{0xff, 0xff, 0xff, 0xff, 0x7f},
 	}
-	if b, err := e.BoardSyncFrame(nil, &BoardSync{Job: "job000001", Valid: true, Cost: 7, Gen: 2, Cfg: []int{2, 0, 1}}); err == nil {
+	if b, err := e.SubscribeFrame(nil, &Subscribe{Job: "job000001"}); err == nil {
 		seed = append(seed, b)
 	}
 	if b, err := e.ProgressFrame(nil, &Progress{Job: "j1", State: "solved", Walker: -1, Terminal: true, Result: &ProgressResult{Solved: true, Solution: []int{0, 1}}}); err == nil {
@@ -54,8 +54,6 @@ func FuzzWireDecode(f *testing.F) {
 			switch typ {
 			case TypeHello:
 				_, err = DecodeHello(payload)
-			case TypeBoardSync:
-				_, err = DecodeBoardSync(payload)
 			case TypeSubscribe:
 				_, err = DecodeSubscribe(payload)
 			case TypeProgress:
@@ -68,9 +66,7 @@ func FuzzWireDecode(f *testing.F) {
 		}
 
 		// Raw payloads against every decoder, independent of framing.
-		_, err := DecodeBoardSync(data)
-		typed(t, "DecodeBoardSync", err)
-		_, err = DecodeProgress(data)
+		_, err := DecodeProgress(data)
 		typed(t, "DecodeProgress", err)
 		_, err = DecodeRunSpec(data)
 		typed(t, "DecodeRunSpec", err)

@@ -1,16 +1,17 @@
-// Package wire is the streaming control plane's binary codec: a
-// length-prefixed frame format and hand-rolled encoders/decoders for
-// the hot control-plane messages (board sync deltas, shard run specs,
-// job progress events). It exists because the HTTP/JSON paths
-// re-marshal whole structs per tick; the binary layout is a few
-// percent of the JSON size and encodes with zero allocations through a
-// reusable Encoder (see BenchmarkBoardSyncCodec in internal/dist).
+// Package wire is the client progress stream's binary codec: a
+// length-prefixed frame format, hand-rolled encoders/decoders for its
+// messages (Hello, Subscribe, Progress) and Conn, the framed TCP
+// connection service.StreamServer and its clients (examples/loadgen
+// -stream) speak. One connection multiplexes any number of job
+// subscriptions, and frames encode with zero allocations through a
+// reusable Encoder, so awaiting a job costs no request per poll.
 //
-// The package is stdlib-only and imports nothing from this repository,
-// so every layer (dist, service, cmds, examples) can speak it without
-// cycles. HTTP/JSON remains the fallback and compatibility surface —
-// wire messages mirror the JSON structs; internal/dist and
-// internal/service own the conversions.
+// It serves that one hop. Coordinator and workers speak HTTP/JSON only
+// (internal/dist; DESIGN.md §11 has the measurement behind that), and
+// the RunSpec frame is kept solely as the benchmark ledger's reference
+// encoding. The package is stdlib-only and imports nothing from this
+// repository, so service, cmds and examples can use it without cycles;
+// internal/service owns the conversion from its job events.
 //
 // # Frame format
 //
@@ -21,10 +22,10 @@
 // first — encoding/binary's format); signed fields use zigzag. Strings
 // are uvarint length + UTF-8 bytes. Fixed-width fields (the handshake
 // magic, packed configuration values, float64 bits) are explicitly
-// little-endian. Configurations — the bulk of board traffic — are
-// packed as fixed-width little-endian values sized to the largest
-// element (1, 2 or 4 bytes), falling back to zigzag varints when a
-// value is negative:
+// little-endian. Configurations — a terminal event's solution, the bulk
+// of a frame — are packed as fixed-width little-endian values sized to
+// the largest element (1, 2 or 4 bytes), falling back to zigzag varints
+// when a value is negative:
 //
 //	ints := byte(width) uvarint(count) values...   width ∈ {0,1,2,4}; 0 = zigzag varints
 //
@@ -47,38 +48,26 @@ const (
 	// little-endian "RPW1".
 	Magic uint32 = 0x31575052
 	// Version is the protocol version; peers with mismatched versions
-	// fail the handshake and fall back to HTTP/JSON.
+	// fail the handshake (a client then polls over HTTP instead).
 	Version byte = 1
 )
 
-// MaxFrame caps one frame (type byte + payload). It matches the HTTP
-// paths' board-sync body cap: it must hold one configuration of any
-// protocol-legal instance.
+// MaxFrame caps one frame (type byte + payload): it must hold one
+// configuration of any protocol-legal instance (n up to 1<<20).
 const MaxFrame = 16 << 20
 
-// Frame types.
+// Frame types. 0x02 and 0x06-0x08 were the coordinator↔worker frames
+// retired with that stream; the numbers stay unassigned so a peer from
+// before then is skipped as an unknown type, never misread.
 const (
 	// TypeHello opens a connection in both directions.
 	TypeHello byte = 0x01
-	// TypeBoardSync carries one elite-board delta (either direction).
-	TypeBoardSync byte = 0x02
-	// TypeSubscribe attaches the connection to a job's event flow
-	// (board deltas on a dist stream, progress events on a service
-	// stream).
+	// TypeSubscribe attaches the connection to a job's progress events.
 	TypeSubscribe byte = 0x03
 	// TypeProgress carries one job progress event.
 	TypeProgress byte = 0x04
-	// TypeRunSpec carries one shard run request (binary dispatch).
+	// TypeRunSpec carries one shard run request (see RunSpec).
 	TypeRunSpec byte = 0x05
-	// TypeRegister carries one fleet-membership announcement (worker →
-	// coordinator).
-	TypeRegister byte = 0x06
-	// TypeHeartbeat carries one fleet liveness refresh (worker →
-	// coordinator).
-	TypeHeartbeat byte = 0x07
-	// TypeShardProgress carries one in-flight shard's progress report
-	// (worker → coordinator), feeding the straggler detector.
-	TypeShardProgress byte = 0x08
 )
 
 // Structural caps applied at decode time, before any allocation.
@@ -103,26 +92,14 @@ var (
 
 // Hello is the connection handshake, sent first by both peers.
 type Hello struct {
-	// Role names the peer ("coordinator", "worker", "client",
-	// "service") for diagnostics; it carries no protocol meaning.
+	// Role names the peer ("client", "service") for diagnostics; it
+	// carries no protocol meaning.
 	Role string
 }
 
 // Subscribe attaches the connection to one job's event flow.
 type Subscribe struct {
 	Job string
-}
-
-// BoardSync is one elite-board delta: the publisher's current best
-// (Valid false when it has none), stamped with the board generation
-// the publisher last saw. Gen lets the receiver answer "unchanged"
-// instead of re-sending a configuration the peer already holds.
-type BoardSync struct {
-	Job   string
-	Valid bool
-	Cost  int64
-	Gen   uint64
-	Cfg   []int
 }
 
 // Progress is one job progress event: a lifecycle transition
@@ -159,10 +136,12 @@ type ProgressResult struct {
 	Solution         []int
 }
 
-// RunSpec mirrors the dist run request for binary dispatch: run the
+// RunSpec mirrors the dist run request as one binary frame: run the
 // global walkers [Start, Start+Count) of a TotalWalkers-walker job.
-// internal/dist owns the conversion to and from its JSON struct (and
-// all semantic validation); this layer checks structure only.
+// No product code sends it — shard dispatch is JSON (dist.RunRequest) —
+// and it stays, fields and layout frozen, only because benchmark/
+// encodes it for the wire.runspec_* ledger lines; it goes, or comes back
+// into use, with the next benchmark-archetype PR.
 type RunSpec struct {
 	ID           string
 	Mode         string
@@ -222,42 +201,6 @@ type ExchangeSpec struct {
 	AdoptFactor  float64
 	PerturbSwaps int64
 	SyncMS       int64
-}
-
-// Register announces a worker to the coordinator's fleet registry. URL
-// is the worker's advertised base URL (the coordinator probes it back
-// before enrolling); Slots/Wire/Stream describe the worker's claimed
-// capability, re-verified by the probe.
-type Register struct {
-	URL    string
-	Slots  int64
-	Wire   bool
-	Stream bool
-}
-
-// ShardProgress is one in-flight shard run's progress report: the
-// cumulative iteration count across the shard's walkers, sampled
-// periodically by the worker and fed to the coordinator's straggler
-// detector. Best is the lowest current cost across walkers that have
-// reported at least one iteration, or -1 when none have — the
-// unknown-cost sentinel never crosses the wire.
-type ShardProgress struct {
-	Run     string
-	Iters   int64
-	Walkers int64
-	Best    int64
-}
-
-// Heartbeat refreshes a registered worker's liveness and capability.
-// Busy is the worker's own busy-slot count (diagnostic; the coordinator
-// keeps its own reservation ledger). Draining announces a graceful
-// leave: the coordinator stops dispatching to the worker but lets
-// in-flight shards finish.
-type Heartbeat struct {
-	URL      string
-	Slots    int64
-	Busy     int64
-	Draining bool
 }
 
 // ---------------------------------------------------------------------
@@ -534,28 +477,6 @@ func DecodeSubscribe(p []byte) (Subscribe, error) {
 	return s, d.finish()
 }
 
-// AppendBoardSync appends a BoardSync payload.
-func AppendBoardSync(dst []byte, m *BoardSync) []byte {
-	dst = appendString(dst, m.Job)
-	dst = appendBool(dst, m.Valid)
-	dst = binary.AppendVarint(dst, m.Cost)
-	dst = binary.AppendUvarint(dst, m.Gen)
-	return appendInts(dst, m.Cfg)
-}
-
-// DecodeBoardSync parses a BoardSync payload.
-func DecodeBoardSync(p []byte) (BoardSync, error) {
-	d := decoder{buf: p}
-	m := BoardSync{
-		Job:   d.string(),
-		Valid: d.bool(),
-		Cost:  d.varint(),
-		Gen:   d.uvarint(),
-		Cfg:   d.ints(),
-	}
-	return m, d.finish()
-}
-
 // AppendProgress appends a Progress payload.
 func AppendProgress(dst []byte, p *Progress) []byte {
 	dst = appendString(dst, p.Job)
@@ -740,66 +661,6 @@ func DecodeRunSpec(p []byte) (RunSpec, error) {
 	return r, d.finish()
 }
 
-// AppendRegister appends a Register payload.
-func AppendRegister(dst []byte, r *Register) []byte {
-	dst = appendString(dst, r.URL)
-	dst = binary.AppendVarint(dst, r.Slots)
-	dst = appendBool(dst, r.Wire)
-	return appendBool(dst, r.Stream)
-}
-
-// DecodeRegister parses a Register payload.
-func DecodeRegister(p []byte) (Register, error) {
-	d := decoder{buf: p}
-	r := Register{
-		URL:    d.string(),
-		Slots:  d.varint(),
-		Wire:   d.bool(),
-		Stream: d.bool(),
-	}
-	return r, d.finish()
-}
-
-// AppendShardProgress appends a ShardProgress payload.
-func AppendShardProgress(dst []byte, p *ShardProgress) []byte {
-	dst = appendString(dst, p.Run)
-	dst = binary.AppendVarint(dst, p.Iters)
-	dst = binary.AppendVarint(dst, p.Walkers)
-	return binary.AppendVarint(dst, p.Best)
-}
-
-// DecodeShardProgress parses a ShardProgress payload.
-func DecodeShardProgress(p []byte) (ShardProgress, error) {
-	d := decoder{buf: p}
-	sp := ShardProgress{
-		Run:     d.string(),
-		Iters:   d.varint(),
-		Walkers: d.varint(),
-		Best:    d.varint(),
-	}
-	return sp, d.finish()
-}
-
-// AppendHeartbeat appends a Heartbeat payload.
-func AppendHeartbeat(dst []byte, h *Heartbeat) []byte {
-	dst = appendString(dst, h.URL)
-	dst = binary.AppendVarint(dst, h.Slots)
-	dst = binary.AppendVarint(dst, h.Busy)
-	return appendBool(dst, h.Draining)
-}
-
-// DecodeHeartbeat parses a Heartbeat payload.
-func DecodeHeartbeat(p []byte) (Heartbeat, error) {
-	d := decoder{buf: p}
-	h := Heartbeat{
-		URL:      d.string(),
-		Slots:    d.varint(),
-		Busy:     d.varint(),
-		Draining: d.bool(),
-	}
-	return h, d.finish()
-}
-
 // ---------------------------------------------------------------------
 // Framing.
 
@@ -833,12 +694,6 @@ func (e *Encoder) SubscribeFrame(dst []byte, s *Subscribe) ([]byte, error) {
 	return e.frame(dst, TypeSubscribe)
 }
 
-// BoardSyncFrame appends a framed BoardSync to dst.
-func (e *Encoder) BoardSyncFrame(dst []byte, m *BoardSync) ([]byte, error) {
-	e.scratch = AppendBoardSync(e.scratch[:0], m)
-	return e.frame(dst, TypeBoardSync)
-}
-
 // ProgressFrame appends a framed Progress to dst.
 func (e *Encoder) ProgressFrame(dst []byte, p *Progress) ([]byte, error) {
 	e.scratch = AppendProgress(e.scratch[:0], p)
@@ -849,24 +704,6 @@ func (e *Encoder) ProgressFrame(dst []byte, p *Progress) ([]byte, error) {
 func (e *Encoder) RunSpecFrame(dst []byte, r *RunSpec) ([]byte, error) {
 	e.scratch = AppendRunSpec(e.scratch[:0], r)
 	return e.frame(dst, TypeRunSpec)
-}
-
-// RegisterFrame appends a framed Register to dst.
-func (e *Encoder) RegisterFrame(dst []byte, r *Register) ([]byte, error) {
-	e.scratch = AppendRegister(e.scratch[:0], r)
-	return e.frame(dst, TypeRegister)
-}
-
-// HeartbeatFrame appends a framed Heartbeat to dst.
-func (e *Encoder) HeartbeatFrame(dst []byte, h *Heartbeat) ([]byte, error) {
-	e.scratch = AppendHeartbeat(e.scratch[:0], h)
-	return e.frame(dst, TypeHeartbeat)
-}
-
-// ShardProgressFrame appends a framed ShardProgress to dst.
-func (e *Encoder) ShardProgressFrame(dst []byte, p *ShardProgress) ([]byte, error) {
-	e.scratch = AppendShardProgress(e.scratch[:0], p)
-	return e.frame(dst, TypeShardProgress)
 }
 
 // DecodeFrame splits one frame off data, returning its type, payload

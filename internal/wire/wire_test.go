@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"math"
 	"net"
 	"reflect"
 	"testing"
@@ -17,29 +16,6 @@ func frameOf(t *testing.T, build func(*Encoder, []byte) ([]byte, error)) []byte 
 		t.Fatalf("encoding frame: %v", err)
 	}
 	return out
-}
-
-func TestBoardSyncRoundTrip(t *testing.T) {
-	cases := []BoardSync{
-		{},
-		{Job: "job000001", Valid: true, Cost: 42, Gen: 7, Cfg: []int{3, 1, 4, 1, 5}},
-		{Job: "j", Valid: true, Cost: -9, Gen: math.MaxUint64, Cfg: []int{-1, 70000, 2}},
-		{Job: "wide", Valid: true, Cost: 1 << 40, Cfg: []int{0, 255, 256, 65535, 65536, 1 << 20}},
-	}
-	for _, in := range cases {
-		buf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.BoardSyncFrame(dst, &in) })
-		typ, payload, rest, err := DecodeFrame(buf)
-		if err != nil || typ != TypeBoardSync || len(rest) != 0 {
-			t.Fatalf("DecodeFrame: typ=%#x rest=%d err=%v", typ, len(rest), err)
-		}
-		out, err := DecodeBoardSync(payload)
-		if err != nil {
-			t.Fatalf("DecodeBoardSync(%+v): %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-		}
-	}
 }
 
 func TestProgressRoundTrip(t *testing.T) {
@@ -109,28 +85,6 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardProgressRoundTrip(t *testing.T) {
-	cases := []ShardProgress{
-		{Run: "job000001-s0", Best: -1},
-		{Run: "job000001-s1", Iters: 123456, Walkers: 3, Best: 42},
-		{Run: "job000002-b1-s0", Iters: 1 << 40, Walkers: 8, Best: 0},
-	}
-	for _, in := range cases {
-		buf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.ShardProgressFrame(dst, &in) })
-		typ, payload, rest, err := DecodeFrame(buf)
-		if err != nil || typ != TypeShardProgress || len(rest) != 0 {
-			t.Fatalf("DecodeFrame: typ=%#x rest=%d err=%v", typ, len(rest), err)
-		}
-		out, err := DecodeShardProgress(payload)
-		if err != nil {
-			t.Fatalf("DecodeShardProgress(%+v): %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-		}
-	}
-}
-
 func TestHelloSubscribeRoundTrip(t *testing.T) {
 	hbuf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.HelloFrame(dst, &Hello{Role: "worker"}) })
 	typ, payload, _, err := DecodeFrame(hbuf)
@@ -157,7 +111,8 @@ func TestHelloSubscribeRoundTrip(t *testing.T) {
 
 func TestDecodeErrorsAreTyped(t *testing.T) {
 	valid := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.BoardSyncFrame(dst, &BoardSync{Job: "j", Valid: true, Cost: 3, Cfg: []int{1, 0, 2}})
+		return e.ProgressFrame(dst, &Progress{Job: "j", State: "solved", Walker: -1, Terminal: true,
+			Result: &ProgressResult{Solved: true, Solution: []int{1, 0, 2}}})
 	})
 
 	// Truncation at every prefix must yield ErrTruncated (or parse a
@@ -184,22 +139,22 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 
 	// Declared string longer than the payload.
 	typ, payload, _, _ := DecodeFrame(valid)
-	if typ != TypeBoardSync {
+	if typ != TypeProgress {
 		t.Fatalf("typ=%#x", typ)
 	}
 	corrupt := append([]byte{0xff, 0x7f}, payload[1:]...)
-	if _, err := DecodeBoardSync(corrupt); !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeProgress(corrupt); !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrTruncated) {
 		t.Errorf("corrupt string length: got %v", err)
 	}
 
 	// Trailing garbage after a complete message.
-	if _, err := DecodeBoardSync(append(append([]byte(nil), payload...), 0xAA)); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeProgress(append(append([]byte(nil), payload...), 0xAA)); !errors.Is(err, ErrMalformed) {
 		t.Errorf("trailing bytes: got %v, want ErrMalformed", err)
 	}
 
 	// Encoder must refuse messages that would exceed the frame cap.
 	var e Encoder
-	if _, err := e.BoardSyncFrame(nil, &BoardSync{Cfg: make([]int, MaxFrame)}); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := e.ProgressFrame(nil, &Progress{Result: &ProgressResult{Solution: make([]int, MaxFrame)}}); !errors.Is(err, ErrFrameTooBig) {
 		t.Errorf("oversized encode: got %v, want ErrFrameTooBig", err)
 	}
 }
@@ -208,14 +163,15 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 // identical bytes across calls (the zero-alloc fast path must not
 // leak state between messages).
 func TestEncoderReuseIsStable(t *testing.T) {
-	m := BoardSync{Job: "job000001", Valid: true, Cost: 11, Gen: 3, Cfg: []int{5, 4, 3, 2, 1, 0}}
+	m := Progress{Job: "job000001", State: "solved", Walker: -1, Terminal: true,
+		Result: &ProgressResult{Solved: true, Winner: 3, Solution: []int{5, 4, 3, 2, 1, 0}}}
 	var e Encoder
-	first, err := e.BoardSyncFrame(nil, &m)
+	first, err := e.ProgressFrame(nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		again, err := e.BoardSyncFrame(nil, &m)
+		again, err := e.ProgressFrame(nil, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +194,6 @@ func TestConnHandshakeAndFrames(t *testing.T) {
 	type serverResult struct {
 		hello Hello
 		sub   Subscribe
-		sync  BoardSync
 		err   error
 	}
 	done := make(chan serverResult, 1)
@@ -250,7 +205,7 @@ func TestConnHandshakeAndFrames(t *testing.T) {
 		}
 		c := NewConn(nc)
 		defer c.Close()
-		h, err := c.AcceptHandshake("hub", 5*time.Second)
+		h, err := c.AcceptHandshake("service", 5*time.Second)
 		if err != nil {
 			done <- serverResult{err: err}
 			return
@@ -263,19 +218,14 @@ func TestConnHandshakeAndFrames(t *testing.T) {
 			return
 		}
 		out.sub, _ = DecodeSubscribe(payload)
-		typ, payload, err = c.ReadFrame()
-		if err != nil || typ != TypeBoardSync {
-			done <- serverResult{err: err}
-			return
-		}
-		out.sync, _ = DecodeBoardSync(payload)
-		// Answer with the "global best" so the client read path is
-		// exercised too.
-		out.err = c.WriteBoardSync(&BoardSync{Job: out.sync.Job, Valid: true, Cost: 1, Gen: 1, Cfg: []int{1, 0}})
+		// Answer with the job's terminal event so the client read path
+		// is exercised too.
+		out.err = c.WriteProgress(&Progress{Job: out.sub.Job, State: "solved", Walker: -1, Terminal: true,
+			Result: &ProgressResult{Solved: true, Winner: 1, Solution: []int{1, 0}}})
 		done <- out
 	}()
 
-	c, err := Dial(ln.Addr().String(), "worker", 5*time.Second)
+	c, err := Dial(ln.Addr().String(), "client", 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,24 +233,21 @@ func TestConnHandshakeAndFrames(t *testing.T) {
 	if err := c.WriteSubscribe("job000001"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteBoardSync(&BoardSync{Job: "job000001", Valid: true, Cost: 5, Cfg: []int{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
 	typ, payload, err := c.ReadFrame()
-	if err != nil || typ != TypeBoardSync {
+	if err != nil || typ != TypeProgress {
 		t.Fatalf("client read: typ=%#x err=%v", typ, err)
 	}
-	global, err := DecodeBoardSync(payload)
-	if err != nil || global.Cost != 1 || global.Gen != 1 {
-		t.Fatalf("global = %+v err=%v", global, err)
+	final, err := DecodeProgress(payload)
+	if err != nil || !final.Terminal || final.Result == nil || final.Result.Winner != 1 {
+		t.Fatalf("final = %+v err=%v", final, err)
 	}
 
 	srv := <-done
 	if srv.err != nil {
 		t.Fatalf("server: %v", srv.err)
 	}
-	if srv.hello.Role != "worker" || srv.sub.Job != "job000001" || srv.sync.Cost != 5 {
-		t.Errorf("server saw hello=%+v sub=%+v sync=%+v", srv.hello, srv.sub, srv.sync)
+	if srv.hello.Role != "client" || srv.sub.Job != "job000001" {
+		t.Errorf("server saw hello=%+v sub=%+v", srv.hello, srv.sub)
 	}
 	if c.BytesWritten() == 0 || c.BytesRead() == 0 {
 		t.Errorf("byte counters not maintained: tx=%d rx=%d", c.BytesWritten(), c.BytesRead())
