@@ -77,6 +77,11 @@
 // traffic counters) to FILE every -telemetry-interval; decode offline
 // with `experiments -ftdc-decode FILE`.
 //
+// With -pprof ADDR, net/http/pprof is served on ADDR — a listener apart
+// from -addr, so profiles can stay on loopback — until the server
+// drains: `serve -pprof 127.0.0.1:6060` under examples/loadgen, then
+// `go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=20`.
+//
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener drains,
 // then the scheduler cancels queued and running jobs and waits for
 // every walker goroutine to exit.
@@ -100,6 +105,7 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/dist"
+	"repro/internal/profiling"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -135,8 +141,18 @@ func run() error {
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
 		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
 		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed offline with `experiments -calibrate`)")
+		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6060)")
 	)
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		bound, stopPprof, err := profiling.Serve(*pprofAddr)
+		if err != nil {
+			return fmt.Errorf("pprof: %w", err)
+		}
+		defer stopPprof()
+		log.Printf("serve: pprof on http://%s/debug/pprof/", bound)
+	}
 
 	tenantPolicies, err := parseTenants(*tenants)
 	if err != nil {

@@ -8,6 +8,7 @@
 //	worker -addr :9101 -slots 4
 //	worker -addr :9101 -slots 4 -telemetry worker.ftdc
 //	worker -addr :9101 -coordinator http://host:8080 -advertise http://me:9101
+//	worker -addr :9101 -pprof 127.0.0.1:6061
 //
 // With -coordinator, the worker enrolls itself in the coordinator's
 // dynamic fleet: it registers at startup (retrying with backoff until
@@ -24,6 +25,8 @@
 // see how far behind this shard is. With -telemetry FILE, per-walker
 // iteration/cost samples are appended to FILE in the FTDC-style
 // schema-delta encoding (decode with `experiments -ftdc-decode FILE`).
+// With -pprof ADDR, net/http/pprof is served on ADDR, a listener apart
+// from -addr that closes when the worker drains.
 //
 // Endpoints:
 //
@@ -50,6 +53,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/profiling"
 	"repro/internal/telemetry"
 )
 
@@ -70,8 +74,18 @@ func run() error {
 		coordinator    = flag.String("coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
 		advertise      = flag.String("advertise", "", "worker base URL advertised to the coordinator (default http://<hostname><addr port>)")
 		heartbeat      = flag.Duration("heartbeat", 0, "heartbeat period when registered with a coordinator (0 = 2s)")
+		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6061)")
 	)
 	flag.Parse()
+
+	if *pprofAddr != "" {
+		bound, stopPprof, err := profiling.Serve(*pprofAddr)
+		if err != nil {
+			return fmt.Errorf("pprof: %w", err)
+		}
+		defer stopPprof()
+		log.Printf("worker: pprof on http://%s/debug/pprof/", bound)
+	}
 
 	cfg := dist.WorkerConfig{Slots: *slots, BoardSync: *boardSync, TelemetryInterval: *telemetryEvery}
 	if *telemetryPath != "" {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -163,9 +164,12 @@ func TestCollectIterRates(t *testing.T) {
 		t.Fatalf("measured %d benchmarks, want %d", len(report.Results), len(problems.Names()))
 	}
 	for name, r := range report.Results {
-		if r.Iterations < 2_000 || r.ItersPerSec <= 0 {
+		if r.Iterations < 2_000 || r.ItersPerSec <= 0 || r.Solves < 1 || r.AllocsPerSolve <= 0 {
 			t.Errorf("%s: implausible measurement %+v", name, r)
 		}
+	}
+	if report.NumCPU < 1 || report.GOMAXPROCS < 1 {
+		t.Errorf("report does not record its host: num_cpu %d gomaxprocs %d", report.NumCPU, report.GOMAXPROCS)
 	}
 	path := t.TempDir() + "/rates.json"
 	if err := report.WriteJSON(path); err != nil {
@@ -209,6 +213,22 @@ func TestCollectIterRates(t *testing.T) {
 	}
 	if regs, _ := CompareIterRatesRelative(report, &skewed, 0.25); len(regs) != 1 || !strings.Contains(regs[0], "costas") {
 		t.Fatalf("skewed baseline should trip exactly the costas relative regression, got %v", regs)
+	}
+
+	// A baseline from before solves, allocs_per_solve, num_cpu and
+	// gomaxprocs existed still reads and still gates.
+	old := t.TempDir() + "/old.json"
+	oldBlob := `{"note":"n","go_version":"go1.24.0","results":{"costas":{"benchmark":"costas","size":14,` +
+		`"iterations":300014,"seconds":1.36,"iters_per_sec":1,"allocs_per_iter":0.002}}}`
+	if err := os.WriteFile(old, []byte(oldBlob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldReport, err := ReadIterRateReport(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regs, _ := CompareIterRatesRelative(report, oldReport, 0.25); len(regs) != 0 {
+		t.Fatalf("baseline without the new fields: %v", regs)
 	}
 
 	var md strings.Builder

@@ -180,36 +180,42 @@ func (s *State) bindFD(p Problem, n int) {
 // variable's domain, keep the value minimizing the global cost, ties
 // broken uniformly, with the current value seeding the pool so sideways
 // moves compete on equal footing and strictly-worse values are never
-// taken. The batched AssignEvaluator path and the per-call path scan in
-// the same order with the same acceptance rules and RNG consumption, so
-// FD traces do not depend on which path served the costs. FirstBest
-// keeps the per-call path for the same reason SelectMove does: its
-// point is to stop at the first improvement.
+// taken. The batched AssignEvaluator row is scanned by scanMin;
+// selectAssignByCall scans in the same order with the same acceptance
+// rules and RNG consumption, so FD traces do not depend on which path
+// served the costs. FirstBest keeps the per-call path for the same
+// reason SelectMove does: its point is to stop at the first improvement.
 func (MinConflictMove) SelectAssign(s *State, i int) (v, cost int) {
 	d := s.DomainOf(i)
+	if s.assignEval == nil || s.Opts.FirstBest {
+		return selectAssignByCall(s, i, d)
+	}
+	costs := s.assignBuf[:len(d)]
+	s.assignEval.CostsIfAssignAll(s.Cfg, s.Cost, i, costs)
+	if pick, best, _ := scanMin(costs, indexOf(d, s.Cfg[i]), s.Cost, 1, s.Rand); pick >= 0 {
+		return d[pick], best
+	}
+	return s.Cfg[i], s.Cost
+}
+
+// indexOf returns the position of v in the domain d, or -1.
+func indexOf(d []int, v int) int {
+	for k, dv := range d {
+		if dv == v {
+			return k
+		}
+	}
+	return -1
+}
+
+// selectAssignByCall is SelectAssign through one CostIfAssign call per
+// value of d, returning at the first strict improvement under
+// FirstBest.
+func selectAssignByCall(s *State, i int, d []int) (v, cost int) {
 	cur := s.Cfg[i]
 	bestV := cur
 	bestCost := s.Cost
 	ties := 1
-	if costs := s.AssignCosts(i); costs != nil && !s.Opts.FirstBest {
-		for k, c := range costs {
-			if d[k] == cur {
-				continue
-			}
-			switch {
-			case c < bestCost:
-				bestCost = c
-				bestV = d[k]
-				ties = 1
-			case c == bestCost:
-				ties++
-				if s.Rand.Intn(ties) == 0 {
-					bestV = d[k]
-				}
-			}
-		}
-		return bestV, bestCost
-	}
 	for _, cand := range d {
 		if cand == cur {
 			continue

@@ -238,38 +238,38 @@ func (e *engine) partialResetFD() {
 // serve whole domains when available; FirstBest keeps the per-call path
 // and returns the first strict improvement.
 func (e *engine) selectBestAssign() (i, v, cost int) {
-	st := &e.st
+	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
 	bestI, bestV := 0, st.Cfg[0]
 	bestCost := st.Cost
 	ties := 1
-	for a := range st.Cfg {
+	for a, cur := range st.Cfg {
 		d := e.fd.Domain(a)
-		cur := st.Cfg[a]
-		var costs []int
-		if !e.opts.FirstBest {
-			costs = st.AssignCosts(a)
+		if !firstBest && st.assignEval != nil {
+			costs := st.assignBuf[:len(d)]
+			st.assignEval.CostsIfAssignAll(st.Cfg, st.Cost, a, costs)
+			var pick int
+			pick, bestCost, ties = scanMin(costs, indexOf(d, cur), bestCost, ties, r)
+			if pick >= 0 {
+				bestI, bestV = a, d[pick]
+			}
+			continue
 		}
-		for k, val := range d {
+		for _, val := range d {
 			if val == cur {
 				continue
 			}
-			var c int
-			if costs != nil {
-				c = costs[k]
-			} else {
-				c = e.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
-			}
+			c := e.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
 			switch {
 			case c < bestCost:
 				bestCost = c
 				bestI, bestV = a, val
 				ties = 1
-				if e.opts.FirstBest {
+				if firstBest {
 					return bestI, bestV, bestCost
 				}
 			case c == bestCost:
 				ties++
-				if e.rand.Intn(ties) == 0 {
+				if r.Intn(ties) == 0 {
 					bestI, bestV = a, val
 				}
 			}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+
+	"repro/internal/rng"
 )
 
 // This file holds the concrete strategy implementations: the default
@@ -23,24 +25,54 @@ import (
 // changes a trace.
 type AdaptiveVariable struct{}
 
-// SelectVariable implements VariableSelector. One loop serves both
-// error sources so the tie-break (and its RNG consumption) cannot
-// diverge between the fast and slow paths.
+// SelectVariable implements VariableSelector. With an error vector the
+// scan is a kernel over locals that compares the error before it looks
+// at the tabu mark: an entry below the running best is neither a new
+// maximum nor a tie, frozen or not, so most entries cost one load and
+// one predictable branch, and the chosen index and every tie-break draw
+// are those of selectVariableByCall, the frozen-first scan that
+// problems without an ErrorVector still take.
 func (AdaptiveVariable) SelectVariable(s *State) int {
+	errs := s.Errors()
+	if errs == nil {
+		return selectVariableByCall(s)
+	}
+	marks, iter, r := s.Marks, s.Iter, s.Rand
+	errs = errs[:len(marks)]
+	worst, bestErr, ties := -1, math.MinInt, 0
+	for i, err := range errs {
+		if err < bestErr || marks[i] >= iter {
+			continue
+		}
+		if err > bestErr {
+			bestErr = err
+			worst = i
+			ties = 1
+		} else {
+			ties++
+			if r.Intn(ties) == 0 {
+				worst = i
+			}
+		}
+	}
+	if worst < 0 {
+		worst = r.Intn(len(errs))
+	}
+	return worst
+}
+
+// selectVariableByCall is SelectVariable without an error vector: one
+// CostOnVariable call per non-frozen variable, the same comparisons and
+// the same draws.
+func selectVariableByCall(s *State) int {
 	worst := -1
 	bestErr := math.MinInt
 	ties := 0
-	errs := s.Errors()
 	for i := range s.Cfg {
 		if s.Frozen(i) {
 			continue
 		}
-		var err int
-		if errs != nil {
-			err = errs[i]
-		} else {
-			err = s.Problem.CostOnVariable(s.Cfg, i)
-		}
+		err := s.Problem.CostOnVariable(s.Cfg, i)
 		switch {
 		case err > bestErr:
 			bestErr = err
@@ -72,34 +104,56 @@ type MinConflictMove struct{}
 
 // SelectMove implements MoveSelector. When the problem implements
 // MoveEvaluator the whole cost row is filled in one batched call and
-// scanned here; the scan order, acceptance rules and tie-break RNG
-// consumption are identical on both paths, so the fast path never
-// changes a trace. FirstBest keeps the per-call path: its whole point
-// is to stop evaluating at the first improving candidate, which an
-// eager row fill would defeat.
+// scanned by scanMin; the scan order, acceptance rules and tie-break
+// RNG consumption are those of selectMoveByCall, so the fast path never
+// changes a trace. FirstBest keeps the per-call path: its
+// whole point is to stop evaluating at the first improving candidate,
+// which an eager row fill would defeat.
 func (MinConflictMove) SelectMove(s *State, i int) (j, cost int) {
+	if s.moveEval == nil || s.Opts.FirstBest {
+		return selectMoveByCall(s, i)
+	}
+	if pick, best, _ := scanMin(s.SwapCosts(i), i, s.Cost, 1, s.Rand); pick >= 0 {
+		return pick, best
+	}
+	return i, s.Cost
+}
+
+// scanMin carries a cheapest-entry scan with uniform tie-breaking over
+// one more row of costs, entry skip (-1: none) left out. bestCost and
+// ties are the scan's state coming in and, returned, going out; pick is
+// the entry of this row the scan now stands on, or -1 if the row left
+// its earlier choice standing. It is the one loop behind every batched
+// selection (SelectMove, SelectAssign and both exhaustive scans), which
+// differ only in what a row and an entry are; comparisons and draws are
+// those of the per-call loops, an entry above the best costing a load
+// and a compare.
+func scanMin(costs []int, skip, bestCost, ties int, r *rng.Rand) (pick, newBest, newTies int) {
+	pick = -1
+	for k, c := range costs {
+		if c > bestCost || k == skip {
+			continue
+		}
+		if c < bestCost {
+			bestCost = c
+			pick = k
+			ties = 1
+		} else {
+			ties++
+			if r.Intn(ties) == 0 {
+				pick = k
+			}
+		}
+	}
+	return pick, bestCost, ties
+}
+
+// selectMoveByCall is SelectMove through one CostIfSwap call per
+// partner, returning at the first strict improvement under FirstBest.
+func selectMoveByCall(s *State, i int) (j, cost int) {
 	bestJ := i
 	bestCost := s.Cost
 	ties := 1
-	if costs := s.SwapCosts(i); costs != nil && !s.Opts.FirstBest {
-		for cand, c := range costs {
-			if cand == i {
-				continue
-			}
-			switch {
-			case c < bestCost:
-				bestCost = c
-				bestJ = cand
-				ties = 1
-			case c == bestCost:
-				ties++
-				if s.Rand.Intn(ties) == 0 {
-					bestJ = cand
-				}
-			}
-		}
-		return bestJ, bestCost
-	}
 	for cand := range s.Cfg {
 		if cand == i {
 			continue
@@ -272,33 +326,33 @@ func (m *MetropolisMove) SelectMove(s *State, i int) (j, cost int) {
 // fill would defeat. Values, scan order and tie-break RNG consumption
 // are identical on every path.
 func (e *engine) selectBestPair() (i, j, cost int) {
-	n := len(e.st.Cfg)
+	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
+	n := len(st.Cfg)
 	bestI, bestJ := 0, 0
-	bestCost := e.st.Cost
+	bestCost := st.Cost
 	ties := 1
 	for a := 0; a < n; a++ {
-		var costs []int
-		if !e.opts.FirstBest && 2*(n-1-a) >= n-1 {
-			costs = e.st.SwapCosts(a)
+		if !firstBest && st.moveEval != nil && 2*(n-1-a) >= n-1 {
+			var pick int
+			pick, bestCost, ties = scanMin(st.SwapCosts(a)[a+1:], -1, bestCost, ties, r)
+			if pick >= 0 {
+				bestI, bestJ = a, a+1+pick
+			}
+			continue
 		}
 		for b := a + 1; b < n; b++ {
-			var c int
-			if costs != nil {
-				c = costs[b]
-			} else {
-				c = e.p.CostIfSwap(e.st.Cfg, e.st.Cost, a, b)
-			}
+			c := e.p.CostIfSwap(st.Cfg, st.Cost, a, b)
 			switch {
 			case c < bestCost:
 				bestCost = c
 				bestI, bestJ = a, b
 				ties = 1
-				if e.opts.FirstBest {
+				if firstBest {
 					return bestI, bestJ, bestCost
 				}
 			case c == bestCost:
 				ties++
-				if e.rand.Intn(ties) == 0 {
+				if r.Intn(ties) == 0 {
 					bestI, bestJ = a, b
 				}
 			}

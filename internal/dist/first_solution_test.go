@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,7 +18,7 @@ import (
 )
 
 // workerCancels reads a worker's cancels_total from /healthz: the
-// cancel RPCs that found their run still live.
+// cancel RPCs that stopped a run, live or not yet registered.
 func workerCancels(t *testing.T, base string) int64 {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
@@ -113,14 +115,134 @@ func TestFirstSolutionCancelsOtherWorkers(t *testing.T) {
 				t.Fatalf("loser ran %d iterations, its whole need of %d: nothing stopped it", lr.Iterations, need(loser))
 			}
 			if got := workerCancels(t, f.servers[loser].URL) - before; got != 1 {
-				t.Fatalf("loser worker counted %d live cancels, want 1", got)
+				t.Fatalf("loser worker counted %d cancels that stopped a run, want 1", got)
 			}
+			// The ack is counted when the cancel RPC's reply is in, which
+			// the job does not wait for: the loser's answer can pass it. A
+			// cancel that overtook its run (the loser then ran zero
+			// iterations) was answered "not live" and is never acked.
+			mustAck := lr.Iterations > 0
 			m := coord.BackendMetrics()
-			if m["first_solution_cancels_sent"] != 1 || m["first_solution_cancels_acked"] != 1 {
-				t.Fatalf("first-solution counters: sent %d acked %d, want 1 and 1",
-					m["first_solution_cancels_sent"], m["first_solution_cancels_acked"])
+			for deadline := time.Now().Add(5 * time.Second); mustAck && m["first_solution_cancels_acked"] == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				m = coord.BackendMetrics()
+			}
+			if sent, acked := m["first_solution_cancels_sent"], m["first_solution_cancels_acked"]; sent != 1 || acked > 1 || mustAck && acked != 1 {
+				t.Fatalf("first-solution counters: sent %d acked %d, want 1 and 1 (loser ran %d iterations)", sent, acked, lr.Iterations)
 			}
 		})
+	}
+}
+
+// postRun posts one single-walker run request to a worker.
+func postRun(t *testing.T, base string, req RunRequest) RunResponse {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run %q: status %d", req.ID, resp.StatusCode)
+	}
+	var out RunResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// postCancel posts a cancel and returns the worker's "cancelled" answer.
+func postCancel(t *testing.T, base, id string) bool {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/runs/"+id+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack struct {
+		Cancelled bool `json:"cancelled"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	return ack.Cancelled
+}
+
+// TestCancelThatOutrunsItsRun: the winner's cancel can reach the loser's
+// worker before the loser's own run request has registered (it did in
+// 4 of 20 runs of TestFirstSolutionCancelsOtherWorkers under -race). It
+// used to be answered "not live" and forgotten, and the run then
+// searched to its own end. Played in the bad order on purpose: cancel,
+// then run.
+func TestCancelThatOutrunsItsRun(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Slots: 1})
+	srv := httptest.NewServer(wk.Handler())
+	t.Cleanup(func() { srv.Close(); wk.Close() })
+	// Alone, the run would take its whole budget: seconds.
+	engine := EngineSpecFor(tunedEngine(t, "costas", 18))
+	engine.MaxRuns = 1
+	run := func(id string) WalkerStatWire {
+		t.Helper()
+		out := postRun(t, srv.URL, RunRequest{
+			ID: id, Mode: ModeRun, Problem: "costas", Size: 18, Seed: 1,
+			TotalWalkers: 1, Start: 0, Count: 1, Engine: engine,
+		})
+		if len(out.Stats) != 1 {
+			t.Fatalf("run %q: %d walker stats, want 1", id, len(out.Stats))
+		}
+		if busy := wk.Busy(); busy != 0 {
+			t.Fatalf("run %q answered with %d slots still reserved", id, busy)
+		}
+		return out.Stats[0]
+	}
+	stopped := func(st WalkerStatWire) bool { return st.Interrupted && !st.Solved && st.Iterations == 0 }
+
+	before := workerCancels(t, srv.URL)
+	if postCancel(t, srv.URL, "early") {
+		t.Fatal("a cancel for an unregistered run claimed to have found it live")
+	}
+	if got := workerCancels(t, srv.URL) - before; got != 0 {
+		t.Fatalf("an unmatched cancel moved cancels_total by %d before any run came", got)
+	}
+	if st := run("early"); !stopped(st) {
+		t.Fatalf("the run whose cancel came first was not stopped at registration: %+v", st)
+	}
+	if got := workerCancels(t, srv.URL) - before; got != 1 {
+		t.Fatalf("cancels_total moved by %d, want 1", got)
+	}
+
+	// The ring is fixed-size: earlyCancels later unmatched cancels push
+	// the oldest out, and its run is then an ordinary run. The budget is
+	// cut so that it ends on its own.
+	engine.MaxIterations = 200
+	postCancel(t, srv.URL, "pushed-out")
+	for k := 0; k < earlyCancels; k++ {
+		postCancel(t, srv.URL, fmt.Sprintf("other-%d", k))
+	}
+	if st := run("pushed-out"); st.Iterations == 0 {
+		t.Fatalf("a cancel older than the last %d unmatched ones still stopped its run: %+v", earlyCancels, st)
+	}
+
+	// An entry past its time to live is dropped, not honoured: a run id
+	// a restarted coordinator issues again must not start cancelled.
+	postCancel(t, srv.URL, "stale")
+	wk.mu.Lock()
+	for k := range wk.early {
+		if wk.early[k].id == "stale" {
+			wk.early[k].at = time.Now().Add(-earlyCancelTTL)
+		}
+	}
+	wk.mu.Unlock()
+	if st := run("stale"); st.Iterations == 0 {
+		t.Fatalf("a cancel older than %v stopped a run: %+v", earlyCancelTTL, st)
+	}
+	if got := workerCancels(t, srv.URL) - before; got != 1 {
+		t.Fatalf("cancels_total moved by %d over the whole test, want 1", got)
 	}
 }
 

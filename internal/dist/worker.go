@@ -83,9 +83,34 @@ type Worker struct {
 	telemRuns map[string]*runTelem
 	closed    bool
 	wg        sync.WaitGroup
+	// early remembers the last cancels that found no run under their id:
+	// the run had finished, or — the case the ring exists for — its
+	// cancel overtook it on the way here, and reserve must stop it when
+	// it registers. A fixed ring: the oldest entry is overwritten.
+	early     [earlyCancels]earlyCancel
+	earlyNext int
 
 	mRuns      atomic.Int64
 	mCancelled atomic.Int64
+}
+
+// earlyCancels is how many unmatched cancels a worker remembers. A
+// cancel overtakes its run by the scheduling delay of one goroutine, so
+// only the entries of jobs still in flight matter; 256 is far above any
+// fleet's concurrent shard count per worker.
+const earlyCancels = 256
+
+// earlyCancelTTL bounds how long an unmatched cancel stays effective:
+// longer than any request can trail its cancel (the cancel RPC's own
+// bound is 10 s), short enough that a restarted coordinator, which
+// numbers its jobs from 1 again, does not find its run ids pre-cancelled
+// by what its predecessor left in the ring.
+const earlyCancelTTL = 10 * time.Second
+
+// earlyCancel is one remembered cancel.
+type earlyCancel struct {
+	id string
+	at time.Time
 }
 
 // runTelem is one active run's telemetry cells: an (iterations, cost)
@@ -225,6 +250,19 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 	wk.runs[req.ID] = cancel
 	wk.wg.Add(1)
 	id := req.ID
+	for k := range wk.early {
+		if e := &wk.early[k]; e.id == id {
+			// The run's cancel got here first: the run goes through the
+			// same path as any other, on a context already cancelled, and
+			// answers with every walker Interrupted at zero iterations.
+			if time.Since(e.at) < earlyCancelTTL {
+				wk.mCancelled.Add(1)
+				cancel()
+			}
+			*e = earlyCancel{}
+			break
+		}
+	}
 	return func() {
 		wk.mu.Lock()
 		wk.busy -= need
@@ -424,13 +462,18 @@ func (wk *Worker) postProgress(ctx context.Context, url string, rep *ShardProgre
 	_ = resp.Body.Close()
 }
 
-// handleCancel cancels an in-flight run. Cancelling an unknown (or
-// already finished) run is a no-op, reported in the response body —
-// the races are benign, so the call is idempotent by design.
+// handleCancel cancels an in-flight run. Cancelling an unknown run is
+// reported in the response body and remembered (Worker.early): a run
+// already finished never comes back for it, a run not yet registered is
+// stopped by reserve. The call is idempotent.
 func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	wk.mu.Lock()
 	cancel, ok := wk.runs[id]
+	if !ok {
+		wk.early[wk.earlyNext] = earlyCancel{id: id, at: time.Now()}
+		wk.earlyNext = (wk.earlyNext + 1) % earlyCancels
+	}
 	wk.mu.Unlock()
 	if ok {
 		// Counted before it takes effect, so whoever sees the run's

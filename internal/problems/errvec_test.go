@@ -2,6 +2,7 @@ package problems
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -24,7 +25,7 @@ type errVecProblem interface {
 // model — for the equivalence suites.
 func hotPathBuilders(t *testing.T) map[string]func() errVecProblem {
 	t.Helper()
-	return map[string]func() errVecProblem{
+	builders := map[string]func() errVecProblem{
 		"magic-square":   func() errVecProblem { p, _ := NewMagicSquare(5); return p },
 		"costas":         func() errVecProblem { p, _ := NewCostas(9); return p },
 		"all-interval":   func() errVecProblem { p, _ := NewAllInterval(12); return p },
@@ -57,6 +58,13 @@ func hotPathBuilders(t *testing.T) map[string]func() errVecProblem {
 			return p
 		},
 	}
+	// The smallest Costas orders: no pair at all, a single row, a column
+	// with no left or no right neighbour — the edges of the flat
+	// (distance, difference) indexing.
+	for n := 1; n <= 4; n++ {
+		builders[fmt.Sprintf("costas-%d", n)] = func() errVecProblem { p, _ := NewCostas(n); return p }
+	}
+	return builders
 }
 
 // checkErrVecAgainstScan verifies the error-vector contract at the
@@ -120,6 +128,9 @@ func driveHotPath(t *testing.T, p errVecProblem, steps int, check func(cfg []int
 	cfg := r.Perm(n)
 	cost := p.Cost(cfg)
 	check(cfg, cost, "initial")
+	if n < 2 {
+		return // no swap to make
+	}
 	for step := 0; step < steps; step++ {
 		i := r.Intn(n)
 		j := r.Intn(n - 1)

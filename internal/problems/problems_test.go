@@ -27,6 +27,9 @@ func fixtures() []fixture {
 		{"magic-square-5", mk(func() (core.Problem, error) { return NewMagicSquare(5) })},
 		{"all-interval-12", mk(func() (core.Problem, error) { return NewAllInterval(12) })},
 		{"costas-9", mk(func() (core.Problem, error) { return NewCostas(9) })},
+		{"costas-2", mk(func() (core.Problem, error) { return NewCostas(2) })},
+		{"costas-3", mk(func() (core.Problem, error) { return NewCostas(3) })},
+		{"costas-4", mk(func() (core.Problem, error) { return NewCostas(4) })},
 		{"langford-8", mk(func() (core.Problem, error) { return NewLangford(8) })},
 		{"partition-16", mk(func() (core.Problem, error) { return NewPartition(16) })},
 		{"alpha", mk(func() (core.Problem, error) { return NewAlpha() })},

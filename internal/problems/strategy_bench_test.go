@@ -161,3 +161,91 @@ func benchmarkSolveIterRate(b *testing.B, name string, size int, hide bool) {
 	}
 	b.ReportMetric(float64(iters)/b.Elapsed().Seconds(), "iters/s")
 }
+
+// midSearchState returns a State over a fresh instance, positioned on
+// the configuration the seed-1 solve of that instance holds halfway
+// through, with every tenth variable tabu: the error vector, its ties
+// and the share of frozen entries are those the selection kernels meet
+// in a real search, not those of a random configuration.
+func midSearchState(b *testing.B, name string, size int, params map[string]int) *core.State {
+	b.Helper()
+	solve := func(stopAt int64) (core.Result, []int) {
+		p, err := NewWithParams(name, size, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := core.TunedOptions(p)
+		opts.Seed = 1
+		opts.CheckEvery = 1
+		var snap []int
+		opts.Monitor = func(iter int64, _ int, cfg []int) core.Directive {
+			if iter != stopAt {
+				return core.Directive{}
+			}
+			snap = append([]int(nil), cfg...)
+			return core.Directive{Stop: true}
+		}
+		res, err := core.Solve(nil, p, opts) //nolint:staticcheck // nil ctx is part of the API
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res, snap
+	}
+	full, _ := solve(-1)
+	_, cfg := solve(full.Iterations / 2)
+	p, err := NewWithParams(name, size, params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := core.NewState(p, core.TunedOptions(p), 1, cfg)
+	for i := range st.Marks {
+		if i%10 == 0 {
+			st.Marks[i] = st.Iter
+		}
+	}
+	return st
+}
+
+// BenchmarkSelectVariable times the worst-variable scan alone, on the
+// instances whose jobs dominate the repository benchmark's two search
+// workloads.
+func BenchmarkSelectVariable(b *testing.B) {
+	for _, tc := range []struct {
+		name, problem string
+		size          int
+		params        map[string]int
+	}{
+		{"timetable-200", "timetable", 200, map[string]int{"slots": 8}},
+		{"costas-15", "costas", 15, nil},
+		{"magic-square-9", "magic-square", 9, nil},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			st := midSearchState(b, tc.problem, tc.size, tc.params)
+			sel := core.AdaptiveVariable{}
+			sink := 0
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				sink += sel.SelectVariable(st)
+			}
+			benchSink = sink
+		})
+	}
+}
+
+// BenchmarkCostasRow times one CostsIfSwapAll row fill, the call under
+// 40% of the search-perm workload's samples.
+func BenchmarkCostasRow(b *testing.B) {
+	b.Run("15", func(b *testing.B) {
+		st := midSearchState(b, "costas", 15, nil)
+		p := st.Problem.(*Costas)
+		out := make([]int, len(st.Cfg))
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			p.CostsIfSwapAll(st.Cfg, st.Cost, k%len(st.Cfg), out)
+		}
+		benchSink = out[0]
+	})
+}
+
+// benchSink keeps the benchmarked calls' results live.
+var benchSink int
