@@ -142,8 +142,11 @@ func NewProblem(name string, size int) (Problem, error) {
 
 // NewProblemFactory returns a factory of independent instances of a
 // registered benchmark, for SolveParallel. Every call returns an
-// instance nobody else holds; the first returns the one that was built
-// to validate name and size.
+// instance nobody else holds: the first the template that was built to
+// validate name and size (and, finite-domain, reduced: a model proven
+// unsatisfiable is this constructor's ErrUnsatisfiable), the later ones
+// clones of it where the benchmark can share its model, fresh
+// constructions where it cannot.
 func NewProblemFactory(name string, size int) (ProblemFactory, error) {
 	f, err := problems.NewFactory(name, size)
 	if err != nil {

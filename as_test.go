@@ -106,6 +106,11 @@ func TestFacadeFiniteDomain(t *testing.T) {
 	if _, err := Solve(context.Background(), unsat, TunedOptions(unsat)); !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("unsatisfiable parameter set not rejected by reduction: %v", err)
 	}
+	// A factory reduces its template once, up front, so there the proof
+	// is the constructor's error: no walker is ever started.
+	if _, err := NewProblemFactoryParams("timetable", 3, map[string]int{"rooms": 1, "slots": 2, "teachers": 3}); !errors.Is(err, ErrUnsatisfiable) {
+		t.Fatalf("unsatisfiable parameter set not rejected by the factory: %v", err)
+	}
 	if _, err := NewProblemWithParams("timetable", 20, map[string]int{"professors": 1}); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("unknown parameter not rejected: %v", err)
 	}

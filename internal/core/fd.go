@@ -72,9 +72,24 @@ type AssignEvaluator interface {
 // before any iteration; an error wrapping domain.ErrUnsatisfiable
 // proves the instance has no solution and aborts the search with that
 // typed error. Reduction must be sound (never remove a value some
-// solution uses) and idempotent.
+// solution uses) and idempotent — so it may be a no-op on an instance
+// already reduced, which is what makes Solve's own call free on the
+// instances a reduced template hands out (see Cloner).
 type DomainReducer interface {
 	ReduceDomains() error
+}
+
+// Cloner is implemented by problems whose construction is mostly an
+// immutable model (ids, adjacency, reduced domains) that instances can
+// share. Clone returns an unused instance — exactly what a fresh
+// construction followed by the reductions the receiver has had would
+// be, so search traces cannot tell them apart — that shares the model
+// and owns its mutable search state. It must read nothing a search
+// writes: callers clone an instance while another goroutine is
+// searching on it. Optional: problems.NewTemplate builds fresh
+// instances of an encoding without it.
+type Cloner interface {
+	Clone() Problem
 }
 
 // AssignSelector is the FD counterpart of MoveSelector: given the

@@ -518,6 +518,17 @@ func TestDistributedFDProblem(t *testing.T) {
 		t.Fatalf("bad params accepted by fleet: %v", err)
 	}
 
+	// So is a model its one pre-search reduction proves unsatisfiable:
+	// the worker refuses the run (ErrBadRequest, 400) before any walker
+	// exists, where it used to fail inside every walker and answer 503,
+	// which the coordinator reads as a lost shard.
+	_, err = f.coord.RunVirtual(context.Background(), JobSpec{
+		Problem: "timetable", Size: 3, Params: map[string]int{"rooms": 1, "slots": 2}, Walkers: 1, Seed: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), ErrBadRequest.Error()) || !strings.Contains(err.Error(), "unsatisfiable") {
+		t.Fatalf("unsatisfiable model at the fleet: %v, want the worker's bad-request answer naming it", err)
+	}
+
 	// Dependent run: cross-worker cooperation on the FD encoding. The
 	// board probe must verify FD configurations (not permutations) or
 	// every publish would be rejected.

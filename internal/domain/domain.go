@@ -21,6 +21,9 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -103,8 +106,9 @@ type Propagator interface {
 // (domains only shrink, so the loop terminates). It returns an error
 // wrapping ErrUnsatisfiable if any domain is empty on entry or a
 // propagator proves unsatisfiability; on success every domain is
-// non-empty and reduced.
-func Fixpoint(doms []Domain, props []Propagator) error {
+// non-empty and reduced. A slice of one concrete propagator type
+// ([]Distinct) runs without boxing each element into an interface.
+func Fixpoint[P Propagator](doms []Domain, props []P) error {
 	for i, d := range doms {
 		if len(d) == 0 {
 			return fmt.Errorf("variable %d has an empty domain: %w", i, ErrUnsatisfiable)
@@ -204,38 +208,34 @@ type Distinct struct {
 	Vars []int
 }
 
-// Reduce implements Propagator.
+// Reduce implements Propagator. It allocates nothing unless the group's
+// values span more than a machine word (see unionSize).
 func (c Distinct) Reduce(doms []Domain) (bool, error) {
-	// Deduplicate the group so repeated registration of a variable
-	// neither miscounts capacity nor empties its own domain.
-	group := make([]int, 0, len(c.Vars))
-	seen := make(map[int]bool, len(c.Vars))
+	lo, hi := math.MaxInt, math.MinInt
 	for _, vi := range c.Vars {
-		if !seen[vi] {
-			seen[vi] = true
-			group = append(group, vi)
-		}
-	}
-	// Pigeonhole capacity: |group| distinct values must exist.
-	union := make(map[int]struct{})
-	for _, vi := range group {
-		if len(doms[vi]) == 0 {
+		d := doms[vi]
+		if len(d) == 0 {
 			return false, fmt.Errorf("variable %d has an empty domain: %w", vi, ErrUnsatisfiable)
 		}
-		for _, v := range doms[vi] {
-			union[v] = struct{}{}
+		lo, hi = min(lo, d.Min()), max(hi, d.Max())
+	}
+	// Pigeonhole capacity: as many distinct values as distinct
+	// variables must exist. len(Vars) bounds the variable count from
+	// above, so duplicates are only counted out when that bound fails.
+	if union := c.unionSize(doms, lo, hi); len(c.Vars) > union {
+		if group := c.distinctVars(); group > union {
+			return false, fmt.Errorf("all-different over %d variables with only %d values: %w", group, union, ErrUnsatisfiable)
 		}
 	}
-	if len(group) > len(union) {
-		return false, fmt.Errorf("all-different over %d variables with only %d values: %w", len(group), len(union), ErrUnsatisfiable)
-	}
 	changed := false
-	for _, vi := range group {
-		if len(doms[vi]) != 1 {
+	for k, vi := range c.Vars {
+		// A repeated entry propagates at its first position only, so
+		// registering a variable twice changes nothing.
+		if len(doms[vi]) != 1 || slices.Contains(c.Vars[:k], vi) {
 			continue
 		}
 		v := doms[vi][0]
-		for _, vj := range group {
+		for _, vj := range c.Vars {
 			if vj == vi {
 				continue
 			}
@@ -251,4 +251,35 @@ func (c Distinct) Reduce(doms []Domain) (bool, error) {
 		}
 	}
 	return changed, nil
+}
+
+// unionSize counts the distinct values across the group's (non-empty)
+// domains, all of which lie in [lo, hi]: in one word when that interval
+// has at most 64 values, by sorting a copy otherwise.
+func (c Distinct) unionSize(doms []Domain, lo, hi int) int {
+	if uint(hi-lo) < 64 {
+		var seen uint64
+		for _, vi := range c.Vars {
+			for _, v := range doms[vi] {
+				seen |= 1 << uint(v-lo)
+			}
+		}
+		return bits.OnesCount64(seen)
+	}
+	var all []int
+	for _, vi := range c.Vars {
+		all = append(all, doms[vi]...)
+	}
+	return len(New(all...))
+}
+
+// distinctVars counts Vars without its repeated entries.
+func (c Distinct) distinctVars() int {
+	n := 0
+	for k, vi := range c.Vars {
+		if !slices.Contains(c.Vars[:k], vi) {
+			n++
+		}
+	}
+	return n
 }

@@ -2,6 +2,9 @@ package domain
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -40,7 +43,7 @@ func TestDomainBasics(t *testing.T) {
 
 func TestFixpointEmptyDomain(t *testing.T) {
 	doms := []Domain{Range(0, 2), nil}
-	err := Fixpoint(doms, nil)
+	err := Fixpoint[Propagator](doms, nil)
 	if !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("empty domain not reported unsatisfiable: %v", err)
 	}
@@ -187,8 +190,34 @@ func decodeFuzzModel(data []byte) (fuzzModel, bool) {
 		}
 		m.distinct = append(m.distinct, g)
 	}
+	if rem() > 1 && next()%2 == 1 {
+		// A second group with arbitrary members, repeats included.
+		g := Distinct{}
+		for k := int(next()) % 6; k > 0 && rem() > 0; k-- {
+			g.Vars = append(g.Vars, int(next())%n)
+		}
+		m.distinct = append(m.distinct, g)
+	}
+	if rem() > 0 {
+		// Move the values out of [0,5]: below zero, across the 64 mark,
+		// or so far apart that a group's values no longer fit one word.
+		shift := fuzzShifts[int(next())%len(fuzzShifts)]
+		for _, d := range m.doms {
+			for k := range d {
+				d[k] = d[k]*shift.scale + shift.offset
+			}
+		}
+	}
+	if rem() > 1 && next()%8 == 0 {
+		m.doms[int(next())%n] = nil // empty on entry
+	}
 	return m, true
 }
+
+// fuzzShifts are the value transforms decodeFuzzModel applies: identity,
+// negative, straddling 64, spreads of exactly 63 and exactly 64 (the
+// last that fits one word and the first that does not), and wider.
+var fuzzShifts = []struct{ scale, offset int }{{1, 0}, {1, -3}, {1, 61}, {9, -5}, {32, 3}, {40, -70}, {1 << 40, 0}}
 
 // satisfies checks an assignment exactly (no relaxation).
 func (m fuzzModel) satisfies(asn []int) bool {
@@ -242,6 +271,10 @@ func FuzzReduceDomain(f *testing.F) {
 	f.Add([]byte{3, 0x03, 0x03, 0x03, 0, 1, 3})
 	f.Add([]byte{1, 0x0f, 1, 2, 7, 0})
 	f.Add([]byte{4, 0x3f, 0x1f, 0x0f, 0x07, 2, 1, 1, 1, 1, 4, 2, 2, 2, 2, 0, 1, 3})
+	// A group with repeated members over values 2^40 apart, and a
+	// domain empty on entry among values around 64.
+	f.Add([]byte{2, 0x01, 0x03, 0x02, 0, 1, 2, 1, 4, 0, 0, 1, 2, 6, 1})
+	f.Add([]byte{1, 0x07, 0x07, 0, 1, 1, 1, 2, 1, 1, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ok := decodeFuzzModel(data)
 		if !ok {
@@ -255,10 +288,9 @@ func FuzzReduceDomain(f *testing.F) {
 			}
 		})
 
-		reduced := make([]Domain, len(m.doms))
-		for i, d := range m.doms {
-			reduced[i] = d.Clone()
-		}
+		checkDistinctAgainstReference(t, m.doms, m.distinct)
+
+		reduced := cloneDomains(m.doms)
 		props := make([]Propagator, 0, len(m.linear)+len(m.distinct))
 		for _, l := range m.linear {
 			props = append(props, l)
@@ -285,4 +317,156 @@ func FuzzReduceDomain(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refDistinctReduce is Distinct.Reduce as it stood before it lost its
+// per-call maps and dedup slice (commit 6ae8a7d), kept as the reference
+// the allocation-free one must agree with call for call.
+func refDistinctReduce(c Distinct, doms []Domain) (bool, error) {
+	group := make([]int, 0, len(c.Vars))
+	seen := make(map[int]bool, len(c.Vars))
+	for _, vi := range c.Vars {
+		if !seen[vi] {
+			seen[vi] = true
+			group = append(group, vi)
+		}
+	}
+	union := make(map[int]struct{})
+	for _, vi := range group {
+		if len(doms[vi]) == 0 {
+			return false, fmt.Errorf("variable %d has an empty domain: %w", vi, ErrUnsatisfiable)
+		}
+		for _, v := range doms[vi] {
+			union[v] = struct{}{}
+		}
+	}
+	if len(group) > len(union) {
+		return false, fmt.Errorf("all-different over %d variables with only %d values: %w", len(group), len(union), ErrUnsatisfiable)
+	}
+	changed := false
+	for _, vi := range group {
+		if len(doms[vi]) != 1 {
+			continue
+		}
+		v := doms[vi][0]
+		for _, vj := range group {
+			if vj == vi {
+				continue
+			}
+			d, removed := doms[vj].Remove(v)
+			if !removed {
+				continue
+			}
+			changed = true
+			doms[vj] = d
+			if len(d) == 0 {
+				return true, fmt.Errorf("variable %d has an empty domain: %w", vj, ErrUnsatisfiable)
+			}
+		}
+	}
+	return changed, nil
+}
+
+// refDistinct runs refDistinctReduce as a Propagator, so the reference
+// fixpoint is Fixpoint's own loop over the reference propagator.
+type refDistinct Distinct
+
+func (c refDistinct) Reduce(doms []Domain) (bool, error) { return refDistinctReduce(Distinct(c), doms) }
+
+func cloneDomains(doms []Domain) []Domain {
+	out := make([]Domain, len(doms))
+	for i, d := range doms {
+		out[i] = d.Clone()
+	}
+	return out
+}
+
+// checkDistinctAgainstReference drives Distinct.Reduce and the reference
+// side by side from the same domains: every single call must agree on
+// the domains it leaves, on changed and on the error (same text, so
+// same ErrUnsatisfiable verdict), and so must the fixpoint of all groups.
+func checkDistinctAgainstReference(t *testing.T, doms []Domain, groups []Distinct) {
+	t.Helper()
+	agree := func(what string, got, want []Domain, gotErr, wantErr error) {
+		t.Helper()
+		if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrUnsatisfiable) != errors.Is(wantErr, ErrUnsatisfiable) ||
+			(gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%s on %v %v: err = %v, reference %v", what, doms, groups, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on %v %v: domains %v, reference %v", what, doms, groups, got, want)
+		}
+	}
+	for _, g := range groups {
+		got, want := cloneDomains(doms), cloneDomains(doms)
+		// Call after call until quiescence: the later calls see the
+		// singleton chains the earlier ones made.
+		for {
+			ch, err := g.Reduce(got)
+			refCh, refErr := refDistinctReduce(g, want)
+			if ch != refCh {
+				t.Fatalf("Reduce on %v %v: changed = %v, reference %v", doms, g, ch, refCh)
+			}
+			agree("Reduce", got, want, err, refErr)
+			if err != nil || !ch {
+				break
+			}
+		}
+	}
+	refs := make([]refDistinct, len(groups))
+	for i, g := range groups {
+		refs[i] = refDistinct(g)
+	}
+	got, want := cloneDomains(doms), cloneDomains(doms)
+	err, refErr := Fixpoint(got, groups), Fixpoint(want, refs)
+	agree("Fixpoint", got, want, err, refErr)
+}
+
+// TestDistinctMatchesReference is the differential test run on every
+// `go test`: seeded random groups over random domains, built to hit
+// each case the rewrite could get wrong — repeated entries in Vars,
+// values below zero, at and above 64, spreads wider than a word (the
+// sorting branch of unionSize), singleton chains, pigeonhole-
+// unsatisfiable groups and domains empty on entry.
+func TestDistinctMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	var unsat, wide, dups, empty int
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + r.Intn(7)
+		shift := fuzzShifts[r.Intn(len(fuzzShifts))]
+		width := 1 + r.Intn(8) // few values: singletons and pigeonholes are common
+		doms := make([]Domain, n)
+		for i := range doms {
+			var vals []int
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				vals = append(vals, r.Intn(width)*shift.scale+shift.offset)
+			}
+			doms[i] = New(vals...)
+			if r.Intn(40) == 0 {
+				doms[i] = nil
+				empty++
+			}
+		}
+		groups := make([]Distinct, 1+r.Intn(3))
+		for gi := range groups {
+			for k := r.Intn(n + 2); k > 0; k-- {
+				groups[gi].Vars = append(groups[gi].Vars, r.Intn(n))
+			}
+			if len(New(groups[gi].Vars...)) < len(groups[gi].Vars) {
+				dups++
+			}
+		}
+		if shift.scale*(width-1) >= 64 {
+			wide++
+		}
+		if Fixpoint(cloneDomains(doms), groups) != nil {
+			unsat++
+		}
+		checkDistinctAgainstReference(t, doms, groups)
+	}
+	// The generator must keep reaching every class, or the test above
+	// proves less than it says.
+	if unsat < 200 || wide < 200 || dups < 200 || empty < 200 {
+		t.Fatalf("generator coverage: unsat %d, wide %d, dups %d, empty-on-entry %d trials of 5000", unsat, wide, dups, empty)
+	}
 }

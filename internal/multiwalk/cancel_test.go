@@ -3,6 +3,9 @@ package multiwalk
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -285,5 +288,148 @@ func TestEngineMonitorChained(t *testing.T) {
 	}
 	if res.Completed != 2 {
 		t.Errorf("Completed = %d, want 2", res.Completed)
+	}
+}
+
+// TestRunSingleWalkerInline: Run's last walker is the calling
+// goroutine, so a one-walker run starts none — the factory is called
+// with this test function on its stack — and keeps the semantics of a
+// spawned walker: solved is not Truncated, a dead context is.
+func TestRunSingleWalkerInline(t *testing.T) {
+	inline := false
+	inner := costasFactory(t, 9)
+	factory := func() (core.Problem, error) {
+		pcs := make([]uintptr, 32)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
+		for {
+			f, more := frames.Next()
+			if strings.HasSuffix(f.Function, ".TestRunSingleWalkerInline") {
+				inline = true
+			}
+			if !more {
+				break
+			}
+		}
+		return inner()
+	}
+	opts := Options{Walkers: 1, Seed: 13, Engine: tunedEngine(t, "costas", 9)}
+	res, err := Run(context.Background(), factory, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inline {
+		t.Fatal("a one-walker Run called its factory from another goroutine")
+	}
+	if !res.Solved || res.Truncated || res.Completed != 1 || res.Winner != 0 {
+		t.Fatalf("one-walker run: %+v", res)
+	}
+	virtual, err := RunVirtual(context.Background(), costasFactory(t, 9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.WinnerIterations != virtual.WinnerIterations {
+		t.Fatalf("inline walker solved in %d iterations, the same walk under RunVirtual in %d", res.WinnerIterations, virtual.WinnerIterations)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = Run(ctx, costasFactory(t, 9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solved || !res.Truncated || res.Completed != 1 || !res.Walkers[0].Result.Interrupted || res.Walkers[0].Result.Iterations != 0 {
+		t.Fatalf("pre-cancelled one-walker run: %+v", res)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	opts.Engine = hardOptions(t, 20)
+	res, err = Run(ctx, hardFactory(t, 20), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solved {
+		t.Skip("solved within 20ms — machine faster than expected")
+	}
+	if !res.Truncated || !res.Walkers[0].Result.Interrupted {
+		t.Fatalf("deadline-cancelled one-walker run: %+v", res)
+	}
+}
+
+// TestRunWalkerErrorCancelsEitherWay: a walker that fails cancels the
+// run whether it is the one on the caller's goroutine (the last) or a
+// spawned one, and whichever the survivor is, it stops instead of
+// burning its (endless) budget; k = 1 returns the error too.
+func TestRunWalkerErrorCancelsEitherWay(t *testing.T) {
+	healthy := hardOptions(t, 20)
+	broken := healthy
+	broken.Strategy = "no-such-strategy"
+	for _, tc := range []struct {
+		name      string
+		walkers   int
+		portfolio []PortfolioEntry
+	}{
+		{"spawned walker fails", 2, []PortfolioEntry{{Engine: broken}, {Engine: healthy}}},
+		{"inline walker fails", 2, []PortfolioEntry{{Engine: healthy}, {Engine: broken}}},
+		{"only walker fails", 1, []PortfolioEntry{{Engine: broken}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(context.Background(), hardFactory(t, 20), Options{Walkers: tc.walkers, Seed: 1, Portfolio: tc.portfolio})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "no-such-strategy") {
+					t.Fatalf("err = %v, want the broken walker's", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the walker error did not cancel the surviving walker")
+			}
+		})
+	}
+}
+
+// TestRunSharedTimetableTemplate is for the race detector: four walkers
+// of one Run draw from one timetable factory, so one searches on the
+// template while the others clone it and search on clones that share
+// its domains. Every repeat must also be the walk RunVirtual replays.
+func TestRunSharedTimetableTemplate(t *testing.T) {
+	const size = 48
+	params := map[string]int{"slots": 8}
+	template, _, err := problems.NewTemplate("timetable", size, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Walkers: 4, Engine: core.TunedOptions(template)}
+	factory := func() Factory {
+		f, err := problems.NewFactoryParams("timetable", size, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		opts.Seed = seed
+		virtual, err := RunVirtual(context.Background(), factory(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), factory(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved || !virtual.Solved {
+			t.Fatalf("seed %d: solved %v, virtual %v", seed, res.Solved, virtual.Solved)
+		}
+		// Whoever won the wall-clock race walked exactly as it does alone.
+		won := virtual.Walkers[res.Winner].Result
+		if !won.Solved || won.Iterations != res.WinnerIterations || !reflect.DeepEqual(won.Solution, res.Solution) {
+			t.Fatalf("seed %d: walker %d won in %d iterations, alone it needs %d (solved %v)", seed, res.Winner, res.WinnerIterations, won.Iterations, won.Solved)
+		}
+		if !template.(*problems.Timetable).Verify(res.Solution) {
+			t.Fatalf("seed %d: solution fails Verify", seed)
+		}
 	}
 }

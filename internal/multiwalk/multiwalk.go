@@ -336,9 +336,10 @@ func (o *Options) validate() error {
 }
 
 // Run executes k independent walks concurrently, one goroutine per
-// walker, cancelling the others as soon as a solution is found ("no
-// communication between the simultaneous computations except for
-// completion"). The context bounds the whole run.
+// walker (the caller's own being the last walker's), cancelling the
+// others as soon as a solution is found ("no communication between the
+// simultaneous computations except for completion"). The context
+// bounds the whole run.
 func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -363,26 +364,34 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 
 	stats := make([]WalkerStat, opts.Walkers)
 	errs := make([]error, opts.Walkers)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Walkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			g := opts.start() + w // global walker identity
-			eo, entry := opts.engineFor(pattern, g)
-			stat, err := runWalker(runCtx, factory, eo, opts.Exchange, g, entry, seeds[g], board, opts.Progress)
-			stats[w] = stat
-			errs[w] = err
-			if err != nil || stat.Result.Solved {
-				// Completion detection: the first solution wins. A
-				// walker error (bad per-entry options, factory failure)
-				// also cancels the run — the error is returned either
-				// way, so letting the healthy walkers burn the deadline
-				// first would only delay it.
-				cancel()
-			}
-		}(w)
+	walk := func(w int) {
+		g := opts.start() + w // global walker identity
+		eo, entry := opts.engineFor(pattern, g)
+		stat, err := runWalker(runCtx, factory, eo, opts.Exchange, g, entry, seeds[g], board, opts.Progress)
+		stats[w] = stat
+		errs[w] = err
+		if err != nil || stat.Result.Solved {
+			// Completion detection: the first solution wins. A
+			// walker error (bad per-entry options, factory failure)
+			// also cancels the run — the error is returned either
+			// way, so letting the healthy walkers burn the deadline
+			// first would only delay it.
+			cancel()
+		}
 	}
+	// The caller's goroutine is a walker too: it runs the last one
+	// itself instead of parking in Wait, so k walkers cost k-1 spawns
+	// and a one-walker run starts no goroutine at all.
+	var wg sync.WaitGroup
+	last := opts.Walkers - 1
+	for w := 0; w < last; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk(w)
+		}()
+	}
+	walk(last)
 	wg.Wait()
 
 	for _, err := range errs {

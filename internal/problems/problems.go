@@ -122,37 +122,59 @@ func NewWithParams(name string, size int, params map[string]int) (core.Problem, 
 }
 
 // NewFactory returns a Factory producing independent instances of the
-// named benchmark; the size parameter is validated once, eagerly, by
-// building an instance, which the first Factory call hands out (see
-// NewFactoryParams).
+// named benchmark: NewTemplate's Factory, for callers that need nothing
+// read off the template.
 func NewFactory(name string, size int) (Factory, error) {
 	return NewFactoryParams(name, size, nil)
 }
 
-// NewFactoryParams is the params-aware NewFactory: size and params are
-// validated once, eagerly, by building an instance. That instance is
-// not thrown away: the first Factory call returns it — untouched, so
-// indistinguishable from a fresh one — and every later call builds a
-// new instance with the same settings. Every call still returns an
-// instance nobody else holds, and the Factory is safe to call from
-// concurrent goroutines (multiwalk.Run calls it from every walker's).
+// NewFactoryParams is the params-aware NewFactory.
 func NewFactoryParams(name string, size int, params map[string]int) (Factory, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("problems: unknown benchmark %q (known: %v)", name, Names())
-	}
-	if size <= 0 {
-		size = b.defaultSize
-	}
-	validated, err := NewWithParams(name, size, params)
+	_, factory, err := NewTemplate(name, size, params)
+	return factory, err
+}
+
+// NewTemplate builds the one instance a multi-walk job has to build,
+// its template, and the Factory that hands out the job's instances.
+// Size and params are validated by constructing the template, and a
+// finite-domain model is reduced here, once: an error wrapping
+// domain.ErrUnsatisfiable proves it has no solution before any walker
+// exists. The template is returned for reading only (core.TunedOptions);
+// instances come from the Factory:
+//
+//   - the first call returns the template itself — touched by nothing
+//     but the reduction, so indistinguishable from a fresh reduced
+//     instance;
+//   - a later call returns template.Clone() when the encoding is a
+//     core.Cloner (the model and its reduced domains are shared: no
+//     construction, no reduction), and a fresh NewWithParams instance
+//     otherwise (core.Solve reduces that one itself).
+//
+// The first caller may search on the template while later callers
+// clone it because Clone reads nothing a search writes and the
+// reduction — the only writer of the shared model — is finished before
+// the Factory exists. Every call returns an instance nobody else
+// holds, and the Factory is safe to call from concurrent goroutines
+// (multiwalk.Run calls it from every walker's). A template lives and
+// dies with its job; nothing is kept across calls of NewTemplate.
+func NewTemplate(name string, size int, params map[string]int) (core.Problem, Factory, error) {
+	template, err := NewWithParams(name, size, params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var first atomic.Pointer[core.Problem]
-	first.Store(&validated)
-	return func() (core.Problem, error) {
-		if p := first.Swap(nil); p != nil {
-			return *p, nil
+	if dr, ok := template.(core.DomainReducer); ok {
+		if err := dr.ReduceDomains(); err != nil {
+			return nil, nil, err
+		}
+	}
+	cloner, _ := template.(core.Cloner)
+	var handedOut atomic.Bool
+	return template, func() (core.Problem, error) {
+		if !handedOut.Swap(true) {
+			return template, nil
+		}
+		if cloner != nil {
+			return cloner.Clone(), nil
 		}
 		return NewWithParams(name, size, params)
 	}, nil

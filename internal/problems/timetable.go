@@ -53,10 +53,15 @@ type Timetable struct {
 	idA []int // idA[i] = resource id of session i's room
 	idB []int // idB[i] = resource id of session i's teacher
 
-	occ         []int     // occ[res*slots+s] = sessions of resource res in slot s
-	resSessions [][]int32 // static: sessions using each resource
-	domains     [][]int   // sorted per-session slot domains
-	errVec      []int     // errVec[i] = double-bookings session i participates in
+	resSessions [][]int32       // static: sessions using each resource
+	domains     []domain.Domain // sorted per-session slot domains
+	reduced     bool            // domains are at the reduction fixpoint: final
+
+	// Per-walker search state: everything above is the model, which
+	// Clone shares; only these two are written after construction and
+	// reduction.
+	occ    []int // occ[res*slots+s] = sessions of resource res in slot s
+	errVec []int // errVec[i] = double-bookings session i participates in
 }
 
 // timetableParams are the recognized params keys.
@@ -106,7 +111,7 @@ func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 		idB:         make([]int, n),
 		occ:         make([]int, (rooms+teach)*slots),
 		resSessions: make([][]int32, rooms+teach),
-		domains:     make([][]int, n),
+		domains:     make([]domain.Domain, n),
 		errVec:      make([]int, n),
 	}
 
@@ -160,6 +165,7 @@ var (
 	_ core.AssignExecutor        = (*Timetable)(nil)
 	_ core.AssignEvaluator       = (*Timetable)(nil)
 	_ core.DomainReducer         = (*Timetable)(nil)
+	_ core.Cloner                = (*Timetable)(nil)
 	_ core.SwapExecutor          = (*Timetable)(nil)
 	_ core.MaintainedErrorVector = (*Timetable)(nil)
 )
@@ -178,29 +184,50 @@ func (t *Timetable) Domain(i int) []int { return t.domains[i] }
 // at most one session per slot), so singleton propagation narrows
 // neighbours of pinned sessions and the pigeonhole check proves
 // over-committed resources unsatisfiable before any iteration runs.
+// The fixpoint is reached once per model: on an instance already
+// reduced (a template, or a clone of one) this is a no-op.
 func (t *Timetable) ReduceDomains() error {
-	doms := make([]domain.Domain, t.n)
-	for i, d := range t.domains {
-		doms[i] = d
+	if t.reduced {
+		return nil
 	}
-	props := make([]domain.Propagator, 0, len(t.resSessions))
-	for _, group := range t.resSessions {
-		if len(group) < 2 {
+	// One backing array for every group: a session is in exactly one
+	// room's group and one teacher's.
+	vars := make([]int, 0, 2*t.n)
+	groups := make([]domain.Distinct, 0, len(t.resSessions))
+	for _, sessions := range t.resSessions {
+		if len(sessions) < 2 {
 			continue
 		}
-		vars := make([]int, len(group))
-		for k, s := range group {
-			vars[k] = int(s)
+		start := len(vars)
+		for _, s := range sessions {
+			vars = append(vars, int(s))
 		}
-		props = append(props, domain.Distinct{Vars: vars})
+		groups = append(groups, domain.Distinct{Vars: vars[start:]})
 	}
-	if err := domain.Fixpoint(doms, props); err != nil {
+	if err := domain.Fixpoint(t.domains, groups); err != nil {
 		return fmt.Errorf("timetable: %w", err)
 	}
-	for i := range t.domains {
-		t.domains[i] = doms[i]
-	}
+	t.reduced = true
 	return nil
+}
+
+// Clone implements core.Cloner: an unused instance of the same model.
+// It shares everything a search only reads — ids, resSessions and the
+// reduced domains — and allocates its own occ and errVec, the only
+// state a search writes, so a clone may be taken while the original
+// (or another clone) is searching. Domains still to be reduced are
+// copied instead: ReduceDomains narrows them in place.
+func (t *Timetable) Clone() core.Problem {
+	c := *t
+	c.occ = make([]int, (t.rooms+t.teach)*t.slots)
+	c.errVec = make([]int, t.n)
+	if !t.reduced {
+		c.domains = make([]domain.Domain, t.n)
+		for i, d := range t.domains {
+			c.domains[i] = d.Clone()
+		}
+	}
+	return &c
 }
 
 // Cost implements core.Problem: the number of double-bookings. It

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
-	"repro/internal/core"
 )
 
 // AutoSizeSpec asks admission to choose the walker count from
@@ -84,10 +83,12 @@ func calibrationKey(req *Request) calibrate.Key {
 }
 
 // autoSize resolves req.AutoSize into a concrete req.Walkers. Called
-// from normalizeRequest after problem/size/params resolution (the
-// calibration key needs resolved values) and before walker validation
-// (the chosen count then passes through the same bounds checks as an
-// explicit one). Counts successes and typed rejections for /metrics.
+// from normalizeRequest after problem/size resolution and strategy
+// validation (the calibration key needs resolved values, and an unknown
+// strategy must be a 400, not a misleading no-calibration 409) and
+// before walker validation (the chosen count then passes through the
+// same bounds checks as an explicit one). Counts successes and typed
+// rejections for /metrics.
 func (s *Scheduler) autoSize(req *Request) error {
 	spec := req.AutoSize
 	if req.Walkers != 0 {
@@ -98,12 +99,6 @@ func (s *Scheduler) autoSize(req *Request) error {
 		// portfolio mixes strategies and a dependent run's distribution
 		// is not the sequential one the model was fitted to.
 		return fmt.Errorf("%w: autosize requires an independent single-strategy job", ErrBadRequest)
-	}
-	if req.Strategy != "" && !core.KnownStrategy(req.Strategy) {
-		// normalizeRequest validates the strategy after sizing; check it
-		// here too so an unknown strategy is a 400, not a misleading
-		// no-calibration 409.
-		return fmt.Errorf("%w: unknown strategy %q (known: %v)", ErrBadRequest, req.Strategy, core.StrategyNames())
 	}
 	minGain := spec.MinGain
 	if minGain == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/domain"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -256,6 +257,17 @@ func condenseResult(res *multiwalk.Result) *JobResult {
 // normalizeRequest validates req against the problems and strategy
 // registries and resolves it into a ready-to-run multi-walk
 // configuration. All validation errors wrap ErrBadRequest.
+//
+// Every check that needs no problem instance runs first, so a request
+// that is a plain 400 never pays for a construction. The job's template
+// (problems.NewTemplate) is built last and is the only instance
+// admission builds: it is constructed once and, for a finite-domain
+// model, reduced once — a provably unsatisfiable model is a synchronous
+// typed rejection (HTTP 422), not a job every walker fails
+// asynchronously — the tuned engine defaults are read off it, and the
+// returned factory hands it to the first walker and clones of it (or,
+// for an encoding without Clone, fresh instances) to the others. No
+// walker of a cloning encoding constructs or reduces anything.
 func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.Options, error) {
 	var zero multiwalk.Options
 	if req.Problem == "" {
@@ -267,24 +279,6 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	}
 	if req.Size <= 0 {
 		req.Size = info.DefaultSize
-	}
-	factory, err := problems.NewFactoryParams(req.Problem, req.Size, req.Params)
-	if err != nil {
-		if errors.Is(err, problems.ErrBadParams) {
-			return nil, zero, fmt.Errorf("%w: %v", ErrBadParams, err)
-		}
-		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if req.AutoSize != nil {
-		if err := s.autoSize(req); err != nil {
-			return nil, zero, err
-		}
-	}
-	if req.Walkers == 0 {
-		req.Walkers = 1
-	}
-	if slots := s.curSlots(); req.Walkers < 0 || req.Walkers > slots {
-		return nil, zero, fmt.Errorf("%w: walkers = %d outside [1, %d] (pool size)", ErrBadRequest, req.Walkers, slots)
 	}
 	if req.MaxIterations < 0 || req.MaxRuns < 0 || req.TimeoutMS < 0 {
 		return nil, zero, fmt.Errorf("%w: negative budget", ErrBadRequest)
@@ -298,43 +292,21 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	if _, err := classOf(req.Priority); err != nil {
 		return nil, zero, err
 	}
-
-	// One tuned instance supplies per-problem engine defaults; request
-	// fields override on top. The factory (already validated) builds
-	// the probe — no second registry lookup or duplicate construction.
-	probe, err := factory()
-	if err != nil {
-		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if req.Strategy != "" && !core.KnownStrategy(req.Strategy) {
+		return nil, zero, fmt.Errorf("%w: unknown strategy %q (known: %v)", ErrBadRequest, req.Strategy, core.StrategyNames())
 	}
-	// Finite-domain instances run the domain-reduction pass on the
-	// probe at admission time: a provably unsatisfiable model is a
-	// synchronous typed rejection (HTTP 422), not a job every walker
-	// fails asynchronously. The engine still reduces each walker's own
-	// instance before search (reduction is idempotent).
-	if dr, ok := probe.(core.DomainReducer); ok {
-		if err := dr.ReduceDomains(); err != nil {
-			return nil, zero, fmt.Errorf("service: %w", err)
+	if req.AutoSize != nil {
+		if err := s.autoSize(req); err != nil {
+			return nil, zero, err
 		}
 	}
-	engine := core.TunedOptions(probe)
-	if req.MaxIterations > 0 {
-		engine.MaxIterations = req.MaxIterations
+	if req.Walkers == 0 {
+		req.Walkers = 1
 	}
-	if req.MaxRuns > 0 {
-		engine.MaxRuns = req.MaxRuns
+	if slots := s.curSlots(); req.Walkers < 0 || req.Walkers > slots {
+		return nil, zero, fmt.Errorf("%w: walkers = %d outside [1, %d] (pool size)", ErrBadRequest, req.Walkers, slots)
 	}
-	if req.Strategy != "" {
-		if !core.KnownStrategy(req.Strategy) {
-			return nil, zero, fmt.Errorf("%w: unknown strategy %q (known: %v)", ErrBadRequest, req.Strategy, core.StrategyNames())
-		}
-		engine.Strategy = req.Strategy
-	}
-
-	opts := multiwalk.Options{
-		Walkers: req.Walkers,
-		Seed:    req.Seed,
-		Engine:  engine,
-	}
+	opts := multiwalk.Options{Walkers: req.Walkers, Seed: req.Seed}
 	if req.Exchange != nil && req.Exchange.Enabled {
 		opts.Exchange = multiwalk.ExchangeOptions{
 			Enabled:      true,
@@ -368,7 +340,32 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 		if prefix += w; prefix > req.Walkers {
 			prefix = req.Walkers
 		}
-		entry := engine
+	}
+
+	template, factory, err := problems.NewTemplate(req.Problem, req.Size, req.Params)
+	if err != nil {
+		switch {
+		case errors.Is(err, domain.ErrUnsatisfiable):
+			return nil, zero, fmt.Errorf("service: %w", err)
+		case errors.Is(err, problems.ErrBadParams):
+			return nil, zero, fmt.Errorf("%w: %v", ErrBadParams, err)
+		}
+		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	// The template supplies per-problem engine defaults; request fields
+	// override on top.
+	opts.Engine = core.TunedOptions(template)
+	if req.MaxIterations > 0 {
+		opts.Engine.MaxIterations = req.MaxIterations
+	}
+	if req.MaxRuns > 0 {
+		opts.Engine.MaxRuns = req.MaxRuns
+	}
+	if req.Strategy != "" {
+		opts.Engine.Strategy = req.Strategy
+	}
+	for _, spec := range req.Portfolio {
+		entry := opts.Engine
 		entry.Strategy = spec.Strategy
 		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: spec.Weight, Engine: entry})
 	}
