@@ -63,8 +63,30 @@ const (
 	goldenMaxRuns  = 2
 )
 
+// goldenBenchSpecs are the instances the repository benchmark's
+// search-perm workload runs (benchmark/workloads.go). goldenSizes
+// pins small ones — all-interval 10, and magic-square on an even side,
+// where no cell lies on both diagonals — so a move evaluator that is
+// wrong only at the benchmark's sizes would pass it; these are pinned
+// under goldenBenchSeeds in a table of their own.
+var goldenBenchSpecs = []struct {
+	problem string
+	size    int
+}{
+	{"all-interval", 22},
+	{"magic-square", 9},
+	{"costas", 15},
+	{"perfect-square", 9},
+}
+
+var goldenBenchSeeds = []uint64{1, 2, 3}
+
 func goldenPath() string {
 	return filepath.Join("testdata", "golden_traces.json")
+}
+
+func goldenBenchPath() string {
+	return filepath.Join("testdata", "golden_traces_bench.json")
 }
 
 func solutionFNV(sol []int) uint64 {
@@ -94,16 +116,16 @@ func runGoldenCase(t *testing.T, problem, strategy string) goldenTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return goldenTraceOn(t, p, size, strategy)
+	return goldenTraceOn(t, p, size, strategy, goldenSeed)
 }
 
 // goldenTraceOn runs the pinned search on the given instance (of the
 // given registry size).
-func goldenTraceOn(t *testing.T, p core.Problem, size int, strategy string) goldenTrace {
+func goldenTraceOn(t *testing.T, p core.Problem, size int, strategy string, seed uint64) goldenTrace {
 	t.Helper()
 	opts := core.TunedOptions(p)
 	opts.Strategy = strategy
-	opts.Seed = goldenSeed
+	opts.Seed = seed
 	opts.MaxIterations = goldenMaxIters
 	opts.MaxRuns = goldenMaxRuns
 	res, err := core.Solve(context.Background(), p, opts)
@@ -145,6 +167,32 @@ func TestGoldenTraces(t *testing.T) {
 			})
 		}
 	}
+	checkGoldenTable(t, goldenPath(), keys, got)
+
+	// The benchmark-size table: same record, same budget, three seeds.
+	keys, got = nil, make(map[string]goldenTrace)
+	for _, spec := range goldenBenchSpecs {
+		for _, strategy := range core.StrategyNames() {
+			for _, seed := range goldenBenchSeeds {
+				key := fmt.Sprintf("%s-%d/%s/seed-%d", spec.problem, spec.size, strategy, seed)
+				keys = append(keys, key)
+				t.Run(key, func(t *testing.T) {
+					p, err := New(spec.problem, spec.size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[key] = goldenTraceOn(t, p, spec.size, strategy, seed)
+				})
+			}
+		}
+	}
+	checkGoldenTable(t, goldenBenchPath(), keys, got)
+}
+
+// checkGoldenTable compares the traces just run with the table pinned
+// in path, or under -update-golden rewrites the file from them.
+func checkGoldenTable(t *testing.T, path string, keys []string, got map[string]goldenTrace) {
+	t.Helper()
 	sort.Strings(keys)
 
 	if *updateGolden {
@@ -152,17 +200,17 @@ func TestGoldenTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath()), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath(), append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden traces to %s", len(got), goldenPath())
+		t.Logf("wrote %d golden traces to %s", len(got), path)
 		return
 	}
 
-	blob, err := os.ReadFile(goldenPath())
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update-golden to create it): %v", err)
 	}
@@ -171,7 +219,7 @@ func TestGoldenTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(keys) {
-		t.Errorf("golden file pins %d cases, registry yields %d — regenerate with -update-golden", len(want), len(keys))
+		t.Errorf("%s pins %d cases, registry yields %d — regenerate with -update-golden", path, len(want), len(keys))
 	}
 	for _, key := range keys {
 		w, ok := want[key]
