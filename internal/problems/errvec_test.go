@@ -3,6 +3,7 @@ package problems
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -64,6 +65,16 @@ func hotPathBuilders(t *testing.T) map[string]func() errVecProblem {
 	for n := 1; n <= 4; n++ {
 		builders[fmt.Sprintf("costas-%d", n)] = func() errVecProblem { p, _ := NewCostas(n); return p }
 	}
+	// All-interval where the row evaluator has no interior partner, a
+	// border variable or only adjacent partners; magic squares with a
+	// centre cell on both diagonals (odd sides) and with disjoint
+	// diagonals (even sides), up to the benchmark's side 9.
+	for n := 2; n <= 5; n++ {
+		builders[fmt.Sprintf("all-interval-%d", n)] = func() errVecProblem { p, _ := NewAllInterval(n); return p }
+	}
+	for _, n := range []int{1, 3, 4, 6, 9} {
+		builders[fmt.Sprintf("magic-square-%d", n)] = func() errVecProblem { p, _ := NewMagicSquare(n); return p }
+	}
 	return builders
 }
 
@@ -92,16 +103,24 @@ func checkErrVecAgainstScan(t *testing.T, p errVecProblem, cfg []int, step strin
 // checkBulkAgainstPerCall verifies the MoveEvaluator contract at the
 // current configuration: CostsIfSwapAll must report exactly what n-1
 // individual CostIfSwap calls report (and the stay-put entry the
-// current cost), for every variable, without disturbing state — the
-// per-call reference is evaluated after the bulk fill so corruption
-// would surface as a mismatch on a later variable or in the caller's
-// next delta check.
+// current cost), for every variable, without disturbing state: a row
+// evaluator may borrow the encoding's caches (all-interval and costas
+// take variable i out of their occurrence tables) but must hand back
+// every cached field, and cfg, exactly as it found them.
 func checkBulkAgainstPerCall(t *testing.T, p errVecProblem, cfg []int, cost int, step string) {
 	t.Helper()
 	n := p.Size()
 	out := make([]int, n)
+	cfgBefore := append([]int(nil), cfg...)
 	for i := 0; i < n; i++ {
+		before := cacheSnapshot(p)
 		p.CostsIfSwapAll(cfg, cost, i, out)
+		if after := cacheSnapshot(p); after != before {
+			t.Fatalf("%s: CostsIfSwapAll(%d) left the caches changed:\nbefore %s\nafter  %s", step, i, before, after)
+		}
+		if !slices.Equal(cfg, cfgBefore) {
+			t.Fatalf("%s: CostsIfSwapAll(%d) left cfg %v, was %v", step, i, cfg, cfgBefore)
+		}
 		if out[i] != cost {
 			t.Fatalf("%s: CostsIfSwapAll(%d) stay-put entry = %d, want current cost %d", step, i, out[i], cost)
 		}
@@ -115,6 +134,18 @@ func checkBulkAgainstPerCall(t *testing.T, p errVecProblem, cfg []int, cost int,
 			}
 		}
 	}
+}
+
+// cacheSnapshot renders every field of the encoding, cached slices
+// included, for a before/after comparison — for the encodings whose
+// fields are all search state. (perfect-square and the csp compiler
+// keep scratch buffers and generation stamps a row fill may move.)
+func cacheSnapshot(p errVecProblem) string {
+	switch p.(type) {
+	case *AllInterval, *MagicSquare, *Costas, *Queens:
+		return fmt.Sprintf("%+v", p)
+	}
+	return ""
 }
 
 // driveHotPath walks a problem through the engine's exact mutation

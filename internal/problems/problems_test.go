@@ -25,7 +25,14 @@ func fixtures() []fixture {
 	return []fixture{
 		{"queens-12", mk(func() (core.Problem, error) { return NewQueens(12) })},
 		{"magic-square-5", mk(func() (core.Problem, error) { return NewMagicSquare(5) })},
+		{"magic-square-3", mk(func() (core.Problem, error) { return NewMagicSquare(3) })},
+		{"magic-square-4", mk(func() (core.Problem, error) { return NewMagicSquare(4) })},
+		{"magic-square-9", mk(func() (core.Problem, error) { return NewMagicSquare(9) })},
 		{"all-interval-12", mk(func() (core.Problem, error) { return NewAllInterval(12) })},
+		{"all-interval-2", mk(func() (core.Problem, error) { return NewAllInterval(2) })},
+		{"all-interval-3", mk(func() (core.Problem, error) { return NewAllInterval(3) })},
+		{"all-interval-4", mk(func() (core.Problem, error) { return NewAllInterval(4) })},
+		{"all-interval-22", mk(func() (core.Problem, error) { return NewAllInterval(22) })},
 		{"costas-9", mk(func() (core.Problem, error) { return NewCostas(9) })},
 		{"costas-2", mk(func() (core.Problem, error) { return NewCostas(2) })},
 		{"costas-3", mk(func() (core.Problem, error) { return NewCostas(3) })},

@@ -1,6 +1,7 @@
 package problems
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -232,18 +233,59 @@ func BenchmarkSelectVariable(b *testing.B) {
 	}
 }
 
-// BenchmarkCostasRow times one CostsIfSwapAll row fill, the call under
-// 40% of the search-perm workload's samples.
-func BenchmarkCostasRow(b *testing.B) {
-	b.Run("15", func(b *testing.B) {
-		st := midSearchState(b, "costas", 15, nil)
-		p := st.Problem.(*Costas)
-		out := make([]int, len(st.Cfg))
+// BenchmarkCostsIfSwapAll times one row fill on the instances the
+// search-perm workload runs (the calls under two thirds of its
+// samples), plus all-interval 10, which the two overhead workloads run.
+func BenchmarkCostsIfSwapAll(b *testing.B) {
+	for _, tc := range []struct {
+		problem string
+		size    int
+	}{
+		{"all-interval", 10},
+		{"all-interval", 22},
+		{"magic-square", 9},
+		{"costas", 15},
+		{"perfect-square", 9},
+	} {
+		b.Run(fmt.Sprintf("%s-%d", tc.problem, tc.size), func(b *testing.B) {
+			st := midSearchState(b, tc.problem, tc.size, nil)
+			p := st.Problem.(core.MoveEvaluator)
+			n := len(st.Cfg)
+			out := make([]int, n)
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				p.CostsIfSwapAll(st.Cfg, st.Cost, k%n, out)
+			}
+			benchSink = out[0]
+		})
+	}
+}
+
+// BenchmarkExecutedSwap times the cache maintenance of one executed
+// swap (line sums and the live error vector) from the same state.
+func BenchmarkExecutedSwap(b *testing.B) {
+	b.Run("magic-square-9", func(b *testing.B) {
+		st := midSearchState(b, "magic-square", 9, nil)
+		p := st.Problem.(*MagicSquare)
+		cfg, n := st.Cfg, len(st.Cfg)
+		p.LiveErrors(cfg)
+		var pairs [1024][2]int
+		r := rng.New(7)
+		for k := range pairs {
+			i := r.Intn(n)
+			j := r.Intn(n - 1)
+			if j >= i {
+				j++
+			}
+			pairs[k] = [2]int{i, j}
+		}
 		b.ResetTimer()
 		for k := 0; k < b.N; k++ {
-			p.CostsIfSwapAll(st.Cfg, st.Cost, k%len(st.Cfg), out)
+			i, j := pairs[k%len(pairs)][0], pairs[k%len(pairs)][1]
+			cfg[i], cfg[j] = cfg[j], cfg[i]
+			p.ExecutedSwap(cfg, i, j)
 		}
-		benchSink = out[0]
+		benchSink = p.LiveErrors(cfg)[0]
 	})
 }
 
