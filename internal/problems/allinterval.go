@@ -251,16 +251,136 @@ func (a *AllInterval) ExecutedSwap(cfg []int, i, j int) {
 	}
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator: one devirtualized pass
-// over the partners (each candidate is O(1) through the edge deltas).
+// CostsIfSwapAll implements core.MoveEvaluator. The cost is a function
+// of the occurrence table alone, so the order in which a swap's old
+// differences leave it and its new ones enter cannot change the result:
+// variable i's own differences are taken out once for the whole row and
+// put back at the end, and an interior partner that is not i's
+// neighbour then costs two removals, four additions and six restores in
+// straight-line code. The table is borrowed, never left changed; cfg is
+// only read.
 func (a *AllInterval) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
-	for j := range cfg {
-		if j == i {
-			out[i] = cost
-			continue
-		}
-		out[j] = a.CostIfSwap(cfg, cost, i, j)
+	n, occ := a.n, a.occ
+	last := n - 1
+	vi := cfg[i]
+	base := cost
+	if i > 0 {
+		base += take(occ, abs(vi-cfg[i-1]))
 	}
+	if i < last {
+		base += take(occ, abs(cfg[i+1]-vi))
+	}
+	if i == 0 || i == last {
+		// A border variable has one difference only: every partner
+		// goes through the general entry.
+		for j := range cfg {
+			out[j] = a.rowEntry(cfg, base, i, j)
+		}
+	} else {
+		// The borders and i's two neighbours (which share an edge with
+		// i) are the general entries; everything between is interior.
+		out[0] = a.rowEntry(cfg, base, i, 0)
+		out[last] = a.rowEntry(cfg, base, i, last)
+		out[i-1] = a.rowEntry(cfg, base, i, i-1)
+		out[i+1] = a.rowEntry(cfg, base, i, i+1)
+		left, right := cfg[i-1], cfg[i+1]
+		for j := 1; j < last; j++ {
+			if uint(j-i+1) <= 2 {
+				continue // i-1, i, i+1
+			}
+			vj, l, r := cfg[j], cfg[j-1], cfg[j+1]
+			o1, o2 := abs(vj-l), abs(r-vj)
+			n1, n2, n3, n4 := abs(vj-left), abs(right-vj), abs(vi-l), abs(r-vi)
+			c := base + take(occ, o1) + take(occ, o2)
+			c -= put(occ, n1) + put(occ, n2) + put(occ, n3) + put(occ, n4)
+			occ[n1]--
+			occ[n2]--
+			occ[n3]--
+			occ[n4]--
+			occ[o1]++
+			occ[o2]++
+			out[j] = c
+		}
+	}
+	out[i] = cost
+	if i > 0 {
+		occ[abs(vi-cfg[i-1])]++
+	}
+	if i < last {
+		occ[abs(cfg[i+1]-vi)]++
+	}
+}
+
+// take removes one occurrence of difference d and returns what that
+// adds to the cost: d if it was the last one.
+func take(occ []int, d int) int {
+	occ[d]--
+	if occ[d] == 0 {
+		return d
+	}
+	return 0
+}
+
+// put adds one occurrence of difference d and returns what that takes
+// off the cost: d if it was missing.
+func put(occ []int, d int) int {
+	occ[d]++
+	if occ[d] == 1 {
+		return d
+	}
+	return 0
+}
+
+// rowEntry is CostsIfSwapAll's general entry for one partner j, with
+// variable i's differences already out of the table and c the cost in
+// that state: j may be a border, i's neighbour (the shared edge keeps
+// its difference and is only put back) or i itself.
+func (a *AllInterval) rowEntry(cfg []int, c, i, j int) int {
+	occ := a.occ
+	last := a.n - 1
+	vi, vj := cfg[i], cfg[j]
+	var olds, news [4]int
+	no, nn := 0, 0
+	// Partner j's own edges, but for the one it shares with i.
+	if j > 0 && j-1 != i {
+		olds[no], news[nn] = abs(vj-cfg[j-1]), abs(vi-cfg[j-1])
+		no, nn = no+1, nn+1
+	}
+	if j < last && j+1 != i {
+		olds[no], news[nn] = abs(cfg[j+1]-vj), abs(cfg[j+1]-vi)
+		no, nn = no+1, nn+1
+	}
+	// Variable i's edges under the swapped values: a neighbour that is
+	// j itself holds vi afterwards.
+	if i > 0 {
+		l := cfg[i-1]
+		if i-1 == j {
+			l = vi
+		}
+		news[nn] = abs(vj - l)
+		nn++
+	}
+	if i < last {
+		r := cfg[i+1]
+		if i+1 == j {
+			r = vi
+		}
+		news[nn] = abs(r - vj)
+		nn++
+	}
+	for _, d := range olds[:no] {
+		c += take(occ, d)
+	}
+	for _, d := range news[:nn] {
+		c -= put(occ, d)
+	}
+	for _, d := range news[:nn] {
+		occ[d]--
+	}
+	for _, d := range olds[:no] {
+		occ[d]++
+	}
+	return c
 }
 
 // LiveErrors implements core.MaintainedErrorVector: the vector is kept

@@ -31,8 +31,8 @@ type MagicSquare struct {
 	d2   int // anti-diagonal (r + c == n-1)
 
 	// errVec caches the per-cell projected errors (the ErrorVector
-	// fast path). ExecutedSwap refreshes only the cells on lines whose
-	// sum changed — O(side) work instead of the O(side^2) per-iteration
+	// fast path). ExecutedSwap moves only the cells on lines whose sum
+	// changed — O(side) work instead of the O(side^2) per-iteration
 	// scan — and Cost invalidates it for a lazy rebuild.
 	errVec   []int
 	errValid bool
@@ -114,129 +114,79 @@ func (ms *MagicSquare) CostOnVariable(cfg []int, i int) int {
 	return e
 }
 
-// lineDelta accumulates the swap's net value change per line. Lines are
-// identified as: 0..n-1 rows, n..2n-1 columns, 2n main diagonal, 2n+1
-// anti-diagonal. A swap touches at most 8 line incidences; shared lines
-// cancel naturally through summation.
-type lineDelta struct {
-	ids    [8]int
-	deltas [8]int
-	n      int
-}
-
-func (ld *lineDelta) add(id, delta int) {
-	for k := 0; k < ld.n; k++ {
-		if ld.ids[k] == id {
-			ld.deltas[k] += delta
-			return
-		}
-	}
-	ld.ids[ld.n] = id
-	ld.deltas[ld.n] = delta
-	ld.n++
-}
-
-// cellLines feeds the lines through cell k (row-major) into ld.
-func (ms *MagicSquare) cellLines(ld *lineDelta, k, delta int) {
-	n := ms.side
-	r, c := k/n, k%n
-	ld.add(r, delta)
-	ld.add(n+c, delta)
-	if r == c {
-		ld.add(2*n, delta)
-	}
-	if r+c == n-1 {
-		ld.add(2*n+1, delta)
-	}
-}
-
-// lineSum returns the cached sum of the identified line.
-func (ms *MagicSquare) lineSum(id int) int {
-	n := ms.side
-	switch {
-	case id < n:
-		return ms.row[id]
-	case id < 2*n:
-		return ms.col[id-n]
-	case id == 2*n:
-		return ms.d1
-	default:
-		return ms.d2
-	}
-}
-
 // CostIfSwap implements core.Problem with an O(1) delta over the at most
-// eight affected line incidences.
+// eight affected line incidences; a line both cells lie on keeps its sum.
 func (ms *MagicSquare) CostIfSwap(cfg []int, cost, i, j int) int {
+	n, m := ms.side, ms.m
 	dv := cfg[j] - cfg[i] // value change at cell i; cell j gets -dv
-	var ld lineDelta
-	ms.cellLines(&ld, i, dv)
-	ms.cellLines(&ld, j, -dv)
-	for k := 0; k < ld.n; k++ {
-		if ld.deltas[k] == 0 {
-			continue
+	r1, c1, r2, c2 := i/n, i%n, j/n, j%n
+	if r1 != r2 {
+		cost += abs(ms.row[r1]+dv-m) - abs(ms.row[r1]-m) + abs(ms.row[r2]-dv-m) - abs(ms.row[r2]-m)
+	}
+	if c1 != c2 {
+		cost += abs(ms.col[c1]+dv-m) - abs(ms.col[c1]-m) + abs(ms.col[c2]-dv-m) - abs(ms.col[c2]-m)
+	}
+	if on1, on2 := r1 == c1, r2 == c2; on1 != on2 {
+		if on2 {
+			dv = -dv
 		}
-		s := ms.lineSum(ld.ids[k])
-		cost += abs(s+ld.deltas[k]-ms.m) - abs(s-ms.m)
+		cost += abs(ms.d1+dv-m) - abs(ms.d1-m)
+		if on2 {
+			dv = -dv
+		}
+	}
+	if on1, on2 := r1+c1 == n-1, r2+c2 == n-1; on1 != on2 {
+		if on2 {
+			dv = -dv
+		}
+		cost += abs(ms.d2+dv-m) - abs(ms.d2-m)
 	}
 	return cost
 }
 
 // ExecutedSwap implements core.SwapExecutor: cfg is already swapped, so
-// the value now at cell i moved in from cell j.
+// cell i gained cfg[i]-cfg[j] and cell j lost as much. A line through
+// both cells keeps its sum.
 func (ms *MagicSquare) ExecutedSwap(cfg []int, i, j int) {
-	dv := cfg[i] - cfg[j] // post-swap: cell i gained cfg[i]-cfg[j]... see below
-	// Pre-swap values: cell i held cfg[j], cell j held cfg[i]. The net
-	// change at cell i is cfg[i]-cfg[j] = dv; at cell j it is -dv.
-	var ld lineDelta
-	ms.cellLines(&ld, i, dv)
-	ms.cellLines(&ld, j, -dv)
 	n := ms.side
-	for k := 0; k < ld.n; k++ {
-		id, d := ld.ids[k], ld.deltas[k]
-		switch {
-		case id < n:
-			ms.row[id] += d
-		case id < 2*n:
-			ms.col[id-n] += d
-		case id == 2*n:
-			ms.d1 += d
-		default:
-			ms.d2 += d
+	dv := cfg[i] - cfg[j]
+	r1, c1, r2, c2 := i/n, i%n, j/n, j%n
+	if r1 != r2 {
+		ms.shiftLine(&ms.row[r1], dv, r1*n, 1)
+		ms.shiftLine(&ms.row[r2], -dv, r2*n, 1)
+	}
+	if c1 != c2 {
+		ms.shiftLine(&ms.col[c1], dv, c1, n)
+		ms.shiftLine(&ms.col[c2], -dv, c2, n)
+	}
+	if on1, on2 := r1 == c1, r2 == c2; on1 != on2 {
+		if on2 {
+			ms.shiftLine(&ms.d1, -dv, 0, n+1)
+		} else {
+			ms.shiftLine(&ms.d1, dv, 0, n+1)
 		}
 	}
-	if ms.errValid {
-		// A cell's projected error is a sum of its lines' deviations,
-		// so only cells on lines whose sum changed need refreshing.
-		for k := 0; k < ld.n; k++ {
-			if ld.deltas[k] != 0 {
-				ms.refreshLineErrors(ld.ids[k])
-			}
+	if on1, on2 := r1+c1 == n-1, r2+c2 == n-1; on1 != on2 {
+		if on2 {
+			ms.shiftLine(&ms.d2, -dv, n-1, n-1)
+		} else {
+			ms.shiftLine(&ms.d2, dv, n-1, n-1)
 		}
 	}
 }
 
-// refreshLineErrors recomputes the cached error of every cell on the
-// identified line from the current line-sum deviations.
-func (ms *MagicSquare) refreshLineErrors(id int) {
-	n := ms.side
-	switch {
-	case id < n: // row id
-		for c := 0; c < n; c++ {
-			ms.refreshCellError(id*n + c)
-		}
-	case id < 2*n: // column id-n
-		for r := 0; r < n; r++ {
-			ms.refreshCellError(r*n + (id - n))
-		}
-	case id == 2*n: // main diagonal
-		for r := 0; r < n; r++ {
-			ms.refreshCellError(r*n + r)
-		}
-	default: // anti-diagonal
-		for r := 0; r < n; r++ {
-			ms.refreshCellError(r*n + (n - 1 - r))
-		}
+// shiftLine adds d to a line's sum. A cell's projected error is the sum
+// of its lines' deviations, so the n cells of the line (first,
+// first+stride, ...) each move by the change in this line's deviation.
+func (ms *MagicSquare) shiftLine(sum *int, d, first, stride int) {
+	e := *sum - ms.m
+	*sum += d
+	if !ms.errValid {
+		return
+	}
+	delta := abs(e+d) - abs(e)
+	for k, t := first, 0; t < ms.side; k, t = k+stride, t+1 {
+		ms.errVec[k] += delta
 	}
 }
 
@@ -257,7 +207,7 @@ func (ms *MagicSquare) refreshCellError(k int) {
 }
 
 // LiveErrors implements core.MaintainedErrorVector: ExecutedSwap keeps
-// the vector current by refreshing only the cells on changed lines;
+// the vector current by shifting only the cells on changed lines;
 // after a full Cost recompute (run start, partial reset, teleport) the
 // vector is rebuilt here once, lazily.
 func (ms *MagicSquare) LiveErrors(cfg []int) []int {
@@ -275,59 +225,83 @@ func (ms *MagicSquare) ErrorsOnVariables(cfg []int, out []int) {
 	copy(out, ms.LiveErrors(cfg))
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator. Cell i's lines are
-// resolved once outside the partner loop; each candidate then costs a
-// handful of additions and branches, with shared-line cancellation
-// handled explicitly instead of through the lineDelta accumulator.
+// CostsIfSwapAll implements core.MoveEvaluator. The partners are walked
+// row by row, so no candidate pays a division: cell i's deviations are
+// resolved once a call, a partner row's once a row, and a candidate is
+// then a handful of absolute values. The main pass prices every partner
+// as if it lay on no diagonal; the at most 2n that do are repaired
+// afterwards. Exact for any cfg, permutation or not.
 func (ms *MagicSquare) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
-	n := ms.side
-	m := ms.m
+	n, m := ms.side, ms.m
 	r1, c1 := i/n, i%n
-	row1, col1 := ms.row[r1], ms.col[c1]
-	row1Dev, col1Dev := abs(row1-m), abs(col1-m)
-	d1, d2 := ms.d1, ms.d2
-	d1Dev, d2Dev := abs(d1-m), abs(d2-m)
-	onD1 := r1 == c1
-	onD2 := r1+c1 == n-1
 	vi := cfg[i]
-	for j, vj := range cfg {
-		if j == i {
-			out[i] = cost
+	eRow, eCol, e1, e2 := ms.row[r1]-m, ms.col[c1]-m, ms.d1-m, ms.d2-m
+	onD1, onD2 := r1 == c1, r1+c1 == n-1
+	// What leaves the cost whichever the partner: cell i's own column
+	// and diagonal deviations (its row's too, outside row r1).
+	base := cost - abs(eCol)
+	if onD1 {
+		base -= abs(e1)
+	}
+	if onD2 {
+		base -= abs(e2)
+	}
+	cols := ms.col[:n]
+	for r2 := 0; r2 < n; r2++ {
+		vals, outRow := cfg[r2*n:r2*n+n], out[r2*n:r2*n+n]
+		if r2 == r1 {
+			// One row: its sum does not move.
+			for c2, vj := range vals {
+				dv := vj - vi
+				e := cols[c2] - m
+				c := base + abs(eCol+dv) + abs(e-dv) - abs(e)
+				if onD1 {
+					c += abs(e1 + dv)
+				}
+				if onD2 {
+					c += abs(e2 + dv)
+				}
+				outRow[c2] = c
+			}
 			continue
 		}
-		dv := vj - vi // value change at cell i; cell j gets -dv
-		c := cost
-		r2, c2 := j/n, j%n
-		if r2 != r1 {
-			s := ms.row[r2]
-			c += abs(row1+dv-m) - row1Dev + abs(s-dv-m) - abs(s-m)
+		eRow2 := ms.row[r2] - m
+		rowBase := base - abs(eRow) - abs(eRow2)
+		for c2, vj := range vals {
+			dv := vj - vi // value change at cell i; cell j gets -dv
+			c := rowBase + abs(eRow+dv) + abs(eRow2-dv)
+			if c2 != c1 {
+				e := cols[c2] - m
+				c += abs(eCol+dv) + abs(e-dv) - abs(e)
+			} else {
+				c += abs(eCol) // one column
+			}
+			if onD1 {
+				c += abs(e1 + dv)
+			}
+			if onD2 {
+				c += abs(e2 + dv)
+			}
+			outRow[c2] = c
 		}
-		if c2 != c1 {
-			s := ms.col[c2]
-			c += abs(col1+dv-m) - col1Dev + abs(s-dv-m) - abs(s-m)
-		}
-		dd := 0
-		if onD1 {
-			dd += dv
-		}
-		if r2 == c2 {
-			dd -= dv
-		}
-		if dd != 0 {
-			c += abs(d1+dd-m) - d1Dev
-		}
-		dd = 0
-		if onD2 {
-			dd += dv
-		}
-		if r2+c2 == n-1 {
-			dd -= dv
-		}
-		if dd != 0 {
-			c += abs(d2+dd-m) - d2Dev
-		}
-		out[j] = c
 	}
+	// Partners on a diagonal: where cell i shares the line its sum does
+	// not move after all, elsewhere the partner's loss moves it.
+	for r, k1, k2 := 0, 0, n-1; r < n; r, k1, k2 = r+1, k1+n+1, k2+n-1 {
+		dv := cfg[k1] - vi
+		if onD1 {
+			out[k1] += abs(e1) - abs(e1+dv)
+		} else {
+			out[k1] += abs(e1-dv) - abs(e1)
+		}
+		dv = cfg[k2] - vi
+		if onD2 {
+			out[k2] += abs(e2) - abs(e2+dv)
+		} else {
+			out[k2] += abs(e2-dv) - abs(e2)
+		}
+	}
+	out[i] = cost
 }
 
 // Tune implements core.Tuner following the C benchmark's settings: magic
