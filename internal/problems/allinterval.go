@@ -274,7 +274,9 @@ func (a *AllInterval) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 		// A border variable has one difference only: every partner
 		// goes through the general entry.
 		for j := range cfg {
-			out[j] = a.rowEntry(cfg, base, i, j)
+			if j != i {
+				out[j] = a.rowEntry(cfg, base, i, j)
+			}
 		}
 	} else {
 		// The borders and i's two neighbours (which share an edge with
@@ -333,8 +335,8 @@ func put(occ []int, d int) int {
 
 // rowEntry is CostsIfSwapAll's general entry for one partner j, with
 // variable i's differences already out of the table and c the cost in
-// that state: j may be a border, i's neighbour (the shared edge keeps
-// its difference and is only put back) or i itself.
+// that state: j may be a border or i's neighbour (the shared edge keeps
+// its difference and is only put back).
 func (a *AllInterval) rowEntry(cfg []int, c, i, j int) int {
 	occ := a.occ
 	last := a.n - 1

@@ -126,22 +126,28 @@ func (ms *MagicSquare) CostIfSwap(cfg []int, cost, i, j int) int {
 	if c1 != c2 {
 		cost += abs(ms.col[c1]+dv-m) - abs(ms.col[c1]-m) + abs(ms.col[c2]-dv-m) - abs(ms.col[c2]-m)
 	}
-	if on1, on2 := r1 == c1, r2 == c2; on1 != on2 {
-		if on2 {
-			dv = -dv
-		}
-		cost += abs(ms.d1+dv-m) - abs(ms.d1-m)
-		if on2 {
-			dv = -dv
-		}
-	}
-	if on1, on2 := r1+c1 == n-1, r2+c2 == n-1; on1 != on2 {
-		if on2 {
-			dv = -dv
-		}
-		cost += abs(ms.d2+dv-m) - abs(ms.d2-m)
-	}
+	dd1, dd2 := ms.diagGains(r1, c1, r2, c2, dv)
+	cost += abs(ms.d1+dd1-m) - abs(ms.d1-m) + abs(ms.d2+dd2-m) - abs(ms.d2-m)
 	return cost
+}
+
+// diagGains returns what the two diagonals gain when cell (r1, c1)
+// gains dv and cell (r2, c2) loses it: nothing where both or neither of
+// the cells lie on the line.
+func (ms *MagicSquare) diagGains(r1, c1, r2, c2, dv int) (dd1, dd2 int) {
+	if r1 == c1 {
+		dd1 += dv
+	}
+	if r2 == c2 {
+		dd1 -= dv
+	}
+	if r1+c1 == ms.side-1 {
+		dd2 += dv
+	}
+	if r2+c2 == ms.side-1 {
+		dd2 -= dv
+	}
+	return dd1, dd2
 }
 
 // ExecutedSwap implements core.SwapExecutor: cfg is already swapped, so
@@ -159,19 +165,12 @@ func (ms *MagicSquare) ExecutedSwap(cfg []int, i, j int) {
 		ms.shiftLine(&ms.col[c1], dv, c1, n)
 		ms.shiftLine(&ms.col[c2], -dv, c2, n)
 	}
-	if on1, on2 := r1 == c1, r2 == c2; on1 != on2 {
-		if on2 {
-			ms.shiftLine(&ms.d1, -dv, 0, n+1)
-		} else {
-			ms.shiftLine(&ms.d1, dv, 0, n+1)
-		}
+	dd1, dd2 := ms.diagGains(r1, c1, r2, c2, dv)
+	if dd1 != 0 {
+		ms.shiftLine(&ms.d1, dd1, 0, n+1)
 	}
-	if on1, on2 := r1+c1 == n-1, r2+c2 == n-1; on1 != on2 {
-		if on2 {
-			ms.shiftLine(&ms.d2, -dv, n-1, n-1)
-		} else {
-			ms.shiftLine(&ms.d2, dv, n-1, n-1)
-		}
+	if dd2 != 0 {
+		ms.shiftLine(&ms.d2, dd2, n-1, n-1)
 	}
 }
 
@@ -246,7 +245,7 @@ func (ms *MagicSquare) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	if onD2 {
 		base -= abs(e2)
 	}
-	cols := ms.col[:n]
+	cols := ms.col
 	for r2 := 0; r2 < n; r2++ {
 		vals, outRow := cfg[r2*n:r2*n+n], out[r2*n:r2*n+n]
 		if r2 == r1 {
