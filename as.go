@@ -306,25 +306,6 @@ func NewDistCoordinator(cfg DistCoordinatorConfig) (*DistCoordinator, error) {
 	return dist.NewCoordinator(cfg)
 }
 
-// ServiceProgressEvent is one entry of a job's live event flow —
-// lifecycle transitions, throttled per-walker (iterations, cost)
-// milestones, and the terminal snapshot — consumed through
-// SolveService.Watch.
-type ServiceProgressEvent = service.ProgressEvent
-
-// ServiceStreamServer serves job progress over the persistent binary
-// transport (one multiplexed TCP connection per client, length-prefixed
-// frames), replacing GET polling for clients that opt in; the HTTP API
-// stays authoritative.
-type ServiceStreamServer = service.StreamServer
-
-// NewServiceStreamServer attaches a streaming progress listener to a
-// SolveService ("" listens on 127.0.0.1:0). Advertise its Addr through
-// SolveService.SetStreamAddr so /healthz exposes it for discovery.
-func NewServiceStreamServer(s *SolveService, addr string) (*ServiceStreamServer, error) {
-	return service.NewStreamServer(s, addr)
-}
-
 // RegisterStrategy adds a named strategy factory to the global
 // registry, making it selectable through Options.Strategy (and thus
 // multi-walk portfolios and the CLI). The factory runs once per Solve

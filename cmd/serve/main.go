@@ -45,7 +45,7 @@
 // Endpoints:
 //
 //	POST /v1/solve              submit a job ({"wait": true} for sync)
-//	GET  /v1/jobs/{id}          job status / result
+//	GET  /v1/jobs/{id}          job status / result (?wait=5s long-polls)
 //	POST /v1/jobs/{id}/cancel   cancel a job
 //	GET  /v1/problems           registered benchmarks and strategies
 //	POST /v1/fleet/register     worker self-registration (with -fleet)
@@ -56,12 +56,12 @@
 //	GET  /metrics               scheduler counters (JSON)
 //	GET  /debug/vars            process-wide expvar (memstats etc.)
 //
-// With -stream, the server additionally opens the client progress
-// stream (internal/wire): a listener clients discover through /healthz
-// ("stream_addr") and subscribe to instead of polling GET
-// /v1/jobs/{id}; polling keeps working beside it. The flag concerns
-// this client hop only — coordinator and workers always speak
-// HTTP/JSON (see DESIGN.md §11).
+// An async job (no "wait" in the POST) is awaited with GET
+// /v1/jobs/{id}?wait=<duration>: the request blocks until the job is
+// terminal or the wait — capped at 10 s — runs out, and answers the job
+// record either way, so a client asks again while the state is not
+// terminal. Every hop, this one included, speaks HTTP/JSON only (see
+// DESIGN.md §11).
 //
 // With -calibration FILE, the server loads a runtime-calibration store
 // (seed it offline with `experiments -calibrate FILE`), enabling
@@ -133,9 +133,6 @@ func run() error {
 		boardAddr      = flag.String("board-addr", "", "exchange-board listen address for distributed dependent runs (empty = 127.0.0.1:0; the server starts lazily on the first exchange job)")
 		boardAdvertise = flag.String("board-advertise", "", "base URL workers use to reach the exchange board (empty = derived from the board listener; set it when workers are on other hosts)")
 		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs (0 = 50ms)")
-		stream         = flag.Bool("stream", false, "open the client progress stream: async jobs can be awaited over one persistent binary connection instead of GET polling")
-		streamAddr     = flag.String("stream-addr", "", "job-progress stream listen address (empty = 127.0.0.1:0)")
-		streamAdv      = flag.String("stream-advertise", "", "host:port clients use to reach the progress stream (empty = derived from the stream listener; set it when clients are on other hosts)")
 		speculate      = flag.Bool("speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first (needs a distributed backend)")
 		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
@@ -212,21 +209,6 @@ func run() error {
 		Calibration:    calStore,
 	})
 	expvar.Publish("scheduler", expvar.Func(func() any { return sched.Stats() }))
-
-	if *stream {
-		sv, err := service.NewStreamServer(sched, *streamAddr)
-		if err != nil {
-			sched.Close()
-			return err
-		}
-		defer sv.Close()
-		adv := *streamAdv
-		if adv == "" {
-			adv = sv.Addr()
-		}
-		sched.SetStreamAddr(adv)
-		log.Printf("serve: progress stream on %s (advertised %s)", sv.Addr(), adv)
-	}
 
 	if *telemetryPath != "" {
 		f, err := os.Create(*telemetryPath)

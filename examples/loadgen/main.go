@@ -11,6 +11,12 @@
 //	loadgen -addr http://localhost:8080 -jobs 1000          # against cmd/serve
 //	loadgen -addr http://localhost:8080 -autosize costas:10 # predictor-sized jobs (serve -calibration)
 //
+// Every -async-every'th job is submitted without {"wait": true} and
+// awaited by long-poll — GET /v1/jobs/{id}?wait=10s, asked again while
+// the answer is not terminal — so a job that finishes within the
+// server's cap costs exactly one GET; the transport line reports both
+// counts.
+//
 // -dist-workers n stands up n in-process dist workers plus a
 // coordinator backend behind the scheduler — the full distributed
 // serving path (shard planning, worker HTTP protocol, cross-worker
@@ -26,13 +32,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -43,7 +49,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/service"
-	"repro/internal/wire"
 )
 
 // scenario is one entry of the mixed workload.
@@ -83,31 +88,39 @@ func scenarios(timeoutMS int64, exchange bool) []scenario {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the whole command: it parses args, drives the workload and
+// writes the report to stdout. Per-job diagnostics and flag usage go to
+// stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var (
-		addr        = flag.String("addr", "", "target service base URL (empty with -inprocess)")
-		inprocess   = flag.Bool("inprocess", false, "spin up the service in-process instead of targeting -addr")
-		jobs        = flag.Int("jobs", 200, "total jobs to submit")
-		concurrency = flag.Int("concurrency", 32, "concurrent client workers")
-		timeoutMS   = flag.Int64("job-timeout-ms", 15_000, "per-job solver deadline")
-		slots       = flag.Int("slots", 0, "in-process pool size (0 = GOMAXPROCS)")
-		queueDepth  = flag.Int("queue", 0, "in-process queue depth (0 = 256)")
-		distWorkers = flag.Int("dist-workers", 0, "with -inprocess: run jobs on this many in-process dist workers (0 = local backend)")
-		distSlots   = flag.Int("dist-slots", 2, "slot capacity of each in-process dist worker")
-		asyncEvery  = flag.Int("async-every", 5, "poll instead of wait for every n-th job (0 = always wait)")
-		seed        = flag.Int64("seed", 1, "workload shuffle seed")
-		exchange    = flag.Bool("exchange", false, "run multi-walker scenarios in dependent (exchange) mode — on a dist backend, walkers cooperate across worker processes")
-		tenantsMix  = flag.String("tenants", "", "attribute jobs to tenants by weight, name=weight,... (e.g. batch=3,interactive=1); empty submits without tenant attribution")
-		stream      = flag.Bool("stream", false, "await async jobs over the persistent binary progress stream instead of GET polling (with -inprocess, also stands the stream listener up; against -addr, discovered via /healthz stream_addr)")
-		autosize    = flag.String("autosize", "", "replace the mixed workload with auto-sized jobs of this problem spec (\"problem\" or \"problem:size\"): requests carry {\"autosize\": {}} instead of a walker count, the server must hold calibration for the problem (serve -calibration), and every returned job must echo a predictor-chosen walker count >= 1")
+		addr        = fs.String("addr", "", "target service base URL (empty with -inprocess)")
+		inprocess   = fs.Bool("inprocess", false, "spin up the service in-process instead of targeting -addr")
+		jobs        = fs.Int("jobs", 200, "total jobs to submit")
+		concurrency = fs.Int("concurrency", 32, "concurrent client workers")
+		timeoutMS   = fs.Int64("job-timeout-ms", 15_000, "per-job solver deadline")
+		slots       = fs.Int("slots", 0, "in-process pool size (0 = GOMAXPROCS)")
+		queueDepth  = fs.Int("queue", 0, "in-process queue depth (0 = 256)")
+		distWorkers = fs.Int("dist-workers", 0, "with -inprocess: run jobs on this many in-process dist workers (0 = local backend)")
+		distSlots   = fs.Int("dist-slots", 2, "slot capacity of each in-process dist worker")
+		asyncEvery  = fs.Int("async-every", 5, "submit every n-th job async and await it by long-poll GET /v1/jobs/{id}?wait= (0 = every job is a synchronous {\"wait\": true} POST)")
+		seed        = fs.Int64("seed", 1, "workload shuffle seed")
+		exchange    = fs.Bool("exchange", false, "run multi-walker scenarios in dependent (exchange) mode — on a dist backend, walkers cooperate across worker processes")
+		tenantsMix  = fs.String("tenants", "", "attribute jobs to tenants by weight, name=weight,... (e.g. batch=3,interactive=1); empty submits without tenant attribution")
+		autosize    = fs.String("autosize", "", "replace the mixed workload with auto-sized jobs of this problem spec (\"problem\" or \"problem:size\"): requests carry {\"autosize\": {}} instead of a walker count, the server must hold calibration for the problem (serve -calibration), and every returned job must echo a predictor-chosen walker count >= 1")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *distWorkers > 0 && !*inprocess {
 		return fmt.Errorf("-dist-workers builds an in-process fleet and requires -inprocess (to load-test a real fleet, point -addr at a serve -workers instance)")
@@ -123,30 +136,17 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("in-process fleet: %d workers x %d slots\n", *distWorkers, *distSlots)
+			fmt.Fprintf(stdout, "in-process fleet: %d workers x %d slots\n", *distWorkers, *distSlots)
 		}
 		sched := service.New(service.Config{Slots: *slots, QueueDepth: *queueDepth, Backend: backend})
-		var streamSrv *service.StreamServer
-		if *stream {
-			var err error
-			streamSrv, err = service.NewStreamServer(sched, "")
-			if err != nil {
-				sched.Close()
-				return err
-			}
-			sched.SetStreamAddr(streamSrv.Addr())
-		}
 		srv := httptest.NewServer(service.NewHandler(sched))
 		defer func() {
 			srv.Close()
-			if streamSrv != nil {
-				streamSrv.Close()
-			}
 			sched.Close() // closes the coordinator backend too
 			if fleetDown != nil {
 				fleetDown()
 			}
-			fmt.Println("clean shutdown: scheduler drained")
+			fmt.Fprintln(stdout, "clean shutdown: scheduler drained")
 		}()
 		base = srv.URL
 		client = srv.Client()
@@ -158,25 +158,9 @@ func run() error {
 	// Clamp scenario walker counts to the server's pool size (a
 	// k-walker job needs k slots) so the mix adapts to any machine —
 	// single-core CI included.
-	poolSlots, streamAddr, err := serverHealth(client, base)
+	poolSlots, err := serverSlots(client, base)
 	if err != nil {
 		return fmt.Errorf("probing %s/healthz: %w", base, err)
-	}
-
-	// Streaming transport: one persistent multiplexed connection awaits
-	// every async job's terminal event; polling stays the fallback if
-	// the server does not advertise a stream or the connection dies.
-	var streamCli *streamClient
-	if *stream {
-		if streamAddr == "" {
-			return fmt.Errorf("-stream: server %s advertises no stream_addr (start serve with -stream)", base)
-		}
-		streamCli, err = dialStream(resolveStreamAddr(base, streamAddr))
-		if err != nil {
-			return fmt.Errorf("-stream: dialing %s: %w", streamAddr, err)
-		}
-		defer streamCli.close()
-		fmt.Printf("progress stream connected: %s\n", streamAddr)
 	}
 	mix := scenarios(*timeoutMS, *exchange)
 	if *autosize != "" {
@@ -241,7 +225,7 @@ func run() error {
 				sc := mix[order[i]]
 				wait := *asyncEvery == 0 || i%*asyncEvery != 0
 				t0 := time.Now()
-				job, nRetries, err := submit(client, base, sc, tenantOf[i], uint64(i+1), wait, streamCli, &transport)
+				job, nRetries, err := submit(client, base, sc, tenantOf[i], uint64(i+1), wait, &transport)
 				lat := time.Since(t0)
 				retries.Add(int64(nRetries))
 				if err != nil {
@@ -286,7 +270,7 @@ func run() error {
 		resp.Body.Close()
 	}
 
-	report(*jobs, elapsed, latencies, outcomes, perScen, perTenant, perWalkers, stats, retries.Load(), &transport)
+	report(stdout, *jobs, elapsed, latencies, outcomes, perScen, perTenant, perWalkers, stats, retries.Load(), &transport)
 
 	if d := dropped.Load(); d > 0 {
 		return fmt.Errorf("%d of %d jobs dropped", d, *jobs)
@@ -328,56 +312,42 @@ func inprocessFleet(n, slotsEach int) (service.Backend, func(), error) {
 	return coord, down, nil
 }
 
-// serverHealth reads the walker-slot pool size and the advertised
-// progress-stream address (if any) from /healthz.
-func serverHealth(client *http.Client, base string) (int, string, error) {
+// serverSlots reads the walker-slot pool size from /healthz.
+func serverSlots(client *http.Client, base string) (int, error) {
 	resp, err := client.Get(base + "/healthz")
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	var health struct {
-		Slots      int    `json:"slots"`
-		StreamAddr string `json:"stream_addr"`
+		Slots int `json:"slots"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	if health.Slots < 1 {
-		return 0, "", fmt.Errorf("server reports %d slots", health.Slots)
+		return 0, fmt.Errorf("server reports %d slots", health.Slots)
 	}
-	return health.Slots, health.StreamAddr, nil
+	return health.Slots, nil
 }
 
-// resolveStreamAddr makes an advertised stream address dialable: a
-// listener bound to a wildcard host advertises an unspecified address,
-// which is rewritten to the host the HTTP base URL already reaches.
-func resolveStreamAddr(base, addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return addr
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		if u, err := url.Parse(base); err == nil && u.Hostname() != "" {
-			return net.JoinHostPort(u.Hostname(), port)
-		}
-	}
-	return addr
-}
-
-// transportMix counts how each job reached its terminal state.
+// transportMix counts how each job reached its terminal state, and what
+// the async ones cost in requests.
 type transportMix struct {
-	waited   atomic.Int64 // synchronous {"wait": true}
-	streamed atomic.Int64 // async, awaited over the progress stream
-	polled   atomic.Int64 // async, GET polling (fallback or -stream off)
+	waited  atomic.Int64 // synchronous {"wait": true}
+	awaited atomic.Int64 // async, awaited by long-poll
+	gets    atomic.Int64 // GET /v1/jobs/{id}?wait= requests issued
 }
+
+// longPollWait is the wait every long-poll asks for: the server's cap,
+// so a job that outlives it costs one more GET per cap, not more.
+const longPollWait = "10s"
 
 // submit runs one job to a terminal state: synchronously via
-// {"wait": true}, or asynchronously — awaited over the progress stream
-// when one is connected, with jittered-exponential-backoff GET polling
-// as the fallback. 429 responses are retried with backoff and reported
-// in the retry counter.
-func submit(client *http.Client, base string, sc scenario, tenant string, seed uint64, wait bool, stream *streamClient, mix *transportMix) (service.Job, int, error) {
+// {"wait": true}, or asynchronously — submitted, then awaited by
+// long-poll. 429 responses are retried with backoff and reported in the
+// retry counter.
+func submit(client *http.Client, base string, sc scenario, tenant string, seed uint64, wait bool, mix *transportMix) (service.Job, int, error) {
 	req := make(map[string]any, len(sc.req)+3)
 	for k, v := range sc.req {
 		req[k] = v
@@ -419,135 +389,29 @@ func submit(client *http.Client, base string, sc scenario, tenant string, seed u
 		return service.Job{}, retries, fmt.Errorf("unexpected status %d: %+v", resp.StatusCode, job)
 	}
 
-	// Async path, streaming transport first: subscribe and block for
-	// the terminal event — zero polling requests. A dead or missing
-	// stream degrades to the polling loop below.
-	if stream != nil {
-		if final, err := stream.await(job.ID); err == nil {
-			mix.streamed.Add(1)
-			return final, retries, nil
-		}
-	}
-
-	// Polling fallback: jittered exponential backoff, starting tight
-	// (most jobs in the mix finish in milliseconds) and capping at
-	// 250ms so long jobs do not hammer the server. The jitter factor in
-	// [0.5, 1.5) de-synchronizes the concurrent client workers.
-	mix.polled.Add(1)
-	backoff := 2 * time.Millisecond
-	const maxBackoff = 250 * time.Millisecond
+	// Async path: long-poll until the answer is terminal. The server
+	// holds each request until the job finishes or the wait runs out, so
+	// there is nothing to pace on this side.
+	mix.awaited.Add(1)
 	for {
-		resp, err := client.Get(base + "/v1/jobs/" + job.ID)
+		mix.gets.Add(1)
+		resp, err := client.Get(base + "/v1/jobs/" + job.ID + "?wait=" + longPollWait)
 		if err != nil {
 			return service.Job{}, retries, err
 		}
 		decodeErr := json.NewDecoder(resp.Body).Decode(&job)
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return service.Job{}, retries, fmt.Errorf("long-poll status %d", resp.StatusCode)
+		}
 		if decodeErr != nil {
 			return service.Job{}, retries, decodeErr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return service.Job{}, retries, fmt.Errorf("poll status %d", resp.StatusCode)
 		}
 		if job.State.Terminal() {
 			return job, retries, nil
 		}
-		time.Sleep(time.Duration(float64(backoff) * (0.5 + rand.Float64())))
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
 	}
 }
-
-// streamClient is loadgen's end of the job-progress stream: one
-// multiplexed connection shared by every client worker, a reader
-// goroutine routing terminal frames to per-job waiters. Any failure
-// marks the client dead and wakes every waiter with an error; their
-// jobs (and all later ones) fall back to HTTP polling.
-type streamClient struct {
-	conn *wire.Conn
-
-	mu      sync.Mutex
-	waiters map[string]chan service.Job
-
-	dead     chan struct{}
-	deadOnce sync.Once
-}
-
-func dialStream(addr string) (*streamClient, error) {
-	conn, err := wire.Dial(addr, "loadgen", 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	sc := &streamClient{
-		conn:    conn,
-		waiters: make(map[string]chan service.Job),
-		dead:    make(chan struct{}),
-	}
-	go sc.readLoop()
-	return sc, nil
-}
-
-func (sc *streamClient) readLoop() {
-	for {
-		typ, payload, err := sc.conn.ReadFrame()
-		if err != nil {
-			sc.fail()
-			return
-		}
-		if typ != wire.TypeProgress {
-			continue
-		}
-		p, err := wire.DecodeProgress(payload)
-		if err != nil {
-			sc.fail()
-			return
-		}
-		if !p.Terminal {
-			continue // milestone events; loadgen only needs the outcome
-		}
-		sc.mu.Lock()
-		ch := sc.waiters[p.Job]
-		delete(sc.waiters, p.Job)
-		sc.mu.Unlock()
-		if ch != nil {
-			ch <- service.JobFromProgress(&p)
-		}
-	}
-}
-
-// await subscribes to one job and blocks until its terminal event.
-func (sc *streamClient) await(jobID string) (service.Job, error) {
-	ch := make(chan service.Job, 1)
-	sc.mu.Lock()
-	sc.waiters[jobID] = ch
-	sc.mu.Unlock()
-	if err := sc.conn.WriteSubscribe(jobID); err != nil {
-		sc.fail()
-		return service.Job{}, err
-	}
-	select {
-	case job := <-ch:
-		if !job.State.Terminal() {
-			// A terminal error frame without a state (unknown/evicted
-			// job): let the caller poll for the authoritative answer.
-			return service.Job{}, fmt.Errorf("stream: %s", job.Error)
-		}
-		return job, nil
-	case <-sc.dead:
-		return service.Job{}, fmt.Errorf("stream connection lost")
-	}
-}
-
-func (sc *streamClient) fail() {
-	sc.deadOnce.Do(func() { close(sc.dead) })
-	_ = sc.conn.Close()
-	sc.mu.Lock()
-	sc.waiters = make(map[string]chan service.Job)
-	sc.mu.Unlock()
-}
-
-func (sc *streamClient) close() { sc.fail() }
 
 // parseTenantMix parses -tenants (name=weight,...) into a weighted
 // random picker over tenant names; nil when the flag is unset.
@@ -606,7 +470,7 @@ func autosizeScenario(spec string, timeoutMS int64) (scenario, error) {
 	return scenario{name, req}, nil
 }
 
-func report(jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[service.State]int, perScen, perTenant map[string]int, perWalkers map[int]int, stats service.Stats, retries int64, mix *transportMix) {
+func report(w io.Writer, jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[service.State]int, perScen, perTenant map[string]int, perWalkers map[int]int, stats service.Stats, retries int64, mix *transportMix) {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	pct := func(p float64) time.Duration {
 		if len(lats) == 0 {
@@ -615,20 +479,20 @@ func report(jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[
 		idx := int(p * float64(len(lats)-1))
 		return lats[idx]
 	}
-	fmt.Printf("loadgen: %d jobs in %v (%.1f jobs/s), %d backpressure retries\n",
+	fmt.Fprintf(w, "loadgen: %d jobs in %v (%.1f jobs/s), %d backpressure retries\n",
 		jobs, elapsed.Round(time.Millisecond), float64(len(lats))/elapsed.Seconds(), retries)
-	fmt.Printf("latency: p50=%v p90=%v p99=%v max=%v\n",
+	fmt.Fprintf(w, "latency: p50=%v p90=%v p99=%v max=%v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
 		pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
-	fmt.Printf("transport: %d waited, %d streamed, %d polled\n",
-		mix.waited.Load(), mix.streamed.Load(), mix.polled.Load())
+	fmt.Fprintf(w, "transport: %d waited / %d awaited (%d GETs)\n",
+		mix.waited.Load(), mix.awaited.Load(), mix.gets.Load())
 	states := make([]string, 0, len(outcomes))
 	for s := range outcomes {
 		states = append(states, string(s))
 	}
 	sort.Strings(states)
 	for _, s := range states {
-		fmt.Printf("outcome %-10s %d\n", s, outcomes[service.State(s)])
+		fmt.Fprintf(w, "outcome %-10s %d\n", s, outcomes[service.State(s)])
 	}
 	scens := make([]string, 0, len(perScen))
 	for s := range perScen {
@@ -636,7 +500,7 @@ func report(jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[
 	}
 	sort.Strings(scens)
 	for _, s := range scens {
-		fmt.Printf("scenario %-18s %d\n", s, perScen[s])
+		fmt.Fprintf(w, "scenario %-18s %d\n", s, perScen[s])
 	}
 	tenants := make([]string, 0, len(perTenant))
 	for t := range perTenant {
@@ -648,7 +512,7 @@ func report(jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[
 		if ts, ok := stats.Tenants[t]; ok {
 			line += fmt.Sprintf(" (server: weight=%d dispatched=%d charge=%.2f)", ts.Weight, ts.Dispatched, ts.Charge)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	ks := make([]int, 0, len(perWalkers))
 	for k := range perWalkers {
@@ -656,18 +520,18 @@ func report(jobs int, elapsed time.Duration, lats []time.Duration, outcomes map[
 	}
 	sort.Ints(ks)
 	for _, k := range ks {
-		fmt.Printf("autosized walkers=%d        %d jobs\n", k, perWalkers[k])
+		fmt.Fprintf(w, "autosized walkers=%d        %d jobs\n", k, perWalkers[k])
 	}
 	if stats.JobsSubmitted > 0 {
-		fmt.Printf("server: %d iterations total (%.0f iters/s), peak pool %d slots\n",
+		fmt.Fprintf(w, "server: %d iterations total (%.0f iters/s), peak pool %d slots\n",
 			stats.Iterations, stats.IterationsPerSec, stats.Slots)
 	}
 	if stats.AutoSized > 0 || stats.AutoRejected > 0 {
-		fmt.Printf("server: %d autosize predictions, %d autosize rejections\n",
+		fmt.Fprintf(w, "server: %d autosize predictions, %d autosize rejections\n",
 			stats.AutoSized, stats.AutoRejected)
 	}
 	if n := stats.Fleet["speculations_launched"]; n > 0 {
-		fmt.Printf("speculation: %d launched, %d won, %d lost, %d cancelled\n",
+		fmt.Fprintf(w, "speculation: %d launched, %d won, %d lost, %d cancelled\n",
 			n, stats.Fleet["speculations_won"], stats.Fleet["speculations_lost"],
 			stats.Fleet["speculations_cancelled"])
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -17,7 +18,7 @@ import (
 // NewHandler exposes a scheduler as an HTTP JSON API:
 //
 //	POST /v1/solve              submit a job; {"wait": true} blocks for the result
-//	GET  /v1/jobs/{id}          job status / result
+//	GET  /v1/jobs/{id}          job status / result; ?wait=<duration> long-polls
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	GET  /v1/problems           registered benchmarks and strategies
 //	GET  /healthz               liveness + pool headroom
@@ -62,7 +63,14 @@ func NewHandler(s *Scheduler) http.Handler {
 		writeJSON(w, http.StatusAccepted, job)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, err := s.Get(r.PathValue("id"))
+		id := r.PathValue("id")
+		var job Job
+		var err error
+		if q := r.URL.Query(); q.Has("wait") {
+			job, err = awaitJob(r.Context(), s, id, q.Get("wait"))
+		} else {
+			job, err = s.Get(id)
+		}
 		if err != nil {
 			writeError(w, err)
 			return
@@ -98,19 +106,12 @@ func NewHandler(s *Scheduler) http.Handler {
 		if s.Closed() {
 			status, code = "shutting down", http.StatusServiceUnavailable
 		}
-		health := map[string]any{
+		writeJSON(w, code, map[string]any{
 			"status":      status,
 			"slots":       st.Slots,
 			"slots_busy":  st.SlotsBusy,
 			"queue_depth": st.QueueDepth,
-		}
-		if addr := s.StreamAddr(); addr != "" {
-			// Streaming transport discovery: clients that see this dial
-			// the persistent progress stream instead of polling GET
-			// /v1/jobs/{id}.
-			health["stream_addr"] = addr
-		}
-		writeJSON(w, code, health)
+		})
 	})
 	// Served through expvar.Func so the payload is exactly what a
 	// global expvar.Publish of Stats would produce, without touching
@@ -122,6 +123,40 @@ func NewHandler(s *Scheduler) http.Handler {
 		fmt.Fprintln(w, statsVar.String())
 	})
 	return mux
+}
+
+// maxJobWait caps one GET /v1/jobs/{id}?wait= long-poll. It sits below
+// cmd/serve's 15 s drain budget, so a SIGTERM never finds a request the
+// listener cannot drain in time; a client that needs longer asks again.
+const maxJobWait = 10 * time.Second
+
+// jobWait parses the wait query parameter: a non-negative Go duration,
+// clamped to maxJobWait. Anything else wraps ErrBadRequest.
+func jobWait(raw string) (time.Duration, error) {
+	d, err := time.ParseDuration(raw)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("%w: wait=%q is not a non-negative duration", ErrBadRequest, raw)
+	}
+	return min(d, maxJobWait), nil
+}
+
+// awaitJob is the long-poll: it blocks until the job is terminal, the
+// wait expires or the client goes away, and answers the job's record as
+// it then stands — an expired wait is an ordinary, non-terminal answer,
+// not an error. It is the only way to await an async job without
+// polling.
+func awaitJob(ctx context.Context, s *Scheduler, id, rawWait string) (Job, error) {
+	d, err := jobWait(rawWait)
+	if err != nil {
+		return Job{}, err
+	}
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	job, err := s.Wait(ctx, id)
+	if err != nil && ctx.Err() != nil {
+		return s.Get(id)
+	}
+	return job, err
 }
 
 // solveBody is the POST /v1/solve payload: a Request plus the

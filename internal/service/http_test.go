@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -92,22 +94,251 @@ func TestHTTPSolveAsyncAndPoll(t *testing.T) {
 		t.Fatalf("Location = %q", loc)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var cur Job
-		if resp := getJSON(t, srv.URL+"/v1/jobs/"+job.ID, &cur); resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", resp.StatusCode)
+	// One long-poll GET awaits it: no polling loop.
+	var final Job
+	if resp := getJSON(t, srv.URL+"/v1/jobs/"+job.ID+"?wait=10s", &final); resp.StatusCode != http.StatusOK {
+		t.Fatalf("long-poll status %d", resp.StatusCode)
+	}
+	if final.State != StateSolved || final.Result == nil || !final.Result.Solved {
+		t.Fatalf("long-poll answered %s: %+v", final.State, final)
+	}
+}
+
+// TestHTTPLongPollTerminalJob: a job that already finished is answered
+// by a single GET, wait or no wait, with the same record.
+func TestHTTPLongPollTerminalJob(t *testing.T) {
+	s, srv := newTestServer(t, Config{Slots: 2})
+	done, err := s.SubmitWait(nil, fastReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"?wait=10s", "?wait=0", ""} {
+		var got Job
+		if resp := getJSON(t, srv.URL+"/v1/jobs/"+done.ID+q, &got); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d", q, resp.StatusCode)
 		}
-		if cur.State.Terminal() {
-			if cur.State != StateSolved {
-				t.Fatalf("job finished %s: %+v", cur.State, cur)
+		if got.State != StateSolved || got.Result == nil || got.Result.Winner != done.Result.Winner ||
+			!got.FinishedAt.Equal(done.FinishedAt) {
+			t.Fatalf("%q: got %+v, want the record SubmitWait returned (%+v)", q, got, done)
+		}
+	}
+}
+
+// TestHTTPLongPollExpires: a wait that runs out on a job still in
+// flight is an ordinary 200 with a non-terminal state — the client asks
+// again — and the job is untouched by it.
+func TestHTTPLongPollExpires(t *testing.T) {
+	s, srv := newTestServer(t, Config{Slots: 1})
+	job, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Job
+	if resp := getJSON(t, srv.URL+"/v1/jobs/"+job.ID+"?wait=20ms", &got); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if got.ID != job.ID || got.State.Terminal() {
+		t.Fatalf("expired wait answered %+v, want job %s non-terminal", got, job.ID)
+	}
+	if cur, err := s.Get(job.ID); err != nil || cur.State.Terminal() {
+		t.Fatalf("job after the expired wait: %+v, %v", cur, err)
+	}
+}
+
+// TestHTTPLongPollRejections: an unknown id is an immediate 404 however
+// long the wait, and a wait that is not a non-negative duration is a 400
+// wrapping ErrBadRequest, for a known and an unknown job alike.
+func TestHTTPLongPollRejections(t *testing.T) {
+	s, srv := newTestServer(t, Config{Slots: 1})
+	t0 := time.Now()
+	if resp := getJSON(t, srv.URL+"/v1/jobs/j999999?wait=10s", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+	if took := time.Since(t0); took > 5*time.Second {
+		t.Fatalf("unknown id held the request %v", took)
+	}
+
+	job, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{job.ID, "j999999"} {
+		for _, wait := range []string{"", "soon", "5", "-1s"} {
+			var e map[string]string
+			resp := getJSON(t, srv.URL+"/v1/jobs/"+id+"?wait="+wait, &e)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], ErrBadRequest.Error()) {
+				t.Errorf("%s wait=%q: status %d error %q, want 400 wrapping ErrBadRequest", id, wait, resp.StatusCode, e["error"])
 			}
-			break
 		}
+	}
+	for _, wait := range []string{"", "soon", "-1s"} {
+		if _, err := jobWait(wait); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("jobWait(%q) = %v, want ErrBadRequest", wait, err)
+		}
+	}
+}
+
+// TestHTTPLongPollClampsWait: a wait above the cap is served with the
+// cap, not rejected.
+func TestHTTPLongPollClampsWait(t *testing.T) {
+	for raw, want := range map[string]time.Duration{
+		"0": 0, "250ms": 250 * time.Millisecond, "10s": maxJobWait, "1h": maxJobWait, "2562047h": maxJobWait,
+	} {
+		if d, err := jobWait(raw); err != nil || d != want {
+			t.Errorf("jobWait(%q) = %v, %v; want %v", raw, d, err, want)
+		}
+	}
+	if maxJobWait >= 15*time.Second {
+		t.Errorf("maxJobWait = %v must stay below cmd/serve's 15 s drain budget", maxJobWait)
+	}
+
+	// Over HTTP: the hour-long wait is accepted, and answers as soon as
+	// the job is cancelled.
+	s := newTestScheduler(t, Config{Slots: 1})
+	job, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, _ := longPollers(context.Background(), t, s, job.ID, "1h", 1)
+	if _, err := s.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if o := <-outcomes; o.err != nil || o.status != http.StatusOK || o.job.State != StateCancelled {
+		t.Fatalf("wait=1h answered %+v, want 200 and the cancelled record", o)
+	}
+}
+
+// pollOutcome is what one long-poll of longPollers came back with.
+type pollOutcome struct {
+	status int
+	job    Job
+	err    error
+}
+
+// longPollers parks n long-polls (?wait=wait) on one job, behind a
+// handler that reports each one's entry and exit, and returns once all n
+// are inside it. Each poll's outcome arrives on outcomes.
+func longPollers(ctx context.Context, t *testing.T, s *Scheduler, id, wait string, n int) (outcomes <-chan pollOutcome, exited <-chan struct{}) {
+	t.Helper()
+	h := NewHandler(s)
+	entry, exit := make(chan struct{}, n), make(chan struct{}, n)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entry <- struct{}{}
+		defer func() { exit <- struct{}{} }()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	// A transport of its own, so the connections these requests open (and
+	// the goroutines that serve them) are gone when the test says so.
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr}
+	out := make(chan pollOutcome, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/jobs/"+id+"?wait="+wait, nil)
+			if err != nil {
+				out <- pollOutcome{err: err}
+				return
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				out <- pollOutcome{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			o := pollOutcome{status: resp.StatusCode}
+			o.err = json.NewDecoder(resp.Body).Decode(&o.job)
+			out <- o
+		}()
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case <-entry:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d long-polls reached the handler", i, n)
+		}
+	}
+	return out, exit
+}
+
+// TestHTTPLongPollClientDisconnect: a client that goes away releases its
+// handler at once — nothing waits out the 10 s — and the goroutines the
+// request held are gone with it.
+func TestHTTPLongPollClientDisconnect(t *testing.T) {
+	s := newTestScheduler(t, Config{Slots: 1})
+	// The baseline is the idle scheduler. The job's own goroutines go
+	// when it is cancelled below; what the polls add on top — the server,
+	// its connections, the handlers — must go when the clients do.
+	base := runtime.NumGoroutine()
+	job, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	const n = 4
+	outcomes, exited := longPollers(ctx, t, s, job.ID, "10s", n)
+	if during := runtime.NumGoroutine(); during < base+n {
+		t.Fatalf("%d goroutines with %d long-polls parked over a baseline of %d", during, n, base)
+	}
+	t0 := time.Now()
+	hangUp()
+	for i := 0; i < n; i++ {
+		if o := <-outcomes; !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("cancelled request returned %+v", o)
+		}
+		select {
+		case <-exited:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("handler %d still parked %v after its client left", i, time.Since(t0))
+		}
+	}
+	if cur, err := s.Get(job.ID); err != nil || cur.State.Terminal() {
+		t.Fatalf("a client hanging up must not touch the job: %+v, %v", cur, err)
+	}
+	if _, err := s.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), job.ID); err != nil {
+		t.Fatal(err)
+	}
+	// The listener's accept loop is the one goroutine the server keeps
+	// until the test's cleanup closes it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base+1; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
+			t.Fatalf("%d goroutines after every client left, baseline %d (+1 listener)", runtime.NumGoroutine(), base)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHTTPLongPollReleasedByClose: Scheduler.Close finalizes every job,
+// so every pending long-poll answers — with the cancelled record — and
+// none is left to hold the listener's drain.
+func TestHTTPLongPollReleasedByClose(t *testing.T) {
+	s := newTestScheduler(t, Config{Slots: 1})
+	running, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit(hardReq(60_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3
+	onRunning, _ := longPollers(context.Background(), t, s, running.ID, "10s", n)
+	onQueued, _ := longPollers(context.Background(), t, s, queued.ID, "10s", n)
+	t0 := time.Now()
+	s.Close()
+	for _, ch := range []<-chan pollOutcome{onRunning, onQueued} {
+		for i := 0; i < n; i++ {
+			o := <-ch
+			if o.err != nil || o.status != http.StatusOK || o.job.State != StateCancelled {
+				t.Fatalf("long-poll released by Close answered %+v, want 200 and the cancelled record", o)
+			}
+		}
+	}
+	if took := time.Since(t0); took > 5*time.Second {
+		t.Fatalf("Close took %v to release the long-polls", took)
 	}
 }
 
@@ -211,6 +442,15 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 	if health["status"] != "ok" {
 		t.Fatalf("healthz: %+v", health)
+	}
+	// These four fields and no other: the progress stream is gone, and a
+	// client from before it went must find no address to dial.
+	for k := range health {
+		switch k {
+		case "status", "slots", "slots_busy", "queue_depth":
+		default:
+			t.Fatalf("healthz carries an unexpected field %q: %+v", k, health)
+		}
 	}
 
 	if _, err := s.SubmitWait(nil, fastReq()); err != nil {

@@ -135,13 +135,6 @@ type job struct {
 	res       *multiwalk.Result
 	err       error
 	cancelRun context.CancelFunc // set while running
-
-	// watchMu guards the progress subscribers (see events.go). It is a
-	// separate lock from mu so event fan-out never contends with
-	// snapshotting; no code path holds both at once.
-	watchMu   sync.Mutex
-	watchers  []chan ProgressEvent
-	watchDone bool
 }
 
 // snapshot builds the immutable transport view.
@@ -217,12 +210,6 @@ type Scheduler struct {
 	// typed rejections (no calibration / unsatisfiable target).
 	mAutoSized    atomic.Int64
 	mAutoRejected atomic.Int64
-
-	// streamAddr is the advertised job-progress stream endpoint (set by
-	// the serving binary when a StreamServer is attached); "" when the
-	// service is HTTP-only. Exposed through /healthz so clients can
-	// discover and prefer the streaming transport.
-	streamAddr atomic.Value // string
 }
 
 // New starts a scheduler with the given configuration.
@@ -657,7 +644,6 @@ func (s *Scheduler) runJob(j *job) {
 	j.mu.Unlock()
 	s.decQueued(j)
 	s.mRunning.Add(1)
-	j.emit(ProgressEvent{JobID: j.id, State: StateRunning, Walker: -1})
 
 	res, err := s.cfg.Backend.RunJob(runCtx, j.req.Problem, j.req.Size, j.req.Params, j.factory, j.opts)
 	switch {
@@ -697,7 +683,6 @@ func (s *Scheduler) finalizeQueued(j *job, err error) bool {
 	s.decQueued(j)
 	s.mCancelled.Add(1)
 	close(j.done)
-	j.finishWatchers(j.snapshot())
 	return true
 }
 
@@ -750,7 +735,6 @@ func (s *Scheduler) finalize(j *job, state State, res *multiwalk.Result, err err
 		}
 	}
 	close(j.done)
-	j.finishWatchers(j.snapshot())
 }
 
 // decQueued releases one admission-queue position and the tenant's
@@ -800,40 +784,17 @@ func (s *Scheduler) evict(now time.Time) {
 	}
 }
 
-// progressEventInterval throttles per-walker milestone events: at most
-// one event per walker per interval, so a subscriber sees a steady
-// trickle instead of every CheckEvery poll.
-const progressEventInterval = 50 * time.Millisecond
-
 // progressFor returns the per-job multiwalk Progress hook feeding the
-// global iteration throughput counter and the job's event subscribers.
-// Each walker's cumulative count is turned into deltas through a
-// per-walker cell — only that walker's goroutine touches it, so a
-// plain slice suffices; the shared counter is atomic.
+// global iteration throughput counter. Each walker's cumulative count
+// is turned into deltas through a per-walker cell — only that walker's
+// goroutine touches it, so a plain slice suffices; the shared counter
+// is atomic.
 func (s *Scheduler) progressFor(j *job) func(int, int64, int) {
 	last := make([]int64, j.opts.Walkers)
-	lastEmit := make([]time.Time, j.opts.Walkers)
-	return func(w int, iter int64, cost int) {
+	return func(w int, iter int64, _ int) {
 		s.mIterations.Add(iter - last[w])
 		last[w] = iter
-		if now := time.Now(); now.Sub(lastEmit[w]) >= progressEventInterval {
-			lastEmit[w] = now
-			j.emit(ProgressEvent{JobID: j.id, State: StateRunning, Walker: w, Iterations: iter, Cost: cost})
-		}
 	}
-}
-
-// SetStreamAddr records the advertised streaming endpoint for
-// discovery via /healthz ("" clears it). The serving binary calls this
-// after attaching a StreamServer.
-func (s *Scheduler) SetStreamAddr(addr string) { s.streamAddr.Store(addr) }
-
-// StreamAddr returns the advertised streaming endpoint, or "".
-func (s *Scheduler) StreamAddr() string {
-	if v, ok := s.streamAddr.Load().(string); ok {
-		return v
-	}
-	return ""
 }
 
 // Stats is the point-in-time metrics snapshot served by /metrics.

@@ -369,6 +369,10 @@ func TestConcurrentMixedJobs(t *testing.T) {
 		t.Errorf("only %d of %d tiny jobs solved", solved, jobs)
 	}
 
+	// A job's slots go back after its waiters wake (runJob releases them
+	// once finalize has closed done), so "every Wait returned" is not yet
+	// "pool idle"; Close returns when every job goroutine has exited.
+	s.Close()
 	st := s.Stats()
 	if st.JobsSubmitted != jobs {
 		t.Errorf("JobsSubmitted = %d, want %d", st.JobsSubmitted, jobs)

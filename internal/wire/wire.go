@@ -1,17 +1,11 @@
-// Package wire is the client progress stream's binary codec: a
-// length-prefixed frame format, hand-rolled encoders/decoders for its
-// messages (Hello, Subscribe, Progress) and Conn, the framed TCP
-// connection service.StreamServer and its clients (examples/loadgen
-// -stream) speak. One connection multiplexes any number of job
-// subscriptions, and frames encode with zero allocations through a
-// reusable Encoder, so awaiting a job costs no request per poll.
-//
-// It serves that one hop. Coordinator and workers speak HTTP/JSON only
-// (internal/dist; DESIGN.md §11 has the measurement behind that), and
-// the RunSpec frame is kept solely as the benchmark ledger's reference
-// encoding. The package is stdlib-only and imports nothing from this
-// repository, so service, cmds and examples can use it without cycles;
-// internal/service owns the conversion from its job events.
+// Package wire is the benchmark ledger's reference RunSpec frame: a
+// length-prefixed binary encoding of one shard run request, with its
+// decoder. Nothing in the product sends or reads it — every hop speaks
+// HTTP/JSON (DESIGN.md §11) — and it stays, layout frozen, only because
+// benchmark/layers.go encodes it for the wire.runspec_* ledger lines and
+// internal/dist's tests post one as the request an old coordinator would
+// send. It is to be deleted with those ledger lines (ROADMAP item 7a).
+// The package is stdlib-only and imports nothing from this repository.
 //
 // # Frame format
 //
@@ -20,12 +14,11 @@
 //
 // Varints are unsigned LEB128 (little-endian base-128, low 7 bits
 // first — encoding/binary's format); signed fields use zigzag. Strings
-// are uvarint length + UTF-8 bytes. Fixed-width fields (the handshake
-// magic, packed configuration values, float64 bits) are explicitly
-// little-endian. Configurations — a terminal event's solution, the bulk
-// of a frame — are packed as fixed-width little-endian values sized to
-// the largest element (1, 2 or 4 bytes), falling back to zigzag varints
-// when a value is negative:
+// are uvarint length + UTF-8 bytes. Fixed-width fields (packed
+// configuration values, float64 bits) are explicitly little-endian.
+// Configurations — an engine spec's initial configuration — are packed
+// as fixed-width little-endian values sized to the largest element (1, 2
+// or 4 bytes), falling back to zigzag varints when a value is negative:
 //
 //	ints := byte(width) uvarint(count) values...   width ∈ {0,1,2,4}; 0 = zigzag varints
 //
@@ -42,33 +35,14 @@ import (
 	"sort"
 )
 
-// Protocol identity, exchanged in the Hello handshake.
-const (
-	// Magic is the first four bytes on every stream connection,
-	// little-endian "RPW1".
-	Magic uint32 = 0x31575052
-	// Version is the protocol version; peers with mismatched versions
-	// fail the handshake (a client then polls over HTTP instead).
-	Version byte = 1
-)
-
 // MaxFrame caps one frame (type byte + payload): it must hold one
 // configuration of any protocol-legal instance (n up to 1<<20).
 const MaxFrame = 16 << 20
 
-// Frame types. 0x02 and 0x06-0x08 were the coordinator↔worker frames
-// retired with that stream; the numbers stay unassigned so a peer from
-// before then is skipped as an unknown type, never misread.
-const (
-	// TypeHello opens a connection in both directions.
-	TypeHello byte = 0x01
-	// TypeSubscribe attaches the connection to a job's progress events.
-	TypeSubscribe byte = 0x03
-	// TypeProgress carries one job progress event.
-	TypeProgress byte = 0x04
-	// TypeRunSpec carries one shard run request (see RunSpec).
-	TypeRunSpec byte = 0x05
-)
+// TypeRunSpec is the one frame type left: one shard run request (see
+// RunSpec). 0x01-0x04 and 0x06-0x08 were the stream protocols' frames,
+// retired with them; the numbers stay unassigned.
+const TypeRunSpec byte = 0x05
 
 // Structural caps applied at decode time, before any allocation.
 const (
@@ -89,52 +63,6 @@ var (
 	// out-of-cap strings or slices, unknown layout modes.
 	ErrMalformed = errors.New("wire: malformed payload")
 )
-
-// Hello is the connection handshake, sent first by both peers.
-type Hello struct {
-	// Role names the peer ("client", "service") for diagnostics; it
-	// carries no protocol meaning.
-	Role string
-}
-
-// Subscribe attaches the connection to one job's event flow.
-type Subscribe struct {
-	Job string
-}
-
-// Progress is one job progress event: a lifecycle transition
-// (queued→running→terminal) or a per-walker milestone (Walker >= 0).
-// Terminal events carry the condensed result so a streaming client
-// needs no follow-up status poll.
-type Progress struct {
-	Job        string
-	State      string
-	Walker     int64 // -1 for lifecycle events
-	Iterations int64
-	Cost       int64
-	Terminal   bool
-	Error      string
-	Result     *ProgressResult // non-nil only on terminal events
-}
-
-// ProgressResult condenses a terminal job result for the stream.
-// BestCost is the best known final cost across walkers that actually
-// ran, or -1 when no walker reported one — the unknown-cost sentinel
-// (core.CostUnknown, math.MaxInt) never crosses the wire as a cost.
-type ProgressResult struct {
-	Solved           bool
-	Winner           int64
-	WinnerStrategy   string
-	WinnerIterations int64
-	TotalIterations  int64
-	Completed        int64
-	Truncated        bool
-	ElapsedMS        int64
-	Adoptions        int64
-	Yielded          int64
-	BestCost         int64
-	Solution         []int
-}
 
 // RunSpec mirrors the dist run request as one binary frame: run the
 // global walkers [Start, Start+Count) of a TotalWalkers-walker job.
@@ -441,100 +369,6 @@ func (d *decoder) finish() error {
 // Message payloads. AppendX produces the payload only (no frame
 // header); DecodeX parses exactly one payload.
 
-// AppendHello appends a Hello payload: fixed little-endian magic,
-// version byte, role.
-func AppendHello(dst []byte, h *Hello) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, Magic)
-	dst = append(dst, Version)
-	return appendString(dst, h.Role)
-}
-
-// DecodeHello parses a Hello payload, verifying magic and version.
-func DecodeHello(p []byte) (Hello, error) {
-	if len(p) < 5 {
-		return Hello{}, ErrTruncated
-	}
-	if got := binary.LittleEndian.Uint32(p); got != Magic {
-		return Hello{}, fmt.Errorf("%w: bad magic %#x", ErrMalformed, got)
-	}
-	if p[4] != Version {
-		return Hello{}, fmt.Errorf("%w: protocol version %d (want %d)", ErrMalformed, p[4], Version)
-	}
-	d := decoder{buf: p[5:]}
-	h := Hello{Role: d.string()}
-	return h, d.finish()
-}
-
-// AppendSubscribe appends a Subscribe payload.
-func AppendSubscribe(dst []byte, s *Subscribe) []byte {
-	return appendString(dst, s.Job)
-}
-
-// DecodeSubscribe parses a Subscribe payload.
-func DecodeSubscribe(p []byte) (Subscribe, error) {
-	d := decoder{buf: p}
-	s := Subscribe{Job: d.string()}
-	return s, d.finish()
-}
-
-// AppendProgress appends a Progress payload.
-func AppendProgress(dst []byte, p *Progress) []byte {
-	dst = appendString(dst, p.Job)
-	dst = appendString(dst, p.State)
-	dst = binary.AppendVarint(dst, p.Walker)
-	dst = binary.AppendVarint(dst, p.Iterations)
-	dst = binary.AppendVarint(dst, p.Cost)
-	dst = appendBool(dst, p.Terminal)
-	dst = appendString(dst, p.Error)
-	dst = appendBool(dst, p.Result != nil)
-	if r := p.Result; r != nil {
-		dst = appendBool(dst, r.Solved)
-		dst = binary.AppendVarint(dst, r.Winner)
-		dst = appendString(dst, r.WinnerStrategy)
-		dst = binary.AppendVarint(dst, r.WinnerIterations)
-		dst = binary.AppendVarint(dst, r.TotalIterations)
-		dst = binary.AppendVarint(dst, r.Completed)
-		dst = appendBool(dst, r.Truncated)
-		dst = binary.AppendVarint(dst, r.ElapsedMS)
-		dst = binary.AppendVarint(dst, r.Adoptions)
-		dst = binary.AppendVarint(dst, r.Yielded)
-		dst = binary.AppendVarint(dst, r.BestCost)
-		dst = appendInts(dst, r.Solution)
-	}
-	return dst
-}
-
-// DecodeProgress parses a Progress payload.
-func DecodeProgress(p []byte) (Progress, error) {
-	d := decoder{buf: p}
-	ev := Progress{
-		Job:        d.string(),
-		State:      d.string(),
-		Walker:     d.varint(),
-		Iterations: d.varint(),
-		Cost:       d.varint(),
-		Terminal:   d.bool(),
-		Error:      d.string(),
-	}
-	if d.bool() {
-		ev.Result = &ProgressResult{
-			Solved:           d.bool(),
-			Winner:           d.varint(),
-			WinnerStrategy:   d.string(),
-			WinnerIterations: d.varint(),
-			TotalIterations:  d.varint(),
-			Completed:        d.varint(),
-			Truncated:        d.bool(),
-			ElapsedMS:        d.varint(),
-			Adoptions:        d.varint(),
-			Yielded:          d.varint(),
-			BestCost:         d.varint(),
-			Solution:         d.ints(),
-		}
-	}
-	return ev, d.finish()
-}
-
 func appendEngineSpec(dst []byte, e *EngineSpec) []byte {
 	dst = binary.AppendVarint(dst, e.MaxIterations)
 	dst = binary.AppendVarint(dst, e.MaxRuns)
@@ -680,24 +514,6 @@ func (e *Encoder) frame(dst []byte, typ byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(e.scratch)+1))
 	dst = append(dst, typ)
 	return append(dst, e.scratch...), nil
-}
-
-// HelloFrame appends a framed Hello to dst.
-func (e *Encoder) HelloFrame(dst []byte, h *Hello) ([]byte, error) {
-	e.scratch = AppendHello(e.scratch[:0], h)
-	return e.frame(dst, TypeHello)
-}
-
-// SubscribeFrame appends a framed Subscribe to dst.
-func (e *Encoder) SubscribeFrame(dst []byte, s *Subscribe) ([]byte, error) {
-	e.scratch = AppendSubscribe(e.scratch[:0], s)
-	return e.frame(dst, TypeSubscribe)
-}
-
-// ProgressFrame appends a framed Progress to dst.
-func (e *Encoder) ProgressFrame(dst []byte, p *Progress) ([]byte, error) {
-	e.scratch = AppendProgress(e.scratch[:0], p)
-	return e.frame(dst, TypeProgress)
 }
 
 // RunSpecFrame appends a framed RunSpec to dst.

@@ -2,10 +2,8 @@ package wire
 
 import (
 	"errors"
-	"net"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func frameOf(t *testing.T, build func(*Encoder, []byte) ([]byte, error)) []byte {
@@ -16,36 +14,6 @@ func frameOf(t *testing.T, build func(*Encoder, []byte) ([]byte, error)) []byte 
 		t.Fatalf("encoding frame: %v", err)
 	}
 	return out
-}
-
-func TestProgressRoundTrip(t *testing.T) {
-	cases := []Progress{
-		{Job: "j000001", State: "queued", Walker: -1},
-		{Job: "j000002", State: "running", Walker: 3, Iterations: 123456, Cost: 9},
-		{
-			Job: "j000003", State: "solved", Walker: -1, Terminal: true,
-			Result: &ProgressResult{
-				Solved: true, Winner: 2, WinnerStrategy: "adaptive", WinnerIterations: 999,
-				TotalIterations: 4321, Completed: 4, ElapsedMS: 17, Adoptions: 3, Yielded: 1,
-				Solution: []int{2, 0, 3, 1},
-			},
-		},
-		{Job: "j000004", State: "failed", Walker: -1, Terminal: true, Error: "bad request"},
-	}
-	for _, in := range cases {
-		buf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.ProgressFrame(dst, &in) })
-		typ, payload, _, err := DecodeFrame(buf)
-		if err != nil || typ != TypeProgress {
-			t.Fatalf("DecodeFrame: typ=%#x err=%v", typ, err)
-		}
-		out, err := DecodeProgress(payload)
-		if err != nil {
-			t.Fatalf("DecodeProgress(%+v): %v", in, err)
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-		}
-	}
 }
 
 func TestRunSpecRoundTrip(t *testing.T) {
@@ -85,34 +53,10 @@ func TestRunSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloSubscribeRoundTrip(t *testing.T) {
-	hbuf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) { return e.HelloFrame(dst, &Hello{Role: "worker"}) })
-	typ, payload, _, err := DecodeFrame(hbuf)
-	if err != nil || typ != TypeHello {
-		t.Fatalf("DecodeFrame(hello): typ=%#x err=%v", typ, err)
-	}
-	h, err := DecodeHello(payload)
-	if err != nil || h.Role != "worker" {
-		t.Fatalf("DecodeHello: %+v err=%v", h, err)
-	}
-
-	sbuf := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.SubscribeFrame(dst, &Subscribe{Job: "job000001"})
-	})
-	typ, payload, _, err = DecodeFrame(sbuf)
-	if err != nil || typ != TypeSubscribe {
-		t.Fatalf("DecodeFrame(subscribe): typ=%#x err=%v", typ, err)
-	}
-	s, err := DecodeSubscribe(payload)
-	if err != nil || s.Job != "job000001" {
-		t.Fatalf("DecodeSubscribe: %+v err=%v", s, err)
-	}
-}
-
 func TestDecodeErrorsAreTyped(t *testing.T) {
 	valid := frameOf(t, func(e *Encoder, dst []byte) ([]byte, error) {
-		return e.ProgressFrame(dst, &Progress{Job: "j", State: "solved", Walker: -1, Terminal: true,
-			Result: &ProgressResult{Solved: true, Solution: []int{1, 0, 2}}})
+		return e.RunSpecFrame(dst, &RunSpec{ID: "j", Mode: "run", Problem: "queens", Size: 8, TotalWalkers: 1, Count: 1,
+			Engine: EngineSpec{Strategy: "adaptive", InitialConfig: []int{1, 0, 2}}})
 	})
 
 	// Truncation at every prefix must yield ErrTruncated (or parse a
@@ -139,117 +83,57 @@ func TestDecodeErrorsAreTyped(t *testing.T) {
 
 	// Declared string longer than the payload.
 	typ, payload, _, _ := DecodeFrame(valid)
-	if typ != TypeProgress {
+	if typ != TypeRunSpec {
 		t.Fatalf("typ=%#x", typ)
 	}
 	corrupt := append([]byte{0xff, 0x7f}, payload[1:]...)
-	if _, err := DecodeProgress(corrupt); !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeRunSpec(corrupt); !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrTruncated) {
 		t.Errorf("corrupt string length: got %v", err)
 	}
 
+	// A payload cut anywhere is typed too.
+	for cut := 0; cut < len(payload); cut++ {
+		if _, err := DecodeRunSpec(payload[:cut]); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrMalformed) {
+			t.Errorf("payload cut=%d: got %v", cut, err)
+		}
+	}
+
 	// Trailing garbage after a complete message.
-	if _, err := DecodeProgress(append(append([]byte(nil), payload...), 0xAA)); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeRunSpec(append(append([]byte(nil), payload...), 0xAA)); !errors.Is(err, ErrMalformed) {
 		t.Errorf("trailing bytes: got %v, want ErrMalformed", err)
 	}
 
 	// Encoder must refuse messages that would exceed the frame cap.
 	var e Encoder
-	if _, err := e.ProgressFrame(nil, &Progress{Result: &ProgressResult{Solution: make([]int, MaxFrame)}}); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := e.RunSpecFrame(nil, &RunSpec{Engine: EngineSpec{InitialConfig: make([]int, MaxFrame)}}); !errors.Is(err, ErrFrameTooBig) {
 		t.Errorf("oversized encode: got %v, want ErrFrameTooBig", err)
 	}
 }
 
 // TestEncoderReuseIsStable pins that a reused Encoder produces
 // identical bytes across calls (the zero-alloc fast path must not
-// leak state between messages).
+// leak state between messages), a longer message in between included.
 func TestEncoderReuseIsStable(t *testing.T) {
-	m := Progress{Job: "job000001", State: "solved", Walker: -1, Terminal: true,
-		Result: &ProgressResult{Solved: true, Winner: 3, Solution: []int{5, 4, 3, 2, 1, 0}}}
+	m := RunSpec{ID: "job000001-s0", Mode: "run", Problem: "costas", Size: 12, Seed: 7, TotalWalkers: 2, Count: 1,
+		Engine: EngineSpec{Strategy: "adaptive", CheckEvery: 64, InitialConfig: []int{5, 4, 3, 2, 1, 0}},
+		Params: map[string]int64{"slots": 6, "rooms": 4}}
+	longer := m
+	longer.Portfolio = []PortfolioSpec{{Weight: 1, Engine: m.Engine}, {Weight: 2, Engine: m.Engine}}
 	var e Encoder
-	first, err := e.ProgressFrame(nil, &m)
+	first, err := e.RunSpecFrame(nil, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		again, err := e.ProgressFrame(nil, &m)
+		if _, err := e.RunSpecFrame(nil, &longer); err != nil {
+			t.Fatal(err)
+		}
+		again, err := e.RunSpecFrame(nil, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("encode %d differs from first", i)
 		}
-	}
-}
-
-// TestConnHandshakeAndFrames drives a real TCP pair through the
-// handshake and a multiplexed write/read exchange, including the byte
-// counters the telemetry layer samples.
-func TestConnHandshakeAndFrames(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type serverResult struct {
-		hello Hello
-		sub   Subscribe
-		err   error
-	}
-	done := make(chan serverResult, 1)
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			done <- serverResult{err: err}
-			return
-		}
-		c := NewConn(nc)
-		defer c.Close()
-		h, err := c.AcceptHandshake("service", 5*time.Second)
-		if err != nil {
-			done <- serverResult{err: err}
-			return
-		}
-		var out serverResult
-		out.hello = h
-		typ, payload, err := c.ReadFrame()
-		if err != nil || typ != TypeSubscribe {
-			done <- serverResult{err: err}
-			return
-		}
-		out.sub, _ = DecodeSubscribe(payload)
-		// Answer with the job's terminal event so the client read path
-		// is exercised too.
-		out.err = c.WriteProgress(&Progress{Job: out.sub.Job, State: "solved", Walker: -1, Terminal: true,
-			Result: &ProgressResult{Solved: true, Winner: 1, Solution: []int{1, 0}}})
-		done <- out
-	}()
-
-	c, err := Dial(ln.Addr().String(), "client", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.WriteSubscribe("job000001"); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := c.ReadFrame()
-	if err != nil || typ != TypeProgress {
-		t.Fatalf("client read: typ=%#x err=%v", typ, err)
-	}
-	final, err := DecodeProgress(payload)
-	if err != nil || !final.Terminal || final.Result == nil || final.Result.Winner != 1 {
-		t.Fatalf("final = %+v err=%v", final, err)
-	}
-
-	srv := <-done
-	if srv.err != nil {
-		t.Fatalf("server: %v", srv.err)
-	}
-	if srv.hello.Role != "client" || srv.sub.Job != "job000001" {
-		t.Errorf("server saw hello=%+v sub=%+v", srv.hello, srv.sub)
-	}
-	if c.BytesWritten() == 0 || c.BytesRead() == 0 {
-		t.Errorf("byte counters not maintained: tx=%d rx=%d", c.BytesWritten(), c.BytesRead())
 	}
 }
