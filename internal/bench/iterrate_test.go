@@ -58,8 +58,8 @@ func (u unsolvableFast) ErrorsOnVariables(cfg []int, out []int) {
 
 // unsolvableFD is the finite-domain counterpart: it forwards the FD
 // encoding interfaces (domains, assign moves, batched assign rows) so
-// the engine keeps running the assign loop — hiding FDProblem would
-// silently demote the benchmark to the permutation path, which feeds
+// the engine keeps running over assign moves — hiding FDProblem would
+// silently demote the benchmark to swap moves, which feed
 // out-of-domain values to its cost function.
 type unsolvableFD struct {
 	unsolvable

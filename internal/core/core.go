@@ -3,14 +3,17 @@
 // solver underneath the parallel multi-walk study of Abreu, Caniou,
 // Codognet, Diaz & Richoux (PPoPP 2012).
 //
-// Adaptive Search operates on constraint satisfaction problems encoded
-// over permutations. Each constraint contributes an error; errors are
+// Each constraint of a problem contributes an error; errors are
 // projected onto variables; each iteration the engine picks the worst
-// (highest-error) non-frozen variable and the best swap for it. A
-// non-improving best swap marks a local minimum: the variable is frozen
+// (highest-error) non-frozen variable and the best move for it. A
+// non-improving best move marks a local minimum: the variable is frozen
 // for a few iterations (an adaptive tabu), and when too many variables
 // are frozen the configuration is partially reset. An iteration budget
-// triggers a full restart from a fresh random permutation.
+// triggers a full restart from a fresh random configuration. That loop
+// exists once (engine.go) and runs over one of two move sets: swaps, for
+// problems encoded over permutations, where all-different stays
+// implicit, and assignments, for problems over finite domains
+// (FDProblem, fd.go).
 //
 // Problems plug in through the Problem interface; incremental encodings
 // additionally implement SwapExecutor and/or ResetHandler, mirroring the

@@ -40,12 +40,6 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	if err := opts.Validate(n); err != nil {
 		return Result{}, err
 	}
-	fd, isFD := p.(FDProblem)
-	if opts.InitialConfig != nil && !isFD {
-		if err := perm.Validate(opts.InitialConfig); err != nil {
-			return Result{}, fmt.Errorf("core: bad InitialConfig: %w", err)
-		}
-	}
 	strat, err := strategyFor(opts.Strategy)
 	if err != nil {
 		return Result{}, err
@@ -58,34 +52,21 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 		done:  ctx.Done(),
 		strat: strat,
 	}
-	e.swapper, _ = p.(SwapExecutor)
 	e.resetter, _ = p.(ResetHandler)
-	if isFD {
-		// Finite-domain encoding: run the pre-search reduction pass,
-		// prove every domain habitable, and resolve the FD plug points
-		// before the first iteration. Reduction errors (empty domain)
-		// wrap domain.ErrUnsatisfiable — a proof, surfaced as a typed
-		// error rather than an unsolved Result.
-		if dr, ok := p.(DomainReducer); ok {
-			if err := dr.ReduceDomains(); err != nil {
-				return Result{}, fmt.Errorf("core: domain reduction: %w", err)
-			}
-		}
-		if err := validateFDDomains(fd); err != nil {
+	// The one place that branches on which encoding p is: everything the
+	// two differ in goes into the move set, and the loop runs over it.
+	if fd, ok := p.(FDProblem); ok {
+		if e.mv, err = newAssignMoves(fd, strat); err != nil {
 			return Result{}, err
 		}
-		if opts.InitialConfig != nil {
-			if err := ValidateFDConfig(fd, opts.InitialConfig); err != nil {
-				return Result{}, fmt.Errorf("core: bad InitialConfig: %w", err)
-			}
+	} else {
+		sw, _ := p.(SwapExecutor)
+		e.mv = &swapMoves{swapper: sw}
+	}
+	if opts.InitialConfig != nil {
+		if err := ValidateConfig(p, opts.InitialConfig); err != nil {
+			return Result{}, fmt.Errorf("core: bad InitialConfig: %w", err)
 		}
-		e.fd = fd
-		e.assigner, _ = p.(AssignExecutor)
-		e.assignSel, _ = strat.Move.(AssignSelector)
-		if e.assignSel == nil {
-			return Result{}, fmt.Errorf("core: strategy %q has no finite-domain move selector", strat.Name)
-		}
-		e.assignRestart, _ = strat.Restart.(AssignRestartPolicy)
 	}
 
 	start := time.Now()
@@ -94,25 +75,58 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	return res, nil
 }
 
+// ValidateConfig reports whether cfg is a well-formed configuration of
+// p: a permutation of [0, p.Size()) for a permutation problem, one
+// in-domain value per variable (ValidateFDConfig) for a finite-domain
+// one. It gates every configuration that enters a search from outside
+// it: InitialConfig, Monitor teleports and exchange-board publishes.
+func ValidateConfig(p Problem, cfg []int) error {
+	if fd, ok := p.(FDProblem); ok {
+		return ValidateFDConfig(fd, cfg)
+	}
+	if len(cfg) != p.Size() {
+		return errConfigLength(len(cfg), p.Size())
+	}
+	return perm.Validate(cfg)
+}
+
+// moves is what differs between the two encodings, everything else
+// being the one loop below: the permutation move set swaps two
+// variables, which keeps all-different implicit, and the finite-domain
+// one assigns a value to one variable. Both draw from the engine's
+// stream in a fixed order, which is what the golden traces pin.
+type moves interface {
+	// minSize is the smallest size with more than one configuration;
+	// below it solve reports the cost of the only one.
+	minSize() int
+	// randomize overwrites e.st.Cfg with a uniformly random
+	// configuration.
+	randomize(e *engine)
+	// step runs one iteration's selection and, if a move was accepted
+	// (for the default strategy: one costing no more than staying put),
+	// executes it. It returns the variable selected and whether it
+	// moved; not moving is a local minimum.
+	step(e *engine) (worst int, moved bool)
+	// escape executes the restart policy's forced move on (vi, vj),
+	// uphill or not.
+	escape(e *engine, vi, vj int)
+	// perturb is the generic partial reset: it re-randomizes k variables
+	// of e.st.Cfg and leaves the cost to the caller.
+	perturb(e *engine, k int)
+}
+
 // engine holds the mutable state of one Solve call: the loop skeleton
-// plus the strategy instance it dispatches to. The search state proper
-// (configuration, cost, tabu marks) lives in st, the view handed to
-// strategy plug points.
+// plus the strategy instance and the move set it dispatches to. The
+// search state proper (configuration, cost, tabu marks) lives in st,
+// the view handed to strategy plug points.
 type engine struct {
 	p        Problem
 	opts     Options
 	rand     *rng.Rand
 	done     <-chan struct{}
-	swapper  SwapExecutor
 	resetter ResetHandler
 	strat    Strategy
-
-	// Finite-domain plug points, nil on the permutation path. A non-nil
-	// fd switches solve to the FD loop in fdengine.go.
-	fd            FDProblem
-	assigner      AssignExecutor
-	assignSel     AssignSelector
-	assignRestart AssignRestartPolicy
+	mv       moves
 
 	st State
 
@@ -128,22 +142,17 @@ type engine struct {
 
 	bestCost int   // best global cost seen across all runs
 	bestCfg  []int // configuration achieving bestCost
-
-	resetIdx  []int // scratch for the generic partial reset
-	resetVals []int
 }
 
 func (e *engine) solve() Result {
-	if e.fd != nil {
-		return e.solveFD()
-	}
 	n := e.p.Size()
 	e.res = Result{Cost: CostUnknown, Strategy: e.strat.Name}
 	e.bestCost = math.MaxInt
 
-	// Degenerate sizes: a 0- or 1-variable problem has a single
-	// configuration; report its cost directly.
-	if n < 2 {
+	// Degenerate sizes have a single configuration (the identity, which
+	// is empty when a finite-domain problem gets here): report its cost
+	// directly.
+	if n < e.mv.minSize() {
 		cfg := perm.Identity(n)
 		c := e.p.Cost(cfg)
 		e.noteBest(c, cfg)
@@ -207,22 +216,16 @@ func (e *engine) noteBest(cost int, cfg []int) {
 }
 
 // runOnce performs a single run (up to MaxIterations), dispatching each
-// iteration to the strategy plug points. It returns solved=true when a
-// zero-cost configuration was reached and interrupted=true when the
-// context was cancelled mid-run.
+// iteration to the move set and the strategy plug points. It returns
+// solved=true when a zero-cost configuration was reached and
+// interrupted=true when the context was cancelled mid-run.
 func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 	o := &e.opts
 
 	if first && o.InitialConfig != nil {
 		copy(e.st.Cfg, o.InitialConfig)
 	} else {
-		// Fresh random permutation into the reused buffer; identity-
-		// fill followed by Shuffle consumes the RNG exactly as
-		// rand.Perm does, so traces are unchanged.
-		for i := range e.st.Cfg {
-			e.st.Cfg[i] = i
-		}
-		e.rand.Shuffle(e.st.Cfg)
+		e.mv.randomize(e)
 	}
 	e.st.Cost = e.p.Cost(e.st.Cfg)
 	e.st.InvalidateErrors()
@@ -256,30 +259,22 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 			}
 		}
 
-		var worst, bestJ, bestCost int
-		if o.Exhaustive {
-			worst, bestJ, bestCost = e.selectBestPair()
-		} else {
-			worst = e.strat.Variable.SelectVariable(&e.st)
-			bestJ, bestCost = e.strat.Move.SelectMove(&e.st, worst)
-		}
-
-		if bestJ != worst {
-			// The strategy accepted a move (for the default strategy: a
-			// move with cost <= current, possibly a sideways plateau
-			// move; Metropolis additionally accepts uphill moves).
-			e.doSwap(worst, bestJ, bestCost)
-			e.strat.Restart.OnSwap(&e.st, worst, bestJ)
+		worst, moved := e.mv.step(e)
+		if moved {
 			continue
 		}
 
-		// Local minimum: the move selector found no acceptable swap.
+		// Local minimum: the move selector found no acceptable move. The
+		// restart policies reason about a second variable, so a problem
+		// of one variable (finite-domain only: minSize) has its escape
+		// forced on the only one there is.
 		e.res.LocalMinima++
-		vi, vj, reset := e.strat.Restart.OnLocalMinimum(&e.st, worst)
+		vi, vj, reset := 0, 0, false
+		if len(e.st.Cfg) >= 2 {
+			vi, vj, reset = e.strat.Restart.OnLocalMinimum(&e.st, worst)
+		}
 		if vj >= 0 {
-			// Forced escape move, possibly uphill.
-			c := e.p.CostIfSwap(e.st.Cfg, e.st.Cost, vi, vj)
-			e.doSwap(vi, vj, c)
+			e.mv.escape(e, vi, vj)
 			e.res.PlateauEscapes++
 			continue
 		}
@@ -305,54 +300,99 @@ func (e *engine) cancelled() bool {
 	}
 }
 
-// doSwap executes the swap (i, j), records statistics, updates the
-// incremental state of the problem and the best-seen configuration.
-func (e *engine) doSwap(i, j, newCost int) {
-	e.st.Cfg[i], e.st.Cfg[j] = e.st.Cfg[j], e.st.Cfg[i]
-	if e.swapper != nil {
-		e.swapper.ExecutedSwap(e.st.Cfg, i, j)
-	}
-	e.st.Cost = newCost
+// landed records cost as the cost of the configuration the walker has
+// just moved to, by whatever means: the error buffer is stale and the
+// configuration may be the best seen.
+func (e *engine) landed(cost int) {
+	e.st.Cost = cost
 	e.st.InvalidateErrors()
-	e.res.Swaps++
-	e.noteBest(newCost, e.st.Cfg)
+	e.noteBest(cost, e.st.Cfg)
 }
 
 // adoptConfig teleports the walker to cfg (from a Monitor directive),
 // clearing tabu marks and recomputing the cost. Invalid configurations
 // are rejected.
 func (e *engine) adoptConfig(cfg []int) bool {
-	if len(cfg) != len(e.st.Cfg) || perm.Validate(cfg) != nil {
+	if ValidateConfig(e.p, cfg) != nil {
 		return false
 	}
 	copy(e.st.Cfg, cfg)
-	e.st.Cost = e.p.Cost(e.st.Cfg)
-	e.st.InvalidateErrors()
+	e.landed(e.p.Cost(e.st.Cfg))
 	clear(e.st.Marks)
-	e.noteBest(e.st.Cost, e.st.Cfg)
 	return true
 }
 
 // partialReset perturbs the current configuration: problems implementing
 // ResetHandler control their own reset; otherwise a ResetFraction of the
-// variables is shuffled and the cost recomputed from scratch.
+// variables, at least two and at most all, is re-randomized by the move
+// set and the cost recomputed from scratch.
 func (e *engine) partialReset() {
 	e.res.Resets++
 	if e.resetter != nil {
-		e.st.Cost = e.resetter.Reset(e.st.Cfg, e.rand)
-	} else {
-		n := len(e.st.Cfg)
-		k := int(e.opts.ResetFraction * float64(n))
-		if k < 2 {
-			k = 2
-		}
-		if e.resetIdx == nil {
-			e.resetIdx = make([]int, n)
-			e.resetVals = make([]int, n)
-		}
-		perm.PartialShuffleScratch(e.st.Cfg, k, e.rand, e.resetIdx, e.resetVals)
-		e.st.Cost = e.p.Cost(e.st.Cfg)
+		e.landed(e.resetter.Reset(e.st.Cfg, e.rand))
+		return
 	}
-	e.st.InvalidateErrors()
-	e.noteBest(e.st.Cost, e.st.Cfg)
+	n := len(e.st.Cfg)
+	k := max(2, int(e.opts.ResetFraction*float64(n)))
+	e.mv.perturb(e, min(k, n))
+	e.landed(e.p.Cost(e.st.Cfg))
+}
+
+// swapMoves is the permutation move set: a move swaps two variables, so
+// a configuration that starts a permutation stays one.
+type swapMoves struct {
+	swapper SwapExecutor // nil without incremental state to update
+
+	resetIdx, resetVals []int // scratch of perturb
+}
+
+func (*swapMoves) minSize() int { return 2 }
+
+// randomize fills the reused buffer with the identity and shuffles it,
+// which consumes the stream exactly as rand.Perm does.
+func (*swapMoves) randomize(e *engine) {
+	for i := range e.st.Cfg {
+		e.st.Cfg[i] = i
+	}
+	e.rand.Shuffle(e.st.Cfg)
+}
+
+func (m *swapMoves) step(e *engine) (worst int, moved bool) {
+	var bestJ, bestCost int
+	if e.opts.Exhaustive {
+		worst, bestJ, bestCost = e.selectBestPair()
+	} else {
+		worst = e.strat.Variable.SelectVariable(&e.st)
+		bestJ, bestCost = e.strat.Move.SelectMove(&e.st, worst)
+	}
+	if bestJ == worst {
+		return worst, false
+	}
+	m.swap(e, worst, bestJ, bestCost)
+	e.strat.Restart.OnSwap(&e.st, worst, bestJ)
+	return worst, true
+}
+
+func (m *swapMoves) escape(e *engine, vi, vj int) {
+	m.swap(e, vi, vj, e.p.CostIfSwap(e.st.Cfg, e.st.Cost, vi, vj))
+}
+
+// swap executes the swap (i, j), records it and updates the incremental
+// state of the problem.
+func (m *swapMoves) swap(e *engine, i, j, newCost int) {
+	e.st.Cfg[i], e.st.Cfg[j] = e.st.Cfg[j], e.st.Cfg[i]
+	if m.swapper != nil {
+		m.swapper.ExecutedSwap(e.st.Cfg, i, j)
+	}
+	e.res.Swaps++
+	e.landed(newCost)
+}
+
+// perturb shuffles the values of k random positions among themselves.
+func (m *swapMoves) perturb(e *engine, k int) {
+	if m.resetIdx == nil {
+		m.resetIdx = make([]int, len(e.st.Cfg))
+		m.resetVals = make([]int, len(e.st.Cfg))
+	}
+	perm.PartialShuffleScratch(e.st.Cfg, k, e.rand, m.resetIdx, m.resetVals)
 }

@@ -103,6 +103,47 @@ type tunedProblem struct{ sortProblem }
 
 func (tunedProblem) Tune(o *Options) { o.FreezeLocMin = 42 }
 
+// fdOf makes a finite-domain problem of one of the toy problems above:
+// every variable ranges over [0, n), so a permutation is one of its
+// configurations, and an assignment costs what Cost says of the changed
+// configuration.
+type fdOf struct {
+	Problem
+	dom []int
+}
+
+func (p fdOf) Domain(int) []int { return p.dom }
+
+func (p fdOf) CostIfAssign(cfg []int, _, i, v int) int {
+	old := cfg[i]
+	cfg[i] = v
+	c := p.Cost(cfg)
+	cfg[i] = old
+	return c
+}
+
+func asPerm(p Problem) Problem { return p }
+func asFD(p Problem) Problem   { return fdOf{p, perm.Identity(p.Size())} }
+
+// bothEncodings runs a test of the engine loop once over swap moves and
+// once over assign moves: enc turns a toy problem into the encoding the
+// subtest is about.
+func bothEncodings(t *testing.T, test func(t *testing.T, enc func(Problem) Problem)) {
+	t.Run("perm", func(t *testing.T) { test(t, asPerm) })
+	t.Run("fd", func(t *testing.T) { test(t, asFD) })
+}
+
+// oneVar is a finite-domain problem of one variable over [0, len(p)):
+// value v costs p[v].
+type oneVar []int
+
+func (p oneVar) Size() int                              { return 1 }
+func (p oneVar) Cost(cfg []int) int                     { return p[cfg[0]] }
+func (p oneVar) CostOnVariable(cfg []int, _ int) int    { return p[cfg[0]] }
+func (p oneVar) CostIfSwap(_ []int, cost, _, _ int) int { return cost }
+func (p oneVar) Domain(int) []int                       { return perm.Identity(len(p)) }
+func (p oneVar) CostIfAssign(_ []int, _, _, v int) int  { return p[v] }
+
 func TestSolveSortProblem(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 10, 50, 200} {
 		res, err := Solve(context.Background(), sortProblem{n}, Options{Seed: 1})
@@ -189,44 +230,48 @@ func TestInvalidOptions(t *testing.T) {
 }
 
 func TestBudgetExhaustionAndRestarts(t *testing.T) {
-	res, err := Solve(context.Background(), stuckProblem{8}, Options{
-		Seed:          1,
-		MaxIterations: 50,
-		MaxRuns:       4,
+	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+		res, err := Solve(context.Background(), enc(stuckProblem{8}), Options{
+			Seed:          1,
+			MaxIterations: 50,
+			MaxRuns:       4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solved {
+			t.Fatal("stuckProblem cannot be solved")
+		}
+		if res.Restarts != 3 {
+			t.Fatalf("Restarts = %d, want 3", res.Restarts)
+		}
+		if res.Iterations != 4*50 {
+			t.Fatalf("Iterations = %d, want 200 (4 runs x 50)", res.Iterations)
+		}
+		if res.Cost != 1 {
+			t.Fatalf("unsolved Cost = %d, want best-seen 1", res.Cost)
+		}
+		if res.Solution != nil {
+			t.Fatal("unsolved result must not carry a solution")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solved {
-		t.Fatal("stuckProblem cannot be solved")
-	}
-	if res.Restarts != 3 {
-		t.Fatalf("Restarts = %d, want 3", res.Restarts)
-	}
-	if res.Iterations != 4*50 {
-		t.Fatalf("Iterations = %d, want 200 (4 runs x 50)", res.Iterations)
-	}
-	if res.Cost != 1 {
-		t.Fatalf("unsolved Cost = %d, want best-seen 1", res.Cost)
-	}
-	if res.Solution != nil {
-		t.Fatal("unsolved result must not carry a solution")
-	}
 }
 
 func TestContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: the run must not start at all
-	res, err := Solve(ctx, stuckProblem{8}, Options{Seed: 1, CheckEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Interrupted {
-		t.Fatalf("cancelled context did not interrupt: %v", res)
-	}
-	if res.Iterations != 0 {
-		t.Fatalf("pre-cancelled run took %d iterations, want 0", res.Iterations)
-	}
+	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // already cancelled: the run must not start at all
+		res, err := Solve(ctx, enc(stuckProblem{8}), Options{Seed: 1, CheckEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Interrupted {
+			t.Fatalf("cancelled context did not interrupt: %v", res)
+		}
+		if res.Iterations != 0 {
+			t.Fatalf("pre-cancelled run took %d iterations, want 0", res.Iterations)
+		}
+	})
 }
 
 func TestContextTimeout(t *testing.T) {
@@ -308,18 +353,75 @@ func (r *resetCounter) Reset(cfg []int, rnd *rng.Rand) int {
 	return r.inner.Cost(cfg)
 }
 
+// TestDegenerateSizes: below the move set's smallest size there is one
+// configuration and its cost is reported without a search. That size is
+// 2 for a permutation and 1 for finite domains, where a single variable
+// still ranges over its domain.
 func TestDegenerateSizes(t *testing.T) {
-	res, err := Solve(context.Background(), sortProblem{0}, Options{})
-	if err != nil || !res.Solved {
-		t.Fatalf("n=0: %v %v", res, err)
+	for _, tc := range []struct {
+		name   string
+		p      Problem
+		solved bool
+	}{
+		{"perm n=0", sortProblem{0}, true},
+		{"perm n=1", sortProblem{1}, true},
+		{"perm n=1 unsolvable", stuckProblem{1}, false},
+		{"fd n=0", asFD(sortProblem{0}), true},
+		{"fd n=0 unsolvable", asFD(stuckProblem{0}), false},
+	} {
+		res, err := Solve(context.Background(), tc.p, Options{})
+		if err != nil || res.Solved != tc.solved || res.Iterations != 0 {
+			t.Errorf("%s: %v %v, want solved=%v without searching", tc.name, res, err, tc.solved)
+		}
+		if !tc.solved && res.Cost != 1 {
+			t.Errorf("%s: Cost = %d, want 1", tc.name, res.Cost)
+		}
 	}
-	res, err = Solve(context.Background(), sortProblem{1}, Options{})
-	if err != nil || !res.Solved {
-		t.Fatalf("n=1: %v %v", res, err)
+
+	// One finite-domain variable is searched: from value 0 the only
+	// zero-cost value is one assignment away.
+	res, err := Solve(context.Background(), oneVar{3, 2, 1, 0, 1}, Options{InitialConfig: []int{0}})
+	if err != nil || !res.Solved || res.Iterations != 1 || res.Assigns != 1 || res.Solution[0] != 3 {
+		t.Fatalf("fd n=1: %v %v, want value 3 after one assignment", res, err)
 	}
-	res, err = Solve(context.Background(), stuckProblem{1}, Options{})
-	if err != nil || res.Solved || res.Cost != 1 {
-		t.Fatalf("unsolvable n=1: %v %v", res, err)
+
+	// At a strict local minimum of one variable the restart policy, which
+	// reasons about a second variable, is not consulted: every local
+	// minimum is escaped by re-drawing the variable.
+	res, err = Solve(context.Background(), oneVar{1, 2, 2}, Options{
+		Seed: 1, InitialConfig: []int{0}, MaxIterations: 60, MaxRuns: 1,
+	})
+	if err != nil || res.Solved || res.Cost != 1 || res.Iterations != 60 {
+		t.Fatalf("fd n=1 local minimum: %v %v, want 60 iterations ending unsolved at cost 1", res, err)
+	}
+	if res.LocalMinima == 0 || res.PlateauEscapes != res.LocalMinima || res.Resets != 0 {
+		t.Fatalf("fd n=1 local minimum: %d local minima, %d escapes, %d resets; want every minimum escaped, no reset",
+			res.LocalMinima, res.PlateauEscapes, res.Resets)
+	}
+}
+
+// TestValidateConfig: the one answer to "is cfg a configuration of p",
+// for both encodings.
+func TestValidateConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		cfg  []int
+		ok   bool
+	}{
+		{"perm", sortProblem{4}, []int{2, 0, 3, 1}, true},
+		{"perm wrong length", sortProblem{4}, []int{0, 1, 2}, false},
+		{"perm repeated value", sortProblem{4}, []int{0, 1, 1, 3}, false},
+		{"perm value out of range", sortProblem{4}, []int{0, 1, 2, 4}, false},
+		{"fd", asFD(sortProblem{4}), []int{1, 1, 0, 3}, true},
+		{"fd wrong length", asFD(sortProblem{4}), []int{0, 1, 2, 3, 0}, false},
+		{"fd out of domain", asFD(sortProblem{4}), []int{0, 1, 2, 4}, false},
+		{"fd below domain", oneVar{0, 1}, []int{-1}, false},
+		{"empty", sortProblem{0}, nil, true},
+	} {
+		if err := ValidateConfig(tc.p, tc.cfg); (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateConfig(%v) = %v, want ok=%v", tc.name, tc.cfg, err, tc.ok)
+		}
 	}
 }
 

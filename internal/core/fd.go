@@ -11,17 +11,15 @@ import (
 // This file defines the finite-domain (FD) encoding layer: the
 // interfaces a non-permutation problem implements, the State accessors
 // FD move selectors use, and the FD implementations of the built-in
-// selectors. The permutation encoding remains the engine's fast path —
-// a problem that does not implement FDProblem is driven exactly as
-// before, byte for byte — and FD problems get the analogous structure:
-// assign moves instead of swaps, batched assign evaluation instead of
-// CostsIfSwapAll, and a pre-search domain-reduction pass instead of
-// permutation validation.
+// selectors. Both encodings run the one engine loop; an FD problem runs
+// it over assign moves (fdengine.go) instead of swaps, with batched
+// assign evaluation instead of CostsIfSwapAll and a pre-search
+// domain-reduction pass.
 
 // FDProblem is a CSP over finite domains: variable i takes values from
 // Domain(i) instead of the permutation invariant, and the engine's move
 // is an assignment cfg[i] = v rather than a swap. Implementing this
-// interface switches Solve onto the FD loop; the embedded Problem
+// interface switches Solve onto assign moves; the embedded Problem
 // contract (Cost, CostOnVariable, CostIfSwap) is unchanged, with
 // CostIfSwap retained because harnesses and exchange probes still
 // evaluate swap perturbations on any encoding.
@@ -111,33 +109,33 @@ type AssignRestartPolicy interface {
 	OnAssign(s *State, i int)
 }
 
-// ValidateFDConfig reports whether cfg is a well-formed configuration
-// of p: one value per variable, each inside the variable's current
-// domain. It is the FD counterpart of perm.Validate, used for
-// InitialConfig, Monitor teleports and exchange-board probes.
+// ValidateFDConfig is ValidateConfig for a problem known to be
+// finite-domain: one value per variable, each inside the variable's
+// current domain.
 func ValidateFDConfig(p FDProblem, cfg []int) error {
 	if len(cfg) != p.Size() {
-		return errFDLength(len(cfg), p.Size())
+		return errConfigLength(len(cfg), p.Size())
 	}
 	for i, v := range cfg {
 		d := p.Domain(i)
 		k := sort.SearchInts(d, v)
 		if k >= len(d) || d[k] != v {
-			return errFDValue(i, v)
+			return fmt.Errorf("core: value %d is outside the domain of variable %d", v, i)
 		}
 	}
 	return nil
 }
 
 // validateFDDomains checks every domain is non-empty, returning the
-// typed unsatisfiable error otherwise. Solve runs it after reduction so
+// typed unsatisfiable error otherwise (callers, the service API among
+// them, match it with errors.Is). Solve runs it after reduction so
 // problems without a DomainReducer still fail loudly on an empty
 // domain instead of panicking in the init draw.
 func validateFDDomains(p FDProblem) error {
 	n := p.Size()
 	for i := 0; i < n; i++ {
 		if len(p.Domain(i)) == 0 {
-			return errFDEmptyDomain(i)
+			return fmt.Errorf("core: variable %d has an empty domain: %w", i, domain.ErrUnsatisfiable)
 		}
 	}
 	return nil
@@ -303,17 +301,8 @@ func (p *AdaptiveRestart) OnAssign(s *State, i int) {
 	}
 }
 
-// The FD error constructors keep the messages in one place; the
-// empty-domain case wraps domain.ErrUnsatisfiable so callers (the
-// service API among them) can match it with errors.Is.
-func errFDEmptyDomain(i int) error {
-	return fmt.Errorf("core: variable %d has an empty domain: %w", i, domain.ErrUnsatisfiable)
-}
-
-func errFDLength(got, want int) error {
+// errConfigLength is the wrong-length error of ValidateConfig on both
+// encodings.
+func errConfigLength(got, want int) error {
 	return fmt.Errorf("core: configuration has %d variables, problem has %d", got, want)
-}
-
-func errFDValue(i, v int) error {
-	return fmt.Errorf("core: value %d is outside the domain of variable %d", v, i)
 }

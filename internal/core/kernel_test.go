@@ -185,7 +185,7 @@ func refSelectBestAssign(e *engine) (i, v, cost int) {
 	bestCost := st.Cost
 	ties := 1
 	for a := range st.Cfg {
-		d := e.fd.Domain(a)
+		d := st.fd.Domain(a)
 		cur := st.Cfg[a]
 		var costs []int
 		if !e.opts.FirstBest {
@@ -199,7 +199,7 @@ func refSelectBestAssign(e *engine) (i, v, cost int) {
 			if costs != nil {
 				c = costs[k]
 			} else {
-				c = e.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
+				c = st.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
 			}
 			switch {
 			case c < bestCost:
@@ -357,7 +357,7 @@ func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
 				// no more than its state, problem, options and stream.
 				engines := [2]*engine{}
 				for k, s := range []*State{ref, got} {
-					engines[k] = &engine{p: s.Problem, opts: opts, rand: s.Rand, fd: s.fd, st: *s}
+					engines[k] = &engine{p: s.Problem, opts: opts, rand: s.Rand, st: *s}
 				}
 				wi, wj, wc := refSelectBestPair(engines[0])
 				hi, hj, hc := engines[1].selectBestPair()

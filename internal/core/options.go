@@ -111,8 +111,8 @@ type Directive struct {
 	// fresh random configuration (counted against MaxRuns).
 	Restart bool
 	// SetConfig, when non-nil, teleports the walker to the given
-	// configuration (copied; must be a permutation of [0, n) — invalid
-	// values are ignored). Tabu marks are cleared.
+	// configuration (copied; one that fails ValidateConfig is ignored).
+	// Tabu marks are cleared.
 	SetConfig []int
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -31,15 +32,28 @@ func (s stubMove) SelectMove(st *State, i int) (int, int) {
 	return s.inner.SelectMove(st, i)
 }
 
-func TestStrategyPlugPointsInvoked(t *testing.T) {
-	var varCalls, moveCalls atomic.Int64
-	RegisterStrategy("test-stub", func() Strategy {
-		return Strategy{
-			Name:     "test-stub",
-			Variable: stubVariable{calls: &varCalls},
-			Move:     stubMove{calls: &moveCalls},
-		}
+// registerTestStrategies adds the strategies these tests resolve by
+// name. The registry is process-wide and refuses a name twice, so under
+// -count=N only the first run registers; the stub's counters are
+// package-level for the same reason.
+var (
+	varCalls, moveCalls    atomic.Int64
+	registerTestStrategies = sync.OnceFunc(func() {
+		RegisterStrategy("test-stub", func() Strategy {
+			return Strategy{
+				Name:     "test-stub",
+				Variable: stubVariable{calls: &varCalls},
+				Move:     stubMove{calls: &moveCalls},
+			}
+		})
+		RegisterStrategy("test-known", func() Strategy { return Strategy{} })
 	})
+)
+
+func TestStrategyPlugPointsInvoked(t *testing.T) {
+	registerTestStrategies()
+	varCalls.Store(0)
+	moveCalls.Store(0)
 	res, err := Solve(context.Background(), sortProblem{20}, Options{Seed: 1, Strategy: "test-stub"})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +118,7 @@ func TestStrategyNamesContainBuiltins(t *testing.T) {
 // validate strategy names with. "" is not a name — callers treat it as
 // "use the default" before asking.
 func TestKnownStrategy(t *testing.T) {
-	RegisterStrategy("test-known", func() Strategy { return Strategy{} })
+	registerTestStrategies()
 	cases := []struct {
 		name string
 		want bool

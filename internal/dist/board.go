@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/multiwalk"
-	"repro/internal/perm"
 )
 
 // defaultBoardSync is the worker cache's board reconciliation period
@@ -80,14 +79,14 @@ type boardEntry struct {
 //
 // The board crosses trust boundaries between processes, and its
 // contents steer every walker of the job, so the claim is verified
-// rather than trusted: the configuration must be a permutation of the
-// job's instance size, and the cost must be the probe-recomputed cost
-// of that configuration. Without the recomputation one corrupt
-// publisher could post a fake cost 0 and stand the whole fleet down,
-// or a fake low cost that monotonically blocks every real elite.
-// Honest publishes always match: the engine's incrementally maintained
-// cost equals the recomputed one (pinned by the core equivalence
-// suites).
+// rather than trusted: the configuration must be well-formed for the
+// job's instance (core.ValidateConfig), and the cost must be the
+// probe-recomputed cost of that configuration. Without the
+// recomputation one corrupt publisher could post a fake cost 0 and
+// stand the whole fleet down, or a fake low cost that monotonically
+// blocks every real elite. Honest publishes always match: the engine's
+// incrementally maintained cost equals the recomputed one (pinned by
+// the core equivalence suites).
 func (e *boardEntry) merge(valid bool, cost int, cfg []int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -99,15 +98,8 @@ func (e *boardEntry) merge(valid bool, cost int, cfg []int) error {
 		// cost recomputation per sync.
 		return nil
 	}
-	// Structural verification is encoding-aware: permutation problems
-	// demand a permutation of the instance size, finite-domain problems
-	// a configuration inside every variable's domain.
-	if fd, ok := e.probe.(core.FDProblem); ok {
-		if err := core.ValidateFDConfig(fd, cfg); err != nil {
-			return fmt.Errorf("board sync configuration rejected: %v", err)
-		}
-	} else if len(cfg) != e.probe.Size() || perm.Validate(cfg) != nil {
-		return errors.New("board sync configuration is not a permutation of the job's instance size")
+	if err := core.ValidateConfig(e.probe, cfg); err != nil {
+		return fmt.Errorf("board sync configuration rejected: %v", err)
 	}
 	actual := e.probe.Cost(cfg)
 	if actual != cost {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -148,7 +149,12 @@ type Coordinator struct {
 	hbInterval      time.Duration
 	recoverAttempts int
 
-	seq atomic.Uint64
+	// epoch, drawn once at random, leads every run id, board id and
+	// progress key, and seq numbers the jobs behind it. Workers outlive
+	// coordinators and remember run ids (Worker.early), so the ids of two
+	// coordinators must not meet although both count from 1.
+	epoch string
+	seq   atomic.Uint64
 
 	boards    *boardHub
 	boardSync time.Duration
@@ -250,6 +256,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		client:          client,
 		ownsClient:      ownsClient,
 		reg:             newRegistry(),
+		epoch:           fmt.Sprintf("c%08x", rand.Uint32()),
 		probeTimeout:    probeTimeout,
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
@@ -559,9 +566,9 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	}
 
 	start := time.Now()
-	jobID := c.seq.Add(1)
+	jobID := fmt.Sprintf("%s-job%06d", c.epoch, c.seq.Add(1))
 	for i := range plan {
-		plan[i].runID = fmt.Sprintf("job%06d-s%d", jobID, i)
+		plan[i].runID = fmt.Sprintf("%s-s%d", jobID, i)
 	}
 
 	// Dependent jobs get a job-wide global board: every shard receives
@@ -578,7 +585,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		if err != nil {
 			return multiwalk.Result{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		url, _, releaseBoard, err := c.boards.open(fmt.Sprintf("job%06d", jobID), probe)
+		url, _, releaseBoard, err := c.boards.open(jobID, probe)
 		if err != nil {
 			return multiwalk.Result{}, err
 		}
@@ -655,7 +662,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		}
 		params.progressBase = base
 		params.progressMS = c.progInterval.Milliseconds()
-		defer c.clearJobProgress(fmt.Sprintf("job%06d-", jobID))
+		defer c.clearJobProgress(jobID + "-")
 	}
 
 	var outcomes []shardOutcome
@@ -707,7 +714,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		}
 		c.mRecRounds.Add(1)
 		for i := range rplan {
-			rplan[i].runID = fmt.Sprintf("job%06d-r%d-s%d", jobID, attempt, i)
+			rplan[i].runID = fmt.Sprintf("%s-r%d-s%d", jobID, attempt, i)
 		}
 		addPlan(rplan)
 		// Recovery shards re-run a known range on a fresh worker; their

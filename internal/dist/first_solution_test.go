@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,21 +230,73 @@ func TestCancelThatOutrunsItsRun(t *testing.T) {
 		t.Fatalf("a cancel older than the last %d unmatched ones still stopped its run: %+v", earlyCancels, st)
 	}
 
-	// An entry past its time to live is dropped, not honoured: a run id
-	// a restarted coordinator issues again must not start cancelled.
-	postCancel(t, srv.URL, "stale")
-	wk.mu.Lock()
-	for k := range wk.early {
-		if wk.early[k].id == "stale" {
-			wk.early[k].at = time.Now().Add(-earlyCancelTTL)
-		}
-	}
-	wk.mu.Unlock()
-	if st := run("stale"); st.Iterations == 0 {
-		t.Fatalf("a cancel older than %v stopped a run: %+v", earlyCancelTTL, st)
-	}
 	if got := workerCancels(t, srv.URL) - before; got != 1 {
 		t.Fatalf("cancels_total moved by %d over the whole test, want 1", got)
+	}
+}
+
+// TestEarlyCancelSparesTheNextCoordinator: a worker outlives its
+// coordinators, and every coordinator numbers its jobs from 1. A cancel
+// that one coordinator left in the worker's ring (its run had answered
+// already) must not stop the same-numbered run of the next one: the
+// epoch in front of the run id keeps the two apart.
+func TestEarlyCancelSparesTheNextCoordinator(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Slots: 1})
+	var mu sync.Mutex
+	var runIDs []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/run" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var req struct{ ID string }
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			runIDs = append(runIDs, req.ID)
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		wk.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { srv.Close(); wk.Close() })
+	job := JobSpec{Problem: "queens", Size: 16, Walkers: 1, Seed: 3, Engine: tunedEngine(t, "queens", 16)}
+	firstJob := func() (runID string, res multiwalk.Result) {
+		t.Helper()
+		coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		if res, err = coord.Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return runIDs[len(runIDs)-1], res
+	}
+
+	idA, resA := firstJob()
+	if postCancel(t, srv.URL, idA) {
+		t.Fatalf("run %q had answered, yet its cancel found it live", idA)
+	}
+	before := workerCancels(t, srv.URL)
+	idB, resB := firstJob()
+	const first = "job000001-s0"
+	if !strings.HasSuffix(idA, first) || !strings.HasSuffix(idB, first) {
+		t.Fatalf("run ids %q and %q: want the first job of each coordinator", idA, idB)
+	}
+	if idA == idB {
+		t.Fatalf("two coordinators issued the same run id %q", idA)
+	}
+	if !resB.Solved || resB.TotalIterations == 0 || resB.TotalIterations != resA.TotalIterations {
+		t.Fatalf("the second coordinator's job was disturbed: %d iterations, solved %v; the first ran %d",
+			resB.TotalIterations, resB.Solved, resA.TotalIterations)
+	}
+	if got := workerCancels(t, srv.URL) - before; got != 0 {
+		t.Fatalf("cancels_total moved by %d: the predecessor's cancel stopped a run", got)
 	}
 }
 

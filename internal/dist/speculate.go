@@ -362,7 +362,7 @@ func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}
 // recovery paths are unchanged. Loser goroutines are NOT waited for:
 // the stalled worker is the very thing being routed around, and run()'s
 // deferred hard-cancel severs their connections when the job returns.
-func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan []assignment, stop *jobStop, p shardParams, jobID uint64, addPlan func([]assignment)) []shardOutcome {
+func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan []assignment, stop *jobStop, p shardParams, jobID string, addPlan func([]assignment)) []shardOutcome {
 	slots := make([]*specSlot, len(plan))
 	var resolvedWG sync.WaitGroup
 	resolvedWG.Add(len(plan))
@@ -415,7 +415,7 @@ func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan
 		}
 		primary, start, count := s.primary.worker, s.primary.start, s.primary.count
 		s.mu.Unlock()
-		bp := c.reserveBackup(primary, start, count, fmt.Sprintf("job%06d-b1-s%d", jobID, i))
+		bp := c.reserveBackup(primary, start, count, fmt.Sprintf("%s-b1-s%d", jobID, i))
 		if bp == nil {
 			return
 		}

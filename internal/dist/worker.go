@@ -83,11 +83,13 @@ type Worker struct {
 	telemRuns map[string]*runTelem
 	closed    bool
 	wg        sync.WaitGroup
-	// early remembers the last cancels that found no run under their id:
-	// the run had finished, or — the case the ring exists for — its
-	// cancel overtook it on the way here, and reserve must stop it when
-	// it registers. A fixed ring: the oldest entry is overwritten.
-	early     [earlyCancels]earlyCancel
+	// early remembers the ids of the last cancels that found no run: the
+	// run had finished, or — the case the ring exists for — its cancel
+	// overtook it on the way here, and reserve must stop it when it
+	// registers. A fixed ring: the oldest entry is overwritten. An id
+	// names one run of one coordinator (its epoch leads it), so an entry
+	// can only ever stop the run it was sent for.
+	early     [earlyCancels]string
 	earlyNext int
 
 	mRuns      atomic.Int64
@@ -99,19 +101,6 @@ type Worker struct {
 // only the entries of jobs still in flight matter; 256 is far above any
 // fleet's concurrent shard count per worker.
 const earlyCancels = 256
-
-// earlyCancelTTL bounds how long an unmatched cancel stays effective:
-// longer than any request can trail its cancel (the cancel RPC's own
-// bound is 10 s), short enough that a restarted coordinator, which
-// numbers its jobs from 1 again, does not find its run ids pre-cancelled
-// by what its predecessor left in the ring.
-const earlyCancelTTL = 10 * time.Second
-
-// earlyCancel is one remembered cancel.
-type earlyCancel struct {
-	id string
-	at time.Time
-}
 
 // runTelem is one active run's telemetry cells: an (iterations, cost)
 // atomic pair per walker, written by the run's Progress hook and read
@@ -251,15 +240,13 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 	wk.wg.Add(1)
 	id := req.ID
 	for k := range wk.early {
-		if e := &wk.early[k]; e.id == id {
+		if wk.early[k] == id {
 			// The run's cancel got here first: the run goes through the
 			// same path as any other, on a context already cancelled, and
 			// answers with every walker Interrupted at zero iterations.
-			if time.Since(e.at) < earlyCancelTTL {
-				wk.mCancelled.Add(1)
-				cancel()
-			}
-			*e = earlyCancel{}
+			wk.mCancelled.Add(1)
+			cancel()
+			wk.early[k] = ""
 			break
 		}
 	}
@@ -471,7 +458,7 @@ func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 	wk.mu.Lock()
 	cancel, ok := wk.runs[id]
 	if !ok {
-		wk.early[wk.earlyNext] = earlyCancel{id: id, at: time.Now()}
+		wk.early[wk.earlyNext] = id
 		wk.earlyNext = (wk.earlyNext + 1) % earlyCancels
 	}
 	wk.mu.Unlock()

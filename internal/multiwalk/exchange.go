@@ -98,7 +98,7 @@ func (b *localBoard) Snapshot() (cost int, cfg []int, ok bool) {
 // invariant), finite-domain problems reassign random variables to
 // random in-domain values (a transposition could leave a variable
 // holding a value outside its domain, which the engine's
-// ValidateFDConfig teleport gate would reject). PerturbSwaps counts
+// ValidateConfig teleport gate would reject). PerturbSwaps counts
 // moves in both encodings.
 func boardMonitor(b Board, stat *WalkerStat, x ExchangeOptions, p core.Problem, seed uint64) func(int64, int, []int) core.Directive {
 	r := rng.New(seed ^ 0x9e3779b97f4a7c15) // walker-private perturbation stream

@@ -181,12 +181,7 @@ type Scheduler struct {
 	q         []*job
 	jobs      map[string]*job
 	tenants   map[string]*tenantAcct
-	// pinned is the dispatch candidate waiting for slots to accumulate.
-	// While set, releases flow toward it rather than leaking to narrower
-	// jobs behind it — the no-starvation guarantee for wide jobs. Only a
-	// strictly higher priority class overrides a pin.
-	pinned *job
-	closed bool
+	closed    bool
 	// nQueued counts admitted-but-not-yet-running jobs; admission
 	// control tests it against QueueDepth.
 	nQueued int
@@ -470,11 +465,14 @@ func (s *Scheduler) Closed() bool {
 // dispatch is the single admission loop. Each round it re-syncs the
 // slot pool with the backend (elastic fleets change capacity between
 // rounds), picks a candidate under weighted-fair multi-tenant rules
-// (see pickLocked), and either launches it or pins it while its slot
-// demand accumulates. A pinned wide job blocks later dispatches until
-// it fits — the no-starvation guarantee FIFO used to provide — except
-// that a strictly higher priority class may take the pin over. The
-// cond is broadcast on every queue/slot/capacity/lifecycle change.
+// (see pickLocked), and launches it if it fits. If it does not, the
+// loop waits without backfilling a narrower job behind it, so releases
+// accumulate toward a wide job; the pick is made afresh on every wake,
+// so which job waits depends on the queue and the ledgers alone, never
+// on when the dispatcher last looked. A waiting job's tenant accrues no
+// charge while every tenant dispatched in its place does, so it is
+// picked again after finitely many dispatches. The cond is broadcast on
+// every queue/slot/capacity/lifecycle change.
 func (s *Scheduler) dispatch() {
 	defer s.wg.Done()
 	s.mu.Lock()
@@ -507,11 +505,9 @@ func (s *Scheduler) dispatch() {
 			continue
 		}
 		if s.slotsFree < j.opts.Walkers {
-			s.pinned = j
 			s.cond.Wait()
 			continue
 		}
-		s.pinned = nil
 		s.removeQueuedLocked(j)
 		s.slotsFree -= j.opts.Walkers
 		t := s.tenantLocked(j.tenant)
@@ -532,17 +528,9 @@ func (s *Scheduler) dispatch() {
 // job of each (tenant, class) pair is a head; quota-blocked heads are
 // skipped (a capped tenant never blocks others); among the rest the
 // highest class wins, and within a class the tenant with the least
-// accrued weighted service — ties keep the earlier arrival. A valid
-// pinned candidate is returned unless a strictly higher class waits.
-// Callers hold s.mu.
+// accrued weighted service — ties keep the earlier arrival. Callers
+// hold s.mu.
 func (s *Scheduler) pickLocked() *job {
-	pinned := s.pinned
-	if pinned != nil && (!s.inQueueLocked(pinned) || s.quotaBlockedLocked(pinned)) {
-		// The pin lapsed: cancelled out of the queue, or its tenant hit
-		// quota and must not wedge the pool.
-		s.pinned = nil
-		pinned = nil
-	}
 	type head struct {
 		tenant string
 		class  int
@@ -571,9 +559,6 @@ func (s *Scheduler) pickLocked() *job {
 			best, bestT = j, t
 		}
 	}
-	if pinned != nil && (best == nil || best.class >= pinned.class) {
-		return pinned
-	}
 	return best
 }
 
@@ -582,16 +567,6 @@ func (s *Scheduler) pickLocked() *job {
 func (s *Scheduler) quotaBlockedLocked(j *job) bool {
 	t := s.tenantLocked(j.tenant)
 	return t.maxSlots > 0 && t.inUse+j.opts.Walkers > t.maxSlots
-}
-
-// inQueueLocked reports whether j is still in the admission queue.
-func (s *Scheduler) inQueueLocked(j *job) bool {
-	for _, qj := range s.q {
-		if qj == j {
-			return true
-		}
-	}
-	return false
 }
 
 // removeQueuedLocked removes j from the admission queue.
@@ -624,10 +599,11 @@ func (s *Scheduler) releaseSlots(j *job) {
 }
 
 // runJob executes one admitted job, holding its slots for the
-// duration.
+// duration. The slots go back before done is closed, as the counters do
+// (see finalizeQueued): a client that awaits the job and then reads
+// Stats must not find it still counted in SlotsBusy.
 func (s *Scheduler) runJob(j *job) {
 	defer s.wg.Done()
-	defer s.releaseSlots(j)
 
 	runCtx, cancel := context.WithTimeout(s.ctx, j.timeout)
 	defer cancel()
@@ -636,6 +612,7 @@ func (s *Scheduler) runJob(j *job) {
 	if j.state != StateQueued {
 		// Lost a race with Cancel between acquireSlots and here.
 		j.mu.Unlock()
+		s.releaseSlots(j)
 		return
 	}
 	j.state = StateRunning
@@ -646,6 +623,7 @@ func (s *Scheduler) runJob(j *job) {
 	s.mRunning.Add(1)
 
 	res, err := s.cfg.Backend.RunJob(runCtx, j.req.Problem, j.req.Size, j.req.Params, j.factory, j.opts)
+	s.releaseSlots(j)
 	switch {
 	case err != nil:
 		s.finalize(j, StateFailed, nil, err)

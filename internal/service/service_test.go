@@ -369,10 +369,8 @@ func TestConcurrentMixedJobs(t *testing.T) {
 		t.Errorf("only %d of %d tiny jobs solved", solved, jobs)
 	}
 
-	// A job's slots go back after its waiters wake (runJob releases them
-	// once finalize has closed done), so "every Wait returned" is not yet
-	// "pool idle"; Close returns when every job goroutine has exited.
-	s.Close()
+	// A job's slots go back before its waiters wake, so "every Wait
+	// returned" is "pool idle".
 	st := s.Stats()
 	if st.JobsSubmitted != jobs {
 		t.Errorf("JobsSubmitted = %d, want %d", st.JobsSubmitted, jobs)
@@ -463,6 +461,23 @@ func TestSlotAccountingAcrossWalkerCounts(t *testing.T) {
 	final := waitForState(t, s, small.ID, StateSolved)
 	if final.Result == nil || !final.Result.Solved {
 		t.Fatalf("small job did not solve after slots freed: %+v", final)
+	}
+}
+
+// TestSlotAccountingSettledWhenAwaited: a job's slots are back in the
+// pool by the time a client that awaited it can look, so the gauge a
+// client reads after SubmitWait never still counts its own job.
+func TestSlotAccountingSettledWhenAwaited(t *testing.T) {
+	s := newTestScheduler(t, Config{Slots: 2})
+	for seed := uint64(1); seed <= 20; seed++ {
+		req := fastReq()
+		req.Seed, req.Walkers = seed, 2
+		if _, err := s.SubmitWait(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.SlotsBusy != 0 || st.JobsRunning != 0 {
+			t.Fatalf("job %d awaited, yet SlotsBusy = %d and JobsRunning = %d", seed, st.SlotsBusy, st.JobsRunning)
+		}
 	}
 }
 

@@ -134,6 +134,54 @@ func TestTenantFairnessNoStarvation(t *testing.T) {
 	b.finish(4)
 }
 
+// TestTenantFairnessIgnoresDispatcherTiming: which job runs next is
+// decided by the queue and the ledgers when a slot frees, not by what
+// the dispatcher saw when it last looked. Here it has surely looked —
+// and found a's second job, alone in the queue, not to fit — before b's
+// first job arrives; b, with nothing charged, still goes first.
+func TestTenantFairnessIgnoresDispatcherTiming(t *testing.T) {
+	s, b := newGateScheduler(t, 1, nil)
+
+	submitTagged(t, s, "a", "", 1, 1)
+	expectStart(t, b, 1)
+	submitTagged(t, s, "a", "", 1, 2)
+	assertNoStart(t, b)
+	submitTagged(t, s, "b", "", 1, 100)
+
+	b.finish(1)
+	expectStart(t, b, 100)
+	b.finish(100)
+	expectStart(t, b, 2)
+	b.finish(2)
+}
+
+// TestTenantWideJobNotBackfilled: a job wider than the free slots is
+// waited for, not overtaken. With one of two slots freed, a later
+// one-walker job of the more-charged tenant would fit and the two-walker
+// head of the uncharged tenant does not; nothing starts until the second
+// slot frees, and then the wide job does.
+func TestTenantWideJobNotBackfilled(t *testing.T) {
+	s, b := newGateScheduler(t, 2, nil)
+
+	submitTagged(t, s, "busy", "", 1, 1)
+	submitTagged(t, s, "busy", "", 1, 2)
+	for _, got := range []uint64{nextStart(t, b), nextStart(t, b)} {
+		if got != 1 && got != 2 {
+			t.Fatalf("dispatched seed %d, want 1 and 2", got)
+		}
+	}
+	submitTagged(t, s, "wide", "", 2, 10)
+	submitTagged(t, s, "busy", "", 1, 3)
+
+	b.finish(1)
+	assertNoStart(t, b)
+	b.finish(2)
+	expectStart(t, b, 10)
+	b.finish(10)
+	expectStart(t, b, 3)
+	b.finish(3)
+}
+
 // TestTenantWeightedShare: under saturation a weight-4 tenant
 // dispatches about four jobs for every one of a weight-1 tenant's.
 func TestTenantWeightedShare(t *testing.T) {
@@ -194,7 +242,7 @@ func TestPriorityClasses(t *testing.T) {
 }
 
 // TestTenantQuota: a tenant at its MaxSlots cap waits without blocking
-// other tenants — its queued job is skipped, not pinned — and
+// other tenants — its queued job is skipped, not waited for — and
 // dispatches as soon as its own release makes room.
 func TestTenantQuota(t *testing.T) {
 	s, b := newGateScheduler(t, 2, map[string]TenantPolicy{
