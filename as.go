@@ -47,7 +47,9 @@ type MultiWalkOptions = multiwalk.Options
 type MultiWalkResult = multiwalk.Result
 
 // ExchangeOptions tunes the dependent (communicating) multi-walk
-// scheme, the paper's future-work extension.
+// scheme, the paper's future-work extension. SolveRequest.Exchange takes
+// it too, opting a service job into the scheme; on a distributed
+// backend the walkers cooperate across worker processes.
 type ExchangeOptions = multiwalk.ExchangeOptions
 
 // MultiWalkBoard is the shared elite-configuration board of the
@@ -194,11 +196,6 @@ type ServiceConfig = service.Config
 
 // SolveRequest describes one job submitted to a SolveService.
 type SolveRequest = service.Request
-
-// SolveExchangeSpec opts a SolveRequest into the dependent
-// (communicating) multi-walk scheme; on a distributed backend the
-// walkers cooperate across worker processes.
-type SolveExchangeSpec = service.ExchangeSpec
 
 // SolveJob is an immutable snapshot of a service job.
 type SolveJob = service.Job

@@ -16,7 +16,9 @@
 // Dependent jobs ({"exchange": {"enabled": true}}) cooperate across
 // workers through a coordinator-hosted elite board; -board-addr,
 // -board-advertise and -board-sync tune where it listens, how workers
-// reach it and how often their caches reconcile (see DESIGN.md §10).
+// reach it and how often their caches reconcile; -board-sync is the
+// only setting of that period, which each run request carries to its
+// worker (see DESIGN.md §10).
 //
 // With -fleet, the worker set is dynamic instead of (or in addition
 // to) the static -workers list: workers enroll themselves through
@@ -132,7 +134,7 @@ func run() error {
 		tenants        = flag.String("tenants", "", "per-tenant admission policy as name=weight[:maxslots],... (e.g. batch=1:8,interactive=3); unlisted tenants get weight 1, no cap")
 		boardAddr      = flag.String("board-addr", "", "exchange-board listen address for distributed dependent runs (empty = 127.0.0.1:0; the server starts lazily on the first exchange job)")
 		boardAdvertise = flag.String("board-advertise", "", "base URL workers use to reach the exchange board (empty = derived from the board listener; set it when workers are on other hosts)")
-		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs (0 = 50ms)")
+		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs, sent in each run request (0 = 50ms)")
 		speculate      = flag.Bool("speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first (needs a distributed backend)")
 		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")

@@ -18,7 +18,8 @@
 // should dial back; it defaults to http://<hostname><addr port>.
 //
 // Dependent (exchange) shard runs sync a local board cache with the
-// coordinator's board by POST, on change (-board-sync is the tick).
+// coordinator's board by POST, on change, on the tick the coordinator
+// puts in the run request (serve -board-sync).
 // When a run request carries a progress feed (the coordinator's
 // -speculate mode), the worker also POSTs per-shard iteration counts on
 // the requested cadence, so the coordinator's straggler detector can
@@ -68,7 +69,6 @@ func run() error {
 	var (
 		addr           = flag.String("addr", ":9101", "listen address")
 		slots          = flag.Int("slots", 0, "walker-slot capacity (0 = GOMAXPROCS)")
-		boardSync      = flag.Duration("board-sync", 0, "fallback board-cache sync period for dependent (exchange) shard runs when the coordinator does not pin one (0 = 50ms)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style per-walker telemetry frames to this file (empty = off)")
 		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
 		coordinator    = flag.String("coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
@@ -87,7 +87,7 @@ func run() error {
 		log.Printf("worker: pprof on http://%s/debug/pprof/", bound)
 	}
 
-	cfg := dist.WorkerConfig{Slots: *slots, BoardSync: *boardSync, TelemetryInterval: *telemetryEvery}
+	cfg := dist.WorkerConfig{Slots: *slots, TelemetryInterval: *telemetryEvery}
 	if *telemetryPath != "" {
 		f, err := os.Create(*telemetryPath)
 		if err != nil {

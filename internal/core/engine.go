@@ -37,7 +37,7 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("core: problem reports negative size %d", n)
 	}
 	opts.normalize(n)
-	if err := opts.Validate(n); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	strat, err := strategyFor(opts.Strategy)

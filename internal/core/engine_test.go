@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,6 +219,8 @@ func TestInvalidOptions(t *testing.T) {
 		{ProbSelectLocMin: -0.5},
 		{ProbSelectLocMin: 1.5},
 		{ResetFraction: 2},
+		{ProbSelectLocMin: math.NaN()},
+		{ResetFraction: math.NaN()},
 		{MaxIterations: -1},
 		{FreezeLocMin: -2},
 		{MaxRuns: -1},

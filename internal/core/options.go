@@ -11,42 +11,47 @@ import (
 // (ad_solver's AdData): freeze tenures, reset thresholds, the
 // probabilistic local-minimum escape, first-best move selection, and
 // restart budgets.
+//
+// Options is also the engine part of the coordinator→worker run request
+// (internal/dist): the JSON form carries every tunable, and neither the
+// Seed, which multi-walk drivers derive per walker, nor the
+// process-local Monitor hook.
 type Options struct {
 	// MaxIterations is the iteration budget of a single run; exhausting
 	// it triggers a full restart. 0 selects a per-problem default of
 	// max(10_000, 200*n).
-	MaxIterations int64
+	MaxIterations int64 `json:"max_iterations,omitempty"`
 
 	// MaxRuns bounds the total number of runs: the first run plus
 	// restarts. 0 selects the default — unlimited, matching the paper's
 	// experiments which always run to the first solution (bound the
 	// search with a context in that case). 1 disables restarts.
-	MaxRuns int
+	MaxRuns int `json:"max_runs,omitempty"`
 
 	// FreezeLocMin is the number of iterations a variable stays frozen
 	// (tabu) after being identified as a local minimum. 0 selects the
 	// default of 5, the most common setting of the C benchmarks.
-	FreezeLocMin int
+	FreezeLocMin int `json:"freeze_loc_min,omitempty"`
 
 	// FreezeSwap is the number of iterations both variables of an
 	// executed swap stay frozen. 0 means no post-swap freezing (the C
 	// default for the benchmarks used in the paper).
-	FreezeSwap int
+	FreezeSwap int `json:"freeze_swap,omitempty"`
 
 	// ResetLimit is the number of simultaneously frozen variables that
 	// triggers a partial reset. 0 selects the default of max(2, n/10).
-	ResetLimit int
+	ResetLimit int `json:"reset_limit,omitempty"`
 
 	// ResetFraction is the fraction of variables perturbed by a generic
 	// partial reset (ignored when the problem implements ResetHandler).
 	// 0 selects the default of 0.1 (the C library's 10%).
-	ResetFraction float64
+	ResetFraction float64 `json:"reset_fraction,omitempty"`
 
 	// ProbSelectLocMin is the probability, upon hitting a local minimum,
 	// of forcing a move on a random second variable instead of freezing
 	// the worst one. This is the C library's prob_select_loc_min (there
 	// expressed in percent). Must be in [0, 1].
-	ProbSelectLocMin float64
+	ProbSelectLocMin float64 `json:"prob_select_loc_min,omitempty"`
 
 	// Strategy names the search strategy, resolved through the strategy
 	// registry at Solve time ("" selects StrategyAdaptive, classic
@@ -55,11 +60,11 @@ type Options struct {
 	// Because the field is a plain name, Options stays copyable and
 	// each Solve call gets a fresh, race-free strategy instance — the
 	// property multi-walk portfolios rely on.
-	Strategy string
+	Strategy string `json:"strategy,omitempty"`
 
 	// FirstBest, when true, stops scanning swap candidates at the first
 	// strictly improving move instead of the best one.
-	FirstBest bool
+	FirstBest bool `json:"first_best,omitempty"`
 
 	// Exhaustive, when true, scans every variable pair each iteration
 	// and takes the best swap overall, instead of projecting errors and
@@ -70,22 +75,22 @@ type Options struct {
 	// variable/move plug points wholesale, so a non-default Strategy
 	// takes precedence: setting one disables Exhaustive (this is what
 	// lets -strategy/-portfolio run on exhaustive-tuned benchmarks).
-	Exhaustive bool
+	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// Seed seeds the engine's private RNG stream. Two runs with the same
 	// problem, options and seed are bit-for-bit identical.
-	Seed uint64
+	Seed uint64 `json:"-"`
 
 	// InitialConfig, when non-nil, is used (copied) as the starting
 	// configuration of the first run instead of a random permutation.
 	// It must be a permutation of [0, n).
-	InitialConfig []int
+	InitialConfig []int `json:"initial_config,omitempty"`
 
 	// CheckEvery is the cancellation-poll period in iterations. The
 	// engine checks the context every CheckEvery iterations; 0 selects
 	// the default of 64. Smaller values react faster to first-solution
 	// cancellation in multi-walk runs at a small cost in the hot loop.
-	CheckEvery int
+	CheckEvery int `json:"check_every,omitempty"`
 
 	// Monitor, when non-nil, is invoked every CheckEvery iterations
 	// with the cumulative iteration count, the current cost and the
@@ -94,7 +99,7 @@ type Options struct {
 	// continues unchanged. This is the hook the dependent multi-walk
 	// scheme (the paper's future-work section) uses to exchange elite
 	// configurations between walkers.
-	Monitor func(iter int64, cost int, cfg []int) Directive
+	Monitor func(iter int64, cost int, cfg []int) Directive `json:"-"`
 }
 
 // DefaultCheckEvery is the cancellation/Monitor poll period selected
@@ -158,11 +163,15 @@ func (o *Options) normalize(n int) {
 }
 
 // Validate reports configuration errors that normalize cannot repair.
-func (o *Options) Validate(n int) error {
-	if o.ProbSelectLocMin < 0 || o.ProbSelectLocMin > 1 {
+// It is the one range check of the engine's tunables: Solve, the solve
+// service's admission and the distributed run protocol all call it.
+// Whether InitialConfig fits the problem is ValidateConfig's question,
+// which Solve asks.
+func (o *Options) Validate() error {
+	if !(o.ProbSelectLocMin >= 0 && o.ProbSelectLocMin <= 1) { // NaN fails too
 		return fmt.Errorf("core: ProbSelectLocMin = %v outside [0,1]", o.ProbSelectLocMin)
 	}
-	if o.ResetFraction < 0 || o.ResetFraction > 1 {
+	if !(o.ResetFraction >= 0 && o.ResetFraction <= 1) {
 		return fmt.Errorf("core: ResetFraction = %v outside [0,1]", o.ResetFraction)
 	}
 	if o.MaxIterations < 0 {
@@ -176,9 +185,6 @@ func (o *Options) Validate(n int) error {
 	}
 	if o.Strategy != "" && !KnownStrategy(o.Strategy) {
 		return unknownStrategyError(o.Strategy)
-	}
-	if o.InitialConfig != nil && len(o.InitialConfig) != n {
-		return fmt.Errorf("core: InitialConfig has %d variables, problem has %d", len(o.InitialConfig), n)
 	}
 	return nil
 }

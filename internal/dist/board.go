@@ -19,10 +19,10 @@ import (
 )
 
 // defaultBoardSync is the worker cache's board reconciliation period
-// when neither the coordinator (ExchangeSpec.SyncMS) nor the worker
-// configuration picks one. 50ms keeps cooperation latency well under a
-// typical exchange period's wall-clock while staying negligible
-// against the protocol's other traffic.
+// when CoordinatorConfig.BoardSync is 0, and what a hand-written run
+// request carrying no board_sync_ms gets. 50ms keeps cooperation
+// latency well under a typical exchange period's wall-clock while
+// staying negligible against the protocol's other traffic.
 const defaultBoardSync = 50 * time.Millisecond
 
 // boardSyncTimeout bounds one publish-and-fetch round trip. A sync

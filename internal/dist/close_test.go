@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
 
@@ -123,15 +124,16 @@ func TestCloseReleasesOwnedConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(release)
-		spec := EngineSpecFor(engine)
+		spec := engine
 		spec.MaxIterations, spec.MaxRuns = 2000, 1
 		runShard := func(wk *Worker, id string) {
 			t.Helper()
 			body, _ := json.Marshal(RunRequest{
 				ID: id, Mode: ModeRun, Problem: "costas", Size: 12, Seed: 7,
 				TotalWalkers: 1, Count: 1, Engine: spec,
-				Exchange: ExchangeSpec{Enabled: true, Period: 16, AdoptFactor: 1, SyncMS: 1},
-				Board:    board,
+				Exchange:    multiwalk.ExchangeOptions{Enabled: true, Period: 16, AdoptFactor: 1},
+				Board:       board,
+				BoardSyncMS: 1,
 			})
 			before := hub.mHTTPSyncs.Load()
 			rec := httptest.NewRecorder()

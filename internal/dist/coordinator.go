@@ -64,8 +64,8 @@ type CoordinatorConfig struct {
 	// hosts or behind NAT.
 	BoardAdvertise string
 	// BoardSync is the period at which worker-side board caches
-	// reconcile with the global board. 0 lets each worker apply its
-	// default (50ms).
+	// reconcile with the global board, stamped into every exchange
+	// shard's request. 0 selects 50ms.
 	BoardSync time.Duration
 	// Speculate enables straggler speculation for wall-clock (Run mode)
 	// jobs: workers report per-shard progress, a detector compares each
@@ -156,8 +156,8 @@ type Coordinator struct {
 	epoch string
 	seq   atomic.Uint64
 
-	boards    *boardHub
-	boardSync time.Duration
+	boards      *boardHub
+	boardSyncMS int64
 
 	speculate     bool
 	specThreshold float64
@@ -237,6 +237,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.BoardSync < 0 {
 		return nil, errors.New("dist: CoordinatorConfig.BoardSync must be >= 0")
 	}
+	if cfg.BoardSync == 0 {
+		cfg.BoardSync = defaultBoardSync
+	}
 	specThreshold := cfg.SpeculateThreshold
 	if specThreshold == 0 {
 		specThreshold = 2
@@ -261,7 +264,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
 		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise),
-		boardSync:       cfg.BoardSync,
+		boardSyncMS:     max(cfg.BoardSync.Milliseconds(), 1),
 		speculate:       cfg.Speculate,
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
@@ -536,17 +539,14 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 			return multiwalk.Result{}, fmt.Errorf("dist: portfolio[%d] carries a Monitor hook, which cannot cross process boundaries", i)
 		}
 	}
-	exchangeSpec := ExchangeSpecFor(job.Exchange)
 	if job.Exchange.Enabled {
 		if mode != ModeRun {
 			return multiwalk.Result{}, errExchangeVirtual
 		}
-		// Stamp the fleet-wide sync cadence before validating, so a bad
-		// CoordinatorConfig.BoardSync is caught here — before slots are
-		// reserved — rather than by every worker's request validation.
-		exchangeSpec.SyncMS = c.boardSync.Milliseconds()
-		if err := exchangeSpec.validate("exchange"); err != nil {
-			return multiwalk.Result{}, err
+		// Caught here, before slots are reserved, rather than by every
+		// worker's request validation.
+		if err := job.Exchange.Validate(); err != nil {
+			return multiwalk.Result{}, fmt.Errorf("%w: exchange: %v", ErrBadRequest, err)
 		}
 	}
 
@@ -559,12 +559,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// idempotent), so recovery rounds see the freed capacity.
 	defer c.releaseAll(plan)
 
-	engineSpec := EngineSpecFor(job.Engine)
-	portfolio := make([]PortfolioSpec, len(job.Portfolio))
-	for i, e := range job.Portfolio {
-		portfolio[i] = PortfolioSpec{Weight: e.Weight, Engine: EngineSpecFor(e.Engine)}
-	}
-
 	start := time.Now()
 	jobID := fmt.Sprintf("%s-job%06d", c.epoch, c.seq.Add(1))
 	for i := range plan {
@@ -576,7 +570,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// The board lives exactly as long as the job — run() waits for all
 	// shard responses (including recovery rounds) before releasing it,
 	// so no shard ever syncs into a reassigned board.
-	var boardURL string
+	var params shardParams
 	if job.Exchange.Enabled {
 		// The probe instance lets the board server verify every publish
 		// against the actual problem (see boardHub.handleSync); building
@@ -590,7 +584,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 			return multiwalk.Result{}, err
 		}
 		defer releaseBoard()
-		boardURL = url
+		params.boardURL, params.boardSyncMS = url, c.boardSyncMS
 	}
 
 	// Pre-cancelled caller: don't contact the fleet at all — report
@@ -640,14 +634,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		stop.armGrace()
 	})
 	defer stopNotify()
-
-	params := shardParams{
-		engine:    engineSpec,
-		portfolio: portfolio,
-		exchange:  exchangeSpec,
-		boardURL:  boardURL,
-		deadline:  deadlineMS(ctx),
-	}
+	params.deadline = deadlineMS(ctx)
 
 	// Straggler speculation needs the progress feed: stamp the report
 	// endpoint into every shard request and track the shards. Virtual
@@ -771,14 +758,13 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	return res, nil
 }
 
-// shardParams bundles the per-job request fields shared by every shard
-// dispatch (initial plan and recovery rounds alike).
+// shardParams bundles the per-job request fields that are not the
+// job's own, shared by every shard dispatch (initial plan and recovery
+// rounds alike).
 type shardParams struct {
-	engine    EngineSpec
-	portfolio []PortfolioSpec
-	exchange  ExchangeSpec
-	boardURL  string
-	deadline  int64
+	boardURL    string
+	boardSyncMS int64
+	deadline    int64
 	// Progress feed for straggler speculation; empty when the job does
 	// not speculate. progressBase is the hub's HTTP base URL (each
 	// shard's report route is derived from its run id).
@@ -801,11 +787,12 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		TotalWalkers: job.Walkers,
 		Start:        a.start,
 		Count:        a.count,
-		Engine:       p.engine,
-		Portfolio:    p.portfolio,
+		Engine:       job.Engine,
+		Portfolio:    job.Portfolio,
 		DeadlineMS:   p.deadline,
-		Exchange:     p.exchange,
+		Exchange:     job.Exchange,
 		Board:        p.boardURL,
+		BoardSyncMS:  p.boardSyncMS,
 	}
 	if p.progressBase != "" {
 		req.ProgressURL = p.progressBase + "/v1/runs/" + a.runID + "/progress"

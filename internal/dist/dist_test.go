@@ -348,7 +348,7 @@ func TestWorkerRejectsOverCapacityAndDuplicates(t *testing.T) {
 		body, _ := json.Marshal(RunRequest{
 			ID: id, Mode: ModeRun, Problem: "queens", Size: 16, Seed: 3,
 			TotalWalkers: 4, Start: 0, Count: count,
-			Engine: EngineSpec{MaxIterations: 500, MaxRuns: 1},
+			Engine: core.Options{MaxIterations: 500, MaxRuns: 1},
 		})
 		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(string(body)))
 		if err != nil {
@@ -420,7 +420,20 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 		`{"id":"","mode":"run","problem":"queens","total_walkers":1,"count":1}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"strategy":"nope"}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":2}}`,
+		// JSON has no NaN: what comes closest is a decode error.
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":NaN}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":"NaN"}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"prob_select_loc_min":1e999}}`,
+		// Out of range, checked by core.Options.Validate.
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":-0.5}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"prob_select_loc_min":1.5}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"prob_select_loc_min":-1e-9}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"max_iterations":-1}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"check_every":-1}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":2,"count":2,"portfolio":[{"engine":{}},{"engine":{"reset_fraction":2}}]}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"portfolio":[{"weight":-1,"engine":{}}]}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true,"adopt_factor":0.5},"board":"http://b"}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true},"board":"http://b","board_sync_ms":-1}`,
 	}
 	for _, raw := range cases {
 		if _, err := DecodeRunRequest(strings.NewReader(raw)); !errors.Is(err, ErrBadRequest) {

@@ -111,7 +111,7 @@ func TestDistExchangeVirtualRejected(t *testing.T) {
 	req := RunRequest{
 		ID: "r1", Mode: ModeVirtual, Problem: "costas", Size: 8,
 		TotalWalkers: 1, Count: 1,
-		Exchange: ExchangeSpec{Enabled: true}, Board: "http://example.invalid/board",
+		Exchange: multiwalk.ExchangeOptions{Enabled: true}, Board: "http://example.invalid/board",
 	}
 	if err := req.Validate(); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("protocol accepted virtual exchange shard: %v", err)

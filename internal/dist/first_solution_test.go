@@ -186,7 +186,7 @@ func TestCancelThatOutrunsItsRun(t *testing.T) {
 	srv := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() { srv.Close(); wk.Close() })
 	// Alone, the run would take its whole budget: seconds.
-	engine := EngineSpecFor(tunedEngine(t, "costas", 18))
+	engine := tunedEngine(t, "costas", 18)
 	engine.MaxRuns = 1
 	run := func(id string) WalkerStatWire {
 		t.Helper()

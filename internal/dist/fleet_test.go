@@ -316,7 +316,7 @@ func TestDispatchRevalidatesWorker(t *testing.T) {
 	a := assignment{worker: w, start: 0, count: 1, reserved: 1, runID: "stale-1"}
 	out := coord.runShard(context.Background(), &a, RunRequest{
 		ID: a.runID, Mode: ModeRun, Problem: "queens", Size: 8,
-		TotalWalkers: 1, Count: 1, Engine: EngineSpec{MaxIterations: 10, MaxRuns: 1},
+		TotalWalkers: 1, Count: 1, Engine: core.Options{MaxIterations: 10, MaxRuns: 1},
 	})
 	if !out.lost || out.err != nil {
 		t.Fatalf("dead-at-dispatch shard: %+v, want lost", out)

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/core"
@@ -109,13 +108,15 @@ type RunRequest struct {
 	TotalWalkers int `json:"total_walkers"`
 	Start        int `json:"start"`
 	Count        int `json:"count"`
-	// Engine carries the fully resolved engine options. The coordinator
-	// resolves tuning once and ships numbers; workers apply them
-	// verbatim, so coordinator and worker registries cannot drift.
-	Engine EngineSpec `json:"engine"`
+	// Engine carries the fully resolved engine options — core.Options
+	// itself, whose JSON form leaves out the per-walker Seed and the
+	// process-local Monitor. The coordinator resolves tuning once and
+	// ships numbers; workers apply them verbatim, so coordinator and
+	// worker registries cannot drift.
+	Engine core.Options `json:"engine"`
 	// Portfolio, when non-empty, is the job's heterogeneous portfolio.
 	// Entry assignment uses the global walker index.
-	Portfolio []PortfolioSpec `json:"portfolio,omitempty"`
+	Portfolio []multiwalk.PortfolioEntry `json:"portfolio,omitempty"`
 	// DeadlineMS bounds the shard run on the worker itself, so an
 	// orphaned run (coordinator gone without cancelling) cannot hold
 	// slots forever. 0 means no worker-side deadline.
@@ -124,11 +125,17 @@ type RunRequest struct {
 	// (communicating) multi-walk scheme against the job-wide global
 	// board at Board. Requires ModeRun: the virtual mode's sequential
 	// sweeps have no concurrent peers to cooperate with.
-	Exchange ExchangeSpec `json:"exchange,omitzero"`
+	Exchange multiwalk.ExchangeOptions `json:"exchange,omitzero"`
 	// Board is the coordinator-hosted global board endpoint for the job
 	// (combined publish-and-fetch, POST BoardSync). Required when
 	// Exchange is enabled; every shard of one job receives the same URL.
 	Board string `json:"board,omitempty"`
+	// BoardSyncMS is the worker cache's board sync period in
+	// milliseconds — how often the write-through cache reconciles with
+	// the global board. The coordinator always sets it on an exchange
+	// shard (CoordinatorConfig.BoardSync); 0 selects 50ms. The hot loop
+	// never waits on this: walkers always read and write the local cache.
+	BoardSyncMS int64 `json:"board_sync_ms,omitempty"`
 	// ProgressURL, when set, asks the worker to report the shard's
 	// progress (iteration counts) periodically so the coordinator's
 	// straggler detector can compare shards (POST ShardProgressReport).
@@ -149,60 +156,6 @@ type ShardProgressReport struct {
 	Best    int64 `json:"best"`
 }
 
-// ExchangeSpec is the wire form of multiwalk.ExchangeOptions plus the
-// distribution-only sync cadence. Like EngineSpec, it carries resolved
-// numbers only; the board connection itself is process-local state the
-// worker builds from Board.
-type ExchangeSpec struct {
-	Enabled      bool    `json:"enabled,omitempty"`
-	Period       int64   `json:"period,omitempty"`
-	AdoptFactor  float64 `json:"adopt_factor,omitempty"`
-	PerturbSwaps int     `json:"perturb_swaps,omitempty"`
-	// SyncMS is the worker cache's board sync period in milliseconds —
-	// how often the write-through cache reconciles with the global
-	// board. 0 selects the worker's default (50ms). The hot loop never
-	// waits on this: walkers always read and write the local cache.
-	SyncMS int64 `json:"sync_ms,omitempty"`
-}
-
-// ExchangeSpecFor converts exchange options into their wire form.
-func ExchangeSpecFor(x multiwalk.ExchangeOptions) ExchangeSpec {
-	return ExchangeSpec{
-		Enabled:      x.Enabled,
-		Period:       x.Period,
-		AdoptFactor:  x.AdoptFactor,
-		PerturbSwaps: x.PerturbSwaps,
-	}
-}
-
-// Options converts the wire form back into exchange options.
-func (s ExchangeSpec) Options() multiwalk.ExchangeOptions {
-	return multiwalk.ExchangeOptions{
-		Enabled:      s.Enabled,
-		Period:       s.Period,
-		AdoptFactor:  s.AdoptFactor,
-		PerturbSwaps: s.PerturbSwaps,
-	}
-}
-
-// validate checks the wire-level invariants of an exchange spec —
-// multiwalk's shared exchange validator plus the wire-only sync
-// cadence — so a bad job is rejected at the protocol edge rather than
-// after slots were reserved.
-func (s *ExchangeSpec) validate(where string) error {
-	if !s.Enabled {
-		return nil
-	}
-	x := s.Options()
-	if err := x.Validate(); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrBadRequest, where, err)
-	}
-	if s.SyncMS < 0 {
-		return fmt.Errorf("%w: %s: negative sync_ms", ErrBadRequest, where)
-	}
-	return nil
-}
-
 // BoardSync is one combined publish-and-fetch exchange against a job's
 // global board: the request carries the caller's current best (Valid
 // false when it has none yet), the response the global best after the
@@ -221,30 +174,6 @@ type BoardSync struct {
 	Cost  int    `json:"cost,omitempty"`
 	Gen   uint64 `json:"gen,omitempty"`
 	Cfg   []int  `json:"cfg,omitempty"`
-}
-
-// EngineSpec is the wire form of core.Options: every numeric tunable,
-// none of the process-local hooks (Monitor cannot cross a process
-// boundary; the coordinator rejects jobs carrying one).
-type EngineSpec struct {
-	MaxIterations    int64   `json:"max_iterations,omitempty"`
-	MaxRuns          int     `json:"max_runs,omitempty"`
-	FreezeLocMin     int     `json:"freeze_loc_min,omitempty"`
-	FreezeSwap       int     `json:"freeze_swap,omitempty"`
-	ResetLimit       int     `json:"reset_limit,omitempty"`
-	ResetFraction    float64 `json:"reset_fraction,omitempty"`
-	ProbSelectLocMin float64 `json:"prob_select_loc_min,omitempty"`
-	Strategy         string  `json:"strategy,omitempty"`
-	FirstBest        bool    `json:"first_best,omitempty"`
-	Exhaustive       bool    `json:"exhaustive,omitempty"`
-	CheckEvery       int     `json:"check_every,omitempty"`
-	InitialConfig    []int   `json:"initial_config,omitempty"`
-}
-
-// PortfolioSpec is the wire form of multiwalk.PortfolioEntry.
-type PortfolioSpec struct {
-	Weight int        `json:"weight,omitempty"`
-	Engine EngineSpec `json:"engine"`
 }
 
 // WalkerStatWire is the wire form of multiwalk.WalkerStat. Walker is
@@ -278,11 +207,9 @@ type RunResponse struct {
 	ElapsedNS int64            `json:"elapsed_ns"`
 }
 
-// DecodeRunRequest reads and structurally validates one RunRequest.
-// Every error wraps ErrBadRequest, so callers (and the fuzz suite) can
-// separate client mistakes from worker faults with errors.Is. Deep
-// option validation stays where it lives for local runs — core and
-// multiwalk — and is mapped to the same typed error by the worker.
+// DecodeRunRequest reads and validates one RunRequest. Every error
+// wraps ErrBadRequest, so callers (and the fuzz suite) can separate
+// client mistakes from worker faults with errors.Is.
 func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	var req RunRequest
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBodyLen))
@@ -295,8 +222,11 @@ func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	return req, nil
 }
 
-// Validate checks the request's structure against the registries and
-// the shard arithmetic. Errors wrap ErrBadRequest.
+// Validate checks what only the protocol knows — ids, mode, the problem
+// registry, the shard arithmetic, size caps and URLs — and hands the
+// engine options and exchange tuning to their own validators
+// (core.Options.Validate, multiwalk.ExchangeOptions.Validate). Errors
+// wrap ErrBadRequest.
 func (req *RunRequest) Validate() error {
 	if req.ID == "" {
 		return fmt.Errorf("%w: missing run id", ErrBadRequest)
@@ -329,16 +259,19 @@ func (req *RunRequest) Validate() error {
 	if len(req.Portfolio) > maxPortfolio {
 		return fmt.Errorf("%w: portfolio of %d entries exceeds %d", ErrBadRequest, len(req.Portfolio), maxPortfolio)
 	}
-	if err := req.Exchange.validate("exchange"); err != nil {
-		return err
-	}
 	if req.Exchange.Enabled {
+		if err := req.Exchange.Validate(); err != nil {
+			return fmt.Errorf("%w: exchange: %v", ErrBadRequest, err)
+		}
 		if req.Mode != ModeRun {
 			return fmt.Errorf("%w: exchange requires mode %q (virtual sweeps have no concurrent peers)", ErrBadRequest, ModeRun)
 		}
 		if req.Board == "" {
 			return fmt.Errorf("%w: exchange enabled without a board URL", ErrBadRequest)
 		}
+	}
+	if req.BoardSyncMS < 0 {
+		return fmt.Errorf("%w: negative board_sync_ms", ErrBadRequest)
 	}
 	if len(req.Board) > maxBoardURL {
 		return fmt.Errorf("%w: board URL of %d bytes exceeds %d", ErrBadRequest, len(req.Board), maxBoardURL)
@@ -349,77 +282,27 @@ func (req *RunRequest) Validate() error {
 	if req.ProgressMS < 0 {
 		return fmt.Errorf("%w: negative progress_ms", ErrBadRequest)
 	}
-	if err := req.Engine.validate("engine"); err != nil {
-		return err
+	if err := validateEngine(&req.Engine); err != nil {
+		return fmt.Errorf("%w: engine: %v", ErrBadRequest, err)
 	}
 	for i := range req.Portfolio {
 		if req.Portfolio[i].Weight < 0 {
 			return fmt.Errorf("%w: portfolio[%d]: negative weight", ErrBadRequest, i)
 		}
-		if err := req.Portfolio[i].Engine.validate(fmt.Sprintf("portfolio[%d]", i)); err != nil {
-			return err
+		if err := validateEngine(&req.Portfolio[i].Engine); err != nil {
+			return fmt.Errorf("%w: portfolio[%d]: %v", ErrBadRequest, i, err)
 		}
 	}
 	return nil
 }
 
-// validate checks the wire-level invariants of an engine spec.
-func (s *EngineSpec) validate(where string) error {
-	if s.Strategy != "" && !core.KnownStrategy(s.Strategy) {
-		return fmt.Errorf("%w: %s: unknown strategy %q (known: %v)", ErrBadRequest, where, s.Strategy, core.StrategyNames())
+// validateEngine is the engine's own validator behind the protocol's
+// cap on the initial configuration's length.
+func validateEngine(o *core.Options) error {
+	if len(o.InitialConfig) > maxInitialConfig {
+		return fmt.Errorf("initial_config of %d variables exceeds %d", len(o.InitialConfig), maxInitialConfig)
 	}
-	if s.MaxIterations < 0 || s.MaxRuns < 0 || s.FreezeLocMin < 0 || s.FreezeSwap < 0 ||
-		s.ResetLimit < 0 || s.CheckEvery < 0 {
-		return fmt.Errorf("%w: %s: negative engine budget", ErrBadRequest, where)
-	}
-	if s.ResetFraction < 0 || s.ResetFraction > 1 || math.IsNaN(s.ResetFraction) {
-		return fmt.Errorf("%w: %s: reset_fraction %v outside [0, 1]", ErrBadRequest, where, s.ResetFraction)
-	}
-	if s.ProbSelectLocMin < 0 || s.ProbSelectLocMin > 1 || math.IsNaN(s.ProbSelectLocMin) {
-		return fmt.Errorf("%w: %s: prob_select_loc_min %v outside [0, 1]", ErrBadRequest, where, s.ProbSelectLocMin)
-	}
-	if len(s.InitialConfig) > maxInitialConfig {
-		return fmt.Errorf("%w: %s: initial_config of %d variables exceeds %d", ErrBadRequest, where, len(s.InitialConfig), maxInitialConfig)
-	}
-	return nil
-}
-
-// EngineSpecFor converts resolved engine options into their wire form.
-// The process-local hooks (Monitor) are not representable; callers
-// must reject them before converting (see Coordinator).
-func EngineSpecFor(o core.Options) EngineSpec {
-	return EngineSpec{
-		MaxIterations:    o.MaxIterations,
-		MaxRuns:          o.MaxRuns,
-		FreezeLocMin:     o.FreezeLocMin,
-		FreezeSwap:       o.FreezeSwap,
-		ResetLimit:       o.ResetLimit,
-		ResetFraction:    o.ResetFraction,
-		ProbSelectLocMin: o.ProbSelectLocMin,
-		Strategy:         o.Strategy,
-		FirstBest:        o.FirstBest,
-		Exhaustive:       o.Exhaustive,
-		CheckEvery:       o.CheckEvery,
-		InitialConfig:    o.InitialConfig,
-	}
-}
-
-// Options converts the wire form back into engine options.
-func (s EngineSpec) Options() core.Options {
-	return core.Options{
-		MaxIterations:    s.MaxIterations,
-		MaxRuns:          s.MaxRuns,
-		FreezeLocMin:     s.FreezeLocMin,
-		FreezeSwap:       s.FreezeSwap,
-		ResetLimit:       s.ResetLimit,
-		ResetFraction:    s.ResetFraction,
-		ProbSelectLocMin: s.ProbSelectLocMin,
-		Strategy:         s.Strategy,
-		FirstBest:        s.FirstBest,
-		Exhaustive:       s.Exhaustive,
-		CheckEvery:       s.CheckEvery,
-		InitialConfig:    s.InitialConfig,
-	}
+	return o.Validate()
 }
 
 // wireStat converts one walker stat to its wire form.

@@ -23,17 +23,6 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 	shard := func(id string, start, count int) *assignment {
 		return &assignment{start: start, count: count, runID: epoch + "-" + id}
 	}
-	request := func(mode string, job JobSpec, a *assignment, p shardParams) RunRequest {
-		p.engine = EngineSpecFor(job.Engine)
-		for _, e := range job.Portfolio {
-			p.portfolio = append(p.portfolio, PortfolioSpec{Weight: e.Weight, Engine: EngineSpecFor(e.Engine)})
-		}
-		if job.Exchange.Enabled {
-			p.exchange = ExchangeSpecFor(job.Exchange)
-			p.exchange.SyncMS = 2
-		}
-		return shardRequest(mode, &job, a, &p)
-	}
 
 	queens := tunedEngine(t, "queens", 8)
 	queens.InitialConfig = []int{3, 6, 2, 7, 1, 4, 0, 5}
@@ -42,28 +31,29 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 	metropolis.Strategy = core.StrategyMetropolis
 
 	return map[string]RunRequest{
-		"tuned-costas": request(ModeRun,
-			JobSpec{Problem: "costas", Size: 12, Walkers: 2, Seed: 42, Engine: tunedEngine(t, "costas", 12)},
-			shard("job000001-s0", 0, 2), shardParams{}),
-		"queens-initial-config": request(ModeVirtual,
-			JobSpec{Problem: "queens", Size: 8, Walkers: 3, Seed: 7, Engine: queens},
-			shard("job000002-s1", 1, 2), shardParams{deadline: 1500}),
-		"portfolio": request(ModeRun,
-			JobSpec{Problem: "costas", Size: 10, Walkers: 6, Seed: 9, Portfolio: []multiwalk.PortfolioEntry{
+		"tuned-costas": shardRequest(ModeRun,
+			&JobSpec{Problem: "costas", Size: 12, Walkers: 2, Seed: 42, Engine: tunedEngine(t, "costas", 12)},
+			shard("job000001-s0", 0, 2), &shardParams{}),
+		"queens-initial-config": shardRequest(ModeVirtual,
+			&JobSpec{Problem: "queens", Size: 8, Walkers: 3, Seed: 7, Engine: queens},
+			shard("job000002-s1", 1, 2), &shardParams{deadline: 1500}),
+		"portfolio": shardRequest(ModeRun,
+			&JobSpec{Problem: "costas", Size: 10, Walkers: 6, Seed: 9, Portfolio: []multiwalk.PortfolioEntry{
 				{Weight: 2, Engine: adaptive},
 				{Weight: 1, Engine: metropolis},
 			}},
-			shard("job000003-s1", 3, 3), shardParams{}),
-		"exchange": request(ModeRun,
-			JobSpec{Problem: "magic-square", Size: 6, Walkers: 2, Seed: 11, Engine: tunedEngine(t, "magic-square", 6),
+			shard("job000003-s1", 3, 3), &shardParams{}),
+		"exchange": shardRequest(ModeRun,
+			&JobSpec{Problem: "magic-square", Size: 6, Walkers: 2, Seed: 11, Engine: tunedEngine(t, "magic-square", 6),
 				Exchange: multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.5, PerturbSwaps: 3}},
-			shard("job000004-s0", 0, 1), shardParams{
-				boardURL: "http://127.0.0.1:9190/v1/runs/" + epoch + "-job000004/board",
-				deadline: 60000,
+			shard("job000004-s0", 0, 1), &shardParams{
+				boardURL:    "http://127.0.0.1:9190/v1/runs/" + epoch + "-job000004/board",
+				boardSyncMS: 2,
+				deadline:    60000,
 			}),
-		"speculating": request(ModeRun,
-			JobSpec{Problem: "costas", Size: 14, Walkers: 4, Seed: 13, Engine: tunedEngine(t, "costas", 14)},
-			shard("job000005-s1", 2, 2), shardParams{
+		"speculating": shardRequest(ModeRun,
+			&JobSpec{Problem: "costas", Size: 14, Walkers: 4, Seed: 13, Engine: tunedEngine(t, "costas", 14)},
+			shard("job000005-s1", 2, 2), &shardParams{
 				deadline:     30000,
 				progressBase: "http://127.0.0.1:9190",
 				progressMS:   100,

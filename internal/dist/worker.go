@@ -24,10 +24,6 @@ type WorkerConfig struct {
 	// goroutines this worker accepts across all shard runs (the
 	// paper's one-walker-per-core model). 0 selects GOMAXPROCS.
 	Slots int
-	// BoardSync is the fallback board-cache sync period for dependent
-	// (Exchange) shard runs whose request does not pin one
-	// (ExchangeSpec.SyncMS). 0 selects 50ms.
-	BoardSync time.Duration
 	// BoardClient is the HTTP client for board sync traffic. nil
 	// selects a shared keep-alive transport sized for the steady
 	// per-tick sync cadence against one coordinator host (each sync is
@@ -68,7 +64,6 @@ func newBoardClient() *http.Client {
 // connection (orphan protection — the request context aborts the run).
 type Worker struct {
 	slots       int
-	boardSync   time.Duration
 	boardClient *http.Client
 	ownsClient  bool // boardClient was built here, so Close releases it
 	telem       *telemetry.Recorder
@@ -115,9 +110,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Slots <= 0 {
 		cfg.Slots = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BoardSync <= 0 {
-		cfg.BoardSync = defaultBoardSync
-	}
 	ownsClient := cfg.BoardClient == nil
 	if ownsClient {
 		cfg.BoardClient = newBoardClient()
@@ -128,7 +120,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	ctx, cancel := context.WithCancel(context.Background())
 	wk := &Worker{
 		slots:       cfg.Slots,
-		boardSync:   cfg.BoardSync,
 		boardClient: cfg.BoardClient,
 		ownsClient:  ownsClient,
 		telem:       cfg.Telemetry,
@@ -294,13 +285,11 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := multiwalk.Options{
-		Walkers: req.Count,
-		Seed:    req.Seed,
-		Engine:  req.Engine.Options(),
-		Shard:   &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
-	}
-	for _, p := range req.Portfolio {
-		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: p.Weight, Engine: p.Engine.Options()})
+		Walkers:   req.Count,
+		Seed:      req.Seed,
+		Engine:    req.Engine,
+		Portfolio: req.Portfolio,
+		Shard:     &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
 	}
 	// One set of per-walker (iteration, cost) cells feeds both consumers
 	// that want live counters: the FTDC sampler and the coordinator's
@@ -350,12 +339,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	// response before releasing it).
 	var board *remoteBoard
 	if req.Exchange.Enabled {
-		opts.Exchange = req.Exchange.Options()
-		period := time.Duration(req.Exchange.SyncMS) * time.Millisecond
-		if period <= 0 {
-			period = wk.boardSync
-		}
-		board = newRemoteBoard(req.Board, wk.boardClient, period)
+		opts.Exchange = req.Exchange
+		board = newRemoteBoard(req.Board, wk.boardClient, time.Duration(req.BoardSyncMS)*time.Millisecond)
 		board.start(runCtx)
 		defer board.stop() // idempotent backstop for early returns
 		opts.Board = board

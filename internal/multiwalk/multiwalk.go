@@ -131,11 +131,11 @@ type PortfolioEntry struct {
 	// Weight is the entry's relative share of walkers. 0 counts as 1;
 	// negative weights are rejected, as are entries made unreachable
 	// because the weight slots before them already cover every walker.
-	Weight int
+	Weight int `json:"weight,omitempty"`
 	// Engine holds the entry's engine options (Seed is overridden and
 	// Monitor chained by the multi-walk driver, as with
 	// Options.Engine).
-	Engine core.Options
+	Engine core.Options `json:"engine"`
 }
 
 // Shard identifies a contiguous slice of the walkers of a larger
@@ -153,30 +153,32 @@ type Shard struct {
 // ExchangeOptions tunes the dependent multiple-walk communication
 // scheme (the paper's §3). Communication is deliberately tiny — one
 // best-cost integer and, on adoption, one configuration copy — honoring
-// the paper's goal of minimizing data transfers.
+// the paper's goal of minimizing data transfers. The JSON names are the
+// solve service's (a request's "exchange" object) and the distributed
+// run request's.
 type ExchangeOptions struct {
 	// Enabled turns on communication.
-	Enabled bool
+	Enabled bool `json:"enabled"`
 	// Period is the number of engine iterations between board checks
 	// (rounded up to the engine's CheckEvery granularity). 0 selects
 	// 1024.
-	Period int64
+	Period int64 `json:"period_iters,omitempty"`
 	// AdoptFactor: a walker whose cost exceeds AdoptFactor times the
 	// board's best cost teleports to a perturbed elite configuration.
 	// 0 selects 2.0.
-	AdoptFactor float64
+	AdoptFactor float64 `json:"adopt_factor,omitempty"`
 	// PerturbSwaps is the number of random transpositions applied to an
 	// adopted elite configuration, keeping walkers diverse. 0 selects
 	// max(2, n/16).
-	PerturbSwaps int
+	PerturbSwaps int `json:"perturb_swaps,omitempty"`
 }
 
 // Validate checks the exchange tuning invariants, treating 0 as "use
 // the default" for every field: Period and PerturbSwaps must be
 // non-negative, AdoptFactor must be 0 or >= 1 (NaN rejected). This is
-// the single validator every admitting layer shares — the run options
-// here, the dist wire protocol, the solve service — so the layers
-// cannot drift on what is admissible.
+// the single validator every admitting layer shares — Options.Validate
+// (and through it the solve service), the dist coordinator and run
+// protocol — so the layers cannot drift on what is admissible.
 func (x *ExchangeOptions) Validate() error {
 	if x.Period < 0 {
 		return errors.New("multiwalk: Exchange.Period must be >= 0")
@@ -278,8 +280,14 @@ func (o *Options) start() int {
 	return 0
 }
 
-// validate normalizes and checks options against a probe instance.
-func (o *Options) validate() error {
+// Validate checks the options that need no problem instance: the walker
+// count, the shard range, the board/exchange pairing, the exchange
+// tuning when enabled, and each portfolio entry's weight and
+// reachability. The engine options themselves are core.Options.Validate's
+// to check, which every walker's Solve does. The solve service calls
+// Validate at admission, so a request it would fail is a 400 and never
+// a late job failure.
+func (o *Options) Validate() error {
 	if o.Walkers < 1 {
 		return fmt.Errorf("multiwalk: Walkers must be >= 1, got %d", o.Walkers)
 	}
@@ -322,15 +330,7 @@ func (o *Options) validate() error {
 		}
 	}
 	if o.Exchange.Enabled {
-		if err := o.Exchange.Validate(); err != nil {
-			return err
-		}
-		if o.Exchange.Period == 0 {
-			o.Exchange.Period = 1024
-		}
-		if o.Exchange.AdoptFactor == 0 {
-			o.Exchange.AdoptFactor = 2.0
-		}
+		return o.Exchange.Validate()
 	}
 	return nil
 }
@@ -344,11 +344,19 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	if factory == nil {
 		return Result{}, errors.New("multiwalk: nil factory")
+	}
+
+	// The exchange defaults (read only by walkers with a board).
+	if opts.Exchange.Period == 0 {
+		opts.Exchange.Period = 1024
+	}
+	if opts.Exchange.AdoptFactor == 0 {
+		opts.Exchange.AdoptFactor = 2.0
 	}
 
 	seeds := walkerSeeds(opts.Seed, opts.total())
@@ -424,7 +432,7 @@ func RunVirtual(ctx context.Context, factory Factory, opts Options) (Result, err
 	if opts.Exchange.Enabled {
 		return Result{}, errors.New("multiwalk: RunVirtual does not support Exchange; use Run")
 	}
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	if factory == nil {

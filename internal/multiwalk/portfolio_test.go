@@ -249,7 +249,7 @@ func TestPortfolioHugeWeightNoBlowup(t *testing.T) {
 		}
 	}
 	o := &Options{Walkers: 3, Portfolio: entries}
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		t.Fatalf("huge last-entry weight rejected: %v", err)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/multiwalk"
 )
 
 // allocated returns the bytes the process allocated while fn ran. The
@@ -153,7 +155,7 @@ func TestRejectBeforeBuild(t *testing.T) {
 		"portfolio unreachable": func(r *Request) {
 			r.Portfolio = []PortfolioSpec{{Strategy: "adaptive", Weight: 2}, {Strategy: "metropolis"}}
 		},
-		"exchange adopt factor": func(r *Request) { r.Exchange = &ExchangeSpec{Enabled: true, AdoptFactor: 0.5} },
+		"exchange adopt factor": func(r *Request) { r.Exchange = &multiwalk.ExchangeOptions{Enabled: true, AdoptFactor: 0.5} },
 		"autosize with walkers": func(r *Request) { r.AutoSize = &AutoSizeSpec{} },
 	} {
 		t.Run(name, func(t *testing.T) {

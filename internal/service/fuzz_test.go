@@ -19,6 +19,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"problem":"queens","portfolio":[{"strategy":"adaptive","weight":2},{"strategy":"metropolis"}],"timeout_ms":500}`))
 	f.Add([]byte(`{"problem":7}`))
 	f.Add([]byte(`{"walkers":-1,"seed":18446744073709551615}`))
+	f.Add([]byte(`{"problem":"costas","walkers":2,"exchange":{"enabled":true,"period_iters":64,"adopt_factor":1.5,"perturb_swaps":2}}`))
+	f.Add([]byte(`{"problem":"costas","max_iterations":-1,"strategy":"metropolis","exchange":{"enabled":true,"adopt_factor":0.5}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := decodeSolveBody(bytes.NewReader(data))
 		if err != nil {

@@ -106,7 +106,9 @@ type Request struct {
 	// cooperation crosses worker processes. Dependent runs are
 	// timing-dependent; independent jobs (the default) keep their
 	// bit-for-bit reproducibility.
-	Exchange *ExchangeSpec `json:"exchange,omitempty"`
+	// The zero value of each tuning field selects the multiwalk default
+	// (period 1024, adopt factor 2.0, perturbation max(2, n/16)).
+	Exchange *multiwalk.ExchangeOptions `json:"exchange,omitempty"`
 	// MaxIterations bounds each walker run; 0 keeps the tuned default.
 	MaxIterations int64 `json:"max_iterations,omitempty"`
 	// MaxRuns bounds restarts per walker; 0 keeps the tuned default
@@ -157,16 +159,6 @@ const maxTenantLen = 64
 type PortfolioSpec struct {
 	Strategy string `json:"strategy"`
 	Weight   int    `json:"weight,omitempty"`
-}
-
-// ExchangeSpec tunes the dependent multi-walk scheme for one job. The
-// zero value of each field selects the multiwalk default (period 1024,
-// adopt factor 2.0, perturbation max(2, n/16)).
-type ExchangeSpec struct {
-	Enabled      bool    `json:"enabled"`
-	PeriodIters  int64   `json:"period_iters,omitempty"`
-	AdoptFactor  float64 `json:"adopt_factor,omitempty"`
-	PerturbSwaps int     `json:"perturb_swaps,omitempty"`
 }
 
 // Job is an immutable snapshot of a job's state, safe to retain and
@@ -280,7 +272,7 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	if req.Size <= 0 {
 		req.Size = info.DefaultSize
 	}
-	if req.MaxIterations < 0 || req.MaxRuns < 0 || req.TimeoutMS < 0 {
+	if req.TimeoutMS < 0 {
 		return nil, zero, fmt.Errorf("%w: negative budget", ErrBadRequest)
 	}
 	if req.Tenant == "" {
@@ -292,8 +284,11 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	if _, err := classOf(req.Priority); err != nil {
 		return nil, zero, err
 	}
-	if req.Strategy != "" && !core.KnownStrategy(req.Strategy) {
-		return nil, zero, fmt.Errorf("%w: unknown strategy %q (known: %v)", ErrBadRequest, req.Strategy, core.StrategyNames())
+	// The engine fields the request sets, checked by the engine's own
+	// validator; the template's tuned defaults fill in the rest below.
+	engine := core.Options{MaxIterations: req.MaxIterations, MaxRuns: req.MaxRuns, Strategy: req.Strategy}
+	if err := engine.Validate(); err != nil {
+		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if req.AutoSize != nil {
 		if err := s.autoSize(req); err != nil {
@@ -308,38 +303,20 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	}
 	opts := multiwalk.Options{Walkers: req.Walkers, Seed: req.Seed}
 	if req.Exchange != nil && req.Exchange.Enabled {
-		opts.Exchange = multiwalk.ExchangeOptions{
-			Enabled:      true,
-			Period:       req.Exchange.PeriodIters,
-			AdoptFactor:  req.Exchange.AdoptFactor,
-			PerturbSwaps: req.Exchange.PerturbSwaps,
-		}
-		// multiwalk's shared exchange validator at admission time, so a
-		// degenerate configuration is a 400, not a late job failure.
-		if err := opts.Exchange.Validate(); err != nil {
-			return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
+		opts.Exchange = *req.Exchange
 	}
-	prefix := 0
 	for i, spec := range req.Portfolio {
+		// A client's portfolio entry names its strategy; "" is no default.
 		if !core.KnownStrategy(spec.Strategy) {
 			return nil, zero, fmt.Errorf("%w: portfolio[%d]: unknown strategy %q (known: %v)", ErrBadRequest, i, spec.Strategy, core.StrategyNames())
 		}
-		if spec.Weight < 0 {
-			return nil, zero, fmt.Errorf("%w: portfolio[%d]: negative weight", ErrBadRequest, i)
-		}
-		// Mirror multiwalk's reachability rule at admission time so a
-		// degenerate mix is a 400, not a late job failure.
-		if prefix >= req.Walkers {
-			return nil, zero, fmt.Errorf("%w: portfolio[%d] is unreachable with %d walkers", ErrBadRequest, i, req.Walkers)
-		}
-		w := spec.Weight
-		if w == 0 {
-			w = 1
-		}
-		if prefix += w; prefix > req.Walkers {
-			prefix = req.Walkers
-		}
+		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: spec.Weight, Engine: core.Options{Strategy: spec.Strategy}})
+	}
+	// multiwalk's own check at admission time (portfolio weights and
+	// reachability, exchange tuning), so a degenerate job is a 400, not a
+	// late job failure.
+	if err := opts.Validate(); err != nil {
+		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
 	template, factory, err := problems.NewTemplate(req.Problem, req.Size, req.Params)
@@ -364,10 +341,10 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	if req.Strategy != "" {
 		opts.Engine.Strategy = req.Strategy
 	}
-	for _, spec := range req.Portfolio {
-		entry := opts.Engine
-		entry.Strategy = spec.Strategy
-		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: spec.Weight, Engine: entry})
+	for i := range opts.Portfolio {
+		strategy := opts.Portfolio[i].Engine.Strategy
+		opts.Portfolio[i].Engine = opts.Engine
+		opts.Portfolio[i].Engine.Strategy = strategy
 	}
 	return factory, opts, nil
 }

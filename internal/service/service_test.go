@@ -488,7 +488,7 @@ func TestExchangeJobRunsAndValidates(t *testing.T) {
 	// local backend and surfaces its adoption accounting.
 	job, err := s.SubmitWait(context.Background(), Request{
 		Problem: "costas", Size: 9, Walkers: 2, Seed: 11, TimeoutMS: 30_000,
-		Exchange: &ExchangeSpec{Enabled: true, PeriodIters: 64, AdoptFactor: 1.5},
+		Exchange: &multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -516,8 +516,8 @@ func TestExchangeJobRunsAndValidates(t *testing.T) {
 
 	// Degenerate exchange tuning is a 400-class admission error, not a
 	// late job failure.
-	bad := []ExchangeSpec{
-		{Enabled: true, PeriodIters: -1},
+	bad := []multiwalk.ExchangeOptions{
+		{Enabled: true, Period: -1},
 		{Enabled: true, AdoptFactor: 0.5},
 		{Enabled: true, PerturbSwaps: -1},
 	}
@@ -531,7 +531,7 @@ func TestExchangeJobRunsAndValidates(t *testing.T) {
 	// A disabled spec is inert: the job stays an independent run.
 	job2, err := s.SubmitWait(context.Background(), Request{
 		Problem: "costas", Size: 8, Walkers: 1, Seed: 3, TimeoutMS: 30_000,
-		Exchange: &ExchangeSpec{Enabled: false, AdoptFactor: 0.5}, // tuning ignored when disabled
+		Exchange: &multiwalk.ExchangeOptions{Enabled: false, AdoptFactor: 0.5}, // tuning ignored when disabled
 	})
 	if err != nil || job2.State != StateSolved {
 		t.Fatalf("disabled exchange spec broke an independent job: %v %+v", err, job2)
