@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -561,9 +562,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 
 	start := time.Now()
 	jobID := fmt.Sprintf("%s-job%06d", c.epoch, c.seq.Add(1))
-	for i := range plan {
-		plan[i].runID = fmt.Sprintf("%s-s%d", jobID, i)
-	}
 
 	// Dependent jobs get a job-wide global board: every shard receives
 	// the same sync URL, so elite configurations flow between workers.
@@ -614,25 +612,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	defer hardCancel()
 	stop := &jobStop{c: c, hardCancel: hardCancel}
 	defer stop.release()
-	// Recovery rounds add their own shards after dispatch starts, so
-	// external cancellation targets a live list, not the initial plan.
-	var plansMu sync.Mutex
-	activePlans := [][]assignment{plan}
-	addPlan := func(p []assignment) {
-		plansMu.Lock()
-		activePlans = append(activePlans, p)
-		plansMu.Unlock()
-	}
-	stopNotify := context.AfterFunc(ctx, func() {
-		plansMu.Lock()
-		plans := make([][]assignment, len(activePlans))
-		copy(plans, activePlans)
-		plansMu.Unlock()
-		for _, p := range plans {
-			c.cancelShards(p)
-		}
-		stop.armGrace()
-	})
+	stopNotify := context.AfterFunc(ctx, stop.cancelAll)
 	defer stopNotify()
 	params.deadline = deadlineMS(ctx)
 
@@ -652,80 +632,60 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 		defer c.clearJobProgress(jobID + "-")
 	}
 
-	var outcomes []shardOutcome
-	if speculating {
-		outcomes = c.dispatchSpeculative(reqCtx, job, plan, stop, params, jobID, addPlan)
-	} else {
-		outcomes = c.dispatch(reqCtx, mode, job, plan, stop, params)
-	}
-
+	// One loop over dispatch rounds: round 0 runs the plan, and round
+	// r >= 1 re-runs what the rounds before it lost on surviving healthy
+	// workers. Global walker identity (Shard.Start/Total against the
+	// whole job) makes a re-run bit-for-bit identical to the run the
+	// lost worker would have produced, so the determinism contract holds
+	// across failures. No round follows when the caller cancelled (the
+	// "loss" is our own hard cancel severing connections) or when a
+	// wall-clock run already solved (losers are stopped, not
+	// resurrected), and none when the retry budget or the fleet's
+	// healthy capacity runs out — only then does the job truncate.
 	shards := make([]multiwalk.Result, 0, len(plan))
 	var lost []lostRange
 	solved := false
-	for i, out := range outcomes {
-		if out.err != nil {
-			return multiwalk.Result{}, fmt.Errorf("dist: worker %s: %w", plan[i].worker.base, out.err)
+	prefix := jobID
+	for round := 0; ; round++ {
+		if round > 0 {
+			if len(lost) == 0 || round > c.recoverAttempts || ctx.Err() != nil || solved {
+				break
+			}
+			// lost keeps what the re-plan cannot place; the round's own
+			// losses join it below.
+			plan, lost = c.planRecovery(mode, lost)
+			if len(plan) == 0 {
+				break
+			}
+			c.mRecRounds.Add(1)
+			prefix = fmt.Sprintf("%s-r%d", jobID, round)
+			// Recovery shards re-run a known range on a fresh worker;
+			// their runtimes carry no straggler signal, so they skip the
+			// progress feed — and they see the deadline budget that
+			// remains now, not the one the job started with.
+			params.progressBase, params.progressMS = "", 0
+			params.deadline = deadlineMS(ctx)
 		}
-		if out.lost {
-			c.mLostShards.Add(1)
-			lost = append(lost, lostRange{plan[i].start, plan[i].count})
-			continue
-		}
-		if mode == ModeRun && out.res.Solved {
-			solved = true
-		}
-		shards = append(shards, out.res)
-	}
-
-	// Recovery: re-run each lost shard's walkers on surviving healthy
-	// workers. Global walker identity (Shard.Start/Total against the
-	// whole job) makes the re-run bit-for-bit identical to the run the
-	// lost worker would have produced, so the determinism contract
-	// holds across failures. Recovery is skipped when the caller
-	// cancelled (the "loss" is our own hard-cancel severing
-	// connections) and when a wall-clock run already solved (losers are
-	// stopped, not resurrected); it stops when the retry budget or the
-	// fleet's healthy capacity runs out — only then does the job
-	// truncate.
-	for attempt := 1; len(lost) > 0 && attempt <= c.recoverAttempts && ctx.Err() == nil && !solved; attempt++ {
-		rplan, uncovered, rerr := c.planRecovery(mode, lost)
-		if rerr != nil {
-			// Zero healthy free workers: there is nothing to dispatch
-			// and nothing to learn from another round, so stop without
-			// burning the remaining attempts (the attempt-accounting
-			// regression test pins recovery_rounds here).
-			break
-		}
-		if len(rplan) == 0 {
-			break
-		}
-		c.mRecRounds.Add(1)
-		for i := range rplan {
-			rplan[i].runID = fmt.Sprintf("%s-r%d-s%d", jobID, attempt, i)
-		}
-		addPlan(rplan)
-		// Recovery shards re-run a known range on a fresh worker; their
-		// runtimes carry no straggler signal, so they skip the progress
-		// feed — and they see the deadline budget that remains now, not
-		// the one the job started with.
-		rparams := params
-		rparams.progressBase, rparams.progressMS = "", 0
-		rparams.deadline = deadlineMS(ctx)
-		routs := c.dispatch(reqCtx, mode, job, rplan, stop, rparams)
-		lost = uncovered
-		for i, out := range routs {
+		slots := c.dispatch(reqCtx, mode, &job, plan, prefix, stop, params)
+		for i := range slots {
+			out, a := &slots[i].outcome, &plan[i]
 			if out.err != nil {
-				return multiwalk.Result{}, fmt.Errorf("dist: worker %s: %w", rplan[i].worker.base, out.err)
+				return multiwalk.Result{}, fmt.Errorf("dist: worker %s: %w", a.worker.base, out.err)
 			}
 			if out.lost {
-				lost = append(lost, lostRange{rplan[i].start, rplan[i].count})
+				if round == 0 {
+					c.mLostShards.Add(1) // shards_lost counts the plan's shards only
+				}
+				lost = append(lost, lostRange{a.start, a.count})
 				continue
 			}
 			if mode == ModeRun && out.res.Solved {
 				solved = true
 			}
-			c.mRecShards.Add(1)
-			c.mRecWalkers.Add(int64(rplan[i].count))
+			if round > 0 {
+				c.mRecShards.Add(1)
+				c.mRecWalkers.Add(int64(a.count))
+			}
 			shards = append(shards, out.res)
 		}
 	}
@@ -817,18 +777,52 @@ func deadlineMS(ctx context.Context) int64 {
 }
 
 // jobStop is the stop machinery all of one job's dispatch rounds share:
-// the once-guard of first-solution termination, and the grace timer
-// that backs every cancel fan-out (first solution or caller
-// cancellation) with a hard cancel, so a stalled loser — or a cancel
-// RPC that raced the run registration — cannot block the job forever.
+// the record of every copy of a shard the job launched, the once-guard
+// of first-solution termination, and the grace timer that backs every
+// cancel fan-out (first solution or caller cancellation) with a hard
+// cancel, so a stalled loser — or a cancel RPC that raced the run
+// registration — cannot block the job forever.
 type jobStop struct {
 	c          *Coordinator
 	hardCancel context.CancelFunc
 	solved     sync.Once
 
 	mu       sync.Mutex
+	copies   []*assignment // append-only, so a snapshot of it stays valid
+	round    int           // copies[round:] are the current round's
 	grace    *time.Timer
 	released bool
+}
+
+// beginRound starts a dispatch round with the copies of its plan.
+func (s *jobStop) beginRound(plan []assignment) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.round = len(s.copies)
+	s.copies = slices.Grow(s.copies, len(plan))
+	for i := range plan {
+		s.copies = append(s.copies, &plan[i])
+	}
+}
+
+// add records one more copy launched into the current round (a backup).
+func (s *jobStop) add(a *assignment) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.copies = append(s.copies, a)
+}
+
+// cancelAll is caller cancellation: every copy launched so far, of
+// every round, gets a best-effort cancel RPC, and the grace period
+// starts.
+func (s *jobStop) cancelAll() {
+	s.mu.Lock()
+	copies := s.copies
+	s.mu.Unlock()
+	for _, a := range copies {
+		go s.c.cancelRun(a)
+	}
+	s.armGrace()
 }
 
 // armGrace starts the grace period, once per job; the first fan-out
@@ -854,14 +848,17 @@ func (s *jobStop) release() {
 }
 
 // firstSolution is first-solution termination: the first solved shard
-// of the job tells every other in-flight run to stop. Cancel RPCs — not
-// aborted connections — so the losers still deliver their partial
-// statistics. Later calls (a second shard that solved before its cancel
-// landed, a recovery round) are no-ops, and a job with no other run has
-// nobody to cancel and arms nothing.
-func (s *jobStop) firstSolution(winner *assignment, runs []*assignment) {
+// of the job tells every other copy of its round to stop (the rounds
+// before it have resolved). Cancel RPCs — not aborted connections — so
+// the losers still deliver their partial statistics. Later calls (a
+// second shard that solved before its cancel landed) are no-ops, and a
+// round with no other copy has nobody to cancel and arms nothing.
+func (s *jobStop) firstSolution(winner *assignment) {
 	s.solved.Do(func() {
-		for _, a := range runs {
+		s.mu.Lock()
+		round := s.copies[s.round:]
+		s.mu.Unlock()
+		for _, a := range round {
 			if a == winner {
 				continue
 			}
@@ -876,30 +873,94 @@ func (s *jobStop) firstSolution(winner *assignment, runs []*assignment) {
 	})
 }
 
-// dispatch runs every assignment in plan concurrently and returns their
-// outcomes. Each shard's slot reservation is released the moment its
-// outcome is in, so later recovery rounds can plan into the freed
-// capacity.
-func (c *Coordinator) dispatch(ctx context.Context, mode string, job JobSpec, plan []assignment, stop *jobStop, p shardParams) []shardOutcome {
-	outcomes := make([]shardOutcome, len(plan))
-	runs := make([]*assignment, len(plan))
-	for i := range plan {
-		runs[i] = &plan[i]
-	}
-	var wg sync.WaitGroup
-	for i, a := range runs {
-		wg.Add(1)
-		go func(out *shardOutcome, a *assignment) {
-			defer wg.Done()
-			*out = c.runShard(ctx, a, shardRequest(mode, &job, a, &p))
+// dispatch runs one round: every assignment of plan is a first-wins
+// slot (specSlot) whose first delivered outcome is the shard's. It
+// returns the slots, in plan order, once each has resolved. A copy's
+// reservation is released the moment its outcome is in, so a later
+// round plans into the freed capacity, and a solved outcome of a
+// wall-clock job stops every other copy of the round. Shards that report
+// progress (p.progressBase set: the plan of a speculating job) are
+// tracked, and a straggler detector gives a lagging slot one backup
+// copy. A loser still in flight is NOT waited for: the stalled worker
+// is the very thing being routed around, and run's deferred hard cancel
+// severs it when the job returns.
+func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, plan []assignment, prefix string, stop *jobStop, p shardParams) []specSlot {
+	tracked := p.progressBase != ""
+	slots := make([]specSlot, len(plan))
+	var resolved sync.WaitGroup
+	resolved.Add(len(plan))
+	launch := func(s *specSlot, a *assignment) {
+		if tracked {
+			c.trackShard(a.runID, a.start, a.count)
+		}
+		go func() {
+			out := c.runShard(ctx, a, shardRequest(mode, job, a, &p))
 			c.releaseOne(a)
-			if mode == ModeRun && out.res.Solved {
-				stop.firstSolution(a, runs)
+			resolvedNow, final, loser := c.deliverSpec(s, a, out)
+			if !resolvedNow {
+				return
 			}
-		}(&outcomes[i], a)
+			if tracked {
+				c.progressDone(a.runID, outcomeIters(&final))
+			}
+			if loser != nil {
+				go c.cancelLoser(loser)
+			}
+			if mode == ModeRun && final.res.Solved {
+				stop.firstSolution(a)
+			}
+			resolved.Done()
+		}()
 	}
-	wg.Wait()
-	return outcomes
+
+	for i := range plan {
+		plan[i].runID = fmt.Sprintf("%s-s%d", prefix, i)
+		slots[i].primary, slots[i].inflight = &plan[i], 1
+	}
+	stop.beginRound(plan)
+	for i := range plan {
+		launch(&slots[i], &plan[i])
+	}
+
+	if tracked {
+		backup := func(i int) {
+			s := &slots[i]
+			s.mu.Lock()
+			resolvedAlready := s.resolved
+			s.mu.Unlock()
+			if resolvedAlready {
+				return
+			}
+			// The whole range on one worker other than the primary's:
+			// first-wins stays pairwise, and a range that fits nowhere
+			// simply does not speculate this tick.
+			c.reg.mu.Lock()
+			b, ok := mostFree(c.reg.workers, s.primary.start, s.primary.count, s.primary.count, s.primary.worker)
+			c.reg.mu.Unlock()
+			if !ok {
+				return
+			}
+			b.runID = fmt.Sprintf("%s-b1-s%d", prefix, i)
+			s.mu.Lock()
+			if s.resolved {
+				// The primary landed while we were reserving.
+				s.mu.Unlock()
+				c.releaseOne(&b)
+				return
+			}
+			s.backup = &b
+			s.inflight++
+			s.mu.Unlock()
+			c.mSpecLaunched.Add(1)
+			stop.add(&b)
+			launch(s, &b)
+		}
+		done := make(chan struct{})
+		defer close(done)
+		go c.detectStragglers(ctx, done, job, slots, backup)
+	}
+	resolved.Wait()
+	return slots
 }
 
 // lostShardResult synthesizes the stats of walkers [start, start+count)
@@ -922,162 +983,139 @@ func lostShardResult(start, count int, job JobSpec) multiwalk.Result {
 
 // plan partitions k walkers over the fleet's free capacity and
 // reserves the slots it uses (healthy and suspect workers; dead and
-// draining are excluded). ModeRun places at most free-slot walkers per
-// worker (they run concurrently); a job that fits the fleet's total
-// free capacity always fits, because shards split at arbitrary
-// boundaries. ModeVirtual reserves one slot per participating worker
-// (shards run sequentially) and splits the walkers proportionally to
-// worker capacity, so the slowest shard — the distributed collection's
-// wall-clock — is balanced.
+// draining are excluded). ModeRun fills greedily, at most free-slot
+// walkers per worker (they run concurrently); a job that fits the
+// fleet's total free capacity always fits, because shards split at
+// arbitrary boundaries. ModeVirtual reserves one slot per participating
+// worker (shards run sequentially) and splits the walkers
+// proportionally to worker capacity, so the slowest shard — the
+// distributed collection's wall-clock — is balanced.
 func (c *Coordinator) plan(mode string, k int) ([]assignment, error) {
 	r := c.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	dispatchable := func(w *workerRef) bool {
-		return w.state == stateHealthy || w.state == stateSuspect
+	if mode == ModeRun {
+		plan, placed := fill(r.workers, nil, 0, k, true)
+		if placed < k {
+			for _, a := range plan {
+				a.worker.busy -= a.reserved
+			}
+			return nil, fmt.Errorf("%w: job needs %d walkers, fleet has %d free slots", ErrNoCapacity, k, placed)
+		}
+		return plan, nil
 	}
 
+	var eligible []*workerRef
+	weight := 0
+	for _, w := range r.workers {
+		if (w.state == stateHealthy || w.state == stateSuspect) && w.slots-w.busy >= 1 {
+			eligible = append(eligible, w)
+			weight += w.slots
+		}
+	}
+	if len(eligible) == 0 {
+		return nil, fmt.Errorf("%w: no worker has a free slot", ErrNoCapacity)
+	}
+	// Largest-remainder proportional split, ties to earlier workers;
+	// zero-walker workers drop out of the plan.
+	counts := make([]int, len(eligible))
+	assigned := 0
+	for i, w := range eligible {
+		counts[i] = k * w.slots / weight
+		assigned += counts[i]
+	}
+	for i := 0; assigned < k; i = (i + 1) % len(eligible) {
+		counts[i]++
+		assigned++
+	}
 	var plan []assignment
-	switch mode {
-	case ModeVirtual:
-		var eligible []*workerRef
-		weight := 0
-		for _, w := range r.workers {
-			if dispatchable(w) && w.slots-w.busy >= 1 {
-				eligible = append(eligible, w)
-				weight += w.slots
-			}
+	next := 0
+	for i, w := range eligible {
+		if counts[i] == 0 {
+			continue
 		}
-		if len(eligible) == 0 {
-			return nil, fmt.Errorf("%w: no worker has a free slot", ErrNoCapacity)
-		}
-		// Largest-remainder proportional split, ties to earlier
-		// workers; zero-walker workers drop out of the plan.
-		counts := make([]int, len(eligible))
-		assigned := 0
-		for i, w := range eligible {
-			counts[i] = k * w.slots / weight
-			assigned += counts[i]
-		}
-		for i := 0; assigned < k; i = (i + 1) % len(eligible) {
-			counts[i]++
-			assigned++
-		}
-		next := 0
-		for i, w := range eligible {
-			if counts[i] == 0 {
-				continue
-			}
-			plan = append(plan, assignment{worker: w, start: next, count: counts[i], reserved: 1})
-			next += counts[i]
-		}
-	default: // ModeRun
-		free := 0
-		for _, w := range r.workers {
-			if dispatchable(w) {
-				free += w.slots - w.busy
-			}
-		}
-		if free < k {
-			return nil, fmt.Errorf("%w: job needs %d walkers, fleet has %d free slots", ErrNoCapacity, k, free)
-		}
-		next := 0
-		for _, w := range r.workers {
-			if next == k {
-				break
-			}
-			if !dispatchable(w) {
-				continue
-			}
-			take := min(k-next, w.slots-w.busy)
-			if take <= 0 {
-				continue
-			}
-			plan = append(plan, assignment{worker: w, start: next, count: take, reserved: take})
-			next += take
-		}
-	}
-
-	for i := range plan {
-		plan[i].worker.busy += plan[i].reserved
+		w.busy++
+		plan = append(plan, assignment{worker: w, start: next, count: counts[i], reserved: 1})
+		next += counts[i]
 	}
 	return plan, nil
 }
 
-// ErrNoRecoveryCapacity reports that shard recovery found zero healthy
-// workers with any free slot: nothing can be dispatched, so the caller
-// should stop retrying immediately instead of burning recovery
-// attempts on empty plans.
-var ErrNoRecoveryCapacity = errors.New("dist: no healthy worker has free capacity for shard recovery")
-
 // planRecovery re-plans lost walker ranges onto healthy workers with
 // free capacity, reserving the slots it takes. Suspect workers are
 // excluded — the failure that made them suspect is usually the one
-// being recovered from. Ranges (or range tails) that find no capacity
-// come back as uncovered; the caller truncates them after the retry
-// budget is spent. When no healthy worker has even one free slot the
-// whole input comes back uncovered with ErrNoRecoveryCapacity.
-func (c *Coordinator) planRecovery(mode string, lost []lostRange) (plan []assignment, uncovered []lostRange, err error) {
+// being recovered from. A run-mode range fills greedily; a virtual-mode
+// range stays whole, on one slot of the most-free worker (its walkers
+// run sequentially). Ranges (or range tails) that find no capacity come
+// back as uncovered, so an empty plan means nothing could be placed;
+// the caller truncates them after the retry budget is spent.
+func (c *Coordinator) planRecovery(mode string, lost []lostRange) (plan []assignment, uncovered []lostRange) {
 	r := c.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, lr := range lost {
+		end := lr.start + lr.count
+		if mode == ModeVirtual {
+			if a, ok := mostFree(r.workers, lr.start, lr.count, 1, nil); ok {
+				plan = append(plan, a)
+			} else {
+				uncovered = append(uncovered, lr)
+			}
+			continue
+		}
+		var next int
+		plan, next = fill(r.workers, plan, lr.start, end, false)
+		if next < end {
+			uncovered = append(uncovered, lostRange{next, end - next})
+		}
+	}
+	return plan, uncovered
+}
 
-	anyFree := false
-	for _, w := range r.workers {
-		if w.state == stateHealthy && w.slots-w.busy >= 1 {
-			anyFree = true
+// fill places walkers [next, end) greedily in join order, each healthy
+// worker (and suspect one, with suspectOK) taking as many as it has
+// free slots, and reserves them. It returns plan extended with the new
+// assignments and the first walker left unplaced (end when all fit).
+// Callers hold reg.mu.
+func fill(workers []*workerRef, plan []assignment, next, end int, suspectOK bool) ([]assignment, int) {
+	for _, w := range workers {
+		if next == end {
 			break
 		}
+		if w.state != stateHealthy && !(suspectOK && w.state == stateSuspect) {
+			continue
+		}
+		take := min(end-next, w.slots-w.busy)
+		if take <= 0 {
+			continue
+		}
+		w.busy += take
+		plan = append(plan, assignment{worker: w, start: next, count: take, reserved: take})
+		next += take
 	}
-	if !anyFree {
-		return nil, lost, ErrNoRecoveryCapacity
-	}
+	return plan, next
+}
 
-	for _, lr := range lost {
-		switch mode {
-		case ModeVirtual:
-			// One slot on the healthy worker with the most free
-			// capacity; virtual shards run sequentially, so the whole
-			// range stays on one worker.
-			var best *workerRef
-			for _, w := range r.workers {
-				if w.state != stateHealthy || w.slots-w.busy < 1 {
-					continue
-				}
-				if best == nil || w.slots-w.busy > best.slots-best.busy {
-					best = w
-				}
-			}
-			if best == nil {
-				uncovered = append(uncovered, lr)
-				continue
-			}
-			best.busy++
-			plan = append(plan, assignment{worker: best, start: lr.start, count: lr.count, reserved: 1})
-		default: // ModeRun
-			next, end := lr.start, lr.start+lr.count
-			for _, w := range r.workers {
-				if next == end {
-					break
-				}
-				if w.state != stateHealthy {
-					continue
-				}
-				take := min(end-next, w.slots-w.busy)
-				if take <= 0 {
-					continue
-				}
-				w.busy += take
-				plan = append(plan, assignment{worker: w, start: next, count: take, reserved: take})
-				next += take
-			}
-			if next < end {
-				uncovered = append(uncovered, lostRange{next, end - next})
-			}
+// mostFree places walkers [start, start+count) whole on the healthy
+// worker other than exclude with the most free slots, at least need of
+// them (ties to the earlier joiner), and reserves need slots there. ok
+// is false when no worker qualifies. Callers hold reg.mu.
+func mostFree(workers []*workerRef, start, count, need int, exclude *workerRef) (a assignment, ok bool) {
+	var best *workerRef
+	for _, w := range workers {
+		if w == exclude || w.state != stateHealthy || w.slots-w.busy < need {
+			continue
+		}
+		if best == nil || w.slots-w.busy > best.slots-best.busy {
+			best = w
 		}
 	}
-	return plan, uncovered, nil
+	if best == nil {
+		return assignment{}, false
+	}
+	best.busy += need
+	return assignment{worker: best, start: start, count: count, reserved: need}, true
 }
 
 // releaseOne returns one assignment's slot reservation; idempotent.
@@ -1154,16 +1192,6 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 // cancel RPCs, for workers to flush their partial statistics before it
 // severs the connections.
 const cancelGrace = 30 * time.Second
-
-// cancelShards delivers best-effort cancel RPCs to every shard of plan.
-// A bounded background context — not the job context — carries them, so
-// cancellation still reaches workers when the caller's context is the
-// thing that expired.
-func (c *Coordinator) cancelShards(plan []assignment) {
-	for i := range plan {
-		go c.cancelRun(&plan[i])
-	}
-}
 
 // cancelRun delivers one best-effort cancel RPC on its own bounded
 // background context. acked reports that the worker answered 200, live

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -308,6 +309,23 @@ func TestWorkerLossSurfacesAsTruncated(t *testing.T) {
 	}
 }
 
+// slotsBusy reads a worker's slots_busy from /healthz, or -1 when it
+// cannot.
+func slotsBusy(base string) int {
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Busy int `json:"slots_busy"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return -1
+	}
+	return h.Busy
+}
+
 // TestMidRunCancelSurfacesAsTruncated: cancelling the coordinator's
 // context mid-run yields Truncated, not a fabricated result, and the
 // workers' slots drain.
@@ -317,13 +335,26 @@ func TestMidRunCancelSurfacesAsTruncated(t *testing.T) {
 	engine.MaxRuns = 0 // unlimited restarts: only the context ends it
 	engine.CheckEvery = 16
 	ctx, cancel := context.WithCancel(context.Background())
+	// Cancel once the run is live on both workers (every slot busy), so
+	// that the cancel lands mid-run however slow the box.
+	var live atomic.Bool
 	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		defer cancel()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); <-tick.C {
+			if slotsBusy(f.servers[0].URL) == 2 && slotsBusy(f.servers[1].URL) == 2 {
+				live.Store(true)
+				return
+			}
+		}
 	}()
 	res, err := f.coord.Run(ctx, JobSpec{Problem: "costas", Size: 18, Walkers: 4, Seed: 5, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !live.Load() {
+		t.Fatal("the run never showed live on both workers")
 	}
 	if !res.Truncated || res.Solved {
 		t.Fatalf("cancelled run: want Truncated unsolved, got %+v", res)

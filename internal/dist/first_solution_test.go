@@ -445,6 +445,49 @@ func TestSolvedJobDoesNotRecoverLostLoser(t *testing.T) {
 	}
 }
 
+// TestRecoveryRoundWinnerCancelsItsRound: a shard of a recovery round
+// that solves stops the other copies of its round — one cancel here —
+// and not the copies of the rounds before it, which have all resolved.
+func TestRecoveryRoundWinnerCancelsItsRound(t *testing.T) {
+	started := make(chan struct{}, 1)
+	urls := []string{lossyWorker(t, 4, started).URL}
+	for i := 0; i < 2; i++ {
+		wk := NewWorker(WorkerConfig{Slots: 2})
+		srv := httptest.NewServer(wk.Handler())
+		t.Cleanup(func() { srv.Close(); wk.Close() })
+		urls = append(urls, srv.URL)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	// Walkers 0-3 can solve: they are lost with the first worker and
+	// re-run, two a worker, on the other two. Walkers 4-5 stop after one
+	// iteration, so round 0 ends unsolved.
+	generous := tunedEngine(t, "queens", 30)
+	starved := generous
+	starved.MaxIterations, starved.MaxRuns = 1, 1
+	res, err := coord.Run(context.Background(), JobSpec{
+		Problem: "queens", Size: 30, Walkers: 6, Seed: 1, Engine: generous,
+		Portfolio: []multiwalk.PortfolioEntry{{Weight: 4, Engine: generous}, {Weight: 2, Engine: starved}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Solved || res.Truncated || res.Winner > 3 {
+		t.Fatalf("want solved by a recovered walker, untruncated: %+v", res)
+	}
+	m := coord.BackendMetrics()
+	if m["recovery_rounds"] != 1 || m["shards_recovered"] != 2 {
+		t.Fatalf("precondition: one recovery round of two shards: %v", m)
+	}
+	if sent := m["first_solution_cancels_sent"]; sent != 1 {
+		t.Fatalf("first_solution_cancels_sent = %d, want 1 (the other shard of the winner's round)", sent)
+	}
+}
+
 // TestJobStopGraceTimer pins the grace timer's life: not armed when a
 // solved shard has nobody to cancel (a single-shard plan), armed once
 // by the job's first fan-out, stopped by release, and never armed after
@@ -458,19 +501,22 @@ func TestJobStopGraceTimer(t *testing.T) {
 	sent := func() int64 { return f.coord.BackendMetrics()["first_solution_cancels_sent"] }
 
 	s := &jobStop{c: f.coord, hardCancel: func() {}}
-	s.firstSolution(runs[0], runs[:1])
+	s.add(runs[0])
+	s.firstSolution(runs[0])
 	if s.grace != nil || sent() != 0 {
 		t.Fatalf("single-shard job: timer armed = %v, %d cancels sent; want neither", s.grace != nil, sent())
 	}
 
 	s = &jobStop{c: f.coord, hardCancel: func() {}}
-	s.firstSolution(runs[0], runs)
+	s.add(runs[0])
+	s.add(runs[1])
+	s.firstSolution(runs[0])
 	armed := s.grace
 	if armed == nil || sent() != 1 {
 		t.Fatalf("two-shard job: timer armed = %v, %d cancels sent; want one of each", armed != nil, sent())
 	}
-	s.firstSolution(runs[1], runs) // the other shard solved too: no second fan-out
-	s.armGrace()                   // nor does a caller cancellation restart the clock
+	s.firstSolution(runs[1]) // the other shard solved too: no second fan-out
+	s.armGrace()             // nor does a caller cancellation restart the clock
 	if s.grace != armed || sent() != 1 {
 		t.Fatalf("second fan-out: timer replaced = %v, %d cancels sent", s.grace != armed, sent())
 	}
@@ -491,57 +537,79 @@ func TestJobStopGraceTimer(t *testing.T) {
 // arms the grace timer behind its cancel fan-out, and run must stop it
 // on return — left to expire it pins the job's request context for 30 s,
 // about six heap objects a job. A few hundred solved jobs must leave
-// the live heap and the goroutine count where a warmed-up fleet had them.
+// the live heap and the goroutine count where a warmed-up fleet had them,
+// through plain and speculative dispatch alike: a speculating job also
+// starts a straggler detector and tracks its shards in the progress
+// table, and neither may outlive it.
 func TestSolvedFleetJobsLeaveNothingBehind(t *testing.T) {
-	f := newFleet(t, 1, 1)
-	job := JobSpec{Problem: "queens", Size: 30, Walkers: 2, Engine: tunedEngine(t, "queens", 30)}
-	run := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			job.Seed++
-			res, err := f.coord.Run(context.Background(), job)
-			if err != nil || !res.Solved {
-				t.Fatalf("job %d: solved=%v err=%v", i, res.Solved, err)
+	for _, tc := range []struct {
+		name      string
+		speculate bool
+	}{
+		{name: "dispatch"},
+		{name: "speculative", speculate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 1, 1)
+			coord := f.coord
+			if tc.speculate {
+				coord = speculatingCoordinator(t, f.servers[0].URL, f.servers[1].URL)
 			}
-		}
-	}
-	// live waits for the jobs' cancel RPC goroutines (which outlive the
-	// job by a round trip) to drain back to the given level, then
-	// counts what the collector cannot free.
-	live := func(goroutines int) (int, uint64) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return runtime.NumGoroutine(), ms.HeapObjects
-	}
+			job := JobSpec{Problem: "queens", Size: 30, Walkers: 2, Engine: tunedEngine(t, "queens", 30)}
+			run := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					job.Seed++
+					res, err := coord.Run(context.Background(), job)
+					if err != nil || !res.Solved {
+						t.Fatalf("job %d: solved=%v err=%v", i, res.Solved, err)
+					}
+				}
+			}
+			// live waits for the jobs' cancel RPC goroutines (which outlive
+			// the job by a round trip) to drain back to the given level,
+			// then counts what the collector cannot free.
+			live := func(goroutines int) (int, uint64) {
+				t.Helper()
+				deadline := time.Now().Add(10 * time.Second)
+				for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return runtime.NumGoroutine(), ms.HeapObjects
+			}
 
-	// What legitimately comes and goes is pooled connections: three
-	// goroutines and a few dozen objects each, both ends being in this
-	// process, at most 8 idle ones a worker. A leak is per job.
-	const jobs, slack = 500, 3 * 8 * 2
-	run(50) // warm-up: connection pools, lazily started goroutines
-	g0, o0 := live(runtime.NumGoroutine())
-	sent0 := f.coord.BackendMetrics()["first_solution_cancels_sent"]
-	run(jobs)
-	g1, o1 := live(g0 + slack)
+			// What legitimately comes and goes is pooled connections: three
+			// goroutines and a few dozen objects each, both ends being in
+			// this process, at most 8 idle ones a worker. A leak is per job.
+			const jobs, slack = 500, 3 * 8 * 2
+			run(50) // warm-up: connection pools, lazily started goroutines
+			g0, o0 := live(runtime.NumGoroutine())
+			sent0 := coord.BackendMetrics()["first_solution_cancels_sent"]
+			run(jobs)
+			g1, o1 := live(g0 + slack)
 
-	// Not vacuous: (nearly) every job must have fanned out a cancel and
-	// armed a timer. Both shards of a tiny job can land together, but
-	// the first one to be handled still cancels the other.
-	if sent := f.coord.BackendMetrics()["first_solution_cancels_sent"] - sent0; sent != jobs {
-		t.Fatalf("%d of %d jobs sent a first-solution cancel", sent, jobs)
-	}
-	t.Logf("%d solved jobs: goroutines %d -> %d, live heap objects %+d", jobs, g0, g1, int64(o1)-int64(o0))
-	if g1 > g0+slack {
-		t.Fatalf("goroutines grew from %d to %d across %d solved jobs", g0, g1, jobs)
-	}
-	if grown := int64(o1) - int64(o0); grown > 2*jobs {
-		t.Fatalf("live heap grew by %d objects across %d solved jobs (a leaked grace timer pins ~6 a job)", grown, jobs)
+			// Not vacuous: (nearly) every job must have fanned out a cancel
+			// and armed a timer. Both shards of a tiny job can land
+			// together, but the first one to be handled still cancels the
+			// other.
+			m := coord.BackendMetrics()
+			if sent := m["first_solution_cancels_sent"] - sent0; sent != jobs {
+				t.Fatalf("%d of %d jobs sent a first-solution cancel", sent, jobs)
+			}
+			if m["shards_tracked"] != 0 {
+				t.Fatalf("%d shards still tracked after every job returned", m["shards_tracked"])
+			}
+			t.Logf("%d solved jobs: goroutines %d -> %d, live heap objects %+d", jobs, g0, g1, int64(o1)-int64(o0))
+			if g1 > g0+slack {
+				t.Fatalf("goroutines grew from %d to %d across %d solved jobs", g0, g1, jobs)
+			}
+			if grown := int64(o1) - int64(o0); grown > 2*jobs {
+				t.Fatalf("live heap grew by %d objects across %d solved jobs (a leaked grace timer pins ~6 a job)", grown, jobs)
+			}
+		})
 	}
 }

@@ -60,13 +60,18 @@ func TestPlacement(t *testing.T) {
 	}
 	recovery := func(mode string, lost ...lostRange) func(*Coordinator) ([]assignment, []lostRange, error) {
 		return func(c *Coordinator) ([]assignment, []lostRange, error) {
-			p, u, _ := c.planRecovery(mode, lost)
+			p, u := c.planRecovery(mode, lost)
 			return p, u, nil
 		}
 	}
 	backup := func(primary, start, count int) func(*Coordinator) ([]assignment, []lostRange, error) {
 		return func(c *Coordinator) ([]assignment, []lostRange, error) {
-			return c.reserveBackup(c.reg.workers[primary], start, count, "b"), nil, nil
+			c.reg.mu.Lock()
+			defer c.reg.mu.Unlock()
+			if a, ok := mostFree(c.reg.workers, start, count, count, c.reg.workers[primary]); ok {
+				return []assignment{a}, nil, nil
+			}
+			return nil, nil, nil
 		}
 	}
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -169,12 +168,13 @@ func (c *Coordinator) ProgressSnapshot() []ShardProgressInfo {
 	return out
 }
 
-// specSlot is one shard's first-wins state machine. A slot starts with
-// the primary in flight, gains at most one backup, and resolves with
-// the first delivered outcome; everything after resolution is a loser
-// whose result is dropped. A failed copy (lost or rejected) does not
-// resolve the slot while the other copy is still running — the whole
-// point of the backup is outliving a bad primary.
+// specSlot is one shard's first-wins state machine; every dispatched
+// shard is one. A slot starts with the primary in flight, gains at most
+// one backup (only in a speculating round), and resolves with the first
+// delivered outcome; everything after resolution is a loser whose
+// result is dropped. A failed copy (lost or rejected) does not resolve
+// the slot while the other copy is still running — the whole point of
+// the backup is outliving a bad primary.
 type specSlot struct {
 	mu       sync.Mutex
 	primary  *assignment
@@ -242,31 +242,6 @@ func (c *Coordinator) cancelLoser(a *assignment) {
 	}
 }
 
-// reserveBackup places a whole walker range on one healthy worker
-// other than the primary's, reserving its slots. One worker, not a
-// split: first-wins stays pairwise, and a range that fits nowhere
-// simply does not speculate this tick. Returns nil when no worker
-// qualifies.
-func (c *Coordinator) reserveBackup(primary *workerRef, start, count int, runID string) []assignment {
-	r := c.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var best *workerRef
-	for _, w := range r.workers {
-		if w == primary || w.state != stateHealthy || w.slots-w.busy < count {
-			continue
-		}
-		if best == nil || w.slots-w.busy > best.slots-best.busy {
-			best = w
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	best.busy += count
-	return []assignment{{worker: best, start: start, count: count, reserved: count, runID: runID}}
-}
-
 // specBudget is the job's per-walker iteration budget, or 0 when it is
 // effectively unbounded (no limit set, or a heterogeneous portfolio
 // whose entries budget independently) — unbounded budgets always pass
@@ -287,7 +262,7 @@ func specBudget(job *JobSpec) float64 {
 // slot lagging more than the threshold behind — subject to the
 // minimum-age and remaining-work guards. It exits when the job is done
 // or the dispatch context dies.
-func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}, job *JobSpec, slots []*specSlot, launch func(i int)) {
+func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}, job *JobSpec, slots []specSlot, launch func(i int)) {
 	started := time.Now()
 	budget := specBudget(job)
 	tick := time.NewTicker(c.specInterval)
@@ -306,7 +281,8 @@ func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}
 		norms := make([]float64, len(slots))
 		type candidate struct{ i int }
 		var cands []candidate
-		for i, s := range slots {
+		for i := range slots {
+			s := &slots[i]
 			s.mu.Lock()
 			resolved := s.resolved
 			pID := s.primary.runID
@@ -352,107 +328,6 @@ func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}
 			}
 		}
 	}
-}
-
-// dispatchSpeculative runs the job's initial plan with straggler
-// speculation: every shard is a first-wins slot, a detector goroutine
-// watches the progress feed, and lagging shards gain one backup copy
-// each. The returned outcomes parallel plan exactly as dispatch's do —
-// each is the slot's winning outcome, so the caller's merge and
-// recovery paths are unchanged. Loser goroutines are NOT waited for:
-// the stalled worker is the very thing being routed around, and run()'s
-// deferred hard-cancel severs their connections when the job returns.
-func (c *Coordinator) dispatchSpeculative(ctx context.Context, job JobSpec, plan []assignment, stop *jobStop, p shardParams, jobID string, addPlan func([]assignment)) []shardOutcome {
-	slots := make([]*specSlot, len(plan))
-	var resolvedWG sync.WaitGroup
-	resolvedWG.Add(len(plan))
-
-	// Every launched copy, for first-solution cancel fan-out.
-	var runsMu sync.Mutex
-	var runs []*assignment
-
-	launchCopy := func(s *specSlot, a *assignment) {
-		req := shardRequest(ModeRun, &job, a, &p)
-		go func() {
-			out := c.runShard(ctx, a, req)
-			c.releaseOne(a)
-			resolvedNow, final, loser := c.deliverSpec(s, a, out)
-			if !resolvedNow {
-				return
-			}
-			c.progressDone(a.runID, outcomeIters(&final))
-			if loser != nil {
-				go c.cancelLoser(loser)
-			}
-			if final.res.Solved {
-				// First-solution termination across all copies of all
-				// slots, same contract as dispatch.
-				runsMu.Lock()
-				all := append([]*assignment(nil), runs...)
-				runsMu.Unlock()
-				stop.firstSolution(a, all)
-			}
-			resolvedWG.Done()
-		}()
-	}
-
-	for i := range plan {
-		a := &plan[i]
-		slots[i] = &specSlot{primary: a, inflight: 1}
-		c.trackShard(a.runID, a.start, a.count)
-		runsMu.Lock()
-		runs = append(runs, a)
-		runsMu.Unlock()
-		launchCopy(slots[i], a)
-	}
-
-	launchBackup := func(i int) {
-		s := slots[i]
-		s.mu.Lock()
-		if s.resolved || s.backup != nil {
-			s.mu.Unlock()
-			return
-		}
-		primary, start, count := s.primary.worker, s.primary.start, s.primary.count
-		s.mu.Unlock()
-		bp := c.reserveBackup(primary, start, count, fmt.Sprintf("%s-b1-s%d", jobID, i))
-		if bp == nil {
-			return
-		}
-		ba := &bp[0]
-		s.mu.Lock()
-		if s.resolved {
-			// The primary landed while we were reserving.
-			s.mu.Unlock()
-			c.releaseOne(ba)
-			return
-		}
-		s.backup = ba
-		s.inflight++
-		s.mu.Unlock()
-		c.mSpecLaunched.Add(1)
-		c.trackShard(ba.runID, ba.start, ba.count)
-		// Registering the backup with the job's active plans routes
-		// external cancellation to it too.
-		addPlan(bp)
-		runsMu.Lock()
-		runs = append(runs, ba)
-		runsMu.Unlock()
-		launchCopy(s, ba)
-	}
-
-	detectDone := make(chan struct{})
-	go c.detectStragglers(ctx, detectDone, &job, slots, launchBackup)
-	resolvedWG.Wait()
-	close(detectDone)
-
-	outcomes := make([]shardOutcome, len(plan))
-	for i, s := range slots {
-		s.mu.Lock()
-		outcomes[i] = s.outcome
-		s.mu.Unlock()
-	}
-	return outcomes
 }
 
 // outcomeIters sums a resolved outcome's walker iteration counts (the

@@ -3,12 +3,16 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -321,10 +325,114 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 	}
 }
 
+// TestSpeculationBackupOutlivesLostPrimary: a primary that is lost
+// while its backup is in flight does not resolve its slot — the backup
+// does, and the loss reaches neither recovery nor truncation. The
+// primary's worker holds the run until the backup is dispatched and
+// then drops the connection like lossyWorker; the backup is held until
+// the coordinator has taken the loss (the primary's reservation is
+// gone, which runShard's return precedes), so the loss is delivered
+// while the backup still has its whole search to run.
+func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
+	engine := tunedEngine(t, "costas", 18)
+	engine.MaxIterations = 4000
+	engine.MaxRuns = 1
+	job := JobSpec{Problem: "costas", Size: 18, Walkers: 4, Seed: 99, Engine: engine}
+	ref, err := newFleet(t, 2, 2, 2).coord.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Solved {
+		t.Fatalf("reference run solved — budget %d too generous for the bit-for-bit comparison", engine.MaxIterations)
+	}
+
+	var coord atomic.Pointer[Coordinator]
+	backupOut := make(chan struct{})
+	var backupOnce sync.Once
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "slots": 2})
+	})
+	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-backupOut:
+		case <-r.Context().Done():
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	})
+	dropper := httptest.NewServer(mux)
+	t.Cleanup(dropper.Close)
+	// primaryLost reports that the coordinator has taken the dropped
+	// primary's outcome: the dropping worker (the first to join) holds no
+	// reservation any more.
+	primaryLost := func() bool {
+		c := coord.Load()
+		return c != nil && c.Workers()[0].Busy == 0
+	}
+
+	urls := []string{dropper.URL}
+	for i := 0; i < 2; i++ {
+		wk := NewWorker(WorkerConfig{Slots: 2})
+		inner := wk.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/run" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					w.WriteHeader(http.StatusBadGateway)
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				var req struct {
+					ID string `json:"id"`
+				}
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Error(err)
+				}
+				if strings.Contains(req.ID, "-b1-") {
+					backupOnce.Do(func() { close(backupOut) })
+					tick := time.NewTicker(time.Millisecond)
+					defer tick.Stop()
+					for !primaryLost() {
+						select {
+						case <-tick.C:
+						case <-r.Context().Done():
+							return
+						}
+					}
+				}
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { srv.Close(); wk.Close() })
+		urls = append(urls, srv.URL)
+	}
+	c := speculatingCoordinator(t, urls...)
+	coord.Store(c)
+
+	res, err := c.Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || res.Solved != ref.Solved || res.Winner != ref.Winner || res.Completed != ref.Completed {
+		t.Fatalf("headline mismatch:\nclean:  %+v\nbackup: %+v", ref, res)
+	}
+	sameWalkers(t, "backup after lost primary", ref.Walkers, res.Walkers)
+	m := c.BackendMetrics()
+	if m["shards_lost"] != 0 || m["recovery_rounds"] != 0 || m["jobs_truncated_by_loss"] != 0 || m["speculations_won"] != 1 {
+		t.Fatalf("want the slot resolved by its backup, nothing lost or recovered: %v", m)
+	}
+}
+
 // TestPlanRecoveryNoCapacityTypedError pins the zero-capacity recovery
-// path: with no healthy free worker, planRecovery reports
-// ErrNoRecoveryCapacity with the whole input uncovered, and run()
-// stops retrying without burning recovery rounds.
+// path: with no healthy free worker, planRecovery returns an empty plan
+// with the whole input uncovered, and run() stops retrying without
+// burning recovery rounds.
 func TestPlanRecoveryNoCapacityTypedError(t *testing.T) {
 	started := make(chan struct{}, 1)
 	lossy := lossyWorker(t, 2, started)
@@ -356,10 +464,7 @@ func TestPlanRecoveryNoCapacityTypedError(t *testing.T) {
 		t.Fatalf("burned %d recovery rounds with zero healthy capacity", rounds)
 	}
 
-	plan, uncovered, perr := coord.planRecovery(ModeRun, []lostRange{{start: 0, count: 2}})
-	if !errors.Is(perr, ErrNoRecoveryCapacity) {
-		t.Fatalf("planRecovery error = %v, want ErrNoRecoveryCapacity", perr)
-	}
+	plan, uncovered := coord.planRecovery(ModeRun, []lostRange{{start: 0, count: 2}})
 	if len(plan) != 0 {
 		t.Fatalf("zero-capacity planRecovery produced a plan: %+v", plan)
 	}
