@@ -31,11 +31,11 @@ import (
 //     SpeculateThreshold behind (with a minimum job age, a
 //     remaining-work guard, and at most one backup per shard) launches
 //     a backup on a free healthy worker the primary is not on;
-//   - first-wins resolution: each shard is a slot whose first delivered
-//     outcome wins; the loser is cancelled (releasing its reservation
-//     the moment the worker acks) and its late result is dropped before
-//     CombineShards ever sees it, so walker stats are never
-//     double-counted.
+//   - first-wins resolution: every shard is a slot (coordinator.go's
+//     dispatch runs them all) whose first delivered outcome wins; the
+//     loser is cancelled (releasing its reservation the moment the
+//     worker acks) and its late result is dropped before CombineShards
+//     ever sees it, so walker stats are never double-counted.
 
 // specMinRemaining is the remaining-work guard: a shard past this
 // close to its iteration budget finishes before any backup could help,
