@@ -1,9 +1,12 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -11,14 +14,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runFTDCDecode expands an FTDC-style telemetry file (the
-// schema-delta encoding of internal/telemetry, written by cmd/serve
-// -telemetry and cmd/worker -telemetry) into CSV on stdout: one column
-// per metric name ever observed, one row per sample, empty cells where
-// a sample's schema lacked the column. A torn tail — the recorder was
-// mid-frame when the process stopped — is normal for live captures;
-// the complete prefix decodes and the tear is reported on stderr.
-func runFTDCDecode(path string) error {
+// defineFTDCDecode is the ftdc-decode subcommand: it expands an
+// FTDC-style telemetry file (the schema-delta encoding of
+// internal/telemetry, written by serve -telemetry and worker
+// -telemetry) into CSV on stdout: one column per metric name ever
+// observed, one row per sample, empty cells where a sample's schema
+// lacked the column. A torn tail — the recorder was mid-frame when the
+// process stopped — is normal for live captures; the complete prefix
+// decodes and the tear is reported on stderr.
+func defineFTDCDecode(*flag.FlagSet) action { return runFTDCDecode }
+
+func runFTDCDecode(_ context.Context, path string, stdout, stderr io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -46,7 +52,7 @@ func runFTDCDecode(path string) error {
 		idx[n] = i
 	}
 
-	w := csv.NewWriter(os.Stdout)
+	w := csv.NewWriter(stdout)
 	if err := w.Write(append([]string{"ts_unix_ms"}, cols...)); err != nil {
 		return err
 	}
@@ -68,7 +74,7 @@ func runFTDCDecode(path string) error {
 		return err
 	}
 	if derr != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %s: torn tail after %d complete samples (live capture?)\n", path, len(samples))
+		fmt.Fprintf(stderr, "experiments: %s: torn tail after %d complete samples (live capture?)\n", path, len(samples))
 	}
 	return nil
 }

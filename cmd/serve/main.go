@@ -66,7 +66,7 @@
 // DESIGN.md §11).
 //
 // With -calibration FILE, the server loads a runtime-calibration store
-// (seed it offline with `experiments -calibrate FILE`), enabling
+// (seed it offline with `experiments calibrate FILE`), enabling
 // requests that say {"autosize": {"target_p95": "500ms"}} instead of a
 // fixed walker count: admission fits the problem's calibrated runtime
 // distribution and picks the smallest walker count predicted to meet
@@ -77,7 +77,7 @@
 // With -telemetry FILE, a background sampler appends FTDC-style
 // schema-delta-encoded scheduler metrics (and, under -workers, board
 // traffic counters) to FILE every -telemetry-interval; decode offline
-// with `experiments -ftdc-decode FILE`.
+// with `experiments ftdc-decode FILE`.
 //
 // With -pprof ADDR, net/http/pprof is served on ADDR — a listener apart
 // from -addr, so profiles can stay on loopback — until the server
@@ -139,7 +139,7 @@ func run() error {
 		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
 		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
-		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed offline with `experiments -calibrate`)")
+		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed it offline with experiments calibrate FILE)")
 		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6060)")
 	)
 	flag.Parse()

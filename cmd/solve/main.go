@@ -15,13 +15,18 @@
 // (communicating) variant; -virtual executes walks sequentially and
 // reports the deterministic iteration-count winner. -strategy selects
 // the search strategy for all walkers; -portfolio mixes strategies
-// across walkers as weighted name:weight pairs.
+// across walkers as weighted name:weight pairs. -exchange, -virtual and
+// -portfolio need -walkers > 1, and -exchange excludes -virtual: a
+// combination that would be ignored or fail later is rejected before
+// anything is built.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,89 +38,123 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "solve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		problem   = flag.String("problem", "costas", "benchmark name (see -list)")
-		size      = flag.Int("size", 0, "instance size (0 = benchmark default)")
-		walkers   = flag.Int("walkers", 1, "parallel walkers (1 = sequential)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "overall deadline")
-		exchange  = flag.Bool("exchange", false, "enable dependent multi-walk communication")
-		virtual   = flag.Bool("virtual", false, "deterministic virtual multi-walk (winner by iterations)")
-		strategy  = flag.String("strategy", "", "search strategy for all walkers (see -list)")
-		portfolio = flag.String("portfolio", "", "heterogeneous strategy portfolio as name:weight pairs, e.g. adaptive:2,metropolis:1 (requires -walkers > 1)")
-		list      = flag.Bool("list", false, "list available benchmarks and strategies and exit")
-		quiet     = flag.Bool("quiet", false, "suppress solution printing")
-	)
-	params := paramFlags{}
-	flag.Var(&params, "param", "benchmark parameter as key=value (repeatable), e.g. -param slots=6 -param rooms=4")
-	flag.Parse()
+// config is one parsed invocation.
+type config struct {
+	problem, strategy, portfolio string
+	size, walkers                int
+	seed                         uint64
+	timeout                      time.Duration
+	exchange, virtual            bool
+	list, quiet                  bool
+	params                       paramFlags
+}
 
-	if *list {
+// parse reads args into a config and rejects flag combinations that
+// would be ignored or fail later, before anything is built.
+func parse(args []string, stderr io.Writer) (*config, error) {
+	c := &config{params: paramFlags{}}
+	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.problem, "problem", "costas", "benchmark name (see -list)")
+	fs.IntVar(&c.size, "size", 0, "instance size (0 = benchmark default)")
+	fs.IntVar(&c.walkers, "walkers", 1, "parallel walkers (1 = sequential)")
+	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
+	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "overall deadline")
+	fs.BoolVar(&c.exchange, "exchange", false, "enable dependent multi-walk communication (requires -walkers > 1)")
+	fs.BoolVar(&c.virtual, "virtual", false, "deterministic virtual multi-walk, winner by iterations (requires -walkers > 1)")
+	fs.StringVar(&c.strategy, "strategy", "", "search strategy for all walkers (see -list)")
+	fs.StringVar(&c.portfolio, "portfolio", "", "heterogeneous strategy portfolio as name:weight pairs, e.g. adaptive:2,metropolis:1 (requires -walkers > 1)")
+	fs.BoolVar(&c.list, "list", false, "list available benchmarks and strategies and exit")
+	fs.BoolVar(&c.quiet, "quiet", false, "suppress solution printing")
+	fs.Var(c.params, "param", "benchmark parameter as key=value (repeatable), e.g. -param slots=6 -param rooms=4")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case c.walkers <= 1 && c.portfolio != "":
+		return nil, fmt.Errorf("-portfolio requires -walkers > 1")
+	case c.walkers <= 1 && c.exchange:
+		return nil, fmt.Errorf("-exchange requires -walkers > 1")
+	case c.walkers <= 1 && c.virtual:
+		return nil, fmt.Errorf("-virtual requires -walkers > 1")
+	case c.portfolio != "" && c.strategy != "":
+		return nil, fmt.Errorf("-portfolio and -strategy are mutually exclusive")
+	case c.virtual && c.exchange:
+		return nil, fmt.Errorf("-virtual and -exchange are mutually exclusive (dependent runs cannot be virtualized)")
+	}
+	return c, nil
+}
+
+// run is the whole command: it parses args, solves, and writes the
+// result to stdout; flag usage goes to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	c, err := parse(args, stderr)
+	if err != nil {
+		return err
+	}
+	if c.list {
 		for _, name := range problems.Names() {
 			info, err := problems.Describe(name)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-15s default=%-5d paper=%-5d %s\n", info.Name, info.DefaultSize, info.PaperSize, info.Description)
+			fmt.Fprintf(stdout, "%-15s default=%-5d paper=%-5d %s\n", info.Name, info.DefaultSize, info.PaperSize, info.Description)
 		}
-		fmt.Printf("strategies: %s\n", strings.Join(core.StrategyNames(), ", "))
+		fmt.Fprintf(stdout, "strategies: %s\n", strings.Join(core.StrategyNames(), ", "))
 		return nil
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 
-	p, err := problems.NewWithParams(*problem, *size, params)
+	p, err := problems.NewWithParams(c.problem, c.size, c.params)
 	if err != nil {
 		return err
 	}
 	opts := core.TunedOptions(p)
-	opts.Seed = *seed
-	opts.Strategy = *strategy
+	opts.Seed = c.seed
+	opts.Strategy = c.strategy
 
-	if *portfolio != "" && *walkers <= 1 {
-		return fmt.Errorf("-portfolio requires -walkers > 1")
-	}
-	if *portfolio != "" && *strategy != "" {
-		return fmt.Errorf("-portfolio and -strategy are mutually exclusive")
-	}
-
-	if *walkers <= 1 {
+	if c.walkers <= 1 {
 		res, err := core.Solve(ctx, p, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s n=%d (sequential)\n%s\n", *problem, p.Size(), res)
-		if res.Solved && !*quiet {
-			printSolution(p, res.Solution)
+		fmt.Fprintf(stdout, "%s n=%d (sequential)\n%s\n", c.problem, p.Size(), res)
+		if res.Solved && !c.quiet {
+			printSolution(stdout, p, res.Solution)
 		}
 		return exitStatus(res.Solved)
 	}
 
-	factory, err := problems.NewFactoryParams(*problem, *size, params)
+	factory, err := problems.NewFactoryParams(c.problem, c.size, c.params)
 	if err != nil {
 		return err
 	}
-	mopts := multiwalk.Options{Walkers: *walkers, Seed: *seed, Engine: opts}
-	if *portfolio != "" {
-		entries, err := parsePortfolio(*portfolio, opts)
+	mopts := multiwalk.Options{Walkers: c.walkers, Seed: c.seed, Engine: opts}
+	if c.portfolio != "" {
+		entries, err := parsePortfolio(c.portfolio, opts)
 		if err != nil {
 			return err
 		}
 		mopts.Portfolio = entries
 	}
-	if *exchange {
+	if c.exchange {
 		mopts.Exchange = multiwalk.ExchangeOptions{Enabled: true}
 	}
 	var res multiwalk.Result
-	if *virtual {
+	if c.virtual {
 		res, err = multiwalk.RunVirtual(ctx, factory, mopts)
 	} else {
 		res, err = multiwalk.Run(ctx, factory, mopts)
@@ -124,24 +163,24 @@ func run() error {
 		return err
 	}
 	mode := "independent multi-walk"
-	if *exchange {
+	if c.exchange {
 		mode = "dependent multi-walk"
 	}
-	if *portfolio != "" {
-		mode += " portfolio [" + *portfolio + "]"
+	if c.portfolio != "" {
+		mode += " portfolio [" + c.portfolio + "]"
 	}
-	if *virtual {
+	if c.virtual {
 		mode += " (virtual)"
 	}
-	fmt.Printf("%s n=%d, %d walkers, %s\n", *problem, p.Size(), *walkers, mode)
+	fmt.Fprintf(stdout, "%s n=%d, %d walkers, %s\n", c.problem, p.Size(), c.walkers, mode)
 	if res.Solved {
-		fmt.Printf("SOLVED by walker %d in %d iterations (total work %d iters) in %v\n",
+		fmt.Fprintf(stdout, "SOLVED by walker %d in %d iterations (total work %d iters) in %v\n",
 			res.Winner, res.WinnerIterations, res.TotalIterations, res.Elapsed)
-		if !*quiet {
-			printSolution(p, res.Solution)
+		if !c.quiet {
+			printSolution(stdout, p, res.Solution)
 		}
 	} else {
-		fmt.Printf("UNSOLVED (total work %d iters) in %v\n", res.TotalIterations, res.Elapsed)
+		fmt.Fprintf(stdout, "UNSOLVED (total work %d iters) in %v\n", res.TotalIterations, res.Elapsed)
 	}
 	for _, w := range res.Walkers {
 		status := "lost"
@@ -150,7 +189,7 @@ func run() error {
 		} else if w.Result.Interrupted {
 			status = "cancelled"
 		}
-		fmt.Printf("  walker %d: %-9s strategy=%-12s iters=%-10d restarts=%-3d adoptions=%d\n",
+		fmt.Fprintf(stdout, "  walker %d: %-9s strategy=%-12s iters=%-10d restarts=%-3d adoptions=%d\n",
 			w.Walker, status, w.Result.Strategy, w.Result.Iterations, w.Result.Restarts, w.Adoptions)
 	}
 	return exitStatus(res.Solved)
@@ -223,7 +262,7 @@ func exitStatus(solved bool) error {
 // printSolution renders a solution with benchmark-specific formatting
 // where it helps (grids for magic-square and costas, letter assignments
 // for alpha).
-func printSolution(p core.Problem, sol []int) {
+func printSolution(w io.Writer, p core.Problem, sol []int) {
 	switch t := p.(type) {
 	case *problems.MagicSquare:
 		n := t.Side()
@@ -232,7 +271,7 @@ func printSolution(p core.Problem, sol []int) {
 			for c := 0; c < n; c++ {
 				fmt.Fprintf(&b, "%4d", sol[r*n+c]+1)
 			}
-			fmt.Println(b.String())
+			fmt.Fprintln(w, b.String())
 		}
 	case *problems.Costas:
 		n := len(sol)
@@ -245,11 +284,11 @@ func printSolution(p core.Problem, sol []int) {
 					b.WriteString(" .")
 				}
 			}
-			fmt.Println(b.String())
+			fmt.Fprintln(w, b.String())
 		}
 	case *problems.Alpha:
-		fmt.Println(t.Letters(sol))
+		fmt.Fprintln(w, t.Letters(sol))
 	default:
-		fmt.Println(sol)
+		fmt.Fprintln(w, sol)
 	}
 }

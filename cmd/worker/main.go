@@ -25,7 +25,7 @@
 // the requested cadence, so the coordinator's straggler detector can
 // see how far behind this shard is. With -telemetry FILE, per-walker
 // iteration/cost samples are appended to FILE in the FTDC-style
-// schema-delta encoding (decode with `experiments -ftdc-decode FILE`).
+// schema-delta encoding (decode with `experiments ftdc-decode FILE`).
 // With -pprof ADDR, net/http/pprof is served on ADDR, a listener apart
 // from -addr that closes when the worker drains.
 //

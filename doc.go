@@ -5,24 +5,22 @@
 // execution scheme, and the performance-analysis toolchain that
 // regenerates the paper's figures.
 //
-// The root package is a thin facade over the implementation packages:
+// The root package is the solver library, a thin facade over:
 //
-//   - internal/core      — the sequential Adaptive Search engine
+//   - internal/core      — the sequential Adaptive Search engine and
+//     its pluggable strategies
 //   - internal/problems  — benchmark encodings (all-interval,
 //     perfect-square, magic-square, Costas arrays, queens, alpha,
-//     langford, partition)
+//     langford, partition, timetable)
 //   - internal/multiwalk — parallel independent multi-walk execution
-//     (plus the paper's future-work dependent scheme)
+//     and strategy portfolios
 //   - internal/csp       — declarative constraint modeling
-//   - internal/service   — admission-controlled solve scheduler
-//     (cmd/serve exposes it over HTTP)
-//   - internal/dist      — distributed coordinator/worker layer that
-//     shards a job's walkers over worker processes (cmd/worker) with
-//     bit-for-bit reproducibility against the single-process run
-//   - internal/stats     — runtime-distribution analysis and the
-//     order-statistics speedup estimator
-//   - internal/cluster   — HA8000 / Grid'5000 platform simulation
-//   - internal/bench     — the per-figure experiment harness
+//
+// The rest of the system is reached through its commands: cmd/solve
+// runs one instance, cmd/serve and cmd/worker serve solve jobs over
+// HTTP (internal/service, internal/dist), and cmd/experiments
+// regenerates the figures and measurements (internal/stats,
+// internal/cluster, internal/bench).
 //
 // # Quick start
 //
@@ -39,6 +37,5 @@
 //		Engine:  repro.TunedOptions(p),
 //	})
 //
-// See the examples/ directory for runnable programs and cmd/experiments
-// for the figure-regeneration harness.
+// See the examples/ directory for runnable programs.
 package repro

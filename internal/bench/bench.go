@@ -235,32 +235,8 @@ func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error
 // CollectVirtualSpeedup cross-validates the order-statistics predictor
 // with actual multi-walk executions: it runs reps RunVirtual jobs at k
 // walkers and returns the mean winner iterations. Used by the harness's
-// validation table and by tests.
+// validation table, the prediction-accuracy report and by tests.
 func CollectVirtualSpeedup(ctx context.Context, w Workload, k, reps int, seed uint64) (meanWinnerIters float64, err error) {
-	return collectVirtual(ctx, w, k, reps, seed, nil)
-}
-
-// CollectVirtualPortfolio is CollectVirtualSpeedup for heterogeneous
-// runs: the named strategies are layered over the benchmark's tuned
-// engine options with weight 1 each, so the mean winner iterations of a
-// mixed-strategy portfolio can be compared against the homogeneous
-// baseline at the same walker count (see DESIGN.md §5). Every strategy
-// needs at least one walker, so len(strategies) must not exceed k;
-// walker shares are exactly equal when k is a multiple of the strategy
-// count, otherwise the round-robin tail favors the earlier strategies.
-func CollectVirtualPortfolio(ctx context.Context, w Workload, k, reps int, seed uint64, strategies []string) (meanWinnerIters float64, err error) {
-	if len(strategies) == 0 {
-		return 0, fmt.Errorf("bench: portfolio needs at least one strategy")
-	}
-	if len(strategies) > k {
-		return 0, fmt.Errorf("bench: portfolio of %d strategies needs at least that many walkers, got %d", len(strategies), k)
-	}
-	return collectVirtual(ctx, w, k, reps, seed, strategies)
-}
-
-// collectVirtual runs reps RunVirtual jobs at k walkers, homogeneous
-// when strategies is empty, and averages the winner iterations.
-func collectVirtual(ctx context.Context, w Workload, k, reps int, seed uint64, strategies []string) (float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -273,19 +249,12 @@ func collectVirtual(ctx context.Context, w Workload, k, reps int, seed uint64, s
 		return 0, err
 	}
 	engine := core.TunedOptions(probe)
-	var portfolio []multiwalk.PortfolioEntry
-	for _, name := range strategies {
-		eng := engine
-		eng.Strategy = name
-		portfolio = append(portfolio, multiwalk.PortfolioEntry{Weight: 1, Engine: eng})
-	}
 	var sum float64
 	for rep := 0; rep < reps; rep++ {
 		res, err := multiwalk.RunVirtual(ctx, factory, multiwalk.Options{
-			Walkers:   k,
-			Seed:      seed + uint64(rep)*7919,
-			Engine:    engine,
-			Portfolio: portfolio,
+			Walkers: k,
+			Seed:    seed + uint64(rep)*7919,
+			Engine:  engine,
 		})
 		if err != nil {
 			return 0, err

@@ -286,40 +286,3 @@ func TestExtendedTableTiny(t *testing.T) {
 		t.Fatalf("collected %d", d.Iters.N())
 	}
 }
-
-func TestCollectVirtualPortfolio(t *testing.T) {
-	w := Workload{"costas", 9, 0}
-	strategies := []string{"adaptive", "metropolis"}
-	mean, err := CollectVirtualPortfolio(context.Background(), w, 4, 3, 7, strategies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean <= 0 {
-		t.Fatalf("portfolio mean winner iterations = %v", mean)
-	}
-	// Deterministic given identical inputs (RunVirtual underneath).
-	again, err := CollectVirtualPortfolio(context.Background(), w, 4, 3, 7, strategies)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean != again {
-		t.Fatalf("portfolio collection not deterministic: %v vs %v", mean, again)
-	}
-	if _, err := CollectVirtualPortfolio(context.Background(), w, 4, 3, 7, nil); err == nil {
-		t.Error("empty strategy list accepted")
-	}
-	if _, err := CollectVirtualPortfolio(context.Background(), w, 4, 3, 7, []string{"bogus"}); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-}
-
-func TestCollectVirtualPortfolioRejectsTooFewWalkers(t *testing.T) {
-	w := Workload{"costas", 9, 0}
-	_, err := CollectVirtualPortfolio(context.Background(), w, 2, 1, 7, []string{"adaptive", "metropolis", "random-walk"})
-	if err == nil {
-		t.Fatal("3 strategies on 2 walkers accepted")
-	}
-	if !strings.Contains(err.Error(), "walkers") {
-		t.Fatalf("error does not explain the walker constraint: %v", err)
-	}
-}

@@ -15,7 +15,7 @@ import (
 )
 
 // This file is the iteration-rate measurement layer: the sequential
-// hot-loop speedometer behind `cmd/experiments -bench-json` and the CI
+// hot-loop speedometer behind `experiments iter-rate FILE` and the CI
 // bench-smoke job. The paper's speedup model multiplies the number of
 // walkers by the *sequential* iteration rate, so this harness measures
 // exactly that — engine iterations per second per benchmark, plus heap
@@ -141,7 +141,7 @@ func MeasureIterRate(ctx context.Context, name string, size int, seed uint64, mi
 // size and assembles the committed report.
 func CollectIterRates(ctx context.Context, seed uint64, minIters int64) (*IterRateReport, error) {
 	report := &IterRateReport{
-		Note:       fmt.Sprintf("go run ./cmd/experiments -bench-json BENCH_iter_rate.json -bench-iters %d", minIters),
+		Note:       fmt.Sprintf("go run ./cmd/experiments iter-rate -iters %d BENCH_iter_rate.json", minIters),
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -222,43 +222,18 @@ func (r *IterRateReport) RenderMarkdown(w io.Writer) error {
 	return nil
 }
 
-// CompareIterRates checks a fresh measurement against a committed
-// baseline and returns one message per regression: a benchmark whose
-// iteration rate dropped by more than threshold (e.g. 0.25 = fail below
-// 75% of baseline), or a baseline benchmark that was not measured at
-// all. An empty slice means the run is within budget. The comparison is
-// absolute, so it is only meaningful between runs on the same machine
-// class; for cross-machine gating use CompareIterRatesRelative.
-func CompareIterRates(fresh, baseline *IterRateReport, threshold float64) []string {
-	var regressions []string
-	for _, name := range baseline.sortedBenchmarks() {
-		base := baseline.Results[name]
-		got, ok := fresh.Results[name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: present in baseline but not measured", name))
-			continue
-		}
-		floor := base.ItersPerSec * (1 - threshold)
-		if got.ItersPerSec < floor {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f iters/sec is below the regression floor %.0f (baseline %.0f, threshold -%.0f%%)",
-					name, got.ItersPerSec, floor, base.ItersPerSec, threshold*100))
-		}
-	}
-	return regressions
-}
-
 // CompareIterRatesRelative checks a fresh measurement against a
 // baseline with machine speed factored out: each benchmark's
 // fresh/baseline rate ratio is normalized by the median ratio across
 // all benchmarks, so a run on a uniformly slower (or faster) machine
 // compares clean and only benchmarks that regressed *relative to the
 // rest of the suite* — the signature of a structural hot-path
-// regression — trip the threshold. The returned median is the measured
-// machine-speed factor (1.0 = same speed as the baseline box); a
-// uniform engine-wide slowdown shows up there, not in the regression
-// list, so gates should surface it to humans. Missing benchmarks are
-// regressions as in CompareIterRates.
+// regression — trip the threshold (e.g. 0.25 = fail below 75% of the
+// median ratio). The returned median is the measured machine-speed
+// factor (1.0 = same speed as the baseline box); a uniform engine-wide
+// slowdown shows up there, not in the regression list, so gates should
+// surface it to humans. A baseline benchmark that was not measured at
+// all is a regression.
 func CompareIterRatesRelative(fresh, baseline *IterRateReport, threshold float64) (regressions []string, median float64) {
 	ratios := make([]float64, 0, len(baseline.Results))
 	for _, name := range baseline.sortedBenchmarks() {

@@ -182,24 +182,18 @@ func TestCollectIterRates(t *testing.T) {
 	if len(loaded.Results) != len(report.Results) {
 		t.Fatalf("round-trip lost results: %d vs %d", len(loaded.Results), len(report.Results))
 	}
-	if regs := CompareIterRates(report, loaded, 0.25); len(regs) != 0 {
-		t.Fatalf("self-comparison reported regressions: %v", regs)
+	if regs, median := CompareIterRatesRelative(report, loaded, 0.25); len(regs) != 0 || median != 1 {
+		t.Fatalf("self-comparison reported regressions (median %.2f): %v", median, regs)
 	}
-	// A baseline 10x above the measurement must trip the gate.
+	// The comparison cancels machine speed: a uniformly 10x faster
+	// baseline is a clean pass (median-normalized), while one benchmark
+	// singled out 10x above the rest trips exactly one regression.
 	inflated := *loaded
 	inflated.Results = map[string]IterRate{}
 	for name, r := range loaded.Results {
 		r.ItersPerSec *= 10
 		inflated.Results[name] = r
 	}
-	regs := CompareIterRates(report, &inflated, 0.25)
-	if len(regs) != len(report.Results) {
-		t.Fatalf("inflated baseline tripped %d of %d regressions: %v", len(regs), len(report.Results), regs)
-	}
-	// The relative comparator cancels machine speed: a uniformly 10x
-	// faster baseline is a clean pass (median-normalized), while one
-	// benchmark singled out 10x above the rest trips exactly one
-	// regression.
 	if regs, median := CompareIterRatesRelative(report, &inflated, 0.25); len(regs) != 0 {
 		t.Fatalf("uniformly scaled baseline tripped relative regressions (median %.2f): %v", median, regs)
 	}

@@ -13,8 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-// This file is the prediction-accuracy surface behind `cmd/experiments
-// -bench-predict` and the committed BENCH_predicted_speedup.json: for
+// This file is the prediction-accuracy surface behind `experiments
+// predict-accuracy FILE` and the committed BENCH_predicted_speedup.json: for
 // each benchmark it fits the sequential runtime distribution
 // (stats.FitBest), predicts expected speedup at each walker count with
 // a bootstrap confidence band, then actually runs multi-walk jobs at
@@ -99,7 +99,7 @@ func CollectPredictReport(ctx context.Context, scale Scale, names []string, ks [
 	}
 	workloads := PaperWorkloads(scale)
 	report := &PredictReport{
-		Note: fmt.Sprintf("go run ./cmd/experiments -bench-predict BENCH_predicted_speedup.json -scale %s -bench-predict-reps %d -seed %d",
+		Note: fmt.Sprintf("go run ./cmd/experiments predict-accuracy -scale %s -reps %d -seed %d BENCH_predicted_speedup.json",
 			scale, reps, seed),
 		GoVersion:      runtime.Version(),
 		Scale:          scale.String(),

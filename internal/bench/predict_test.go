@@ -79,7 +79,7 @@ func TestCollectPredictReportTiny(t *testing.T) {
 	if e.Points[2].Predicted <= e.Points[1].Predicted {
 		t.Fatalf("predicted speedup not monotone: %v then %v", e.Points[1].Predicted, e.Points[2].Predicted)
 	}
-	if !strings.Contains(report.Note, "-bench-predict") {
+	if !strings.Contains(report.Note, "experiments predict-accuracy") {
 		t.Fatalf("note %q lacks the regeneration command", report.Note)
 	}
 

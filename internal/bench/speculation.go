@@ -125,7 +125,7 @@ func CollectSpeculationDist(ctx context.Context, w Workload, k, reps int, seed u
 	engine.MaxIterations = iterBudget
 	engine.MaxRuns = 1
 	report := &TailLatencyReport{
-		Note:       fmt.Sprintf("go run ./cmd/experiments -bench-tail BENCH_tail_latency.json (straggle %v, %d reps)", straggle, reps),
+		Note:       fmt.Sprintf("go run ./cmd/experiments tail-latency -straggle %v -reps %d BENCH_tail_latency.json", straggle, reps),
 		GoVersion:  runtime.Version(),
 		Benchmark:  w.Benchmark,
 		Size:       w.Size,

@@ -4,7 +4,7 @@
 // runs and from live job telemetry, and resolved on demand into a
 // fitted runtime model (stats.FitBest) plus an iteration-rate
 // estimate. The service's AutoSize admission mode and the
-// capacity-planning CLI (experiments -whatif/-predict) both read
+// capacity-planning CLI (experiments whatif/predict) both read
 // predictions out of this store rather than re-measuring.
 //
 // Only *sequential* observations — bench collections and live jobs

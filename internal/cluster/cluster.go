@@ -59,84 +59,6 @@ type Platform struct {
 // Cores returns the platform's total core count.
 func (p Platform) Cores() int { return p.Nodes * p.CoresPerNode }
 
-// Encoding names the move encoding a simulated benchmark runs on; the
-// per-iteration work — and hence the effective per-core iteration rate
-// — differs between them.
-type Encoding string
-
-const (
-	// EncodingPermutation is the swap-move encoding: one iteration
-	// scans O(n) candidate transpositions of the worst variable.
-	EncodingPermutation Encoding = "permutation"
-	// EncodingFiniteDomain is the assign/flip-move encoding: one
-	// iteration scans the worst variable's domain, O(|D|) candidates.
-	EncodingFiniteDomain Encoding = "finite-domain"
-)
-
-// Instance describes the shape of the simulated workload — the
-// encoding and problem size that determine how much work one solver
-// iteration costs relative to the platform's calibrated rate. The zero
-// Instance means "the instance the rate was calibrated on" (factor 1),
-// which keeps the pre-instance simulations unchanged.
-type Instance struct {
-	// Encoding selects the move encoding.
-	Encoding Encoding
-	// Size is the variable count n.
-	Size int
-	// DomainSize is the mean domain cardinality |D| (finite-domain
-	// encodings only); 0 defaults to Size.
-	DomainSize int
-}
-
-// Validate reports malformed instance descriptions.
-func (in Instance) Validate() error {
-	switch in.Encoding {
-	case "", EncodingPermutation, EncodingFiniteDomain:
-	default:
-		return fmt.Errorf("cluster: unknown encoding %q", in.Encoding)
-	}
-	if in.Encoding == "" && (in.Size != 0 || in.DomainSize != 0) {
-		return errors.New("cluster: instance with a size needs an encoding")
-	}
-	if in.Encoding != "" && in.Size < 1 {
-		return fmt.Errorf("cluster: instance needs a positive size, got %d", in.Size)
-	}
-	if in.DomainSize < 0 {
-		return fmt.Errorf("cluster: negative domain size %d", in.DomainSize)
-	}
-	return nil
-}
-
-// costFactor is the per-iteration work of this instance relative to
-// the calibration reference (a size-referenceSize permutation scan).
-// Permutation iterations scan n swap candidates; finite-domain
-// iterations scan the worst variable's |D| assignment candidates.
-func (in Instance) costFactor() float64 {
-	if in.Encoding == "" {
-		return 1
-	}
-	candidates := float64(in.Size)
-	if in.Encoding == EncodingFiniteDomain {
-		candidates = float64(in.DomainSize)
-		if in.DomainSize == 0 {
-			candidates = float64(in.Size)
-		}
-	}
-	return candidates / referenceSize
-}
-
-// referenceSize is the candidate-scan width the platform iteration
-// rates are calibrated against. Harnesses that calibrate per benchmark
-// (bench.Distribution.SimItersPerSecond) fold the real cost into the
-// rate itself and leave the Instance zero.
-const referenceSize = 16.0
-
-// EffectiveIterationsPerSecond scales the platform's calibrated
-// per-core rate to an instance's per-iteration cost.
-func (p Platform) EffectiveIterationsPerSecond(in Instance) float64 {
-	return p.IterationsPerSecond / in.costFactor()
-}
-
 // Validate reports malformed platform descriptions.
 func (p Platform) Validate() error {
 	if p.Nodes < 1 || p.CoresPerNode < 1 {
@@ -249,36 +171,21 @@ func (m ModelSource) Draw(r *rng.Rand) float64 {
 // Mean implements Source.
 func (m ModelSource) Mean() float64 { return m.Model.Mean() }
 
-// Sim couples a platform with a runtime source and, optionally, the
-// shape of the instance being solved (Instance scales the per-core
-// iteration rate by the encoding's per-iteration cost).
+// Sim couples a platform with a runtime source.
 type Sim struct {
 	Platform Platform
 	Source   Source
-	Instance Instance
 }
 
-// NewSim validates and builds a simulator for the calibration-reference
-// instance shape.
+// NewSim validates and builds a simulator.
 func NewSim(p Platform, src Source) (*Sim, error) {
-	return NewInstanceSim(p, src, Instance{})
-}
-
-// NewInstanceSim validates and builds a simulator for a specific
-// instance shape — how the finite-domain benchmarks enter the platform
-// model: the same measured iteration distribution, but each iteration
-// priced at the encoding's candidate-scan width.
-func NewInstanceSim(p Platform, src Source, in Instance) (*Sim, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	if src == nil {
 		return nil, errors.New("cluster: nil source")
 	}
-	return &Sim{Platform: p, Source: src, Instance: in}, nil
+	return &Sim{Platform: p, Source: src}, nil
 }
 
 // JobResult reports one simulated multi-walk job.
@@ -305,7 +212,7 @@ func (s *Sim) Job(k int, r *rng.Rand) (JobResult, error) {
 	if k > p.Cores() {
 		return JobResult{}, fmt.Errorf("cluster: %d walkers exceed %s's %d cores", k, p.Name, p.Cores())
 	}
-	rate := p.EffectiveIterationsPerSecond(s.Instance)
+	rate := p.IterationsPerSecond
 	nodes := (k + p.CoresPerNode - 1) / p.CoresPerNode
 	best := -1.0
 	bestIters := 0.0
@@ -369,7 +276,7 @@ func (s *Sim) SpeedupCurve(ks []int, reps int, seed uint64) (Curve, error) {
 	// Sequential reference: mean source runtime on one jitter-free core
 	// plus the same overheads a 1-core job pays.
 	p := s.Platform
-	seq := p.LaunchOverheadSec + s.Source.Mean()/p.EffectiveIterationsPerSecond(s.Instance) + p.CompletionLatencySec
+	seq := p.LaunchOverheadSec + s.Source.Mean()/p.IterationsPerSecond + p.CompletionLatencySec
 
 	curve := Curve{Platform: p.Name, SeqWall: seq}
 	walls := make([]float64, reps)

@@ -260,74 +260,18 @@ func TestLaunchOverheadHurtsSmallJobs(t *testing.T) {
 	}
 }
 
-func TestInstanceValidation(t *testing.T) {
-	cases := []struct {
-		in Instance
-		ok bool
-	}{
-		{Instance{}, true},
-		{Instance{Encoding: EncodingPermutation, Size: 16}, true},
-		{Instance{Encoding: EncodingFiniteDomain, Size: 20, DomainSize: 6}, true},
-		{Instance{Encoding: "simplex", Size: 4}, false},
-		{Instance{Encoding: EncodingPermutation, Size: 0}, false},
-		{Instance{Size: 8}, false}, // size without encoding
-		{Instance{Encoding: EncodingFiniteDomain, Size: 8, DomainSize: -1}, false},
-	}
-	for _, c := range cases {
-		if err := c.in.Validate(); (err == nil) != c.ok {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", c.in, err, c.ok)
-		}
-	}
-}
-
-// TestEffectiveIterationRate pins the encoding-aware rate scaling: a
-// finite-domain iteration scans |D| candidates where a permutation
-// iteration scans n, so at equal measured iteration counts the FD
-// instance with small domains runs proportionally faster wall-clock.
-func TestEffectiveIterationRate(t *testing.T) {
-	p := HA8000()
-	p.IterationsPerSecond = 1000
-	if got := p.EffectiveIterationsPerSecond(Instance{}); got != 1000 {
-		t.Fatalf("zero instance scaled the rate: %v", got)
-	}
-	perm := Instance{Encoding: EncodingPermutation, Size: 32}
-	fd := Instance{Encoding: EncodingFiniteDomain, Size: 32, DomainSize: 8}
-	rp, rf := p.EffectiveIterationsPerSecond(perm), p.EffectiveIterationsPerSecond(fd)
-	if want := 1000 * 16.0 / 32.0; math.Abs(rp-want) > 1e-9 {
-		t.Fatalf("permutation rate = %v, want %v", rp, want)
-	}
-	if want := rp * 32.0 / 8.0; math.Abs(rf-want) > 1e-9 {
-		t.Fatalf("FD rate = %v, want %v (n/|D| faster than permutation)", rf, want)
-	}
-	// DomainSize 0 defaults to Size: same cost as the permutation scan.
-	fdFull := Instance{Encoding: EncodingFiniteDomain, Size: 32}
-	if got := p.EffectiveIterationsPerSecond(fdFull); math.Abs(got-rp) > 1e-9 {
-		t.Fatalf("defaulted FD rate = %v, want %v", got, rp)
-	}
-}
-
 // TestSimulateFDBenchmark runs the platform model on the finite-domain
 // timetable benchmark end to end: measure a real iteration
 // distribution from seeded sequential solves, wrap it in an empirical
-// source, and simulate the paper's multi-walk speedup on HA8000 with
-// the instance's encoding shape priced in.
+// source, and simulate the paper's multi-walk speedup on HA8000.
 func TestSimulateFDBenchmark(t *testing.T) {
 	const size, runs = 20, 40
 	params := map[string]int{"slots": 6, "rooms": 4, "teachers": 4}
 	iters := make([]float64, 0, runs)
-	var meanDom float64
 	for run := 0; run < runs; run++ {
 		p, err := problems.NewWithParams("timetable", size, params)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if run == 0 {
-			fd := p.(core.FDProblem)
-			total := 0
-			for i := 0; i < p.Size(); i++ {
-				total += len(fd.Domain(i))
-			}
-			meanDom = float64(total) / float64(p.Size())
 		}
 		opts := core.TunedOptions(p)
 		opts.Seed = 7777 + uint64(run)
@@ -348,10 +292,9 @@ func TestSimulateFDBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := Instance{Encoding: EncodingFiniteDomain, Size: size, DomainSize: int(meanDom + 0.5)}
 	pf := HA8000()
 	pf.IterationsPerSecond = sample.Mean() // dilate: sequential mean ~= 1s
-	sim, err := NewInstanceSim(pf, src, inst)
+	sim, err := NewSim(pf, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,21 +314,5 @@ func TestSimulateFDBenchmark(t *testing.T) {
 			t.Fatalf("speedup collapsed at %d cores: %+v after %v", pt.Cores, pt, last)
 		}
 		last = pt.Speedup
-	}
-
-	// The encoding shape must actually price the simulation: the same
-	// source on the reference instance shape runs slower per iteration
-	// (domain scan 6 < reference scan 16), so FD wall time is shorter.
-	ref, err := NewSim(pf, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCurve, err := ref.SpeedupCurve([]int{1}, 40, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve.SeqWall >= refCurve.SeqWall {
-		t.Fatalf("FD instance (domain %d) not cheaper than reference: %v vs %v",
-			inst.DomainSize, curve.SeqWall, refCurve.SeqWall)
 	}
 }

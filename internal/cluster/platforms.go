@@ -6,18 +6,16 @@ package cluster
 // feeding fitted runtime models and measured iteration rates, the same
 // Source/Platform machinery becomes a capacity planner: "what would
 // this calibrated workload's speedup curve look like on Grid'5000, or
-// on a fleet of N local cores?" (cmd/experiments -whatif). Two pieces
-// make that possible: a name registry so CLIs can select exemplar
-// platforms, and sources constructed from calibration output — the
-// resolved empirical sample (NewCalibratedSim) or the fitted model
-// beyond the sample's resolution (FitSource).
+// on a fleet of N local cores?" (experiments whatif). Two pieces make
+// that possible: a name registry so CLIs can select exemplar
+// platforms, and a simulator built from calibration output — the
+// resolved empirical sample and iteration rate (NewCalibratedSim).
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -77,22 +75,6 @@ func (p Platform) Calibrated(itersPerSec float64) Platform {
 	}
 	return p
 }
-
-// FitSource draws walk runtimes from a fitted parametric model
-// (stats.FitBest output) by inverse-CDF sampling — the extrapolating
-// counterpart of EmpiricalSource: an empirical source can never draw
-// below its smallest observation, while simulating thousands of cores
-// is exactly the regime where the unobserved left tail decides the
-// winner.
-type FitSource struct {
-	Fit stats.Fit
-}
-
-// Draw implements Source.
-func (f FitSource) Draw(r *rng.Rand) float64 { return f.Fit.Quantile(r.Float64()) }
-
-// Mean implements Source.
-func (f FitSource) Mean() float64 { return f.Fit.Mean() }
 
 // NewCalibratedSim builds a simulator for a platform directly from
 // calibration-store output: the resolved sequential sample becomes the

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -43,37 +42,6 @@ func TestCalibratedRate(t *testing.T) {
 	}
 	if p.IterationsPerSecond != 1 {
 		t.Fatal("Calibrated mutated its receiver")
-	}
-}
-
-func TestFitSource(t *testing.T) {
-	fit := stats.Fit{Family: stats.FamilyShiftedExp, Exp: stats.ShiftedExp{Shift: 100, Scale: 50}}
-	src := FitSource{Fit: fit}
-	if src.Mean() != 150 {
-		t.Fatalf("Mean = %v, want 150", src.Mean())
-	}
-	r := rng.New(8)
-	sum := 0.0
-	const n = 50_000
-	for i := 0; i < n; i++ {
-		d := src.Draw(r)
-		if d < 100 {
-			t.Fatalf("draw %v below the model floor", d)
-		}
-		sum += d
-	}
-	if got := sum / n; math.Abs(got-150) > 2 {
-		t.Fatalf("empirical mean %v, want ~150", got)
-	}
-	// Lognormal fits sample through the same inverse-CDF path.
-	ln := stats.Fit{Family: stats.FamilyLogNormal, LN: stats.LogNormal{Mu: 5, Sigma: 0.5}}
-	lsrc := FitSource{Fit: ln}
-	sum = 0
-	for i := 0; i < n; i++ {
-		sum += lsrc.Draw(r)
-	}
-	if got, want := sum/n, lsrc.Mean(); math.Abs(got-want)/want > 0.05 {
-		t.Fatalf("lognormal empirical mean %v, want ~%v", got, want)
 	}
 }
 

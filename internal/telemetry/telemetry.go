@@ -1,8 +1,8 @@
 // Package telemetry is an FTDC-style append-only metrics recorder:
 // periodic integer samples (per-walker iteration counts, adoption and
 // yield totals, queue depth, board sync bytes) written as
-// schema-delta-encoded frames to a compact log that cmd/experiments
-// -ftdc-decode parses offline.
+// schema-delta-encoded frames to a compact log that `experiments
+// ftdc-decode FILE` parses offline.
 //
 // The encoding borrows the two ideas that make MongoDB-style full-time
 // diagnostic data capture cheap: (1) metric names are written once per
