@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"os"
-	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // TestUsageErrors: every way of asking for two things at once, or for
@@ -84,43 +84,13 @@ func TestDistrib(t *testing.T) {
 	}
 }
 
-// docFiles are the documents whose command lines must keep parsing.
-var docFiles = []string{"../../README.md", "../../DESIGN.md", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md"}
-
-// TestDocCommandsParse parses every experiments command line in the
-// docs and CI against the real subcommands and flags: a path ending in
-// experiments (cmd/, ./cmd/, bin/, /tmp/) or experiments right after a
-// backtick, then its words up to a comment, pipe, redirect, separator
-// or closing backtick, across backslash-continued lines. A line that
-// goes on with "|| true" checks that the command rejects it, so there
-// parsing must fail. cmd/solve checks its own command lines the same
-// way.
+// TestDocCommandsParse parses every experiments command line in
+// README, DESIGN, CI and the verify notes against the real subcommands
+// and flags (see internal/doccmd). A line that goes on with "|| true"
+// checks that the command rejects it, so there parsing must fail.
 func TestDocCommandsParse(t *testing.T) {
-	cmd := regexp.MustCompile("(?:(?:^|[\\s(`])(?:\\./)?(?:cmd|bin|/tmp)/|`)experiments\\b([^#|>&;`)\n]*)")
-	found := 0
-	for _, path := range docFiles {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(blob), " ")
-		text = regexp.MustCompile(`\d>`).ReplaceAllString(text, ">")
-		for _, line := range strings.Split(text, "\n") {
-			for _, m := range cmd.FindAllStringSubmatchIndex(line, -1) {
-				if strings.HasSuffix(strings.TrimSpace(line[:m[0]]), "-o") {
-					continue // go build -o bin/experiments names the binary, it does not run it
-				}
-				found++
-				_, err := parse(strings.Fields(line[m[2]:m[3]]), io.Discard)
-				if fail := strings.Contains(line[m[3]:], "|| true"); fail && err == nil {
-					t.Errorf("%s: %s: parses, but the line expects a rejection", path, strings.TrimSpace(line))
-				} else if !fail && err != nil {
-					t.Errorf("%s: %s: %v", path, strings.TrimSpace(line), err)
-				}
-			}
-		}
-	}
-	if found < 10 {
-		t.Fatalf("found only %d experiments command lines in the docs; is the pattern stale?", found)
-	}
+	doccmd.Check(t, "../..", "experiments", 10, func(args []string) error {
+		_, err := parse(args, io.Discard)
+		return err
+	})
 }

@@ -12,13 +12,18 @@
 // on a distributed backend (internal/dist) that shards each job's
 // walkers over the given cmd/worker fleet, with per-worker slot
 // accounting and cross-worker first-solution cancellation. The pool
-// size becomes the fleet's total slot capacity (-slots is ignored).
-// Dependent jobs ({"exchange": {"enabled": true}}) cooperate across
-// workers through a coordinator-hosted elite board; -board-addr,
-// -board-advertise and -board-sync tune where it listens, how workers
-// reach it and how often their caches reconcile; -board-sync is the
-// only setting of that period, which each run request carries to its
-// worker (see DESIGN.md §10).
+// size becomes the fleet's total slot capacity, so -slots is a usage
+// error there. Dependent jobs ({"exchange": {"enabled": true}})
+// cooperate across workers through a coordinator-hosted elite board;
+// -board-addr, -board-advertise and -board-sync tune where it listens,
+// how workers reach it and how often their caches reconcile; -board-sync
+// is the only setting of that period, which each run request carries to
+// its worker (see DESIGN.md §10).
+//
+// A flag the chosen backend would ignore is a usage error, not a silent
+// no-op: -fleet-heartbeat, -recover-attempts, -board-*, -speculate and
+// -speculate-threshold need -workers or -fleet, -speculate-threshold
+// needs -speculate, and -telemetry-interval needs -telemetry.
 //
 // With -fleet, the worker set is dynamic instead of (or in addition
 // to) the static -workers list: workers enroll themselves through
@@ -95,6 +100,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -113,121 +119,180 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr           = flag.String("addr", ":8080", "listen address")
-		slots          = flag.Int("slots", 0, "walker-slot pool size (0 = GOMAXPROCS)")
-		queueDepth     = flag.Int("queue", 0, "admission queue depth (0 = 256)")
-		defaultTimeout = flag.Duration("default-timeout", 0, "per-job deadline when the request sets none (0 = 30s)")
-		maxTimeout     = flag.Duration("max-timeout", 0, "cap on request-supplied deadlines (0 = 5m)")
-		ttl            = flag.Duration("ttl", 0, "finished-job retention (0 = 10m)")
-		workers        = flag.String("workers", "", "comma-separated worker base URLs; empty runs jobs in-process")
-		fleet          = flag.Bool("fleet", false, "accept dynamic worker registration on /v1/fleet/* (workers join and leave at runtime; may combine with -workers for a static seed)")
-		fleetHeartbeat = flag.Duration("fleet-heartbeat", 0, "fleet health-monitor probe period for silent workers (0 = 2s)")
-		recoverRounds  = flag.Int("recover-attempts", 0, "rounds of lost-shard re-execution on surviving workers before a job is truncated (0 = 2, negative disables recovery)")
-		tenants        = flag.String("tenants", "", "per-tenant admission policy as name=weight[:maxslots],... (e.g. batch=1:8,interactive=3); unlisted tenants get weight 1, no cap")
-		boardAddr      = flag.String("board-addr", "", "exchange-board listen address for distributed dependent runs (empty = 127.0.0.1:0; the server starts lazily on the first exchange job)")
-		boardAdvertise = flag.String("board-advertise", "", "base URL workers use to reach the exchange board (empty = derived from the board listener; set it when workers are on other hosts)")
-		boardSync      = flag.Duration("board-sync", 0, "worker board-cache sync period for dependent runs, sent in each run request (0 = 50ms)")
-		speculate      = flag.Bool("speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first (needs a distributed backend)")
-		speculateThr   = flag.Float64("speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
-		telemetryPath  = flag.String("telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
-		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
-		calibration    = flag.String("calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed it offline with experiments calibrate FILE)")
-		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6060)")
-	)
-	flag.Parse()
+// config is one parsed invocation.
+type config struct {
+	addr, workers, tenants, boardAddr, boardAdvertise string
+	telemetryPath, calibration, pprofAddr             string
+	slots, queueDepth, recoverRounds                  int
+	defaultTimeout, maxTimeout, ttl                   time.Duration
+	fleetHeartbeat, boardSync, telemetryEvery         time.Duration
+	fleet, speculate                                  bool
+	speculateThr                                      float64
+}
 
-	if *pprofAddr != "" {
-		bound, stopPprof, err := profiling.Serve(*pprofAddr)
+// distributedFlags configure the coordinator, which exists only under
+// -workers or -fleet.
+var distributedFlags = []string{"fleet-heartbeat", "recover-attempts", "board-addr", "board-advertise", "board-sync", "speculate", "speculate-threshold"}
+
+// parse reads args into a config and rejects flags the chosen backend
+// would ignore, before anything is started.
+func parse(args []string, stderr io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.slots, "slots", 0, "in-process walker-slot pool size (0 = GOMAXPROCS; under -workers or -fleet the pool is the fleet's capacity)")
+	fs.IntVar(&c.queueDepth, "queue", 0, "admission queue depth (0 = 256)")
+	fs.DurationVar(&c.defaultTimeout, "default-timeout", 0, "per-job deadline when the request sets none (0 = 30s)")
+	fs.DurationVar(&c.maxTimeout, "max-timeout", 0, "cap on request-supplied deadlines (0 = 5m)")
+	fs.DurationVar(&c.ttl, "ttl", 0, "finished-job retention (0 = 10m)")
+	fs.StringVar(&c.workers, "workers", "", "comma-separated worker base URLs; empty runs jobs in-process")
+	fs.BoolVar(&c.fleet, "fleet", false, "accept dynamic worker registration on /v1/fleet/* (workers join and leave at runtime; may combine with -workers for a static seed)")
+	fs.DurationVar(&c.fleetHeartbeat, "fleet-heartbeat", 0, "fleet health-monitor probe period for silent workers (0 = 2s)")
+	fs.IntVar(&c.recoverRounds, "recover-attempts", 0, "rounds of lost-shard re-execution on surviving workers before a job is truncated (0 = 2, negative disables recovery)")
+	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy as name=weight[:maxslots],... (e.g. batch=1:8,interactive=3); unlisted tenants get weight 1, no cap")
+	fs.StringVar(&c.boardAddr, "board-addr", "", "listen address of the coordinator's board and progress server (empty = 127.0.0.1:0; it starts lazily on the first exchange or speculating job)")
+	fs.StringVar(&c.boardAdvertise, "board-advertise", "", "base URL workers use to reach the board and progress server (empty = derived from its listener; set it when workers are on other hosts)")
+	fs.DurationVar(&c.boardSync, "board-sync", 0, "worker board-cache sync period for dependent runs, sent in each run request (0 = 50ms)")
+	fs.BoolVar(&c.speculate, "speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first")
+	fs.Float64Var(&c.speculateThr, "speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
+	fs.StringVar(&c.telemetryPath, "telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
+	fs.DurationVar(&c.telemetryEvery, "telemetry-interval", time.Second, "telemetry sampling period")
+	fs.StringVar(&c.calibration, "calibration", "", "runtime-calibration store path: loaded at startup (missing file = empty store), fed by solved jobs, saved on shutdown; enables {\"autosize\": ...} requests (seed it offline with experiments calibrate FILE)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6060)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	distributed := c.workers != "" || c.fleet
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	for _, name := range distributedFlags {
+		if set[name] && !distributed {
+			return nil, fmt.Errorf("-%s configures the distributed backend and needs -workers or -fleet", name)
+		}
+	}
+	switch {
+	case set["slots"] && distributed:
+		return nil, errors.New("-slots sizes the in-process pool; under -workers or -fleet the pool is the fleet's slot capacity")
+	case set["speculate-threshold"] && !c.speculate:
+		return nil, errors.New("-speculate-threshold needs -speculate")
+	case set["telemetry-interval"] && c.telemetryPath == "":
+		return nil, errors.New("-telemetry-interval needs -telemetry")
+	}
+	return c, nil
+}
+
+// run is the whole command: it parses args, serves until ctx is
+// cancelled (SIGINT/SIGTERM in main) or the listener fails, and drains.
+// It prints nothing on stdout; logs and flag usage go to stderr.
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
+	c, err := parse(args, stderr)
+	if err != nil {
+		return err
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+
+	if c.pprofAddr != "" {
+		bound, stopPprof, err := profiling.Serve(c.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof: %w", err)
 		}
 		defer stopPprof()
-		log.Printf("serve: pprof on http://%s/debug/pprof/", bound)
+		logger.Printf("serve: pprof on http://%s/debug/pprof/", bound)
 	}
 
-	tenantPolicies, err := parseTenants(*tenants)
+	tenantPolicies, err := parseTenants(c.tenants)
 	if err != nil {
 		return err
 	}
 
 	var backend service.Backend
 	var coord *dist.Coordinator
-	if *workers != "" || *fleet {
+	if c.workers != "" || c.fleet {
 		var workerURLs []string
-		if *workers != "" {
-			workerURLs = strings.Split(*workers, ",")
+		if c.workers != "" {
+			workerURLs = strings.Split(c.workers, ",")
 		}
 		coord, err = dist.NewCoordinator(dist.CoordinatorConfig{
 			Workers:            workerURLs,
-			Dynamic:            *fleet,
-			HeartbeatInterval:  *fleetHeartbeat,
-			RecoverAttempts:    *recoverRounds,
-			BoardAddr:          *boardAddr,
-			BoardAdvertise:     *boardAdvertise,
-			BoardSync:          *boardSync,
-			Speculate:          *speculate,
-			SpeculateThreshold: *speculateThr,
+			Dynamic:            c.fleet,
+			HeartbeatInterval:  c.fleetHeartbeat,
+			RecoverAttempts:    c.recoverRounds,
+			BoardAddr:          c.boardAddr,
+			BoardAdvertise:     c.boardAdvertise,
+			BoardSync:          c.boardSync,
+			Speculate:          c.speculate,
+			SpeculateThreshold: c.speculateThr,
 		})
 		if err != nil {
 			return err
 		}
-		if *speculate {
-			log.Printf("serve: straggler speculation on (threshold %v)", *speculateThr)
+		if c.speculate {
+			logger.Printf("serve: straggler speculation on (threshold %v)", c.speculateThr)
 		}
 		for _, w := range coord.Workers() {
-			log.Printf("serve: enrolled worker %s (%d slots)", w.URL, w.Slots)
+			logger.Printf("serve: enrolled worker %s (%d slots)", w.URL, w.Slots)
 		}
-		if *fleet {
-			log.Printf("serve: dynamic fleet registration open on /v1/fleet/*")
+		if c.fleet {
+			logger.Printf("serve: dynamic fleet registration open on /v1/fleet/*")
 		}
 		backend = coord
 	}
 
 	var calStore *calibrate.Store
-	if *calibration != "" {
-		calStore, err = calibrate.Load(*calibration)
+	if c.calibration != "" {
+		calStore, err = calibrate.Load(c.calibration)
 		if err != nil {
 			return err
 		}
-		log.Printf("serve: calibration store %s loaded (%d keys); auto-sizing enabled", *calibration, len(calStore.Keys()))
+		logger.Printf("serve: calibration store %s loaded (%d keys); auto-sizing enabled", c.calibration, len(calStore.Keys()))
 	}
 
 	sched := service.New(service.Config{
-		Slots:          *slots,
-		QueueDepth:     *queueDepth,
-		DefaultTimeout: *defaultTimeout,
-		MaxTimeout:     *maxTimeout,
-		ResultTTL:      *ttl,
+		Slots:          c.slots,
+		QueueDepth:     c.queueDepth,
+		DefaultTimeout: c.defaultTimeout,
+		MaxTimeout:     c.maxTimeout,
+		ResultTTL:      c.ttl,
 		Backend:        backend,
 		Tenants:        tenantPolicies,
 		Calibration:    calStore,
 	})
-	expvar.Publish("scheduler", expvar.Func(func() any { return sched.Stats() }))
+	if expvar.Get("scheduler") == nil { // published once per process
+		expvar.Publish("scheduler", expvar.Func(func() any { return sched.Stats() }))
+	}
 
-	if *telemetryPath != "" {
-		f, err := os.Create(*telemetryPath)
+	if c.telemetryPath != "" {
+		f, err := os.Create(c.telemetryPath)
 		if err != nil {
 			sched.Close()
 			return fmt.Errorf("telemetry: %w", err)
 		}
 		defer f.Close()
-		stopTelem := startTelemetry(f, *telemetryEvery, sched, coord)
+		stopTelem := startTelemetry(f, c.telemetryEvery, sched, coord, logger)
 		defer stopTelem()
-		log.Printf("serve: telemetry -> %s every %v", *telemetryPath, *telemetryEvery)
+		logger.Printf("serve: telemetry -> %s every %v", c.telemetryPath, c.telemetryEvery)
 	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(sched))
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	if coord != nil && *fleet {
+	if coord != nil && c.fleet {
 		// Specific patterns take precedence over the "/" catch-all, so
 		// the fleet endpoints shadow the service handler here only.
 		fh := coord.FleetHandler()
@@ -235,7 +300,7 @@ func run() error {
 		mux.Handle("/v1/fleet/", fh)
 	}
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              c.addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -246,40 +311,38 @@ func run() error {
 		if calStore == nil {
 			return
 		}
-		if err := calStore.Save(*calibration); err != nil {
-			log.Printf("serve: saving calibration store: %v", err)
+		if err := calStore.Save(c.calibration); err != nil {
+			logger.Printf("serve: saving calibration store: %v", err)
 			return
 		}
-		log.Printf("serve: calibration store saved to %s (%d keys)", *calibration, len(calStore.Keys()))
+		logger.Printf("serve: calibration store saved to %s (%d keys)", c.calibration, len(calStore.Keys()))
 	}
 
 	errc := make(chan error, 1)
 	go func() {
 		cfg := sched.Config()
-		log.Printf("serve: listening on %s (backend=%s slots=%d queue=%d default-timeout=%v ttl=%v)",
-			*addr, cfg.Backend.Name(), cfg.Slots, cfg.QueueDepth, cfg.DefaultTimeout, cfg.ResultTTL)
+		logger.Printf("serve: listening on %s (backend=%s slots=%d queue=%d default-timeout=%v ttl=%v)",
+			c.addr, cfg.Backend.Name(), cfg.Slots, cfg.QueueDepth, cfg.DefaultTimeout, cfg.ResultTTL)
 		errc <- srv.ListenAndServe()
 	}()
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		sched.Close()
 		saveCalibration()
 		return err
-	case sig := <-stop:
-		log.Printf("serve: %v — shutting down", sig)
+	case <-ctx.Done():
+		logger.Printf("serve: shutting down")
 	}
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("serve: listener shutdown: %v", err)
+		logger.Printf("serve: listener shutdown: %v", err)
 	}
 	sched.Close()
 	saveCalibration()
-	log.Printf("serve: drained cleanly")
+	logger.Printf("serve: drained cleanly")
 	return nil
 }
 
@@ -321,7 +384,7 @@ func parseTenants(spec string) (map[string]service.TenantPolicy, error) {
 // board traffic, when distributed) per period. Names are sorted so
 // the schema stays stable and samples delta-compress to a few bytes
 // when the server idles.
-func startTelemetry(f *os.File, every time.Duration, sched *service.Scheduler, coord *dist.Coordinator) (stop func()) {
+func startTelemetry(f *os.File, every time.Duration, sched *service.Scheduler, coord *dist.Coordinator, logger *log.Logger) (stop func()) {
 	if every <= 0 {
 		every = time.Second
 	}
@@ -354,7 +417,7 @@ func startTelemetry(f *os.File, every time.Duration, sched *service.Scheduler, c
 		}
 		sort.Slice(metrics, func(i, j int) bool { return metrics[i].Name < metrics[j].Name })
 		if err := rec.Record(time.Now(), metrics); err != nil {
-			log.Printf("serve: telemetry: %v", err)
+			logger.Printf("serve: telemetry: %v", err)
 		}
 	}
 	go func() {

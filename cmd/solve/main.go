@@ -18,7 +18,9 @@
 // across walkers as weighted name:weight pairs. -exchange, -virtual and
 // -portfolio need -walkers > 1, and -exchange excludes -virtual: a
 // combination that would be ignored or fail later is rejected before
-// anything is built.
+// anything is built. A dependent run's timing decides who adopts what,
+// so its counts vary from run to run; DESIGN.md §3 compares the two
+// schemes with a lockstep runner whose counts are exact.
 package main
 
 import (

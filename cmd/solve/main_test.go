@@ -2,10 +2,10 @@ package main
 
 import (
 	"io"
-	"os"
-	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // TestRejectedCombinations: flags that would be ignored, or that could
@@ -41,37 +41,12 @@ func TestRejectedCombinations(t *testing.T) {
 	}
 }
 
-// docFiles are the documents whose command lines must keep parsing.
-var docFiles = []string{"../../README.md", "../../DESIGN.md", "../../.github/workflows/ci.yml", "../../.claude/skills/verify/SKILL.md"}
-
-// TestDocCommandsParse parses every solve command line in the docs and
-// CI against the real flags: a path ending in solve (cmd/, ./cmd/, bin/,
-// /tmp/) or solve right after a backtick, then its words up to a
-// comment, pipe, redirect, separator or closing backtick, across
-// backslash-continued lines. cmd/experiments checks its own command
-// lines the same way.
+// TestDocCommandsParse parses every solve command line in README,
+// DESIGN, CI and the verify notes against the real flags (see
+// internal/doccmd).
 func TestDocCommandsParse(t *testing.T) {
-	cmd := regexp.MustCompile("(?:(?:^|[\\s(`])(?:\\./)?(?:cmd|bin|/tmp)/|`)solve\\b([^#|>&;`)\n]*)")
-	found := 0
-	for _, path := range docFiles {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := regexp.MustCompile(`\\\n\s*`).ReplaceAllString(string(blob), " ")
-		for _, line := range strings.Split(text, "\n") {
-			for _, m := range cmd.FindAllStringSubmatchIndex(line, -1) {
-				if strings.HasSuffix(strings.TrimSpace(line[:m[0]]), "-o") {
-					continue // go build -o /tmp/solve names the binary, it does not run it
-				}
-				found++
-				if _, err := parse(strings.Fields(line[m[2]:m[3]]), io.Discard); err != nil {
-					t.Errorf("%s: %s: %v", path, strings.TrimSpace(line), err)
-				}
-			}
-		}
-	}
-	if found < 8 {
-		t.Fatalf("found only %d solve command lines in the docs; is the pattern stale?", found)
-	}
+	doccmd.Check(t, "../..", "solve", 8, func(args []string) error {
+		_, err := parse(args, io.Discard)
+		return err
+	})
 }

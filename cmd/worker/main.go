@@ -16,6 +16,9 @@
 // health monitor need not probe it, and deregisters — draining
 // gracefully — on shutdown. -advertise is the URL the coordinator
 // should dial back; it defaults to http://<hostname><addr port>.
+// -advertise and -heartbeat without -coordinator, and
+// -telemetry-interval without -telemetry, are usage errors: the worker
+// would ignore them.
 //
 // Dependent (exchange) shard runs sync a local board cache with the
 // coordinator's board by POST, on change, on the tick the coordinator
@@ -45,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -59,79 +63,120 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "worker:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr           = flag.String("addr", ":9101", "listen address")
-		slots          = flag.Int("slots", 0, "walker-slot capacity (0 = GOMAXPROCS)")
-		telemetryPath  = flag.String("telemetry", "", "append FTDC-style per-walker telemetry frames to this file (empty = off)")
-		telemetryEvery = flag.Duration("telemetry-interval", time.Second, "telemetry sampling period")
-		coordinator    = flag.String("coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
-		advertise      = flag.String("advertise", "", "worker base URL advertised to the coordinator (default http://<hostname><addr port>)")
-		heartbeat      = flag.Duration("heartbeat", 0, "heartbeat period when registered with a coordinator (0 = 2s)")
-		pprofAddr      = flag.String("pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6061)")
-	)
-	flag.Parse()
+// config is one parsed invocation.
+type config struct {
+	addr, telemetryPath, coordinator, advertise, pprofAddr string
+	slots                                                  int
+	telemetryEvery, heartbeat                              time.Duration
+}
 
-	if *pprofAddr != "" {
-		bound, stopPprof, err := profiling.Serve(*pprofAddr)
+// parse reads args into a config and rejects flags that would be
+// ignored, before anything is started.
+func parse(args []string, stderr io.Writer) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&c.addr, "addr", ":9101", "listen address")
+	fs.IntVar(&c.slots, "slots", 0, "walker-slot capacity (0 = GOMAXPROCS)")
+	fs.StringVar(&c.telemetryPath, "telemetry", "", "append FTDC-style per-walker telemetry frames to this file (empty = off)")
+	fs.DurationVar(&c.telemetryEvery, "telemetry-interval", time.Second, "telemetry sampling period")
+	fs.StringVar(&c.coordinator, "coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
+	fs.StringVar(&c.advertise, "advertise", "", "worker base URL advertised to the coordinator (default http://<hostname><addr port>)")
+	fs.DurationVar(&c.heartbeat, "heartbeat", 0, "heartbeat period when registered with a coordinator (0 = 2s)")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6061)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case fs.NArg() > 0:
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case set["advertise"] && c.coordinator == "":
+		return nil, errors.New("-advertise needs -coordinator")
+	case set["heartbeat"] && c.coordinator == "":
+		return nil, errors.New("-heartbeat needs -coordinator")
+	case set["telemetry-interval"] && c.telemetryPath == "":
+		return nil, errors.New("-telemetry-interval needs -telemetry")
+	}
+	return c, nil
+}
+
+// run is the whole command: it parses args, serves shard runs until ctx
+// is cancelled (SIGINT/SIGTERM in main) or the listener fails, and
+// drains. It prints nothing on stdout; logs and flag usage go to
+// stderr.
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
+	c, err := parse(args, stderr)
+	if err != nil {
+		return err
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+
+	if c.pprofAddr != "" {
+		bound, stopPprof, err := profiling.Serve(c.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof: %w", err)
 		}
 		defer stopPprof()
-		log.Printf("worker: pprof on http://%s/debug/pprof/", bound)
+		logger.Printf("worker: pprof on http://%s/debug/pprof/", bound)
 	}
 
-	cfg := dist.WorkerConfig{Slots: *slots, TelemetryInterval: *telemetryEvery}
-	if *telemetryPath != "" {
-		f, err := os.Create(*telemetryPath)
+	cfg := dist.WorkerConfig{Slots: c.slots, TelemetryInterval: c.telemetryEvery}
+	if c.telemetryPath != "" {
+		f, err := os.Create(c.telemetryPath)
 		if err != nil {
 			return fmt.Errorf("telemetry: %w", err)
 		}
 		defer f.Close()
 		cfg.Telemetry = telemetry.NewRecorder(f)
-		log.Printf("worker: telemetry -> %s every %v", *telemetryPath, *telemetryEvery)
+		logger.Printf("worker: telemetry -> %s every %v", c.telemetryPath, c.telemetryEvery)
 	}
 
 	wk := dist.NewWorker(cfg)
 	srv := &http.Server{
-		Addr:              *addr,
+		Addr:              c.addr,
 		Handler:           wk.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("worker: listening on %s (slots=%d)", *addr, wk.Slots())
+		logger.Printf("worker: listening on %s (slots=%d)", c.addr, wk.Slots())
 		errc <- srv.ListenAndServe()
 	}()
 
 	var agent *dist.FleetAgent
-	if *coordinator != "" {
-		adv, err := advertiseURL(*advertise, *addr)
+	if c.coordinator != "" {
+		adv, err := advertiseURL(c.advertise, c.addr)
 		if err != nil {
 			return err
 		}
 		agent, err = dist.NewFleetAgent(dist.AgentConfig{
-			Coordinator: *coordinator,
+			Coordinator: c.coordinator,
 			Advertise:   adv,
 			Worker:      wk,
-			Interval:    *heartbeat,
-			Logf:        log.Printf,
+			Interval:    c.heartbeat,
+			Logf:        logger.Printf,
 		})
 		if err != nil {
 			return fmt.Errorf("fleet agent: %w", err)
 		}
-		log.Printf("worker: enrolling with %s as %s", *coordinator, adv)
+		logger.Printf("worker: enrolling with %s as %s", c.coordinator, adv)
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		if agent != nil {
@@ -139,8 +184,8 @@ func run() error {
 		}
 		wk.Close()
 		return err
-	case sig := <-stop:
-		log.Printf("worker: %v — shutting down", sig)
+	case <-ctx.Done():
+		logger.Printf("worker: shutting down")
 	}
 
 	// Leave the fleet first (the coordinator marks us draining and stops
@@ -153,9 +198,9 @@ func run() error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("worker: listener shutdown: %v", err)
+		logger.Printf("worker: listener shutdown: %v", err)
 	}
-	log.Printf("worker: drained cleanly")
+	logger.Printf("worker: drained cleanly")
 	return nil
 }
 

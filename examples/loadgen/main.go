@@ -97,48 +97,67 @@ func main() {
 	}
 }
 
+// options is one parsed invocation.
+type options struct {
+	addr, tenantsMix, autosize                                               string
+	inprocess, exchange                                                      bool
+	jobs, concurrency, slots, queueDepth, distWorkers, distSlots, asyncEvery int
+	timeoutMS, seed                                                          int64
+}
+
+// parse reads args into options and rejects combinations that could not
+// run, before anything is started. Flag usage goes to stderr.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "", "target service base URL (empty with -inprocess)")
+	fs.BoolVar(&o.inprocess, "inprocess", false, "spin up the service in-process instead of targeting -addr")
+	fs.IntVar(&o.jobs, "jobs", 200, "total jobs to submit")
+	fs.IntVar(&o.concurrency, "concurrency", 32, "concurrent client workers")
+	fs.Int64Var(&o.timeoutMS, "job-timeout-ms", 15_000, "per-job solver deadline")
+	fs.IntVar(&o.slots, "slots", 0, "in-process pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queueDepth, "queue", 0, "in-process queue depth (0 = 256)")
+	fs.IntVar(&o.distWorkers, "dist-workers", 0, "with -inprocess: run jobs on this many in-process dist workers (0 = local backend)")
+	fs.IntVar(&o.distSlots, "dist-slots", 2, "slot capacity of each in-process dist worker")
+	fs.IntVar(&o.asyncEvery, "async-every", 5, "submit every n-th job async and await it by long-poll GET /v1/jobs/{id}?wait= (0 = every job is a synchronous {\"wait\": true} POST)")
+	fs.Int64Var(&o.seed, "seed", 1, "workload shuffle seed")
+	fs.BoolVar(&o.exchange, "exchange", false, "run multi-walker scenarios in dependent (exchange) mode — on a dist backend, walkers cooperate across worker processes")
+	fs.StringVar(&o.tenantsMix, "tenants", "", "attribute jobs to tenants by weight, name=weight,... (e.g. batch=3,interactive=1); empty submits without tenant attribution")
+	fs.StringVar(&o.autosize, "autosize", "", "replace the mixed workload with auto-sized jobs of this problem spec (\"problem\" or \"problem:size\"): requests carry {\"autosize\": {}} instead of a walker count, the server must hold calibration for the problem (serve -calibration), and every returned job must echo a predictor-chosen walker count >= 1")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case o.distWorkers > 0 && !o.inprocess:
+		return nil, fmt.Errorf("-dist-workers builds an in-process fleet and requires -inprocess (to load-test a real fleet, point -addr at a serve -workers instance)")
+	}
+	return o, nil
+}
+
 // run is the whole command: it parses args, drives the workload and
 // writes the report to stdout. Per-job diagnostics and flag usage go to
 // stderr.
 func run(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	var (
-		addr        = fs.String("addr", "", "target service base URL (empty with -inprocess)")
-		inprocess   = fs.Bool("inprocess", false, "spin up the service in-process instead of targeting -addr")
-		jobs        = fs.Int("jobs", 200, "total jobs to submit")
-		concurrency = fs.Int("concurrency", 32, "concurrent client workers")
-		timeoutMS   = fs.Int64("job-timeout-ms", 15_000, "per-job solver deadline")
-		slots       = fs.Int("slots", 0, "in-process pool size (0 = GOMAXPROCS)")
-		queueDepth  = fs.Int("queue", 0, "in-process queue depth (0 = 256)")
-		distWorkers = fs.Int("dist-workers", 0, "with -inprocess: run jobs on this many in-process dist workers (0 = local backend)")
-		distSlots   = fs.Int("dist-slots", 2, "slot capacity of each in-process dist worker")
-		asyncEvery  = fs.Int("async-every", 5, "submit every n-th job async and await it by long-poll GET /v1/jobs/{id}?wait= (0 = every job is a synchronous {\"wait\": true} POST)")
-		seed        = fs.Int64("seed", 1, "workload shuffle seed")
-		exchange    = fs.Bool("exchange", false, "run multi-walker scenarios in dependent (exchange) mode — on a dist backend, walkers cooperate across worker processes")
-		tenantsMix  = fs.String("tenants", "", "attribute jobs to tenants by weight, name=weight,... (e.g. batch=3,interactive=1); empty submits without tenant attribution")
-		autosize    = fs.String("autosize", "", "replace the mixed workload with auto-sized jobs of this problem spec (\"problem\" or \"problem:size\"): requests carry {\"autosize\": {}} instead of a walker count, the server must hold calibration for the problem (serve -calibration), and every returned job must echo a predictor-chosen walker count >= 1")
-	)
-	if err := fs.Parse(args); err != nil {
+	o, err := parse(args, os.Stderr)
+	if err != nil {
 		return err
 	}
-
-	if *distWorkers > 0 && !*inprocess {
-		return fmt.Errorf("-dist-workers builds an in-process fleet and requires -inprocess (to load-test a real fleet, point -addr at a serve -workers instance)")
-	}
-	base := *addr
+	base := o.addr
 	client := http.DefaultClient
-	if *inprocess {
+	if o.inprocess {
 		var backend service.Backend
 		var fleetDown func()
-		if *distWorkers > 0 {
-			var err error
-			backend, fleetDown, err = inprocessFleet(*distWorkers, *distSlots)
+		if o.distWorkers > 0 {
+			backend, fleetDown, err = inprocessFleet(o.distWorkers, o.distSlots)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "in-process fleet: %d workers x %d slots\n", *distWorkers, *distSlots)
+			fmt.Fprintf(stdout, "in-process fleet: %d workers x %d slots\n", o.distWorkers, o.distSlots)
 		}
-		sched := service.New(service.Config{Slots: *slots, QueueDepth: *queueDepth, Backend: backend})
+		sched := service.New(service.Config{Slots: o.slots, QueueDepth: o.queueDepth, Backend: backend})
 		srv := httptest.NewServer(service.NewHandler(sched))
 		defer func() {
 			srv.Close()
@@ -162,9 +181,9 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("probing %s/healthz: %w", base, err)
 	}
-	mix := scenarios(*timeoutMS, *exchange)
-	if *autosize != "" {
-		sc, err := autosizeScenario(*autosize, *timeoutMS)
+	mix := scenarios(o.timeoutMS, o.exchange)
+	if o.autosize != "" {
+		sc, err := autosizeScenario(o.autosize, o.timeoutMS)
 		if err != nil {
 			return err
 		}
@@ -185,16 +204,16 @@ func run(args []string, stdout io.Writer) error {
 			sc.req["portfolio"] = pf[:w]
 		}
 	}
-	rng := rand.New(rand.NewSource(*seed))
-	order := make([]int, *jobs)
+	rng := rand.New(rand.NewSource(o.seed))
+	order := make([]int, o.jobs)
 	for i := range order {
 		order[i] = rng.Intn(len(mix))
 	}
-	tenantPick, err := parseTenantMix(*tenantsMix)
+	tenantPick, err := parseTenantMix(o.tenantsMix)
 	if err != nil {
 		return err
 	}
-	tenantOf := make([]string, *jobs)
+	tenantOf := make([]string, o.jobs)
 	if tenantPick != nil {
 		for i := range tenantOf {
 			tenantOf[i] = tenantPick(rng)
@@ -217,13 +236,13 @@ func run(args []string, stdout io.Writer) error {
 	start := time.Now()
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < *concurrency; w++ {
+	for w := 0; w < o.concurrency; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
 				sc := mix[order[i]]
-				wait := *asyncEvery == 0 || i%*asyncEvery != 0
+				wait := o.asyncEvery == 0 || i%o.asyncEvery != 0
 				t0 := time.Now()
 				job, nRetries, err := submit(client, base, sc, tenantOf[i], uint64(i+1), wait, &transport)
 				lat := time.Since(t0)
@@ -237,7 +256,7 @@ func run(args []string, stdout io.Writer) error {
 					fmt.Fprintf(os.Stderr, "job %d (%s) failed: %s\n", i, sc.name, job.Error)
 					failures.Add(1)
 				}
-				if *autosize != "" && job.Request.Walkers < 1 {
+				if o.autosize != "" && job.Request.Walkers < 1 {
 					// The request carried no walker count, so a sane echo
 					// proves the predictor actually sized the job.
 					fmt.Fprintf(os.Stderr, "job %d (%s): autosized job echoes walkers=%d\n", i, sc.name, job.Request.Walkers)
@@ -247,7 +266,7 @@ func run(args []string, stdout io.Writer) error {
 				latencies = append(latencies, lat)
 				outcomes[job.State]++
 				perScen[sc.name]++
-				if *autosize != "" {
+				if o.autosize != "" {
 					perWalkers[job.Request.Walkers]++
 				}
 				if tenantOf[i] != "" {
@@ -257,7 +276,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	for i := 0; i < *jobs; i++ {
+	for i := 0; i < o.jobs; i++ {
 		work <- i
 	}
 	close(work)
@@ -270,16 +289,16 @@ func run(args []string, stdout io.Writer) error {
 		resp.Body.Close()
 	}
 
-	report(stdout, *jobs, elapsed, latencies, outcomes, perScen, perTenant, perWalkers, stats, retries.Load(), &transport)
+	report(stdout, o.jobs, elapsed, latencies, outcomes, perScen, perTenant, perWalkers, stats, retries.Load(), &transport)
 
 	if d := dropped.Load(); d > 0 {
-		return fmt.Errorf("%d of %d jobs dropped", d, *jobs)
+		return fmt.Errorf("%d of %d jobs dropped", d, o.jobs)
 	}
 	if f := failures.Load(); f > 0 {
-		return fmt.Errorf("%d of %d jobs failed", f, *jobs)
+		return fmt.Errorf("%d of %d jobs failed", f, o.jobs)
 	}
-	if got := len(latencies); got != *jobs {
-		return fmt.Errorf("accounted for %d of %d jobs", got, *jobs)
+	if got := len(latencies); got != o.jobs {
+		return fmt.Errorf("accounted for %d of %d jobs", got, o.jobs)
 	}
 	return nil
 }

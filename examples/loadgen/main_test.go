@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/doccmd"
 )
 
 // TestAsyncJobsCostOneGetEach runs the in-process smoke with every job
@@ -50,4 +52,14 @@ func TestStreamFlagIsGone(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -stream") {
 		t.Fatalf("run -stream = %v, want a flag-not-defined usage error", err)
 	}
+}
+
+// TestDocCommandsParse parses every loadgen command line in README,
+// DESIGN, CI and the verify notes against the real flags (see
+// internal/doccmd).
+func TestDocCommandsParse(t *testing.T) {
+	doccmd.Check(t, "../..", "loadgen", 6, func(args []string) error {
+		_, err := parse(args, io.Discard)
+		return err
+	})
 }

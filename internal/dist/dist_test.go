@@ -477,6 +477,30 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRunRequestUnknownFields: a run request carrying a field the
+// protocol has retired is rejected with the field named, so a
+// coordinator and a worker of different versions fail loudly instead of
+// running with the retired setting at its default.
+func TestDecodeRunRequestUnknownFields(t *testing.T) {
+	const base = `"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1`
+	for _, tc := range []struct {
+		extra string
+		field string
+	}{
+		{`"board_stream":"127.0.0.1:5678"`, "board_stream"},
+		{`"board_job":"job000009"`, "board_job"},
+		{`"progress_stream":"127.0.0.1:5678"`, "progress_stream"},
+		{`"exchange":{"enabled":true,"period":64},"board":"http://b"`, "period"},
+		{`"exchange":{"enabled":true,"sync_ms":2},"board":"http://b"`, "sync_ms"},
+		{`"engine":{"max_iters":100}`, "max_iters"},
+	} {
+		_, err := DecodeRunRequest(strings.NewReader("{" + base + "," + tc.extra + "}"))
+		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: error %v, want ErrBadRequest naming %q", tc.extra, err, tc.field)
+		}
+	}
+}
+
 // TestCoordinatorRejectsUnplaceableJob: a job wider than the fleet's
 // free capacity fails fast with ErrNoCapacity.
 func TestCoordinatorRejectsUnplaceableJob(t *testing.T) {

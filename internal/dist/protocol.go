@@ -209,10 +209,13 @@ type RunResponse struct {
 
 // DecodeRunRequest reads and validates one RunRequest. Every error
 // wraps ErrBadRequest, so callers (and the fuzz suite) can separate
-// client mistakes from worker faults with errors.Is.
+// client mistakes from worker faults with errors.Is. Unknown fields are
+// errors: a coordinator speaking a retired spelling must not get a run
+// with that setting silently left at its default.
 func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	var req RunRequest
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBodyLen))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return RunRequest{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
 	}

@@ -175,10 +175,14 @@ const maxSolveBodyLen = 8 << 20
 // decodeSolveBody parses one POST /v1/solve payload. Every decode
 // failure wraps ErrBadRequest (the fuzz suite pins this), so transport
 // mistakes and admission rejections surface through the same typed
-// error the HTTP layer maps to 400.
+// error the HTTP layer maps to 400. A field the request does not have
+// is such a mistake: a misspelt or retired field would otherwise be
+// dropped, and the job run with a default in its place.
 func decodeSolveBody(r io.Reader) (solveBody, error) {
 	var body solveBody
-	if err := json.NewDecoder(io.LimitReader(r, maxSolveBodyLen)).Decode(&body); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r, maxSolveBodyLen))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
 		return solveBody{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
 	}
 	return body, nil

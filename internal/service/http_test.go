@@ -365,6 +365,33 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPUnknownFieldsRejected: a field the request does not have is
+// a 400 that names it, not a job run with that setting at its default.
+// The cases are a misspelling and spellings the API has retired.
+func TestHTTPUnknownFieldsRejected(t *testing.T) {
+	_, srv := newTestServer(t, Config{Slots: 2})
+	for _, tc := range []struct {
+		body  string
+		field string
+	}{
+		{`{"problem":"costas","size":8,"walker":2}`, "walker"},
+		{`{"problem":"costas","size":8,"timeout":"5s"}`, "timeout"},
+		{`{"problem":"costas","size":8,"walkers":2,"exchange":{"enabled":true,"period":64}}`, "period"},
+		{`{"problem":"costas","size":8,"portfolio":[{"strategy":"adaptive","weight":1,"engine":{}}]}`, "engine"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", tc.body, resp.StatusCode, e["error"], tc.field)
+		}
+	}
+}
+
 func TestHTTPQueueFull429(t *testing.T) {
 	s, srv := newTestServer(t, Config{Slots: 1, QueueDepth: 1})
 	hard := map[string]any{"problem": "magic-square", "size": 30, "timeout_ms": 60_000}
