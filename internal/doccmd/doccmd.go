@@ -58,8 +58,9 @@ func Check(t testing.TB, root, name string, min int, parse func(args []string) e
 // ending in name (cmd/, ./cmd/, examples/, bin/, /tmp/) or name right
 // after a backtick, then its words up to a comment, pipe, redirect,
 // separator or closing backtick. `go build -o bin/NAME` names the
-// binary and does not run it, and a line that starts with # is a
-// comment (shell, YAML or a Markdown heading), so both are skipped.
+// binary and does not run it, so it is skipped. Comment lines are
+// parsed too: prose there names a command without its path
+// ("serve -fleet"), so that it does not read as a command line.
 func find(root, name string) ([]docLine, error) {
 	cmd := regexp.MustCompile("(?:(?:^|[\\s(`])(?:\\./)?(?:cmd|examples|bin|/tmp)/|`)" + regexp.QuoteMeta(name) + "\\b([^#|>&;`)\n]*)")
 	var lines []docLine
@@ -70,9 +71,6 @@ func find(root, name string) ([]docLine, error) {
 		}
 		text := fdRedirect.ReplaceAllString(continuation.ReplaceAllString(string(blob), " "), ">")
 		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "#") {
-				continue
-			}
 			for _, m := range cmd.FindAllStringSubmatchIndex(line, -1) {
 				if strings.HasSuffix(strings.TrimSpace(line[:m[0]]), "-o") {
 					continue
