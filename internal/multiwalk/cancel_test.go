@@ -391,6 +391,70 @@ func TestRunWalkerErrorCancelsEitherWay(t *testing.T) {
 	}
 }
 
+// panicky is a problem whose move evaluation panics, as a user cost
+// function with a bug would.
+type panicky struct{ core.Problem }
+
+func (panicky) CostIfSwap([]int, int, int, int) int { panic("cost function bug") }
+
+// onRunCaller reports whether the calling goroutine is the one that
+// called Run (its last walker) rather than a walker Run spawned.
+func onRunCaller() bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
+	for {
+		f, more := frames.Next()
+		if f.Function == "repro/internal/multiwalk.Run" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestRunWalkerPanicIsItsError: a problem that panics mid-search fails
+// its walker, not the process, whether that walker is a spawned one or
+// the caller's goroutine; the run ends — the healthy walker's budget is
+// endless — and its error names the walker.
+func TestRunWalkerPanicIsItsError(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		walkers int
+		inline  bool // the walker on Run's caller panics, else the spawned one
+		want    string
+	}{
+		{"spawned walker panics", 2, false, "walker 0 panicked: cost function bug"},
+		{"inline walker panics", 2, true, "walker 1 panicked: cost function bug"},
+		{"only walker panics", 1, true, "walker 0 panicked: cost function bug"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := hardFactory(t, 20)
+			factory := func() (core.Problem, error) {
+				p, err := inner()
+				if err != nil || onRunCaller() != tc.inline {
+					return p, err
+				}
+				return panicky{p}, nil
+			}
+			opts := Options{Walkers: tc.walkers, Seed: 1, Engine: hardOptions(t, 20)}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(context.Background(), factory, opts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the panicking walker did not end the run")
+			}
+		})
+	}
+}
+
 // TestRunSharedTimetableTemplate is for the race detector: four walkers
 // of one Run draw from one timetable factory, so one searches on the
 // template while the others clone it and search on clones that share

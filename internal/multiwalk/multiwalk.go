@@ -549,8 +549,15 @@ func (o *Options) engineFor(pattern []int, w int) (core.Options, int) {
 // the chain of the exchange-board policy, the Progress hook and the
 // caller's engine Monitor; every link runs each poll and the
 // directives merge (any Stop stops, any Restart restarts, the first
-// SetConfig wins).
-func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w, entry int, seed uint64, board Board, progress func(int, int64, int)) (WalkerStat, error) {
+// SetConfig wins). A panic in the walker — a problem's cost function,
+// its factory, a monitor — is the walker's error, so it ends the run
+// like any other walker error instead of the process.
+func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w, entry int, seed uint64, board Board, progress func(int, int64, int)) (_ WalkerStat, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("multiwalk: walker %d panicked: %v", w, r)
+		}
+	}()
 	p, err := factory()
 	if err != nil {
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d factory: %w", w, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -47,9 +48,11 @@ type gateSpec struct {
 // for its search-fd and small-local request shapes, as a test any box
 // can hold: the same front door (POST /v1/solve, wait, two walkers,
 // fixed seeds) played in-process, bytes allocated per job against a
-// committed budget. The budgets sit about a tenth above what the
-// per-job template reaches (64 KB and 14.5 KB; building and reducing
-// every walker's instance and a discarded probe was 331 KB and
+// committed budget. The budgets sit about a tenth above what a job
+// reads with one template per job, compact responses and the job run on
+// the handler's goroutine (54.5 KB and 11.3 KB; indented responses
+// through the dispatcher read 62 KB and 13.3 KB, and building and
+// reducing every walker's instance and a discarded probe 331 KB and
 // 18.6 KB). One more timetable construction in a search-fd job is
 // 27 KB and breaks its budget; the finer count, one reduction and no
 // more, is problems.TestTemplateAllocations.
@@ -68,13 +71,13 @@ func TestAllocationGate(t *testing.T) {
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 71_000},
+		}, 4, 60_000},
 		{"small-local", []gateSpec{
 			{"costas", 9, nil},
 			{"queens", 32, nil},
 			{"all-interval", 10, nil},
 			{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
-		}, 50, 16_000},
+		}, 50, 12_400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Slots: 2})
@@ -116,6 +119,45 @@ func TestAllocationGate(t *testing.T) {
 			t.Logf("%s: %d B a job, budget %d", tc.name, perJob, tc.budget)
 			if perJob > tc.budget {
 				t.Errorf("%s: %d B allocated a job, budget %d", tc.name, perJob, tc.budget)
+			}
+		})
+	}
+}
+
+// BenchmarkSolveHandler is one waited two-walker job through the front
+// door — POST /v1/solve into NewHandler's ServeHTTP, no network — on an
+// idle two-slot pool: decode, admission, the run on the handler's
+// goroutine and the encoded answer. Every op is the same request, so it
+// searches the same walks; allocs/op is the serving path's count.
+func BenchmarkSolveHandler(b *testing.B) {
+	for _, spec := range []gateSpec{
+		{"costas", 9, nil},
+		{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
+	} {
+		b.Run(fmt.Sprintf("%s-%d", spec.Problem, spec.Size), func(b *testing.B) {
+			s := New(Config{Slots: 2})
+			defer s.Close()
+			h := NewHandler(s)
+			body, err := json.Marshal(struct {
+				gateSpec
+				Walkers int    `json:"walkers"`
+				Seed    uint64 `json:"seed"`
+				Wait    bool   `json:"wait"`
+			}{spec, 2, 1, true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rd := bytes.NewReader(body)
+			req := httptest.NewRequest(http.MethodPost, "/v1/solve", rd)
+			w := &discard{hdr: make(http.Header)}
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				w.code = http.StatusOK
+				h.ServeHTTP(w, req)
+				if w.code != http.StatusOK {
+					b.Fatalf("status %d", w.code)
+				}
 			}
 		})
 	}

@@ -1,13 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -38,16 +40,11 @@ func NewHandler(s *Scheduler) http.Handler {
 			return
 		}
 		if body.Wait {
-			job, err := s.SubmitWait(r.Context(), body.Request)
+			// Only a client that went away could end this wait early, and
+			// an answer sent then reaches nobody: the wait is to the end,
+			// which lets an idle pool run the job on this goroutine.
+			job, err := s.SubmitWait(context.WithoutCancel(r.Context()), body.Request)
 			if err != nil {
-				if job.ID != "" {
-					// The client's wait expired but the job is live:
-					// hand back its id so it can be polled or
-					// cancelled rather than orphaned in the pool.
-					w.Header().Set("Location", "/v1/jobs/"+job.ID)
-					writeJSON(w, http.StatusRequestTimeout, map[string]any{"error": err.Error(), "job": job})
-					return
-				}
 				writeError(w, err)
 				return
 			}
@@ -113,14 +110,8 @@ func NewHandler(s *Scheduler) http.Handler {
 			"queue_depth": st.QueueDepth,
 		})
 	})
-	// Served through expvar.Func so the payload is exactly what a
-	// global expvar.Publish of Stats would produce, without touching
-	// the process-global registry (which panics on double Publish and
-	// would break multi-scheduler tests).
-	statsVar := expvar.Func(func() any { return s.Stats() })
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, statsVar.String())
+		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	return mux
 }
@@ -188,12 +179,33 @@ func decodeSolveBody(r io.Reader) (solveBody, error) {
 	return body, nil
 }
 
+// respBufs holds the buffers responses are encoded into, so that a
+// response is one Write of a known length.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledResp keeps a rare large response's buffer out of the pool.
+const maxPooledResp = 64 << 10
+
+// writeJSON answers v as one line of compact JSON. Responses are for
+// programs; a person reading one pipes it through jq.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		// A map of strings always encodes.
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// A failed write is a client that went away; there is no one to tell.
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledResp {
+		respBufs.Put(buf)
+	}
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -217,10 +229,6 @@ func writeError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The waiting client went away; 499-style. 408 is the closest
-		// standard code.
-		code = http.StatusRequestTimeout
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

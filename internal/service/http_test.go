@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,38 @@ func TestHTTPSolveSync(t *testing.T) {
 	}
 	if len(job.Result.Solution) != 8 {
 		t.Fatalf("solution length %d, want 8", len(job.Result.Solution))
+	}
+}
+
+// TestHTTPResponseCompact: a response is one line of compact JSON — the
+// stored job record exactly as json.Marshal writes it — sent with its
+// Content-Length.
+func TestHTTPResponseCompact(t *testing.T) {
+	s := newTestScheduler(t, Config{Slots: 2})
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(`{"problem":"costas","size":8,"walkers":2,"seed":3,"wait":true}`))
+	rec := httptest.NewRecorder()
+	NewHandler(s).ServeHTTP(rec, req)
+	body := rec.Body.Bytes()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, body)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(body)) {
+		t.Errorf("Content-Length %q for a %d-byte body", got, len(body))
+	}
+	var job Job
+	if err := json.Unmarshal(body, &job); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := s.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("response\n%s\nwant the stored job as one line\n%s", body, want)
 	}
 }
 

@@ -283,10 +283,55 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // The call never blocks on solver work: a full queue fails fast with
 // ErrQueueFull, validation failures with ErrBadRequest.
 func (s *Scheduler) Submit(req Request) (Job, error) {
+	j, err := s.newJob(req)
+	if err == nil {
+		_, err = s.admit(j, false)
+	}
+	if err != nil {
+		return Job{}, err
+	}
+	return j.snapshot(), nil
+}
+
+// SubmitWait submits a job and blocks until it reaches a terminal
+// state or ctx is cancelled. In the latter case the job keeps running
+// and its current snapshot is returned alongside the context error, so
+// the caller retains the id to cancel or poll it.
+//
+// A caller whose ctx can never be cancelled waits to the end whatever
+// happens, so when the dispatcher would start its job at once (see
+// admit), the job runs on the caller's goroutine instead of costing a
+// hand-off to the dispatcher, a runner goroutine and a wake-up back.
+func (s *Scheduler) SubmitWait(ctx context.Context, req Request) (Job, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	j, err := s.newJob(req)
+	if err != nil {
+		return Job{}, err
+	}
+	started, err := s.admit(j, ctx.Done() == nil)
+	if err != nil {
+		return Job{}, err
+	}
+	if started {
+		s.runJob(j)
+		return j.snapshot(), nil
+	}
+	select {
+	case <-j.done:
+		return j.snapshot(), nil
+	case <-ctx.Done():
+		return j.snapshot(), ctx.Err()
+	}
+}
+
+// newJob validates req and builds its job record, not yet admitted.
+func (s *Scheduler) newJob(req Request) (*job, error) {
 	factory, opts, err := s.normalizeRequest(&req)
 	if err != nil {
 		s.mRejected.Add(1)
-		return Job{}, err
+		return nil, err
 	}
 	seq := s.seq.Add(1)
 	if req.Seed == 0 {
@@ -310,46 +355,43 @@ func (s *Scheduler) Submit(req Request) (Job, error) {
 		submitted: time.Now(),
 	}
 	j.opts.Progress = s.progressFor(j)
+	return j, nil
+}
 
+// admit counts j against the queue's depth and queues it for the
+// dispatcher. With inline set, a job the dispatcher would start at once
+// — nothing queued ahead of it, its slots free, its tenant under quota —
+// is started here instead: admit reports true, and the caller must run
+// it (runJob). Such a job is the dispatcher's only candidate and fits,
+// so starting it here changes no pick.
+func (s *Scheduler) admit(j *job, inline bool) (started bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.mRejected.Add(1)
-		return Job{}, ErrClosed
+		return false, ErrClosed
 	}
 	if s.nQueued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.mRejected.Add(1)
-		return Job{}, ErrQueueFull
+		return false, ErrQueueFull
 	}
+	s.mSubmitted.Add(1)
 	s.nQueued++
 	s.tenantLocked(j.tenant).queued++
-	s.q = append(s.q, j)
 	s.jobs[j.id] = j
+	if inline && len(s.q) == 0 {
+		s.syncSlotsLocked()
+		if s.slotsFree >= j.opts.Walkers && !s.quotaBlockedLocked(j) {
+			s.startLocked(j)
+			s.mu.Unlock()
+			return true, nil
+		}
+	}
+	s.q = append(s.q, j)
 	s.mu.Unlock()
 	s.cond.Broadcast()
-
-	s.mSubmitted.Add(1)
-	return j.snapshot(), nil
-}
-
-// SubmitWait submits a job and blocks until it reaches a terminal
-// state or ctx is cancelled. In the latter case the job keeps running
-// and its current snapshot is returned alongside the context error, so
-// the caller retains the id to cancel or poll it.
-func (s *Scheduler) SubmitWait(ctx context.Context, req Request) (Job, error) {
-	snap, err := s.Submit(req)
-	if err != nil {
-		return Job{}, err
-	}
-	job, err := s.Wait(ctx, snap.ID)
-	if err != nil {
-		if cur, gerr := s.Get(snap.ID); gerr == nil {
-			return cur, err
-		}
-		return snap, err
-	}
-	return job, nil
+	return false, nil
 }
 
 // Get returns a job snapshot by id.
@@ -509,19 +551,28 @@ func (s *Scheduler) dispatch() {
 			continue
 		}
 		s.removeQueuedLocked(j)
-		s.slotsFree -= j.opts.Walkers
-		t := s.tenantLocked(j.tenant)
-		t.inUse += j.opts.Walkers
-		t.dispatched++
-		// An up-front charge of one walker-second-equivalent per walker
-		// moves the fairness needle even for near-instant jobs, so a
-		// tenant flooding short jobs cannot stay at zero accrued service.
-		t.charge += float64(j.opts.Walkers) / float64(t.weight)
+		s.startLocked(j)
 		s.mu.Unlock()
-		s.wg.Add(1)
 		go s.runJob(j)
 		s.mu.Lock()
 	}
+}
+
+// startLocked hands j its walker slots and books the start in its
+// tenant's ledger; the caller then runs j (runJob), which releases
+// them. The dispatcher and an inline SubmitWait both start jobs through
+// it, so the ledger cannot tell which one did. Callers hold s.mu, which
+// also orders the wg.Add before Close's Wait.
+func (s *Scheduler) startLocked(j *job) {
+	s.slotsFree -= j.opts.Walkers
+	t := s.tenantLocked(j.tenant)
+	t.inUse += j.opts.Walkers
+	t.dispatched++
+	// An up-front charge of one walker-second-equivalent per walker
+	// moves the fairness needle even for near-instant jobs, so a
+	// tenant flooding short jobs cannot stay at zero accrued service.
+	t.charge += float64(j.opts.Walkers) / float64(t.weight)
+	s.wg.Add(1)
 }
 
 // pickLocked selects the next dispatch candidate: the earliest-arrived
@@ -598,10 +649,10 @@ func (s *Scheduler) releaseSlots(j *job) {
 	s.cond.Broadcast()
 }
 
-// runJob executes one admitted job, holding its slots for the
-// duration. The slots go back before done is closed, as the counters do
-// (see finalizeQueued): a client that awaits the job and then reads
-// Stats must not find it still counted in SlotsBusy.
+// runJob executes one started job (see startLocked), holding its slots
+// for the duration. The slots go back before done is closed, as the
+// counters do (see finalizeQueued): a client that awaits the job and
+// then reads Stats must not find it still counted in SlotsBusy.
 func (s *Scheduler) runJob(j *job) {
 	defer s.wg.Done()
 
@@ -610,7 +661,7 @@ func (s *Scheduler) runJob(j *job) {
 
 	j.mu.Lock()
 	if j.state != StateQueued {
-		// Lost a race with Cancel between acquireSlots and here.
+		// Lost a race with Cancel between startLocked and here.
 		j.mu.Unlock()
 		s.releaseSlots(j)
 		return
@@ -622,7 +673,7 @@ func (s *Scheduler) runJob(j *job) {
 	s.decQueued(j)
 	s.mRunning.Add(1)
 
-	res, err := s.cfg.Backend.RunJob(runCtx, j.req.Problem, j.req.Size, j.req.Params, j.factory, j.opts)
+	res, err := s.runBackend(runCtx, j)
 	s.releaseSlots(j)
 	switch {
 	case err != nil:
@@ -639,6 +690,19 @@ func (s *Scheduler) runJob(j *job) {
 	default:
 		s.finalize(j, StateUnsolved, &res, nil)
 	}
+}
+
+// runBackend runs j on the backend and turns a panic there into the
+// job's error, so that a panicking problem fails its job — slots
+// released, waiters woken — instead of the process or, on an inline
+// run, the caller's request.
+func (s *Scheduler) runBackend(ctx context.Context, j *job) (res multiwalk.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = multiwalk.Result{}, fmt.Errorf("backend panicked: %v", p)
+		}
+	}()
+	return s.cfg.Backend.RunJob(ctx, j.req.Problem, j.req.Size, j.req.Params, j.factory, j.opts)
 }
 
 // finalizeQueued cancels a job if and only if it is still queued —
