@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/problems"
-	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // runLockstep runs the dependent scheme deterministically: the k
@@ -253,6 +253,7 @@ const (
 	confirmSeedBase = 2_000_000
 	confirmSeeds    = 500
 	bootstrapIters  = 50_000
+	bootstrapSeed   = 2012
 	confidence      = 0.95
 )
 
@@ -385,17 +386,14 @@ func TestDependentVsIndependent(t *testing.T) {
 			cell.Dependent, cell.Independent = summarize(dep), summarize(ind)
 			cell.MeanAdoptions = float64(adoptions) / float64(confirmSeeds)
 			cell.Ratio = cell.Dependent.Mean / cell.Independent.Mean
-			cell.RatioLo, cell.RatioHi = pairedRatioCI(dep, ind)
-			cell.KSD, cell.KSP = ks2(dep, ind)
-			switch {
-			case cell.RatioHi < 1:
-				cell.Verdict = "dependent better"
+			if cell.RatioLo, cell.RatioHi, err = stats.PairedRatioCI(dep, ind, bootstrapIters, confidence, bootstrapSeed); err != nil {
+				t.Fatal(err)
+			}
+			cell.KSD, cell.KSP = stats.KS2(dep, ind)
+			cell.Verdict = lockstepVerdict(cell.RatioLo, cell.RatioHi)
+			if cell.Verdict == "dependent better" {
 				key := fmt.Sprint(k)
 				art.WinsByWalkers[key] = append(art.WinsByWalkers[key], pr.name)
-			case cell.RatioLo > 1:
-				cell.Verdict = "independent better"
-			default:
-				cell.Verdict = "level"
 			}
 			t.Logf("%s-%d k=%d P=%d A=%g: dep %.0f ind %.0f ratio %.3f [%.3f, %.3f] KS %.3f p=%.3g",
 				pr.name, pr.size, k, cell.Period, cell.AdoptFactor, cell.Dependent.Mean, cell.Independent.Mean,
@@ -403,12 +401,7 @@ func TestDependentVsIndependent(t *testing.T) {
 			art.Cells = append(art.Cells, cell)
 		}
 	}
-	art.Decision = "delete"
-	for _, won := range art.WinsByWalkers {
-		if len(won) >= 2 {
-			art.Decision = "keep"
-		}
-	}
+	art.Decision = lockstepDecision(art.WinsByWalkers)
 	out, err := json.MarshalIndent(art, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -417,6 +410,83 @@ func TestDependentVsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("decision: %s (wins by walker count: %v)", art.Decision, art.WinsByWalkers)
+}
+
+// lockstepVerdict reads a cell's paired ratio CI.
+func lockstepVerdict(lo, hi float64) string {
+	switch {
+	case hi < 1:
+		return "dependent better"
+	case lo > 1:
+		return "independent better"
+	}
+	return "level"
+}
+
+// lockstepDecision applies the artifact's rule to the dependent wins
+// by walker count.
+func lockstepDecision(wins map[string][]string) string {
+	for _, won := range wins {
+		if len(won) >= 2 {
+			return "keep"
+		}
+	}
+	return "delete"
+}
+
+// TestDependentArtifactRecomputes recomputes every cell of the
+// committed BENCH_dependent_vs_independent.json from its stored
+// winner_iters with the shared referee (stats.PairedRatioCI, stats.KS2)
+// and requires the stored statistics, verdicts and decision exactly.
+// The full check redoes 20 cells of 50 000 resamples (about 2.5 s on a
+// 2-vCPU Xeon); -short bootstraps the first cell only.
+func TestDependentArtifactRecomputes(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_dependent_vs_independent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art lockstepArtifact
+	if err := json.Unmarshal(blob, &art); err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Cells) != len(lockstepProblems)*len(lockstepWalkers) {
+		t.Fatalf("artifact has %d cells, want %d", len(art.Cells), len(lockstepProblems)*len(lockstepWalkers))
+	}
+	wins := map[string][]string{}
+	for i, c := range art.Cells {
+		dep, ind := c.Dependent.WinnerIters, c.Independent.WinnerIters
+		label := fmt.Sprintf("%s-%d k=%d", c.Problem, c.Size, c.Walkers)
+		if !reflect.DeepEqual(summarize(dep), c.Dependent) || !reflect.DeepEqual(summarize(ind), c.Independent) {
+			t.Errorf("%s: stored summaries do not match the stored winner_iters", label)
+		}
+		if r := c.Dependent.Mean / c.Independent.Mean; r != c.Ratio {
+			t.Errorf("%s: ratio_of_means %v, recomputed %v", label, c.Ratio, r)
+		}
+		if d, p := stats.KS2(dep, ind); d != c.KSD || p != c.KSP {
+			t.Errorf("%s: KS (%v, %v), recomputed (%v, %v)", label, c.KSD, c.KSP, d, p)
+		}
+		lo, hi := c.RatioLo, c.RatioHi
+		if i == 0 || !testing.Short() {
+			if lo, hi, err = stats.PairedRatioCI(dep, ind, art.BootstrapIters, art.Confidence, bootstrapSeed); err != nil {
+				t.Fatal(err)
+			}
+			if lo != c.RatioLo || hi != c.RatioHi {
+				t.Errorf("%s: CI [%v, %v], recomputed [%v, %v]", label, c.RatioLo, c.RatioHi, lo, hi)
+			}
+		}
+		if v := lockstepVerdict(lo, hi); v != c.Verdict {
+			t.Errorf("%s: verdict %q, recomputed %q", label, c.Verdict, v)
+		}
+		if c.Verdict == "dependent better" {
+			wins[fmt.Sprint(c.Walkers)] = append(wins[fmt.Sprint(c.Walkers)], c.Problem)
+		}
+	}
+	if !reflect.DeepEqual(wins, art.WinsByWalkers) {
+		t.Errorf("dependent wins %v, recomputed %v", art.WinsByWalkers, wins)
+	}
+	if d := lockstepDecision(wins); d != art.Decision {
+		t.Errorf("decision %q, recomputed %q", art.Decision, d)
+	}
 }
 
 // sweep runs one job per seed base, base+1, ..., base+n-1 on
@@ -482,59 +552,6 @@ func summarize(xs []int64) sideSummary {
 	}
 	m, sd := meanSD(xs)
 	return sideSummary{N: len(xs), Mean: m, SD: sd, Q1: q(0.25), Median: q(0.5), Q3: q(0.75), WinnerIters: xs}
-}
-
-// pairedRatioCI is the percentile bootstrap CI of mean(dep)/mean(ind),
-// resampling seeds (pairs) with replacement.
-func pairedRatioCI(dep, ind []int64) (lo, hi float64) {
-	r := rng.New(2012)
-	n := len(dep)
-	ratios := make([]float64, bootstrapIters)
-	for b := range ratios {
-		var sd, si float64
-		for range n {
-			i := r.Intn(n)
-			sd += float64(dep[i])
-			si += float64(ind[i])
-		}
-		ratios[b] = sd / si
-	}
-	sort.Float64s(ratios)
-	alpha := (1 - confidence) / 2
-	return ratios[int(alpha*bootstrapIters)], ratios[int(math.Ceil((1-alpha)*bootstrapIters))-1]
-}
-
-// ks2 is the two-sample Kolmogorov-Smirnov statistic D and its
-// asymptotic p-value.
-func ks2(a, b []int64) (d, p float64) {
-	x := append([]int64(nil), a...)
-	y := append([]int64(nil), b...)
-	sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
-	sort.Slice(y, func(i, j int) bool { return y[i] < y[j] })
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		v := min(x[i], y[j])
-		for i < len(x) && x[i] == v {
-			i++
-		}
-		for j < len(y) && y[j] == v {
-			j++
-		}
-		d = math.Max(d, math.Abs(float64(i)/float64(len(x))-float64(j)/float64(len(y))))
-	}
-	ne := float64(len(x)*len(y)) / float64(len(x)+len(y))
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	if lambda < 0.2 { // the series below does not converge; Q(0.2) rounds to 1
-		return d, 1
-	}
-	for k := 1; k <= 100; k++ {
-		term := 2 * math.Exp(-2*float64(k*k)*lambda*lambda)
-		if k%2 == 0 {
-			term = -term
-		}
-		p += term
-	}
-	return d, math.Min(1, math.Max(0, p))
 }
 
 func gitRev() string {

@@ -247,6 +247,75 @@ func (s *Sample) Bootstrap(stat func(*Sample) float64, iters int, conf float64, 
 	return vals[loIdx], vals[hiIdx], nil
 }
 
+// PairedRatioCI returns the percentile bootstrap confidence interval of
+// mean(a)/mean(b) at the given confidence level, where a[i] and b[i]
+// are one pair (two arms run on one seed). Each of the iters resamples
+// draws len(a) pair indices with replacement from a stream seeded with
+// seed, so the interval is a pure function of its arguments. This is
+// the referee of the BENCH_*.json comparisons: an arm beats another
+// beyond the CI when hi < 1.
+func PairedRatioCI(a, b []int64, iters int, conf float64, seed uint64) (lo, hi float64, err error) {
+	if len(a) == 0 || len(a) != len(b) {
+		return 0, 0, fmt.Errorf("stats: PairedRatioCI needs two non-empty samples of one length, got %d and %d", len(a), len(b))
+	}
+	if iters < 1 {
+		return 0, 0, errors.New("stats: PairedRatioCI needs iters >= 1")
+	}
+	if conf <= 0 || conf >= 1 {
+		return 0, 0, fmt.Errorf("stats: confidence %v outside (0,1)", conf)
+	}
+	r := rng.New(seed)
+	n := len(a)
+	ratios := make([]float64, iters)
+	for it := range ratios {
+		var sa, sb float64
+		for range n {
+			i := r.Intn(n)
+			sa += float64(a[i])
+			sb += float64(b[i])
+		}
+		ratios[it] = sa / sb
+	}
+	sort.Float64s(ratios)
+	alpha := (1 - conf) / 2
+	return ratios[int(alpha*float64(iters))], ratios[int(math.Ceil((1-alpha)*float64(iters)))-1], nil
+}
+
+// KS2 returns the two-sample Kolmogorov-Smirnov statistic D — the
+// largest gap between the two empirical CDFs — and its asymptotic
+// p-value (Stephens' small-sample correction of the effective size).
+// Both samples must be non-empty.
+func KS2(a, b []int64) (d, p float64) {
+	x := append([]int64(nil), a...)
+	y := append([]int64(nil), b...)
+	sort.Slice(x, func(i, j int) bool { return x[i] < x[j] })
+	sort.Slice(y, func(i, j int) bool { return y[i] < y[j] })
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		v := min(x[i], y[j])
+		for i < len(x) && x[i] == v {
+			i++
+		}
+		for j < len(y) && y[j] == v {
+			j++
+		}
+		d = math.Max(d, math.Abs(float64(i)/float64(len(x))-float64(j)/float64(len(y))))
+	}
+	ne := float64(len(x)*len(y)) / float64(len(x)+len(y))
+	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
+	if lambda < 0.2 { // the series below does not converge; Q(0.2) rounds to 1
+		return d, 1
+	}
+	for k := 1; k <= 100; k++ {
+		term := 2 * math.Exp(-2*float64(k*k)*lambda*lambda)
+		if k%2 == 0 {
+			term = -term
+		}
+		p += term
+	}
+	return d, math.Min(1, math.Max(0, p))
+}
+
 // ShiftedExp is the parametric runtime model T = Shift + Exp(mean
 // Scale): a deterministic floor plus a memoryless search phase. Its
 // multi-walk speedup saturates at (Shift+Scale)/Shift; with Shift = 0

@@ -569,3 +569,79 @@ func TestSuperlinearSpeedupPossible(t *testing.T) {
 		t.Fatalf("bimodal speedup at k=2 is %v, expected superlinear (> 2)", sp)
 	}
 }
+
+// TestKS2HandComputed pins KS2 on samples small enough to work by hand.
+// D is the largest |F_a - F_b| over the pooled values, taken after all
+// ties at a value; p follows from λ = (√nₑ + 0.12 + 0.11/√nₑ)·D with
+// nₑ = nm/(n+m) and Q(λ) = 2 Σ (-1)^(k-1) exp(-2k²λ²).
+func TestKS2HandComputed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b []int64
+		d, p float64
+	}{
+		// Disjoint: F_a reaches 1 before F_b leaves 0. nₑ = 1.5,
+		// λ = 1.43456, Q = 2(e^-4.1159 - e^-16.464 + …) = 0.032622.
+		{"disjoint", []int64{1, 2, 3}, []int64{4, 5, 6}, 1, 0.032622},
+		// F_a - F_b after 1..6: 1/4, 2/4, 3/4-1/4, 1-2/4, 1-3/4, 0.
+		// nₑ = 2, λ = 0.80600, Q = 0.534416.
+		{"overlap", []int64{4, 3, 2, 1}, []int64{3, 6, 5, 4}, 0.5, 0.534416},
+		// Ties across the samples: at 1 the gap is 2/3 - 1/3, at 2 it is
+		// 0; splitting the tie at 1 would read 2/3. λ = 0.47819.
+		{"ties", []int64{1, 1, 2}, []int64{1, 2, 2}, 1.0 / 3, 0.976213},
+		// Identical samples: D = 0, below the series' range, p = 1.
+		{"identical", []int64{5, 7, 7}, []int64{7, 5, 7}, 0, 1},
+	} {
+		d, p := KS2(tc.a, tc.b)
+		if math.Abs(d-tc.d) > 1e-12 || math.Abs(p-tc.p) > 5e-6 {
+			t.Errorf("%s: KS2 = (%v, %v), want (%v, %v)", tc.name, d, p, tc.d, tc.p)
+		}
+	}
+}
+
+// TestPairedRatioCIHandComputed pins the paired bootstrap on samples
+// whose resampling distribution can be written down.
+func TestPairedRatioCIHandComputed(t *testing.T) {
+	// Every pair has ratio 2, so every resample's ratio of sums is
+	// exactly 2 (doubling integers is exact in float64).
+	lo, hi, err := PairedRatioCI([]int64{2, 8, 14, 40}, []int64{1, 4, 7, 20}, 1000, 0.95, 1)
+	if err != nil || lo != 2 || hi != 2 {
+		t.Errorf("constant ratio: [%v, %v] %v, want [2, 2]", lo, hi, err)
+	}
+	// One pair: every resample is that pair.
+	if lo, hi, err := PairedRatioCI([]int64{3}, []int64{4}, 10, 0.95, 1); err != nil || lo != 0.75 || hi != 0.75 {
+		t.Errorf("one pair: [%v, %v] %v, want [0.75, 0.75]", lo, hi, err)
+	}
+	// Pairs (1,1) and (3,1): a resample of two is (1+1)/2, (1+3)/2 or
+	// (3+3)/2 with probabilities 1/4, 1/2, 1/4. A 90% interval cuts 5%
+	// off each tail, inside the 25% masses at 1 and 3.
+	lo, hi, err = PairedRatioCI([]int64{1, 3}, []int64{1, 1}, 4000, 0.9, 7)
+	if err != nil || lo != 1 || hi != 3 {
+		t.Errorf("two pairs: [%v, %v] %v, want [1, 3]", lo, hi, err)
+	}
+	// The seed is the whole source of randomness.
+	a := []int64{10, 30, 25, 7, 90, 41}
+	b := []int64{12, 20, 30, 9, 60, 50}
+	lo1, hi1, _ := PairedRatioCI(a, b, 500, 0.95, 42)
+	lo2, hi2, _ := PairedRatioCI(a, b, 500, 0.95, 42)
+	if lo1 != lo2 || hi1 != hi2 {
+		t.Errorf("same seed gave [%v, %v] and [%v, %v]", lo1, hi1, lo2, hi2)
+	}
+	if point := 203.0 / 181; !(lo1 <= point && point <= hi1) {
+		t.Errorf("CI [%v, %v] misses the point estimate %v", lo1, hi1, point)
+	}
+	for _, bad := range []struct {
+		a, b  []int64
+		iters int
+		conf  float64
+	}{
+		{nil, nil, 10, 0.95},
+		{[]int64{1, 2}, []int64{1}, 10, 0.95},
+		{[]int64{1}, []int64{1}, 0, 0.95},
+		{[]int64{1}, []int64{1}, 10, 1},
+	} {
+		if _, _, err := PairedRatioCI(bad.a, bad.b, bad.iters, bad.conf, 1); err == nil {
+			t.Errorf("PairedRatioCI(%v, %v, %d, %v) accepted", bad.a, bad.b, bad.iters, bad.conf)
+		}
+	}
+}
