@@ -1,11 +1,18 @@
 package multiwalk
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
+	"sync"
+	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // BENCH_portfolio_vs_adaptive.json settles the heterogeneous strategy
@@ -433,6 +440,139 @@ func pfCensored(xs []int64, cap int64) (censored int, mean float64) {
 		mean += float64(x)
 	}
 	return censored, mean / float64(len(xs))
+}
+
+// TestPortfolioArtifact recomputes BENCH_portfolio_vs_adaptive.json
+// from its stored samples: censored counts, ns/iteration spreads, every
+// dev pick, every E[min], ratio, bootstrap CI and verdict, and the
+// decision under the stored rule. The full check redoes 4 × 50 000
+// joint resamples over 6 walker counts (about 12 s on a 2-vCPU Xeon,
+// one problem a core); -short skips the resampling and checks
+// everything else.
+func TestPortfolioArtifact(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_portfolio_vs_adaptive.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art pfArtifact
+	if err := json.Unmarshal(blob, &art); err != nil {
+		t.Fatal(err)
+	}
+	if art.Rule != (pfRule{pfRulePortfolio, pfRuleStrategy, pfCrossGate}) {
+		t.Fatalf("stored rule %+v is not the rule this test applies", art.Rule)
+	}
+	if len(art.Problems) != 4 || len(art.Walkers) != 6 {
+		t.Fatalf("artifact covers %d problems × %d walker counts, want 4 × 6", len(art.Problems), len(art.Walkers))
+	}
+	nDev := art.DevSeeds[1] - art.DevSeeds[0] + 1
+	nConfirm := art.ConfirmSeeds[1] - art.ConfirmSeeds[0] + 1
+	iters := art.BootstrapIters
+	if testing.Short() {
+		iters = 0
+	}
+	var wg sync.WaitGroup
+	got := make([]pfProblem, len(art.Problems))
+	for p, pr := range art.Problems {
+		if len(pr.Samples) != len(pfStrategies) || len(pr.Cells) != len(art.Walkers) {
+			t.Fatalf("%s: %d samples and %d cells", pr.Problem, len(pr.Samples), len(pr.Cells))
+		}
+		price := make([]float64, len(pr.Samples))
+		var dev, confirm [][]int64
+		for s, smp := range pr.Samples {
+			label := fmt.Sprintf("%s/%s", pr.Problem, smp.Strategy)
+			if smp.Strategy != pfStrategies[s] || len(smp.Dev) != nDev || len(smp.Confirm) != nConfirm {
+				t.Fatalf("%s: sample %d holds %d dev and %d confirmation draws", label, s, len(smp.Dev), len(smp.Confirm))
+			}
+			if c, _ := pfCensored(smp.Dev, art.CapIters); c != smp.CensoredDev {
+				t.Errorf("%s: censored_dev %d, recomputed %d", label, smp.CensoredDev, c)
+			}
+			if c, m := pfCensored(smp.Confirm, art.CapIters); c != smp.CensoredConfirm || m != smp.ConfirmMean {
+				t.Errorf("%s: censored_confirm %d mean %v, recomputed %d %v", label, smp.CensoredConfirm, smp.ConfirmMean, c, m)
+			}
+			if sp := pfSpreadOf(smp.NsPerIter.Chunks); !reflect.DeepEqual(sp, smp.NsPerIter) {
+				t.Errorf("%s: ns/iteration spread %+v, recomputed %+v", label, smp.NsPerIter, sp)
+			}
+			price[s] = smp.NsPerIter.Median
+			dev, confirm = append(dev, smp.Dev), append(confirm, smp.Confirm)
+		}
+		// Recompute the dev picks, then confirm the picked arms.
+		cells := make([]pfCell, len(pr.Cells))
+		for c, stored := range pr.Cells {
+			if stored.Walkers != art.Walkers[c] {
+				t.Fatalf("%s: cell %d is k=%d, want %d", pr.Problem, c, stored.Walkers, art.Walkers[c])
+			}
+			var names []string
+			var counts [][]int
+			for _, d := range stored.Dev {
+				if sum(d.Counts) != stored.Walkers {
+					t.Errorf("%s k=%d: mix %s counts %v do not sum to k", pr.Problem, stored.Walkers, d.Mix, d.Counts)
+				}
+				names, counts = append(names, d.Mix), append(counts, d.Counts)
+			}
+			devPts, best := pfPick(dev, price, names, counts)
+			cells[c] = pfCell{Walkers: stored.Walkers, Dev: devPts, Mix: names[best]}
+			cells[c].Arms = []pfArm{{Arm: "portfolio", Counts: counts[best]}}
+			for s := 1; s < len(pfStrategies); s++ {
+				cells[c].Arms = append(cells[c].Arms, pfArm{Arm: pfStrategies[s], Counts: pfAlone(s, stored.Walkers)})
+			}
+		}
+		got[p] = pfProblem{Problem: pr.Problem, Size: pr.Size, Samples: pr.Samples, Cells: cells, CrossCheck: pr.CrossCheck}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pfConfirm(confirm, price, cells, iters, art.BootstrapSeed, art.Confidence)
+		}()
+	}
+	wg.Wait()
+	for p, pr := range art.Problems {
+		for c, stored := range pr.Cells {
+			g := got[p].Cells[c]
+			if iters == 0 { // -short: take the stored CIs, recompute the rest
+				for a := range g.Arms {
+					s := stored.Arms[a]
+					g.Arms[a].RatioRawLo, g.Arms[a].RatioRawHi = s.RatioRawLo, s.RatioRawHi
+					g.Arms[a].RatioPricedLo, g.Arms[a].RatioPricedHi = s.RatioPricedLo, s.RatioPricedHi
+					g.Arms[a].Verdict = pfVerdict(g.Arms[a].Arm, s.RatioPricedLo, s.RatioPricedHi)
+				}
+			}
+			if !reflect.DeepEqual(g, stored) {
+				t.Errorf("%s k=%d: stored cell\n %+v\nrecomputed\n %+v", pr.Problem, stored.Walkers, stored, g)
+			}
+		}
+		x := pr.CrossCheck
+		for _, cell := range got[p].Cells {
+			if cell.Walkers == x.Walkers {
+				arm := cell.Arms[0]
+				if cell.Mix != x.Mix || arm.RatioRaw != x.OSRatio || arm.RatioRawLo != x.OSRatioLo || arm.RatioRawHi != x.OSRatioHi {
+					t.Errorf("%s: cross-check compares %s against %v [%v, %v]; the k=%d cell has %s %v [%v, %v]",
+						pr.Problem, x.Mix, x.OSRatio, x.OSRatioLo, x.OSRatioHi, cell.Walkers, cell.Mix, arm.RatioRaw, arm.RatioRawLo, arm.RatioRawHi)
+				}
+			}
+		}
+		want := x
+		want.AdaptiveCensored, _ = pfCensored(x.AdaptiveWinner, art.CapIters)
+		want.MixCensored, _ = pfCensored(x.MixWinner, art.CapIters)
+		_, am := pfCensored(x.AdaptiveWinner, art.CapIters)
+		_, mm := pfCensored(x.MixWinner, art.CapIters)
+		want.Ratio = mm / am
+		want.KSD, want.KSP = stats.KS2(x.MixWinner, x.AdaptiveWinner)
+		if iters > 0 {
+			if want.RatioLo, want.RatioHi, err = stats.PairedRatioCI(x.MixWinner, x.AdaptiveWinner, iters, art.Confidence, art.BootstrapSeed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want.Inside, want.Overlap = pfCrossVerdict(want)
+		if !reflect.DeepEqual(want, x) {
+			t.Errorf("%s: stored cross-check\n %+v\nrecomputed\n %+v", pr.Problem, x, want)
+		}
+		if !x.Overlap {
+			t.Errorf("%s: the direct CI [%v, %v] misses the order-statistic CI [%v, %v]", pr.Problem, x.RatioLo, x.RatioHi, x.OSRatioLo, x.OSRatioHi)
+		}
+	}
+	pw, sw, d := pfDecide(art.Problems)
+	if !reflect.DeepEqual(pw, art.PortfolioWins) || !reflect.DeepEqual(sw, art.StrategyWins) || !reflect.DeepEqual(d, art.Decision) {
+		t.Errorf("stored wins %v / %v and decision %+v; recomputed %v / %v and %+v", art.PortfolioWins, art.StrategyWins, art.Decision, pw, sw, d)
+	}
 }
 
 // pfCrossVerdict reads a cross-check: whether the direct ratio lies in
