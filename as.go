@@ -27,11 +27,6 @@ type MultiWalkOptions = multiwalk.Options
 // MultiWalkResult aggregates a parallel multi-walk run.
 type MultiWalkResult = multiwalk.Result
 
-// PortfolioEntry assigns engine options (typically a different search
-// strategy) to a weighted share of the walkers of a multi-walk run;
-// set MultiWalkOptions.Portfolio to run a heterogeneous portfolio.
-type PortfolioEntry = multiwalk.PortfolioEntry
-
 // Strategy bundles the engine's pluggable search behaviors: variable
 // selection, move selection, and the restart/diversification policy.
 // Register one with RegisterStrategy and select it by name through
@@ -49,13 +44,6 @@ type RestartPolicy = core.RestartPolicy
 
 // SearchState is the live engine state handed to strategy plug points.
 type SearchState = core.State
-
-// Built-in strategy names for Options.Strategy.
-const (
-	StrategyAdaptive   = core.StrategyAdaptive
-	StrategyRandomWalk = core.StrategyRandomWalk
-	StrategyMetropolis = core.StrategyMetropolis
-)
 
 // ProblemFactory builds fresh problem instances, one per walker.
 type ProblemFactory = multiwalk.Factory
@@ -149,9 +137,8 @@ var ErrBadParams = problems.ErrBadParams
 var ErrUnsatisfiable = domain.ErrUnsatisfiable
 
 // RegisterStrategy adds a named strategy factory to the global
-// registry, making it selectable through Options.Strategy (and thus
-// multi-walk portfolios and the CLI). The factory runs once per Solve
-// call, so strategies may carry per-run state.
+// registry, making it selectable through Options.Strategy. The factory
+// runs once per Solve call, so strategies may carry per-run state.
 func RegisterStrategy(name string, factory func() Strategy) {
 	core.RegisterStrategy(name, factory)
 }

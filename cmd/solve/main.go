@@ -5,18 +5,15 @@
 // Usage:
 //
 //	solve -problem costas -size 16 -walkers 8 -seed 42 -timeout 60s
-//	solve -problem magic-square -size 10 -strategy metropolis
-//	solve -problem costas -size 14 -walkers 6 -portfolio adaptive:2,metropolis:1
+//	solve -problem magic-square -size 10 -seed 42
 //	solve -problem timetable -size 20 -param slots=6 -param rooms=4 -param teachers=4
 //	solve -list
 //
 // With -walkers > 1 the run uses the paper's independent multi-walk
 // scheme (first solution wins); -exchange enables the dependent
 // (communicating) variant; -virtual executes walks sequentially and
-// reports the deterministic iteration-count winner. -strategy selects
-// the search strategy for all walkers; -portfolio mixes strategies
-// across walkers as weighted name:weight pairs. -exchange, -virtual and
-// -portfolio need -walkers > 1, and -exchange excludes -virtual: a
+// reports the deterministic iteration-count winner. -exchange and
+// -virtual need -walkers > 1, and -exchange excludes -virtual: a
 // combination that would be ignored or fail later is rejected before
 // anything is built. A dependent run's timing decides who adopts what,
 // so its counts vary from run to run; DESIGN.md §3 compares the two
@@ -51,13 +48,13 @@ func main() {
 
 // config is one parsed invocation.
 type config struct {
-	problem, strategy, portfolio string
-	size, walkers                int
-	seed                         uint64
-	timeout                      time.Duration
-	exchange, virtual            bool
-	list, quiet                  bool
-	params                       paramFlags
+	problem           string
+	size, walkers     int
+	seed              uint64
+	timeout           time.Duration
+	exchange, virtual bool
+	list, quiet       bool
+	params            paramFlags
 }
 
 // parse reads args into a config and rejects flag combinations that
@@ -73,9 +70,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&c.timeout, "timeout", 2*time.Minute, "overall deadline")
 	fs.BoolVar(&c.exchange, "exchange", false, "enable dependent multi-walk communication (requires -walkers > 1)")
 	fs.BoolVar(&c.virtual, "virtual", false, "deterministic virtual multi-walk, winner by iterations (requires -walkers > 1)")
-	fs.StringVar(&c.strategy, "strategy", "", "search strategy for all walkers (see -list)")
-	fs.StringVar(&c.portfolio, "portfolio", "", "heterogeneous strategy portfolio as name:weight pairs, e.g. adaptive:2,metropolis:1 (requires -walkers > 1)")
-	fs.BoolVar(&c.list, "list", false, "list available benchmarks and strategies and exit")
+	fs.BoolVar(&c.list, "list", false, "list available benchmarks and exit")
 	fs.BoolVar(&c.quiet, "quiet", false, "suppress solution printing")
 	fs.Var(c.params, "param", "benchmark parameter as key=value (repeatable), e.g. -param slots=6 -param rooms=4")
 	if err := fs.Parse(args); err != nil {
@@ -84,14 +79,10 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	switch {
 	case fs.NArg() > 0:
 		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	case c.walkers <= 1 && c.portfolio != "":
-		return nil, fmt.Errorf("-portfolio requires -walkers > 1")
 	case c.walkers <= 1 && c.exchange:
 		return nil, fmt.Errorf("-exchange requires -walkers > 1")
 	case c.walkers <= 1 && c.virtual:
 		return nil, fmt.Errorf("-virtual requires -walkers > 1")
-	case c.portfolio != "" && c.strategy != "":
-		return nil, fmt.Errorf("-portfolio and -strategy are mutually exclusive")
 	case c.virtual && c.exchange:
 		return nil, fmt.Errorf("-virtual and -exchange are mutually exclusive (dependent runs cannot be virtualized)")
 	}
@@ -113,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "%-15s default=%-5d paper=%-5d %s\n", info.Name, info.DefaultSize, info.PaperSize, info.Description)
 		}
-		fmt.Fprintf(stdout, "strategies: %s\n", strings.Join(core.StrategyNames(), ", "))
 		return nil
 	}
 
@@ -126,7 +116,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	opts := core.TunedOptions(p)
 	opts.Seed = c.seed
-	opts.Strategy = c.strategy
 
 	if c.walkers <= 1 {
 		res, err := core.Solve(ctx, p, opts)
@@ -145,13 +134,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	mopts := multiwalk.Options{Walkers: c.walkers, Seed: c.seed, Engine: opts}
-	if c.portfolio != "" {
-		entries, err := parsePortfolio(c.portfolio, opts)
-		if err != nil {
-			return err
-		}
-		mopts.Portfolio = entries
-	}
 	if c.exchange {
 		mopts.Exchange = multiwalk.ExchangeOptions{Enabled: true}
 	}
@@ -167,9 +149,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mode := "independent multi-walk"
 	if c.exchange {
 		mode = "dependent multi-walk"
-	}
-	if c.portfolio != "" {
-		mode += " portfolio [" + c.portfolio + "]"
 	}
 	if c.virtual {
 		mode += " (virtual)"
@@ -191,8 +170,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		} else if w.Result.Interrupted {
 			status = "cancelled"
 		}
-		fmt.Fprintf(stdout, "  walker %d: %-9s strategy=%-12s iters=%-10d restarts=%-3d adoptions=%d\n",
-			w.Walker, status, w.Result.Strategy, w.Result.Iterations, w.Result.Restarts, w.Adoptions)
+		fmt.Fprintf(stdout, "  walker %d: %-9s iters=%-10d restarts=%-3d adoptions=%d\n",
+			w.Walker, status, w.Result.Iterations, w.Result.Restarts, w.Adoptions)
 	}
 	return exitStatus(res.Solved)
 }
@@ -220,38 +199,6 @@ func (p paramFlags) Set(s string) error {
 	}
 	p[key] = v
 	return nil
-}
-
-// parsePortfolio turns "adaptive:2,metropolis:1" into portfolio entries
-// layered over the benchmark's tuned engine options. A bare name means
-// weight 1.
-func parsePortfolio(spec string, base core.Options) ([]multiwalk.PortfolioEntry, error) {
-	var entries []multiwalk.PortfolioEntry
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, weightStr, hasWeight := strings.Cut(part, ":")
-		if name == "" {
-			return nil, fmt.Errorf("missing strategy name in portfolio entry %q", part)
-		}
-		weight := 1
-		if hasWeight {
-			w, err := strconv.Atoi(weightStr)
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("bad portfolio weight in %q", part)
-			}
-			weight = w
-		}
-		eng := base
-		eng.Strategy = name
-		entries = append(entries, multiwalk.PortfolioEntry{Weight: weight, Engine: eng})
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("empty -portfolio spec %q", spec)
-	}
-	return entries, nil
 }
 
 func exitStatus(solved bool) error {

@@ -19,8 +19,10 @@ func TestRejectedCombinations(t *testing.T) {
 		{[]string{"-walkers", "1", "-exchange"}, "-exchange requires -walkers > 1"},
 		{[]string{"-virtual"}, "-virtual requires -walkers > 1"},
 		{[]string{"-walkers", "0", "-virtual"}, "-virtual requires -walkers > 1"},
-		{[]string{"-portfolio", "adaptive:1"}, "-portfolio requires -walkers > 1"},
-		{[]string{"-walkers", "4", "-portfolio", "adaptive:1", "-strategy", "metropolis"}, "mutually exclusive"},
+		// Retired with the portfolio and the alternative strategies
+		// (BENCH_portfolio_vs_adaptive.json).
+		{[]string{"-walkers", "2", "-portfolio", "adaptive:1"}, "flag provided but not defined: -portfolio"},
+		{[]string{"-strategy", "metropolis"}, "flag provided but not defined: -strategy"},
 		{[]string{"-walkers", "4", "-virtual", "-exchange"}, "-virtual and -exchange are mutually exclusive"},
 		{[]string{"-problem", "costas", "12"}, `unexpected argument "12"`},
 		{[]string{"-param", "slots"}, "want key=value"},
@@ -33,7 +35,6 @@ func TestRejectedCombinations(t *testing.T) {
 	for _, args := range [][]string{
 		{"-walkers", "4", "-virtual"},
 		{"-walkers", "4", "-exchange"},
-		{"-walkers", "4", "-virtual", "-portfolio", "adaptive:2,metropolis:1"},
 	} {
 		if _, err := parse(args, io.Discard); err != nil {
 			t.Errorf("parse %q: %v", args, err)

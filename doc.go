@@ -8,12 +8,11 @@
 // The root package is the solver library, a thin facade over:
 //
 //   - internal/core      — the sequential Adaptive Search engine and
-//     its pluggable strategies
+//     its strategy plug point
 //   - internal/problems  — benchmark encodings (all-interval,
 //     perfect-square, magic-square, Costas arrays, queens, alpha,
 //     langford, partition, timetable)
 //   - internal/multiwalk — parallel independent multi-walk execution
-//     and strategy portfolios
 //   - internal/csp       — declarative constraint modeling
 //
 // The rest of the system is reached through its commands: cmd/solve
@@ -37,5 +36,5 @@
 //		Engine:  repro.TunedOptions(p),
 //	})
 //
-// See the examples/ directory for runnable programs.
+// The package's examples run the facade end to end.
 package repro

@@ -1,5 +1,5 @@
-// Command loadgen hammers a solve service with a mixed
-// problem/portfolio workload and reports throughput, latency
+// Command loadgen hammers a solve service with a mixed problem
+// workload and reports throughput, latency
 // percentiles and per-outcome counts. It is both a benchmarking tool
 // and the serving-path smoke test run in CI.
 //
@@ -69,10 +69,6 @@ func scenarios(timeoutMS int64, exchange bool) []scenario {
 		{"timetable-20", map[string]any{
 			"problem": "timetable", "size": 20, "walkers": 2, "timeout_ms": timeoutMS,
 			"params": map[string]any{"slots": 6, "rooms": 4, "teachers": 4},
-		}},
-		{"portfolio-costas-9", map[string]any{
-			"problem": "costas", "size": 9, "walkers": 2, "timeout_ms": timeoutMS,
-			"portfolio": []map[string]any{{"strategy": "adaptive", "weight": 1}, {"strategy": "metropolis", "weight": 1}},
 		}},
 	}
 	if exchange {
@@ -190,18 +186,8 @@ func run(args []string, stdout io.Writer) error {
 		mix = []scenario{sc}
 	}
 	for _, sc := range mix {
-		w, ok := sc.req["walkers"].(int)
-		if !ok {
-			continue
-		}
-		if w > poolSlots {
-			w = poolSlots
-			sc.req["walkers"] = w
-		}
-		// A portfolio entry beyond the walker count is unreachable and
-		// rejected at admission; trim the mix to fit.
-		if pf, ok := sc.req["portfolio"].([]map[string]any); ok && len(pf) > w {
-			sc.req["portfolio"] = pf[:w]
+		if w, ok := sc.req["walkers"].(int); ok && w > poolSlots {
+			sc.req["walkers"] = poolSlots
 		}
 	}
 	rng := rand.New(rand.NewSource(o.seed))

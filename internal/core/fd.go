@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/domain"
@@ -250,45 +249,6 @@ func selectAssignByCall(s *State, i int, d []int) (v, cost int) {
 		}
 	}
 	return bestV, bestCost
-}
-
-// SelectAssign implements AssignSelector for MetropolisMove: sample
-// Tries random candidate values (excluding the current one), keep the
-// cheapest, and apply the Metropolis acceptance rule. A singleton
-// domain has no candidate to sample and reports a local minimum.
-func (m *MetropolisMove) SelectAssign(s *State, i int) (v, cost int) {
-	d := s.DomainOf(i)
-	cur := s.Cfg[i]
-	if len(d) < 2 {
-		return cur, s.Cost
-	}
-	temp := m.Temperature
-	if temp <= 0 {
-		temp = 0.5
-	}
-	tries := m.Tries
-	if tries <= 0 {
-		tries = 8
-	}
-	curIdx := sort.SearchInts(d, cur)
-	bestV, bestCost := cur, math.MaxInt
-	for t := 0; t < tries; t++ {
-		k := s.Rand.Intn(len(d) - 1)
-		if k >= curIdx {
-			k++
-		}
-		c := s.CostIfAssign(i, d[k])
-		if c < bestCost {
-			bestV, bestCost = d[k], c
-		}
-	}
-	if bestCost <= s.Cost {
-		return bestV, bestCost
-	}
-	if s.Rand.Float64() < math.Exp(-float64(bestCost-s.Cost)/temp) {
-		return bestV, bestCost
-	}
-	return cur, s.Cost
 }
 
 // OnAssign implements AssignRestartPolicy for AdaptiveRestart: the

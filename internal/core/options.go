@@ -55,11 +55,10 @@ type Options struct {
 
 	// Strategy names the search strategy, resolved through the strategy
 	// registry at Solve time ("" selects StrategyAdaptive, classic
-	// Adaptive Search). Built-ins: "adaptive", "random-walk",
-	// "metropolis"; custom strategies plug in via RegisterStrategy.
-	// Because the field is a plain name, Options stays copyable and
-	// each Solve call gets a fresh, race-free strategy instance — the
-	// property multi-walk portfolios rely on.
+	// Adaptive Search, the one built-in); custom strategies plug in via
+	// RegisterStrategy. Because the field is a plain name, Options stays
+	// copyable and each Solve call gets a fresh, race-free strategy
+	// instance — the property concurrent walkers rely on.
 	Strategy string `json:"strategy,omitempty"`
 
 	// FirstBest, when true, stops scanning swap candidates at the first
@@ -73,8 +72,8 @@ type Options struct {
 	// densely-constrained problems (e.g. the alpha cipher). Tabu marks
 	// are ignored in this mode. The pair scan replaces the strategy's
 	// variable/move plug points wholesale, so a non-default Strategy
-	// takes precedence: setting one disables Exhaustive (this is what
-	// lets -strategy/-portfolio run on exhaustive-tuned benchmarks).
+	// takes precedence: setting one disables Exhaustive (so a custom
+	// strategy runs on exhaustive-tuned benchmarks too).
 	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// Seed seeds the engine's private RNG stream. Two runs with the same
@@ -183,7 +182,7 @@ func (o *Options) Validate() error {
 	if o.FreezeLocMin < 0 || o.FreezeSwap < 0 || o.ResetLimit < 0 || o.CheckEvery < 0 {
 		return errors.New("core: freeze/reset/check options must be >= 0")
 	}
-	if o.Strategy != "" && !KnownStrategy(o.Strategy) {
+	if o.Strategy != "" && !knownStrategy(o.Strategy) {
 		return unknownStrategyError(o.Strategy)
 	}
 	return nil

@@ -31,8 +31,7 @@ type Result struct {
 	// Solve time) reports CostUnknown.
 	Cost int
 	// Strategy names the search strategy that produced the result
-	// (Options.Strategy resolved through the registry). Useful when
-	// heterogeneous multi-walk portfolios mix strategies per walker.
+	// (Options.Strategy resolved through the registry).
 	Strategy string
 
 	// Iterations counts engine iterations summed over all restarts.

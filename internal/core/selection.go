@@ -6,12 +6,10 @@ import (
 	"repro/internal/rng"
 )
 
-// This file holds the concrete strategy implementations: the default
-// Adaptive Search triple (AdaptiveVariable, MinConflictMove,
-// AdaptiveRestart) and the alternative walkers (RandomWalkVariable,
-// MetropolisMove) used by heterogeneous portfolios. The exhaustive
-// pair scan, which bypasses the variable/move split entirely, lives at
-// the bottom as an engine method.
+// This file holds the concrete strategy implementation: the Adaptive
+// Search triple (AdaptiveVariable, MinConflictMove, AdaptiveRestart).
+// The exhaustive pair scan, which bypasses the variable/move split
+// entirely, lives at the bottom as an engine method.
 
 // AdaptiveVariable is the default VariableSelector: it picks the
 // non-frozen variable with the highest projected error, breaking ties
@@ -225,91 +223,6 @@ func (p *AdaptiveRestart) OnLocalMinimum(s *State, i int) (vi, vj int, reset boo
 		return i, -1, true
 	}
 	return i, -1, false
-}
-
-// RandomWalkVariable selects a uniformly random non-frozen variable
-// (falling back to a fully random index when everything is frozen),
-// trading the O(n) error projection scan for maximal diversification.
-// Combined with min-conflict moves this yields a random-walk/tabu
-// strategy whose runtime distribution differs from classic Adaptive
-// Search — useful as a portfolio ingredient.
-type RandomWalkVariable struct{}
-
-// SelectVariable implements VariableSelector by reservoir-sampling the
-// non-frozen indices in one pass.
-func (RandomWalkVariable) SelectVariable(s *State) int {
-	pick := -1
-	seen := 0
-	for i := range s.Cfg {
-		if s.Frozen(i) {
-			continue
-		}
-		seen++
-		if s.Rand.Intn(seen) == 0 {
-			pick = i
-		}
-	}
-	if pick < 0 {
-		pick = s.Rand.Intn(len(s.Cfg))
-	}
-	return pick
-}
-
-// MetropolisMove samples Tries random swap partners for the selected
-// variable, keeps the cheapest, and applies the Metropolis acceptance
-// rule to it: improving and sideways moves are always accepted, uphill
-// moves with probability exp(-delta/Temperature). A rejected uphill
-// candidate is reported as a local minimum, falling through to the
-// surrounding RestartPolicy (with the default AdaptiveRestart that
-// still means freezes and resets — the thermal acceptance reduces how
-// often that machinery engages, it does not replace it). Compared to
-// the exhaustive min-conflict scan this trades O(n) swap evaluations
-// per iteration for O(Tries).
-type MetropolisMove struct {
-	// Temperature is the uphill acceptance temperature T > 0. 0 selects
-	// the default of 0.5 (uphill steps of +1 pass ~13% of the time).
-	Temperature float64
-	// Tries is the number of sampled partners per iteration. 0 selects
-	// the default of 8.
-	Tries int
-}
-
-// SelectMove implements MoveSelector. Degenerate sizes (n < 2) have no
-// swap partner to sample: the selector reports a local minimum instead
-// of panicking in Rand.Intn(0). The engine never drives such sizes
-// (Solve short-circuits them), but MoveSelector is a public plug point,
-// so the guard belongs here.
-func (m *MetropolisMove) SelectMove(s *State, i int) (j, cost int) {
-	n := len(s.Cfg)
-	if n < 2 {
-		return i, s.Cost
-	}
-	temp := m.Temperature
-	if temp <= 0 {
-		temp = 0.5
-	}
-	tries := m.Tries
-	if tries <= 0 {
-		tries = 8
-	}
-	bestJ, bestCost := i, math.MaxInt
-	for t := 0; t < tries; t++ {
-		cand := s.Rand.Intn(n - 1)
-		if cand >= i {
-			cand++
-		}
-		c := s.Problem.CostIfSwap(s.Cfg, s.Cost, i, cand)
-		if c < bestCost {
-			bestJ, bestCost = cand, c
-		}
-	}
-	if bestCost <= s.Cost {
-		return bestJ, bestCost
-	}
-	if s.Rand.Float64() < math.Exp(-float64(bestCost-s.Cost)/temp) {
-		return bestJ, bestCost
-	}
-	return i, s.Cost
 }
 
 // selectBestPair scans every unordered variable pair and returns the

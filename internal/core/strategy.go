@@ -18,9 +18,8 @@ import (
 // partner, and — when the move selector reports a local minimum — the
 // RestartPolicy for an escape, a freeze, or a partial reset. The
 // default implementations in selection.go reproduce the classic
-// Adaptive Search behavior exactly; alternative strategies plug in new
-// behaviors without touching the loop, which is what heterogeneous
-// multi-walk portfolios (internal/multiwalk) compose across walkers.
+// Adaptive Search behavior exactly; an embedder's strategy plugs in new
+// behaviors without touching the loop.
 
 // State is the live search state the engine exposes to strategy
 // implementations. The engine passes the same *State on every call of
@@ -236,22 +235,11 @@ func (st *Strategy) fillDefaults() {
 	}
 }
 
-// Built-in strategy names, resolvable through Options.Strategy.
-const (
-	// StrategyAdaptive is classic Adaptive Search: worst-variable
-	// selection, min-conflict moves, freeze/reset diversification. The
-	// default when Options.Strategy is empty.
-	StrategyAdaptive = "adaptive"
-	// StrategyRandomWalk replaces worst-variable selection with a
-	// uniformly random non-frozen variable, keeping min-conflict moves
-	// — a cheap, highly diverse walker for portfolios.
-	StrategyRandomWalk = "random-walk"
-	// StrategyMetropolis keeps worst-variable selection but samples
-	// random swap partners and accepts uphill moves with probability
-	// exp(-delta/T), escaping most local minima thermally; rejected
-	// proposals still fall through to the default freeze/reset policy.
-	StrategyMetropolis = "metropolis"
-)
+// StrategyAdaptive is classic Adaptive Search: worst-variable
+// selection, min-conflict moves, freeze/reset diversification. It is
+// the one built-in strategy and the default when Options.Strategy is
+// empty.
+const StrategyAdaptive = "adaptive"
 
 var (
 	strategyMu       sync.RWMutex
@@ -259,10 +247,9 @@ var (
 )
 
 // RegisterStrategy adds a named strategy factory to the global
-// registry, making it resolvable through Options.Strategy (and thus
-// the CLI flags and multi-walk portfolios). The factory is invoked
-// once per Solve call so implementations may carry per-run state.
-// Registering a duplicate name panics.
+// registry, making it resolvable through Options.Strategy. The factory
+// is invoked once per Solve call so implementations may carry per-run
+// state. Registering a duplicate name panics.
 func RegisterStrategy(name string, factory func() Strategy) {
 	if name == "" || factory == nil {
 		panic("core: RegisterStrategy needs a name and a factory")
@@ -313,10 +300,10 @@ func strategyFor(name string) (Strategy, error) {
 	return st, nil
 }
 
-// KnownStrategy reports whether name resolves in the registry — the
-// check every request validator (core, dist, service) applies to a
-// non-empty Options.Strategy.
-func KnownStrategy(name string) bool {
+// knownStrategy reports whether name resolves in the registry — the
+// check Options.Validate, which every request validator calls, applies
+// to a non-empty Strategy.
+func knownStrategy(name string) bool {
 	strategyMu.RLock()
 	defer strategyMu.RUnlock()
 	_, ok := strategyRegistry[name]
@@ -326,11 +313,5 @@ func KnownStrategy(name string) bool {
 func init() {
 	RegisterStrategy(StrategyAdaptive, func() Strategy {
 		return Strategy{Name: StrategyAdaptive}
-	})
-	RegisterStrategy(StrategyRandomWalk, func() Strategy {
-		return Strategy{Name: StrategyRandomWalk, Variable: RandomWalkVariable{}}
-	})
-	RegisterStrategy(StrategyMetropolis, func() Strategy {
-		return Strategy{Name: StrategyMetropolis, Move: &MetropolisMove{}}
 	})
 }

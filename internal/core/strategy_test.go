@@ -101,7 +101,7 @@ func TestStrategyUnknownRejected(t *testing.T) {
 
 func TestStrategyNamesContainBuiltins(t *testing.T) {
 	names := StrategyNames()
-	want := map[string]bool{StrategyAdaptive: false, StrategyRandomWalk: false, StrategyMetropolis: false}
+	want := map[string]bool{StrategyAdaptive: false}
 	for _, n := range names {
 		if _, ok := want[n]; ok {
 			want[n] = true
@@ -114,9 +114,9 @@ func TestStrategyNamesContainBuiltins(t *testing.T) {
 	}
 }
 
-// TestKnownStrategy: the one registry lookup core, dist and service
-// validate strategy names with. "" is not a name — callers treat it as
-// "use the default" before asking.
+// TestKnownStrategy: the one registry lookup strategy names are
+// validated with. "" is not a name — callers treat it as "use the
+// default" before asking.
 func TestKnownStrategy(t *testing.T) {
 	registerTestStrategies()
 	cases := []struct {
@@ -124,81 +124,14 @@ func TestKnownStrategy(t *testing.T) {
 		want bool
 	}{
 		{StrategyAdaptive, true},
-		{StrategyRandomWalk, true},
-		{StrategyMetropolis, true},
 		{"test-known", true},
 		{"", false},
 		{"no-such-strategy", false},
 	}
 	for _, tc := range cases {
-		if got := KnownStrategy(tc.name); got != tc.want {
-			t.Errorf("KnownStrategy(%q) = %v, want %v", tc.name, got, tc.want)
+		if got := knownStrategy(tc.name); got != tc.want {
+			t.Errorf("knownStrategy(%q) = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestAlternativeStrategiesSolve: the new walkers must solve the toy
-// problem and stay deterministic per seed.
-func TestAlternativeStrategiesSolve(t *testing.T) {
-	for _, name := range []string{StrategyRandomWalk, StrategyMetropolis} {
-		t.Run(name, func(t *testing.T) {
-			opts := Options{Seed: 3, Strategy: name}
-			a, err := Solve(context.Background(), sortProblem{30}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !a.Solved {
-				t.Fatalf("%s failed on sortProblem: %v", name, a)
-			}
-			if a.Strategy != name {
-				t.Fatalf("Result.Strategy = %q, want %q", a.Strategy, name)
-			}
-			b, err := Solve(context.Background(), sortProblem{30}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Iterations != b.Iterations || a.Swaps != b.Swaps {
-				t.Fatalf("%s not deterministic: %v vs %v", name, a, b)
-			}
-		})
-	}
-}
-
-// TestMetropolisAcceptsUphill: on pitProblem every swap is strictly
-// worse; the Metropolis rule must still execute uphill moves instead of
-// freezing forever.
-func TestMetropolisAcceptsUphill(t *testing.T) {
-	res, err := Solve(context.Background(), pitProblem{10}, Options{
-		Seed:          2,
-		Strategy:      StrategyMetropolis,
-		MaxIterations: 500,
-		MaxRuns:       1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solved {
-		t.Fatal("pitProblem cannot be solved")
-	}
-	if res.Swaps == 0 {
-		t.Fatalf("Metropolis executed no uphill swaps on an all-uphill landscape: %v", res)
-	}
-}
-
-// TestRandomWalkHonorsFreeze: the random-walk selector must skip frozen
-// variables; exercise it through a full solve with heavy freezing.
-func TestRandomWalkHonorsFreeze(t *testing.T) {
-	res, err := Solve(context.Background(), sortProblem{40}, Options{
-		Seed:         8,
-		Strategy:     StrategyRandomWalk,
-		FreezeLocMin: 10,
-		FreezeSwap:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatalf("random-walk with freezing failed: %v", res)
 	}
 }
 
@@ -237,7 +170,8 @@ func TestStateErrorsNilWithoutFastPath(t *testing.T) {
 // a mislabeled pair scan), trace-identical to the same options without
 // Exhaustive.
 func TestStrategyOverridesExhaustive(t *testing.T) {
-	base := Options{Seed: 3, Strategy: StrategyMetropolis}
+	registerTestStrategies()
+	base := Options{Seed: 3, Strategy: "test-known"}
 	want, err := Solve(context.Background(), sortProblem{30}, base)
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +182,8 @@ func TestStrategyOverridesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Strategy != StrategyMetropolis {
-		t.Fatalf("Result.Strategy = %q, want %q", got.Strategy, StrategyMetropolis)
+	if got.Strategy != "test-known" {
+		t.Fatalf("Result.Strategy = %q, want test-known", got.Strategy)
 	}
 	if got.Iterations != want.Iterations || got.Swaps != want.Swaps {
 		t.Fatalf("Exhaustive not overridden by strategy: %v vs %v", got, want)
@@ -269,23 +203,6 @@ func TestStrategyOverridesExhaustive(t *testing.T) {
 		if res.Iterations > 10 {
 			t.Fatalf("Exhaustive with strategy %q took %d iterations, want <= 10", s, res.Iterations)
 		}
-	}
-}
-
-// TestMetropolisDegenerateSize: MoveSelector is a public plug point, so
-// MetropolisMove must tolerate sizes the engine itself short-circuits.
-// Before the guard, n == 1 panicked via Rand.Intn(0) when sampling a
-// swap partner.
-func TestMetropolisDegenerateSize(t *testing.T) {
-	m := &MetropolisMove{}
-	s := NewState(sortProblem{1}, Options{}, 7, nil)
-	if j, cost := m.SelectMove(s, 0); j != 0 || cost != s.Cost {
-		t.Fatalf("SelectMove on size 1 = (%d, %d), want the stay-put (0, %d)", j, cost, s.Cost)
-	}
-	// Size 2 has exactly one partner and must still sample normally.
-	s2 := NewState(sortProblem{2}, Options{}, 7, []int{1, 0})
-	if j, _ := m.SelectMove(s2, 0); j != 1 {
-		t.Fatalf("SelectMove on size 2 picked %d, want partner 1", j)
 	}
 }
 

@@ -113,12 +113,8 @@ type JobSpec struct {
 	// Seed is the master seed; walker w of the job draws seed w of the
 	// master stream no matter which worker runs it.
 	Seed uint64
-	// Engine holds the per-walker engine options (Portfolio overrides
-	// it, exactly as in multiwalk.Options).
+	// Engine holds the per-walker engine options.
 	Engine core.Options
-	// Portfolio, when non-empty, runs a heterogeneous portfolio with
-	// entries assigned by global walker index.
-	Portfolio []multiwalk.PortfolioEntry
 	// Exchange, when Enabled, runs the job in the dependent
 	// (communicating) multi-walk scheme: the coordinator hosts a global
 	// elite board and every worker shard cooperates through it, so
@@ -130,10 +126,10 @@ type JobSpec struct {
 
 // Coordinator shards multi-walk jobs over a fleet of workers. It
 // implements the same contract as multiwalk.Run / RunVirtual — walker
-// identity, portfolio assignment and the min-iterations virtual winner
-// are bit-for-bit those of the single-process run — and satisfies
-// service.Backend, so a Scheduler can serve its traffic from the fleet
-// (cmd/serve -workers / -fleet).
+// identity and the min-iterations virtual winner are bit-for-bit those
+// of the single-process run — and satisfies service.Backend, so a
+// Scheduler can serve its traffic from the fleet (cmd/serve -workers /
+// -fleet).
 //
 // Fleet membership is dynamic: workers join statically (config) or at
 // runtime (FleetHandler registration), push heartbeats, and leave by
@@ -484,14 +480,13 @@ func (c *Coordinator) RunVirtual(ctx context.Context, job JobSpec) (multiwalk.Re
 func (c *Coordinator) RunJob(ctx context.Context, problem string, size int, params map[string]int, factory problems.Factory, opts multiwalk.Options) (multiwalk.Result, error) {
 	_ = factory
 	res, err := c.Run(ctx, JobSpec{
-		Problem:   problem,
-		Size:      size,
-		Params:    params,
-		Walkers:   opts.Walkers,
-		Seed:      opts.Seed,
-		Engine:    opts.Engine,
-		Portfolio: opts.Portfolio,
-		Exchange:  opts.Exchange,
+		Problem:  problem,
+		Size:     size,
+		Params:   params,
+		Walkers:  opts.Walkers,
+		Seed:     opts.Seed,
+		Engine:   opts.Engine,
+		Exchange: opts.Exchange,
 	})
 	if err == nil && opts.Progress != nil {
 		for _, ws := range res.Walkers {
@@ -534,11 +529,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	}
 	if job.Engine.Monitor != nil {
 		return multiwalk.Result{}, errors.New("dist: engine Monitor hooks cannot cross process boundaries")
-	}
-	for i := range job.Portfolio {
-		if job.Portfolio[i].Engine.Monitor != nil {
-			return multiwalk.Result{}, fmt.Errorf("dist: portfolio[%d] carries a Monitor hook, which cannot cross process boundaries", i)
-		}
 	}
 	if job.Exchange.Enabled {
 		if mode != ModeRun {
@@ -591,7 +581,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	if ctx.Err() != nil {
 		shards := make([]multiwalk.Result, len(plan))
 		for i := range plan {
-			shards[i] = lostShardResult(plan[i].start, plan[i].count, job)
+			shards[i] = lostShardResult(plan[i].start, plan[i].count)
 		}
 		res, err := multiwalk.CombineShards(job.Walkers, shards...)
 		if err != nil {
@@ -692,7 +682,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 
 	anyLost := len(lost) > 0
 	for _, lr := range lost {
-		shards = append(shards, lostShardResult(lr.start, lr.count, job))
+		shards = append(shards, lostShardResult(lr.start, lr.count))
 	}
 	res, err := multiwalk.CombineShards(job.Walkers, shards...)
 	if err != nil {
@@ -748,7 +738,6 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		Start:        a.start,
 		Count:        a.count,
 		Engine:       job.Engine,
-		Portfolio:    job.Portfolio,
 		DeadlineMS:   p.deadline,
 		Exchange:     job.Exchange,
 		Board:        p.boardURL,
@@ -965,18 +954,13 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, p
 
 // lostShardResult synthesizes the stats of walkers [start, start+count)
 // whose shard was lost past recovery: each walker keeps its global
-// identity and portfolio entry and carries an empty Interrupted result
-// stamped core.CostUnknown — never fabricated work, and never a cost a
-// consumer may aggregate.
-func lostShardResult(start, count int, job JobSpec) multiwalk.Result {
+// identity and carries an empty Interrupted result stamped
+// core.CostUnknown — never fabricated work, and never a cost a consumer
+// may aggregate.
+func lostShardResult(start, count int) multiwalk.Result {
 	stats := make([]multiwalk.WalkerStat, count)
 	for i := range stats {
-		g := start + i
-		stats[i] = multiwalk.WalkerStat{
-			Walker: g,
-			Entry:  multiwalk.EntryFor(job.Portfolio, job.Walkers, g),
-			Result: core.Result{Interrupted: true, Cost: core.CostUnknown},
-		}
+		stats[i] = multiwalk.WalkerStat{Walker: start + i, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
 	}
 	return multiwalk.Result{Winner: -1, Walkers: stats, Completed: 0, Truncated: true}
 }

@@ -78,11 +78,10 @@ func sameWalkers(t *testing.T, label string, local, distd []multiwalk.WalkerStat
 	}
 }
 
-// TestDistributedVirtualMatrix is the acceptance matrix: for >= 3
-// problems x 3 strategies, the distributed virtual run over a
-// heterogeneous 3-worker fleet reproduces the single-process
-// RunVirtual bit-for-bit — winner walker index, winner entry, winner
-// iterations, and every per-walker statistic.
+// TestDistributedVirtualMatrix is the acceptance matrix: for 3
+// problems, the distributed virtual run over a heterogeneous 3-worker
+// fleet reproduces the single-process RunVirtual bit-for-bit — winner
+// walker index, winner iterations, and every per-walker statistic.
 func TestDistributedVirtualMatrix(t *testing.T) {
 	f := newFleet(t, 2, 2, 1)
 	problemsUnderTest := []struct {
@@ -93,126 +92,41 @@ func TestDistributedVirtualMatrix(t *testing.T) {
 		{"costas", 9},
 		{"all-interval", 10},
 	}
-	strategies := []string{core.StrategyAdaptive, core.StrategyRandomWalk, core.StrategyMetropolis}
 	const k = 5
 	for _, pt := range problemsUnderTest {
-		for _, strat := range strategies {
-			t.Run(pt.name+"/"+strat, func(t *testing.T) {
-				engine := tunedEngine(t, pt.name, pt.size)
-				engine.Strategy = strat
-				engine.MaxIterations = 2000
-				engine.MaxRuns = 1
-				seed := uint64(0xC0FFEE) ^ uint64(len(pt.name))<<8 ^ uint64(len(strat))
+		name := pt.name + "/" + core.StrategyAdaptive
+		t.Run(name, func(t *testing.T) {
+			engine := tunedEngine(t, pt.name, pt.size)
+			engine.MaxIterations = 2000
+			engine.MaxRuns = 1
+			seed := uint64(0xC0FFEE) ^ uint64(len(pt.name))<<8 ^ uint64(len(core.StrategyAdaptive))
 
-				factory, err := problems.NewFactory(pt.name, pt.size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				local, err := multiwalk.RunVirtual(context.Background(), multiwalk.Factory(factory), multiwalk.Options{
-					Walkers: k, Seed: seed, Engine: engine,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				distd, err := f.coord.RunVirtual(context.Background(), JobSpec{
-					Problem: pt.name, Size: pt.size, Walkers: k, Seed: seed, Engine: engine,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if local.Winner != distd.Winner || local.WinnerIterations != distd.WinnerIterations ||
-					local.Solved != distd.Solved || local.TotalIterations != distd.TotalIterations ||
-					local.Completed != distd.Completed || local.Truncated != distd.Truncated {
-					t.Fatalf("aggregate diverged:\nlocal: %+v\ndist:  %+v", local, distd)
-				}
-				if !reflect.DeepEqual(local.Solution, distd.Solution) {
-					t.Fatalf("solution diverged")
-				}
-				sameWalkers(t, pt.name+"/"+strat, local.Walkers, distd.Walkers)
-			})
-		}
-	}
-}
-
-// TestDistributedMixedPortfolio is the race-enabled integration test:
-// a mixed-strategy portfolio job over coordinator + 3 in-process
-// workers. It asserts zero dropped walkers, correct global walker
-// indices and entry assignments, and a virtual winner identical to the
-// single-process RunVirtual.
-func TestDistributedMixedPortfolio(t *testing.T) {
-	f := newFleet(t, 2, 2, 2)
-	const k = 6
-	engine := tunedEngine(t, "costas", 9)
-	engine.MaxIterations = 3000
-	engine.MaxRuns = 1
-	entryMetro := engine
-	entryMetro.Strategy = core.StrategyMetropolis
-	entryRW := engine
-	entryRW.Strategy = core.StrategyRandomWalk
-	portfolio := []multiwalk.PortfolioEntry{
-		{Weight: 3, Engine: engine},
-		{Weight: 2, Engine: entryMetro},
-		{Weight: 1, Engine: entryRW},
-	}
-	job := JobSpec{Problem: "costas", Size: 9, Walkers: k, Seed: 2012, Engine: engine, Portfolio: portfolio}
-
-	// Virtual mode: deterministic equality against the local run.
-	factory, err := problems.NewFactory("costas", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := multiwalk.RunVirtual(context.Background(), multiwalk.Factory(factory), multiwalk.Options{
-		Walkers: k, Seed: 2012, Engine: engine, Portfolio: portfolio,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distd, err := f.coord.RunVirtual(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if distd.Winner != local.Winner || distd.WinnerIterations != local.WinnerIterations || distd.Solved != local.Solved {
-		t.Fatalf("virtual winner diverged: local %d/%d, dist %d/%d",
-			local.Winner, local.WinnerIterations, distd.Winner, distd.WinnerIterations)
-	}
-	sameWalkers(t, "virtual portfolio", local.Walkers, distd.Walkers)
-
-	// Wall-clock mode: every walker accounted for, with its global
-	// identity and weighted round-robin entry, across whatever shard
-	// boundaries the planner chose.
-	res, err := f.coord.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Walkers) != k {
-		t.Fatalf("dropped walkers: got %d of %d stats", len(res.Walkers), k)
-	}
-	wantEntries := []int{0, 0, 0, 1, 1, 2}
-	for w, ws := range res.Walkers {
-		if ws.Walker != w {
-			t.Fatalf("walker %d carries global index %d", w, ws.Walker)
-		}
-		if ws.Entry != wantEntries[w] {
-			t.Fatalf("walker %d assigned entry %d, want %d", w, ws.Entry, wantEntries[w])
-		}
-		if ws.Entry >= 0 && ws.Result.Strategy != "" && ws.Result.Strategy != portfolio[ws.Entry].Engine.Strategy {
-			// Engines resolve "" to the default name; any named result
-			// must match its entry's strategy.
-			if !(portfolio[ws.Entry].Engine.Strategy == "" && ws.Result.Strategy == core.StrategyAdaptive) {
-				t.Fatalf("walker %d ran strategy %q for entry %d (%q)", w, ws.Result.Strategy, ws.Entry, portfolio[ws.Entry].Engine.Strategy)
+			factory, err := problems.NewFactory(pt.name, pt.size)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if res.Solved {
-		if res.Winner < 0 || res.Winner >= k {
-			t.Fatalf("winner index %d out of range", res.Winner)
-		}
-		if !res.Walkers[res.Winner].Result.Solved {
-			t.Fatalf("winner %d is not a solved walker", res.Winner)
-		}
-		if res.Truncated {
-			t.Fatalf("solved wall-clock run reported Truncated: %+v", res)
-		}
+			local, err := multiwalk.RunVirtual(context.Background(), multiwalk.Factory(factory), multiwalk.Options{
+				Walkers: k, Seed: seed, Engine: engine,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			distd, err := f.coord.RunVirtual(context.Background(), JobSpec{
+				Problem: pt.name, Size: pt.size, Walkers: k, Seed: seed, Engine: engine,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if local.Winner != distd.Winner || local.WinnerIterations != distd.WinnerIterations ||
+				local.Solved != distd.Solved || local.TotalIterations != distd.TotalIterations ||
+				local.Completed != distd.Completed || local.Truncated != distd.Truncated {
+				t.Fatalf("aggregate diverged:\nlocal: %+v\ndist:  %+v", local, distd)
+			}
+			if !reflect.DeepEqual(local.Solution, distd.Solution) {
+				t.Fatalf("solution diverged")
+			}
+			sameWalkers(t, name, local.Walkers, distd.Walkers)
+		})
 	}
 }
 
@@ -461,8 +375,6 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"prob_select_loc_min":-1e-9}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"max_iterations":-1}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"check_every":-1}}`,
-		`{"id":"x","mode":"run","problem":"queens","total_walkers":2,"count":2,"portfolio":[{"engine":{}},{"engine":{"reset_fraction":2}}]}`,
-		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"portfolio":[{"weight":-1,"engine":{}}]}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true,"adopt_factor":0.5},"board":"http://b"}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true},"board":"http://b","board_sync_ms":-1}`,
 	}
@@ -493,6 +405,7 @@ func TestDecodeRunRequestUnknownFields(t *testing.T) {
 		{`"exchange":{"enabled":true,"period":64},"board":"http://b"`, "period"},
 		{`"exchange":{"enabled":true,"sync_ms":2},"board":"http://b"`, "sync_ms"},
 		{`"engine":{"max_iters":100}`, "max_iters"},
+		{`"portfolio":[{"weight":1,"engine":{}}]`, "portfolio"},
 	} {
 		_, err := DecodeRunRequest(strings.NewReader("{" + base + "," + tc.extra + "}"))
 		if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {

@@ -37,14 +37,13 @@ func exchangeFleet(t *testing.T, n int) *Coordinator {
 
 // TestDistExchangeCrossWorkerAdoption is the acceptance test for the
 // cross-worker cooperative scheme: a 3-worker exchange run completes
-// (no more "requires a single address space" rejection) with at least
-// one adoption that provably crossed a worker boundary. The leader —
-// the only adaptive walker, pinned to worker 0 by the greedy
-// shard plan over single-slot workers — descends far below what the
-// random-walk laggards on workers 1 and 2 reach, so the laggards can
-// only adopt elites that traveled coordinator-board-wise from another
-// process. It drives the service.Backend seam (RunJob), where the old
-// rejection lived.
+// (no more "requires a single address space" rejection) with adoptions
+// on more than one walker. The greedy plan over single-slot workers
+// puts each walker on its own worker process, and a walker adopts only
+// the job's global best (at AdoptFactor 1.0, whenever it is behind
+// it), so adoptions spread across walkers mean elites traveled between
+// processes through the coordinator's board. It drives the
+// service.Backend seam (RunJob), where the old rejection lived.
 func TestDistExchangeCrossWorkerAdoption(t *testing.T) {
 	coord := exchangeFleet(t, 3)
 
@@ -52,18 +51,13 @@ func TestDistExchangeCrossWorkerAdoption(t *testing.T) {
 	engine.MaxIterations = 300_000
 	engine.MaxRuns = 1
 	engine.CheckEvery = 64
-	laggard := engine
-	laggard.Strategy = core.StrategyRandomWalk
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	res, err := coord.RunJob(ctx, "magic-square", 14, nil, nil, multiwalk.Options{
-		Walkers: 3,
-		Seed:    20260729,
-		Portfolio: []multiwalk.PortfolioEntry{
-			{Weight: 1, Engine: engine},  // walker 0: adaptive leader on worker 0
-			{Weight: 2, Engine: laggard}, // walkers 1, 2: laggards on workers 1, 2
-		},
+		Walkers:  3,
+		Seed:     20260729,
+		Engine:   engine,
 		Exchange: multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.0},
 	})
 	if err != nil {
@@ -75,21 +69,17 @@ func TestDistExchangeCrossWorkerAdoption(t *testing.T) {
 	if len(res.Walkers) != 3 || res.Completed != 3 {
 		t.Fatalf("want 3 completed walkers, got %d completed of %d", res.Completed, len(res.Walkers))
 	}
-	wantEntries := []int{0, 1, 1}
+	adopters := 0
 	for w, ws := range res.Walkers {
-		if ws.Walker != w || ws.Entry != wantEntries[w] {
-			t.Fatalf("walker %d identity lost: %+v (want entry %d)", w, ws, wantEntries[w])
+		if ws.Walker != w {
+			t.Fatalf("walker %d identity lost: %+v", w, ws)
+		}
+		if ws.Adoptions > 0 {
+			adopters++
 		}
 	}
-	if res.Adoptions == 0 {
-		t.Fatal("no cross-worker adoptions: the board did not connect the worker processes")
-	}
-	var laggardAdoptions int64
-	for _, ws := range res.Walkers[1:] {
-		laggardAdoptions += ws.Adoptions
-	}
-	if laggardAdoptions == 0 {
-		t.Fatalf("all %d adoptions on the leader: laggard workers never received the elite", res.Adoptions)
+	if adopters < 2 {
+		t.Fatalf("%d adoptions on %d walker(s): the board did not connect the worker processes", res.Adoptions, adopters)
 	}
 }
 

@@ -310,6 +310,10 @@ func TestShardSolvedCrossesTheWire(t *testing.T) {
 	generous := tunedEngine(t, "queens", 16)
 	starved := generous
 	starved.MaxIterations, starved.MaxRuns = 1, 1
+	// With 20 iterations and seed 1, walker 0 solves in 16 and walker 1
+	// does not (RunVirtual picked the seed): a mixed shard is solved.
+	short := generous
+	short.MaxIterations, short.MaxRuns = 20, 1
 	cases := []struct {
 		name string
 		opts multiwalk.Options
@@ -317,10 +321,7 @@ func TestShardSolvedCrossesTheWire(t *testing.T) {
 	}{
 		{"solved", multiwalk.Options{Walkers: 2, Seed: 7, Engine: generous}, true},
 		{"unsolved", multiwalk.Options{Walkers: 2, Seed: 7, Engine: starved}, false},
-		// Walker 0 can solve, walker 1 cannot: a mixed shard is solved.
-		{"mixed", multiwalk.Options{Walkers: 2, Seed: 7, Portfolio: []multiwalk.PortfolioEntry{
-			{Weight: 1, Engine: generous}, {Weight: 1, Engine: starved},
-		}}, true},
+		{"mixed", multiwalk.Options{Walkers: 2, Seed: 1, Engine: short}, true},
 	}
 	modes := []struct {
 		name string
@@ -463,16 +464,13 @@ func TestRecoveryRoundWinnerCancelsItsRound(t *testing.T) {
 	}
 	t.Cleanup(coord.Close)
 
-	// Walkers 0-3 can solve: they are lost with the first worker and
-	// re-run, two a worker, on the other two. Walkers 4-5 stop after one
-	// iteration, so round 0 ends unsolved.
-	generous := tunedEngine(t, "queens", 30)
-	starved := generous
-	starved.MaxIterations, starved.MaxRuns = 1, 1
-	res, err := coord.Run(context.Background(), JobSpec{
-		Problem: "queens", Size: 30, Walkers: 6, Seed: 1, Engine: generous,
-		Portfolio: []multiwalk.PortfolioEntry{{Weight: 4, Engine: generous}, {Weight: 2, Engine: starved}},
-	})
+	// With 20 iterations and seed 38, walkers 0-3 solve and walkers 4-5
+	// do not (RunVirtual picked the seed). Walkers 0-3 are lost with the
+	// first worker and re-run, two a worker, on the other two; round 0,
+	// walkers 4-5 alone, ends unsolved.
+	engine := tunedEngine(t, "queens", 30)
+	engine.MaxIterations, engine.MaxRuns = 20, 1
+	res, err := coord.Run(context.Background(), JobSpec{Problem: "queens", Size: 30, Walkers: 6, Seed: 38, Engine: engine})
 	if err != nil {
 		t.Fatal(err)
 	}

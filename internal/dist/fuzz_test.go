@@ -9,7 +9,7 @@ import (
 
 // FuzzDecodeRequest hammers the worker protocol decoder with arbitrary
 // bytes. The contract: no panics, no unbounded allocation (the decoder
-// caps body, walker and portfolio sizes), and every failure wraps the
+// caps body and walker sizes), and every failure wraps the
 // typed ErrBadRequest. A successfully decoded request must pass its
 // own Validate — decode-then-revalidate is how the worker trusts the
 // value for slot arithmetic.
@@ -18,6 +18,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":4,"start":1,"count":2,"engine":{"max_iterations":100}}`))
+	// The retired portfolio field: rejected as unknown.
 	f.Add([]byte(`{"id":"a","mode":"virtual","problem":"costas","size":9,"seed":7,"total_walkers":8,"count":8,"portfolio":[{"weight":2,"engine":{"strategy":"adaptive"}},{"engine":{"strategy":"metropolis"}}]}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":1e308}}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":9007199254740993,"count":1}`))

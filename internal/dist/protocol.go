@@ -11,13 +11,13 @@
 // X10/Cell follow-ups.
 //
 // Determinism is the design center. A walker's identity — its seed
-// stream, its portfolio entry, its index in the result — is derived
-// from the *global* walker index (multiwalk.Shard), never from its
-// position within a shard or the worker it landed on. A distributed
-// virtual run therefore reproduces the single-process
-// multiwalk.RunVirtual bit-for-bit for the same (problem, options,
-// seed), regardless of how the walkers were partitioned, and the whole
-// §2 performance analysis transfers unchanged. See DESIGN.md §8.
+// stream and its index in the result — is derived from the *global*
+// walker index (multiwalk.Shard), never from its position within a
+// shard or the worker it landed on. A distributed virtual run therefore
+// reproduces the single-process multiwalk.RunVirtual bit-for-bit for
+// the same (problem, options, seed), regardless of how the walkers were
+// partitioned, and the whole §2 performance analysis transfers
+// unchanged. See DESIGN.md §8.
 package dist
 
 import (
@@ -69,7 +69,6 @@ const (
 const (
 	maxWalkers        = 1 << 20
 	maxSize           = 1 << 20
-	maxPortfolio      = 4096
 	maxProblemParams  = 256
 	maxInitialConfig  = 1 << 20
 	maxRequestBodyLen = 8 << 20
@@ -114,9 +113,6 @@ type RunRequest struct {
 	// ships numbers; workers apply them verbatim, so coordinator and
 	// worker registries cannot drift.
 	Engine core.Options `json:"engine"`
-	// Portfolio, when non-empty, is the job's heterogeneous portfolio.
-	// Entry assignment uses the global walker index.
-	Portfolio []multiwalk.PortfolioEntry `json:"portfolio,omitempty"`
 	// DeadlineMS bounds the shard run on the worker itself, so an
 	// orphaned run (coordinator gone without cancelling) cannot hold
 	// slots forever. 0 means no worker-side deadline.
@@ -180,7 +176,6 @@ type BoardSync struct {
 // the global index; Elapsed travels as nanoseconds.
 type WalkerStatWire struct {
 	Walker         int    `json:"walker"`
-	Entry          int    `json:"entry"`
 	Solved         bool   `json:"solved"`
 	Solution       []int  `json:"solution,omitempty"`
 	Cost           int    `json:"cost"`
@@ -259,9 +254,6 @@ func (req *RunRequest) Validate() error {
 	if req.DeadlineMS < 0 {
 		return fmt.Errorf("%w: negative deadline", ErrBadRequest)
 	}
-	if len(req.Portfolio) > maxPortfolio {
-		return fmt.Errorf("%w: portfolio of %d entries exceeds %d", ErrBadRequest, len(req.Portfolio), maxPortfolio)
-	}
 	if req.Exchange.Enabled {
 		if err := req.Exchange.Validate(); err != nil {
 			return fmt.Errorf("%w: exchange: %v", ErrBadRequest, err)
@@ -285,27 +277,13 @@ func (req *RunRequest) Validate() error {
 	if req.ProgressMS < 0 {
 		return fmt.Errorf("%w: negative progress_ms", ErrBadRequest)
 	}
-	if err := validateEngine(&req.Engine); err != nil {
+	if len(req.Engine.InitialConfig) > maxInitialConfig {
+		return fmt.Errorf("%w: engine: initial_config of %d variables exceeds %d", ErrBadRequest, len(req.Engine.InitialConfig), maxInitialConfig)
+	}
+	if err := req.Engine.Validate(); err != nil {
 		return fmt.Errorf("%w: engine: %v", ErrBadRequest, err)
 	}
-	for i := range req.Portfolio {
-		if req.Portfolio[i].Weight < 0 {
-			return fmt.Errorf("%w: portfolio[%d]: negative weight", ErrBadRequest, i)
-		}
-		if err := validateEngine(&req.Portfolio[i].Engine); err != nil {
-			return fmt.Errorf("%w: portfolio[%d]: %v", ErrBadRequest, i, err)
-		}
-	}
 	return nil
-}
-
-// validateEngine is the engine's own validator behind the protocol's
-// cap on the initial configuration's length.
-func validateEngine(o *core.Options) error {
-	if len(o.InitialConfig) > maxInitialConfig {
-		return fmt.Errorf("initial_config of %d variables exceeds %d", len(o.InitialConfig), maxInitialConfig)
-	}
-	return o.Validate()
 }
 
 // wireStat converts one walker stat to its wire form.
@@ -313,7 +291,6 @@ func wireStat(ws multiwalk.WalkerStat) WalkerStatWire {
 	r := ws.Result
 	return WalkerStatWire{
 		Walker:         ws.Walker,
-		Entry:          ws.Entry,
 		Solved:         r.Solved,
 		Solution:       r.Solution,
 		Cost:           r.Cost,
@@ -337,7 +314,6 @@ func wireStat(ws multiwalk.WalkerStat) WalkerStatWire {
 func statFromWire(w WalkerStatWire) multiwalk.WalkerStat {
 	return multiwalk.WalkerStat{
 		Walker: w.Walker,
-		Entry:  w.Entry,
 		Result: core.Result{
 			Solved:         w.Solved,
 			Solution:       w.Solution,

@@ -243,13 +243,9 @@ func (c *Coordinator) cancelLoser(a *assignment) {
 }
 
 // specBudget is the job's per-walker iteration budget, or 0 when it is
-// effectively unbounded (no limit set, or a heterogeneous portfolio
-// whose entries budget independently) — unbounded budgets always pass
+// effectively unbounded (no limit set) — unbounded budgets always pass
 // the remaining-work guard.
 func specBudget(job *JobSpec) float64 {
-	if len(job.Portfolio) > 0 {
-		return 0
-	}
 	if job.Engine.MaxIterations <= 0 || job.Engine.MaxRuns <= 0 {
 		return 0
 	}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/multiwalk"
 )
 
@@ -26,9 +25,6 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 
 	queens := tunedEngine(t, "queens", 8)
 	queens.InitialConfig = []int{3, 6, 2, 7, 1, 4, 0, 5}
-	adaptive := tunedEngine(t, "costas", 10)
-	metropolis := adaptive
-	metropolis.Strategy = core.StrategyMetropolis
 
 	return map[string]RunRequest{
 		"tuned-costas": shardRequest(ModeRun,
@@ -37,12 +33,6 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 		"queens-initial-config": shardRequest(ModeVirtual,
 			&JobSpec{Problem: "queens", Size: 8, Walkers: 3, Seed: 7, Engine: queens},
 			shard("job000002-s1", 1, 2), &shardParams{deadline: 1500}),
-		"portfolio": shardRequest(ModeRun,
-			&JobSpec{Problem: "costas", Size: 10, Walkers: 6, Seed: 9, Portfolio: []multiwalk.PortfolioEntry{
-				{Weight: 2, Engine: adaptive},
-				{Weight: 1, Engine: metropolis},
-			}},
-			shard("job000003-s1", 3, 3), &shardParams{}),
 		"exchange": shardRequest(ModeRun,
 			&JobSpec{Problem: "magic-square", Size: 6, Walkers: 2, Seed: 11, Engine: tunedEngine(t, "magic-square", 6),
 				Exchange: multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.5, PerturbSwaps: 3}},

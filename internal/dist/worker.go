@@ -285,11 +285,10 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := multiwalk.Options{
-		Walkers:   req.Count,
-		Seed:      req.Seed,
-		Engine:    req.Engine,
-		Portfolio: req.Portfolio,
-		Shard:     &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
+		Walkers: req.Count,
+		Seed:    req.Seed,
+		Engine:  req.Engine,
+		Shard:   &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
 	}
 	// One set of per-walker (iteration, cost) cells feeds both consumers
 	// that want live counters: the FTDC sampler and the coordinator's

@@ -2,6 +2,7 @@ package multiwalk
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -58,9 +59,6 @@ func TestRunVirtualAlreadyCancelled(t *testing.T) {
 		if s.Walker != i {
 			t.Errorf("walker %d has index %d (pre-fix zero value)", i, s.Walker)
 		}
-		if s.Entry != -1 {
-			t.Errorf("homogeneous walker %d has Entry %d, want -1", i, s.Entry)
-		}
 		if !s.Result.Interrupted {
 			t.Errorf("unrun walker %d not marked Interrupted", i)
 		}
@@ -70,25 +68,20 @@ func TestRunVirtualAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestRunVirtualAlreadyCancelledPortfolioEntries(t *testing.T) {
+// TestRunVirtualAlreadyCancelledShardIdentity: the walkers a cancelled
+// shard never ran keep their global identity, so CombineShards can
+// place them.
+func TestRunVirtualAlreadyCancelledShardIdentity(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := tunedEngine(t, "costas", 9)
-	opts := Options{
-		Walkers: 4,
-		Seed:    1,
-		Portfolio: []PortfolioEntry{
-			{Weight: 1, Engine: eng},
-			{Weight: 1, Engine: eng},
-		},
-	}
+	opts := Options{Walkers: 4, Seed: 1, Engine: tunedEngine(t, "costas", 9), Shard: &Shard{Start: 3, Total: 8}}
 	res, err := RunVirtual(ctx, costasFactory(t, 9), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range res.Walkers {
-		if want := i % 2; s.Entry != want {
-			t.Errorf("unrun walker %d has Entry %d, want %d", i, s.Entry, want)
+		if s.Walker != 3+i || !s.Result.Interrupted || s.Result.Cost != core.CostUnknown {
+			t.Errorf("unrun walker %d: %+v, want global index %d, Interrupted, CostUnknown", i, s, 3+i)
 		}
 	}
 }
@@ -111,7 +104,7 @@ func TestRunVirtualMidSweepCancellation(t *testing.T) {
 		t.Fatalf("Completed = %d, want in [1, 4)", res.Completed)
 	}
 	for i, s := range res.Walkers {
-		if s.Walker != i || s.Entry != -1 {
+		if s.Walker != i {
 			t.Errorf("walker %d carries zero-valued identity: %+v", i, s)
 		}
 		if i >= res.Completed {
@@ -359,30 +352,32 @@ func TestRunSingleWalkerInline(t *testing.T) {
 // TestRunWalkerErrorCancelsEitherWay: a walker that fails cancels the
 // run whether it is the one on the caller's goroutine (the last) or a
 // spawned one, and whichever the survivor is, it stops instead of
-// burning its (endless) budget; k = 1 returns the error too.
+// burning its (endless) budget; k = 1 returns the error too. The
+// Progress hook breaks one walker by index.
 func TestRunWalkerErrorCancelsEitherWay(t *testing.T) {
-	healthy := hardOptions(t, 20)
-	broken := healthy
-	broken.Strategy = "no-such-strategy"
 	for _, tc := range []struct {
-		name      string
-		walkers   int
-		portfolio []PortfolioEntry
+		name            string
+		walkers, broken int
 	}{
-		{"spawned walker fails", 2, []PortfolioEntry{{Engine: broken}, {Engine: healthy}}},
-		{"inline walker fails", 2, []PortfolioEntry{{Engine: healthy}, {Engine: broken}}},
-		{"only walker fails", 1, []PortfolioEntry{{Engine: broken}}},
+		{"spawned walker fails", 2, 0},
+		{"inline walker fails", 2, 1},
+		{"only walker fails", 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Walkers: tc.walkers, Seed: 1, Engine: hardOptions(t, 20), Progress: func(w int, _ int64, _ int) {
+				if w == tc.broken {
+					panic("broken walker")
+				}
+			}}
 			done := make(chan error, 1)
 			go func() {
-				_, err := Run(context.Background(), hardFactory(t, 20), Options{Walkers: tc.walkers, Seed: 1, Portfolio: tc.portfolio})
+				_, err := Run(context.Background(), hardFactory(t, 20), opts)
 				done <- err
 			}()
 			select {
 			case err := <-done:
-				if err == nil || !strings.Contains(err.Error(), "no-such-strategy") {
-					t.Fatalf("err = %v, want the broken walker's", err)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("walker %d panicked: broken walker", tc.broken)) {
+					t.Fatalf("err = %v, want walker %d's", err, tc.broken)
 				}
 			case <-time.After(30 * time.Second):
 				t.Fatal("the walker error did not cancel the surviving walker")

@@ -6,8 +6,52 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/perm"
 	"repro/internal/problems"
 )
+
+// inversionsProblem is a synthetic engine problem built for exchange
+// tests: the cost is the permutation's inversion count plus one. The
+// +1 makes it unsolvable — no walker can ever post cost 0, so a run
+// always burns its full budget and the exchange board stays busy for
+// the whole run — while the inversion landscape gives every walker a
+// long, steady descent: a walker that starts later, or polls while
+// behind, lags the board's best by a wide margin.
+type inversionsProblem struct{ n int }
+
+func (p inversionsProblem) Size() int { return p.n }
+
+func (p inversionsProblem) Cost(cfg []int) int {
+	inv := 0
+	for i := 0; i < len(cfg); i++ {
+		for j := i + 1; j < len(cfg); j++ {
+			if cfg[i] > cfg[j] {
+				inv++
+			}
+		}
+	}
+	return inv + 1
+}
+
+func (p inversionsProblem) CostOnVariable(cfg []int, i int) int {
+	e := 0
+	for j := 0; j < len(cfg); j++ {
+		if j < i && cfg[j] > cfg[i] {
+			e++
+		}
+		if j > i && cfg[i] > cfg[j] {
+			e++
+		}
+	}
+	return e
+}
+
+func (p inversionsProblem) CostIfSwap(cfg []int, cost, i, j int) int {
+	cfg[i], cfg[j] = cfg[j], cfg[i]
+	c := p.Cost(cfg)
+	cfg[i], cfg[j] = cfg[j], cfg[i]
+	return c
+}
 
 // TestExchangeCadenceNotQuantized is the regression test for the
 // silent Period-quantization bug: the engine polls its Monitor every
@@ -97,7 +141,7 @@ func TestYieldedWalkerDistinguishableFromCancelled(t *testing.T) {
 	board.Publish(0, identityPerm(24)) // someone else already won
 	eo := core.Options{MaxIterations: 1000, MaxRuns: 1, CheckEvery: 4}
 	exch := ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: 2}
-	stat, err := runWalker(context.Background(), factory, eo, exch, 0, -1, 11, board, nil)
+	stat, err := runWalker(context.Background(), factory, eo, exch, 0, 11, board, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +159,7 @@ func TestYieldedWalkerDistinguishableFromCancelled(t *testing.T) {
 	// Yielded.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	stat2, err := runWalker(cancelled, factory, eo, exch, 0, -1, 11, NewLocalBoard(), nil)
+	stat2, err := runWalker(cancelled, factory, eo, exch, 0, 11, NewLocalBoard(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +179,7 @@ func TestSolvedWalkerPublishesWin(t *testing.T) {
 	board := NewLocalBoard()
 	eo.InitialConfig = sol // solves on iteration zero
 	exch := ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 2}
-	stat, err := runWalker(context.Background(), f, eo, exch, 0, -1, 5, board, nil)
+	stat, err := runWalker(context.Background(), f, eo, exch, 0, 5, board, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,23 +194,17 @@ func TestSolvedWalkerPublishesWin(t *testing.T) {
 
 // TestShardedExchangeSharedBoard is the in-process model of the
 // cross-worker scheme: two shards of one job executed separately
-// against one shared Board cooperate — the laggard shard adopts elite
-// configurations published by the leader shard, which a shard-private
-// board could never provide. It also pins the validation rules around
-// Options.Board.
+// against one shared Board cooperate — the shard that runs second
+// adopts elite configurations published by the first, which a
+// shard-private board could never provide. It also pins the validation
+// rules around Options.Board.
 func TestShardedExchangeSharedBoard(t *testing.T) {
 	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
 	engine := core.Options{MaxIterations: 600, MaxRuns: 1, CheckEvery: 4}
-	laggard := engine
-	laggard.Strategy = core.StrategyRandomWalk
-	portfolio := []PortfolioEntry{
-		{Weight: 1, Engine: engine},  // walker 0: adaptive leader
-		{Weight: 1, Engine: laggard}, // walker 1: random-walk laggard
-	}
 	exch := ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: 1.0}
 
 	// Sharded exchange without a shared board stays rejected.
-	noBoard := Options{Walkers: 1, Seed: 99, Portfolio: portfolio,
+	noBoard := Options{Walkers: 1, Seed: 99, Engine: engine,
 		Shard: &Shard{Start: 0, Total: 2}, Exchange: exch}
 	if _, err := Run(context.Background(), factory, noBoard); err == nil {
 		t.Fatal("sharded Exchange without a Board accepted")
@@ -179,10 +217,11 @@ func TestShardedExchangeSharedBoard(t *testing.T) {
 
 	board := NewLocalBoard()
 	shardOpts := func(start int) Options {
-		return Options{Walkers: 1, Seed: 99, Portfolio: portfolio,
+		return Options{Walkers: 1, Seed: 99, Engine: engine,
 			Shard: &Shard{Start: start, Total: 2}, Exchange: exch, Board: board}
 	}
-	// Leader shard runs first and seeds the board with its descent.
+	// The first shard runs to its budget and leaves its descent on the
+	// board; the second starts far above it.
 	s0, err := Run(context.Background(), factory, shardOpts(0))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +231,7 @@ func TestShardedExchangeSharedBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s1.Walkers[0].Adoptions; got == 0 {
-		t.Fatal("laggard shard never adopted the leader shard's elite: the board did not cross the shard boundary")
+		t.Fatal("second shard never adopted the first shard's elite: the board did not cross the shard boundary")
 	}
 	combined, err := CombineShards(2, s0, s1)
 	if err != nil {
@@ -201,8 +240,77 @@ func TestShardedExchangeSharedBoard(t *testing.T) {
 	if combined.Adoptions != s0.Adoptions+s1.Adoptions {
 		t.Fatalf("combined Adoptions = %d, want %d", combined.Adoptions, s0.Adoptions+s1.Adoptions)
 	}
-	if combined.Walkers[1].Entry != 1 || combined.Walkers[1].Result.Strategy != core.StrategyRandomWalk {
+	if combined.Walkers[1].Walker != 1 || combined.Walkers[1].Adoptions != s1.Walkers[0].Adoptions {
 		t.Fatalf("walker identity lost in combination: %+v", combined.Walkers[1])
+	}
+}
+
+// TestExchangeAdoptFactorGatesAdoption: on the inversions landscape
+// four concurrent walkers polling every four iterations adopt at
+// AdoptFactor 1.0, where any walker behind the board's best lags, and
+// never at an AdoptFactor no cost can exceed: the threshold is what
+// licenses teleports.
+func TestExchangeAdoptFactorGatesAdoption(t *testing.T) {
+	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	run := func(adoptFactor float64) Result {
+		res, err := Run(context.Background(), factory, Options{
+			Walkers:  4,
+			Seed:     424242,
+			Engine:   core.Options{MaxIterations: 600, MaxRuns: 1, CheckEvery: 4},
+			Exchange: ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: adoptFactor},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Solved {
+			t.Fatalf("inversions+1 cannot be solved, got %+v", res)
+		}
+		return res
+	}
+	if res := run(1.0); res.Adoptions == 0 {
+		t.Fatal("AdoptFactor=1.0 produced no adoptions")
+	}
+	for w, ws := range run(1e9).Walkers {
+		if ws.Adoptions != 0 {
+			t.Fatalf("walker %d adopted %d times despite AdoptFactor=1e9", w, ws.Adoptions)
+		}
+	}
+}
+
+// TestExchangeAdoptThresholdBoundary pins the strictly-greater-than
+// adoption rule at the boundary, deterministically, through the board
+// monitor itself: cost == AdoptFactor*best must not adopt, one above
+// must.
+func TestExchangeAdoptThresholdBoundary(t *testing.T) {
+	b := NewLocalBoard()
+	elite := []int{7, 6, 5, 4, 3, 2, 1, 0}
+	b.Publish(5, elite)
+
+	stat := &WalkerStat{}
+	x := ExchangeOptions{Enabled: true, Period: 10, AdoptFactor: 2, PerturbSwaps: 3}
+	mp, _ := problems.NewQueens(8)
+	mon := boardMonitor(b, stat, x, mp, 1)
+
+	cfg := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	// cost 10 == 2*5: on the boundary, not strictly lagging.
+	if d := mon(10, 10, cfg); d.SetConfig != nil || stat.Adoptions != 0 {
+		t.Fatalf("boundary cost adopted: %+v (adoptions %d)", d, stat.Adoptions)
+	}
+	// cost 11 > 2*5: adopt, with a perturbed copy of the elite.
+	d := mon(20, 11, cfg)
+	if d.SetConfig == nil || stat.Adoptions != 1 {
+		t.Fatalf("lagging cost did not adopt: %+v (adoptions %d)", d, stat.Adoptions)
+	}
+	if !perm.IsPermutation(d.SetConfig) {
+		t.Fatalf("adopted config is not a permutation: %v", d.SetConfig)
+	}
+	// The teleport hands out a perturbed *copy*; the board's elite must
+	// be untouched by the perturbation.
+	_, cur, _ := b.Snapshot()
+	for i, v := range elite {
+		if cur[i] != v {
+			t.Fatalf("adoption perturbed the board's elite: %v", cur)
+		}
 	}
 }
 

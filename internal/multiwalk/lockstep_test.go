@@ -72,7 +72,7 @@ func runLockstep(factory Factory, engine core.Options, seed uint64, k int, x Exc
 				errs[w] = err
 				return
 			}
-			stats[w] = WalkerStat{Walker: w, Entry: -1}
+			stats[w] = WalkerStat{Walker: w}
 			eo := engine
 			eo.Seed = seeds[w]
 			exchange := boardMonitor(board, &stats[w], x, p, seeds[w])

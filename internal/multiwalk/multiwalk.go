@@ -27,11 +27,10 @@
 // board. The paper conjectures (and EXP-A1 confirms) that this is hard
 // pressed to beat the independent scheme.
 //
-// Walks need not be identical: Options.Portfolio assigns weighted
-// shares of the walkers to different engine options — typically
-// different search strategies (core.Options.Strategy) — turning the
-// run into a heterogeneous portfolio while preserving the independent
-// scheme's reproducibility (see DESIGN.md §5).
+// Every walker runs the same engine options; only its seed differs.
+// BENCH_portfolio_vs_adaptive.json measured mixing strategies across
+// walkers and found no mix that beats pure adaptive walkers (DESIGN.md
+// §5).
 package multiwalk
 
 import (
@@ -70,26 +69,13 @@ type Options struct {
 	// walker invokes it.
 	Engine core.Options
 
-	// Portfolio, when non-empty, makes the run heterogeneous: walkers
-	// are assigned to the entries in weighted round-robin order (entry
-	// 0 repeated Weight(0) times, entry 1 Weight(1) times, ..., then
-	// the pattern repeats), and each walker runs the entry's engine
-	// options instead of Engine. Shares are exactly weight-proportional
-	// when Walkers is a multiple of the summed weights; otherwise the
-	// last partial pattern pass favors earlier entries. Assignment
-	// depends only on the walker index, so a portfolio run is exactly
-	// as reproducible as a homogeneous one: RunVirtual is deterministic
-	// given (problem, options, seed). Engine is ignored when Portfolio
-	// is set.
-	Portfolio []PortfolioEntry
-
 	// Shard, when non-nil, restricts the run to the global walkers
 	// [Shard.Start, Shard.Start+Walkers) of a Shard.Total-walker job.
-	// Seeds and portfolio entries are derived from the *global* walker
-	// index, so executing the shards of one job in separate processes
-	// and merging their stats with CombineShards is bit-for-bit
-	// identical to a single-process run with Walkers = Shard.Total and
-	// no Shard (see internal/dist). nil runs the whole job locally.
+	// Seeds are derived from the *global* walker index, so executing
+	// the shards of one job in separate processes and merging their
+	// stats with CombineShards is bit-for-bit identical to a
+	// single-process run with Walkers = Shard.Total and no Shard (see
+	// internal/dist). nil runs the whole job locally.
 	Shard *Shard
 
 	// Exchange enables the dependent multi-walk scheme. The zero value
@@ -121,26 +107,9 @@ type Options struct {
 	Progress func(walker int, iter int64, cost int)
 }
 
-// PortfolioEntry assigns engine options — typically differing in
-// Options.Strategy, but any tunable may vary — to a weighted share of
-// the walkers. Heterogeneous portfolios are the natural extension of
-// the paper's independent multi-walk scheme: diversity across walkers
-// is what the min-of-k runtime distribution feeds on, and mixing
-// strategies diversifies the distributions themselves.
-type PortfolioEntry struct {
-	// Weight is the entry's relative share of walkers. 0 counts as 1;
-	// negative weights are rejected, as are entries made unreachable
-	// because the weight slots before them already cover every walker.
-	Weight int `json:"weight,omitempty"`
-	// Engine holds the entry's engine options (Seed is overridden and
-	// Monitor chained by the multi-walk driver, as with
-	// Options.Engine).
-	Engine core.Options `json:"engine"`
-}
-
 // Shard identifies a contiguous slice of the walkers of a larger
-// logical job. Walker identity — the seed stream, the portfolio entry,
-// the WalkerStat.Walker index — is always derived from the global
+// logical job. Walker identity — the seed stream and the
+// WalkerStat.Walker index — is always derived from the global
 // index Start+i, never from the shard-local position, which is what
 // makes distributed execution reproduce the single-process run.
 type Shard struct {
@@ -196,15 +165,11 @@ func (x *ExchangeOptions) Validate() error {
 type WalkerStat struct {
 	// Walker is the walker index in [0, k).
 	Walker int
-	// Entry is the index of the portfolio entry this walker ran, or -1
-	// for a homogeneous run.
-	Entry int
 	// Result is the walker's engine result. In Run, losers are usually
 	// Interrupted; in RunVirtual every walker runs to completion unless
 	// the context is cancelled mid-sweep, in which case walkers that
 	// never ran carry an empty Result marked Interrupted (Cost
-	// core.CostUnknown, zero iterations). Result.Strategy names the
-	// strategy the walker used.
+	// core.CostUnknown, zero iterations).
 	Result core.Result
 	// Adoptions counts elite-configuration adoptions offered by the
 	// exchange board (dependent mode). A Stop or Restart issued by a
@@ -250,7 +215,7 @@ type Result struct {
 	// interrupted mid-run). Run starts every walker, so there it always
 	// equals len(Walkers); a cancelled RunVirtual sweep stops early and
 	// leaves Completed < len(Walkers). The unrun tail keeps correct
-	// Walker/Entry indices and an empty Result marked Interrupted.
+	// Walker indices and an empty Result marked Interrupted.
 	Completed int
 	// Truncated reports that the caller's context was cancelled before
 	// the sweep finished on its own terms. An unsolved Result with
@@ -281,12 +246,11 @@ func (o *Options) start() int {
 }
 
 // Validate checks the options that need no problem instance: the walker
-// count, the shard range, the board/exchange pairing, the exchange
-// tuning when enabled, and each portfolio entry's weight and
-// reachability. The engine options themselves are core.Options.Validate's
-// to check, which every walker's Solve does. The solve service calls
-// Validate at admission, so a request it would fail is a 400 and never
-// a late job failure.
+// count, the shard range, the board/exchange pairing and the exchange
+// tuning when enabled. The engine options themselves are
+// core.Options.Validate's to check, which every walker's Solve does.
+// The solve service calls Validate at admission, so a request it would
+// fail is a 400 and never a late job failure.
 func (o *Options) Validate() error {
 	if o.Walkers < 1 {
 		return fmt.Errorf("multiwalk: Walkers must be >= 1, got %d", o.Walkers)
@@ -304,30 +268,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Board != nil && !o.Exchange.Enabled {
 		return errors.New("multiwalk: Board is set but Exchange is not enabled")
-	}
-	total := o.total()
-	prefix := 0
-	for i := range o.Portfolio {
-		if o.Portfolio[i].Weight < 0 {
-			return fmt.Errorf("multiwalk: Portfolio[%d].Weight must be >= 0, got %d", i, o.Portfolio[i].Weight)
-		}
-		// An entry is assigned at least one walker iff some global
-		// walker index lands in its pattern slots, i.e. the weight
-		// prefix before it is below the whole job's walker count;
-		// reject unreachable entries rather than silently degenerating
-		// the requested mix. A shard validates against the global
-		// count: an entry may well be unreachable from this shard's
-		// sub-range while other shards cover it.
-		if prefix >= total {
-			return fmt.Errorf("multiwalk: Portfolio[%d] is unreachable: the %d weight slots before it already cover all %d walkers", i, prefix, total)
-		}
-		prefix += weightOf(o.Portfolio[i])
-		if prefix > total {
-			// Only "covers all walkers" matters from here on; clamping
-			// also guards the sum against integer overflow from huge
-			// weights.
-			prefix = total
-		}
 	}
 	if o.Exchange.Enabled {
 		return o.Exchange.Validate()
@@ -360,7 +300,6 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	}
 
 	seeds := walkerSeeds(opts.Seed, opts.total())
-	pattern := portfolioPattern(opts.Portfolio, opts.total())
 	board := opts.Board
 	if board == nil && opts.Exchange.Enabled {
 		board = NewLocalBoard()
@@ -374,14 +313,13 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	errs := make([]error, opts.Walkers)
 	walk := func(w int) {
 		g := opts.start() + w // global walker identity
-		eo, entry := opts.engineFor(pattern, g)
-		stat, err := runWalker(runCtx, factory, eo, opts.Exchange, g, entry, seeds[g], board, opts.Progress)
+		stat, err := runWalker(runCtx, factory, opts.Engine, opts.Exchange, g, seeds[g], board, opts.Progress)
 		stats[w] = stat
 		errs[w] = err
 		if err != nil || stat.Result.Solved {
 			// Completion detection: the first solution wins. A
-			// walker error (bad per-entry options, factory failure)
-			// also cancels the run — the error is returned either
+			// walker error (bad engine options, a factory failure, a
+			// panic) also cancels the run — the error is returned either
 			// way, so letting the healthy walkers burn the deadline
 			// first would only delay it.
 			cancel()
@@ -440,24 +378,21 @@ func RunVirtual(ctx context.Context, factory Factory, opts Options) (Result, err
 	}
 
 	seeds := walkerSeeds(opts.Seed, opts.total())
-	pattern := portfolioPattern(opts.Portfolio, opts.total())
 	start := time.Now()
 	stats := make([]WalkerStat, opts.Walkers)
 	completed := 0
 	truncated := false
 	for w := 0; w < opts.Walkers; w++ {
 		g := opts.start() + w // global walker identity
-		eo, entry := opts.engineFor(pattern, g)
 		if ctx.Err() != nil {
 			// The sweep was cancelled before this walker's turn: keep
-			// its identity (index, portfolio entry) intact and mark the
-			// empty result Interrupted so callers can tell "never ran"
-			// from "ran and failed".
-			stats[w] = WalkerStat{Walker: g, Entry: entry, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
+			// its index intact and mark the empty result Interrupted so
+			// callers can tell "never ran" from "ran and failed".
+			stats[w] = WalkerStat{Walker: g, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
 			truncated = true
 			continue
 		}
-		stat, err := runWalker(ctx, factory, eo, opts.Exchange, g, entry, seeds[g], nil, opts.Progress)
+		stat, err := runWalker(ctx, factory, opts.Engine, opts.Exchange, g, seeds[g], nil, opts.Progress)
 		if err != nil {
 			return Result{}, err
 		}
@@ -487,72 +422,15 @@ func walkerSeeds(seed uint64, k int) []uint64 {
 	return seeds
 }
 
-// weightOf is the single place the zero-counts-as-1 weight rule lives,
-// shared by validate's reachability check and the pattern expansion so
-// the two cannot drift apart.
-func weightOf(e PortfolioEntry) int {
-	if e.Weight == 0 {
-		return 1
-	}
-	return e.Weight
-}
-
-// portfolioPattern expands the weighted portfolio entries into the
-// repeating walker-assignment pattern (entry indices), or nil for a
-// homogeneous run. The expansion is capped at walkers slots: engineFor
-// only ever reads indices below walkers, so truncating the tail changes
-// no assignment while keeping arbitrarily large weights (which validate
-// accepts on the last reachable entry) from materializing huge slices.
-func portfolioPattern(entries []PortfolioEntry, walkers int) []int {
-	if len(entries) == 0 {
-		return nil
-	}
-	pattern := make([]int, 0, walkers)
-	for idx, e := range entries {
-		for r := 0; r < weightOf(e); r++ {
-			if len(pattern) == walkers {
-				return pattern
-			}
-			pattern = append(pattern, idx)
-		}
-	}
-	return pattern
-}
-
-// EntryFor returns the portfolio entry index assigned to global walker
-// w of a total-walker job, or -1 for a homogeneous run. This is the
-// single assignment rule — weighted round-robin over the expanded
-// pattern — exposed so external executors (internal/dist) can label
-// walkers they could not run (a lost worker's shard) with the same
-// identity the run would have given them.
-func EntryFor(portfolio []PortfolioEntry, total, w int) int {
-	pattern := portfolioPattern(portfolio, total)
-	if len(pattern) == 0 {
-		return -1
-	}
-	return pattern[w%len(pattern)]
-}
-
-// engineFor resolves the engine options and portfolio entry index of
-// walker w. Homogeneous runs (empty pattern) use Options.Engine and
-// entry -1.
-func (o *Options) engineFor(pattern []int, w int) (core.Options, int) {
-	if len(pattern) == 0 {
-		return o.Engine, -1
-	}
-	idx := pattern[w%len(pattern)]
-	return o.Portfolio[idx].Engine, idx
-}
-
 // runWalker builds a fresh problem instance and runs one engine with
-// the resolved per-walker options. The walker's effective Monitor is
-// the chain of the exchange-board policy, the Progress hook and the
-// caller's engine Monitor; every link runs each poll and the
+// the walker's seed. The walker's effective Monitor is the chain of
+// the exchange-board policy, the Progress hook and the caller's engine
+// Monitor; every link runs each poll and the
 // directives merge (any Stop stops, any Restart restarts, the first
 // SetConfig wins). A panic in the walker — a problem's cost function,
 // its factory, a monitor — is the walker's error, so it ends the run
 // like any other walker error instead of the process.
-func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w, entry int, seed uint64, board Board, progress func(int, int64, int)) (_ WalkerStat, err error) {
+func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w int, seed uint64, board Board, progress func(int, int64, int)) (_ WalkerStat, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("multiwalk: walker %d panicked: %v", w, r)
@@ -563,7 +441,7 @@ func runWalker(ctx context.Context, factory Factory, eo core.Options, exch Excha
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d factory: %w", w, err)
 	}
 	eo.Seed = seed
-	stat := WalkerStat{Walker: w, Entry: entry}
+	stat := WalkerStat{Walker: w}
 	// The board monitor goes first: its SetConfig directive carries
 	// side effects (the Adoptions count, the perturbation RNG), so it
 	// must win the first-SetConfig-wins merge over a caller monitor

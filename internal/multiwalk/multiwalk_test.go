@@ -325,3 +325,28 @@ func TestAggregateUnsolved(t *testing.T) {
 		t.Fatalf("bad aggregate: %+v", res)
 	}
 }
+
+// TestVirtualWinnerTieBreak: equal-iteration solved walkers must
+// resolve deterministically to the lowest index, so virtual runs stay
+// reproducible when iteration counts collide.
+func TestVirtualWinnerTieBreak(t *testing.T) {
+	stats := []WalkerStat{
+		{Walker: 0, Result: core.Result{Iterations: 50}},
+		{Walker: 1, Result: core.Result{Solved: true, Iterations: 42}},
+		{Walker: 2, Result: core.Result{Solved: true, Iterations: 42}},
+		{Walker: 3, Result: core.Result{Solved: true, Iterations: 42}},
+	}
+	if w := virtualWinner(stats); w != 1 {
+		t.Fatalf("virtualWinner = %d, want 1 (lowest index among equal-iteration walkers)", w)
+	}
+	// An unsolved walker with fewer iterations must not win.
+	stats[0].Result.Iterations = 1
+	if w := virtualWinner(stats); w != 1 {
+		t.Fatalf("virtualWinner = %d, want 1 (unsolved walkers never win)", w)
+	}
+	// A strictly faster solved walker beats the tie pool.
+	stats[3].Result.Iterations = 41
+	if w := virtualWinner(stats); w != 3 {
+		t.Fatalf("virtualWinner = %d, want 3", w)
+	}
+}

@@ -28,7 +28,10 @@ import (
 // with S_s the empirical survival function of strategy s's sample and
 // a_s the number of walkers the mix gives s. This file holds the
 // artifact's schema, that estimator and the test that recomputes every
-// number of the committed file from its stored samples.
+// number of the committed file from its stored samples. The
+// measurement that wrote the file (TestPortfolioVsAdaptive) ran at the
+// file's rev; the rule deleted the portfolio and both strategies it
+// measured, and the measurement with them.
 
 // The rule, fixed before the measurement and stored in the artifact
 // ahead of its numbers. pfCrossGate is the cross-check's: a direct
@@ -318,10 +321,13 @@ func pfPercentiles(vals []float64, conf float64) (lo, hi float64) {
 // strategy. Cells must carry Walkers and each arm its Arm and Counts.
 func pfConfirm(samples [][]int64, price []float64, cells []pfCell, iters int, seed uint64, conf float64) {
 	est := newPFEstimator(samples, price)
-	type axes struct{ adaptive, arm []pfMixAxes }
+	type axes struct {
+		adaptive pfMixAxes
+		arm      []pfMixAxes
+	}
 	ax := make([]axes, len(cells))
 	for c, cell := range cells {
-		ax[c].adaptive = []pfMixAxes{est.mix(pfAlone(0, cell.Walkers))}
+		ax[c].adaptive = est.mix(pfAlone(0, cell.Walkers))
 		for _, arm := range cell.Arms {
 			ax[c].arm = append(ax[c].arm, est.mix(arm.Counts))
 		}
@@ -329,7 +335,7 @@ func pfConfirm(samples [][]int64, price []float64, cells []pfCell, iters int, se
 	ones := pfOnes(est.n)
 	for c := range cells {
 		cell := &cells[c]
-		cell.AdaptiveEMinRaw, cell.AdaptiveEMinNs = ax[c].adaptive[0].emin(ones)
+		cell.AdaptiveEMinRaw, cell.AdaptiveEMinNs = ax[c].adaptive.emin(ones)
 		for a := range cell.Arms {
 			arm := &cell.Arms[a]
 			arm.EMinRaw, arm.EMinPriced = ax[c].arm[a].emin(ones)
@@ -355,7 +361,7 @@ func pfConfirm(samples [][]int64, price []float64, cells []pfCell, iters int, se
 			w[r.Intn(est.n)]++
 		}
 		for c := range cells {
-			aRaw, aPriced := ax[c].adaptive[0].emin(w)
+			aRaw, aPriced := ax[c].adaptive.emin(w)
 			for a := range cells[c].Arms {
 				mRaw, mPriced := ax[c].arm[a].emin(w)
 				raw[c][a][b], priced[c][a][b] = mRaw/aRaw, mPriced/aPriced

@@ -31,18 +31,7 @@ func shardRanges(sizes []int) []Shard {
 // counts, same per-walker identity and stats.
 func TestShardedRunVirtualMatchesWhole(t *testing.T) {
 	const k = 7
-	engine := tunedEngine(t, "costas", 9)
-	entryRW := engine
-	entryRW.Strategy = core.StrategyRandomWalk
-	base := Options{
-		Walkers: k,
-		Seed:    123,
-		Engine:  engine,
-		Portfolio: []PortfolioEntry{
-			{Weight: 2, Engine: engine},
-			{Weight: 1, Engine: entryRW},
-		},
-	}
+	base := Options{Walkers: k, Seed: 123, Engine: tunedEngine(t, "costas", 9)}
 	whole, err := RunVirtual(context.Background(), costasFactory(t, 9), base)
 	if err != nil {
 		t.Fatal(err)
@@ -105,27 +94,11 @@ func TestShardValidation(t *testing.T) {
 			}
 		})
 	}
-
-	// A portfolio entry reachable only from another shard's sub-range
-	// must still validate: reachability is a whole-job property.
-	opts := Options{
-		Walkers: 1,
-		Seed:    5,
-		Engine:  engine,
-		Shard:   &Shard{Start: 0, Total: 4},
-		Portfolio: []PortfolioEntry{
-			{Weight: 3, Engine: engine},
-			{Weight: 1, Engine: engine},
-		},
-	}
-	if _, err := RunVirtual(context.Background(), costasFactory(t, 8), opts); err != nil {
-		t.Fatalf("whole-job-reachable portfolio rejected for shard: %v", err)
-	}
 }
 
 func TestCombineShardsRejectsGapsAndOverlaps(t *testing.T) {
 	stat := func(w int) WalkerStat {
-		return WalkerStat{Walker: w, Entry: -1, Result: core.Result{Iterations: 1, Cost: 3}}
+		return WalkerStat{Walker: w, Result: core.Result{Iterations: 1, Cost: 3}}
 	}
 	if _, err := CombineShards(3, Result{Walkers: []WalkerStat{stat(0), stat(1)}}); err == nil {
 		t.Fatal("missing walker not rejected")
@@ -142,10 +115,10 @@ func TestCombineShardsRejectsGapsAndOverlaps(t *testing.T) {
 
 func TestCombineShardsWinnerAndTruncation(t *testing.T) {
 	solved := func(w int, iters int64) WalkerStat {
-		return WalkerStat{Walker: w, Entry: -1, Result: core.Result{Solved: true, Iterations: iters, Solution: []int{0}}}
+		return WalkerStat{Walker: w, Result: core.Result{Solved: true, Iterations: iters, Solution: []int{0}}}
 	}
 	lost := func(w int) WalkerStat {
-		return WalkerStat{Walker: w, Entry: -1, Result: core.Result{Interrupted: true, Cost: math.MaxInt}}
+		return WalkerStat{Walker: w, Result: core.Result{Interrupted: true, Cost: math.MaxInt}}
 	}
 	res, err := CombineShards(4,
 		Result{Walkers: []WalkerStat{solved(0, 90), solved(1, 40)}, Completed: 2},

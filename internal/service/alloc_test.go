@@ -191,14 +191,8 @@ func TestRejectBeforeBuild(t *testing.T) {
 		"negative timeout":       func(r *Request) { r.TimeoutMS = -1 },
 		"tenant too long":        func(r *Request) { r.Tenant = strings.Repeat("t", maxTenantLen+1) },
 		"unknown priority":       func(r *Request) { r.Priority = "urgent" },
-		"unknown strategy":       func(r *Request) { r.Strategy = "no-such-strategy" },
-		"portfolio strategy":     func(r *Request) { r.Portfolio = []PortfolioSpec{{Strategy: "no-such-strategy"}} },
-		"portfolio weight":       func(r *Request) { r.Portfolio = []PortfolioSpec{{Strategy: "adaptive", Weight: -1}} },
-		"portfolio unreachable": func(r *Request) {
-			r.Portfolio = []PortfolioSpec{{Strategy: "adaptive", Weight: 2}, {Strategy: "metropolis"}}
-		},
-		"exchange adopt factor": func(r *Request) { r.Exchange = &multiwalk.ExchangeOptions{Enabled: true, AdoptFactor: 0.5} },
-		"autosize with walkers": func(r *Request) { r.AutoSize = &AutoSizeSpec{} },
+		"exchange adopt factor":  func(r *Request) { r.Exchange = &multiwalk.ExchangeOptions{Enabled: true, AdoptFactor: 0.5} },
+		"autosize with walkers":  func(r *Request) { r.AutoSize = &AutoSizeSpec{} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			req := base

@@ -52,7 +52,7 @@ type AutoSizeSpec struct {
 // it).
 var (
 	// ErrNoCalibration reports an AutoSize request whose (problem, size,
-	// params, strategy) population has no (or too little) calibration
+	// params) population has no (or too little) calibration
 	// data, or a server running without a calibration store.
 	ErrNoCalibration = errors.New("service: no calibration for request")
 	// ErrUnsatisfiable reports a latency target below the predicted P95
@@ -70,22 +70,21 @@ const autoSizeQuantile = 0.95
 
 // calibrationKey maps a normalized request onto its calibration
 // population. It must match what the live feed records (recordOutcome)
-// so predictions and telemetry describe the same population; Size and
-// Strategy are the post-default-resolution values for Size, and the
-// verbatim request strategy ("" = tuned default) for Strategy.
+// so predictions and telemetry describe the same population; Size is
+// the post-default-resolution value. Every job runs the tuned default
+// strategy, the key's empty Strategy.
 func calibrationKey(req *Request) calibrate.Key {
 	return calibrate.Key{
-		Problem:  req.Problem,
-		Size:     req.Size,
-		Params:   calibrate.CanonicalParams(req.Params),
-		Strategy: req.Strategy,
+		Problem: req.Problem,
+		Size:    req.Size,
+		Params:  calibrate.CanonicalParams(req.Params),
 	}
 }
 
 // autoSize resolves req.AutoSize into a concrete req.Walkers. Called
-// from normalizeRequest after problem/size resolution and strategy
-// validation (the calibration key needs resolved values, and an unknown
-// strategy must be a 400, not a misleading no-calibration 409) and
+// from normalizeRequest after problem/size resolution and engine-option
+// validation (the calibration key needs resolved values, and a bad
+// budget must be a 400, not a misleading no-calibration 409) and
 // before walker validation (the chosen count then passes through the
 // same bounds checks as an explicit one). Counts successes and typed
 // rejections for /metrics.
@@ -94,11 +93,11 @@ func (s *Scheduler) autoSize(req *Request) error {
 	if req.Walkers != 0 {
 		return fmt.Errorf("%w: autosize and walkers are mutually exclusive", ErrBadRequest)
 	}
-	if len(req.Portfolio) > 0 || (req.Exchange != nil && req.Exchange.Enabled) {
-		// Calibration populations are per-strategy independent runs; a
-		// portfolio mixes strategies and a dependent run's distribution
-		// is not the sequential one the model was fitted to.
-		return fmt.Errorf("%w: autosize requires an independent single-strategy job", ErrBadRequest)
+	if req.Exchange != nil && req.Exchange.Enabled {
+		// Calibration populations are independent runs; a dependent
+		// run's distribution is not the sequential one the model was
+		// fitted to.
+		return fmt.Errorf("%w: autosize requires an independent job", ErrBadRequest)
 	}
 	minGain := spec.MinGain
 	if minGain == 0 {
@@ -180,17 +179,16 @@ func (s *Scheduler) autoSize(req *Request) error {
 
 // recordOutcome feeds a finished job back into the calibration store:
 // live telemetry keeps calibration fresh without dedicated bench runs.
-// Only solved, independent, single-strategy runs are recorded — a
-// portfolio or dependent run is not a draw of any one strategy's
-// sequential distribution — and only single-walker runs are flagged
-// Sequential (a k-walker winner effort is a min-of-k draw, which would
-// bias the fit; it still carries rate information and a measured
+// Only solved, independent runs are recorded — a dependent run is not a
+// draw of the sequential distribution — and only single-walker runs are
+// flagged Sequential (a k-walker winner effort is a min-of-k draw, which
+// would bias the fit; it still carries rate information and a measured
 // speedup observation).
 func (s *Scheduler) recordOutcome(j *job, res *jobOutcome) {
 	if s.cfg.Calibration == nil || res == nil || !res.solved {
 		return
 	}
-	if len(j.req.Portfolio) > 0 || (j.req.Exchange != nil && j.req.Exchange.Enabled) {
+	if j.req.Exchange != nil && j.req.Exchange.Enabled {
 		return
 	}
 	if res.winnerIterations <= 0 {

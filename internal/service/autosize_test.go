@@ -115,11 +115,10 @@ func TestAutoSizeRejections(t *testing.T) {
 		{"uncalibrated problem", Request{Problem: "queens", AutoSize: &AutoSizeSpec{}}, ErrNoCalibration},
 		{"uncalibrated size", Request{Problem: "costas", Size: 11, AutoSize: &AutoSizeSpec{}}, ErrNoCalibration},
 		{"explicit walkers too", Request{Problem: "costas", Size: 10, Walkers: 2, AutoSize: &AutoSizeSpec{}}, ErrBadRequest},
-		{"portfolio", Request{Problem: "costas", Size: 10, AutoSize: &AutoSizeSpec{}, Portfolio: []PortfolioSpec{{Strategy: "adaptive"}}}, ErrBadRequest},
 		{"bad target", Request{Problem: "costas", Size: 10, AutoSize: &AutoSizeSpec{TargetP95: "soon"}}, ErrBadRequest},
 		{"negative target", Request{Problem: "costas", Size: 10, AutoSize: &AutoSizeSpec{TargetP95: "-1s"}}, ErrBadRequest},
 		{"bad min_gain", Request{Problem: "costas", Size: 10, AutoSize: &AutoSizeSpec{MinGain: 2}}, ErrBadRequest},
-		{"unknown strategy", Request{Problem: "costas", Size: 10, Strategy: "nope", AutoSize: &AutoSizeSpec{}}, ErrBadRequest},
+		{"bad budget", Request{Problem: "costas", Size: 10, MaxIterations: -1, AutoSize: &AutoSizeSpec{}}, ErrBadRequest},
 	}
 	for _, c := range cases {
 		if _, err := s.Submit(c.req); !errors.Is(err, c.want) {

@@ -26,9 +26,9 @@ type Backend interface {
 	Slots() int
 	// RunJob executes one job. problem/size/params name the instance
 	// for backends that rebuild it elsewhere; factory serves in-process
-	// backends. opts carries walker count, seed, engine options,
-	// portfolio and the Progress hook (which remote backends may
-	// replay from final statistics instead of streaming).
+	// backends. opts carries walker count, seed, engine options and
+	// the Progress hook (which remote backends may replay from final
+	// statistics instead of streaming).
 	RunJob(ctx context.Context, problem string, size int, params map[string]int, factory problems.Factory, opts multiwalk.Options) (multiwalk.Result, error)
 	// Close releases backend resources once the scheduler has drained.
 	Close()

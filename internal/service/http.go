@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/problems"
 )
@@ -92,10 +91,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			}
 			infos = append(infos, info)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"problems":   infos,
-			"strategies": core.StrategyNames(),
-		})
+		writeJSON(w, http.StatusOK, map[string]any{"problems": infos})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()

@@ -53,7 +53,7 @@ var (
 	// being admitted. Callers should retry with backoff.
 	ErrQueueFull = errors.New("service: admission queue full")
 	// ErrBadRequest marks a request the registry-driven validation
-	// rejected (unknown problem or strategy, out-of-range walkers).
+	// rejected (unknown problem, out-of-range walkers).
 	ErrBadRequest = errors.New("service: bad request")
 	// ErrNotFound reports an unknown (or TTL-evicted) job id.
 	ErrNotFound = errors.New("service: unknown job")
@@ -93,12 +93,6 @@ type Request struct {
 	// Seed seeds the multi-walk master stream. 0 lets the scheduler
 	// pick a per-job seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// Strategy names an engine search strategy ("" selects the
-	// problem's tuned default).
-	Strategy string `json:"strategy,omitempty"`
-	// Portfolio, when non-empty, runs a heterogeneous portfolio and
-	// takes precedence over Strategy.
-	Portfolio []PortfolioSpec `json:"portfolio,omitempty"`
 	// Exchange, when non-nil and Enabled, runs the job in the dependent
 	// (communicating) multi-walk scheme: walkers publish their best to
 	// a shared elite board and laggards teleport to perturbed elites.
@@ -155,12 +149,6 @@ func classOf(p string) (int, error) {
 // maxTenantLen bounds tenant names; they appear in metrics keys.
 const maxTenantLen = 64
 
-// PortfolioSpec assigns a strategy a weighted share of the walkers.
-type PortfolioSpec struct {
-	Strategy string `json:"strategy"`
-	Weight   int    `json:"weight,omitempty"`
-}
-
 // Job is an immutable snapshot of a job's state, safe to retain and
 // serialize.
 type Job struct {
@@ -176,15 +164,14 @@ type Job struct {
 
 // JobResult condenses a multiwalk.Result for transport.
 type JobResult struct {
-	Solved           bool   `json:"solved"`
-	Solution         []int  `json:"solution,omitempty"`
-	Winner           int    `json:"winner"`
-	WinnerStrategy   string `json:"winner_strategy,omitempty"`
-	WinnerIterations int64  `json:"winner_iterations"`
-	TotalIterations  int64  `json:"total_iterations"`
-	CompletedWalkers int    `json:"completed_walkers"`
-	Truncated        bool   `json:"truncated"`
-	ElapsedMS        int64  `json:"elapsed_ms"`
+	Solved           bool  `json:"solved"`
+	Solution         []int `json:"solution,omitempty"`
+	Winner           int   `json:"winner"`
+	WinnerIterations int64 `json:"winner_iterations"`
+	TotalIterations  int64 `json:"total_iterations"`
+	CompletedWalkers int   `json:"completed_walkers"`
+	Truncated        bool  `json:"truncated"`
+	ElapsedMS        int64 `json:"elapsed_ms"`
 	// Adoptions counts elite-configuration adoptions across all
 	// walkers (dependent runs only; always 0 for independent jobs).
 	Adoptions int64 `json:"adoptions,omitempty"`
@@ -240,15 +227,12 @@ func condenseResult(res *multiwalk.Result) *JobResult {
 	if res.Solved {
 		jr.BestCost = 0
 	}
-	if res.Winner >= 0 && res.Winner < len(res.Walkers) {
-		jr.WinnerStrategy = res.Walkers[res.Winner].Result.Strategy
-	}
 	return jr
 }
 
-// normalizeRequest validates req against the problems and strategy
-// registries and resolves it into a ready-to-run multi-walk
-// configuration. All validation errors wrap ErrBadRequest.
+// normalizeRequest validates req against the problems registry and
+// resolves it into a ready-to-run multi-walk configuration. All
+// validation errors wrap ErrBadRequest.
 //
 // Every check that needs no problem instance runs first, so a request
 // that is a plain 400 never pays for a construction. The job's template
@@ -286,7 +270,7 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	}
 	// The engine fields the request sets, checked by the engine's own
 	// validator; the template's tuned defaults fill in the rest below.
-	engine := core.Options{MaxIterations: req.MaxIterations, MaxRuns: req.MaxRuns, Strategy: req.Strategy}
+	engine := core.Options{MaxIterations: req.MaxIterations, MaxRuns: req.MaxRuns}
 	if err := engine.Validate(); err != nil {
 		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -305,16 +289,8 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	if req.Exchange != nil && req.Exchange.Enabled {
 		opts.Exchange = *req.Exchange
 	}
-	for i, spec := range req.Portfolio {
-		// A client's portfolio entry names its strategy; "" is no default.
-		if !core.KnownStrategy(spec.Strategy) {
-			return nil, zero, fmt.Errorf("%w: portfolio[%d]: unknown strategy %q (known: %v)", ErrBadRequest, i, spec.Strategy, core.StrategyNames())
-		}
-		opts.Portfolio = append(opts.Portfolio, multiwalk.PortfolioEntry{Weight: spec.Weight, Engine: core.Options{Strategy: spec.Strategy}})
-	}
-	// multiwalk's own check at admission time (portfolio weights and
-	// reachability, exchange tuning), so a degenerate job is a 400, not a
-	// late job failure.
+	// multiwalk's own check at admission time (exchange tuning), so a
+	// degenerate job is a 400, not a late job failure.
 	if err := opts.Validate(); err != nil {
 		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
@@ -337,14 +313,6 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 	}
 	if req.MaxRuns > 0 {
 		opts.Engine.MaxRuns = req.MaxRuns
-	}
-	if req.Strategy != "" {
-		opts.Engine.Strategy = req.Strategy
-	}
-	for i := range opts.Portfolio {
-		strategy := opts.Portfolio[i].Engine.Strategy
-		opts.Portfolio[i].Engine = opts.Engine
-		opts.Portfolio[i].Engine.Strategy = strategy
 	}
 	return factory, opts, nil
 }

@@ -79,11 +79,8 @@ func TestRegistryDrivenValidation(t *testing.T) {
 		{Problem: "no-such-benchmark"}, // unknown problem
 		{Problem: "costas", Size: 8, Walkers: 99},       // walkers > slots
 		{Problem: "costas", Size: 8, Walkers: -1},       // negative walkers
-		{Problem: "costas", Size: 8, Strategy: "nope"},  // unknown strategy
 		{Problem: "costas", Size: 8, TimeoutMS: -5},     // negative timeout
 		{Problem: "costas", Size: 8, MaxIterations: -1}, // negative budget
-		{Problem: "costas", Size: 8, Walkers: 1, Portfolio: []PortfolioSpec{{Strategy: "bogus"}}},
-		{Problem: "costas", Size: 8, Walkers: 1, Portfolio: []PortfolioSpec{{Strategy: "adaptive"}, {Strategy: "metropolis"}}}, // 2nd entry unreachable
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
@@ -308,7 +305,7 @@ func TestConcurrentMixedJobs(t *testing.T) {
 		{Problem: "queens", Size: 20, Walkers: 1},
 		{Problem: "all-interval", Size: 8, Walkers: 2},
 		{Problem: "magic-square", Size: 4, Walkers: 1},
-		{Problem: "costas", Size: 8, Walkers: 2, Portfolio: []PortfolioSpec{{Strategy: "adaptive"}, {Strategy: "metropolis"}}},
+		{Problem: "queens", Size: 16, Walkers: 2},
 	}
 
 	var mu sync.Mutex

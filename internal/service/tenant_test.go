@@ -301,8 +301,8 @@ func TestBestCostExcludesUnknownSentinel(t *testing.T) {
 	res := &multiwalk.Result{
 		Winner: -1, Completed: 1, Truncated: true,
 		Walkers: []multiwalk.WalkerStat{
-			{Walker: 0, Entry: -1, Result: core.Result{Iterations: 100, Cost: 7}},
-			{Walker: 1, Entry: -1, Result: core.Result{Cost: core.CostUnknown, Interrupted: true}},
+			{Walker: 0, Result: core.Result{Iterations: 100, Cost: 7}},
+			{Walker: 1, Result: core.Result{Cost: core.CostUnknown, Interrupted: true}},
 		},
 	}
 	jr := condenseResult(res)
@@ -313,7 +313,7 @@ func TestBestCostExcludesUnknownSentinel(t *testing.T) {
 	allLost := &multiwalk.Result{
 		Winner: -1, Truncated: true,
 		Walkers: []multiwalk.WalkerStat{
-			{Walker: 0, Entry: -1, Result: core.Result{Cost: core.CostUnknown, Interrupted: true}},
+			{Walker: 0, Result: core.Result{Cost: core.CostUnknown, Interrupted: true}},
 		},
 	}
 	if jr := condenseResult(allLost); jr.BestCost != -1 {
@@ -323,7 +323,7 @@ func TestBestCostExcludesUnknownSentinel(t *testing.T) {
 	solved := &multiwalk.Result{
 		Solved: true, Winner: 0, Completed: 1,
 		Walkers: []multiwalk.WalkerStat{
-			{Walker: 0, Entry: -1, Result: core.Result{Solved: true, Iterations: 42}},
+			{Walker: 0, Result: core.Result{Solved: true, Iterations: 42}},
 		},
 	}
 	if jr := condenseResult(solved); jr.BestCost != 0 {
