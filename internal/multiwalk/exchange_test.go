@@ -3,6 +3,7 @@ package multiwalk
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -242,6 +243,84 @@ func TestShardedExchangeSharedBoard(t *testing.T) {
 	}
 	if combined.Walkers[1].Walker != 1 || combined.Walkers[1].Adoptions != s1.Walkers[0].Adoptions {
 		t.Fatalf("walker identity lost in combination: %+v", combined.Walkers[1])
+	}
+}
+
+// laggardVariable picks a uniformly random variable instead of the
+// worst one, so a walker running it descends the inversions landscape
+// far more slowly than an adaptive walker.
+type laggardVariable struct{}
+
+func (laggardVariable) SelectVariable(s *core.State) int { return s.Rand.Intn(len(s.Cfg)) }
+
+// The leader/laggard strategy is a test-registered strategy whose
+// factory alternates between a plain adaptive leader and a laggard.
+// The engine calls the factory once per walker, so a four-walker run
+// always holds two of each; Result.Strategy tells them apart.
+const (
+	leaderLaggard = "test-leader-laggard"
+	testLeader    = "test-leader"
+	testLaggard   = "test-laggard"
+)
+
+var (
+	leaderLaggardOnce  sync.Once
+	leaderLaggardCalls atomic.Int64
+)
+
+func registerLeaderLaggard() {
+	leaderLaggardOnce.Do(func() {
+		core.RegisterStrategy(leaderLaggard, func() core.Strategy {
+			if leaderLaggardCalls.Add(1)%2 == 1 {
+				return core.Strategy{Name: testLeader}
+			}
+			return core.Strategy{Name: testLaggard, Variable: laggardVariable{}}
+		})
+	})
+}
+
+// TestExchangeAdoptionHeterogeneousPortfolio covers the interaction
+// the exchange scheme was designed around: walkers of a weaker
+// strategy lag far enough behind the board's best to trip the
+// AdoptFactor threshold and adopt the stronger walkers' elite.
+func TestExchangeAdoptionHeterogeneousPortfolio(t *testing.T) {
+	registerLeaderLaggard()
+	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	res, err := Run(context.Background(), factory, Options{
+		Walkers:  4,
+		Seed:     424242,
+		Engine:   core.Options{MaxIterations: 600, MaxRuns: 1, CheckEvery: 4, Strategy: leaderLaggard},
+		Exchange: ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: 1.0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solved {
+		t.Fatalf("inversions+1 cannot be solved, got %+v", res)
+	}
+	if len(res.Walkers) != 4 {
+		t.Fatalf("expected 4 walker stats, got %d", len(res.Walkers))
+	}
+	roles := map[string]int{}
+	var laggardAdoptions, totalAdoptions int64
+	for w, ws := range res.Walkers {
+		if ws.Walker != w {
+			t.Fatalf("walker %d: stat reports walker %d", w, ws.Walker)
+		}
+		roles[ws.Result.Strategy]++
+		totalAdoptions += ws.Adoptions
+		if ws.Result.Strategy == testLaggard {
+			laggardAdoptions += ws.Adoptions
+		}
+	}
+	if roles[testLeader] != 2 || roles[testLaggard] != 2 {
+		t.Fatalf("walker strategies %v, want 2 %s and 2 %s", roles, testLeader, testLaggard)
+	}
+	if totalAdoptions == 0 {
+		t.Fatal("AdoptFactor=1.0 with a leader/laggard strategy mix produced no adoptions")
+	}
+	if laggardAdoptions == 0 {
+		t.Fatal("laggards never adopted the leaders' elite")
 	}
 }
 
