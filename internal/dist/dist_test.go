@@ -377,6 +377,9 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"check_every":-1}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true,"adopt_factor":0.5},"board":"http://b"}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true},"board":"http://b","board_sync_ms":-1}`,
+		// Whatever follows the request is not ignored.
+		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1}{"problem":"queens"}`,
+		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1} trailing garbage`,
 	}
 	for _, raw := range cases {
 		if _, err := DecodeRunRequest(strings.NewReader(raw)); !errors.Is(err, ErrBadRequest) {

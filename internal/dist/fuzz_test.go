@@ -25,6 +25,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"costas","total_walkers":2,"count":1,"engine":{"prob_select_loc_min":0.5,"initial_config":[1,0]},"exchange":{"enabled":true,"period_iters":64,"adopt_factor":1.5},"board":"http://b","board_sync_ms":2}`))
 	f.Add([]byte(`{"id":"a","mode":"virtual","problem":"queens","total_walkers":4,"start":4611686018427387904,"count":4611686018427387904}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":1,"count":1,"board_stream":"127.0.0.1:1"}`))
+	// Data after the request: rejected.
+	f.Add([]byte(`{"id":"a","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1}{"problem":"queens"}`))
+	f.Add([]byte(`{"id":"a","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1} trailing garbage`))
 	if big, err := json.Marshal(RunRequest{ID: "b", Mode: ModeRun, Problem: "magic-square", TotalWalkers: 1 << 19, Start: 0, Count: 1 << 19}); err == nil {
 		f.Add(big)
 	}

@@ -206,13 +206,17 @@ type RunResponse struct {
 // wraps ErrBadRequest, so callers (and the fuzz suite) can separate
 // client mistakes from worker faults with errors.Is. Unknown fields are
 // errors: a coordinator speaking a retired spelling must not get a run
-// with that setting silently left at its default.
+// with that setting silently left at its default. So is anything but
+// whitespace after the request.
 func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	var req RunRequest
 	dec := json.NewDecoder(io.LimitReader(r, maxRequestBodyLen))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return RunRequest{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return RunRequest{}, fmt.Errorf("%w: invalid JSON: data after the request", ErrBadRequest)
 	}
 	if err := req.Validate(); err != nil {
 		return RunRequest{}, err

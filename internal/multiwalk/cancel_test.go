@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,7 +147,7 @@ func TestRunAlreadyCancelled(t *testing.T) {
 		t.Fatal("pre-cancelled run not marked Truncated")
 	}
 	if res.Completed != 4 {
-		t.Fatalf("Completed = %d, want 4 (every goroutine starts)", res.Completed)
+		t.Fatalf("Completed = %d, want 4 (a walker Run claims before it starts is accounted for)", res.Completed)
 	}
 	for i, s := range res.Walkers {
 		if s.Walker != i {
@@ -450,6 +451,100 @@ func TestRunWalkerPanicIsItsError(t *testing.T) {
 	}
 }
 
+// solvedAtStart costs nothing anywhere, so a walker on it solves on
+// its initial configuration, in zero iterations.
+type solvedAtStart struct{ inversionsProblem }
+
+func (solvedAtStart) Cost([]int) int { return 0 }
+
+// TestRunClaimsUnstartedWalker: with one P, the goroutine Run spawns
+// for walker 0 cannot start before the caller's walker, which solves at
+// once, ends the run. Run then claims walker 0: its problem is never
+// built, its stat is the never-run shape, it still counts as completed,
+// and its goroutine, when it does run, exits without a trace.
+func TestRunClaimsUnstartedWalker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shard := range []*Shard{nil, {Start: 4, Total: 6}} {
+		before := runtime.NumGoroutine()
+		var calls atomic.Int64
+		factory := func() (core.Problem, error) {
+			calls.Add(1)
+			return solvedAtStart{inversionsProblem{n: 8}}, nil
+		}
+		res, err := Run(context.Background(), factory, Options{Walkers: 2, Seed: 1, Shard: shard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := 0
+		if shard != nil {
+			first = shard.Start
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("shard %+v: factory called %d times, want once (the caller's walker only)", shard, n)
+		}
+		if !res.Solved || res.Winner != first+1 || res.Truncated || res.Completed != 2 {
+			t.Fatalf("shard %+v: solved %v winner %d truncated %v completed %d, want solved by walker %d, not truncated, 2 completed",
+				shard, res.Solved, res.Winner, res.Truncated, res.Completed, first+1)
+		}
+		never := WalkerStat{Walker: first, Result: core.Result{Interrupted: true, Cost: core.CostUnknown, Strategy: core.StrategyAdaptive}}
+		if !reflect.DeepEqual(res.Walkers[0], never) {
+			t.Fatalf("shard %+v: unstarted walker recorded as %+v, want %+v", shard, res.Walkers[0], never)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %+v: %d goroutines after Run, %d before", shard, runtime.NumGoroutine(), before)
+			}
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("shard %+v: the late goroutine called the factory (%d calls)", shard, n)
+		}
+	}
+}
+
+// TestRunWaitsForSelfClaimedWalker is the converse: a spawned goroutine
+// has claimed walker 0 and is searching before the caller's walker even
+// has its problem, so when the caller's walker solves, Run waits for
+// walker 0 and returns what it really did.
+func TestRunWaitsForSelfClaimedWalker(t *testing.T) {
+	searching := make(chan struct{})
+	var once sync.Once
+	var calls atomic.Int64
+	factory := func() (core.Problem, error) {
+		calls.Add(1)
+		if onRunCaller() {
+			<-searching
+			return solvedAtStart{inversionsProblem{n: 8}}, nil
+		}
+		return inversionsProblem{n: 8}, nil
+	}
+	res, err := Run(context.Background(), factory, Options{
+		Walkers: 2,
+		Seed:    1,
+		Engine:  core.Options{MaxIterations: 64, MaxRuns: 1, CheckEvery: 4},
+		Progress: func(w int, _ int64, _ int) {
+			if w == 0 {
+				once.Do(func() { close(searching) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("factory called %d times, want 2", n)
+	}
+	if !res.Solved || res.Winner != 1 || res.Completed != 2 {
+		t.Fatalf("solved %v winner %d completed %d, want solved by walker 1, 2 completed", res.Solved, res.Winner, res.Completed)
+	}
+	ran := res.Walkers[0].Result
+	if ran.Solved || ran.Iterations < 4 || ran.Cost == core.CostUnknown || ran.Cost < 1 {
+		t.Fatalf("walker 0 searched, yet reports %+v", ran)
+	}
+	if res.TotalIterations != ran.Iterations {
+		t.Fatalf("TotalIterations %d, want walker 0's %d", res.TotalIterations, ran.Iterations)
+	}
+}
+
 // TestRunSharedTimetableTemplate is for the race detector: four walkers
 // of one Run draw from one timetable factory, so one searches on the
 // template while the others clone it and search on clones that share
@@ -475,9 +570,28 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(context.Background(), factory(), opts)
+		// A sub-millisecond search can end before any spawned walker
+		// starts, and Run then never builds their problems. So a poll
+		// waits until a second problem has been built: on one P too, a
+		// walker clones the template after another has searched on it,
+		// with nothing ordering the search's writes before the clone.
+		built := factory()
+		var calls atomic.Int64
+		twoBuilt := make(chan struct{})
+		concurrent := opts
+		concurrent.Progress = func(int, int64, int) { <-twoBuilt }
+		res, err := Run(context.Background(), func() (core.Problem, error) {
+			p, err := built()
+			if calls.Add(1) == 2 {
+				close(twoBuilt)
+			}
+			return p, err
+		}, concurrent)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if calls.Load() < 2 {
+			t.Fatalf("seed %d: one walker built a problem, none cloned the template", seed)
 		}
 		if !res.Solved || !virtual.Solved {
 			t.Fatalf("seed %d: solved %v, virtual %v", seed, res.Solved, virtual.Solved)

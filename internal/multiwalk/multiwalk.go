@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -166,9 +167,12 @@ type WalkerStat struct {
 	// Walker is the walker index in [0, k).
 	Walker int
 	// Result is the walker's engine result. In Run, losers are usually
-	// Interrupted; in RunVirtual every walker runs to completion unless
-	// the context is cancelled mid-sweep, in which case walkers that
-	// never ran carry an empty Result marked Interrupted (Cost
+	// Interrupted, and a walker whose goroutine had not started when the
+	// run ended never ran: Run records it as Interrupted with zero
+	// iterations, Cost core.CostUnknown and the Strategy its engine
+	// would have named. In RunVirtual every walker runs to completion
+	// unless the context is cancelled mid-sweep, in which case walkers
+	// that never ran carry an empty Result marked Interrupted (Cost
 	// core.CostUnknown, zero iterations).
 	Result core.Result
 	// Adoptions counts elite-configuration adoptions offered by the
@@ -211,11 +215,12 @@ type Result struct {
 	// result covers only its sub-range, with the global identity in
 	// the Walker field.
 	Walkers []WalkerStat
-	// Completed counts walkers whose engines actually ran (possibly
-	// interrupted mid-run). Run starts every walker, so there it always
-	// equals len(Walkers); a cancelled RunVirtual sweep stops early and
-	// leaves Completed < len(Walkers). The unrun tail keeps correct
-	// Walker indices and an empty Result marked Interrupted.
+	// Completed counts the walkers the run accounted for. Run accounts
+	// for every walker — one it never started, because the run ended
+	// first, is recorded as interrupted before it began — so there it
+	// always equals len(Walkers). A cancelled RunVirtual sweep stops
+	// early and leaves Completed < len(Walkers); the unrun tail keeps
+	// correct Walker indices and an empty Result marked Interrupted.
 	Completed int
 	// Truncated reports that the caller's context was cancelled before
 	// the sweep finished on its own terms. An unsolved Result with
@@ -280,6 +285,14 @@ func (o *Options) Validate() error {
 // others as soon as a solution is found ("no communication between the
 // simultaneous computations except for completion"). The context
 // bounds the whole run.
+//
+// Once the caller's walker returns with the run over (a solution, an
+// error or a dead context), Run does not wait for spawned walkers that
+// have not started: each spawned walker is claimed exactly once, by a
+// spawned goroutine before it calls the factory or by Run at the end,
+// and a walker Run claims is recorded as never run (see
+// WalkerStat.Result) without building its problem. Run waits only for
+// the walkers goroutines claimed.
 func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -328,17 +341,41 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	// The caller's goroutine is a walker too: it runs the last one
 	// itself instead of parking in Wait, so k walkers cost k-1 spawns
 	// and a one-walker run starts no goroutine at all.
-	var wg sync.WaitGroup
+	//
+	// Each spawned walker is claimed exactly once, by taking the next
+	// index: a spawned goroutine takes one, and Run takes all that are
+	// left once the run is over. The claimer owns the walker's stat and
+	// its Done; a goroutine that finds none left returns without
+	// touching the run's state.
 	last := opts.Walkers - 1
-	for w := 0; w < last; w++ {
-		wg.Add(1)
+	var claim struct { // one allocation for what the goroutines share
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	claim.wg.Add(last)
+	for range last {
 		go func() {
-			defer wg.Done()
-			walk(w)
+			if w := int(claim.next.Add(1)) - 1; w < last {
+				defer claim.wg.Done()
+				walk(w)
+			}
 		}()
 	}
 	walk(last)
-	wg.Wait()
+	if runCtx.Err() != nil {
+		// The run is over: a walker that has not started would only
+		// build its problem to see the cancel. On a sub-millisecond job
+		// that is most spawned walkers (DESIGN.md §7).
+		strategy := opts.Engine.Strategy
+		if strategy == "" {
+			strategy = core.StrategyAdaptive
+		}
+		for w := int(claim.next.Swap(int64(last))); w < last; w++ {
+			stats[w] = WalkerStat{Walker: opts.start() + w, Result: core.Result{Interrupted: true, Cost: core.CostUnknown, Strategy: strategy}}
+			claim.wg.Done()
+		}
+	}
+	claim.wg.Wait()
 
 	for _, err := range errs {
 		if err != nil {

@@ -23,6 +23,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"problem":"costas","walkers":2,"exchange":{"enabled":true,"period_iters":64,"adopt_factor":1.5,"perturb_swaps":2}}`))
 	// The retired strategy field: rejected as unknown.
 	f.Add([]byte(`{"problem":"costas","max_iterations":-1,"strategy":"metropolis","exchange":{"enabled":true,"adopt_factor":0.5}}`))
+	// Data after the body: rejected.
+	f.Add([]byte(`{"problem":"costas","size":8,"wait":true}{"problem":"queens"}`))
+	f.Add([]byte(`{"problem":"costas","size":8,"wait":true} trailing garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		body, err := decodeSolveBody(bytes.NewReader(data))
 		if err != nil {

@@ -21,7 +21,7 @@ import (
 //	POST /v1/solve              submit a job; {"wait": true} blocks for the result
 //	GET  /v1/jobs/{id}          job status / result; ?wait=<duration> long-polls
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
-//	GET  /v1/problems           registered benchmarks and strategies
+//	GET  /v1/problems           registered problems, with their default sizes
 //	GET  /healthz               liveness + pool headroom
 //	GET  /metrics               expvar-style counters (Stats)
 //
@@ -164,13 +164,18 @@ const maxSolveBodyLen = 8 << 20
 // mistakes and admission rejections surface through the same typed
 // error the HTTP layer maps to 400. A field the request does not have
 // is such a mistake: a misspelt or retired field would otherwise be
-// dropped, and the job run with a default in its place.
+// dropped, and the job run with a default in its place. So is anything
+// but whitespace after the body: a second object or a stray tail would
+// otherwise be ignored.
 func decodeSolveBody(r io.Reader) (solveBody, error) {
 	var body solveBody
 	dec := json.NewDecoder(io.LimitReader(r, maxSolveBodyLen))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
 		return solveBody{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return solveBody{}, fmt.Errorf("%w: invalid JSON: data after the request body", ErrBadRequest)
 	}
 	return body, nil
 }

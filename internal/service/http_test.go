@@ -377,23 +377,25 @@ func TestHTTPLongPollReleasedByClose(t *testing.T) {
 
 func TestHTTPBadRequests(t *testing.T) {
 	_, srv := newTestServer(t, Config{Slots: 2})
-	cases := []struct {
-		body any
-		want int
-	}{
-		{map[string]any{"problem": "no-such"}, http.StatusBadRequest},
-		{map[string]any{"problem": "costas", "walkers": 64}, http.StatusBadRequest},
-		{map[string]any{"problem": "costas", "max_runs": -1}, http.StatusBadRequest},
-		{"not an object", http.StatusBadRequest},
-	}
-	for i, c := range cases {
-		resp, body := postJSON(t, srv.URL+"/v1/solve", c.body)
-		if resp.StatusCode != c.want {
-			t.Errorf("case %d: status = %d, want %d (%s)", i, resp.StatusCode, c.want, body)
+	for _, raw := range []string{
+		`{"problem":"no-such"}`,
+		`{"problem":"costas","walkers":64}`,
+		`{"problem":"costas","max_runs":-1}`,
+		`"not an object"`,
+		// Whatever follows the body is not ignored: neither a second
+		// request nor a stray tail.
+		`{"problem":"costas","size":8,"wait":true}{"problem":"queens"}`,
+		`{"problem":"costas","size":8,"wait":true} trailing garbage`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
 		}
 		var e map[string]string
-		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-			t.Errorf("case %d: no error payload: %s", i, body)
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], ErrBadRequest.Error()) {
+			t.Errorf("%s: status %d, error %q; want 400 wrapping ErrBadRequest", raw, resp.StatusCode, e["error"])
 		}
 	}
 }

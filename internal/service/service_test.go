@@ -272,7 +272,15 @@ func TestCloseCancelsQueuedAndRunning(t *testing.T) {
 		}
 		ids = append(ids, job.ID)
 	}
-	time.Sleep(10 * time.Millisecond) // let the dispatcher start a couple
+	// Close once the dispatcher has started a couple, so that it cancels
+	// running jobs as well as queued ones however slow the box.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().SlotsBusy != 2; <-tick.C {
+		if time.Now().After(deadline) {
+			t.Fatalf("the dispatcher never filled both slots: %+v", s.Stats())
+		}
+	}
 	s.Close()
 	for _, id := range ids {
 		job, err := s.Get(id)
