@@ -3,10 +3,15 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/multiwalk"
 )
 
@@ -107,4 +112,159 @@ func compact(t *testing.T, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// responseWireFile pins the worker's replies: status and exact body
+// bytes of every kind of answer the coordinator reads.
+const responseWireFile = "testdata/run_response_wire.json"
+
+var updateWire = flag.Bool("update-wire", false, "rewrite "+responseWireFile+" from the current worker")
+
+// pinnedReply is one entry of responseWireFile.
+type pinnedReply struct {
+	Status int    `json:"status"`
+	Body   string `json:"body"`
+}
+
+// responseWireResults are the shard results the run-reply cases encode.
+// They are built by hand, not searched for, so that only the encoding
+// can move them; elapsed times are fixed for the same reason.
+func responseWireResults() map[string]multiwalk.Result {
+	return map[string]multiwalk.Result{
+		"solved-one-walker": {
+			Winner: 0, Solved: true, Completed: 1, Elapsed: 2_345_678,
+			Walkers: []multiwalk.WalkerStat{{Walker: 0, Result: core.Result{
+				Solved: true, Solution: []int{9, 3, 6, 2, 0, 8, 4, 1, 7, 5, 10}, Cost: 0, Strategy: "adaptive",
+				Iterations: 942, Swaps: 901, LocalMinima: 41, PlateauEscapes: 17, Resets: 3, Restarts: 0,
+				Elapsed: 2_101_337,
+			}}},
+		},
+		"two-walker-interrupted-loser": {
+			Winner: 1, Solved: true, Completed: 2, Elapsed: 9_876_543,
+			Walkers: []multiwalk.WalkerStat{
+				{Walker: 2, Result: core.Result{
+					Cost: 3, Strategy: "adaptive", Iterations: 4_470, Swaps: 4_102, LocalMinima: 368,
+					PlateauEscapes: 122, Resets: 36, Restarts: 1, Interrupted: true, Elapsed: 9_500_001,
+				}},
+				{Walker: 3, Result: core.Result{
+					Solved: true, Solution: []int{2, 0, 3, 1}, Cost: 0, Strategy: "adaptive",
+					Iterations: 4_468, Swaps: 4_400, LocalMinima: 68, PlateauEscapes: 9, Resets: 6,
+					Elapsed: 9_499_870,
+				}, Adoptions: 2},
+			},
+		},
+		"never-run-walker": {
+			Winner: 0, Solved: true, Completed: 2, Elapsed: 310_042,
+			Walkers: []multiwalk.WalkerStat{
+				{Walker: 0, Result: core.Result{
+					Solved: true, Solution: []int{1, 3, 0, 2}, Cost: 0, Strategy: "adaptive",
+					Iterations: 7, Swaps: 7, Elapsed: 12_345,
+				}},
+				{Walker: 1, Result: core.Result{Cost: core.CostUnknown, Strategy: "adaptive", Interrupted: true}},
+			},
+		},
+		"virtual-shard": {
+			Winner: 1, Solved: true, Completed: 3, Elapsed: 31_415_926,
+			Walkers: []multiwalk.WalkerStat{
+				{Walker: 4, Result: core.Result{
+					Cost: 2, Strategy: "adaptive", Iterations: 20_000, Assigns: 18_660, LocalMinima: 1_340,
+					PlateauEscapes: 402, Resets: 88, Restarts: 1, Elapsed: 14_000_000,
+				}},
+				{Walker: 5, Result: core.Result{
+					Solved: true, Solution: []int{0, 1, 2, 0, 1, 2}, Cost: 0, Strategy: "adaptive",
+					Iterations: 1_203, Assigns: 1_190, LocalMinima: 13, PlateauEscapes: 4, Resets: 1,
+					Elapsed: 1_000_500,
+				}},
+				{Walker: 6, Result: core.Result{
+					Solved: true, Solution: []int{2, 1, 0, 2, 1, 0}, Cost: 0, Strategy: "adaptive",
+					Iterations: 9_999, Assigns: 9_800, LocalMinima: 199, PlateauEscapes: 31, Resets: 12,
+					Elapsed: 16_400_000,
+				}, Yielded: true},
+			},
+		},
+	}
+}
+
+// responseWireReplies plays every pinned reply against a fresh worker:
+// the run replies through the writer handleRun answers with, the cancel
+// acks and the error body through the worker's own handler.
+func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
+	t.Helper()
+	out := make(map[string]*httptest.ResponseRecorder)
+	for name, res := range responseWireResults() {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, wireResult(res))
+		out[name] = rec
+	}
+
+	wk := NewWorker(WorkerConfig{Slots: 1})
+	t.Cleanup(wk.Close)
+	h := wk.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	release, err := wk.reserve(&RunRequest{ID: "c0000abcd-job000001-s1", Mode: ModeRun, Count: 1}, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["cancel-live"] = serve(http.MethodPost, "/v1/runs/c0000abcd-job000001-s1/cancel", "")
+	release()
+	out["cancel-not-live"] = serve(http.MethodPost, "/v1/runs/c0000abcd-job000009-s0/cancel", "")
+	out["bad-request"] = serve(http.MethodPost, "/v1/run", `{"id":"c0000abcd-job000002-s0","mode":"sideways","problem":"costas"}`)
+	return out
+}
+
+// TestRunResponseWireFormat pins every reply a worker sends the
+// coordinator byte for byte: a solved run, a shard whose loser was
+// interrupted, a walker that never ran (core.CostUnknown), a virtual
+// shard, both cancel acks and a 400. The run replies must also decode
+// back, through the coordinator's own type, to what was encoded.
+func TestRunResponseWireFormat(t *testing.T) {
+	replies := responseWireReplies(t)
+	if *updateWire {
+		pinned := make(map[string]pinnedReply, len(replies))
+		for name, rec := range replies {
+			pinned[name] = pinnedReply{Status: rec.Code, Body: rec.Body.String()}
+		}
+		raw, err := json.MarshalIndent(pinned, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(responseWireFile, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(responseWireFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pinned map[string]pinnedReply
+	if err := json.Unmarshal(raw, &pinned); err != nil {
+		t.Fatal(err)
+	}
+	if len(pinned) != len(replies) {
+		t.Errorf("%s pins %d replies, the test plays %d", responseWireFile, len(pinned), len(replies))
+	}
+	for name, rec := range replies {
+		want, ok := pinned[name]
+		if !ok {
+			t.Errorf("%s: no pinned reply", name)
+			continue
+		}
+		if rec.Code != want.Status || rec.Body.String() != want.Body {
+			t.Errorf("%s: reply changed\n got: %d %q\nwant: %d %q", name, rec.Code, rec.Body.String(), want.Status, want.Body)
+		}
+	}
+	for name, res := range responseWireResults() {
+		var decoded RunResponse
+		if err := json.Unmarshal([]byte(pinned[name].Body), &decoded); err != nil {
+			t.Errorf("%s: pinned body does not decode: %v", name, err)
+			continue
+		}
+		if want := wireResult(res); !reflect.DeepEqual(decoded, want) {
+			t.Errorf("%s: the pinned body decodes to\n%+v\nwant\n%+v", name, decoded, want)
+		}
+	}
 }
