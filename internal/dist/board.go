@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 )
 
@@ -211,7 +212,7 @@ const maxProgressBodyLen = 4096
 func (h *boardHub) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var rep ShardProgressReport
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxProgressBodyLen)).Decode(&rep); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid progress report: " + err.Error()})
+		httpjson.Write(w, http.StatusBadRequest, map[string]string{"error": "invalid progress report: " + err.Error()})
 		return
 	}
 	if cb := h.onShardProgress; cb != nil {
@@ -236,16 +237,16 @@ func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 		// The job finished (or never existed): benign for a straggling
 		// sync racing the shard responses, but the worker has nothing to
 		// gain from retrying against this board.
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown board " + id})
+		httpjson.Write(w, http.StatusNotFound, map[string]string{"error": "unknown board " + id})
 		return
 	}
 	var msg BoardSync
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBoardSyncLen)).Decode(&msg); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "invalid board sync: " + err.Error()})
+		httpjson.Write(w, http.StatusBadRequest, map[string]string{"error": "invalid board sync: " + err.Error()})
 		return
 	}
 	if err := entry.merge(msg.Valid, msg.Cost, msg.Cfg); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		httpjson.Write(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
 	cost, cfg, ok, gen := entry.state()
@@ -258,7 +259,7 @@ func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, merr := json.Marshal(resp)
 	if merr != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": merr.Error()})
+		httpjson.Write(w, http.StatusInternalServerError, map[string]string{"error": merr.Error()})
 		return
 	}
 	h.mTxBytes.Add(int64(len(payload)))

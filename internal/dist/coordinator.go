@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -310,7 +311,7 @@ func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
 	var health struct {
 		Slots int `json:"slots"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+	if err := httpjson.Read(resp.Body, &health); err != nil {
 		return 0, fmt.Errorf("decoding healthz: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -1154,7 +1155,7 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 		var e struct {
 			Error string `json:"error"`
 		}
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e); err != nil || e.Error == "" {
+		if err := httpjson.Read(io.LimitReader(resp.Body, maxErrorBodyLen), &e); err != nil || e.Error == "" {
 			return shardOutcome{lost: true}
 		}
 		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusTooManyRequests {
@@ -1166,11 +1167,14 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 		return shardOutcome{lost: true}
 	}
 	var wire RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+	if err := httpjson.Read(resp.Body, &wire); err != nil {
 		return shardOutcome{lost: true}
 	}
 	return shardOutcome{res: resultFromWire(wire)}
 }
+
+// maxErrorBodyLen bounds how much of a worker's error reply is read.
+const maxErrorBodyLen = 64 << 10
 
 // cancelGrace is how long the coordinator waits, after delivering
 // cancel RPCs, for workers to flush their partial statistics before it
@@ -1180,9 +1184,10 @@ const cancelGrace = 30 * time.Second
 // cancelRun delivers one best-effort cancel RPC on its own bounded
 // background context. acked reports that the worker answered 200, live
 // that the cancel interrupted a run still in flight (a finished or
-// not-yet-registered run answers cancelled: false). The body is read to
-// EOF so the keep-alive connection returns to the pool: closed unread,
-// every cancel would cost the next one a fresh dial.
+// not-yet-registered run answers cancelled: false). The ack is read to
+// EOF, as every reply is, so the keep-alive connection returns to the
+// pool: closed unread, every cancel would cost the next one a fresh
+// dial.
 func (c *Coordinator) cancelRun(a *assignment) (acked, live bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -1195,11 +1200,8 @@ func (c *Coordinator) cancelRun(a *assignment) (acked, live bool) {
 		return false, false
 	}
 	defer resp.Body.Close()
-	var ack struct {
-		Cancelled bool `json:"cancelled"`
-	}
-	_ = json.NewDecoder(resp.Body).Decode(&ack) // an unreadable ack is not a live one
-	_, _ = io.Copy(io.Discard, resp.Body)       // past the decoded value to EOF
+	var ack cancelAck
+	_ = httpjson.Read(resp.Body, &ack) // an unreadable ack is not a live one
 	acked = resp.StatusCode == http.StatusOK
 	return acked, acked && ack.Cancelled
 }

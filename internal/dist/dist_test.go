@@ -27,7 +27,7 @@ type fleet struct {
 	coord   *Coordinator
 }
 
-func newFleet(t *testing.T, slots ...int) *fleet {
+func newFleet(t testing.TB, slots ...int) *fleet {
 	t.Helper()
 	f := &fleet{}
 	urls := make([]string, 0, len(slots))

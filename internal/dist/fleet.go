@@ -19,6 +19,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"repro/internal/httpjson"
 )
 
 // RegisterRequest is a worker's fleet announcement. The coordinator
@@ -103,7 +105,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.reg.upsert(base, slots, time.Now())
-	writeJSON(w, http.StatusOK, map[string]any{"enrolled": true, "slots": slots})
+	httpjson.Write(w, http.StatusOK, map[string]any{"enrolled": true, "slots": slots})
 }
 
 // handleHeartbeat refreshes a worker's liveness. Unknown workers get a
@@ -121,10 +123,10 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	base := strings.TrimSuffix(hb.URL, "/")
 	if !c.reg.heartbeat(base, hb.Slots, hb.Draining, time.Now()) {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown worker; register first", "known": false})
+		httpjson.Write(w, http.StatusNotFound, map[string]any{"error": "unknown worker; register first", "known": false})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"known": true})
+	httpjson.Write(w, http.StatusOK, map[string]any{"known": true})
 }
 
 // handleDeregister marks a worker draining: in-flight shards finish,
@@ -142,13 +144,13 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	known := c.reg.deregister(strings.TrimSuffix(req.URL, "/"))
-	writeJSON(w, http.StatusOK, map[string]any{"known": known})
+	httpjson.Write(w, http.StatusOK, map[string]any{"known": known})
 }
 
 // handleFleet answers with the fleet table plus the tracked in-flight
 // shards (progress and report age — the straggler hunter's view).
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"workers": c.reg.snapshot(),
 		"shards":  c.ProgressSnapshot(),
 	})

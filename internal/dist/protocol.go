@@ -202,6 +202,13 @@ type RunResponse struct {
 	ElapsedNS int64            `json:"elapsed_ns"`
 }
 
+// cancelAck answers POST /v1/runs/{id}/cancel. Cancelled reports that
+// the cancel found the run live; a run already finished, or not yet
+// registered, answers false.
+type cancelAck struct {
+	Cancelled bool `json:"cancelled"`
+}
+
 // DecodeRunRequest reads and validates one RunRequest. Every error
 // wraps ErrBadRequest, so callers (and the fuzz suite) can separate
 // client mistakes from worker faults with errors.Is. Unknown fields are

@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 )
 
@@ -193,7 +195,7 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 	out := make(map[string]*httptest.ResponseRecorder)
 	for name, res := range responseWireResults() {
 		rec := httptest.NewRecorder()
-		writeJSON(rec, http.StatusOK, wireResult(res))
+		httpjson.Write(rec, http.StatusOK, wireResult(res))
 		out[name] = rec
 	}
 
@@ -255,6 +257,10 @@ func TestRunResponseWireFormat(t *testing.T) {
 		}
 		if rec.Code != want.Status || rec.Body.String() != want.Body {
 			t.Errorf("%s: reply changed\n got: %d %q\nwant: %d %q", name, rec.Code, rec.Body.String(), want.Status, want.Body)
+		}
+		// One Write of a known length: the coordinator reads to EOF.
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", name, got, rec.Body.Len())
 		}
 	}
 	for name, res := range responseWireResults() {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 	"repro/internal/telemetry"
@@ -261,16 +262,19 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The run is bound to (a) the request context, so a vanished
 	// coordinator aborts it, (b) the worker lifetime, so Close drains
 	// it, and (c) the request's own deadline, so an orphan cannot hold
-	// slots forever even while the connection lingers.
-	runCtx, cancel := context.WithCancel(r.Context())
+	// slots forever even while the connection lingers. One context
+	// carries all three: the deadline's, when there is one, is also the
+	// cancel a cancel RPC calls.
+	var runCtx context.Context
+	var cancel context.CancelFunc
+	if req.DeadlineMS > 0 {
+		runCtx, cancel = context.WithTimeout(r.Context(), time.Duration(req.DeadlineMS)*time.Millisecond)
+	} else {
+		runCtx, cancel = context.WithCancel(r.Context())
+	}
 	defer cancel()
 	stop := context.AfterFunc(wk.ctx, cancel)
 	defer stop()
-	if req.DeadlineMS > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(runCtx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer tcancel()
-	}
 
 	release, err := wk.reserve(&req, cancel)
 	if err != nil {
@@ -361,7 +365,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wk.mRuns.Add(1)
-	writeJSON(w, http.StatusOK, wireResult(res))
+	httpjson.Write(w, http.StatusOK, wireResult(res))
 }
 
 // defaultProgressPeriod is the shard progress report cadence when the
@@ -452,7 +456,7 @@ func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 		wk.mCancelled.Add(1)
 		cancel()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"cancelled": ok})
+	httpjson.Write(w, http.StatusOK, cancelAck{Cancelled: ok})
 }
 
 // handleHealth reports liveness and slot headroom; the coordinator
@@ -467,7 +471,7 @@ func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if closed {
 		status, code = "shutting down", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	httpjson.Write(w, code, map[string]any{
 		"status":        status,
 		"slots":         wk.slots,
 		"slots_busy":    busy,
@@ -475,12 +479,6 @@ func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"runs_total":    wk.mRuns.Load(),
 		"cancels_total": wk.mCancelled.Load(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -496,5 +494,5 @@ func writeError(w http.ResponseWriter, err error) {
 		// Shutdown and other availability failures.
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	httpjson.Write(w, code, map[string]string{"error": err.Error()})
 }

@@ -149,7 +149,9 @@ func TestTemplateUnsatisfiable(t *testing.T) {
 
 // TestTemplateAllocations pins what a job's instances cost in heap
 // objects, which is how "one construction and one fixpoint a job" is
-// asserted without a counter in the product: a clone is three objects
+// asserted without a counter in the product: a construction is a
+// handful of objects at any size (every domain is a window of one
+// array, every resource's session list of another), a clone is three
 // (the struct, occ, errVec), a reduction asked of an instance already
 // reduced is none, and a template plus the two instances of a
 // two-walker job is one construction, one reduction and one clone —
@@ -179,6 +181,9 @@ func TestTemplateAllocations(t *testing.T) {
 	}
 
 	construction := testing.AllocsPerRun(20, func() { build() })
+	if construction > 12 {
+		t.Errorf("constructing timetable %d allocates %v objects, want a handful (it was 358: one domain a session, one list a resource)", size, construction)
+	}
 	reduction := testing.AllocsPerRun(20, func() { reduce(build()) }) - construction
 	if reduction > 4 {
 		t.Errorf("one ReduceDomains on timetable %d allocates %v objects, want a handful (it was 848)", size, reduction)
@@ -199,8 +204,8 @@ func TestTemplateAllocations(t *testing.T) {
 		})
 	}
 	// The factory closure and its hand-out flag are two objects on top
-	// today; a second construction would be ~360 more, a second
-	// fixpoint two more, which is one over the allowance.
+	// today; a second construction would be 11 more, a second fixpoint
+	// two more, which is one over the allowance.
 	const closure = 3
 	if got, want := job(1), construction+reduction; got < want || got > want+closure {
 		t.Errorf("a one-walker job allocates %v objects, one construction + one reduction is %v", got, want)

@@ -125,39 +125,73 @@ func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 	// slots) can give every co-scheduled session a distinct room and
 	// teacher.
 	feasible := rooms >= perSlot && teach >= perSlot
+	// Every domain is a window of one array: a first pass counts the
+	// values, a second replays the same draws from a copy of the
+	// generator's state and stores them.
+	replay := *r
+	all := make([]int, t.drawDomains(r, feasible, nil))
+	t.drawDomains(&replay, feasible, all)
+
+	// Every resource's session list is a window of one array too: a
+	// session is in exactly one room's list and one teacher's.
+	counts := make([]int, rooms+teach)
 	for i := 0; i < n; i++ {
 		s, a := i%slots, i/slots
 		t.idA[i] = a % rooms
 		t.idB[i] = rooms + (a+s)%teach
-		if feasible {
-			// Domains contain the hidden slot plus a random half of the
-			// others; ~1/8 of the sessions are pinned to a singleton.
-			if r.Intn(8) == 0 {
-				t.domains[i] = []int{s}
-			} else {
-				d := make([]int, 0, slots)
-				for v := 0; v < slots; v++ {
-					if v == s || r.Intn(2) == 0 {
-						d = append(d, v)
-					}
-				}
-				t.domains[i] = d
-			}
-		} else {
-			// Over-committed capacity: full domains, no guarantee — the
-			// shape the reduction pass exists to reject.
-			d := make([]int, slots)
-			for v := range d {
-				d[v] = v
-			}
-			t.domains[i] = d
-		}
+		counts[t.idA[i]]++
+		counts[t.idB[i]]++
+	}
+	sessions := make([]int32, 2*n)
+	off := 0
+	for res, c := range counts {
+		t.resSessions[res] = sessions[off : off : off+c]
+		off += c
 	}
 	for i := 0; i < n; i++ {
 		t.resSessions[t.idA[i]] = append(t.resSessions[t.idA[i]], int32(i))
 		t.resSessions[t.idB[i]] = append(t.resSessions[t.idB[i]], int32(i))
 	}
 	return t, nil
+}
+
+// drawDomains draws every session's slot domain off r, in session
+// order: with feasible capacity, the hidden slot plus a random half of
+// the others, and one session in eight pinned to a singleton; with
+// over-committed capacity, every slot — the shape the reduction pass
+// exists to reject. With all nil it only counts the values; otherwise
+// all has room for exactly that many, and each domain becomes a window
+// of it whose capacity ends where the next begins. Either way it
+// returns the count.
+func (t *Timetable) drawDomains(r *rng.Rand, feasible bool, all []int) int {
+	k := 0
+	put := func(v int) {
+		if all != nil {
+			all[k] = v
+		}
+		k++
+	}
+	for i := 0; i < t.n; i++ {
+		start, s := k, i%t.slots
+		switch {
+		case !feasible:
+			for v := 0; v < t.slots; v++ {
+				put(v)
+			}
+		case r.Intn(8) == 0:
+			put(s)
+		default:
+			for v := 0; v < t.slots; v++ {
+				if v == s || r.Intn(2) == 0 {
+					put(v)
+				}
+			}
+		}
+		if all != nil {
+			t.domains[i] = all[start:k:k]
+		}
+	}
+	return k
 }
 
 var (

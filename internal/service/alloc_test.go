@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/multiwalk"
 )
@@ -211,5 +213,50 @@ func TestRejectBeforeBuild(t *testing.T) {
 				t.Errorf("the refusal allocated %d B; admission builds the instance (%d B) before it checks this", cost, built)
 			}
 		})
+	}
+}
+
+// TestFinishedJobsReleaseTheirTemplates: a finished job stays in the
+// store for ResultTTL (10 min by default) so that it can be fetched, and
+// must keep only its record and result meanwhile. It used to keep its
+// factory, which holds the job's template, and its Progress hook: a
+// waited timetable-240 job left 37.4 KB on the heap after GC, about
+// 2.2 GB at 100 jobs/s over the default TTL. 200 waited jobs under a
+// one-hour TTL must leave less than the budget a job after GC (3.6 KB
+// read; 40 jobs under -race, which runs each about fifteen times slower).
+func TestFinishedJobsReleaseTheirTemplates(t *testing.T) {
+	const budget = 8_000 // bytes per job
+	jobs := 200
+	if raceEnabled {
+		jobs = 40
+	}
+	s := New(Config{Slots: 2, ResultTTL: time.Hour})
+	defer s.Close()
+	req := Request{Problem: "timetable", Size: 240, Params: map[string]int{"slots": 8}, Walkers: 2}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second also empties the sync.Pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for k := 0; k < jobs; k++ {
+		req.Seed = uint64(1 + k)
+		job, err := s.SubmitWait(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.State != StateSolved {
+			t.Fatalf("seed %d: state %s", req.Seed, job.State)
+		}
+	}
+	if got := s.Stats().JobsStored; got != jobs {
+		t.Fatalf("%d jobs stored, want all %d", got, jobs)
+	}
+	perJob := int64(heap()-before) / int64(jobs)
+	t.Logf("%d B retained a finished job, budget %d", perJob, budget)
+	if perJob > budget {
+		t.Errorf("a finished job keeps %d B on the heap, budget %d", perJob, budget)
 	}
 }

@@ -1,18 +1,16 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/domain"
+	"repro/internal/httpjson"
 	"repro/internal/problems"
 )
 
@@ -47,7 +45,7 @@ func NewHandler(s *Scheduler) http.Handler {
 				writeError(w, err)
 				return
 			}
-			writeJSON(w, http.StatusOK, job)
+			httpjson.Write(w, http.StatusOK, job)
 			return
 		}
 		job, err := s.Submit(body.Request)
@@ -56,7 +54,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			return
 		}
 		w.Header().Set("Location", "/v1/jobs/"+job.ID)
-		writeJSON(w, http.StatusAccepted, job)
+		httpjson.Write(w, http.StatusAccepted, job)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
@@ -71,7 +69,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, job)
+		httpjson.Write(w, http.StatusOK, job)
 	})
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
 		job, err := s.Cancel(r.PathValue("id"))
@@ -79,7 +77,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, job)
+		httpjson.Write(w, http.StatusOK, job)
 	})
 	mux.HandleFunc("GET /v1/problems", func(w http.ResponseWriter, r *http.Request) {
 		names := problems.Names()
@@ -91,7 +89,7 @@ func NewHandler(s *Scheduler) http.Handler {
 			}
 			infos = append(infos, info)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"problems": infos})
+		httpjson.Write(w, http.StatusOK, map[string]any{"problems": infos})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		st := s.Stats()
@@ -99,7 +97,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		if s.Closed() {
 			status, code = "shutting down", http.StatusServiceUnavailable
 		}
-		writeJSON(w, code, map[string]any{
+		httpjson.Write(w, code, map[string]any{
 			"status":      status,
 			"slots":       st.Slots,
 			"slots_busy":  st.SlotsBusy,
@@ -107,7 +105,7 @@ func NewHandler(s *Scheduler) http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
+		httpjson.Write(w, http.StatusOK, s.Stats())
 	})
 	return mux
 }
@@ -180,35 +178,6 @@ func decodeSolveBody(r io.Reader) (solveBody, error) {
 	return body, nil
 }
 
-// respBufs holds the buffers responses are encoded into, so that a
-// response is one Write of a known length.
-var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledResp keeps a rare large response's buffer out of the pool.
-const maxPooledResp = 64 << 10
-
-// writeJSON answers v as one line of compact JSON. Responses are for
-// programs; a person reading one pipes it through jq.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf := respBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
-		code = http.StatusInternalServerError
-		// A map of strings always encodes.
-		_ = json.NewEncoder(buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(code)
-	// A failed write is a client that went away; there is no one to tell.
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledResp {
-		respBufs.Put(buf)
-	}
-}
-
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
@@ -231,5 +200,5 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrClosed):
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	httpjson.Write(w, code, map[string]string{"error": err.Error()})
 }

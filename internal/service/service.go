@@ -137,6 +137,17 @@ type job struct {
 	cancelRun context.CancelFunc // set while running
 }
 
+// release drops what only a run reads: the factory, which holds the
+// job's template, and the Progress hook. A job leaves the queued and
+// running states exactly once, and nothing reads either field after
+// that — runJob reads them only once it has moved the job from queued
+// to running under mu — so a finished job kept for ResultTTL holds its
+// record and result, not its instance. Callers hold mu.
+func (j *job) release() {
+	j.factory = nil
+	j.opts.Progress = nil
+}
+
 // snapshot builds the immutable transport view.
 func (j *job) snapshot() Job {
 	j.mu.Lock()
@@ -718,6 +729,7 @@ func (s *Scheduler) finalizeQueued(j *job, err error) bool {
 	j.state = StateCancelled
 	j.finished = time.Now()
 	j.err = err
+	j.release()
 	j.mu.Unlock()
 	// Counters move before done is closed so a waiter woken by
 	// Wait/SubmitWait never reads Stats from before its own job's
@@ -741,6 +753,7 @@ func (s *Scheduler) finalize(j *job, state State, res *multiwalk.Result, err err
 	j.finished = time.Now()
 	j.res = res
 	j.err = err
+	j.release()
 	j.mu.Unlock()
 
 	// Counters move before done is closed (see finalizeQueued).
