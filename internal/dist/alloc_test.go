@@ -50,9 +50,9 @@ func (s fleetSpec) job(t testing.TB, seed uint64) JobSpec {
 // and workers together, against a committed budget. The budgets sit
 // about 4 % above what a job reads with replies encoded into and read
 // from pooled buffers, one context a shard run and a flat timetable
-// (42.0 KB tiny, 61.0 KB medium on go1.24 amd64; with a decoder, a
-// streaming encoder and two contexts per reply and a timetable of one
-// slice a session they read 45.3 KB and 67.8 KB).
+// (42.5 KB tiny, 61.7 KB medium on go1.24 amd64; with a json.Decoder a
+// reply, a streaming encoder, two contexts a run and a timetable of one
+// slice a session they read 45.3 KB and 67.6 KB).
 func TestFleetAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")

@@ -166,9 +166,7 @@ func postCancel(t *testing.T, base, id string) bool {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ack struct {
-		Cancelled bool `json:"cancelled"`
-	}
+	var ack cancelAck
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
