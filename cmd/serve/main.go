@@ -37,10 +37,13 @@
 // (see DESIGN.md §13).
 //
 // With -speculate, the coordinator also routes around *slow* workers:
-// shards report progress, a detector flags any shard lagging more than
-// -speculate-threshold behind the job's median, and the lagging range
-// is re-dispatched on a free healthy worker — whichever copy finishes
-// first wins, the loser is cancelled and its duplicate result dropped.
+// a detector reads each shard's progress from its worker (GET
+// /v1/runs/{id}; serve opens no listener for it, so -board-addr and
+// -board-advertise concern exchange jobs only), flags any shard lagging
+// more than -speculate-threshold behind the job's median, and the
+// lagging range is re-dispatched on a free healthy worker — whichever
+// copy finishes first wins, the loser is cancelled and its duplicate
+// result dropped.
 // Walker identity is global, so both copies are bit-for-bit identical
 // and speculation trades spare slots for tail latency with no effect
 // on results (see DESIGN.md §14).
@@ -163,8 +166,8 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&c.fleetHeartbeat, "fleet-heartbeat", 0, "fleet health-monitor probe period for silent workers (0 = 2s)")
 	fs.IntVar(&c.recoverRounds, "recover-attempts", 0, "rounds of lost-shard re-execution on surviving workers before a job is truncated (0 = 2, negative disables recovery)")
 	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy as name=weight[:maxslots],... (e.g. batch=1:8,interactive=3); unlisted tenants get weight 1, no cap")
-	fs.StringVar(&c.boardAddr, "board-addr", "", "listen address of the coordinator's board and progress server (empty = 127.0.0.1:0; it starts lazily on the first exchange or speculating job)")
-	fs.StringVar(&c.boardAdvertise, "board-advertise", "", "base URL workers use to reach the board and progress server (empty = derived from its listener; set it when workers are on other hosts)")
+	fs.StringVar(&c.boardAddr, "board-addr", "", "listen address of the coordinator's exchange board server (empty = 127.0.0.1:0; it starts lazily on the first exchange job)")
+	fs.StringVar(&c.boardAdvertise, "board-advertise", "", "base URL workers use to reach the exchange board server (empty = derived from its listener; set it when workers are on other hosts)")
 	fs.DurationVar(&c.boardSync, "board-sync", 0, "worker board-cache sync period for dependent runs, sent in each run request (0 = 50ms)")
 	fs.BoolVar(&c.speculate, "speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first")
 	fs.Float64Var(&c.speculateThr, "speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")

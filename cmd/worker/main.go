@@ -23,10 +23,11 @@
 // Dependent (exchange) shard runs sync a local board cache with the
 // coordinator's board by POST, on change, on the tick the coordinator
 // puts in the run request (serve -board-sync).
-// When a run request carries a progress feed (the coordinator's
-// -speculate mode), the worker also POSTs per-shard iteration counts on
-// the requested cadence, so the coordinator's straggler detector can
-// see how far behind this shard is. With -telemetry FILE, per-walker
+// When a run request asks for progress (the coordinator's -speculate
+// mode), the worker keeps per-walker iteration counters for the run and
+// answers them on GET /v1/runs/{id}, which the coordinator's straggler
+// detector reads to see how far behind this shard is; the worker sends
+// nothing on its own. With -telemetry FILE, per-walker
 // iteration/cost samples are appended to FILE in the FTDC-style
 // schema-delta encoding (decode with `experiments ftdc-decode FILE`).
 // With -pprof ADDR, net/http/pprof is served on ADDR, a listener apart
@@ -35,6 +36,7 @@
 // Endpoints:
 //
 //	POST /v1/run              run a walker shard (blocks until done)
+//	GET  /v1/runs/{id}        an in-flight shard run's progress
 //	POST /v1/runs/{id}/cancel cancel an in-flight shard run
 //	GET  /healthz             liveness + slot capacity and usage
 //

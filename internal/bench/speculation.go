@@ -157,7 +157,6 @@ func speculationArm(ctx context.Context, w Workload, k, reps int, seed uint64, e
 		cfg.Speculate = true
 		cfg.SpeculateAfter = maxDuration(straggle/10, 20*time.Millisecond)
 		cfg.SpeculateInterval = maxDuration(straggle/20, 10*time.Millisecond)
-		cfg.ProgressInterval = 10 * time.Millisecond
 	}
 	lats := make([]float64, 0, reps)
 	arm := TailLatency{Speculate: speculate, Jobs: reps}
@@ -249,10 +248,10 @@ func stragglerFleet(n, slotsEach, straggler int, delay time.Duration, cfg dist.C
 // holdRuns fronts a worker with a reverse proxy that holds every shard
 // dispatch (POST /v1/run) for delay before forwarding. That is the
 // straggler shape speculation targets: the worker looks healthy —
-// health probes, cancels and progress traffic pass straight through —
-// but every shard placed on it starts late, and until it starts it
-// reports no progress, which is exactly what the coordinator's
-// detector sees from a stalled process.
+// health probes, cancels and progress reads pass straight through —
+// but every shard placed on it starts late, and until it starts the
+// worker does not hold the run and has no progress to answer, which is
+// exactly what the coordinator's detector sees from a stalled process.
 func holdRuns(target *url.URL, delay time.Duration) http.Handler {
 	px := httputil.NewSingleHostReverseProxy(target)
 	px.ErrorHandler = func(w http.ResponseWriter, _ *http.Request, _ error) {

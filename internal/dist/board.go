@@ -53,12 +53,6 @@ type boardHub struct {
 	mHTTPSyncs atomic.Int64
 	mRxBytes   atomic.Int64
 	mTxBytes   atomic.Int64
-
-	// onShardProgress, when set, receives every shard progress report
-	// the hub hears (POST /v1/runs/{id}/progress). Set once by the
-	// owning Coordinator before any server starts; the callback must be
-	// cheap and concurrency-safe.
-	onShardProgress func(runID string, iters, walkers, best int64)
 }
 
 // boardEntry is one job's global board plus the probe instance the hub
@@ -183,42 +177,10 @@ func (h *boardHub) ensureServerLocked() error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs/{id}/board", h.handleSync)
-	mux.HandleFunc("POST /v1/runs/{id}/progress", h.handleProgress)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	h.srv = srv
 	go func() { _ = srv.Serve(ln) }()
 	return nil
-}
-
-// ensureServer starts the hub's HTTP server if needed and returns its
-// base URL — the straggler detector reuses the board listener for the
-// progress route, so speculation-enabled fleets pay for one listener,
-// not two.
-func (h *boardHub) ensureServer() (string, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.ensureServerLocked(); err != nil {
-		return "", err
-	}
-	return h.base, nil
-}
-
-// maxProgressBodyLen caps one progress report body: three integers.
-const maxProgressBodyLen = 4096
-
-// handleProgress records one shard progress report. Reports are
-// advisory — unknown run ids are acknowledged and dropped, since a
-// straggling report racing the shard's own completion is benign.
-func (h *boardHub) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var rep ShardProgressReport
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxProgressBodyLen)).Decode(&rep); err != nil {
-		httpjson.Write(w, http.StatusBadRequest, map[string]string{"error": "invalid progress report: " + err.Error()})
-		return
-	}
-	if cb := h.onShardProgress; cb != nil {
-		cb(r.PathValue("id"), rep.Iters, rep.Walkers, rep.Best)
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleSync merges a worker cache's best into the job's global board

@@ -70,8 +70,8 @@ type CoordinatorConfig struct {
 	// shard's request. 0 selects 50ms.
 	BoardSync time.Duration
 	// Speculate enables straggler speculation for wall-clock (Run mode)
-	// jobs: workers report per-shard progress, a detector compares each
-	// running shard against the job's median, and a shard lagging past
+	// jobs: a detector reads each running shard's progress from its
+	// worker, compares it against the job's median, and a shard lagging past
 	// SpeculateThreshold is re-dispatched on a free healthy worker —
 	// whichever copy finishes first wins, the loser is cancelled, and
 	// its late result is dropped before shard merging. Global walker
@@ -88,13 +88,9 @@ type CoordinatorConfig struct {
 	// short jobs finish before any backup could help, so they never
 	// speculate. 0 selects 2s.
 	SpeculateAfter time.Duration
-	// SpeculateInterval is the detector's evaluation period. 0 selects
-	// 500ms.
+	// SpeculateInterval is the detector's evaluation period, and the
+	// bound on each progress read it makes. 0 selects 500ms.
 	SpeculateInterval time.Duration
-	// ProgressInterval is the per-shard progress report cadence stamped
-	// into speculation-enabled run requests. 0 lets each worker apply
-	// its default (250ms).
-	ProgressInterval time.Duration
 }
 
 // JobSpec describes one distributed multi-walk job. It is the
@@ -147,8 +143,8 @@ type Coordinator struct {
 	hbInterval      time.Duration
 	recoverAttempts int
 
-	// epoch, drawn once at random, leads every run id, board id and
-	// progress key, and seq numbers the jobs behind it. Workers outlive
+	// epoch, drawn once at random, leads every run id and board id, and
+	// seq numbers the jobs behind it. Workers outlive
 	// coordinators and remember run ids (Worker.early), so the ids of two
 	// coordinators must not meet although both count from 1.
 	epoch string
@@ -161,13 +157,6 @@ type Coordinator struct {
 	specThreshold float64
 	specAfter     time.Duration
 	specInterval  time.Duration
-	progInterval  time.Duration
-
-	// prog is the straggler detector's input: one entry per tracked
-	// in-flight shard run, fed by worker progress reports and finalized
-	// from the shard's own outcome when it resolves.
-	progMu sync.Mutex
-	prog   map[string]*shardProg
 
 	monitorStop    chan struct{}
 	monitorDone    chan struct{}
@@ -267,12 +256,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
 		specInterval:    specInterval,
-		progInterval:    cfg.ProgressInterval,
-		prog:            make(map[string]*shardProg),
 		monitorStop:     make(chan struct{}),
 		monitorDone:     make(chan struct{}),
 	}
-	c.boards.onShardProgress = c.recordShardProgress
 	now := time.Now()
 	for _, base := range cfg.Workers {
 		slots, err := c.probe(base, probeTimeout)
@@ -406,7 +392,6 @@ func (c *Coordinator) NotifyCapacity(f func()) {
 // serving layer's Stats (structurally, like service.Backend itself).
 func (c *Coordinator) BackendMetrics() map[string]int64 {
 	healthy, suspect, dead, draining := c.reg.counts()
-	tracked, maxAge := c.progressGauges(time.Now())
 	return map[string]int64{
 		"fleet_workers":          int64(c.reg.size()),
 		"fleet_healthy":          int64(healthy),
@@ -428,8 +413,6 @@ func (c *Coordinator) BackendMetrics() map[string]int64 {
 		"speculations_won":       c.mSpecWon.Load(),
 		"speculations_lost":      c.mSpecLost.Load(),
 		"speculations_cancelled": c.mSpecCancelled.Load(),
-		"shards_tracked":         tracked,
-		"shard_progress_age_ms":  maxAge,
 		// The paper's own mechanism: cancel RPCs a solved shard sent to
 		// the job's other shards, and how many of them interrupted a run
 		// that was still live (the rest found it already finished).
@@ -607,21 +590,12 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	defer stopNotify()
 	params.deadline = deadlineMS(ctx)
 
-	// Straggler speculation needs the progress feed: stamp the report
-	// endpoint into every shard request and track the shards. Virtual
-	// mode is excluded (its shards are sequential sweeps whose runtimes
-	// are the experiment itself), as are single-shard jobs (no median
-	// to lag behind).
-	speculating := c.speculate && mode == ModeRun && len(plan) >= 2
-	if speculating {
-		base, err := c.boards.ensureServer()
-		if err != nil {
-			return multiwalk.Result{}, err
-		}
-		params.progressBase = base
-		params.progressMS = c.progInterval.Milliseconds()
-		defer c.clearJobProgress(jobID + "-")
-	}
+	// Straggler speculation reads the plan's progress from the workers,
+	// so its shard requests ask them to keep counters. Virtual mode is
+	// excluded (its shards are sequential sweeps whose runtimes are the
+	// experiment itself), as are single-shard jobs (no median to lag
+	// behind).
+	params.progress = c.speculate && mode == ModeRun && len(plan) >= 2
 
 	// One loop over dispatch rounds: round 0 runs the plan, and round
 	// r >= 1 re-runs what the rounds before it lost on surviving healthy
@@ -651,10 +625,10 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 			c.mRecRounds.Add(1)
 			prefix = fmt.Sprintf("%s-r%d", jobID, round)
 			// Recovery shards re-run a known range on a fresh worker;
-			// their runtimes carry no straggler signal, so they skip the
-			// progress feed — and they see the deadline budget that
-			// remains now, not the one the job started with.
-			params.progressBase, params.progressMS = "", 0
+			// their runtimes carry no straggler signal, so they do not
+			// speculate — and they see the deadline budget that remains
+			// now, not the one the job started with.
+			params.progress = false
 			params.deadline = deadlineMS(ctx)
 		}
 		slots := c.dispatch(reqCtx, mode, &job, plan, prefix, stop, params)
@@ -716,11 +690,9 @@ type shardParams struct {
 	boardURL    string
 	boardSyncMS int64
 	deadline    int64
-	// Progress feed for straggler speculation; empty when the job does
-	// not speculate. progressBase is the hub's HTTP base URL (each
-	// shard's report route is derived from its run id).
-	progressBase string
-	progressMS   int64
+	// progress marks a speculating round: its shards keep counters for
+	// the straggler detector to read.
+	progress bool
 }
 
 // shardRequest builds one shard's run request from the job, the
@@ -728,7 +700,7 @@ type shardParams struct {
 // primary, backup and recovery dispatches derive their wire requests
 // from.
 func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunRequest {
-	req := RunRequest{
+	return RunRequest{
 		ID:           a.runID,
 		Mode:         mode,
 		Problem:      job.Problem,
@@ -743,12 +715,8 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		Exchange:     job.Exchange,
 		Board:        p.boardURL,
 		BoardSyncMS:  p.boardSyncMS,
+		Progress:     p.progress,
 	}
-	if p.progressBase != "" {
-		req.ProgressURL = p.progressBase + "/v1/runs/" + a.runID + "/progress"
-		req.ProgressMS = p.progressMS
-	}
-	return req
 }
 
 // deadlineMS converts the context's remaining budget to the worker-side
@@ -868,30 +836,22 @@ func (s *jobStop) firstSolution(winner *assignment) {
 // returns the slots, in plan order, once each has resolved. A copy's
 // reservation is released the moment its outcome is in, so a later
 // round plans into the freed capacity, and a solved outcome of a
-// wall-clock job stops every other copy of the round. Shards that report
-// progress (p.progressBase set: the plan of a speculating job) are
-// tracked, and a straggler detector gives a lagging slot one backup
-// copy. A loser still in flight is NOT waited for: the stalled worker
-// is the very thing being routed around, and run's deferred hard cancel
-// severs it when the job returns.
+// wall-clock job stops every other copy of the round. In a speculating
+// round (p.progress) a straggler detector reads the copies' progress
+// and gives a lagging slot one backup copy. A loser still in flight is
+// NOT waited for: the stalled worker is the very thing being routed
+// around, and run's deferred hard cancel severs it when the job returns.
 func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, plan []assignment, prefix string, stop *jobStop, p shardParams) []specSlot {
-	tracked := p.progressBase != ""
 	slots := make([]specSlot, len(plan))
 	var resolved sync.WaitGroup
 	resolved.Add(len(plan))
 	launch := func(s *specSlot, a *assignment) {
-		if tracked {
-			c.trackShard(a.runID, a.start, a.count)
-		}
 		go func() {
 			out := c.runShard(ctx, a, shardRequest(mode, job, a, &p))
 			c.releaseOne(a)
 			resolvedNow, final, loser := c.deliverSpec(s, a, out)
 			if !resolvedNow {
 				return
-			}
-			if tracked {
-				c.progressDone(a.runID, outcomeIters(&final))
 			}
 			if loser != nil {
 				go c.cancelLoser(loser)
@@ -912,7 +872,7 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, p
 		launch(&slots[i], &plan[i])
 	}
 
-	if tracked {
+	if p.progress {
 		backup := func(i int) {
 			s := &slots[i]
 			s.mu.Lock()
@@ -945,9 +905,10 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, p
 			stop.add(&b)
 			launch(s, &b)
 		}
-		done := make(chan struct{})
-		defer close(done)
-		go c.detectStragglers(ctx, done, job, slots, backup)
+		// The detector and its reads stop with the round.
+		detectCtx, stopDetect := context.WithCancel(ctx)
+		defer stopDetect()
+		go c.detectStragglers(detectCtx, job, slots, backup)
 	}
 	resolved.Wait()
 	return slots
@@ -1173,7 +1134,8 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 	return shardOutcome{res: resultFromWire(wire)}
 }
 
-// maxErrorBodyLen bounds how much of a worker's error reply is read.
+// maxErrorBodyLen bounds how much of a worker's error or progress reply
+// is read; both are a few dozen bytes.
 const maxErrorBodyLen = 64 << 10
 
 // cancelGrace is how long the coordinator waits, after delivering

@@ -535,8 +535,7 @@ func TestJobStopGraceTimer(t *testing.T) {
 // about six heap objects a job. A few hundred solved jobs must leave
 // the live heap and the goroutine count where a warmed-up fleet had them,
 // through plain and speculative dispatch alike: a speculating job also
-// starts a straggler detector and tracks its shards in the progress
-// table, and neither may outlive it.
+// starts a straggler detector, which may not outlive it.
 func TestSolvedFleetJobsLeaveNothingBehind(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -595,9 +594,6 @@ func TestSolvedFleetJobsLeaveNothingBehind(t *testing.T) {
 			m := coord.BackendMetrics()
 			if sent := m["first_solution_cancels_sent"] - sent0; sent != jobs {
 				t.Fatalf("%d of %d jobs sent a first-solution cancel", sent, jobs)
-			}
-			if m["shards_tracked"] != 0 {
-				t.Fatalf("%d shards still tracked after every job returned", m["shards_tracked"])
 			}
 			t.Logf("%d solved jobs: goroutines %d -> %d, live heap objects %+d", jobs, g0, g1, int64(o1)-int64(o0))
 			if g1 > g0+slack {

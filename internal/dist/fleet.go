@@ -147,13 +147,9 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	httpjson.Write(w, http.StatusOK, map[string]any{"known": known})
 }
 
-// handleFleet answers with the fleet table plus the tracked in-flight
-// shards (progress and report age — the straggler hunter's view).
+// handleFleet answers with the fleet table.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	httpjson.Write(w, http.StatusOK, map[string]any{
-		"workers": c.reg.snapshot(),
-		"shards":  c.ProgressSnapshot(),
-	})
+	httpjson.Write(w, http.StatusOK, map[string]any{"workers": c.reg.snapshot()})
 }
 
 // ---------------------------------------------------------------------
@@ -228,14 +224,7 @@ func (a *FleetAgent) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	body, _ := json.Marshal(map[string]string{"url": a.cfg.Advertise})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.Coordinator+"/v1/fleet/deregister", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if resp, err := a.client.Do(req); err == nil {
-		resp.Body.Close()
-	}
+	_ = a.send(ctx, "/v1/fleet/deregister", body)
 }
 
 // loop registers, then heartbeats until cancelled. Registration
@@ -308,9 +297,17 @@ func (a *FleetAgent) heartbeats() bool {
 // know this worker (typically after a restart) and it must re-register.
 var errUnknownWorker = errors.New("dist: coordinator does not know this worker")
 
+// post sends one fleet message on the agent's context.
 func (a *FleetAgent) post(path string, body []byte) error {
 	ctx, cancel := context.WithTimeout(a.ctx, 10*time.Second)
 	defer cancel()
+	return a.send(ctx, path, body)
+}
+
+// send posts body to the coordinator's path and reads the reply to EOF,
+// bounded by maxFleetBodyLen, so the keep-alive connection goes back to
+// the pool: closed unread, every heartbeat would dial a new one.
+func (a *FleetAgent) send(ctx context.Context, path string, body []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -321,16 +318,16 @@ func (a *FleetAgent) post(path string, body []byte) error {
 		return err
 	}
 	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = httpjson.Read(io.LimitReader(resp.Body, maxFleetBodyLen), &e)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		return nil
 	case http.StatusNotFound:
 		return errUnknownWorker
 	default:
-		var e struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
 		if e.Error == "" {
 			e.Error = fmt.Sprintf("status %d", resp.StatusCode)
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -453,5 +455,68 @@ func TestShardRecoveryExchangeInvariants(t *testing.T) {
 	}
 	if m := coord.BackendMetrics(); m["walkers_recovered"] < 1 {
 		t.Fatalf("recovery not visible in metrics: %v", m)
+	}
+}
+
+// TestFleetAgentReusesItsConnection: the agent reads every coordinator
+// reply to its end, so its registration and every heartbeat travel on
+// one keep-alive connection. Closing a reply unread makes the client
+// drop the connection, and each heartbeat then dials a new one. (The
+// deregister is not counted: it follows the last heartbeat at once, and
+// the client hands a read-out connection back to its pool from another
+// goroutine, so it may race a fresh dial.)
+func TestFleetAgentReusesItsConnection(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Slots: 1})
+	wkSrv := httptest.NewServer(wk.Handler())
+	t.Cleanup(func() { wkSrv.Close(); wk.Close() })
+
+	coord, err := NewCoordinator(CoordinatorConfig{Dynamic: true, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	var heartbeats, conns atomic.Int64
+	fleet := coord.FleetHandler()
+	fleetSrv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/heartbeat" {
+			heartbeats.Add(1)
+		}
+		fleet.ServeHTTP(w, r)
+	}))
+	fleetSrv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	fleetSrv.Start()
+	t.Cleanup(fleetSrv.Close)
+
+	transport := &http.Transport{}
+	t.Cleanup(transport.CloseIdleConnections)
+	agent, err := NewFleetAgent(AgentConfig{
+		Coordinator: fleetSrv.URL,
+		Advertise:   wkSrv.URL,
+		Worker:      wk,
+		Interval:    5 * time.Millisecond,
+		Client:      &http.Client{Transport: transport},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	deadline := time.Now().Add(5 * time.Second)
+	for heartbeats.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d heartbeats in 5s", heartbeats.Load(), n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	c, beats := conns.Load(), heartbeats.Load()
+	agent.Close()
+	if ws := coord.Workers(); len(ws) != 1 || ws[0].State != "draining" {
+		t.Fatalf("the deregister did not land: %+v", ws)
+	}
+	if c != 1 {
+		t.Fatalf("registration and %d heartbeats opened %d connections, want 1", beats, c)
 	}
 }

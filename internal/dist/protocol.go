@@ -83,8 +83,9 @@ const (
 // RunRequest is the worker protocol's only command: run the global
 // walkers [Start, Start+Count) of a TotalWalkers-walker job.
 type RunRequest struct {
-	// ID names the run for POST /v1/runs/{id}/cancel. The coordinator
-	// makes it unique per (job, worker); workers reject duplicates.
+	// ID names the run for POST /v1/runs/{id}/cancel and GET
+	// /v1/runs/{id}. The coordinator makes it unique per (job, worker);
+	// workers reject duplicates.
 	ID string `json:"id"`
 	// Mode is ModeRun or ModeVirtual.
 	Mode string `json:"mode"`
@@ -132,21 +133,17 @@ type RunRequest struct {
 	// shard (CoordinatorConfig.BoardSync); 0 selects 50ms. The hot loop
 	// never waits on this: walkers always read and write the local cache.
 	BoardSyncMS int64 `json:"board_sync_ms,omitempty"`
-	// ProgressURL, when set, asks the worker to report the shard's
-	// progress (iteration counts) periodically so the coordinator's
-	// straggler detector can compare shards (POST ShardProgressReport).
-	// ProgressMS is the report period in milliseconds (0 selects the
-	// worker default, 250ms). Reports are advisory: losing them only
-	// blinds the detector.
-	ProgressURL string `json:"progress_url,omitempty"`
-	ProgressMS  int64  `json:"progress_ms,omitempty"`
+	// Progress asks the worker to keep per-walker iteration counters for
+	// the run and answer them on GET /v1/runs/{id} (RunProgress), so
+	// the coordinator's straggler detector can compare shards. The
+	// coordinator sets it on a speculating job's plan only.
+	Progress bool `json:"progress,omitempty"`
 }
 
-// ShardProgressReport is the body of one shard progress report (POST
-// {ProgressURL}): the run's total iterations so far, how many walkers
-// have started, and the best cost seen (-1 when no walker has completed
-// an iteration yet).
-type ShardProgressReport struct {
+// RunProgress answers GET /v1/runs/{id}: the run's total iterations so
+// far, how many walkers have started, and the best cost seen (-1 when
+// no walker has completed an iteration yet).
+type RunProgress struct {
 	Iters   int64 `json:"iters"`
 	Walkers int64 `json:"walkers"`
 	Best    int64 `json:"best"`
@@ -281,12 +278,6 @@ func (req *RunRequest) Validate() error {
 	}
 	if len(req.Board) > maxBoardURL {
 		return fmt.Errorf("%w: board URL of %d bytes exceeds %d", ErrBadRequest, len(req.Board), maxBoardURL)
-	}
-	if len(req.ProgressURL) > maxBoardURL {
-		return fmt.Errorf("%w: progress URL of %d bytes exceeds %d", ErrBadRequest, len(req.ProgressURL), maxBoardURL)
-	}
-	if req.ProgressMS < 0 {
-		return fmt.Errorf("%w: negative progress_ms", ErrBadRequest)
 	}
 	if len(req.Engine.InitialConfig) > maxInitialConfig {
 		return fmt.Errorf("%w: engine: initial_config of %d variables exceeds %d", ErrBadRequest, len(req.Engine.InitialConfig), maxInitialConfig)

@@ -46,7 +46,6 @@ type workerRef struct {
 
 	state    workerState
 	lastSeen time.Time // last successful probe or push heartbeat
-	fails    int       // consecutive failed probes
 }
 
 // WorkerInfo describes one registered worker.
@@ -69,9 +68,8 @@ type registry struct {
 
 	onChange atomic.Value // func()
 
-	mJoins    atomic.Int64
-	mLeaves   atomic.Int64
-	mFailures atomic.Int64 // probe/transport failures observed
+	mJoins  atomic.Int64
+	mLeaves atomic.Int64
 }
 
 func newRegistry() *registry {
@@ -110,7 +108,6 @@ func (r *registry) upsert(base string, slots int, now time.Time) bool {
 	}
 	w.slots = slots
 	w.state = stateHealthy
-	w.fails = 0
 	w.lastSeen = now
 	r.mu.Unlock()
 	if changed {
@@ -144,7 +141,6 @@ func (r *registry) heartbeat(base string, slots int, draining bool, now time.Tim
 		w.state = target
 		changed = true
 	}
-	w.fails = 0
 	w.lastSeen = now
 	r.mu.Unlock()
 	if changed {
@@ -174,7 +170,6 @@ func (r *registry) deregister(base string) bool {
 // suspect, and dead on a repeat. The health monitor's next successful
 // probe (or a push heartbeat) brings it back.
 func (r *registry) reportFailure(w *workerRef) {
-	r.mFailures.Add(1)
 	r.mu.Lock()
 	changed := false
 	switch w.state {
@@ -185,7 +180,6 @@ func (r *registry) reportFailure(w *workerRef) {
 		w.state = stateDead
 		changed = true
 	}
-	w.fails++
 	r.mu.Unlock()
 	if changed {
 		r.notify()
@@ -200,7 +194,6 @@ func (r *registry) probeOK(w *workerRef, slots int, now time.Time) {
 		w.state = stateHealthy
 	}
 	w.slots = slots
-	w.fails = 0
 	w.lastSeen = now
 	r.mu.Unlock()
 	if changed {

@@ -2,10 +2,13 @@ package dist
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/httpjson"
 )
 
 // Straggler speculation. A wall-clock job that runs out its budget
@@ -23,9 +26,11 @@ import (
 //
 // Three pieces:
 //
-//   - a progress feed: speculation-enabled shard requests carry a
-//     report endpoint, and workers POST per-shard iteration counts to
-//     it every ProgressMS;
+//   - progress reads: speculation-enabled shard requests ask the worker
+//     to keep per-walker counters ("progress": true), and every detector
+//     tick reads each unresolved copy's count with GET /v1/runs/{id},
+//     on the same fleet client as run and cancel — the coordinator
+//     calls, the worker answers, and no second listener is opened;
 //   - a detector: per job, compare each unresolved shard's per-walker
 //     iteration count against the job median; lagging more than
 //     SpeculateThreshold behind (with a minimum job age, a
@@ -42,131 +47,6 @@ import (
 // so it never speculates. Expressed as the minimum remaining fraction
 // of the per-walker budget.
 const specMinRemaining = 0.25
-
-// shardProg is one tracked shard run's live progress, fed by worker
-// reports and finalized from the shard outcome when it resolves.
-type shardProg struct {
-	start, count int
-	iters        int64
-	walkers      int64
-	best         int64
-	since        time.Time // tracking start
-	updated      time.Time // last report; zero until the first arrives
-	resolved     bool
-}
-
-// trackShard registers a shard run with the progress table. Only
-// tracked runs accept reports — everything else is dropped, so unknown
-// or stale run ids cannot grow the table.
-func (c *Coordinator) trackShard(runID string, start, count int) {
-	c.progMu.Lock()
-	c.prog[runID] = &shardProg{start: start, count: count, best: -1, since: time.Now()}
-	c.progMu.Unlock()
-}
-
-// recordShardProgress is the hub's report callback. Reports for
-// unknown or already-resolved runs are dropped; iteration counts are
-// monotone, so a report reordered behind a larger one is ignored.
-func (c *Coordinator) recordShardProgress(runID string, iters, walkers, best int64) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	e := c.prog[runID]
-	if e == nil || e.resolved {
-		return
-	}
-	if iters >= e.iters {
-		e.iters, e.walkers, e.best = iters, walkers, best
-	}
-	e.updated = time.Now()
-}
-
-// progressDone finalizes a tracked run with its outcome's iteration
-// total, so the job median keeps seeing finished shards — a lone
-// laggard among finished peers must still look slow.
-func (c *Coordinator) progressDone(runID string, finalIters int64) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	if e := c.prog[runID]; e != nil {
-		e.resolved = true
-		if finalIters > e.iters {
-			e.iters = finalIters
-		}
-		e.updated = time.Now()
-	}
-}
-
-// clearJobProgress drops every tracked run whose id carries the job's
-// prefix — run() cleanup, so the table holds in-flight jobs only.
-func (c *Coordinator) clearJobProgress(prefix string) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	for id := range c.prog {
-		if strings.HasPrefix(id, prefix) {
-			delete(c.prog, id)
-		}
-	}
-}
-
-// progressGauges folds the table into the two /metrics gauges: tracked
-// unresolved shards and the oldest report age (milliseconds since the
-// last report, or since tracking started for shards that never
-// reported — exactly the shards a straggler hunt cares about).
-func (c *Coordinator) progressGauges(now time.Time) (tracked, maxAgeMS int64) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	for _, e := range c.prog {
-		if e.resolved {
-			continue
-		}
-		tracked++
-		ref := e.updated
-		if ref.IsZero() {
-			ref = e.since
-		}
-		if age := now.Sub(ref).Milliseconds(); age > maxAgeMS {
-			maxAgeMS = age
-		}
-	}
-	return tracked, maxAgeMS
-}
-
-// ShardProgressInfo is one tracked in-flight shard in the fleet view
-// (GET /v1/fleet): which walker range it covers, how far it has come,
-// and how stale its last report is.
-type ShardProgressInfo struct {
-	Run     string `json:"run"`
-	Start   int    `json:"start"`
-	Count   int    `json:"count"`
-	Iters   int64  `json:"iters"`
-	Walkers int64  `json:"walkers"`
-	Best    int64  `json:"best"`
-	AgeMS   int64  `json:"age_ms"`
-}
-
-// ProgressSnapshot lists the tracked unresolved shard runs, sorted by
-// run id for a stable fleet view.
-func (c *Coordinator) ProgressSnapshot() []ShardProgressInfo {
-	now := time.Now()
-	c.progMu.Lock()
-	out := make([]ShardProgressInfo, 0, len(c.prog))
-	for id, e := range c.prog {
-		if e.resolved {
-			continue
-		}
-		ref := e.updated
-		if ref.IsZero() {
-			ref = e.since
-		}
-		out = append(out, ShardProgressInfo{
-			Run: id, Start: e.start, Count: e.count,
-			Iters: e.iters, Walkers: e.walkers, Best: e.best,
-			AgeMS: now.Sub(ref).Milliseconds(),
-		})
-	}
-	c.progMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Run < out[j].Run })
-	return out
-}
 
 // specSlot is one shard's first-wins state machine; every dispatched
 // shard is one. A slot starts with the primary in flight, gains at most
@@ -252,65 +132,38 @@ func specBudget(job *JobSpec) float64 {
 	return float64(job.Engine.MaxIterations) * float64(job.Engine.MaxRuns)
 }
 
-// detectStragglers is the per-job detector loop: every tick it
-// normalizes each slot's progress to per-walker iterations, takes the
-// job median, and launches a backup for every unresolved, backup-less
-// slot lagging more than the threshold behind — subject to the
-// minimum-age and remaining-work guards. It exits when the job is done
-// or the dispatch context dies.
-func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}, job *JobSpec, slots []specSlot, launch func(i int)) {
+// detectStragglers is the per-job detector loop: every tick past the
+// minimum age it refreshes each slot's progress (readProgress),
+// normalizes it to per-walker iterations, takes the job median, and
+// launches a backup for every unresolved, backup-less slot lagging more
+// than the threshold behind — subject to the remaining-work guard. It
+// exits when ctx dies, which dispatch does when the round is over.
+func (c *Coordinator) detectStragglers(ctx context.Context, job *JobSpec, slots []specSlot, launch func(i int)) {
 	started := time.Now()
 	budget := specBudget(job)
 	tick := time.NewTicker(c.specInterval)
 	defer tick.Stop()
+	seen := make([]int64, len(slots))
+	open := make([]bool, len(slots))
+	norms := make([]float64, len(slots))
+	sorted := make([]float64, len(slots))
 	for {
 		select {
 		case <-ctx.Done():
-			return
-		case <-done:
 			return
 		case <-tick.C:
 		}
 		if time.Since(started) < c.specAfter {
 			continue
 		}
-		norms := make([]float64, len(slots))
-		type candidate struct{ i int }
-		var cands []candidate
-		for i := range slots {
-			s := &slots[i]
-			s.mu.Lock()
-			resolved := s.resolved
-			pID := s.primary.runID
-			var bID string
-			if s.backup != nil {
-				bID = s.backup.runID
-			}
-			count := s.primary.count
-			s.mu.Unlock()
-
-			c.progMu.Lock()
-			var iters int64
-			if e := c.prog[pID]; e != nil {
-				iters = e.iters
-			}
-			if bID != "" {
-				if e := c.prog[bID]; e != nil && e.iters > iters {
-					iters = e.iters
-				}
-			}
-			c.progMu.Unlock()
-			norms[i] = float64(iters) / float64(count)
-			if resolved || bID != "" {
-				continue
-			}
-			if budget > 0 && budget-norms[i] < specMinRemaining*budget {
-				// Close enough to its budget to finish on its own.
-				continue
-			}
-			cands = append(cands, candidate{i})
+		c.readProgress(ctx, slots, seen, open)
+		if ctx.Err() != nil {
+			return
 		}
-		sorted := append([]float64(nil), norms...)
+		for i := range slots {
+			norms[i] = float64(seen[i]) / float64(slots[i].primary.count)
+		}
+		copy(sorted, norms)
 		sort.Float64s(sorted)
 		median := sorted[len(sorted)/2]
 		if median <= 0 {
@@ -318,16 +171,84 @@ func (c *Coordinator) detectStragglers(ctx context.Context, done <-chan struct{}
 			// signal to compare against.
 			continue
 		}
-		for _, cd := range cands {
-			if norms[cd.i]*c.specThreshold < median {
-				launch(cd.i)
+		for i := range slots {
+			if !open[i] {
+				continue
+			}
+			if budget > 0 && budget-norms[i] < specMinRemaining*budget {
+				// Close enough to its budget to finish on its own.
+				continue
+			}
+			if norms[i]*c.specThreshold < median {
+				launch(i)
 			}
 		}
 	}
 }
 
-// outcomeIters sums a resolved outcome's walker iteration counts (the
-// final value the progress table records for the run).
+// readProgress refreshes seen, each slot's highest iteration count so
+// far over both its copies, and open, whether the slot may still gain a
+// backup (unresolved, none yet). A resolved slot counts its outcome, so
+// the median keeps seeing finished work — a lone laggard among finished
+// peers must still look slow. The copies of every unresolved slot are
+// read at once; a copy that does not answer within one detector
+// interval (a frozen worker), or does not hold its run (not registered
+// yet, or already answered), keeps the count it gave last.
+func (c *Coordinator) readProgress(ctx context.Context, slots []specSlot, seen []int64, open []bool) {
+	got := make([]int64, 2*len(slots)) // primary, backup per slot
+	var wg sync.WaitGroup
+	for i := range slots {
+		s := &slots[i]
+		s.mu.Lock()
+		resolved, copies := s.resolved, [2]*assignment{s.primary, s.backup}
+		if resolved {
+			seen[i] = max(seen[i], outcomeIters(&s.outcome))
+		}
+		s.mu.Unlock()
+		open[i] = !resolved && copies[1] == nil
+		if resolved {
+			continue
+		}
+		for k, a := range copies {
+			if a == nil {
+				continue
+			}
+			wg.Add(1)
+			go func(dst *int64) {
+				defer wg.Done()
+				*dst = c.runProgress(ctx, a)
+			}(&got[2*i+k])
+		}
+	}
+	wg.Wait()
+	for k, n := range got {
+		seen[k/2] = max(seen[k/2], n)
+	}
+}
+
+// runProgress reads one copy's iteration count (GET /v1/runs/{id}),
+// bounded by one detector interval and read to EOF so the keep-alive
+// connection goes back to the pool. It is 0 when there is no answer.
+func (c *Coordinator) runProgress(ctx context.Context, a *assignment) int64 {
+	ctx, cancel := context.WithTimeout(ctx, c.specInterval)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.worker.base+"/v1/runs/"+a.runID, nil)
+	if err != nil {
+		return 0
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0
+	}
+	defer resp.Body.Close()
+	var p RunProgress
+	if err := httpjson.Read(io.LimitReader(resp.Body, maxErrorBodyLen), &p); err != nil || resp.StatusCode != http.StatusOK {
+		return 0
+	}
+	return p.Iters
+}
+
+// outcomeIters sums a resolved outcome's walker iteration counts.
 func outcomeIters(out *shardOutcome) int64 {
 	var n int64
 	for i := range out.res.Walkers {

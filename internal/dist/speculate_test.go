@@ -72,7 +72,6 @@ func speculatingCoordinator(t *testing.T, urls ...string) *Coordinator {
 		Speculate:         true,
 		SpeculateAfter:    50 * time.Millisecond,
 		SpeculateInterval: 25 * time.Millisecond,
-		ProgressInterval:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,5 +462,176 @@ func TestPlanRecoveryNoCapacityTypedError(t *testing.T) {
 	}
 	if len(uncovered) != 1 || uncovered[0] != (lostRange{start: 0, count: 2}) {
 		t.Fatalf("uncovered = %+v, want the full input range", uncovered)
+	}
+}
+
+// frozenWorker fronts a real worker with a proxy that holds both the
+// shard dispatch (POST /v1/run) and the progress read (GET
+// /v1/runs/{id}) until the caller gives up: a worker that stopped
+// answering with its process and sockets still alive, as under
+// SIGSTOP. Health probes and cancels pass straight through.
+func frozenWorker(t *testing.T, wk *Worker) *httptest.Server {
+	t.Helper()
+	inner := httptest.NewServer(wk.Handler())
+	t.Cleanup(inner.Close)
+	target, err := url.Parse(inner.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := httputil.NewSingleHostReverseProxy(target)
+	px.ErrorHandler = func(w http.ResponseWriter, _ *http.Request, _ error) {
+		w.WriteHeader(http.StatusBadGateway)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		run := r.Method == http.MethodPost && r.URL.Path == "/v1/run"
+		read := r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/runs/")
+		if run || read {
+			// Drained first, so the held request aborts the moment the
+			// coordinator severs it (see heldWorker).
+			if _, err := io.Copy(io.Discard, r.Body); err != nil {
+				return
+			}
+			<-r.Context().Done()
+			return
+		}
+		px.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// progressReads records the progress reads (GET /v1/runs/{id}) the
+// coordinator sends to one host: how much time each was given, and
+// whether it came back.
+type progressReads struct {
+	http.RoundTripper
+	host string
+
+	mu       sync.Mutex
+	budgets  []time.Duration // deadline minus send time
+	answered int
+}
+
+func (p *progressReads) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method != http.MethodGet || r.URL.Host != p.host || !strings.HasPrefix(r.URL.Path, "/v1/runs/") {
+		return p.RoundTripper.RoundTrip(r)
+	}
+	dl, ok := r.Context().Deadline()
+	budget := time.Duration(1<<63 - 1)
+	if ok {
+		budget = time.Until(dl)
+	}
+	resp, err := p.RoundTripper.RoundTrip(r)
+	p.mu.Lock()
+	p.budgets = append(p.budgets, budget)
+	if err == nil {
+		p.answered++
+	}
+	p.mu.Unlock()
+	return resp, err
+}
+
+// TestSpeculationBacksUpFrozenWorker is the straggler-smoke's SIGSTOP in
+// one process: the worker holding a shard answers neither its run nor
+// any read of its progress. The detector must still back the shard up
+// (a copy that never answers reads as no progress), the backup must
+// win, and no tick may wait on the frozen worker longer than one
+// SpeculateInterval: every read sent there carries that deadline and
+// ends by it.
+func TestSpeculationBacksUpFrozenWorker(t *testing.T) {
+	frozen := NewWorker(WorkerConfig{Slots: 2})
+	t.Cleanup(func() { frozen.Close() })
+	srv := frozenWorker(t, frozen)
+	urls := []string{srv.URL}
+	for i := 0; i < 2; i++ {
+		wk := NewWorker(WorkerConfig{Slots: 2})
+		s := httptest.NewServer(wk.Handler())
+		t.Cleanup(func() { s.Close(); wk.Close() })
+		urls = append(urls, s.URL)
+	}
+	transport := &http.Transport{}
+	t.Cleanup(transport.CloseIdleConnections)
+	frozenURL, err := url.Parse(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := &progressReads{RoundTripper: transport, host: frozenURL.Host}
+	const interval = 25 * time.Millisecond
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Workers:           urls,
+		Client:            &http.Client{Transport: reads},
+		HeartbeatInterval: -1,
+		Speculate:         true,
+		SpeculateAfter:    50 * time.Millisecond,
+		SpeculateInterval: interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	// The frozen worker joined first, so it holds walkers 0-1; with seed
+	// 38 walker 0 solves in 2 801 iterations and walkers 2-3 run their
+	// whole budget unsolved, so only a backup of the frozen shard can
+	// end the job early.
+	engine := tunedEngine(t, "costas", 16)
+	engine.MaxIterations = 40000
+	engine.MaxRuns = 1
+	res, err := coord.Run(context.Background(), JobSpec{Problem: "costas", Size: 16, Walkers: 4, Seed: 38, Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || !res.Solved || len(res.Walkers) != 4 {
+		t.Fatalf("job around a frozen worker: %+v", res)
+	}
+	m := coord.BackendMetrics()
+	if m["speculations_launched"] != 1 || m["speculations_won"] != 1 {
+		t.Fatalf("want one backup, and it won: %v", m)
+	}
+
+	reads.mu.Lock()
+	defer reads.mu.Unlock()
+	if len(reads.budgets) == 0 {
+		t.Fatal("the detector never read the frozen copy's progress")
+	}
+	if reads.answered != 0 {
+		t.Fatalf("%d of %d reads of the frozen worker came back", reads.answered, len(reads.budgets))
+	}
+	for i, b := range reads.budgets {
+		if b > interval {
+			t.Fatalf("read %d of the frozen worker was given %v, more than one SpeculateInterval (%v)", i, b, interval)
+		}
+	}
+}
+
+// TestSpeculationOpensNoListener: the detector reads progress over the
+// fleet client, so a speculating coordinator that has run only
+// independent jobs — a backup among them — never started the board
+// listener.
+func TestSpeculationOpensNoListener(t *testing.T) {
+	straggler := NewWorker(WorkerConfig{Slots: 2})
+	t.Cleanup(func() { straggler.Close() })
+	urls := []string{heldWorker(t, straggler, 150*time.Millisecond).URL}
+	for i := 0; i < 2; i++ {
+		wk := NewWorker(WorkerConfig{Slots: 2})
+		srv := httptest.NewServer(wk.Handler())
+		t.Cleanup(func() { srv.Close(); wk.Close() })
+		urls = append(urls, srv.URL)
+	}
+	coord := speculatingCoordinator(t, urls...)
+
+	engine := tunedEngine(t, "costas", 16)
+	engine.MaxIterations = 40000
+	engine.MaxRuns = 1
+	if _, err := coord.Run(context.Background(), JobSpec{Problem: "costas", Size: 16, Walkers: 4, Seed: 38, Engine: engine}); err != nil {
+		t.Fatal(err)
+	}
+	if n := coord.BackendMetrics()["speculations_launched"]; n < 1 {
+		t.Fatalf("precondition: the job never speculated (%d backups)", n)
+	}
+	coord.boards.mu.Lock()
+	defer coord.boards.mu.Unlock()
+	if coord.boards.ln != nil {
+		t.Fatalf("a speculating coordinator opened the board listener at %s", coord.boards.base)
 	}
 }

@@ -51,9 +51,8 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 		"speculating": shardRequest(ModeRun,
 			&JobSpec{Problem: "costas", Size: 14, Walkers: 4, Seed: 13, Engine: tunedEngine(t, "costas", 14)},
 			shard("job000005-s1", 2, 2), &shardParams{
-				deadline:     30000,
-				progressBase: "http://127.0.0.1:9190",
-				progressMS:   100,
+				deadline: 30000,
+				progress: true,
 			}),
 	}
 }
@@ -199,7 +198,7 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 		out[name] = rec
 	}
 
-	wk := NewWorker(WorkerConfig{Slots: 1})
+	wk := NewWorker(WorkerConfig{Slots: 4})
 	t.Cleanup(wk.Close)
 	h := wk.Handler()
 	serve := func(method, path, body string) *httptest.ResponseRecorder {
@@ -207,7 +206,7 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
 		return rec
 	}
-	release, err := wk.reserve(&RunRequest{ID: "c0000abcd-job000001-s1", Mode: ModeRun, Count: 1}, func() {})
+	release, _, err := wk.reserve(&RunRequest{ID: "c0000abcd-job000001-s1", Mode: ModeRun, Count: 1}, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +214,29 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 	release()
 	out["cancel-not-live"] = serve(http.MethodPost, "/v1/runs/c0000abcd-job000009-s0/cancel", "")
 	out["bad-request"] = serve(http.MethodPost, "/v1/run", `{"id":"c0000abcd-job000002-s0","mode":"sideways","problem":"costas"}`)
+
+	// A speculating run's counters, as its walkers' Progress hook leaves
+	// them: walkers 2 and 3 under way, walker 4 not started yet.
+	const specRun = "c0000abcd-job000005-s1"
+	release, cells, err := wk.reserve(&RunRequest{ID: specRun, Mode: ModeRun, Start: 2, Count: 3, Progress: true}, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []int64{3_120, 4, 2_988, 2} {
+		cells[i].Store(v)
+	}
+	out["progress"] = serve(http.MethodGet, "/v1/runs/"+specRun, "")
+	release()
+	out["progress-unknown-run"] = serve(http.MethodGet, "/v1/runs/"+specRun, "")
 	return out
 }
 
 // TestRunResponseWireFormat pins every reply a worker sends the
 // coordinator byte for byte: a solved run, a shard whose loser was
 // interrupted, a walker that never ran (core.CostUnknown), a virtual
-// shard, both cancel acks and a 400. The run replies must also decode
-// back, through the coordinator's own type, to what was encoded.
+// shard, both cancel acks, a 400, a run's progress and the 404 for a
+// run the worker does not hold. The run replies must also decode back,
+// through the coordinator's own type, to what was encoded.
 func TestRunResponseWireFormat(t *testing.T) {
 	replies := responseWireReplies(t)
 	if *updateWire {
@@ -272,5 +286,12 @@ func TestRunResponseWireFormat(t *testing.T) {
 		if want := wireResult(res); !reflect.DeepEqual(decoded, want) {
 			t.Errorf("%s: the pinned body decodes to\n%+v\nwant\n%+v", name, decoded, want)
 		}
+	}
+	// Two walkers under way, the lower cost of the two.
+	var progress RunProgress
+	if err := json.Unmarshal([]byte(pinned["progress"].Body), &progress); err != nil {
+		t.Errorf("progress: pinned body does not decode: %v", err)
+	} else if want := (RunProgress{Iters: 3_120 + 2_988, Walkers: 2, Best: 2}); progress != want {
+		t.Errorf("progress: the pinned body decodes to %+v, want %+v", progress, want)
 	}
 }

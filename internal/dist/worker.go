@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,11 +23,6 @@ type WorkerConfig struct {
 	// goroutines this worker accepts across all shard runs (the
 	// paper's one-walker-per-core model). 0 selects GOMAXPROCS.
 	Slots int
-	// BoardClient is the HTTP client for board sync traffic. nil
-	// selects a shared keep-alive transport sized for the steady
-	// per-tick sync cadence against one coordinator host (each sync is
-	// bounded by its own timeout, so no global one is set).
-	BoardClient *http.Client
 	// Telemetry, when non-nil, receives periodic FTDC-style samples:
 	// worker gauges plus per-walker iteration and cost series for
 	// every active run. The caller owns the recorder's sink.
@@ -38,10 +31,10 @@ type WorkerConfig struct {
 	TelemetryInterval time.Duration
 }
 
-// newBoardClient is the worker's default board sync client: board
-// traffic goes to a single coordinator host at a steady cadence, so a
-// few kept-alive connections replace the per-tick churn of the
-// zero-value client.
+// newBoardClient is the worker's board sync client: board traffic goes
+// to a single coordinator host at a steady cadence, so a few kept-alive
+// connections replace the per-tick churn of the zero-value client (each
+// sync is bounded by its own timeout, so no global one is set).
 func newBoardClient() *http.Client {
 	return &http.Client{Transport: &http.Transport{
 		Proxy:               http.ProxyFromEnvironment,
@@ -55,6 +48,7 @@ func newBoardClient() *http.Client {
 // over HTTP with Handler (cmd/worker does exactly that):
 //
 //	POST /v1/run              run a walker shard, respond with its stats
+//	GET  /v1/runs/{id}        an in-flight run's progress (RunProgress)
 //	POST /v1/runs/{id}/cancel cancel an in-flight shard run
 //	GET  /healthz             liveness + slot capacity and usage
 //
@@ -66,19 +60,17 @@ func newBoardClient() *http.Client {
 type Worker struct {
 	slots       int
 	boardClient *http.Client
-	ownsClient  bool // boardClient was built here, so Close releases it
 	telem       *telemetry.Recorder
 	telemEvery  time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	busy      int
-	runs      map[string]context.CancelFunc
-	telemRuns map[string]*runTelem
-	closed    bool
-	wg        sync.WaitGroup
+	mu     sync.Mutex
+	busy   int
+	runs   map[string]workerRun
+	closed bool
+	wg     sync.WaitGroup
 	// early remembers the ids of the last cancels that found no run: the
 	// run had finished, or — the case the ring exists for — its cancel
 	// overtook it on the way here, and reserve must stop it when it
@@ -98,12 +90,15 @@ type Worker struct {
 // fleet's concurrent shard count per worker.
 const earlyCancels = 256
 
-// runTelem is one active run's telemetry cells: an (iterations, cost)
-// atomic pair per walker, written by the run's Progress hook and read
-// by the sampler.
-type runTelem struct {
-	start int
-	cells []atomic.Int64 // 2 per walker: iterations, cost
+// workerRun is one registered run: the cancel a cancel RPC calls and,
+// when the request asked for progress or telemetry is on, the run's
+// counters — an (iterations, cost) atomic pair per walker, written by
+// the run's Progress hook and read by GET /v1/runs/{id} and the FTDC
+// sampler.
+type workerRun struct {
+	cancel context.CancelFunc
+	start  int
+	cells  []atomic.Int64 // 2 per walker: iterations, cost; nil when nobody reads them
 }
 
 // NewWorker creates a worker with the given slot capacity.
@@ -111,24 +106,18 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Slots <= 0 {
 		cfg.Slots = runtime.GOMAXPROCS(0)
 	}
-	ownsClient := cfg.BoardClient == nil
-	if ownsClient {
-		cfg.BoardClient = newBoardClient()
-	}
 	if cfg.TelemetryInterval <= 0 {
 		cfg.TelemetryInterval = time.Second
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	wk := &Worker{
 		slots:       cfg.Slots,
-		boardClient: cfg.BoardClient,
-		ownsClient:  ownsClient,
+		boardClient: newBoardClient(),
 		telem:       cfg.Telemetry,
 		telemEvery:  cfg.TelemetryInterval,
 		ctx:         ctx,
 		cancel:      cancel,
-		runs:        make(map[string]context.CancelFunc),
-		telemRuns:   make(map[string]*runTelem),
+		runs:        make(map[string]workerRun),
 	}
 	if wk.telem != nil {
 		go wk.sampleTelemetry()
@@ -148,18 +137,15 @@ func (wk *Worker) Busy() int {
 }
 
 // Close cancels every in-flight run and waits for them to unwind. New
-// runs are rejected afterwards. The board client's keep-alive
-// connections are released when the worker built the client itself; a
-// caller-supplied BoardClient stays the caller's to close.
+// runs are rejected afterwards, and the board client's keep-alive
+// connections are released.
 func (wk *Worker) Close() {
 	wk.mu.Lock()
 	wk.closed = true
 	wk.mu.Unlock()
 	wk.cancel()
 	wk.wg.Wait()
-	if wk.ownsClient {
-		wk.boardClient.CloseIdleConnections()
-	}
+	wk.boardClient.CloseIdleConnections()
 }
 
 // sampleTelemetry is the worker's FTDC sampler: one row per interval
@@ -177,13 +163,13 @@ func (wk *Worker) sampleTelemetry() {
 		case now := <-tick.C:
 			wk.mu.Lock()
 			busy := wk.busy
-			metrics := make([]telemetry.Metric, 0, 4+8*len(wk.telemRuns))
-			for id, rt := range wk.telemRuns {
-				for i := 0; i < len(rt.cells)/2; i++ {
-					g := rt.start + i
+			metrics := make([]telemetry.Metric, 0, 4+8*len(wk.runs))
+			for id, run := range wk.runs {
+				for i := 0; i < len(run.cells)/2; i++ {
+					g := run.start + i
 					metrics = append(metrics,
-						telemetry.Metric{Name: fmt.Sprintf("%s_w%04d_iter", id, g), Value: rt.cells[2*i].Load()},
-						telemetry.Metric{Name: fmt.Sprintf("%s_w%04d_cost", id, g), Value: rt.cells[2*i+1].Load()},
+						telemetry.Metric{Name: fmt.Sprintf("%s_w%04d_iter", id, g), Value: run.cells[2*i].Load()},
+						telemetry.Metric{Name: fmt.Sprintf("%s_w%04d_cost", id, g), Value: run.cells[2*i+1].Load()},
 					)
 				}
 			}
@@ -202,6 +188,7 @@ func (wk *Worker) sampleTelemetry() {
 func (wk *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", wk.handleRun)
+	mux.HandleFunc("GET /v1/runs/{id}", wk.handleProgress)
 	mux.HandleFunc("POST /v1/runs/{id}/cancel", wk.handleCancel)
 	mux.HandleFunc("GET /healthz", wk.handleHealth)
 	return mux
@@ -211,24 +198,30 @@ func (wk *Worker) Handler() http.Handler {
 // ModeRun shards occupy one slot per walker (they run concurrently);
 // ModeVirtual shards occupy a single slot, because RunVirtual executes
 // its walkers sequentially on one core regardless of the shard size.
-func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release func(), err error) {
+// The run's counters are built here when someone will read them — the
+// request asked for progress, or telemetry is on — and are nil
+// otherwise, so the Progress hook costs nothing.
+func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release func(), cells []atomic.Int64, err error) {
 	need := req.Count
 	if req.Mode == ModeVirtual {
 		need = 1
 	}
+	if req.Progress || wk.telem != nil {
+		cells = make([]atomic.Int64, 2*req.Count)
+	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	if wk.closed {
-		return nil, errors.New("dist: worker shutting down")
+		return nil, nil, errors.New("dist: worker shutting down")
 	}
 	if _, dup := wk.runs[req.ID]; dup {
-		return nil, fmt.Errorf("%w: duplicate run id %q", ErrBadRequest, req.ID)
+		return nil, nil, fmt.Errorf("%w: duplicate run id %q", ErrBadRequest, req.ID)
 	}
 	if wk.busy+need > wk.slots {
-		return nil, fmt.Errorf("%w: %d slots requested, %d of %d free", ErrBusy, need, wk.slots-wk.busy, wk.slots)
+		return nil, nil, fmt.Errorf("%w: %d slots requested, %d of %d free", ErrBusy, need, wk.slots-wk.busy, wk.slots)
 	}
 	wk.busy += need
-	wk.runs[req.ID] = cancel
+	wk.runs[req.ID] = workerRun{cancel: cancel, start: req.Start, cells: cells}
 	wk.wg.Add(1)
 	id := req.ID
 	for k := range wk.early {
@@ -248,7 +241,7 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 		delete(wk.runs, id)
 		wk.mu.Unlock()
 		wk.wg.Done()
-	}, nil
+	}, cells, nil
 }
 
 // handleRun executes one shard run and answers with its statistics.
@@ -276,7 +269,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(wk.ctx, cancel)
 	defer stop()
 
-	release, err := wk.reserve(&req, cancel)
+	release, cells, err := wk.reserve(&req, cancel)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -296,42 +289,17 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// One set of per-walker (iteration, cost) cells feeds both consumers
 	// that want live counters: the FTDC sampler and the coordinator's
-	// straggler detector. The Progress hook costs nothing when neither
-	// is on.
-	var rt *runTelem
-	if wk.telem != nil || req.ProgressURL != "" {
-		rt = &runTelem{start: req.Start, cells: make([]atomic.Int64, 2*req.Count)}
+	// straggler detector, which reads them with GET /v1/runs/{id}.
+	if cells != nil {
+		start := req.Start
 		opts.Progress = func(walker int, iter int64, cost int) {
-			i := walker - rt.start
-			if i < 0 || 2*i >= len(rt.cells) {
+			i := walker - start
+			if i < 0 || 2*i >= len(cells) {
 				return
 			}
-			rt.cells[2*i].Store(iter)
-			rt.cells[2*i+1].Store(int64(cost))
+			cells[2*i].Store(iter)
+			cells[2*i+1].Store(int64(cost))
 		}
-	}
-	if wk.telem != nil {
-		wk.mu.Lock()
-		wk.telemRuns[req.ID] = rt
-		wk.mu.Unlock()
-		defer func() {
-			wk.mu.Lock()
-			delete(wk.telemRuns, req.ID)
-			wk.mu.Unlock()
-		}()
-	}
-	if req.ProgressURL != "" {
-		repCtx, repCancel := context.WithCancel(runCtx)
-		var repWG sync.WaitGroup
-		repWG.Add(1)
-		go wk.reportProgress(repCtx, &repWG, &req, rt)
-		defer func() {
-			// Stop the reporter before answering: a report racing past
-			// the shard's own response would feed the detector stale
-			// numbers for a run it already resolved.
-			repCancel()
-			repWG.Wait()
-		}()
 	}
 
 	// Dependent runs cooperate through a write-through cache of the
@@ -368,73 +336,38 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	httpjson.Write(w, http.StatusOK, wireResult(res))
 }
 
-// defaultProgressPeriod is the shard progress report cadence when the
-// request does not pin one (RunRequest.ProgressMS). 250ms resolves
-// stragglers an order of magnitude faster than typical shard runtimes
-// while costing a few dozen bytes per tick.
-const defaultProgressPeriod = 250 * time.Millisecond
-
-// snapshot folds the run's per-walker cells into one progress report:
+// progressOf folds a run's per-walker cells into its progress reply:
 // total iterations, walkers that have iterated at least once, and the
 // best (lowest) cost among them, or -1 before any walker reports.
-func (rt *runTelem) snapshot() ShardProgressReport {
-	rep := ShardProgressReport{Best: -1}
-	for i := 0; i < len(rt.cells)/2; i++ {
-		iter := rt.cells[2*i].Load()
+func progressOf(cells []atomic.Int64) RunProgress {
+	p := RunProgress{Best: -1}
+	for i := 0; i < len(cells)/2; i++ {
+		iter := cells[2*i].Load()
 		if iter <= 0 {
 			continue
 		}
-		rep.Iters += iter
-		rep.Walkers++
-		if cost := rt.cells[2*i+1].Load(); rep.Best < 0 || cost < rep.Best {
-			rep.Best = cost
+		p.Iters += iter
+		p.Walkers++
+		if cost := cells[2*i+1].Load(); p.Best < 0 || cost < p.Best {
+			p.Best = cost
 		}
 	}
-	return rep
+	return p
 }
 
-// reportProgress is the straggler detector's feed: a periodic loop
-// pushing the run's progress snapshot to the coordinator's ProgressURL.
-// Reports are advisory — failures are dropped, never retried, and never
-// slow the run; losing the feed only makes this shard look like a
-// straggler, which costs the fleet one redundant backup run at worst.
-func (wk *Worker) reportProgress(ctx context.Context, wg *sync.WaitGroup, req *RunRequest, rt *runTelem) {
-	defer wg.Done()
-	period := time.Duration(req.ProgressMS) * time.Millisecond
-	if period <= 0 {
-		period = defaultProgressPeriod
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		rep := rt.snapshot()
-		wk.postProgress(ctx, req.ProgressURL, &rep)
-	}
-}
-
-// postProgress sends one report.
-func (wk *Worker) postProgress(ctx context.Context, url string, rep *ShardProgressReport) {
-	payload, err := json.Marshal(rep)
-	if err != nil {
+// handleProgress answers an in-flight run's progress from its counters
+// (all zero when the run keeps none), and 404 for a run this worker
+// does not hold: not yet registered, already answered, or never sent.
+func (wk *Worker) handleProgress(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	wk.mu.Lock()
+	run, ok := wk.runs[id]
+	wk.mu.Unlock()
+	if !ok {
+		httpjson.Write(w, http.StatusNotFound, map[string]string{"error": "unknown run " + id})
 		return
 	}
-	reqCtx, cancel := context.WithTimeout(ctx, boardSyncTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(reqCtx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := wk.boardClient.Do(hreq)
-	if err != nil {
-		return
-	}
-	_ = resp.Body.Close()
+	httpjson.Write(w, http.StatusOK, progressOf(run.cells))
 }
 
 // handleCancel cancels an in-flight run. Cancelling an unknown run is
@@ -444,7 +377,7 @@ func (wk *Worker) postProgress(ctx context.Context, url string, rep *ShardProgre
 func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	wk.mu.Lock()
-	cancel, ok := wk.runs[id]
+	run, ok := wk.runs[id]
 	if !ok {
 		wk.early[wk.earlyNext] = id
 		wk.earlyNext = (wk.earlyNext + 1) % earlyCancels
@@ -454,7 +387,7 @@ func (wk *Worker) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// Counted before it takes effect, so whoever sees the run's
 		// interrupted stats also sees the cancel in cancels_total.
 		wk.mCancelled.Add(1)
-		cancel()
+		run.cancel()
 	}
 	httpjson.Write(w, http.StatusOK, cancelAck{Cancelled: ok})
 }
