@@ -27,8 +27,10 @@
 //
 // With -fleet, the worker set is dynamic instead of (or in addition
 // to) the static -workers list: workers enroll themselves through
-// /v1/fleet/register (cmd/worker -coordinator), heartbeat to stay
-// healthy, and leave gracefully via deregister. The coordinator probes
+// /v1/fleet/register (cmd/worker -coordinator), register again every
+// -heartbeat to stay healthy (a known worker is refreshed without a
+// probe, so a restarted coordinator re-learns its fleet within one
+// period), and leave gracefully via deregister. The coordinator probes
 // silent workers on -fleet-heartbeat, health-gates dispatch, and
 // re-runs shards lost to a dead worker on the survivors — walker
 // identity is global, so recovered runs are bit-for-bit what the lost
@@ -58,8 +60,7 @@
 //	GET  /v1/jobs/{id}          job status / result (?wait=5s long-polls)
 //	POST /v1/jobs/{id}/cancel   cancel a job
 //	GET  /v1/problems           registered benchmarks and strategies
-//	POST /v1/fleet/register     worker self-registration (with -fleet)
-//	POST /v1/fleet/heartbeat    worker liveness push (with -fleet)
+//	POST /v1/fleet/register     worker registration and liveness (with -fleet)
 //	POST /v1/fleet/deregister   graceful worker leave (with -fleet)
 //	GET  /v1/fleet              fleet membership table (with -fleet)
 //	GET  /healthz               liveness + pool headroom
@@ -233,7 +234,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 		}
 		coord, err = dist.NewCoordinator(dist.CoordinatorConfig{
 			Workers:            workerURLs,
-			Dynamic:            c.fleet,
 			HeartbeatInterval:  c.fleetHeartbeat,
 			RecoverAttempts:    c.recoverRounds,
 			BoardAddr:          c.boardAddr,

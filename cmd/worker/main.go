@@ -12,9 +12,10 @@
 //
 // With -coordinator, the worker enrolls itself in the coordinator's
 // dynamic fleet: it registers at startup (retrying with backoff until
-// the coordinator is up), heartbeats on -heartbeat so the coordinator's
-// health monitor need not probe it, and deregisters — draining
-// gracefully — on shutdown. -advertise is the URL the coordinator
+// the coordinator is up), registers again every -heartbeat — that is
+// its heartbeat, so the coordinator's health monitor need not probe it,
+// and a coordinator that restarted enrolls it again — and deregisters,
+// draining gracefully, on shutdown. -advertise is the URL the coordinator
 // should dial back; it defaults to http://<hostname><addr port>.
 // -advertise and -heartbeat without -coordinator, and
 // -telemetry-interval without -telemetry, are usage errors: the worker
@@ -96,7 +97,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&c.telemetryEvery, "telemetry-interval", time.Second, "telemetry sampling period")
 	fs.StringVar(&c.coordinator, "coordinator", "", "coordinator base URL to register with for dynamic-fleet membership (empty = static fleet, no registration)")
 	fs.StringVar(&c.advertise, "advertise", "", "worker base URL advertised to the coordinator (default http://<hostname><addr port>)")
-	fs.DurationVar(&c.heartbeat, "heartbeat", 0, "heartbeat period when registered with a coordinator (0 = 2s)")
+	fs.DurationVar(&c.heartbeat, "heartbeat", 0, "re-register period with -coordinator; the register is the heartbeat (0 = 2s)")
 	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener of its own (empty = off; e.g. 127.0.0.1:6061)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err

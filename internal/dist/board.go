@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,36 +421,19 @@ func (b *remoteBoard) sync(ctx context.Context) {
 		cost, cfg, ok := b.cache.Snapshot()
 		msg = BoardSync{Valid: ok, Cost: cost, Gen: gen, Cfg: cfg}
 	}
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
 	reqCtx, cancel := context.WithTimeout(ctx, boardSyncTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, b.url, bytes.NewReader(payload))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := b.client.Do(req)
-	if err != nil {
-		if dirty {
-			b.markDirty()
-		}
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		if dirty && resp.StatusCode >= http.StatusInternalServerError {
-			// Transient server failure: keep the improvement pending.
-			// 4xx rejections are final — retrying an invalid claim
-			// every tick would re-create the churn this flag removes.
-			b.markDirty()
-		}
-		return
-	}
 	var global BoardSync
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBoardSyncLen)).Decode(&global); err != nil {
+	if err := httpjson.Call(reqCtx, b.client, http.MethodPost, b.url, msg, &global, maxBoardSyncLen); err != nil {
+		// A lost hub or a 5xx keeps the improvement pending. A 4xx is
+		// final — retrying an invalid claim every tick would re-create
+		// the churn this flag removes — and so is a reply that does not
+		// read.
+		var lost *url.Error
+		var status *httpjson.StatusError
+		if dirty && (errors.As(err, &lost) || errors.As(err, &status) && status.Code >= http.StatusInternalServerError) {
+			b.markDirty()
+		}
 		return
 	}
 	b.applyGlobal(global.Valid, global.Cost, global.Cfg, global.Gen)

@@ -1,14 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,14 +22,10 @@ import (
 type CoordinatorConfig struct {
 	// Workers lists worker base URLs (e.g. "http://10.0.0.7:9101")
 	// enrolled statically at construction time; each is probed for its
-	// slot capacity. With Dynamic set the list may be empty — workers
-	// join at runtime through the fleet registration endpoints.
+	// slot capacity. The list may be empty: workers also join at
+	// runtime through FleetHandler, into the same registry. Until one
+	// does, jobs fail with ErrNoCapacity.
 	Workers []string
-	// Dynamic allows an empty initial fleet and enables runtime
-	// membership: workers register, heartbeat and drain through
-	// FleetHandler. Static workers and dynamic joiners share one
-	// registry, so mixing both is fine.
-	Dynamic bool
 	// Client is the HTTP client used for all worker traffic. nil
 	// selects a dedicated client with no global timeout (run requests
 	// are long-polls bounded by their context).
@@ -42,7 +36,7 @@ type CoordinatorConfig struct {
 	// can never eat a job deadline or stall the sweep. 0 selects 5s.
 	ProbeTimeout time.Duration
 	// HeartbeatInterval is the monitor's sweep period: workers not
-	// heard from (push heartbeat or probe) within one interval are
+	// heard from (register or probe) within one interval are
 	// re-probed; a failed probe makes them suspect, a second makes them
 	// dead. 0 selects 2s; negative disables the monitor (tests).
 	HeartbeatInterval time.Duration
@@ -129,9 +123,9 @@ type JobSpec struct {
 // -fleet).
 //
 // Fleet membership is dynamic: workers join statically (config) or at
-// runtime (FleetHandler registration), push heartbeats, and leave by
-// draining. A background monitor probes workers it has not heard from,
-// and a shard lost to a worker failure is re-planned onto surviving
+// runtime (FleetHandler registration), register again on a cadence as
+// their heartbeat, and leave by draining. A background monitor probes
+// workers it has not heard from, and a shard lost to a worker failure is re-planned onto surviving
 // healthy workers and re-run — global walker identity makes the re-run
 // bit-for-bit identical — before the job is ever truncated.
 type Coordinator struct {
@@ -201,9 +195,6 @@ func newFleetClient(workers int) *http.Client {
 // surviving workers, truncating only when capacity or the retry budget
 // runs out).
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if len(cfg.Workers) == 0 && !cfg.Dynamic {
-		return nil, errors.New("dist: coordinator needs at least one worker URL")
-	}
 	client := cfg.Client
 	ownsClient := client == nil
 	if ownsClient {
@@ -285,23 +276,11 @@ func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
 	c.mProbesDone.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	var health struct {
 		Slots int `json:"slots"`
 	}
-	if err := httpjson.Read(resp.Body, &health); err != nil {
-		return 0, fmt.Errorf("decoding healthz: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("healthz status %d", resp.StatusCode)
+	if err := httpjson.Call(ctx, c.client, http.MethodGet, base+"/healthz", nil, &health, maxReplyLen); err != nil {
+		return 0, fmt.Errorf("healthz: %w", err)
 	}
 	if health.Slots < 1 {
 		return 0, fmt.Errorf("worker reports %d slots", health.Slots)
@@ -1093,50 +1072,35 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 		c.mFailovers.Add(1)
 		return shardOutcome{lost: true}
 	}
-	payload, err := json.Marshal(reqBody)
-	if err != nil {
-		return shardOutcome{err: err}
+	var wire RunResponse
+	err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/run", reqBody, &wire, 0)
+	if err == nil {
+		return shardOutcome{res: resultFromWire(wire)}
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, a.worker.base+"/v1/run", bytes.NewReader(payload))
-	if err != nil {
-		return shardOutcome{err: err}
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(httpReq)
-	if err != nil {
+	var lost *url.Error
+	if errors.As(err, &lost) {
 		// Transport loss: connection refused, reset mid-run, context
 		// cancelled. No stats came back — the shard is lost. Mark the
 		// worker so recovery plans around it; the next successful probe
-		// or heartbeat restores it.
+		// or register restores it.
 		c.reg.reportFailure(a.worker)
 		return shardOutcome{lost: true}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := httpjson.Read(io.LimitReader(resp.Body, maxErrorBodyLen), &e); err != nil || e.Error == "" {
-			return shardOutcome{lost: true}
-		}
-		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusTooManyRequests {
-			// The worker understood us and said no: an application
-			// error the caller must see (bad options reject the whole
-			// job; capacity conflicts mean a mis-shared fleet).
-			return shardOutcome{err: errors.New(e.Error)}
-		}
-		return shardOutcome{lost: true}
+	var status *httpjson.StatusError
+	if errors.As(err, &status) && status.Msg != "" &&
+		(status.Code == http.StatusBadRequest || status.Code == http.StatusTooManyRequests) {
+		// The worker understood us and said no: an application
+		// error the caller must see (bad options reject the whole
+		// job; capacity conflicts mean a mis-shared fleet).
+		return shardOutcome{err: errors.New(status.Msg)}
 	}
-	var wire RunResponse
-	if err := httpjson.Read(resp.Body, &wire); err != nil {
-		return shardOutcome{lost: true}
-	}
-	return shardOutcome{res: resultFromWire(wire)}
+	// Any other status, or a reply that does not read.
+	return shardOutcome{lost: true}
 }
 
-// maxErrorBodyLen bounds how much of a worker's error or progress reply
-// is read; both are a few dozen bytes.
-const maxErrorBodyLen = 64 << 10
+// maxReplyLen bounds a worker's health, cancel and progress replies;
+// each is a few dozen bytes.
+const maxReplyLen = 64 << 10
 
 // cancelGrace is how long the coordinator waits, after delivering
 // cancel RPCs, for workers to flush their partial statistics before it
@@ -1146,24 +1110,13 @@ const cancelGrace = 30 * time.Second
 // cancelRun delivers one best-effort cancel RPC on its own bounded
 // background context. acked reports that the worker answered 200, live
 // that the cancel interrupted a run still in flight (a finished or
-// not-yet-registered run answers cancelled: false). The ack is read to
-// EOF, as every reply is, so the keep-alive connection returns to the
-// pool: closed unread, every cancel would cost the next one a fresh
-// dial.
+// not-yet-registered run answers cancelled: false).
 func (c *Coordinator) cancelRun(a *assignment) (acked, live bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.worker.base+"/v1/runs/"+a.runID+"/cancel", nil)
-	if err != nil {
-		return false, false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, false
-	}
-	defer resp.Body.Close()
 	var ack cancelAck
-	_ = httpjson.Read(resp.Body, &ack) // an unreadable ack is not a live one
-	acked = resp.StatusCode == http.StatusOK
-	return acked, acked && ack.Cancelled
+	if err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/runs/"+a.runID+"/cancel", nil, &ack, maxReplyLen); err != nil {
+		return false, false
+	}
+	return true, ack.Cancelled
 }

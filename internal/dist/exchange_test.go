@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 )
 
@@ -315,4 +318,45 @@ func TestRemoteBoardDirtyFlagSkipsIdleSyncs(t *testing.T) {
 		time.Sleep(period / 4)
 	}
 	b.stop()
+}
+
+// TestBoardSyncReusesItsConnection: a board sync reads every reply to
+// its end, refusals included, so the worker's syncs travel on one
+// keep-alive connection. A 404 is what the final flush of a shard meets
+// once its job has released the board; a 400 is a rejected claim.
+// Closing such a reply unread makes each sync dial anew.
+func TestBoardSyncReusesItsConnection(t *testing.T) {
+	var syncs, conns atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code := http.StatusNotFound
+		if syncs.Add(1) > 20 {
+			code = http.StatusBadRequest
+		}
+		httpjson.Write(w, code, map[string]string{"error": "no board here"})
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	client := newBoardClient()
+	t.Cleanup(client.CloseIdleConnections)
+	b := newRemoteBoard(srv.URL+"/v1/runs/job/board", client, time.Hour)
+	b.Publish(1, []int{1, 0, 2, 3})
+	for i := 0; i < 40; i++ {
+		b.markDirty()
+		b.sync(context.Background())
+		if b.dirty {
+			t.Fatalf("sync %d: a 4xx left the improvement pending", i)
+		}
+	}
+	if n := syncs.Load(); n != 40 {
+		t.Fatalf("%d syncs reached the server, want 40", n)
+	}
+	if c := conns.Load(); c != 1 {
+		t.Fatalf("20 syncs answered 404 and 20 answered 400 opened %d connections, want 1", c)
+	}
 }

@@ -1,20 +1,18 @@
 package dist
 
 // This file is the fleet membership protocol: the coordinator side
-// (registration, heartbeat and drain endpoints over the shared
-// registry) and the worker side (FleetAgent, the background
-// register/heartbeat/drain loop cmd/worker runs against a
-// coordinator). Every fleet message is one JSON body, decoded with
-// DisallowUnknownFields so a peer speaking another revision of the
-// protocol is rejected loudly instead of half-understood.
+// (registration and drain endpoints over the shared registry) and the
+// worker side (FleetAgent, the background loop cmd/worker runs against
+// a coordinator). The periodic register is the heartbeat: a known
+// worker is refreshed, an unknown one (a coordinator that restarted)
+// probed back and enrolled. Every fleet message is one JSON body, read
+// strictly (httpjson.Decode) so a peer speaking another revision of
+// the protocol is rejected loudly instead of half-understood.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -23,20 +21,14 @@ import (
 	"repro/internal/httpjson"
 )
 
-// RegisterRequest is a worker's fleet announcement. The coordinator
-// probes URL back before enrolling, so the Slots claim is advisory —
-// the probe's answer wins.
+// RegisterRequest is a worker's fleet announcement, sent at startup and
+// then every AgentConfig.Interval. The coordinator probes URL back
+// before enrolling, so the Slots claim is advisory — the probe's answer
+// wins; a known worker claiming the slots it was enrolled with is
+// refreshed without a probe.
 type RegisterRequest struct {
 	URL   string `json:"url"`
 	Slots int    `json:"slots"`
-}
-
-// HeartbeatRequest is a worker's liveness refresh.
-type HeartbeatRequest struct {
-	URL      string `json:"url"`
-	Slots    int    `json:"slots"`
-	Busy     int    `json:"busy"`
-	Draining bool   `json:"draining"`
 }
 
 // maxFleetBodyLen bounds fleet endpoint request bodies; membership
@@ -46,23 +38,19 @@ const maxFleetBodyLen = 1 << 16
 // FleetHandler returns the coordinator's fleet membership surface,
 // mounted by cmd/serve beside the service API:
 //
-//	POST /v1/fleet/register   join (or rejoin) the fleet
-//	POST /v1/fleet/heartbeat  refresh liveness and capability
+//	POST /v1/fleet/register   join, rejoin or refresh liveness
 //	POST /v1/fleet/deregister graceful leave: drain, no new shards
 //	GET  /v1/fleet            fleet table snapshot
 func (c *Coordinator) FleetHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/fleet/register", c.handleRegister)
-	mux.HandleFunc("POST /v1/fleet/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/fleet/deregister", c.handleDeregister)
 	mux.HandleFunc("GET /v1/fleet", c.handleFleet)
 	return mux
 }
 
-func decodeJSONBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxFleetBodyLen))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+func decodeFleetBody(r *http.Request, v any) error {
+	if err := httpjson.Decode(r.Body, maxFleetBodyLen, v); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return nil
@@ -84,13 +72,16 @@ func validateWorkerURL(raw string) error {
 	return nil
 }
 
-// handleRegister enrolls a worker at runtime. The coordinator probes
-// the advertised URL back — on its own short timeout, never the
-// caller's — so unreachable or misconfigured workers are rejected here
-// instead of surfacing as lost shards later.
+// handleRegister enrolls a worker at runtime, or refreshes one it
+// knows. A known worker, not draining, that claims the slots it was
+// enrolled with is marked seen (and revived if suspect or dead) without
+// a probe: that is the periodic register doing a heartbeat's job.
+// Anything else is probed back — on the coordinator's own short
+// timeout, never the caller's — so unreachable or misconfigured workers
+// are rejected here instead of surfacing as lost shards later.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var reg RegisterRequest
-	if err := decodeJSONBody(r, &reg); err != nil {
+	if err := decodeFleetBody(r, &reg); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -99,34 +90,16 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base := strings.TrimSuffix(reg.URL, "/")
-	slots, err := c.probe(base, c.probeTimeout)
-	if err != nil {
-		writeError(w, fmt.Errorf("probing %s: %w", base, err))
-		return
+	slots := reg.Slots
+	if !c.reg.refresh(base, slots, time.Now()) {
+		var err error
+		if slots, err = c.probe(base, c.probeTimeout); err != nil {
+			writeError(w, fmt.Errorf("probing %s: %w", base, err))
+			return
+		}
+		c.reg.upsert(base, slots, time.Now())
 	}
-	c.reg.upsert(base, slots, time.Now())
 	httpjson.Write(w, http.StatusOK, map[string]any{"enrolled": true, "slots": slots})
-}
-
-// handleHeartbeat refreshes a worker's liveness. Unknown workers get a
-// 404 — the agent's cue to re-register (a coordinator restart empties
-// the registry; workers re-join on their next heartbeat cycle).
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var hb HeartbeatRequest
-	if err := decodeJSONBody(r, &hb); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := validateWorkerURL(hb.URL); err != nil {
-		writeError(w, err)
-		return
-	}
-	base := strings.TrimSuffix(hb.URL, "/")
-	if !c.reg.heartbeat(base, hb.Slots, hb.Draining, time.Now()) {
-		httpjson.Write(w, http.StatusNotFound, map[string]any{"error": "unknown worker; register first", "known": false})
-		return
-	}
-	httpjson.Write(w, http.StatusOK, map[string]any{"known": true})
 }
 
 // handleDeregister marks a worker draining: in-flight shards finish,
@@ -135,7 +108,7 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if err := decodeJSONBody(r, &req); err != nil {
+	if err := decodeFleetBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -163,9 +136,10 @@ type AgentConfig struct {
 	// Advertise is this worker's base URL as the coordinator should
 	// dial it (e.g. "http://10.0.0.7:9101").
 	Advertise string
-	// Worker supplies live slot and busy counts for heartbeats.
+	// Worker supplies the slot count each register claims.
 	Worker *Worker
-	// Interval is the heartbeat period. 0 selects 2s.
+	// Interval is the register period once enrolled, which is the
+	// worker's heartbeat. 0 selects 2s.
 	Interval time.Duration
 	// Client is the HTTP client for registry traffic. nil selects a
 	// default with per-call timeouts.
@@ -175,9 +149,10 @@ type AgentConfig struct {
 }
 
 // FleetAgent keeps one worker registered with a coordinator: it
-// registers at startup (retrying until the coordinator is up),
-// heartbeats on a fixed cadence, re-registers when the coordinator
-// forgets it (restart), and announces a drain on Close.
+// registers at startup (retrying with backoff until the coordinator is
+// up), registers again every Interval — the heartbeat, and how a
+// coordinator that restarted learns the worker again — and announces a
+// drain on Close.
 type FleetAgent struct {
 	cfg    AgentConfig
 	client *http.Client
@@ -223,114 +198,44 @@ func (a *FleetAgent) Close() {
 	// bounded context — the agent's context is already cancelled.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	body, _ := json.Marshal(map[string]string{"url": a.cfg.Advertise})
-	_ = a.send(ctx, "/v1/fleet/deregister", body)
+	_ = a.send(ctx, "/v1/fleet/deregister", map[string]string{"url": a.cfg.Advertise})
 }
 
-// loop registers, then heartbeats until cancelled. Registration
-// failures back off and retry forever: the worker may simply have
-// started before the coordinator.
+// loop registers every Interval until cancelled. Until the first
+// register succeeds it retries with backoff instead: the worker may
+// simply have started before the coordinator.
 func (a *FleetAgent) loop() {
 	defer close(a.done)
+	const maxBackoff = 8 * time.Second
 	backoff := 500 * time.Millisecond
-	for a.ctx.Err() == nil {
-		if err := a.register(); err != nil {
-			a.cfg.Logf("fleet: register with %s failed (retry in %v): %v", a.cfg.Coordinator, backoff, err)
-			select {
-			case <-a.ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			if backoff < 8*time.Second {
-				backoff *= 2
-			}
-			continue
-		}
-		a.cfg.Logf("fleet: registered with %s as %s", a.cfg.Coordinator, a.cfg.Advertise)
-		backoff = 500 * time.Millisecond
-		if !a.heartbeats() {
-			return
-		}
-		// heartbeats returned because the coordinator forgot us —
-		// fall through and re-register.
-	}
-}
-
-// register announces the worker once.
-func (a *FleetAgent) register() error {
-	body, err := json.Marshal(RegisterRequest{URL: a.cfg.Advertise, Slots: a.cfg.Worker.Slots()})
-	if err != nil {
-		return err
-	}
-	return a.post("/v1/fleet/register", body)
-}
-
-// heartbeats runs the heartbeat cadence. It returns false when the
-// agent is closing, true when the coordinator answered 404 (unknown
-// worker) and the caller should re-register.
-func (a *FleetAgent) heartbeats() bool {
-	tick := time.NewTicker(a.cfg.Interval)
-	defer tick.Stop()
+	enrolled := false
 	for {
+		ctx, cancel := context.WithTimeout(a.ctx, 10*time.Second)
+		err := a.send(ctx, "/v1/fleet/register", RegisterRequest{URL: a.cfg.Advertise, Slots: a.cfg.Worker.Slots()})
+		cancel()
+		wait := a.cfg.Interval
+		switch {
+		case a.ctx.Err() != nil:
+			return
+		case err == nil && !enrolled:
+			a.cfg.Logf("fleet: registered with %s as %s", a.cfg.Coordinator, a.cfg.Advertise)
+			enrolled = true
+		case err != nil && !enrolled:
+			a.cfg.Logf("fleet: register with %s failed (retry in %v): %v", a.cfg.Coordinator, backoff, err)
+			wait = backoff
+			backoff = min(2*backoff, maxBackoff)
+		case err != nil:
+			a.cfg.Logf("fleet: register with %s failed: %v", a.cfg.Coordinator, err)
+		}
 		select {
 		case <-a.ctx.Done():
-			return false
-		case <-tick.C:
-			body, _ := json.Marshal(HeartbeatRequest{
-				URL:   a.cfg.Advertise,
-				Slots: a.cfg.Worker.Slots(),
-				Busy:  a.cfg.Worker.Busy(),
-			})
-			err := a.post("/v1/fleet/heartbeat", body)
-			if errors.Is(err, errUnknownWorker) {
-				a.cfg.Logf("fleet: coordinator forgot %s; re-registering", a.cfg.Advertise)
-				return true
-			}
-			if err != nil {
-				a.cfg.Logf("fleet: heartbeat to %s failed: %v", a.cfg.Coordinator, err)
-			}
+			return
+		case <-time.After(wait):
 		}
 	}
 }
 
-// errUnknownWorker reports a heartbeat 404: the coordinator does not
-// know this worker (typically after a restart) and it must re-register.
-var errUnknownWorker = errors.New("dist: coordinator does not know this worker")
-
-// post sends one fleet message on the agent's context.
-func (a *FleetAgent) post(path string, body []byte) error {
-	ctx, cancel := context.WithTimeout(a.ctx, 10*time.Second)
-	defer cancel()
-	return a.send(ctx, path, body)
-}
-
-// send posts body to the coordinator's path and reads the reply to EOF,
-// bounded by maxFleetBodyLen, so the keep-alive connection goes back to
-// the pool: closed unread, every heartbeat would dial a new one.
-func (a *FleetAgent) send(ctx context.Context, path string, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.cfg.Coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var e struct {
-		Error string `json:"error"`
-	}
-	_ = httpjson.Read(io.LimitReader(resp.Body, maxFleetBodyLen), &e)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusNotFound:
-		return errUnknownWorker
-	default:
-		if e.Error == "" {
-			e.Error = fmt.Sprintf("status %d", resp.StatusCode)
-		}
-		return errors.New(e.Error)
-	}
+// send posts one fleet message to the coordinator's path.
+func (a *FleetAgent) send(ctx context.Context, path string, body any) error {
+	return httpjson.Call(ctx, a.client, http.MethodPost, a.cfg.Coordinator+path, body, nil, maxFleetBodyLen)
 }

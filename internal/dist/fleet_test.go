@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,14 +61,18 @@ func TestRegistryStateMachine(t *testing.T) {
 		t.Fatalf("probe did not revive: %v", w.state)
 	}
 
-	if r.heartbeat("http://unknown", 1, false, now) {
-		t.Fatal("heartbeat for unknown worker accepted")
+	if r.refresh("http://unknown", 1, now) {
+		t.Fatal("register of an unknown worker refreshed without a probe")
 	}
-	if !r.heartbeat("http://a", 8, false, now) {
-		t.Fatal("heartbeat for known worker rejected")
+	if r.refresh("http://a", 8, now) {
+		t.Fatal("register claiming new slots refreshed without a probe")
 	}
-	if r.capacity() != 8 {
-		t.Fatalf("heartbeat did not refresh slots: capacity %d", r.capacity())
+	r.reportFailure(w)
+	if !r.refresh("http://a", 4, now) {
+		t.Fatal("register of a known worker not refreshed")
+	}
+	if w.state != stateHealthy || r.capacity() != 4 {
+		t.Fatalf("refresh did not revive: state %v capacity %d", w.state, r.capacity())
 	}
 
 	if !r.deregister("http://a") {
@@ -88,14 +93,14 @@ func TestRegistryStateMachine(t *testing.T) {
 
 // TestFleetRegistrationLifecycle drives the coordinator's HTTP fleet
 // endpoints end to end: register (with the probe-back), the membership
-// table, heartbeats — including the 404 that cues re-registration —
-// and graceful deregistration.
+// table, a repeated register (the heartbeat: no probe), the retired
+// heartbeat route, strict bodies, and graceful deregistration.
 func TestFleetRegistrationLifecycle(t *testing.T) {
 	wk := NewWorker(WorkerConfig{Slots: 3})
 	wkSrv := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() { wkSrv.Close(); wk.Close() })
 
-	coord, err := NewCoordinator(CoordinatorConfig{Dynamic: true, HeartbeatInterval: -1})
+	coord, err := NewCoordinator(CoordinatorConfig{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +149,29 @@ func TestFleetRegistrationLifecycle(t *testing.T) {
 		t.Fatalf("fleet table: %+v", table.Workers)
 	}
 
-	if resp := post("/v1/fleet/heartbeat", HeartbeatRequest{URL: "http://nobody.invalid:1"}); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown heartbeat: status %d, want 404 (re-register cue)", resp.StatusCode)
+	// A register from a known worker claiming its enrolled slots is the
+	// heartbeat: it refreshes without probing back.
+	probes := coord.BackendMetrics()["fleet_probes"]
+	if resp := post("/v1/fleet/register", RegisterRequest{URL: wkSrv.URL, Slots: 3}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeated register: status %d", resp.StatusCode)
 	}
-	if resp := post("/v1/fleet/heartbeat", HeartbeatRequest{URL: wkSrv.URL, Slots: 3}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("known heartbeat: status %d", resp.StatusCode)
+	if got := coord.BackendMetrics()["fleet_probes"]; got != probes {
+		t.Fatalf("repeated register probed: fleet_probes %d, want %d", got, probes)
+	}
+	// The heartbeat route is gone: an agent from before answers 404 and
+	// goes on registering.
+	if resp := post("/v1/fleet/heartbeat", RegisterRequest{URL: wkSrv.URL, Slots: 3}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("heartbeat: status %d, want 404", resp.StatusCode)
+	}
+	// Data after the body is refused, as the run and solve bodies refuse it.
+	trailing := `{"url":"` + wkSrv.URL + `","slots":3}{"url":"http://nobody.invalid:1"}`
+	resp, err = http.Post(fleetSrv.URL+"/v1/fleet/register", "application/json", strings.NewReader(trailing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register followed by a second object: status %d, want 400", resp.StatusCode)
 	}
 
 	if resp := post("/v1/fleet/deregister", map[string]string{"url": wkSrv.URL}); resp.StatusCode != http.StatusOK {
@@ -171,7 +194,7 @@ func TestFleetAgentLifecycle(t *testing.T) {
 	wkSrv := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() { wkSrv.Close(); wk.Close() })
 
-	coord, err := NewCoordinator(CoordinatorConfig{Dynamic: true, HeartbeatInterval: -1})
+	coord, err := NewCoordinator(CoordinatorConfig{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +280,6 @@ func TestProbeTimeoutIsPerProbe(t *testing.T) {
 	}
 
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Dynamic:           true,
 		ProbeTimeout:      50 * time.Millisecond,
 		HeartbeatInterval: -1,
 	})
@@ -459,27 +481,27 @@ func TestShardRecoveryExchangeInvariants(t *testing.T) {
 }
 
 // TestFleetAgentReusesItsConnection: the agent reads every coordinator
-// reply to its end, so its registration and every heartbeat travel on
-// one keep-alive connection. Closing a reply unread makes the client
-// drop the connection, and each heartbeat then dials a new one. (The
-// deregister is not counted: it follows the last heartbeat at once, and
-// the client hands a read-out connection back to its pool from another
-// goroutine, so it may race a fresh dial.)
+// reply to its end, so all its registers travel on one keep-alive
+// connection. Closing a reply unread makes the client drop the
+// connection, and each register then dials a new one. (The deregister
+// is not counted: it follows the last register at once, and the client
+// hands a read-out connection back to its pool from another goroutine,
+// so it may race a fresh dial.)
 func TestFleetAgentReusesItsConnection(t *testing.T) {
 	wk := NewWorker(WorkerConfig{Slots: 1})
 	wkSrv := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() { wkSrv.Close(); wk.Close() })
 
-	coord, err := NewCoordinator(CoordinatorConfig{Dynamic: true, HeartbeatInterval: -1})
+	coord, err := NewCoordinator(CoordinatorConfig{HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	var heartbeats, conns atomic.Int64
+	var registers, conns atomic.Int64
 	fleet := coord.FleetHandler()
 	fleetSrv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/fleet/heartbeat" {
-			heartbeats.Add(1)
+		if r.URL.Path == "/v1/fleet/register" {
+			registers.Add(1)
 		}
 		fleet.ServeHTTP(w, r)
 	}))
@@ -505,18 +527,90 @@ func TestFleetAgentReusesItsConnection(t *testing.T) {
 	}
 	const n = 20
 	deadline := time.Now().Add(5 * time.Second)
-	for heartbeats.Load() < n {
+	for registers.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d heartbeats in 5s", heartbeats.Load(), n)
+			t.Fatalf("%d of %d registers in 5s", registers.Load(), n)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	c, beats := conns.Load(), heartbeats.Load()
+	c, beats := conns.Load(), registers.Load()
 	agent.Close()
 	if ws := coord.Workers(); len(ws) != 1 || ws[0].State != "draining" {
 		t.Fatalf("the deregister did not land: %+v", ws)
 	}
 	if c != 1 {
-		t.Fatalf("registration and %d heartbeats opened %d connections, want 1", beats, c)
+		t.Fatalf("%d registers opened %d connections, want 1", beats, c)
+	}
+}
+
+// TestFleetAgentSurvivesCoordinatorRestart: a coordinator that restarts
+// has forgotten its fleet. The agent's next register enrolls it again
+// (one probe back), and every register after that is a heartbeat the
+// new coordinator answers without probing.
+func TestFleetAgentSurvivesCoordinatorRestart(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Slots: 2})
+	wkSrv := httptest.NewServer(wk.Handler())
+	t.Cleanup(func() { wkSrv.Close(); wk.Close() })
+
+	newCoord := func() *Coordinator {
+		coord, err := NewCoordinator(CoordinatorConfig{HeartbeatInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		return coord
+	}
+	// One address, two coordinators in turn: the restart.
+	var current atomic.Pointer[http.Handler]
+	var registers atomic.Int64
+	first := newCoord()
+	h := first.FleetHandler()
+	current.Store(&h)
+	fleetSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/register" {
+			registers.Add(1)
+		}
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(fleetSrv.Close)
+
+	const interval = 10 * time.Millisecond
+	agent, err := NewFleetAgent(AgentConfig{
+		Coordinator: fleetSrv.URL,
+		Advertise:   wkSrv.URL,
+		Worker:      wk,
+		Interval:    interval,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(agent.Close)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(interval / 2)
+		}
+	}
+	waitFor("enrollment", func() bool { return first.Slots() == 2 })
+
+	second := newCoord()
+	h2 := second.FleetHandler()
+	current.Store(&h2)
+	swapped := time.Now()
+	waitFor("re-enrollment", func() bool { return second.Slots() == 2 })
+	if took := time.Since(swapped); took > 25*interval {
+		t.Fatalf("re-enrollment took %v at a %v register interval", took, interval)
+	}
+	from := registers.Load()
+	waitFor("20 more registers", func() bool { return registers.Load() >= from+20 })
+	if got := second.BackendMetrics()["fleet_probes"]; got != 1 {
+		t.Fatalf("fleet_probes = %d after re-enrollment and 20 registers, want 1", got)
+	}
+	if ws := second.Workers(); len(ws) != 1 || ws[0].State != "healthy" {
+		t.Fatalf("after the restart: %+v", ws)
 	}
 }

@@ -21,13 +21,13 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -214,13 +214,8 @@ type cancelAck struct {
 // whitespace after the request.
 func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	var req RunRequest
-	dec := json.NewDecoder(io.LimitReader(r, maxRequestBodyLen))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := httpjson.Decode(r, maxRequestBodyLen, &req); err != nil {
 		return RunRequest{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return RunRequest{}, fmt.Errorf("%w: invalid JSON: data after the request", ErrBadRequest)
 	}
 	if err := req.Validate(); err != nil {
 		return RunRequest{}, err

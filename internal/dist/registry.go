@@ -9,7 +9,7 @@ import (
 
 // Worker lifecycle states. A worker joins healthy, moves to suspect on
 // its first missed probe or transport failure, to dead on the next, and
-// back to healthy on any successful probe or heartbeat. Draining is the
+// back to healthy on any successful probe or register. Draining is the
 // graceful-leave state: no new shards are dispatched, in-flight shards
 // finish, and the worker drops out of the capacity count immediately.
 type workerState int
@@ -45,7 +45,7 @@ type workerRef struct {
 	busy  int // coordinator-side slot reservations
 
 	state    workerState
-	lastSeen time.Time // last successful probe or push heartbeat
+	lastSeen time.Time // last successful probe or register
 }
 
 // WorkerInfo describes one registered worker.
@@ -116,37 +116,25 @@ func (r *registry) upsert(base string, slots int, now time.Time) bool {
 	return changed
 }
 
-// heartbeat refreshes a registered worker's liveness and capability.
-// Returns false for unknown workers — the agent's cue to re-register.
-func (r *registry) heartbeat(base string, slots int, draining bool, now time.Time) bool {
+// refresh marks a known worker seen, reviving it if suspect or dead,
+// when it is not draining and claims the slots it was enrolled with:
+// the periodic register standing in for a probe. It returns false for
+// anything else, which the caller probes back and upserts.
+func (r *registry) refresh(base string, slots int, now time.Time) bool {
 	r.mu.Lock()
 	w, ok := r.byURL[base]
-	if !ok {
-		r.mu.Unlock()
-		return false
+	ok = ok && w.state != stateDraining && w.slots == slots
+	revived := false
+	if ok {
+		revived = w.state != stateHealthy
+		w.state = stateHealthy
+		w.lastSeen = now
 	}
-	changed := false
-	if slots >= 1 && w.slots != slots {
-		w.slots = slots
-		changed = true
-	}
-	target := stateHealthy
-	if draining {
-		target = stateDraining
-	}
-	if w.state != target {
-		if target == stateDraining {
-			r.mLeaves.Add(1)
-		}
-		w.state = target
-		changed = true
-	}
-	w.lastSeen = now
 	r.mu.Unlock()
-	if changed {
+	if revived {
 		r.notify()
 	}
-	return true
+	return ok
 }
 
 // deregister marks a worker draining: no new dispatch, in-flight shards
@@ -168,7 +156,7 @@ func (r *registry) deregister(base string) bool {
 // reportFailure records a transport-level failure against a worker (a
 // shard dispatch that died mid-flight): the worker is immediately
 // suspect, and dead on a repeat. The health monitor's next successful
-// probe (or a push heartbeat) brings it back.
+// probe (or the worker's next register) brings it back.
 func (r *registry) reportFailure(w *workerRef) {
 	r.mu.Lock()
 	changed := false

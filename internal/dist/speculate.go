@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -227,22 +226,12 @@ func (c *Coordinator) readProgress(ctx context.Context, slots []specSlot, seen [
 }
 
 // runProgress reads one copy's iteration count (GET /v1/runs/{id}),
-// bounded by one detector interval and read to EOF so the keep-alive
-// connection goes back to the pool. It is 0 when there is no answer.
+// bounded by one detector interval. It is 0 when there is no answer.
 func (c *Coordinator) runProgress(ctx context.Context, a *assignment) int64 {
 	ctx, cancel := context.WithTimeout(ctx, c.specInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, a.worker.base+"/v1/runs/"+a.runID, nil)
-	if err != nil {
-		return 0
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
 	var p RunProgress
-	if err := httpjson.Read(io.LimitReader(resp.Body, maxErrorBodyLen), &p); err != nil || resp.StatusCode != http.StatusOK {
+	if err := httpjson.Call(ctx, c.client, http.MethodGet, a.worker.base+"/v1/runs/"+a.runID, nil, &p, maxReplyLen); err != nil {
 		return 0
 	}
 	return p.Iters

@@ -66,7 +66,6 @@ func speculatingCoordinator(t *testing.T, urls ...string) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:           urls,
-		Dynamic:           len(urls) == 0,
 		HeartbeatInterval: -1,
 		BoardSync:         2 * time.Millisecond,
 		Speculate:         true,

@@ -128,8 +128,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Slots returns the worker's walker-slot capacity.
 func (wk *Worker) Slots() int { return wk.slots }
 
-// Busy returns the worker's currently reserved slot count — the fleet
-// agent reports it in heartbeats.
+// Busy returns the worker's currently reserved slot count.
 func (wk *Worker) Busy() int {
 	wk.mu.Lock()
 	defer wk.mu.Unlock()

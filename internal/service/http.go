@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -167,13 +166,8 @@ const maxSolveBodyLen = 8 << 20
 // otherwise be ignored.
 func decodeSolveBody(r io.Reader) (solveBody, error) {
 	var body solveBody
-	dec := json.NewDecoder(io.LimitReader(r, maxSolveBodyLen))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	if err := httpjson.Decode(r, maxSolveBodyLen, &body); err != nil {
 		return solveBody{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return solveBody{}, fmt.Errorf("%w: invalid JSON: data after the request body", ErrBadRequest)
 	}
 	return body, nil
 }
