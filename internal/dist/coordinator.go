@@ -21,20 +21,15 @@ import (
 // CoordinatorConfig configures a coordinator over a worker fleet.
 type CoordinatorConfig struct {
 	// Workers lists worker base URLs (e.g. "http://10.0.0.7:9101")
-	// enrolled statically at construction time; each is probed for its
-	// slot capacity. The list may be empty: workers also join at
-	// runtime through FleetHandler, into the same registry. Until one
-	// does, jobs fail with ErrNoCapacity.
+	// enrolled statically at construction time, each validated, trimmed
+	// and probed as a registration is. The list may be empty: workers
+	// also join at runtime through FleetHandler, into the same registry.
+	// Until one does, jobs fail with ErrNoCapacity.
 	Workers []string
 	// Client is the HTTP client used for all worker traffic. nil
 	// selects a dedicated client with no global timeout (run requests
 	// are long-polls bounded by their context).
 	Client *http.Client
-	// ProbeTimeout bounds every health probe — enrollment, runtime
-	// registration and the monitor's liveness sweeps. Each probe gets
-	// its own independent context with this timeout, so one hung worker
-	// can never eat a job deadline or stall the sweep. 0 selects 5s.
-	ProbeTimeout time.Duration
 	// HeartbeatInterval is the monitor's sweep period: workers not
 	// heard from (register or probe) within one interval are
 	// re-probed; a failed probe makes them suspect, a second makes them
@@ -133,7 +128,6 @@ type Coordinator struct {
 	ownsClient bool // client was built here, so Close releases it
 	reg        *registry
 
-	probeTimeout    time.Duration
 	hbInterval      time.Duration
 	recoverAttempts int
 
@@ -200,10 +194,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if ownsClient {
 		client = newFleetClient(len(cfg.Workers))
 	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = 5 * time.Second
-	}
 	hbInterval := cfg.HeartbeatInterval
 	if hbInterval == 0 {
 		hbInterval = 2 * time.Second
@@ -238,7 +228,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		ownsClient:      ownsClient,
 		reg:             newRegistry(),
 		epoch:           fmt.Sprintf("c%08x", rand.Uint32()),
-		probeTimeout:    probeTimeout,
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
 		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise),
@@ -251,13 +240,17 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		monitorDone:     make(chan struct{}),
 	}
 	now := time.Now()
-	for _, base := range cfg.Workers {
-		slots, err := c.probe(base, probeTimeout)
+	for _, raw := range cfg.Workers {
+		base, err := workerBase(raw)
+		var slots int
+		if err == nil {
+			slots, err = c.probe(base)
+		}
 		if err != nil {
 			if ownsClient {
 				client.CloseIdleConnections()
 			}
-			return nil, fmt.Errorf("dist: enrolling worker %s: %w", base, err)
+			return nil, fmt.Errorf("dist: enrolling worker %s: %w", raw, err)
 		}
 		c.reg.upsert(base, slots, now)
 	}
@@ -269,12 +262,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// probe reads a worker's slot capacity from its health endpoint. Every
-// probe runs on its own short timeout context, independent of any job
-// deadline — a hung worker costs one bounded probe, never the job.
-func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
+// probeTimeout bounds each health probe (enrollment, registration, the
+// monitor's sweep) on a context of the probe's own: a hung worker costs
+// one bounded probe, never a job's or a caller's deadline.
+const probeTimeout = 5 * time.Second
+
+// probe reads a worker's slot capacity from its health endpoint.
+func (c *Coordinator) probe(base string) (int, error) {
 	c.mProbesDone.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	var health struct {
 		Slots int `json:"slots"`
@@ -290,7 +286,7 @@ func (c *Coordinator) probe(base string, timeout time.Duration) (int, error) {
 
 // monitor is the fleet liveness loop: each tick it probes every worker
 // it has not heard from within one heartbeat interval. Probes run
-// concurrently, each on its own ProbeTimeout context, so one hung
+// concurrently, each on its own probeTimeout context, so one hung
 // worker delays nothing but its own verdict.
 func (c *Coordinator) monitor() {
 	defer close(c.monitorDone)
@@ -318,7 +314,7 @@ func (c *Coordinator) sweep() {
 		wg.Add(1)
 		go func(w *workerRef) {
 			defer wg.Done()
-			slots, err := c.probe(w.base, c.probeTimeout)
+			slots, err := c.probe(w.base)
 			if err != nil {
 				c.mProbeFails.Add(1)
 				c.reg.reportFailure(w)
@@ -723,6 +719,7 @@ type jobStop struct {
 	c          *Coordinator
 	hardCancel context.CancelFunc
 	solved     sync.Once
+	won        atomic.Bool // set by firstSolution: a solved job's losers get no backup
 
 	mu       sync.Mutex
 	copies   []*assignment // append-only, so a snapshot of it stays valid
@@ -792,6 +789,7 @@ func (s *jobStop) release() {
 // round with no other copy has nobody to cancel and arms nothing.
 func (s *jobStop) firstSolution(winner *assignment) {
 	s.solved.Do(func() {
+		s.won.Store(true)
 		s.mu.Lock()
 		round := s.copies[s.round:]
 		s.mu.Unlock()
@@ -857,7 +855,7 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, p
 			s.mu.Lock()
 			resolvedAlready := s.resolved
 			s.mu.Unlock()
-			if resolvedAlready {
+			if resolvedAlready || stop.won.Load() {
 				return
 			}
 			// The whole range on one worker other than the primary's:
@@ -871,8 +869,8 @@ func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, p
 			}
 			b.runID = fmt.Sprintf("%s-b1-s%d", prefix, i)
 			s.mu.Lock()
-			if s.resolved {
-				// The primary landed while we were reserving.
+			if s.resolved || stop.won.Load() {
+				// The primary landed (or the job solved) while we were reserving.
 				s.mu.Unlock()
 				c.releaseOne(&b)
 				return

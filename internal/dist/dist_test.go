@@ -130,37 +130,6 @@ func TestDistributedVirtualMatrix(t *testing.T) {
 	}
 }
 
-// lossyWorker pretends to be a worker (valid healthz) but drops the
-// connection mid-run without a response — a worker crash as the
-// coordinator observes it.
-func lossyWorker(t *testing.T, slots int, started chan<- struct{}) *httptest.Server {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "slots": slots})
-	})
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		hj, ok := w.(http.Hijacker)
-		if !ok {
-			t.Error("test server does not support hijacking")
-			return
-		}
-		conn, _, err := hj.Hijack()
-		if err != nil {
-			return
-		}
-		conn.Close()
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 // TestWorkerLossSurfacesAsTruncated covers the no-recovery contract
 // (RecoverAttempts < 0, or no surviving capacity): losing a worker
 // mid-run must yield a Truncated result whose lost walkers are
@@ -168,20 +137,8 @@ func lossyWorker(t *testing.T, slots int, started chan<- struct{}) *httptest.Ser
 // surviving shard's stats are kept. Recovery-enabled fleets re-run the
 // lost shard instead; see TestShardRecoveryDeterminism.
 func TestWorkerLossSurfacesAsTruncated(t *testing.T) {
-	healthy := NewWorker(WorkerConfig{Slots: 2})
-	healthySrv := httptest.NewServer(healthy.Handler())
-	t.Cleanup(func() { healthySrv.Close(); healthy.Close() })
-	started := make(chan struct{}, 1)
-	lossy := lossyWorker(t, 2, started)
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:         []string{healthySrv.URL, lossy.URL},
-		RecoverAttempts: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	// The second worker drops every shard it is given.
+	coord := newMemFleet(t, CoordinatorConfig{RecoverAttempts: -1}, losesRuns("w1"), 2, 2)
 
 	// An instance neither walker can solve inside its budget, so the
 	// healthy shard always runs to completion unsolved.

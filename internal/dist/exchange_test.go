@@ -121,21 +121,12 @@ func TestDistExchangeVirtualRejected(t *testing.T) {
 // Interrupted — no fabricated statistics — while the surviving workers
 // keep cooperating through the board and deliver their real stats.
 func TestDistExchangeWorkerLoss(t *testing.T) {
-	healthy := NewWorker(WorkerConfig{Slots: 2})
-	healthySrv := httptest.NewServer(healthy.Handler())
-	t.Cleanup(func() { healthySrv.Close(); healthy.Close() })
-	started := make(chan struct{}, 1)
-	lossy := lossyWorker(t, 1, started)
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:         []string{healthySrv.URL, lossy.URL},
+	// The second worker drops every shard it is given; the board is a
+	// socket, as it is on any fleet.
+	coord := newMemFleet(t, CoordinatorConfig{
 		BoardSync:       2 * time.Millisecond,
 		RecoverAttempts: -1, // pin the no-recovery truncation contract
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	}, losesRuns("w1"), 2, 1)
 
 	// An instance no walker solves inside its budget, so the healthy
 	// shard runs to completion while the lossy worker's shard vanishes.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/httpjson"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -239,31 +239,24 @@ func TestCancelThatOutrunsItsRun(t *testing.T) {
 // already) must not stop the same-numbered run of the next one: the
 // epoch in front of the run id keeps the two apart.
 func TestEarlyCancelSparesTheNextCoordinator(t *testing.T) {
-	wk := NewWorker(WorkerConfig{Slots: 1})
+	// The hook records the id of every run the worker is sent.
 	var mu sync.Mutex
 	var runIDs []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/run" {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-			}
-			var req struct{ ID string }
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Error(err)
-			}
+	recordRuns := func(r *http.Request) error {
+		if kind, _, id := fleetCall(r); kind == "run" {
 			mu.Lock()
-			runIDs = append(runIDs, req.ID)
+			runIDs = append(runIDs, id)
 			mu.Unlock()
-			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
-		wk.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(func() { srv.Close(); wk.Close() })
+		return nil
+	}
+	wk := NewWorker(WorkerConfig{Slots: 1})
+	t.Cleanup(wk.Close)
+	client := &http.Client{Transport: &memNet{hosts: map[string]http.Handler{"w0": wk.Handler()}, hook: recordRuns}}
 	job := JobSpec{Problem: "queens", Size: 16, Walkers: 1, Seed: 3, Engine: tunedEngine(t, "queens", 16)}
 	firstJob := func() (runID string, res multiwalk.Result) {
 		t.Helper()
-		coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}})
+		coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{"http://w0"}, Client: client})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,10 +270,14 @@ func TestEarlyCancelSparesTheNextCoordinator(t *testing.T) {
 	}
 
 	idA, resA := firstJob()
-	if postCancel(t, srv.URL, idA) {
+	var ack cancelAck
+	if err := httpjson.Call(context.Background(), client, http.MethodPost, "http://w0/v1/runs/"+idA+"/cancel", nil, &ack, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Cancelled {
 		t.Fatalf("run %q had answered, yet its cancel found it live", idA)
 	}
-	before := workerCancels(t, srv.URL)
+	before := wk.mCancelled.Load()
 	idB, resB := firstJob()
 	const first = "job000001-s0"
 	if !strings.HasSuffix(idA, first) || !strings.HasSuffix(idB, first) {
@@ -293,7 +290,7 @@ func TestEarlyCancelSparesTheNextCoordinator(t *testing.T) {
 		t.Fatalf("the second coordinator's job was disturbed: %d iterations, solved %v; the first ran %d",
 			resB.TotalIterations, resB.Solved, resA.TotalIterations)
 	}
-	if got := workerCancels(t, srv.URL) - before; got != 0 {
+	if got := wk.mCancelled.Load() - before; got != 0 {
 		t.Fatalf("cancels_total moved by %d: the predecessor's cancel stopped a run", got)
 	}
 }
@@ -364,62 +361,20 @@ func TestShardSolvedCrossesTheWire(t *testing.T) {
 	}
 }
 
-// vanishingLoser pretends to be a one-slot worker whose shard never
-// finishes: it holds the run until the run's cancel RPC arrives, acks
-// the cancel, and then drops the run's connection without a response —
-// a loser lost after the winner answered.
-func vanishingLoser(t *testing.T) *httptest.Server {
-	t.Helper()
-	cancelled := make(chan struct{})
-	var once sync.Once
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "slots": 1})
-	})
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-cancelled:
-		case <-r.Context().Done():
-			return
-		}
-		conn, _, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn.Close()
-	})
-	mux.HandleFunc("POST /v1/runs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		once.Do(func() { close(cancelled) })
-		_ = json.NewEncoder(w).Encode(map[string]any{"cancelled": true})
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 // TestSolvedJobDoesNotRecoverLostLoser pins the recovery gate: a solved
 // wall-clock job whose loser shard was lost is finished. With a free
 // healthy worker standing by — capacity recovery would happily use —
 // no recovery round may run, the result is Solved and not Truncated,
 // and the lost walker leaves its mark in Completed < Walkers.
 func TestSolvedJobDoesNotRecoverLostLoser(t *testing.T) {
-	urls := make([]string, 3)
-	for _, i := range []int{0, 2} {
-		wk := NewWorker(WorkerConfig{Slots: 1})
-		srv := httptest.NewServer(wk.Handler())
-		t.Cleanup(func() { srv.Close(); wk.Close() })
-		urls[i] = srv.URL
-	}
-	urls[1] = vanishingLoser(t).URL
-	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	// w1's shard never finishes: the worker holds the run until the
+	// run's cancel arrives, and then drops the run's connection without
+	// a response, a loser lost after the winner answered.
+	vanishingLoser := holdsRunsUntilCancelled("w1", errDropped)
+	coord := newMemFleet(t, CoordinatorConfig{HeartbeatInterval: -1}, vanishingLoser, 1, 1, 1)
 
-	// Walker 0 solves on the real worker; walker 1 is on the vanishing
-	// one; the third worker stays free.
+	// Walker 0 solves on w0; walker 1 is on the vanishing w1; the third
+	// worker stays free.
 	res, err := coord.Run(context.Background(), JobSpec{
 		Problem: "queens", Size: 30, Walkers: 2, Seed: 1, Engine: tunedEngine(t, "queens", 30),
 	})
@@ -448,19 +403,7 @@ func TestSolvedJobDoesNotRecoverLostLoser(t *testing.T) {
 // that solves stops the other copies of its round — one cancel here —
 // and not the copies of the rounds before it, which have all resolved.
 func TestRecoveryRoundWinnerCancelsItsRound(t *testing.T) {
-	started := make(chan struct{}, 1)
-	urls := []string{lossyWorker(t, 4, started).URL}
-	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerConfig{Slots: 2})
-		srv := httptest.NewServer(wk.Handler())
-		t.Cleanup(func() { srv.Close(); wk.Close() })
-		urls = append(urls, srv.URL)
-	}
-	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	coord := newMemFleet(t, CoordinatorConfig{HeartbeatInterval: -1}, losesRuns("w0"), 4, 2, 2)
 
 	// With 20 iterations and seed 38, walkers 0-3 solve and walkers 4-5
 	// do not (RunVirtual picked the seed). Walkers 0-3 are lost with the

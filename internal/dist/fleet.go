@@ -56,20 +56,21 @@ func decodeFleetBody(r *http.Request, v any) error {
 	return nil
 }
 
-// validateWorkerURL rejects junk registrations before the coordinator
-// dials anything.
-func validateWorkerURL(raw string) error {
+// workerBase rejects a junk worker (or coordinator) URL before anything
+// dials it, and returns it without a trailing slash: the one spelling
+// the registry keys a worker by, however it was enrolled.
+func workerBase(raw string) (string, error) {
 	if raw == "" {
-		return fmt.Errorf("%w: worker url required", ErrBadRequest)
+		return "", fmt.Errorf("%w: worker url required", ErrBadRequest)
 	}
 	if len(raw) > maxBoardURL {
-		return fmt.Errorf("%w: worker url exceeds %d bytes", ErrBadRequest, maxBoardURL)
+		return "", fmt.Errorf("%w: worker url exceeds %d bytes", ErrBadRequest, maxBoardURL)
 	}
 	u, err := url.Parse(raw)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return fmt.Errorf("%w: worker url must be absolute http(s)", ErrBadRequest)
+		return "", fmt.Errorf("%w: worker url must be absolute http(s)", ErrBadRequest)
 	}
-	return nil
+	return strings.TrimSuffix(raw, "/"), nil
 }
 
 // handleRegister enrolls a worker at runtime, or refreshes one it
@@ -85,15 +86,14 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := validateWorkerURL(reg.URL); err != nil {
+	base, err := workerBase(reg.URL)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	base := strings.TrimSuffix(reg.URL, "/")
 	slots := reg.Slots
 	if !c.reg.refresh(base, slots, time.Now()) {
-		var err error
-		if slots, err = c.probe(base, c.probeTimeout); err != nil {
+		if slots, err = c.probe(base); err != nil {
 			writeError(w, fmt.Errorf("probing %s: %w", base, err))
 			return
 		}
@@ -112,11 +112,12 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := validateWorkerURL(req.URL); err != nil {
+	base, err := workerBase(req.URL)
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	known := c.reg.deregister(strings.TrimSuffix(req.URL, "/"))
+	known := c.reg.deregister(base)
 	httpjson.Write(w, http.StatusOK, map[string]any{"known": known})
 }
 
@@ -163,10 +164,11 @@ type FleetAgent struct {
 
 // NewFleetAgent validates the config and starts the agent loop.
 func NewFleetAgent(cfg AgentConfig) (*FleetAgent, error) {
-	if err := validateWorkerURL(cfg.Coordinator); err != nil {
+	var err error
+	if cfg.Coordinator, err = workerBase(cfg.Coordinator); err != nil {
 		return nil, fmt.Errorf("dist: agent coordinator: %w", err)
 	}
-	if err := validateWorkerURL(cfg.Advertise); err != nil {
+	if cfg.Advertise, err = workerBase(cfg.Advertise); err != nil {
 		return nil, fmt.Errorf("dist: agent advertise: %w", err)
 	}
 	if cfg.Worker == nil {
@@ -181,8 +183,6 @@ func NewFleetAgent(cfg AgentConfig) (*FleetAgent, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	cfg.Coordinator = strings.TrimSuffix(cfg.Coordinator, "/")
-	cfg.Advertise = strings.TrimSuffix(cfg.Advertise, "/")
 	ctx, cancel := context.WithCancel(context.Background())
 	a := &FleetAgent{cfg: cfg, client: cfg.Client, ctx: ctx, cancel: cancel, done: make(chan struct{})}
 	go a.loop()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -247,64 +248,58 @@ func TestFleetAgentLifecycle(t *testing.T) {
 	}
 }
 
-// hungWorker answers nothing: every request stalls until the client
-// gives up. It stands in for a worker wedged hard enough that even
-// /healthz hangs.
-func hungWorker(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(30 * time.Second):
-		case <-r.Context().Done():
-		}
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestProbeTimeoutIsPerProbe: a hung worker's health probe must fail
-// within ProbeTimeout — independent of any job deadline — both at
-// static enrollment and on the dynamic registration path.
+// TestProbeTimeoutIsPerProbe: every health probe carries its own
+// probeTimeout bound, independent of any job deadline or caller: at
+// static enrollment, at the register probe-back (whose caller's own
+// deadline is much shorter) and at the monitor's sweep. The hook reads
+// each probe's deadline and fails the probe at once, a worker that
+// does not answer.
 func TestProbeTimeoutIsPerProbe(t *testing.T) {
-	hung := hungWorker(t)
-
-	start := time.Now()
-	if _, err := NewCoordinator(CoordinatorConfig{
-		Workers:      []string{hung.URL},
-		ProbeTimeout: 50 * time.Millisecond,
-	}); err == nil {
-		t.Fatal("hung worker enrolled")
+	var budgets []time.Duration // deadline minus send time, a probe
+	hook := func(r *http.Request) error {
+		budget := time.Duration(-1)
+		if dl, ok := r.Context().Deadline(); ok {
+			budget = time.Until(dl)
+		}
+		budgets = append(budgets, budget) // probes here are one at a time
+		return errDropped
 	}
-	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("static enrollment probe not bounded by ProbeTimeout: took %v", el)
+	client := &http.Client{Transport: &memNet{hook: hook}}
+	if _, err := NewCoordinator(CoordinatorConfig{Workers: []string{"http://w0"}, Client: client}); err == nil {
+		t.Fatal("unreachable worker enrolled")
 	}
 
-	coord, err := NewCoordinator(CoordinatorConfig{
-		ProbeTimeout:      50 * time.Millisecond,
-		HeartbeatInterval: -1,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Client: client, HeartbeatInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	fleetSrv := httptest.NewServer(coord.FleetHandler())
-	t.Cleanup(fleetSrv.Close)
-
-	raw, _ := json.Marshal(RegisterRequest{URL: hung.URL})
-	start = time.Now()
-	resp, err := http.Post(fleetSrv.URL+"/v1/fleet/register", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("register probe-back not bounded by ProbeTimeout: took %v", el)
-	}
-	if resp.StatusCode == http.StatusOK {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout/10)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	coord.FleetHandler().ServeHTTP(rec, httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/fleet/register", strings.NewReader(`{"url":"http://w0"}`)))
+	if rec.Code == http.StatusOK {
 		t.Fatal("unreachable worker enrolled")
 	}
 	if coord.Slots() != 0 {
-		t.Fatalf("hung worker counted: %d slots", coord.Slots())
+		t.Fatalf("unreachable worker counted: %d slots", coord.Slots())
+	}
+
+	// A worker not heard from within one interval is probed by the
+	// next sweep (with the monitor off, every worker is overdue).
+	coord.reg.upsert("http://w0", 1, time.Now())
+	coord.sweep()
+	if ws := coord.Workers(); len(ws) != 1 || ws[0].State != "suspect" {
+		t.Fatalf("after a failed sweep probe: %+v, want one suspect worker", ws)
+	}
+
+	if len(budgets) != 3 {
+		t.Fatalf("%d probes, want 3 (enrollment, probe-back, sweep)", len(budgets))
+	}
+	for i, b := range budgets {
+		if b <= probeTimeout/2 || b > probeTimeout {
+			t.Fatalf("probe %d was given %v, want its own bound of %v", i, b, probeTimeout)
+		}
 	}
 }
 
@@ -313,23 +308,14 @@ func TestProbeTimeoutIsPerProbe(t *testing.T) {
 // by the registry re-check — the shard reports lost (feeding recovery)
 // without a doomed HTTP round trip, and the failover counter moves.
 func TestDispatchRevalidatesWorker(t *testing.T) {
-	runs := 0
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "slots": 2})
-	})
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		runs++
-		http.Error(w, "should never be reached", http.StatusInternalServerError)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-
-	coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{srv.URL}, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
+	var runs atomic.Int64
+	countRuns := func(r *http.Request) error {
+		if kind, _, _ := fleetCall(r); kind == "run" {
+			runs.Add(1)
+		}
+		return nil
 	}
-	t.Cleanup(coord.Close)
+	coord := newMemFleet(t, CoordinatorConfig{HeartbeatInterval: -1}, countRuns, 2)
 
 	// The plan-time snapshot said healthy; the worker dies before the
 	// shard goes out.
@@ -345,11 +331,48 @@ func TestDispatchRevalidatesWorker(t *testing.T) {
 	if !out.lost || out.err != nil {
 		t.Fatalf("dead-at-dispatch shard: %+v, want lost", out)
 	}
-	if runs != 0 {
-		t.Fatalf("dispatch hit a dead worker %d times", runs)
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("dispatch hit a dead worker %d times", n)
 	}
 	if got := coord.BackendMetrics()["dispatch_failovers"]; got != 1 {
 		t.Fatalf("dispatch_failovers = %d, want 1", got)
+	}
+}
+
+// TestStaticWorkerURLIsNormalized: a static worker URL is read as a
+// registered one is: validated, and keyed without its trailing slash.
+// Enrolled verbatim as "http://w0/" (its probe follows the mux's
+// redirect), a worker is sent every run at //v1/run, which the mux
+// redirects into a GET and answers 405, and every job comes back
+// truncated with no error. The registered spelling of the same worker
+// is the same registry row.
+func TestStaticWorkerURLIsNormalized(t *testing.T) {
+	wk := NewWorker(WorkerConfig{Slots: 2})
+	t.Cleanup(wk.Close)
+	client := &http.Client{Transport: &memNet{hosts: map[string]http.Handler{"w0": wk.Handler()}}}
+	if _, err := NewCoordinator(CoordinatorConfig{Workers: []string{"w0"}, Client: client}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("static worker URL with no scheme: %v, want ErrBadRequest", err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{"http://w0/"}, Client: client, HeartbeatInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	res, err := coord.Run(context.Background(), JobSpec{Problem: "queens", Size: 16, Walkers: 2, Seed: 1, Engine: tunedEngine(t, "queens", 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated || res.Completed != 2 || !res.Solved {
+		t.Fatalf("job on a worker enrolled with a trailing slash: %+v", res)
+	}
+	rec := httptest.NewRecorder()
+	coord.FleetHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/register", strings.NewReader(`{"url":"http://w0","slots":2}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register: status %d", rec.Code)
+	}
+	if ws := coord.Workers(); len(ws) != 1 || ws[0].URL != "http://w0" {
+		t.Fatalf("one worker, two spellings: %+v", ws)
 	}
 }
 
@@ -378,8 +401,7 @@ func TestShardRecoveryDeterminism(t *testing.T) {
 			job := JobSpec{Problem: tc.problem, Size: tc.size, Walkers: 4, Seed: 1234, Engine: engine}
 
 			// Ground truth: a fleet that never fails.
-			baseline := newFleet(t, 2, 2)
-			want, err := baseline.coord.Run(context.Background(), job)
+			want, err := newMemFleet(t, CoordinatorConfig{}, nil, 2, 2).Run(context.Background(), job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,23 +413,8 @@ func TestShardRecoveryDeterminism(t *testing.T) {
 			}
 
 			// Lossy fleet: the first worker takes walkers [0,2) and
-			// drops the connection mid-run.
-			started := make(chan struct{}, 1)
-			lossy := lossyWorker(t, 2, started)
-			survivorA := NewWorker(WorkerConfig{Slots: 2})
-			srvA := httptest.NewServer(survivorA.Handler())
-			survivorB := NewWorker(WorkerConfig{Slots: 2})
-			srvB := httptest.NewServer(survivorB.Handler())
-			t.Cleanup(func() { srvA.Close(); survivorA.Close(); srvB.Close(); survivorB.Close() })
-
-			coord, err := NewCoordinator(CoordinatorConfig{
-				Workers:           []string{lossy.URL, srvA.URL, srvB.URL},
-				HeartbeatInterval: -1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(coord.Close)
+			// drops the connection.
+			coord := newMemFleet(t, CoordinatorConfig{HeartbeatInterval: -1}, losesRuns("w0"), 2, 2, 2)
 
 			got, err := coord.Run(context.Background(), job)
 			if err != nil {
@@ -437,21 +444,8 @@ func TestShardRecoveryDeterminism(t *testing.T) {
 // recovered run is un-truncated, every walker ran and reports a real
 // cost, and the recovery is visible in the metrics.
 func TestShardRecoveryExchangeInvariants(t *testing.T) {
-	started := make(chan struct{}, 1)
-	lossy := lossyWorker(t, 1, started)
-	survivor := NewWorker(WorkerConfig{Slots: 2})
-	srv := httptest.NewServer(survivor.Handler())
-	t.Cleanup(func() { srv.Close(); survivor.Close() })
-
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           []string{lossy.URL, srv.URL},
-		BoardSync:         2 * time.Millisecond,
-		HeartbeatInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	cfg := CoordinatorConfig{BoardSync: 2 * time.Millisecond, HeartbeatInterval: -1}
+	coord := newMemFleet(t, cfg, losesRuns("w0"), 1, 2)
 
 	engine := tunedEngine(t, "costas", 16)
 	engine.MaxIterations = 2000

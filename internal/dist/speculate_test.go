@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -12,66 +10,28 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/multiwalk"
 )
 
-// heldWorker fronts a real worker with a reverse proxy that holds
-// every shard dispatch (POST /v1/run) for delay before forwarding —
-// the straggler shape the detector hunts: a worker that answers health
-// probes and cancels instantly but whose shards make no progress.
-func heldWorker(t *testing.T, wk *Worker, delay time.Duration) *httptest.Server {
-	t.Helper()
-	inner := httptest.NewServer(wk.Handler())
-	t.Cleanup(inner.Close)
-	target, err := url.Parse(inner.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px := httputil.NewSingleHostReverseProxy(target)
-	px.ErrorHandler = func(w http.ResponseWriter, _ *http.Request, _ error) {
-		w.WriteHeader(http.StatusBadGateway)
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/run" {
-			// Drain the body before holding: the net/http server only
-			// watches for client disconnects once the request body is
-			// consumed, and the held dispatch must abort the moment the
-			// coordinator severs it, not sleep out the full hold.
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				w.WriteHeader(http.StatusBadGateway)
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			}
-		}
-		px.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
+// speculating is a coordinator with speculation tuned for test cadence.
+var speculating = CoordinatorConfig{
+	HeartbeatInterval: -1,
+	BoardSync:         2 * time.Millisecond,
+	Speculate:         true,
+	SpeculateAfter:    50 * time.Millisecond,
+	SpeculateInterval: 25 * time.Millisecond,
 }
 
-// speculatingCoordinator builds a coordinator over the given worker
-// URLs with speculation tuned for test cadence.
+// speculatingCoordinator builds a speculating coordinator over the
+// given worker URLs.
 func speculatingCoordinator(t *testing.T, urls ...string) *Coordinator {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           urls,
-		HeartbeatInterval: -1,
-		BoardSync:         2 * time.Millisecond,
-		Speculate:         true,
-		SpeculateAfter:    50 * time.Millisecond,
-		SpeculateInterval: 25 * time.Millisecond,
-	})
+	cfg := speculating
+	cfg.Workers = urls
+	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +103,12 @@ func TestDeliverSpecFirstWins(t *testing.T) {
 }
 
 // TestSpeculativeRunMatchesUnperturbed is the end-to-end duplicate
-// suppression matrix: a job whose first shard is dispatched to a held
-// worker, with speculation on, must come back exactly as a
-// never-straggled run — every walker reported once with its global
-// identity, and (independent mode) bit-for-bit the clean fleet's
-// stats even when the straggler's copy lands after the backup.
+// suppression matrix: a job whose first shard is dispatched to a
+// worker that holds it until it is cancelled, with speculation on,
+// must come back exactly as a never-straggled run — every walker
+// reported once with its global identity, and (independent mode)
+// bit-for-bit the clean fleet's stats even when the straggler's copy
+// lands after the backup.
 func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -169,8 +130,7 @@ func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 				job.Exchange = multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.5}
 			}
 
-			clean := newFleet(t, 2, 2, 2)
-			ref, err := clean.coord.Run(context.Background(), job)
+			ref, err := newMemFleet(t, CoordinatorConfig{}, nil, 2, 2, 2).Run(context.Background(), job)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,19 +138,7 @@ func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 				t.Fatalf("reference run solved — budget %d too generous for the bit-for-bit comparison", engine.MaxIterations)
 			}
 
-			straggler := NewWorker(WorkerConfig{Slots: 2})
-			t.Cleanup(func() { straggler.Close() })
-			held := heldWorker(t, straggler, 150*time.Millisecond)
-			var urls []string
-			urls = append(urls, held.URL)
-			for i := 0; i < 2; i++ {
-				wk := NewWorker(WorkerConfig{Slots: 2})
-				srv := httptest.NewServer(wk.Handler())
-				t.Cleanup(func() { srv.Close(); wk.Close() })
-				urls = append(urls, srv.URL)
-			}
-			coord := speculatingCoordinator(t, urls...)
-
+			coord := newMemFleet(t, speculating, holdsRunsUntilCancelled("w0", nil), 2, 2, 2)
 			res, err := coord.Run(context.Background(), job)
 			if err != nil {
 				t.Fatal(err)
@@ -243,18 +191,15 @@ func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 // held primary's reservation must come back the moment the worker acks
 // the cancel — not when its (still held) HTTP response finally drains.
 func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
-	straggler := NewWorker(WorkerConfig{Slots: 2})
-	t.Cleanup(func() { straggler.Close() })
-	held := heldWorker(t, straggler, 10*time.Minute)
-	var urls []string
-	urls = append(urls, held.URL)
-	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerConfig{Slots: 2})
-		srv := httptest.NewServer(wk.Handler())
-		t.Cleanup(func() { srv.Close(); wk.Close() })
-		urls = append(urls, srv.URL)
+	// The straggler w0 holds its shard's run until the job gives up on
+	// it, so its response is still held when its slots must be back.
+	straggler := func(r *http.Request) error {
+		if kind, host, _ := fleetCall(r); kind == "run" && host == "w0" {
+			return hold(r, nil)
+		}
+		return nil
 	}
-	coord := speculatingCoordinator(t, urls...)
+	coord := newMemFleet(t, speculating, straggler, 2, 2, 2)
 
 	// With seed 38 walker 0 solves in 2 801 iterations and walkers 2-3
 	// churn their whole 40 000 unsolved (RunVirtual picked the seed), so
@@ -276,7 +221,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 	}()
 
 	// The held shard never starts, so the backup wins as soon as the
-	// detector fires; its cancel is acked instantly through the proxy
+	// detector fires; its cancel is acked instantly by the worker
 	// and must release the straggler's two reserved slots while the job
 	// (and the loser's held dispatch) is still running.
 	deadline := time.After(15 * time.Second)
@@ -292,7 +237,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 			continue
 		}
 		for _, wi := range coord.Workers() {
-			if wi.URL == held.URL && wi.Busy == 0 {
+			if wi.URL == "http://w0" && wi.Busy == 0 {
 				released = true
 			}
 		}
@@ -320,7 +265,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 // while its backup is in flight does not resolve its slot — the backup
 // does, and the loss reaches neither recovery nor truncation. The
 // primary's worker holds the run until the backup is dispatched and
-// then drops the connection like lossyWorker; the backup is held until
+// then drops the connection; the backup is held until
 // the coordinator has taken the loss (the primary's reservation is
 // gone, which runShard's return precedes), so the loss is delivered
 // while the backup still has its whole search to run.
@@ -329,7 +274,7 @@ func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 	engine.MaxIterations = 4000
 	engine.MaxRuns = 1
 	job := JobSpec{Problem: "costas", Size: 18, Walkers: 4, Seed: 99, Engine: engine}
-	ref, err := newFleet(t, 2, 2, 2).coord.Run(context.Background(), job)
+	ref, err := newMemFleet(t, CoordinatorConfig{}, nil, 2, 2, 2).Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,74 +282,38 @@ func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 		t.Fatalf("reference run solved — budget %d too generous for the bit-for-bit comparison", engine.MaxIterations)
 	}
 
-	var coord atomic.Pointer[Coordinator]
+	// The primary's worker w0 holds the run until the backup is
+	// dispatched and then drops it; the backup is held until the
+	// coordinator has taken the loss: the dropping worker holds no
+	// reservation any more.
+	var c *Coordinator
 	backupOut := make(chan struct{})
 	var backupOnce sync.Once
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(map[string]any{"status": "ok", "slots": 2})
-	})
-	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-backupOut:
-		case <-r.Context().Done():
-			return
-		}
-		conn, _, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn.Close()
-	})
-	dropper := httptest.NewServer(mux)
-	t.Cleanup(dropper.Close)
-	// primaryLost reports that the coordinator has taken the dropped
-	// primary's outcome: the dropping worker (the first to join) holds no
-	// reservation any more.
-	primaryLost := func() bool {
-		c := coord.Load()
-		return c != nil && c.Workers()[0].Busy == 0
-	}
-
-	urls := []string{dropper.URL}
-	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerConfig{Slots: 2})
-		inner := wk.Handler()
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/run" {
-				body, err := io.ReadAll(r.Body)
-				if err != nil {
-					w.WriteHeader(http.StatusBadGateway)
-					return
-				}
-				r.Body = io.NopCloser(bytes.NewReader(body))
-				var req struct {
-					ID string `json:"id"`
-				}
-				if err := json.Unmarshal(body, &req); err != nil {
-					t.Error(err)
-				}
-				if strings.Contains(req.ID, "-b1-") {
-					backupOnce.Do(func() { close(backupOut) })
-					tick := time.NewTicker(time.Millisecond)
-					defer tick.Stop()
-					for !primaryLost() {
-						select {
-						case <-tick.C:
-						case <-r.Context().Done():
-							return
-						}
-					}
+	primaryLost := func() bool { return c.Workers()[0].Busy == 0 }
+	hook := func(r *http.Request) error {
+		kind, host, id := fleetCall(r)
+		switch {
+		case kind != "run":
+		case host == "w0":
+			if err := hold(r, backupOut); err != nil {
+				return err
+			}
+			return errDropped
+		case strings.Contains(id, "-b1-"):
+			backupOnce.Do(func() { close(backupOut) })
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for !primaryLost() {
+				select {
+				case <-tick.C:
+				case <-r.Context().Done():
+					return r.Context().Err()
 				}
 			}
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(func() { srv.Close(); wk.Close() })
-		urls = append(urls, srv.URL)
+		}
+		return nil
 	}
-	c := speculatingCoordinator(t, urls...)
-	coord.Store(c)
+	c = newMemFleet(t, speculating, hook, 2, 2, 2)
 
 	res, err := c.Run(context.Background(), job)
 	if err != nil {
@@ -425,17 +334,7 @@ func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 // with the whole input uncovered, and run() stops retrying without
 // burning recovery rounds.
 func TestPlanRecoveryNoCapacityTypedError(t *testing.T) {
-	started := make(chan struct{}, 1)
-	lossy := lossyWorker(t, 2, started)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Workers:           []string{lossy.URL},
-		RecoverAttempts:   3,
-		HeartbeatInterval: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	coord := newMemFleet(t, CoordinatorConfig{RecoverAttempts: 3, HeartbeatInterval: -1}, losesRuns("w0"), 2)
 
 	engine := tunedEngine(t, "costas", 16)
 	engine.MaxIterations = 1500
@@ -485,8 +384,10 @@ func frozenWorker(t *testing.T, wk *Worker) *httptest.Server {
 		run := r.Method == http.MethodPost && r.URL.Path == "/v1/run"
 		read := r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/runs/")
 		if run || read {
-			// Drained first, so the held request aborts the moment the
-			// coordinator severs it (see heldWorker).
+			// Drained first: the net/http server only watches for a
+			// client disconnect once the request body is consumed, and
+			// the held request must abort the moment the coordinator
+			// severs it.
 			if _, err := io.Copy(io.Discard, r.Body); err != nil {
 				return
 			}
@@ -608,16 +509,7 @@ func TestSpeculationBacksUpFrozenWorker(t *testing.T) {
 // independent jobs — a backup among them — never started the board
 // listener.
 func TestSpeculationOpensNoListener(t *testing.T) {
-	straggler := NewWorker(WorkerConfig{Slots: 2})
-	t.Cleanup(func() { straggler.Close() })
-	urls := []string{heldWorker(t, straggler, 150*time.Millisecond).URL}
-	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerConfig{Slots: 2})
-		srv := httptest.NewServer(wk.Handler())
-		t.Cleanup(func() { srv.Close(); wk.Close() })
-		urls = append(urls, srv.URL)
-	}
-	coord := speculatingCoordinator(t, urls...)
+	coord := newMemFleet(t, speculating, holdsRunsUntilCancelled("w0", nil), 2, 2, 2)
 
 	engine := tunedEngine(t, "costas", 16)
 	engine.MaxIterations = 40000
@@ -632,5 +524,62 @@ func TestSpeculationOpensNoListener(t *testing.T) {
 	defer coord.boards.mu.Unlock()
 	if coord.boards.ln != nil {
 		t.Fatalf("a speculating coordinator opened the board listener at %s", coord.boards.base)
+	}
+}
+
+// TestSpeculationStopsAtFirstSolution: once a job has solved, the
+// detector backs nothing up. The loser's slot stays unresolved until its
+// cancelled reply lands, and a backup launched by a tick in that gap
+// would search for nobody. Here the loser's run is held until its
+// cancel is through and then lost, the cancel is held for eight
+// progress reads, and every read fails, so that nothing shows progress,
+// and nothing can lag, before the winner's shard is in.
+func TestSpeculationStopsAtFirstSolution(t *testing.T) {
+	reads := make(chan struct{}) // a progress read, to a cancel held for it
+	cancelled := make(chan struct{})
+	var once sync.Once
+	hook := func(r *http.Request) error {
+		switch kind, host, _ := fleetCall(r); {
+		case kind == "progress":
+			select {
+			case reads <- struct{}{}:
+			default:
+			}
+			return errDropped
+		case host != "w1":
+		case kind == "run":
+			if err := hold(r, cancelled); err != nil {
+				return err
+			}
+			return errDropped
+		case kind == "cancel":
+			for range 8 {
+				if err := hold(r, reads); err != nil {
+					return err
+				}
+			}
+			once.Do(func() { close(cancelled) })
+		}
+		return nil
+	}
+	coord := newMemFleet(t, speculating, hook, 1, 1, 1)
+
+	// Walker 0 solves on w0, walker 1 is held on w1, and w2 is free for
+	// a backup.
+	res, err := coord.Run(context.Background(), JobSpec{
+		Problem: "queens", Size: 30, Walkers: 2, Seed: 1, Engine: tunedEngine(t, "queens", 30),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := coord.BackendMetrics()
+	if n := m["speculations_launched"]; n != 0 {
+		t.Fatalf("%d backups launched for a job that had solved: %v", n, m)
+	}
+	if m["first_solution_cancels_sent"] != 1 {
+		t.Fatalf("precondition: one first-solution cancel: %v", m)
+	}
+	if !res.Solved || res.Winner != 0 || res.Truncated {
+		t.Fatalf("want solved by walker 0, untruncated: %+v", res)
 	}
 }
