@@ -140,8 +140,7 @@ type engine struct {
 	// points (and with them the golden traces) do not move.
 	checkLeft int64
 
-	bestCost int   // best global cost seen across all runs
-	bestCfg  []int // configuration achieving bestCost
+	bestCost int // best global cost seen across all runs
 }
 
 func (e *engine) solve() Result {
@@ -153,10 +152,9 @@ func (e *engine) solve() Result {
 	// is empty when a finite-domain problem gets here): report its cost
 	// directly.
 	if n < e.mv.minSize() {
-		cfg := perm.Identity(n)
-		c := e.p.Cost(cfg)
-		e.noteBest(c, cfg)
-		e.res.Solved = c == 0
+		e.st.Cfg = perm.Identity(n)
+		e.bestCost = e.p.Cost(e.st.Cfg)
+		e.res.Solved = e.bestCost == 0
 		e.finishResult()
 		return e.res
 	}
@@ -196,22 +194,14 @@ func (e *engine) solve() Result {
 	return e.res
 }
 
-// finishResult copies the best configuration into the Result.
+// finishResult stamps the best cost into the Result and, on a solved
+// walk, hands out the configuration that solved it: the walker's own
+// buffer, which this Solve allocated and writes no more, so the caller
+// may keep it without a copy.
 func (e *engine) finishResult() {
 	e.res.Cost = e.bestCost
-	if e.res.Solved && e.bestCfg != nil {
-		e.res.Solution = perm.Copy(e.bestCfg)
-	}
-}
-
-// noteBest records cfg if it improves on the best cost seen so far.
-func (e *engine) noteBest(cost int, cfg []int) {
-	if cost < e.bestCost {
-		e.bestCost = cost
-		if e.bestCfg == nil {
-			e.bestCfg = make([]int, len(cfg))
-		}
-		copy(e.bestCfg, cfg)
+	if e.res.Solved {
+		e.res.Solution = e.st.Cfg
 	}
 }
 
@@ -232,7 +222,7 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 	clear(e.st.Marks)
 	e.st.Iter = 0
 	e.strat.Restart.NewRun(&e.st)
-	e.noteBest(e.st.Cost, e.st.Cfg)
+	e.bestCost = min(e.bestCost, e.st.Cost)
 
 	checkEvery := int64(o.CheckEvery)
 	for e.st.Cost > 0 && e.st.Iter < o.MaxIterations {
@@ -284,7 +274,6 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 		}
 	}
 	if e.st.Cost == 0 {
-		e.noteBest(0, e.st.Cfg)
 		return true, false
 	}
 	return false, e.cancelled()
@@ -302,11 +291,11 @@ func (e *engine) cancelled() bool {
 
 // landed records cost as the cost of the configuration the walker has
 // just moved to, by whatever means: the error buffer is stale and the
-// configuration may be the best seen.
+// cost may be the best seen.
 func (e *engine) landed(cost int) {
 	e.st.Cost = cost
 	e.st.InvalidateErrors()
-	e.noteBest(cost, e.st.Cfg)
+	e.bestCost = min(e.bestCost, cost)
 }
 
 // adoptConfig teleports the walker to cfg (from a Monitor directive),
@@ -343,7 +332,8 @@ func (e *engine) partialReset() {
 type swapMoves struct {
 	swapper SwapExecutor // nil without incremental state to update
 
-	resetIdx, resetVals []int // scratch of perturb
+	// Scratch of perturb: n positions to draw from, the k values drawn.
+	resetIdx, resetVals []int
 }
 
 func (*swapMoves) minSize() int { return 2 }
@@ -392,7 +382,7 @@ func (m *swapMoves) swap(e *engine, i, j, newCost int) {
 func (m *swapMoves) perturb(e *engine, k int) {
 	if m.resetIdx == nil {
 		m.resetIdx = make([]int, len(e.st.Cfg))
-		m.resetVals = make([]int, len(e.st.Cfg))
+		m.resetVals = make([]int, k)
 	}
 	perm.PartialShuffleScratch(e.st.Cfg, k, e.rand, m.resetIdx, m.resetVals)
 }

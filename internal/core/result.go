@@ -23,7 +23,9 @@ const CostUnknown = math.MaxInt
 type Result struct {
 	// Solved reports whether a zero-cost configuration was found.
 	Solved bool
-	// Solution is the solving permutation (a private copy), or nil.
+	// Solution is the solving configuration, or nil. It is the walker's
+	// own buffer, never reused: each Solve allocates its own, and
+	// nothing writes to it once Solve has returned.
 	Solution []int
 	// Cost is the final global cost: 0 when solved, otherwise the cost
 	// of the best configuration seen in the last run. A run interrupted

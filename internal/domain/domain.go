@@ -203,9 +203,11 @@ func (l Linear) Reduce(doms []Domain) (bool, error) {
 // propagation (an assigned variable's value is removed from its peers)
 // and the pigeonhole capacity check — more variables than distinct
 // values across their domains proves unsatisfiability. Duplicate
-// entries in Vars are ignored.
+// entries in Vars are ignored. Vars are int32, the width a model keeps
+// its variable lists in, so a model passes its own lists as groups
+// without copying them; Reduce only reads them.
 type Distinct struct {
-	Vars []int
+	Vars []int32
 }
 
 // Reduce implements Propagator. It allocates nothing unless the group's

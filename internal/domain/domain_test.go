@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -77,7 +78,7 @@ func TestDistinctSingletonPropagation(t *testing.T) {
 	// x fixed to 1 removes 1 from y and z; z collapses to 2, which then
 	// leaves y = {0} at the fixpoint.
 	doms := []Domain{New(1), New(0, 1, 2), New(1, 2)}
-	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int{0, 1, 2}}})
+	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int32{0, 1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestDistinctSingletonPropagation(t *testing.T) {
 func TestDistinctCapacity(t *testing.T) {
 	// Three variables over two values: pigeonhole unsatisfiable.
 	doms := []Domain{Range(0, 1), Range(0, 1), Range(0, 1)}
-	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int{0, 1, 2}}})
+	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int32{0, 1, 2}}})
 	if !errors.Is(err, ErrUnsatisfiable) {
 		t.Fatalf("want ErrUnsatisfiable, got %v", err)
 	}
@@ -101,7 +102,7 @@ func TestDistinctCapacity(t *testing.T) {
 func TestDistinctDuplicateVars(t *testing.T) {
 	// A duplicated entry must not make x "conflict with itself".
 	doms := []Domain{New(1), Range(0, 2)}
-	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int{0, 0, 1}}})
+	err := Fixpoint(doms, []Propagator{Distinct{Vars: []int32{0, 0, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func decodeFuzzModel(data []byte) (fuzzModel, bool) {
 		k := int(next())%n + 1
 		g := Distinct{}
 		for i := 0; i < k; i++ {
-			g.Vars = append(g.Vars, i)
+			g.Vars = append(g.Vars, int32(i))
 		}
 		m.distinct = append(m.distinct, g)
 	}
@@ -194,7 +195,7 @@ func decodeFuzzModel(data []byte) (fuzzModel, bool) {
 		// A second group with arbitrary members, repeats included.
 		g := Distinct{}
 		for k := int(next()) % 6; k > 0 && rem() > 0; k-- {
-			g.Vars = append(g.Vars, int(next())%n)
+			g.Vars = append(g.Vars, int32(int(next())%n))
 		}
 		m.distinct = append(m.distinct, g)
 	}
@@ -323,8 +324,8 @@ func FuzzReduceDomain(f *testing.F) {
 // per-call maps and dedup slice (commit 6ae8a7d), kept as the reference
 // the allocation-free one must agree with call for call.
 func refDistinctReduce(c Distinct, doms []Domain) (bool, error) {
-	group := make([]int, 0, len(c.Vars))
-	seen := make(map[int]bool, len(c.Vars))
+	group := make([]int32, 0, len(c.Vars))
+	seen := make(map[int32]bool, len(c.Vars))
 	for _, vi := range c.Vars {
 		if !seen[vi] {
 			seen[vi] = true
@@ -450,9 +451,11 @@ func TestDistinctMatchesReference(t *testing.T) {
 		groups := make([]Distinct, 1+r.Intn(3))
 		for gi := range groups {
 			for k := r.Intn(n + 2); k > 0; k-- {
-				groups[gi].Vars = append(groups[gi].Vars, r.Intn(n))
+				groups[gi].Vars = append(groups[gi].Vars, int32(r.Intn(n)))
 			}
-			if len(New(groups[gi].Vars...)) < len(groups[gi].Vars) {
+			vars := slices.Clone(groups[gi].Vars)
+			slices.Sort(vars)
+			if len(slices.Compact(vars)) < len(groups[gi].Vars) {
 				dups++
 			}
 		}

@@ -7,6 +7,7 @@ package perm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -60,13 +61,6 @@ func Swap(p []int, i, j int) {
 	p[i], p[j] = p[j], p[i]
 }
 
-// Copy returns a fresh copy of p.
-func Copy(p []int) []int {
-	q := make([]int, len(p))
-	copy(q, p)
-	return q
-}
-
 // PartialShuffle re-randomizes k positions of p chosen uniformly at random,
 // preserving the permutation property: the values at the chosen positions
 // are shuffled among themselves. This implements the Adaptive Search
@@ -77,9 +71,9 @@ func PartialShuffle(p []int, k int, r *rng.Rand) {
 }
 
 // PartialShuffleScratch is PartialShuffle with caller-provided scratch,
-// for hot paths that reset repeatedly and must not allocate: idx and
-// vals must each have length >= len(p) and are overwritten. The RNG
-// consumption is identical to PartialShuffle's.
+// for hot paths that reset repeatedly and must not allocate: idx must
+// have length >= len(p) and vals >= min(k, len(p)); both are
+// overwritten. The RNG consumption is identical to PartialShuffle's.
 func PartialShuffleScratch(p []int, k int, r *rng.Rand, idx, vals []int) {
 	n := len(p)
 	if k > n {
@@ -133,7 +127,7 @@ func RandomSwaps(p []int, k int, r *rng.Rand) {
 // by the diversity metric of the dependent multi-walk scheme.
 func Inversions(p []int) int {
 	buf := make([]int, len(p))
-	work := Copy(p)
+	work := slices.Clone(p)
 	return mergeCount(work, buf)
 }
 

@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,15 +67,6 @@ func TestSwap(t *testing.T) {
 	}
 }
 
-func TestCopyIndependent(t *testing.T) {
-	p := []int{2, 0, 1}
-	q := Copy(p)
-	q[0] = 99
-	if p[0] != 2 {
-		t.Fatal("Copy aliases the original")
-	}
-}
-
 func TestPartialShufflePreservesPermutation(t *testing.T) {
 	r := rng.New(1)
 	for trial := 0; trial < 100; trial++ {
@@ -109,7 +101,7 @@ func TestPartialShuffleTouchesOnlyKPositions(t *testing.T) {
 	r := rng.New(3)
 	for trial := 0; trial < 50; trial++ {
 		p := Random(100, r)
-		before := Copy(p)
+		before := slices.Clone(p)
 		PartialShuffle(p, 3, r)
 		changed := 0
 		for i := range p {
@@ -179,7 +171,7 @@ func TestDistanceBasics(t *testing.T) {
 	if d := Distance(id, id); d != 0 {
 		t.Fatalf("Distance(id,id) = %d", d)
 	}
-	oneSwap := Copy(id)
+	oneSwap := slices.Clone(id)
 	Swap(oneSwap, 0, 5)
 	if d := Distance(id, oneSwap); d != 1 {
 		t.Fatalf("Distance after one transposition = %d, want 1", d)
@@ -223,7 +215,7 @@ func TestDistanceCountsMinTranspositions(t *testing.T) {
 	r := rng.New(8)
 	for trial := 0; trial < 50; trial++ {
 		p := Random(20, r)
-		q := Copy(p)
+		q := slices.Clone(p)
 		k := 1 + r.Intn(5)
 		RandomSwaps(q, k, r)
 		if d := Distance(p, q); d > k {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -79,7 +80,7 @@ func TestCostIfSwapMatchesGroundTruth(t *testing.T) {
 					j++
 				}
 				got := p.CostIfSwap(cfg, cost, i, j)
-				swapped := perm.Copy(cfg)
+				swapped := slices.Clone(cfg)
 				swapped[i], swapped[j] = swapped[j], swapped[i]
 				want := oracle.Cost(swapped)
 				if got != want {

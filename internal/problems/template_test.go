@@ -3,7 +3,10 @@ package problems
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -152,10 +155,11 @@ func TestTemplateUnsatisfiable(t *testing.T) {
 // asserted without a counter in the product: a construction is a
 // handful of objects at any size (every domain is a window of one
 // array, every resource's session list of another), a clone is three
-// (the struct, occ, errVec), a reduction asked of an instance already
-// reduced is none, and a template plus the two instances of a
-// two-walker job is one construction, one reduction and one clone —
-// not the three constructions and three reductions it was.
+// (the struct, occ, errVec), a reduction is one (its group list: the
+// groups are the resources' own session lists), a reduction asked of
+// an instance already reduced is none, and a template plus the two
+// instances of a two-walker job is one construction, one reduction and
+// one clone — not the three constructions and three reductions it was.
 func TestTemplateAllocations(t *testing.T) {
 	const size = 200
 	params := map[string]int{"slots": 8}
@@ -185,8 +189,8 @@ func TestTemplateAllocations(t *testing.T) {
 		t.Errorf("constructing timetable %d allocates %v objects, want a handful (it was 358: one domain a session, one list a resource)", size, construction)
 	}
 	reduction := testing.AllocsPerRun(20, func() { reduce(build()) }) - construction
-	if reduction > 4 {
-		t.Errorf("one ReduceDomains on timetable %d allocates %v objects, want a handful (it was 848)", size, reduction)
+	if reduction > 1 {
+		t.Errorf("one ReduceDomains on timetable %d allocates %v objects, want one: the group list, whose groups are the resources' own session lists (it was 848, then 2 with a copy of those lists)", size, reduction)
 	}
 	job := func(walkers int) float64 {
 		return testing.AllocsPerRun(20, func() {
@@ -203,14 +207,108 @@ func TestTemplateAllocations(t *testing.T) {
 			}
 		})
 	}
-	// The factory closure and its hand-out flag are two objects on top
-	// today; a second construction would be 11 more, a second fixpoint
-	// two more, which is one over the allowance.
-	const closure = 3
+	// The factory closure and its hand-out flag are two objects on top;
+	// a second construction would be 11 more, a second fixpoint one
+	// more, which is one over the allowance.
+	const closure = 2
 	if got, want := job(1), construction+reduction; got < want || got > want+closure {
 		t.Errorf("a one-walker job allocates %v objects, one construction + one reduction is %v", got, want)
 	}
 	if got, want := job(2), construction+reduction+3; got < want || got > want+closure {
 		t.Errorf("a two-walker job allocates %v objects, one construction + one reduction + one clone is %v", got, want)
+	}
+}
+
+// sink keeps a measured allocation on the heap.
+var sink []int
+
+// allocated returns the bytes the process allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWalkerAllocations pins what core.Solve allocates for one solved
+// walker: what it allocates before its first step (engine, stream,
+// strategy and move set, read off a Solve whose context is already
+// cancelled) plus its working set — the tabu marks, the configuration,
+// the row or assign buffer its evaluator fills and, on a permutation,
+// the partial reset's n positions and k values — each at the size the
+// allocator gives it. The solution is the configuration buffer itself,
+// so a shadow copy of the configuration (a walker used to keep its best
+// one and copy it again into the Result) or a reset scratch of n values
+// fails the budget. Every count is the least of three tries, so a stray
+// runtime background allocation is not in it.
+func TestWalkerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates differently; the budget is for a plain build")
+	}
+	words := func(n int) uint64 {
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			least = min(least, allocated(func() { sink = make([]int, n) }))
+		}
+		return least
+	}
+	for _, tc := range []struct {
+		name    string
+		size    int
+		params  map[string]int
+		working func(n, k int) uint64
+	}{
+		// Marks, configuration and one domain's assign row (8 slots).
+		{"timetable", 200, map[string]int{"slots": 8}, func(n, _ int) uint64 {
+			return 2*words(n) + words(8)
+		}},
+		// Marks, configuration, the swap row, and the reset's positions
+		// and values.
+		{"costas", 15, nil, func(n, k int) uint64 {
+			return 4*words(n) + words(k)
+		}},
+	} {
+		t.Run(fmt.Sprintf("%s-%d", tc.name, tc.size), func(t *testing.T) {
+			template, factory, err := NewTemplate(tc.name, tc.size, tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := factory(); err != nil { // hands out the template
+				t.Fatal(err)
+			}
+			opts := core.TunedOptions(template)
+			opts.Seed = 1
+			// solve runs one walker on an instance of its own, built
+			// outside the count, as a job's second walker gets a clone.
+			solve := func(ctx context.Context) (res core.Result, bytes uint64) {
+				bytes = math.MaxUint64
+				for try := 0; try < 3; try++ {
+					p, err := factory()
+					if err != nil {
+						t.Fatal(err)
+					}
+					bytes = min(bytes, allocated(func() { res, err = core.Solve(ctx, p, opts) }))
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return res, bytes
+			}
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, fixed := solve(cancelled)
+			res, got := solve(context.Background())
+			if !res.Solved {
+				t.Fatalf("seed %d did not solve: %+v", opts.Seed, res)
+			}
+			n := tc.size
+			k := min(max(2, int(opts.ResetFraction*float64(n))), n) // as the engine sizes a reset
+			budget := fixed + tc.working(n, k)
+			t.Logf("%d B for one solved walker (%d before its first step), budget %d", got, fixed, budget)
+			if got > budget {
+				t.Errorf("one solved walker allocates %d B, its working set is %d B: something besides the working set is allocated per walker", got, budget)
+			}
+		})
 	}
 }

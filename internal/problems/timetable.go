@@ -224,19 +224,13 @@ func (t *Timetable) ReduceDomains() error {
 	if t.reduced {
 		return nil
 	}
-	// One backing array for every group: a session is in exactly one
-	// room's group and one teacher's.
-	vars := make([]int, 0, 2*t.n)
+	// Each resource's session list is its group, as it stands: the
+	// group list is all a reduction allocates.
 	groups := make([]domain.Distinct, 0, len(t.resSessions))
 	for _, sessions := range t.resSessions {
-		if len(sessions) < 2 {
-			continue
+		if len(sessions) >= 2 {
+			groups = append(groups, domain.Distinct{Vars: sessions})
 		}
-		start := len(vars)
-		for _, s := range sessions {
-			vars = append(vars, int(s))
-		}
-		groups = append(groups, domain.Distinct{Vars: vars[start:]})
 	}
 	if err := domain.Fixpoint(t.domains, groups); err != nil {
 		return fmt.Errorf("timetable: %w", err)

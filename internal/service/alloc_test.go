@@ -51,14 +51,17 @@ type gateSpec struct {
 // can hold: the same front door (POST /v1/solve, wait, two walkers,
 // fixed seeds) played in-process, bytes allocated per job against a
 // committed budget. The budgets sit about a tenth above what a job
-// reads with one template per job, compact responses and the job run on
-// the handler's goroutine (54.5 KB and 11.3 KB; indented responses
-// through the dispatcher read 62 KB and 13.3 KB, and building and
-// reducing every walker's instance and a discarded probe 331 KB and
-// 18.6 KB). A flat timetable construction has since taken search-fd
-// to 49.1 KB, under the same budget. One more construction in a
-// search-fd job is 24 KB and breaks it; the finer count, one reduction and no
-// more, is problems.TestTemplateAllocations.
+// reads, 41.7 KB and 8.3 KB: one template a job, compact responses, the
+// job run on the handler's goroutine, walkers that keep one
+// configuration and a reduction that copies nothing. What each earlier
+// shape read: indented responses through the dispatcher 62 KB and
+// 13.3 KB; building and reducing every walker's instance and a
+// discarded probe 331 KB and 18.6 KB; a walker that copied its best
+// configuration and a reduction that copied the session lists 48.2 KB
+// and 8.6 KB. One more construction in a search-fd job is 24 KB. Each
+// of them breaks the search-fd budget. The finer counts, one reduction
+// a job and a walker's working set, are problems.TestTemplateAllocations
+// and problems.TestWalkerAllocations.
 func TestAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")
@@ -74,13 +77,13 @@ func TestAllocationGate(t *testing.T) {
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 60_000},
+		}, 4, 46_000},
 		{"small-local", []gateSpec{
 			{"costas", 9, nil},
 			{"queens", 32, nil},
 			{"all-interval", 10, nil},
 			{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
-		}, 50, 12_400},
+		}, 50, 9_100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Slots: 2})
@@ -222,42 +225,63 @@ func TestRejectBeforeBuild(t *testing.T) {
 // must keep only its record and result meanwhile. It used to keep its
 // factory, which holds the job's template, and its Progress hook: a
 // waited timetable-240 job left 37.4 KB on the heap after GC, about
-// 2.2 GB at 100 jobs/s over the default TTL. 200 waited jobs under a
-// one-hour TTL must leave less than the budget a job after GC (3.6 KB
-// read; 40 jobs under -race, which runs each about fifteen times slower).
+// 2.2 GB at 100 jobs/s over the default TTL (3.6 KB read since). It
+// also kept its run's cancel, and with it the run's context and deadline
+// timer: a waited costas-9 job, which keeps little else, left 1 516 B and
+// 9.1 objects, and leaves 1 270 B and 6.1 without them. Waited jobs under
+// a one-hour TTL must leave less than the budgets a job after GC (a
+// fifth as many jobs under -race, which runs each about fifteen times
+// slower).
 func TestFinishedJobsReleaseTheirTemplates(t *testing.T) {
-	const budget = 8_000 // bytes per job
-	jobs := 200
-	if raceEnabled {
-		jobs = 40
-	}
-	s := New(Config{Slots: 2, ResultTTL: time.Hour})
-	defer s.Close()
-	req := Request{Problem: "timetable", Size: 240, Params: map[string]int{"slots": 8}, Walkers: 2}
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC() // the second also empties the sync.Pools' victim caches
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	for k := 0; k < jobs; k++ {
-		req.Seed = uint64(1 + k)
-		job, err := s.SubmitWait(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.State != StateSolved {
-			t.Fatalf("seed %d: state %s", req.Seed, job.State)
-		}
-	}
-	if got := s.Stats().JobsStored; got != jobs {
-		t.Fatalf("%d jobs stored, want all %d", got, jobs)
-	}
-	perJob := int64(heap()-before) / int64(jobs)
-	t.Logf("%d B retained a finished job, budget %d", perJob, budget)
-	if perJob > budget {
-		t.Errorf("a finished job keeps %d B on the heap, budget %d", perJob, budget)
+	for _, tc := range []struct {
+		name    string
+		req     Request
+		jobs    int
+		bytes   int64   // per job
+		objects float64 // per job; 0 leaves them unchecked
+	}{
+		{"timetable-240", Request{Problem: "timetable", Size: 240, Params: map[string]int{"slots": 8}, Walkers: 2}, 200, 8_000, 0},
+		{"costas-9", Request{Problem: "costas", Size: 9, Walkers: 2}, 5_000, 1_450, 7.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := tc.jobs
+			if raceEnabled {
+				jobs /= 5
+			}
+			s := New(Config{Slots: 2, ResultTTL: time.Hour})
+			defer s.Close()
+			heap := func() (bytes, objects uint64) {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.GC() // the second also empties the sync.Pools' victim caches
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc, ms.HeapObjects
+			}
+			bytes0, objects0 := heap()
+			req := tc.req
+			for k := 0; k < jobs; k++ {
+				req.Seed = uint64(1 + k)
+				job, err := s.SubmitWait(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if job.State != StateSolved {
+					t.Fatalf("seed %d: state %s", req.Seed, job.State)
+				}
+			}
+			if got := s.Stats().JobsStored; got != jobs {
+				t.Fatalf("%d jobs stored, want all %d", got, jobs)
+			}
+			bytes1, objects1 := heap()
+			perJob := (int64(bytes1) - int64(bytes0)) / int64(jobs)
+			objects := (float64(objects1) - float64(objects0)) / float64(jobs)
+			t.Logf("%d B and %.1f objects retained a finished job, budgets %d B and %.1f", perJob, objects, tc.bytes, tc.objects)
+			if perJob > tc.bytes {
+				t.Errorf("a finished job keeps %d B on the heap, budget %d", perJob, tc.bytes)
+			}
+			if tc.objects > 0 && objects > tc.objects {
+				t.Errorf("a finished job keeps %.1f objects on the heap, budget %.1f", objects, tc.objects)
+			}
+		})
 	}
 }

@@ -138,14 +138,17 @@ type job struct {
 }
 
 // release drops what only a run reads: the factory, which holds the
-// job's template, and the Progress hook. A job leaves the queued and
-// running states exactly once, and nothing reads either field after
-// that — runJob reads them only once it has moved the job from queued
-// to running under mu — so a finished job kept for ResultTTL holds its
-// record and result, not its instance. Callers hold mu.
+// job's template, the Progress hook, and the run's cancel, which holds
+// its context and deadline timer. A job leaves the queued and running
+// states exactly once, and nothing reads these fields after that —
+// runJob reads the first two only once it has moved the job from
+// queued to running under mu, and Cancel calls the third only while
+// the job is running — so a finished job kept for ResultTTL holds its
+// record and result, not its instance or its run. Callers hold mu.
 func (j *job) release() {
 	j.factory = nil
 	j.opts.Progress = nil
+	j.cancelRun = nil
 }
 
 // snapshot builds the immutable transport view.
