@@ -202,6 +202,9 @@ type Scheduler struct {
 
 	seq   atomic.Uint64
 	start time.Time
+	// now stamps a job's submitted, started and finished times: time.Now,
+	// but for a test that pins a job record's bytes.
+	now func() time.Time
 
 	// Counters for /metrics. Gauges (queued, running, slots busy) live
 	// under mu or as atomics; the rest are cumulative.
@@ -234,6 +237,7 @@ func New(cfg Config) *Scheduler {
 		jobs:      make(map[string]*job),
 		tenants:   make(map[string]*tenantAcct),
 		start:     time.Now(),
+		now:       time.Now,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	// An elastic backend pushes capacity changes; the dispatcher re-syncs
@@ -366,7 +370,7 @@ func (s *Scheduler) newJob(req Request) (*job, error) {
 		class:     class,
 		done:      make(chan struct{}),
 		state:     StateQueued,
-		submitted: time.Now(),
+		submitted: s.now(),
 	}
 	j.opts.Progress = s.progressFor(j)
 	return j, nil
@@ -681,7 +685,7 @@ func (s *Scheduler) runJob(j *job) {
 		return
 	}
 	j.state = StateRunning
-	j.started = time.Now()
+	j.started = s.now()
 	j.cancelRun = cancel
 	j.mu.Unlock()
 	s.decQueued(j)
@@ -730,7 +734,7 @@ func (s *Scheduler) finalizeQueued(j *job, err error) bool {
 		return false
 	}
 	j.state = StateCancelled
-	j.finished = time.Now()
+	j.finished = s.now()
 	j.err = err
 	j.release()
 	j.mu.Unlock()
@@ -753,7 +757,7 @@ func (s *Scheduler) finalize(j *job, state State, res *multiwalk.Result, err err
 	}
 	prev := j.state
 	j.state = state
-	j.finished = time.Now()
+	j.finished = s.now()
 	j.res = res
 	j.err = err
 	j.release()
