@@ -337,10 +337,14 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 		// Whatever follows the request is not ignored.
 		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1}{"problem":"queens"}`,
 		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1} trailing garbage`,
+		// A body over the cap is refused, not cut short at the cap and
+		// read as the request before it.
+		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1}` +
+			strings.Repeat(" ", maxRequestBodyLen) + `{"problem":"queens"}`,
 	}
 	for _, raw := range cases {
 		if _, err := DecodeRunRequest(strings.NewReader(raw)); !errors.Is(err, ErrBadRequest) {
-			t.Fatalf("input %q: error %v does not wrap ErrBadRequest", raw, err)
+			t.Fatalf("input %.100q: error %v does not wrap ErrBadRequest", raw, err)
 		}
 	}
 	valid := `{"id":"x","mode":"virtual","problem":"queens","size":10,"total_walkers":3,"start":1,"count":2,"engine":{"max_iterations":100}}`

@@ -64,8 +64,17 @@ func TestDecode(t *testing.T) {
 	if err := Decode(strings.NewReader(long), 1<<10, &m); err != nil {
 		t.Fatalf("%d-byte body under the limit: %v", len(long), err)
 	}
+	if err := Decode(strings.NewReader(long), int64(len(long)), &m); err != nil {
+		t.Fatalf("%d-byte body at a limit of its length: %v", len(long), err)
+	}
 	if err := Decode(strings.NewReader(long), 32, &m); err == nil {
 		t.Errorf("%d-byte body accepted under a 32-byte limit", len(long))
+	}
+	// A valid object, padding past the limit and a second object: the
+	// body is refused, not cut at the limit and read as the first.
+	padded := `{"url":"http://a"}` + strings.Repeat(" ", 1<<10) + `{"url":"http://b"}`
+	if err := Decode(strings.NewReader(padded), 1<<10, &m); err == nil || !strings.Contains(err.Error(), "body exceeds 1024 bytes") {
+		t.Errorf("padded second object under a 1024-byte limit: %v", err)
 	}
 }
 

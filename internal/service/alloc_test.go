@@ -51,17 +51,19 @@ type gateSpec struct {
 // can hold: the same front door (POST /v1/solve, wait, two walkers,
 // fixed seeds) played in-process, bytes allocated per job against a
 // committed budget. The budgets sit about a tenth above what a job
-// reads, 41.7 KB and 8.3 KB: one template a job, compact responses, the
+// reads, 40.8 KB and 7.05 KB: one template a job, compact responses, the
 // job run on the handler's goroutine, walkers that keep one
-// configuration and a reduction that copies nothing. What each earlier
-// shape read: indented responses through the dispatcher 62 KB and
-// 13.3 KB; building and reducing every walker's instance and a
-// discarded probe 331 KB and 18.6 KB; a walker that copied its best
-// configuration and a reduction that copied the session lists 48.2 KB
-// and 8.6 KB. One more construction in a search-fd job is 24 KB. Each
-// of them breaks the search-fd budget. The finer counts, one reduction
-// a job and a walker's working set, are problems.TestTemplateAllocations
-// and problems.TestWalkerAllocations.
+// configuration, a reduction that copies nothing, and a request read
+// and a reply written without reflection. What each earlier shape read:
+// indented responses through the dispatcher 62 KB and 13.3 KB; building
+// and reducing every walker's instance and a discarded probe 331 KB and
+// 18.6 KB; a walker that copied its best configuration and a reduction
+// that copied the session lists 48.2 KB and 8.6 KB; the request and the
+// reply through encoding/json 41.8 KB and 8.2 KB, which breaks the
+// small-local budget. One more construction in a search-fd job is
+// 24 KB. Each of the others breaks the search-fd budget. The finer
+// counts, one reduction a job and a walker's working set, are
+// problems.TestTemplateAllocations and problems.TestWalkerAllocations.
 func TestAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")
@@ -83,7 +85,7 @@ func TestAllocationGate(t *testing.T) {
 			{"queens", 32, nil},
 			{"all-interval", 10, nil},
 			{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
-		}, 50, 9_100},
+		}, 50, 7_800},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Slots: 2})

@@ -386,6 +386,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		// request nor a stray tail.
 		`{"problem":"costas","size":8,"wait":true}{"problem":"queens"}`,
 		`{"problem":"costas","size":8,"wait":true} trailing garbage`,
+		// A body over the cap is refused, not cut short at the cap and
+		// read as the object before it.
+		`{"problem":"costas","size":8,"wait":true}` + strings.Repeat(" ", maxSolveBodyLen) + `{"problem":"queens"}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(raw))
 		if err != nil {
@@ -395,7 +398,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], ErrBadRequest.Error()) {
-			t.Errorf("%s: status %d, error %q; want 400 wrapping ErrBadRequest", raw, resp.StatusCode, e["error"])
+			t.Errorf("%.80s: status %d, error %q; want 400 wrapping ErrBadRequest", raw, resp.StatusCode, e["error"])
 		}
 	}
 }
