@@ -4,14 +4,19 @@
 package doccmd
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// files are the documents searched, relative to the module root.
+// files are the documents searched, relative to the module root. The
+// committed BENCH_*.json artifacts at the root are searched too: each
+// one's "note" is the command that regenerates it.
 var files = []string{"README.md", "DESIGN.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
 
 // docLine is one command line found in a document.
@@ -54,20 +59,37 @@ func Check(t testing.TB, root, name string, min int, parse func(args []string) e
 	}
 }
 
-// find returns every command line of name in files under root: a path
-// ending in name (cmd/, ./cmd/, examples/, bin/, /tmp/) or name right
-// after a backtick, then its words up to a comment, pipe, redirect,
-// separator or closing backtick. `go build -o bin/NAME` names the
+// find returns every command line of name in files and the BENCH
+// notes under root: a path ending in name (cmd/, ./cmd/, examples/,
+// bin/, /tmp/) or name right after a backtick, then its words up to a
+// comment, pipe, redirect, separator or closing backtick. `go build -o bin/NAME` names the
 // binary and does not run it, so it is skipped. Comment lines are
 // parsed too: prose there names a command without its path
 // ("serve -fleet"), so that it does not read as a command line.
 func find(root, name string) ([]docLine, error) {
 	cmd := regexp.MustCompile("(?:(?:^|[\\s(`])(?:\\./)?(?:cmd|examples|bin|/tmp)/|`)" + regexp.QuoteMeta(name) + "\\b([^#|>&;`)\n]*)")
+	notes, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	paths := slices.Clone(files)
+	for _, note := range notes {
+		paths = append(paths, filepath.Base(note))
+	}
 	var lines []docLine
-	for _, path := range files {
+	for _, path := range paths {
 		blob, err := os.ReadFile(filepath.Join(root, path))
 		if err != nil {
 			return nil, err
+		}
+		if filepath.Ext(path) == ".json" {
+			var artifact struct {
+				Note string `json:"note"`
+			}
+			if err := json.Unmarshal(blob, &artifact); err != nil {
+				return nil, fmt.Errorf("%s: %w", path, err)
+			}
+			blob = []byte(artifact.Note)
 		}
 		text := fdRedirect.ReplaceAllString(continuation.ReplaceAllString(string(blob), " "), ">")
 		for _, line := range strings.Split(text, "\n") {

@@ -10,8 +10,7 @@
 // message is sent: it encodes the request, reads every reply to EOF
 // into a pooled buffer (so the keep-alive connection goes back to the
 // client's pool whatever the status), and turns a non-200 reply into a
-// *StatusError. One buffer a message, whatever its size, and no
-// streaming encoder or decoder to allocate.
+// *StatusError. One pooled buffer a message, whatever its size.
 //
 // A hot message may skip reflection on either side. Write sends an
 // Appender's own bytes, which must be json.Marshal's; AppendString,

@@ -15,8 +15,10 @@
 //
 // # Layout
 //
-// The file is a sequence of frames sharing internal/wire's framing
-// discipline (uvarint length prefix counting the kind byte):
+// The file is a sequence of frames. Each starts with its length as a
+// uvarint, counting the kind byte that follows and the payload after
+// it, so a reader takes each frame in one read and a log torn
+// mid-frame ends in a short one:
 //
 //	frame  := uvarint(length) byte(kind) payload
 //	schema := uvarint(n) n × (uvarint(len) name-bytes)
