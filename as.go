@@ -27,24 +27,6 @@ type MultiWalkOptions = multiwalk.Options
 // MultiWalkResult aggregates a parallel multi-walk run.
 type MultiWalkResult = multiwalk.Result
 
-// Strategy bundles the engine's pluggable search behaviors: variable
-// selection, move selection, and the restart/diversification policy.
-// Register one with RegisterStrategy and select it by name through
-// Options.Strategy.
-type Strategy = core.Strategy
-
-// VariableSelector picks the variable to move each engine iteration.
-type VariableSelector = core.VariableSelector
-
-// MoveSelector picks the swap partner for the selected variable.
-type MoveSelector = core.MoveSelector
-
-// RestartPolicy owns freezes, probabilistic escapes and partial resets.
-type RestartPolicy = core.RestartPolicy
-
-// SearchState is the live engine state handed to strategy plug points.
-type SearchState = core.State
-
 // ProblemFactory builds fresh problem instances, one per walker.
 type ProblemFactory = multiwalk.Factory
 
@@ -135,10 +117,3 @@ var ErrBadParams = problems.ErrBadParams
 // proved it has no solution (errors.Is-matchable); Solve and the
 // parameterized factories surface it before any search is spent.
 var ErrUnsatisfiable = domain.ErrUnsatisfiable
-
-// RegisterStrategy adds a named strategy factory to the global
-// registry, making it selectable through Options.Strategy. The factory
-// runs once per Solve call, so strategies may carry per-run state.
-func RegisterStrategy(name string, factory func() Strategy) {
-	core.RegisterStrategy(name, factory)
-}

@@ -59,7 +59,7 @@
 //	POST /v1/solve              submit a job ({"wait": true} for sync)
 //	GET  /v1/jobs/{id}          job status / result (?wait=5s long-polls)
 //	POST /v1/jobs/{id}/cancel   cancel a job
-//	GET  /v1/problems           registered benchmarks and strategies
+//	GET  /v1/problems           registered problems, with their default sizes
 //	POST /v1/fleet/register     worker registration and liveness (with -fleet)
 //	POST /v1/fleet/deregister   graceful worker leave (with -fleet)
 //	GET  /v1/fleet              fleet membership table (with -fleet)

@@ -7,8 +7,7 @@
 //
 // The root package is the solver library, a thin facade over:
 //
-//   - internal/core      — the sequential Adaptive Search engine and
-//     its strategy plug point
+//   - internal/core      — the sequential Adaptive Search engine
 //   - internal/problems  — benchmark encodings (all-interval,
 //     perfect-square, magic-square, Costas arrays, queens, alpha,
 //     langford, partition, timetable)

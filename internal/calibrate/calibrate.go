@@ -1,6 +1,6 @@
 // Package calibrate is the runtime-distribution calibration store
 // behind adaptive parallelism: an append-only record of observed
-// solve effort per (problem, size, params, strategy), fed from bench
+// solve effort per (problem, size, params), fed from bench
 // runs and from live job telemetry, and resolved on demand into a
 // fitted runtime model (stats.FitBest) plus an iteration-rate
 // estimate. The service's AutoSize admission mode and the
@@ -64,19 +64,15 @@ var (
 // string encoding of the request's parameter map (see CanonicalParams)
 // so that map ordering never splits a population.
 type Key struct {
-	Problem  string `json:"problem"`
-	Size     int    `json:"size"`
-	Params   string `json:"params,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
+	Problem string `json:"problem"`
+	Size    int    `json:"size"`
+	Params  string `json:"params,omitempty"`
 }
 
 func (k Key) String() string {
 	s := fmt.Sprintf("%s/%d", k.Problem, k.Size)
 	if k.Params != "" {
 		s += "?" + k.Params
-	}
-	if k.Strategy != "" {
-		s += "#" + k.Strategy
 	}
 	return s
 }

@@ -33,7 +33,7 @@ func drawShiftedExp(r *rng.Rand, shift, scale float64, n int) []float64 {
 
 func TestRecordResolveFit(t *testing.T) {
 	st := NewStore()
-	key := Key{Problem: "costas", Size: 18, Strategy: "adaptive"}
+	key := Key{Problem: "costas", Size: 18}
 	now := time.Now()
 	r := rng.New(1)
 	// Two sequential feeds pool into one sample.
@@ -203,7 +203,7 @@ func TestBatchCapKeepsFresh(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	st := NewStore()
 	now := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	k1 := Key{Problem: "costas", Size: 14, Strategy: "adaptive"}
+	k1 := Key{Problem: "costas", Size: 14}
 	k2 := Key{Problem: "timetable", Size: 20, Params: "rooms=4,slots=8"}
 	if err := st.Record(k1, seqBatch(t, drawShiftedExp(rng.New(5), 50, 500, 64), 2e5, now)); err != nil {
 		t.Fatal(err)

@@ -24,10 +24,10 @@ func TunedOptions(p Problem) Options {
 // Solve runs the constraint-based local search engine on p until a
 // solution is found, the restart budget is exhausted, or ctx is
 // cancelled. A nil ctx is treated as context.Background(). The search
-// strategy is resolved from opts.Strategy (classic Adaptive Search by
-// default). The returned error reports invalid options or an ill-formed
-// problem; search outcomes (including running out of budget) are
-// reported in the Result, not as errors.
+// is Adaptive Search, the one algorithm there is. The returned error
+// reports invalid options or an ill-formed problem; search outcomes
+// (including running out of budget) are reported in the Result, not as
+// errors.
 func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -40,23 +40,19 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	strat, err := strategyFor(opts.Strategy)
-	if err != nil {
-		return Result{}, err
-	}
 
 	e := &engine{
-		p:     p,
-		opts:  opts,
-		rand:  rng.New(opts.Seed),
-		done:  ctx.Done(),
-		strat: strat,
+		p:    p,
+		opts: opts,
+		rand: rng.New(opts.Seed),
+		done: ctx.Done(),
 	}
 	e.resetter, _ = p.(ResetHandler)
 	// The one place that branches on which encoding p is: everything the
 	// two differ in goes into the move set, and the loop runs over it.
 	if fd, ok := p.(FDProblem); ok {
-		if e.mv, err = newAssignMoves(fd, strat); err != nil {
+		var err error
+		if e.mv, err = newAssignMoves(fd); err != nil {
 			return Result{}, err
 		}
 	} else {
@@ -103,12 +99,12 @@ type moves interface {
 	// configuration.
 	randomize(e *engine)
 	// step runs one iteration's selection and, if a move was accepted
-	// (for the default strategy: one costing no more than staying put),
-	// executes it. It returns the variable selected and whether it
+	// (one costing no more than staying put), executes it and freezes
+	// what it moved. It returns the variable selected and whether it
 	// moved; not moving is a local minimum.
 	step(e *engine) (worst int, moved bool)
-	// escape executes the restart policy's forced move on (vi, vj),
-	// uphill or not.
+	// escape executes localMinimum's forced move on (vi, vj), uphill or
+	// not.
 	escape(e *engine, vi, vj int)
 	// perturb is the generic partial reset: it re-randomizes k variables
 	// of e.st.Cfg and leaves the cost to the caller.
@@ -116,16 +112,15 @@ type moves interface {
 }
 
 // engine holds the mutable state of one Solve call: the loop skeleton
-// plus the strategy instance and the move set it dispatches to. The
-// search state proper (configuration, cost, tabu marks) lives in st,
-// the view handed to strategy plug points.
+// and the move set it dispatches to. The search state proper
+// (configuration, cost, tabu marks) lives in st, which the selection
+// kernels scan.
 type engine struct {
 	p        Problem
 	opts     Options
 	rand     *rng.Rand
 	done     <-chan struct{}
 	resetter ResetHandler
-	strat    Strategy
 	mv       moves
 
 	st State
@@ -141,11 +136,12 @@ type engine struct {
 	checkLeft int64
 
 	bestCost int // best global cost seen across all runs
+	marked   int // variables frozen since the last reset or run start
 }
 
 func (e *engine) solve() Result {
 	n := e.p.Size()
-	e.res = Result{Cost: CostUnknown, Strategy: e.strat.Name}
+	e.res = Result{Cost: CostUnknown}
 	e.bestCost = math.MaxInt
 
 	// Degenerate sizes have a single configuration (the identity, which
@@ -206,8 +202,8 @@ func (e *engine) finishResult() {
 }
 
 // runOnce performs a single run (up to MaxIterations), dispatching each
-// iteration to the move set and the strategy plug points. It returns
-// solved=true when a zero-cost configuration was reached and
+// iteration to the move set and each local minimum to localMinimum. It
+// returns solved=true when a zero-cost configuration was reached and
 // interrupted=true when the context was cancelled mid-run.
 func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 	o := &e.opts
@@ -221,7 +217,7 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 	e.st.InvalidateErrors()
 	clear(e.st.Marks)
 	e.st.Iter = 0
-	e.strat.Restart.NewRun(&e.st)
+	e.marked = 0
 	e.bestCost = min(e.bestCost, e.st.Cost)
 
 	checkEvery := int64(o.CheckEvery)
@@ -243,34 +239,14 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 					return false, false
 				}
 				if d.SetConfig != nil && e.adoptConfig(d.SetConfig) {
-					e.strat.Restart.NewRun(&e.st)
 					continue
 				}
 			}
 		}
 
-		worst, moved := e.mv.step(e)
-		if moved {
-			continue
-		}
-
-		// Local minimum: the move selector found no acceptable move. The
-		// restart policies reason about a second variable, so a problem
-		// of one variable (finite-domain only: minSize) has its escape
-		// forced on the only one there is.
-		e.res.LocalMinima++
-		vi, vj, reset := 0, 0, false
-		if len(e.st.Cfg) >= 2 {
-			vi, vj, reset = e.strat.Restart.OnLocalMinimum(&e.st, worst)
-		}
-		if vj >= 0 {
-			e.mv.escape(e, vi, vj)
-			e.res.PlateauEscapes++
-			continue
-		}
-		if reset {
-			e.partialReset()
-			clear(e.st.Marks)
+		if worst, moved := e.mv.step(e); !moved {
+			e.res.LocalMinima++
+			e.localMinimum(worst)
 		}
 	}
 	if e.st.Cost == 0 {
@@ -299,8 +275,8 @@ func (e *engine) landed(cost int) {
 }
 
 // adoptConfig teleports the walker to cfg (from a Monitor directive),
-// clearing tabu marks and recomputing the cost. Invalid configurations
-// are rejected.
+// clearing tabu marks and their count and recomputing the cost. Invalid
+// configurations are rejected.
 func (e *engine) adoptConfig(cfg []int) bool {
 	if ValidateConfig(e.p, cfg) != nil {
 		return false
@@ -308,6 +284,7 @@ func (e *engine) adoptConfig(cfg []int) bool {
 	copy(e.st.Cfg, cfg)
 	e.landed(e.p.Cost(e.st.Cfg))
 	clear(e.st.Marks)
+	e.marked = 0
 	return true
 }
 
@@ -352,14 +329,17 @@ func (m *swapMoves) step(e *engine) (worst int, moved bool) {
 	if e.opts.Exhaustive {
 		worst, bestJ, bestCost = e.selectBestPair()
 	} else {
-		worst = e.strat.Variable.SelectVariable(&e.st)
-		bestJ, bestCost = e.strat.Move.SelectMove(&e.st, worst)
+		worst = e.st.SelectVariable()
+		bestJ, bestCost = e.st.SelectMove(worst)
 	}
 	if bestJ == worst {
 		return worst, false
 	}
 	m.swap(e, worst, bestJ, bestCost)
-	e.strat.Restart.OnSwap(&e.st, worst, bestJ)
+	if f := e.opts.FreezeSwap; f > 0 {
+		e.freeze(worst, f)
+		e.freeze(bestJ, f)
+	}
 	return worst, true
 }
 

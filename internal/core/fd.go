@@ -9,10 +9,10 @@ import (
 
 // This file defines the finite-domain (FD) encoding layer: the
 // interfaces a non-permutation problem implements, the State accessors
-// FD move selectors use, and the FD implementations of the built-in
-// selectors. Both encodings run the one engine loop; an FD problem runs
-// it over assign moves (fdengine.go) instead of swaps, with batched
-// assign evaluation instead of CostsIfSwapAll and a pre-search
+// the FD kernels use, and min-conflict assign selection (SelectAssign).
+// Both encodings run the one engine loop; an FD problem runs it over
+// assign moves (fdengine.go) instead of swaps, with batched assign
+// evaluation instead of CostsIfSwapAll and a pre-search
 // domain-reduction pass.
 
 // FDProblem is a CSP over finite domains: variable i takes values from
@@ -87,25 +87,6 @@ type DomainReducer interface {
 // instances of an encoding without it.
 type Cloner interface {
 	Clone() Problem
-}
-
-// AssignSelector is the FD counterpart of MoveSelector: given the
-// selected variable it picks the value to assign. Strategies whose
-// MoveSelector also implements AssignSelector work on both encodings;
-// Solve rejects FD problems under a strategy without one.
-type AssignSelector interface {
-	// SelectAssign returns the value v to assign to variable i and the
-	// global cost the assignment would produce. Returning v == s.Cfg[i]
-	// reports that no acceptable move exists (a local minimum).
-	SelectAssign(s *State, i int) (v, cost int)
-}
-
-// AssignRestartPolicy is the optional FD hook on a RestartPolicy:
-// OnAssign is invoked after an executed assignment on variable i, the
-// counterpart of OnSwap's post-swap freezes. Policies without it get
-// OnSwap(s, i, i) instead.
-type AssignRestartPolicy interface {
-	OnAssign(s *State, i int)
 }
 
 // ValidateFDConfig is ValidateConfig for a problem known to be
@@ -188,16 +169,17 @@ func (s *State) bindFD(p Problem, n int) {
 	}
 }
 
-// SelectAssign implements AssignSelector for MinConflictMove: scan the
-// variable's domain, keep the value minimizing the global cost, ties
-// broken uniformly, with the current value seeding the pool so sideways
-// moves compete on equal footing and strictly-worse values are never
-// taken. The batched AssignEvaluator row is scanned by scanMin;
+// SelectAssign is SelectMove on the FD encoding: it scans variable i's
+// domain and returns the value v minimizing the global cost, and that
+// cost, ties broken uniformly, with the current value seeding the pool
+// so sideways moves compete on equal footing and strictly-worse values
+// are never taken; v == s.Cfg[i] on return signals a local minimum.
+// The batched AssignEvaluator row is scanned by scanMin;
 // selectAssignByCall scans in the same order with the same acceptance
 // rules and RNG consumption, so FD traces do not depend on which path
 // served the costs. FirstBest keeps the per-call path for the same
 // reason SelectMove does: its point is to stop at the first improvement.
-func (MinConflictMove) SelectAssign(s *State, i int) (v, cost int) {
+func (s *State) SelectAssign(i int) (v, cost int) {
 	d := s.DomainOf(i)
 	if s.assignEval == nil || s.Opts.FirstBest {
 		return selectAssignByCall(s, i, d)
@@ -249,16 +231,6 @@ func selectAssignByCall(s *State, i int, d []int) (v, cost int) {
 		}
 	}
 	return bestV, bestCost
-}
-
-// OnAssign implements AssignRestartPolicy for AdaptiveRestart: the
-// assigned variable is frozen for FreezeSwap iterations, the FD
-// counterpart of the post-swap double freeze.
-func (p *AdaptiveRestart) OnAssign(s *State, i int) {
-	if f := s.Opts.FreezeSwap; f > 0 {
-		s.Marks[i] = s.Iter + int64(f)
-		p.marked++
-	}
 }
 
 // errConfigLength is the wrong-length error of ValidateConfig on both

@@ -7,20 +7,18 @@ import "fmt"
 // swapMoves exchanges two variables. A fresh configuration draws each
 // variable uniformly from its (reduced) domain, the forced escape and
 // the generic partial reset re-draw variables the same way, and the
-// selection goes through the strategy's AssignSelector.
+// selected variable's value comes from SelectAssign.
 type assignMoves struct {
 	fd       FDProblem
-	assigner AssignExecutor      // nil without incremental state to update
-	sel      AssignSelector      // the strategy's MoveSelector, seen as its FD half
-	restart  AssignRestartPolicy // nil: the policy gets OnSwap(i, i)
+	assigner AssignExecutor // nil without incremental state to update
 }
 
 // newAssignMoves runs what must precede the first draw on a
 // finite-domain problem — the pre-search reduction pass and the proof
 // that every domain is habitable; an empty one wraps
 // domain.ErrUnsatisfiable, a proof surfaced as a typed error rather
-// than an unsolved Result — and resolves the FD plug points of strat.
-func newAssignMoves(fd FDProblem, strat Strategy) (*assignMoves, error) {
+// than an unsolved Result.
+func newAssignMoves(fd FDProblem) (*assignMoves, error) {
 	if dr, ok := fd.(DomainReducer); ok {
 		if err := dr.ReduceDomains(); err != nil {
 			return nil, fmt.Errorf("core: domain reduction: %w", err)
@@ -31,10 +29,6 @@ func newAssignMoves(fd FDProblem, strat Strategy) (*assignMoves, error) {
 	}
 	m := &assignMoves{fd: fd}
 	m.assigner, _ = fd.(AssignExecutor)
-	m.restart, _ = strat.Restart.(AssignRestartPolicy)
-	if m.sel, _ = strat.Move.(AssignSelector); m.sel == nil {
-		return nil, fmt.Errorf("core: strategy %q has no finite-domain move selector", strat.Name)
-	}
 	return m, nil
 }
 
@@ -59,17 +53,16 @@ func (m *assignMoves) step(e *engine) (worst int, moved bool) {
 	if e.opts.Exhaustive {
 		worst, bestV, bestCost = e.selectBestAssign()
 	} else {
-		worst = e.strat.Variable.SelectVariable(&e.st)
-		bestV, bestCost = m.sel.SelectAssign(&e.st, worst)
+		worst = e.st.SelectVariable()
+		bestV, bestCost = e.st.SelectAssign(worst)
 	}
 	if bestV == e.st.Cfg[worst] {
 		return worst, false
 	}
 	m.assign(e, worst, bestV, bestCost)
-	if m.restart != nil {
-		m.restart.OnAssign(&e.st, worst)
-	} else {
-		e.strat.Restart.OnSwap(&e.st, worst, worst)
+	// The FD counterpart of the post-swap double freeze.
+	if f := e.opts.FreezeSwap; f > 0 {
+		e.freeze(worst, f)
 	}
 	return worst, true
 }

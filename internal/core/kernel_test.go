@@ -333,21 +333,21 @@ func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
 					}
 				}
 
-				if want, have := refSelectVariable(ref), (AdaptiveVariable{}).SelectVariable(got); want != have {
+				if want, have := refSelectVariable(ref), got.SelectVariable(); want != have {
 					t.Fatalf("seed %d n %d: SelectVariable = %d, reference loop %d", seed, n, have, want)
 				}
 				inStep("SelectVariable")
 
 				i := gen.Intn(n)
 				wj, wc := refSelectMove(ref, i)
-				hj, hc := MinConflictMove{}.SelectMove(got, i)
+				hj, hc := got.SelectMove(i)
 				if wj != hj || wc != hc {
 					t.Fatalf("seed %d n %d: SelectMove(%d) = (%d, %d), reference loop (%d, %d)", seed, n, i, hj, hc, wj, wc)
 				}
 				inStep("SelectMove")
 
 				wv, wc := refSelectAssign(ref, i)
-				hv, hc := MinConflictMove{}.SelectAssign(got, i)
+				hv, hc := got.SelectAssign(i)
 				if wv != hv || wc != hc {
 					t.Fatalf("seed %d n %d: SelectAssign(%d) = (%d, %d), reference loop (%d, %d)", seed, n, i, hv, hc, wv, wc)
 				}

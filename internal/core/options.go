@@ -53,12 +53,10 @@ type Options struct {
 	// expressed in percent). Must be in [0, 1].
 	ProbSelectLocMin float64 `json:"prob_select_loc_min,omitempty"`
 
-	// Strategy names the search strategy, resolved through the strategy
-	// registry at Solve time ("" selects StrategyAdaptive, classic
-	// Adaptive Search, the one built-in); custom strategies plug in via
-	// RegisterStrategy. Because the field is a plain name, Options stays
-	// copyable and each Solve call gets a fresh, race-free strategy
-	// instance — the property concurrent walkers rely on.
+	// Strategy names the search algorithm. Adaptive Search is the one
+	// there is, so the only legal values are "" and StrategyAdaptive;
+	// Validate rejects any other name. The field stays so that run
+	// requests naming it still read.
 	Strategy string `json:"strategy,omitempty"`
 
 	// FirstBest, when true, stops scanning swap candidates at the first
@@ -70,10 +68,7 @@ type Options struct {
 	// swapping only the worst variable (the C library's ad.exhaustive).
 	// O(n^2) per iteration, but the stronger moves pay off on small,
 	// densely-constrained problems (e.g. the alpha cipher). Tabu marks
-	// are ignored in this mode. The pair scan replaces the strategy's
-	// variable/move plug points wholesale, so a non-default Strategy
-	// takes precedence: setting one disables Exhaustive (so a custom
-	// strategy runs on exhaustive-tuned benchmarks too).
+	// are ignored in this mode.
 	Exhaustive bool `json:"exhaustive,omitempty"`
 
 	// Seed seeds the engine's private RNG stream. Two runs with the same
@@ -107,6 +102,12 @@ type Options struct {
 // period) resolve the default exactly once, here.
 const DefaultCheckEvery = 64
 
+// StrategyAdaptive is classic Adaptive Search: worst-variable
+// selection, min-conflict moves, freeze/reset diversification. It is
+// the one search algorithm the engine runs, and the one legal non-empty
+// value of Options.Strategy.
+const StrategyAdaptive = "adaptive"
+
 // Directive steers a running search from a Monitor callback.
 type Directive struct {
 	// Stop aborts the Solve call; the result reports Interrupted.
@@ -129,14 +130,8 @@ func DefaultOptions(n int) Options {
 	return o
 }
 
-// normalize fills zero fields with defaults for an n-variable problem
-// and applies the Strategy-over-Exhaustive precedence (the pair scan
-// bypasses the strategy plug points, so an explicitly selected
-// non-default strategy wins).
+// normalize fills zero fields with defaults for an n-variable problem.
 func (o *Options) normalize(n int) {
-	if o.Strategy != "" && o.Strategy != StrategyAdaptive {
-		o.Exhaustive = false
-	}
 	if o.MaxIterations == 0 {
 		it := int64(200 * n)
 		if it < 10_000 {
@@ -182,8 +177,8 @@ func (o *Options) Validate() error {
 	if o.FreezeLocMin < 0 || o.FreezeSwap < 0 || o.ResetLimit < 0 || o.CheckEvery < 0 {
 		return errors.New("core: freeze/reset/check options must be >= 0")
 	}
-	if o.Strategy != "" && !knownStrategy(o.Strategy) {
-		return unknownStrategyError(o.Strategy)
+	if o.Strategy != "" && o.Strategy != StrategyAdaptive {
+		return fmt.Errorf("core: unknown strategy %q (the one strategy is %q)", o.Strategy, StrategyAdaptive)
 	}
 	return nil
 }

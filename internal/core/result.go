@@ -32,9 +32,6 @@ type Result struct {
 	// before evaluating any configuration (context already cancelled at
 	// Solve time) reports CostUnknown.
 	Cost int
-	// Strategy names the search strategy that produced the result
-	// (Options.Strategy resolved through the registry).
-	Strategy string
 
 	// Iterations counts engine iterations summed over all restarts.
 	Iterations int64

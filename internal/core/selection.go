@@ -6,31 +6,29 @@ import (
 	"repro/internal/rng"
 )
 
-// This file holds the concrete strategy implementation: the Adaptive
-// Search triple (AdaptiveVariable, MinConflictMove, AdaptiveRestart).
-// The exhaustive pair scan, which bypasses the variable/move split
-// entirely, lives at the bottom as an engine method.
+// This file holds Adaptive Search itself, the one algorithm the engine
+// runs: worst-variable selection and min-conflict swap selection over
+// *State, the freeze / escape / reset policy over the engine, and the
+// exhaustive pair scan that replaces the first two in Exhaustive mode.
+// The finite-domain counterparts of the move kernels are in fd.go.
 
-// AdaptiveVariable is the default VariableSelector: it picks the
-// non-frozen variable with the highest projected error, breaking ties
-// uniformly at random, and falls back to a uniformly random index when
-// every variable is frozen — exactly the C library's behavior.
+// SelectVariable picks the non-frozen variable with the highest
+// projected error, breaking ties uniformly at random, and falls back to
+// a uniformly random index when every variable is frozen — exactly the
+// C library's behavior.
 //
-// When the problem implements ErrorVector the selector scans the
-// incrementally maintained error vector instead of issuing one
-// CostOnVariable call per variable; both paths produce identical
-// selections (and consume the RNG identically), so the fast path never
-// changes a trace.
-type AdaptiveVariable struct{}
-
-// SelectVariable implements VariableSelector. With an error vector the
-// scan is a kernel over locals that compares the error before it looks
-// at the tabu mark: an entry below the running best is neither a new
-// maximum nor a tie, frozen or not, so most entries cost one load and
-// one predictable branch, and the chosen index and every tie-break draw
-// are those of selectVariableByCall, the frozen-first scan that
-// problems without an ErrorVector still take.
-func (AdaptiveVariable) SelectVariable(s *State) int {
+// When the problem implements ErrorVector it scans the incrementally
+// maintained error vector instead of issuing one CostOnVariable call
+// per variable; both paths produce identical selections (and consume
+// the RNG identically), so the fast path never changes a trace. With
+// an error vector the scan is a kernel over locals that compares the
+// error before it looks at the tabu mark: an entry below the running
+// best is neither a new maximum nor a tie, frozen or not, so most
+// entries cost one load and one predictable branch, and the chosen
+// index and every tie-break draw are those of selectVariableByCall,
+// the frozen-first scan that problems without an ErrorVector still
+// take.
+func (s *State) SelectVariable() int {
 	errs := s.Errors()
 	if errs == nil {
 		return selectVariableByCall(s)
@@ -89,25 +87,22 @@ func selectVariableByCall(s *State) int {
 	return worst
 }
 
-// MinConflictMove is the default MoveSelector: it scans all swap
-// partners for the selected variable and returns the partner minimizing
-// the resulting global cost, ties broken uniformly. Following the
-// original Select_Var_Min_Conflict, "staying put" (j == i, cost
-// unchanged) seeds the candidate pool, so sideways plateau moves
-// compete with it on equal footing and strictly-worse moves are never
-// taken; j == i on return signals a genuine local minimum. With
-// Options.FirstBest set it returns the first strictly improving partner
-// immediately.
-type MinConflictMove struct{}
-
-// SelectMove implements MoveSelector. When the problem implements
-// MoveEvaluator the whole cost row is filled in one batched call and
-// scanned by scanMin; the scan order, acceptance rules and tie-break
-// RNG consumption are those of selectMoveByCall, so the fast path never
-// changes a trace. FirstBest keeps the per-call path: its
-// whole point is to stop evaluating at the first improving candidate,
-// which an eager row fill would defeat.
-func (MinConflictMove) SelectMove(s *State, i int) (j, cost int) {
+// SelectMove scans all swap partners of variable i and returns the
+// partner j minimizing the resulting global cost, and that cost, ties
+// broken uniformly. Following the original Select_Var_Min_Conflict,
+// "staying put" (j == i, cost unchanged) seeds the candidate pool, so
+// sideways plateau moves compete with it on equal footing and
+// strictly-worse moves are never taken; j == i on return signals a
+// genuine local minimum. With Options.FirstBest set it returns the
+// first strictly improving partner immediately.
+//
+// When the problem implements MoveEvaluator the whole cost row is
+// filled in one batched call and scanned by scanMin; the scan order,
+// acceptance rules and tie-break RNG consumption are those of
+// selectMoveByCall, so the fast path never changes a trace. FirstBest
+// keeps the per-call path: its whole point is to stop evaluating at
+// the first improving candidate, which an eager row fill would defeat.
+func (s *State) SelectMove(i int) (j, cost int) {
 	if s.moveEval == nil || s.Opts.FirstBest {
 		return selectMoveByCall(s, i)
 	}
@@ -175,62 +170,57 @@ func selectMoveByCall(s *State, i int) (j, cost int) {
 	return bestJ, bestCost
 }
 
-// AdaptiveRestart is the default RestartPolicy, reproducing the C
-// library's diversification: on a local minimum it either forces a
-// random (possibly uphill) move with probability ProbSelectLocMin, or
-// freezes the variable for FreezeLocMin iterations; when more than
-// ResetLimit variables have been frozen since the last reset it
-// requests a partial reset. Executed swaps freeze both variables for
-// FreezeSwap iterations when that option is set.
-type AdaptiveRestart struct {
-	marked int // variables frozen since the last reset
+// freeze makes variable i tabu for the next f iterations and counts it
+// towards the partial-reset threshold.
+func (e *engine) freeze(i, f int) {
+	e.st.Marks[i] = e.st.Iter + int64(f)
+	e.marked++
 }
 
-// NewRun implements RestartPolicy.
-func (p *AdaptiveRestart) NewRun(s *State) { p.marked = 0 }
-
-// OnSwap implements RestartPolicy.
-func (p *AdaptiveRestart) OnSwap(s *State, i, j int) {
-	if f := s.Opts.FreezeSwap; f > 0 {
-		s.Marks[i] = s.Iter + int64(f)
-		s.Marks[j] = s.Iter + int64(f)
-		p.marked += 2
+// localMinimum is the C library's diversification on a local minimum at
+// variable i: with probability ProbSelectLocMin it forces a move on a
+// random second variable (possibly uphill), as in prob_select_loc_min;
+// otherwise it freezes i for FreezeLocMin iterations and, once more
+// than ResetLimit variables have been frozen since the last reset,
+// partially resets the configuration and clears every mark. A problem
+// of one variable (finite-domain only: minSize) has no second variable
+// to reason about, so its escape is forced on the only one there is.
+func (e *engine) localMinimum(i int) {
+	o := &e.opts
+	n := len(e.st.Cfg)
+	if n < 2 {
+		e.mv.escape(e, 0, 0)
+		e.res.PlateauEscapes++
+		return
 	}
-}
-
-// OnLocalMinimum implements RestartPolicy.
-func (p *AdaptiveRestart) OnLocalMinimum(s *State, i int) (vi, vj int, reset bool) {
-	o := s.Opts
-	n := len(s.Cfg)
-	if o.ProbSelectLocMin > 0 && s.Rand.Float64() < o.ProbSelectLocMin {
-		// Probabilistic escape: force the move on a random second
-		// variable (possibly uphill), as in the C library's
-		// prob_select_loc_min. In exhaustive mode the pair scan did not
-		// elect a meaningful variable, so re-pick it at random too.
+	if o.ProbSelectLocMin > 0 && e.rand.Float64() < o.ProbSelectLocMin {
+		// In exhaustive mode the pair scan did not elect a meaningful
+		// variable, so re-pick it at random too.
 		if o.Exhaustive {
-			i = s.Rand.Intn(n)
+			i = e.rand.Intn(n)
 		}
-		j := s.Rand.Intn(n - 1)
+		j := e.rand.Intn(n - 1)
 		if j >= i {
 			j++
 		}
-		return i, j, false
+		e.mv.escape(e, i, j)
+		e.res.PlateauEscapes++
+		return
 	}
-	s.Marks[i] = s.Iter + int64(o.FreezeLocMin)
-	p.marked++
-	if p.marked > o.ResetLimit {
-		p.marked = 0
-		return i, -1, true
+	e.freeze(i, o.FreezeLocMin)
+	if e.marked > o.ResetLimit {
+		e.marked = 0
+		e.partialReset()
+		clear(e.st.Marks)
 	}
-	return i, -1, false
 }
 
 // selectBestPair scans every unordered variable pair and returns the
 // swap minimizing the resulting cost (Exhaustive mode). "Staying put" is
-// in the tie pool exactly as in MinConflictMove; i == j on return
-// signals a strict local minimum. Tabu marks are ignored. Exhaustive
-// mode replaces the strategy's variable/move selectors wholesale, since
-// a pair scan has no separate variable-selection step. Problems
+// in the tie pool exactly as in SelectMove; i == j on return signals a
+// strict local minimum. Tabu marks are ignored. Exhaustive mode
+// replaces SelectVariable and SelectMove wholesale, since a pair scan
+// has no separate variable-selection step. Problems
 // implementing MoveEvaluator serve rows of the pair matrix through one
 // batched call while the upper-triangle remainder of the row is the
 // majority of it; the short tail rows, where a full-row bulk fill would

@@ -3,75 +3,11 @@ package core
 import (
 	"context"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
-// stubVariable wraps the default selector and counts invocations,
-// proving the engine dispatches variable selection through the plug
-// point.
-type stubVariable struct {
-	calls *atomic.Int64
-	inner AdaptiveVariable
-}
-
-func (s stubVariable) SelectVariable(st *State) int {
-	s.calls.Add(1)
-	return s.inner.SelectVariable(st)
-}
-
-// stubMove wraps the default move selector and counts invocations.
-type stubMove struct {
-	calls *atomic.Int64
-	inner MinConflictMove
-}
-
-func (s stubMove) SelectMove(st *State, i int) (int, int) {
-	s.calls.Add(1)
-	return s.inner.SelectMove(st, i)
-}
-
-// registerTestStrategies adds the strategies these tests resolve by
-// name. The registry is process-wide and refuses a name twice, so under
-// -count=N only the first run registers; the stub's counters are
-// package-level for the same reason.
-var (
-	varCalls, moveCalls    atomic.Int64
-	registerTestStrategies = sync.OnceFunc(func() {
-		RegisterStrategy("test-stub", func() Strategy {
-			return Strategy{
-				Name:     "test-stub",
-				Variable: stubVariable{calls: &varCalls},
-				Move:     stubMove{calls: &moveCalls},
-			}
-		})
-		RegisterStrategy("test-known", func() Strategy { return Strategy{} })
-	})
-)
-
-func TestStrategyPlugPointsInvoked(t *testing.T) {
-	registerTestStrategies()
-	varCalls.Store(0)
-	moveCalls.Store(0)
-	res, err := Solve(context.Background(), sortProblem{20}, Options{Seed: 1, Strategy: "test-stub"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Fatalf("stub strategy failed to solve: %v", res)
-	}
-	if res.Strategy != "test-stub" {
-		t.Fatalf("Result.Strategy = %q, want test-stub", res.Strategy)
-	}
-	if varCalls.Load() != res.Iterations {
-		t.Fatalf("VariableSelector called %d times over %d iterations", varCalls.Load(), res.Iterations)
-	}
-	if moveCalls.Load() != res.Iterations {
-		t.Fatalf("MoveSelector called %d times over %d iterations", moveCalls.Load(), res.Iterations)
-	}
-}
-
+// TestStrategyDefaultMatchesAdaptiveName: the empty Strategy and its
+// one legal name run the same search.
 func TestStrategyDefaultMatchesAdaptiveName(t *testing.T) {
 	a, err := Solve(context.Background(), sortProblem{25}, Options{Seed: 5})
 	if err != nil {
@@ -81,77 +17,24 @@ func TestStrategyDefaultMatchesAdaptiveName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Strategy != StrategyAdaptive {
-		t.Fatalf("default Result.Strategy = %q, want %q", a.Strategy, StrategyAdaptive)
-	}
 	if a.Iterations != b.Iterations || a.Swaps != b.Swaps || a.Resets != b.Resets {
 		t.Fatalf("empty Strategy and %q diverge: %v vs %v", StrategyAdaptive, a, b)
 	}
 }
 
+// TestStrategyUnknownRejected: Adaptive Search is the one algorithm, so
+// any other name fails Validate, and the error names both the strategy
+// asked for and the one there is.
 func TestStrategyUnknownRejected(t *testing.T) {
-	_, err := Solve(context.Background(), sortProblem{5}, Options{Strategy: "no-such-strategy"})
-	if err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if !strings.Contains(err.Error(), "no-such-strategy") {
-		t.Fatalf("error does not name the strategy: %v", err)
-	}
-}
-
-func TestStrategyNamesContainBuiltins(t *testing.T) {
-	names := StrategyNames()
-	want := map[string]bool{StrategyAdaptive: false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+	for _, name := range []string{"no-such-strategy", "metropolis"} {
+		_, err := Solve(context.Background(), sortProblem{5}, Options{Strategy: name})
+		if err == nil {
+			t.Fatalf("strategy %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), StrategyAdaptive) {
+			t.Fatalf("error does not name %q and %q: %v", name, StrategyAdaptive, err)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("built-in strategy %q missing from StrategyNames: %v", n, names)
-		}
-	}
-}
-
-// TestKnownStrategy: the one registry lookup strategy names are
-// validated with. "" is not a name — callers treat it as "use the
-// default" before asking.
-func TestKnownStrategy(t *testing.T) {
-	registerTestStrategies()
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{StrategyAdaptive, true},
-		{"test-known", true},
-		{"", false},
-		{"no-such-strategy", false},
-	}
-	for _, tc := range cases {
-		if got := knownStrategy(tc.name); got != tc.want {
-			t.Errorf("knownStrategy(%q) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestRegisterStrategyPanics: empty names, nil factories and duplicates
-// must panic loudly rather than corrupt the registry.
-func TestRegisterStrategyPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("empty name", func() { RegisterStrategy("", func() Strategy { return Strategy{} }) })
-	mustPanic("nil factory", func() { RegisterStrategy("x-nil", nil) })
-	mustPanic("duplicate", func() {
-		RegisterStrategy(StrategyAdaptive, func() Strategy { return Strategy{} })
-	})
 }
 
 // TestStateErrorsNilWithoutFastPath: problems without ErrorVector must
@@ -164,33 +47,10 @@ func TestStateErrorsNilWithoutFastPath(t *testing.T) {
 	}
 }
 
-// TestStrategyOverridesExhaustive: the exhaustive pair scan bypasses
-// the strategy plug points, so an explicitly selected non-default
-// strategy takes precedence — the run executes the named strategy (not
-// a mislabeled pair scan), trace-identical to the same options without
-// Exhaustive.
-func TestStrategyOverridesExhaustive(t *testing.T) {
-	registerTestStrategies()
-	base := Options{Seed: 3, Strategy: "test-known"}
-	want, err := Solve(context.Background(), sortProblem{30}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEx := base
-	withEx.Exhaustive = true
-	got, err := Solve(context.Background(), sortProblem{30}, withEx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Strategy != "test-known" {
-		t.Fatalf("Result.Strategy = %q, want test-known", got.Strategy)
-	}
-	if got.Iterations != want.Iterations || got.Swaps != want.Swaps {
-		t.Fatalf("Exhaustive not overridden by strategy: %v vs %v", got, want)
-	}
-	// The default strategy (named or empty) keeps exhaustive semantics:
-	// on the sort problem the pair scan fixes at least one element per
-	// move, bounding iterations by n.
+// TestExhaustiveWithStrategyName: the pair scan runs whether Strategy
+// is empty or names adaptive. On the sort problem it fixes at least one
+// element per move, bounding iterations by n.
+func TestExhaustiveWithStrategyName(t *testing.T) {
 	for _, s := range []string{"", StrategyAdaptive} {
 		res, err := Solve(context.Background(), sortProblem{10}, Options{
 			Seed:       1,

@@ -194,53 +194,50 @@ func TestFDAssignConsistency(t *testing.T) {
 }
 
 // TestFDSolveEndToEnd runs the full engine over a compiled FD model and
-// checks the solution satisfies every constraint, for each strategy.
+// checks the solution satisfies every constraint.
 func TestFDSolveEndToEnd(t *testing.T) {
-	for _, strat := range core.StrategyNames() {
-		t.Run(strat, func(t *testing.T) {
-			m := NewModel(4, 1)
-			m.AddLinearSum("sum", []int{0, 1, 2, 3}, nil, 14)
-			m.AddLinearSum("pair", []int{0, 3}, nil, 7)
-			m.SetDomainRange(0, 0, 5)
-			m.SetDomainRange(1, 0, 5)
-			m.SetDomainRange(2, 0, 5)
-			m.SetDomainRange(3, 0, 5)
-			p, err := m.CompileFD()
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := core.DefaultOptions(p.Size())
-			opts.Strategy = strat
-			opts.Seed = 7
-			opts.MaxIterations = 20000
-			res, err := core.Solve(context.Background(), p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Solved {
-				t.Fatalf("unsolved: %v", res)
-			}
-			if res.Assigns == 0 {
-				t.Fatalf("FD run reported zero assigns: %v", res)
-			}
-			if res.Swaps != 0 {
-				t.Fatalf("FD run reported %d swaps, want 0", res.Swaps)
-			}
-			sum := 0
-			for _, v := range res.Solution {
-				sum += v + 1
-			}
-			if sum != 14 {
-				t.Fatalf("solution %v sums to %d, want 14", res.Solution, sum)
-			}
-			if got := res.Solution[0] + res.Solution[3] + 2; got != 7 {
-				t.Fatalf("solution %v: pair sums to %d, want 7", res.Solution, got)
-			}
-			if err := core.ValidateFDConfig(p, res.Solution); err != nil {
-				t.Fatalf("solution outside domains: %v", err)
-			}
-		})
-	}
+	t.Run(core.StrategyAdaptive, func(t *testing.T) {
+		m := NewModel(4, 1)
+		m.AddLinearSum("sum", []int{0, 1, 2, 3}, nil, 14)
+		m.AddLinearSum("pair", []int{0, 3}, nil, 7)
+		m.SetDomainRange(0, 0, 5)
+		m.SetDomainRange(1, 0, 5)
+		m.SetDomainRange(2, 0, 5)
+		m.SetDomainRange(3, 0, 5)
+		p, err := m.CompileFD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions(p.Size())
+		opts.Seed = 7
+		opts.MaxIterations = 20000
+		res, err := core.Solve(context.Background(), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved {
+			t.Fatalf("unsolved: %v", res)
+		}
+		if res.Assigns == 0 {
+			t.Fatalf("FD run reported zero assigns: %v", res)
+		}
+		if res.Swaps != 0 {
+			t.Fatalf("FD run reported %d swaps, want 0", res.Swaps)
+		}
+		sum := 0
+		for _, v := range res.Solution {
+			sum += v + 1
+		}
+		if sum != 14 {
+			t.Fatalf("solution %v sums to %d, want 14", res.Solution, sum)
+		}
+		if got := res.Solution[0] + res.Solution[3] + 2; got != 7 {
+			t.Fatalf("solution %v: pair sums to %d, want 7", res.Solution, got)
+		}
+		if err := core.ValidateFDConfig(p, res.Solution); err != nil {
+			t.Fatalf("solution outside domains: %v", err)
+		}
+	})
 }
 
 // TestFDSolveUnsatisfiableSurfacesTypedError: the engine must run

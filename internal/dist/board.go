@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -203,7 +202,7 @@ func (h *boardHub) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg BoardSync
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBoardSyncLen)).Decode(&msg); err != nil {
+	if err := httpjson.Decode(r.Body, maxBoardSyncLen, &msg); err != nil {
 		httpjson.Write(w, http.StatusBadRequest, map[string]string{"error": "invalid board sync: " + err.Error()})
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,6 +252,23 @@ func TestBoardHubProtocol(t *testing.T) {
 	// elites.
 	if _, code := post(BoardSync{Valid: true, Cost: -1, Cfg: []int{0, 2, 1}}); code != http.StatusBadRequest {
 		t.Fatalf("understated cost accepted: code %d", code)
+	}
+	// The body is read strictly: a second value, an unknown field or a
+	// body past the length cap is a bad request, not a sync of its
+	// first object.
+	for name, body := range map[string]string{
+		"second value":  `{"valid":false}{"valid":true,"cost":0,"cfg":[0,1,2]}`,
+		"unknown field": `{"valid":false,"strategy":"x"}`,
+		"over the cap":  `{"valid":false}` + strings.Repeat(" ", maxBoardSyncLen) + `{"x":1}`,
+	} {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: code %d, want 400", name, resp.StatusCode)
+		}
 	}
 	// The coordinator-side handle sees only verified state.
 	if cost, cfg, ok := board.Snapshot(); !ok || cost != 1 || cfg[0] != 1 {

@@ -172,23 +172,22 @@ type BoardSync struct {
 // WalkerStatWire is the wire form of multiwalk.WalkerStat. Walker is
 // the global index; Elapsed travels as nanoseconds.
 type WalkerStatWire struct {
-	Walker         int    `json:"walker"`
-	Solved         bool   `json:"solved"`
-	Solution       []int  `json:"solution,omitempty"`
-	Cost           int    `json:"cost"`
-	Strategy       string `json:"strategy,omitempty"`
-	Iterations     int64  `json:"iterations"`
-	Swaps          int64  `json:"swaps"`
-	Assigns        int64  `json:"assigns,omitempty"`
-	Flips          int64  `json:"flips,omitempty"`
-	LocalMinima    int64  `json:"local_minima"`
-	PlateauEscapes int64  `json:"plateau_escapes"`
-	Resets         int64  `json:"resets"`
-	Restarts       int    `json:"restarts"`
-	Interrupted    bool   `json:"interrupted"`
-	ElapsedNS      int64  `json:"elapsed_ns"`
-	Adoptions      int64  `json:"adoptions,omitempty"`
-	Yielded        bool   `json:"yielded,omitempty"`
+	Walker         int   `json:"walker"`
+	Solved         bool  `json:"solved"`
+	Solution       []int `json:"solution,omitempty"`
+	Cost           int   `json:"cost"`
+	Iterations     int64 `json:"iterations"`
+	Swaps          int64 `json:"swaps"`
+	Assigns        int64 `json:"assigns,omitempty"`
+	Flips          int64 `json:"flips,omitempty"`
+	LocalMinima    int64 `json:"local_minima"`
+	PlateauEscapes int64 `json:"plateau_escapes"`
+	Resets         int64 `json:"resets"`
+	Restarts       int   `json:"restarts"`
+	Interrupted    bool  `json:"interrupted"`
+	ElapsedNS      int64 `json:"elapsed_ns"`
+	Adoptions      int64 `json:"adoptions,omitempty"`
+	Yielded        bool  `json:"yielded,omitempty"`
 }
 
 // RunResponse reports a finished shard run.
@@ -291,7 +290,6 @@ func wireStat(ws multiwalk.WalkerStat) WalkerStatWire {
 		Solved:         r.Solved,
 		Solution:       r.Solution,
 		Cost:           r.Cost,
-		Strategy:       r.Strategy,
 		Iterations:     r.Iterations,
 		Swaps:          r.Swaps,
 		Assigns:        r.Assigns,
@@ -315,7 +313,6 @@ func statFromWire(w WalkerStatWire) multiwalk.WalkerStat {
 			Solved:         w.Solved,
 			Solution:       w.Solution,
 			Cost:           w.Cost,
-			Strategy:       w.Strategy,
 			Iterations:     w.Iterations,
 			Swaps:          w.Swaps,
 			Assigns:        w.Assigns,

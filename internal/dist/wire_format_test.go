@@ -135,7 +135,7 @@ func responseWireResults() map[string]multiwalk.Result {
 		"solved-one-walker": {
 			Winner: 0, Solved: true, Completed: 1, Elapsed: 2_345_678,
 			Walkers: []multiwalk.WalkerStat{{Walker: 0, Result: core.Result{
-				Solved: true, Solution: []int{9, 3, 6, 2, 0, 8, 4, 1, 7, 5, 10}, Cost: 0, Strategy: "adaptive",
+				Solved: true, Solution: []int{9, 3, 6, 2, 0, 8, 4, 1, 7, 5, 10}, Cost: 0,
 				Iterations: 942, Swaps: 901, LocalMinima: 41, PlateauEscapes: 17, Resets: 3, Restarts: 0,
 				Elapsed: 2_101_337,
 			}}},
@@ -144,11 +144,11 @@ func responseWireResults() map[string]multiwalk.Result {
 			Winner: 1, Solved: true, Completed: 2, Elapsed: 9_876_543,
 			Walkers: []multiwalk.WalkerStat{
 				{Walker: 2, Result: core.Result{
-					Cost: 3, Strategy: "adaptive", Iterations: 4_470, Swaps: 4_102, LocalMinima: 368,
+					Cost: 3, Iterations: 4_470, Swaps: 4_102, LocalMinima: 368,
 					PlateauEscapes: 122, Resets: 36, Restarts: 1, Interrupted: true, Elapsed: 9_500_001,
 				}},
 				{Walker: 3, Result: core.Result{
-					Solved: true, Solution: []int{2, 0, 3, 1}, Cost: 0, Strategy: "adaptive",
+					Solved: true, Solution: []int{2, 0, 3, 1}, Cost: 0,
 					Iterations: 4_468, Swaps: 4_400, LocalMinima: 68, PlateauEscapes: 9, Resets: 6,
 					Elapsed: 9_499_870,
 				}, Adoptions: 2},
@@ -158,26 +158,26 @@ func responseWireResults() map[string]multiwalk.Result {
 			Winner: 0, Solved: true, Completed: 2, Elapsed: 310_042,
 			Walkers: []multiwalk.WalkerStat{
 				{Walker: 0, Result: core.Result{
-					Solved: true, Solution: []int{1, 3, 0, 2}, Cost: 0, Strategy: "adaptive",
+					Solved: true, Solution: []int{1, 3, 0, 2}, Cost: 0,
 					Iterations: 7, Swaps: 7, Elapsed: 12_345,
 				}},
-				{Walker: 1, Result: core.Result{Cost: core.CostUnknown, Strategy: "adaptive", Interrupted: true}},
+				{Walker: 1, Result: core.Result{Cost: core.CostUnknown, Interrupted: true}},
 			},
 		},
 		"virtual-shard": {
 			Winner: 1, Solved: true, Completed: 3, Elapsed: 31_415_926,
 			Walkers: []multiwalk.WalkerStat{
 				{Walker: 4, Result: core.Result{
-					Cost: 2, Strategy: "adaptive", Iterations: 20_000, Assigns: 18_660, LocalMinima: 1_340,
+					Cost: 2, Iterations: 20_000, Assigns: 18_660, LocalMinima: 1_340,
 					PlateauEscapes: 402, Resets: 88, Restarts: 1, Elapsed: 14_000_000,
 				}},
 				{Walker: 5, Result: core.Result{
-					Solved: true, Solution: []int{0, 1, 2, 0, 1, 2}, Cost: 0, Strategy: "adaptive",
+					Solved: true, Solution: []int{0, 1, 2, 0, 1, 2}, Cost: 0,
 					Iterations: 1_203, Assigns: 1_190, LocalMinima: 13, PlateauEscapes: 4, Resets: 1,
 					Elapsed: 1_000_500,
 				}},
 				{Walker: 6, Result: core.Result{
-					Solved: true, Solution: []int{2, 1, 0, 2, 1, 0}, Cost: 0, Strategy: "adaptive",
+					Solved: true, Solution: []int{2, 1, 0, 2, 1, 0}, Cost: 0,
 					Iterations: 9_999, Assigns: 9_800, LocalMinima: 199, PlateauEscapes: 31, Resets: 12,
 					Elapsed: 16_400_000,
 				}, Yielded: true},

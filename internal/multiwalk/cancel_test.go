@@ -486,7 +486,7 @@ func TestRunClaimsUnstartedWalker(t *testing.T) {
 			t.Fatalf("shard %+v: solved %v winner %d truncated %v completed %d, want solved by walker %d, not truncated, 2 completed",
 				shard, res.Solved, res.Winner, res.Truncated, res.Completed, first+1)
 		}
-		never := WalkerStat{Walker: first, Result: core.Result{Interrupted: true, Cost: core.CostUnknown, Strategy: core.StrategyAdaptive}}
+		never := WalkerStat{Walker: first, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
 		if !reflect.DeepEqual(res.Walkers[0], never) {
 			t.Fatalf("shard %+v: unstarted walker recorded as %+v, want %+v", shard, res.Walkers[0], never)
 		}

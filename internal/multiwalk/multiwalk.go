@@ -169,8 +169,7 @@ type WalkerStat struct {
 	// Result is the walker's engine result. In Run, losers are usually
 	// Interrupted, and a walker whose goroutine had not started when the
 	// run ended never ran: Run records it as Interrupted with zero
-	// iterations, Cost core.CostUnknown and the Strategy its engine
-	// would have named. In RunVirtual every walker runs to completion
+	// iterations and Cost core.CostUnknown. In RunVirtual every walker runs to completion
 	// unless the context is cancelled mid-sweep, in which case walkers
 	// that never ran carry an empty Result marked Interrupted (Cost
 	// core.CostUnknown, zero iterations).
@@ -366,12 +365,8 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 		// The run is over: a walker that has not started would only
 		// build its problem to see the cancel. On a sub-millisecond job
 		// that is most spawned walkers (DESIGN.md §7).
-		strategy := opts.Engine.Strategy
-		if strategy == "" {
-			strategy = core.StrategyAdaptive
-		}
 		for w := int(claim.next.Swap(int64(last))); w < last; w++ {
-			stats[w] = WalkerStat{Walker: opts.start() + w, Result: core.Result{Interrupted: true, Cost: core.CostUnknown, Strategy: strategy}}
+			stats[w] = WalkerStat{Walker: opts.start() + w, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
 			claim.wg.Done()
 		}
 	}

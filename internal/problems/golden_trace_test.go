@@ -17,8 +17,7 @@ import (
 // -update-golden regenerates testdata/golden_traces.json from the
 // current engine. Run it deliberately, diff the result, and commit:
 // any change means the engine's search trace moved for some
-// (problem, strategy, seed), which is exactly what this suite exists
-// to catch.
+// (problem, seed), which is exactly what this suite exists to catch.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace file from the current engine")
 
 // goldenTrace pins the deterministic outcome of one seeded
@@ -104,9 +103,9 @@ func solutionFNV(sol []int) uint64 {
 	return h.Sum64()
 }
 
-// runGoldenCase executes the pinned (problem, strategy) run: tuned
-// options, fixed seed, bounded budget, one deterministic trace.
-func runGoldenCase(t *testing.T, problem, strategy string) goldenTrace {
+// runGoldenCase executes the pinned run of problem: tuned options,
+// fixed seed, bounded budget, one deterministic trace.
+func runGoldenCase(t *testing.T, problem string) goldenTrace {
 	t.Helper()
 	size := goldenSizes[problem]
 	if size == 0 {
@@ -116,15 +115,14 @@ func runGoldenCase(t *testing.T, problem, strategy string) goldenTrace {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return goldenTraceOn(t, p, size, strategy, goldenSeed)
+	return goldenTraceOn(t, p, size, goldenSeed)
 }
 
 // goldenTraceOn runs the pinned search on the given instance (of the
 // given registry size).
-func goldenTraceOn(t *testing.T, p core.Problem, size int, strategy string, seed uint64) goldenTrace {
+func goldenTraceOn(t *testing.T, p core.Problem, size int, seed uint64) goldenTrace {
 	t.Helper()
 	opts := core.TunedOptions(p)
-	opts.Strategy = strategy
 	opts.Seed = seed
 	opts.MaxIterations = goldenMaxIters
 	opts.MaxRuns = goldenMaxRuns
@@ -148,42 +146,38 @@ func goldenTraceOn(t *testing.T, p core.Problem, size int, strategy string, seed
 	}
 }
 
-// TestGoldenTraces pins seeded whole-search traces for every
-// registered strategy across every registered problem, extending
-// errvec_test.go's trace-equality idea from one refactor boundary to
-// the engine as a whole: any future change to selection, restart
-// policy, RNG consumption or cost accounting that silently shifts a
-// search trace fails here, loudly, with the drifted counters.
+// TestGoldenTraces pins seeded whole-search traces of the engine
+// across every registered problem, extending errvec_test.go's
+// trace-equality idea from one refactor boundary to the engine as a
+// whole: any future change to selection, restart policy, RNG
+// consumption or cost accounting that silently shifts a search trace
+// fails here, loudly, with the drifted counters. The keys carry the
+// algorithm's name, "adaptive", from when there were several.
 func TestGoldenTraces(t *testing.T) {
-	keys := make([]string, 0, len(Names())*len(core.StrategyNames()))
+	keys := make([]string, 0, len(Names()))
 	got := make(map[string]goldenTrace)
 	for _, problem := range Names() {
-		for _, strategy := range core.StrategyNames() {
-			key := problem + "/" + strategy
-			keys = append(keys, key)
-			parts := [2]string{problem, strategy}
-			t.Run(key, func(t *testing.T) {
-				got[key] = runGoldenCase(t, parts[0], parts[1])
-			})
-		}
+		key := problem + "/" + core.StrategyAdaptive
+		keys = append(keys, key)
+		t.Run(key, func(t *testing.T) {
+			got[key] = runGoldenCase(t, problem)
+		})
 	}
 	checkGoldenTable(t, goldenPath(), keys, got)
 
 	// The benchmark-size table: same record, same budget, three seeds.
 	keys, got = nil, make(map[string]goldenTrace)
 	for _, spec := range goldenBenchSpecs {
-		for _, strategy := range core.StrategyNames() {
-			for _, seed := range goldenBenchSeeds {
-				key := fmt.Sprintf("%s-%d/%s/seed-%d", spec.problem, spec.size, strategy, seed)
-				keys = append(keys, key)
-				t.Run(key, func(t *testing.T) {
-					p, err := New(spec.problem, spec.size)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[key] = goldenTraceOn(t, p, spec.size, strategy, seed)
-				})
-			}
+		for _, seed := range goldenBenchSeeds {
+			key := fmt.Sprintf("%s-%d/%s/seed-%d", spec.problem, spec.size, core.StrategyAdaptive, seed)
+			keys = append(keys, key)
+			t.Run(key, func(t *testing.T) {
+				p, err := New(spec.problem, spec.size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[key] = goldenTraceOn(t, p, spec.size, seed)
+			})
 		}
 	}
 	checkGoldenTable(t, goldenBenchPath(), keys, got)

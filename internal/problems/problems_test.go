@@ -407,7 +407,7 @@ func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 			if !ok {
 				t.Fatalf("no golden trace for %s/%s", problem, core.StrategyAdaptive)
 			}
-			if got := goldenTraceOn(t, first, size, core.StrategyAdaptive, goldenSeed); got != want {
+			if got := goldenTraceOn(t, first, size, goldenSeed); got != want {
 				t.Fatalf("validated instance drifted from the golden trace:\n got %s\nwant %s", formatTrace(got), formatTrace(want))
 			}
 

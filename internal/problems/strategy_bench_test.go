@@ -55,10 +55,9 @@ func benchmarkSelectWorstVariable(b *testing.B, name string, size int, hide bool
 	p := benchProblem(b, name, size, hide)
 	st := core.NewState(p, core.Options{}, 1, nil)
 	r := rng.New(7)
-	sel := core.AdaptiveVariable{}
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		_ = sel.SelectVariable(st)
+		_ = st.SelectVariable()
 		randomSwap(st, p, r)
 	}
 }
@@ -67,12 +66,9 @@ func benchmarkSelectBestSwap(b *testing.B, name string, size int, hide bool) {
 	p := benchProblem(b, name, size, hide)
 	st := core.NewState(p, core.Options{}, 1, nil)
 	r := rng.New(7)
-	varSel := core.AdaptiveVariable{}
-	moveSel := core.MinConflictMove{}
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		i := varSel.SelectVariable(st)
-		_, _ = moveSel.SelectMove(st, i)
+		_, _ = st.SelectMove(st.SelectVariable())
 		randomSwap(st, p, r)
 	}
 }
@@ -222,11 +218,10 @@ func BenchmarkSelectVariable(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			st := midSearchState(b, tc.problem, tc.size, tc.params)
-			sel := core.AdaptiveVariable{}
 			sink := 0
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				sink += sel.SelectVariable(st)
+				sink += st.SelectVariable()
 			}
 			benchSink = sink
 		})

@@ -37,10 +37,9 @@ func domainsOf(p core.FDProblem) [][]int {
 
 // traceOn is one bounded seeded search on p: the whole Result but its
 // wall time.
-func traceOn(t *testing.T, p core.Problem, strategy string, seed uint64) core.Result {
+func traceOn(t *testing.T, p core.Problem, seed uint64) core.Result {
 	t.Helper()
 	opts := core.TunedOptions(p)
-	opts.Strategy = strategy
 	opts.Seed = seed
 	opts.MaxIterations = 800
 	opts.MaxRuns = 2
@@ -55,9 +54,9 @@ func traceOn(t *testing.T, p core.Problem, strategy string, seed uint64) core.Re
 // TestTemplateInstancesSearchAlike is the rule NewTemplate states, run:
 // the first instance a factory hands out is the template itself, the
 // later ones are clones, and neither can be told from a freshly built
-// and reduced instance by any search — same trace for every seed and
-// strategy — while the domains all of them share stay what the one
-// reduction left.
+// and reduced instance by any search — same trace for every seed —
+// while the domains all of them share stay what the one reduction
+// left.
 func TestTemplateInstancesSearchAlike(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -91,21 +90,19 @@ func TestTemplateInstancesSearchAlike(t *testing.T) {
 			t.Fatalf("timetable %d: reduction removed nothing; NewWithParams no longer returns an unreduced instance, or the spec has nothing to propagate", spec.size)
 		}
 		for seed := uint64(1); seed <= uint64(seeds); seed++ {
-			for _, strategy := range core.StrategyNames() {
-				clone, err := factory()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if clone == template {
-					t.Fatalf("timetable %d: a later factory call handed out the template again", spec.size)
-				}
-				want := traceOn(t, fresh, strategy, seed)
-				if got := traceOn(t, clone, strategy, seed); !reflect.DeepEqual(got, want) {
-					t.Fatalf("timetable %d %s seed %d: clone searched\n%+v, fresh reduced instance\n%+v", spec.size, strategy, seed, got, want)
-				}
-				if got := traceOn(t, template, strategy, seed); !reflect.DeepEqual(got, want) {
-					t.Fatalf("timetable %d %s seed %d: template searched\n%+v, fresh reduced instance\n%+v", spec.size, strategy, seed, got, want)
-				}
+			clone, err := factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clone == template {
+				t.Fatalf("timetable %d: a later factory call handed out the template again", spec.size)
+			}
+			want := traceOn(t, fresh, seed)
+			if got := traceOn(t, clone, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("timetable %d seed %d: clone searched\n%+v, fresh reduced instance\n%+v", spec.size, seed, got, want)
+			}
+			if got := traceOn(t, template, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("timetable %d seed %d: template searched\n%+v, fresh reduced instance\n%+v", spec.size, seed, got, want)
 			}
 		}
 		if !reflect.DeepEqual(domainsOf(template.(core.FDProblem)), shared) {
@@ -232,8 +229,8 @@ func allocated(fn func()) uint64 {
 }
 
 // TestWalkerAllocations pins what core.Solve allocates for one solved
-// walker: what it allocates before its first step (engine, stream,
-// strategy and move set, read off a Solve whose context is already
+// walker: what it allocates before its first step (engine, stream
+// and move set, read off a Solve whose context is already
 // cancelled) plus its working set — the tabu marks, the configuration,
 // the row or assign buffer its evaluator fills and, on a permutation,
 // the partial reset's n positions and k values — each at the size the

@@ -71,8 +71,8 @@ const autoSizeQuantile = 0.95
 // calibrationKey maps a normalized request onto its calibration
 // population. It must match what the live feed records (recordOutcome)
 // so predictions and telemetry describe the same population; Size is
-// the post-default-resolution value. Every job runs the tuned default
-// strategy, the key's empty Strategy.
+// the post-default-resolution value. Every job runs Adaptive Search, so
+// the algorithm is not part of the key.
 func calibrationKey(req *Request) calibrate.Key {
 	return calibrate.Key{
 		Problem: req.Problem,
