@@ -197,6 +197,10 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 		return nil, errors.New("-speculate-threshold needs -speculate")
 	case set["telemetry-interval"] && c.telemetryPath == "":
 		return nil, errors.New("-telemetry-interval needs -telemetry")
+	case c.fleetHeartbeat < 0:
+		// A negative interval would turn the coordinator's liveness
+		// monitor off, a setting for its tests, not for a fleet.
+		return nil, errors.New("-fleet-heartbeat must be >= 0 (0 = 2s)")
 	}
 	return c, nil
 }

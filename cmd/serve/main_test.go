@@ -27,6 +27,7 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-workers", "http://127.0.0.1:9101", "-slots", "4"}, "-slots sizes the in-process pool"},
 		{[]string{"-fleet", "-speculate-threshold", "3"}, "-speculate-threshold needs -speculate"},
 		{[]string{"-telemetry-interval", "5s"}, "-telemetry-interval needs -telemetry"},
+		{[]string{"-fleet", "-fleet-heartbeat", "-1s"}, "-fleet-heartbeat must be >= 0"},
 		{[]string{"-addr", ":8080", "extra"}, `unexpected argument "extra"`},
 		{[]string{"-stream"}, "flag provided but not defined: -stream"},
 	} {

@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,6 +144,9 @@ type Coordinator struct {
 	specThreshold float64
 	specAfter     time.Duration
 	specInterval  time.Duration
+	// after is the job loops' clock (grace period, detector ticks):
+	// time.After, and a fake in tests.
+	after func(time.Duration) <-chan time.Time
 
 	monitorStop    chan struct{}
 	monitorDone    chan struct{}
@@ -236,6 +238,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
 		specInterval:    specInterval,
+		after:           time.After,
 		monitorStop:     make(chan struct{}),
 		monitorDone:     make(chan struct{}),
 	}
@@ -463,7 +466,7 @@ type assignment struct {
 	start    int
 	count    int
 	reserved int
-	released bool // guarded by registry.mu
+	released bool // written under registry.mu, by the job's loop only
 	runID    string
 }
 
@@ -559,10 +562,17 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// bound reaps the run itself.
 	reqCtx, hardCancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer hardCancel()
-	stop := &jobStop{c: c, hardCancel: hardCancel}
-	defer stop.release()
-	stopNotify := context.AfterFunc(ctx, stop.cancelAll)
-	defer stopNotify()
+	j := fleetJob{c: c, mode: mode, job: &job, reqCtx: reqCtx, hardCancel: hardCancel,
+		in: inbox{events: make(chan event), done: make(chan struct{})}, callerDone: ctx.Done()}
+	defer func() {
+		// Posts still in flight are dropped, and the backups still
+		// running give back their reservations (the hard cancel severs
+		// their calls).
+		close(j.in.done)
+		for _, b := range j.backups {
+			c.releaseOne(b)
+		}
+	}()
 	params.deadline = deadlineMS(ctx)
 
 	// Straggler speculation reads the plan's progress from the workers,
@@ -584,11 +594,10 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	// healthy capacity runs out — only then does the job truncate.
 	shards := make([]multiwalk.Result, 0, len(plan))
 	var lost []lostRange
-	solved := false
 	prefix := jobID
 	for round := 0; ; round++ {
 		if round > 0 {
-			if len(lost) == 0 || round > c.recoverAttempts || ctx.Err() != nil || solved {
+			if len(lost) == 0 || round > c.recoverAttempts || ctx.Err() != nil || j.won {
 				break
 			}
 			// lost keeps what the re-plan cannot place; the round's own
@@ -606,7 +615,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 			params.progress = false
 			params.deadline = deadlineMS(ctx)
 		}
-		slots := c.dispatch(reqCtx, mode, &job, plan, prefix, stop, params)
+		slots := j.round(plan, prefix, &params)
 		for i := range slots {
 			out, a := &slots[i].outcome, &plan[i]
 			if out.err != nil {
@@ -618,9 +627,6 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 				}
 				lost = append(lost, lostRange{a.start, a.count})
 				continue
-			}
-			if mode == ModeRun && out.res.Solved {
-				solved = true
 			}
 			if round > 0 {
 				c.mRecShards.Add(1)
@@ -709,186 +715,179 @@ func deadlineMS(ctx context.Context) int64 {
 	return ms
 }
 
-// jobStop is the stop machinery all of one job's dispatch rounds share:
-// the record of every copy of a shard the job launched, the once-guard
-// of first-solution termination, and the grace timer that backs every
-// cancel fan-out (first solution or caller cancellation) with a hard
-// cancel, so a stalled loser — or a cancel RPC that raced the run
-// registration — cannot block the job forever.
-type jobStop struct {
+// fleetJob is one job's state while it runs: the current round's
+// slots, first-solution and cancellation state, the grace timer and the
+// straggler detector. One goroutine owns all of it, the caller's own in
+// run; every other goroutine of the job makes one HTTP call (a run, a
+// cancel or a progress read) and posts what it got, so nothing here is
+// locked.
+type fleetJob struct {
 	c          *Coordinator
+	mode       string
+	job        *JobSpec
+	reqCtx     context.Context
 	hardCancel context.CancelFunc
-	solved     sync.Once
-	won        atomic.Bool // set by firstSolution: a solved job's losers get no backup
+	in         inbox
 
-	mu       sync.Mutex
-	copies   []*assignment // append-only, so a snapshot of it stays valid
-	round    int           // copies[round:] are the current round's
-	grace    *time.Timer
-	released bool
+	// The current round: its slots, how many are unresolved, the prefix
+	// of its run ids and its request parameters.
+	slots  []specSlot
+	open   int
+	prefix string
+	params *shardParams
+
+	callerDone <-chan struct{} // ctx.Done(); nil once handled
+	cancelled  bool            // by the caller: no backup launches
+	won        bool            // a run-mode shard came back solved
+	grace      <-chan time.Time
+
+	// The detector's next tick, how many of the last tick's progress
+	// reads are out, and every backup it launched (released when run
+	// returns).
+	tick    <-chan time.Time
+	reads   int
+	backups []*assignment
 }
 
-// beginRound starts a dispatch round with the copies of its plan.
-func (s *jobStop) beginRound(plan []assignment) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.round = len(s.copies)
-	s.copies = slices.Grow(s.copies, len(plan))
-	for i := range plan {
-		s.copies = append(s.copies, &plan[i])
+// event is what one HTTP call of a job found about copy from of slot.
+type event struct {
+	kind  eventKind
+	slot  *specSlot
+	from  *assignment
+	out   shardOutcome // evOutcome
+	iters int64        // evProgress
+}
+
+type eventKind uint8
+
+const (
+	evOutcome        eventKind = iota // the copy's run call returned
+	evProgress                        // a read of the copy's progress returned
+	evLoserCancelled                  // the worker acked a speculation loser's cancel
+)
+
+// inbox is a job loop's event channel, and done, closed when run
+// returns, so that a call still in flight then does not block posting.
+type inbox struct {
+	events chan event
+	done   chan struct{}
+}
+
+func (in inbox) post(ev event) {
+	select {
+	case in.events <- ev:
+	case <-in.done:
 	}
 }
 
-// add records one more copy launched into the current round (a backup).
-func (s *jobStop) add(a *assignment) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.copies = append(s.copies, a)
-}
-
-// cancelAll is caller cancellation: every copy launched so far, of
-// every round, gets a best-effort cancel RPC, and the grace period
-// starts.
-func (s *jobStop) cancelAll() {
-	s.mu.Lock()
-	copies := s.copies
-	s.mu.Unlock()
-	for _, a := range copies {
-		go s.c.cancelRun(a)
-	}
-	s.armGrace()
-}
-
-// armGrace starts the grace period, once per job; the first fan-out
-// sets the clock.
-func (s *jobStop) armGrace() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.grace == nil && !s.released {
-		s.grace = time.AfterFunc(cancelGrace, s.hardCancel)
-	}
-}
-
-// release stops the grace timer when run returns (which hard-cancels on
-// its own): a timer left to expire would pin the job's request context
-// for the whole grace period, one per solved job.
-func (s *jobStop) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.released = true
-	if s.grace != nil {
-		s.grace.Stop()
-	}
-}
-
-// firstSolution is first-solution termination: the first solved shard
-// of the job tells every other copy of its round to stop (the rounds
-// before it have resolved). Cancel RPCs — not aborted connections — so
-// the losers still deliver their partial statistics. Later calls (a
-// second shard that solved before its cancel landed) are no-ops, and a
-// round with no other copy has nobody to cancel and arms nothing.
-func (s *jobStop) firstSolution(winner *assignment) {
-	s.solved.Do(func() {
-		s.won.Store(true)
-		s.mu.Lock()
-		round := s.copies[s.round:]
-		s.mu.Unlock()
-		for _, a := range round {
-			if a == winner {
-				continue
-			}
-			s.armGrace() // with the first cancel; never, when there is none
-			s.c.mFirstSent.Add(1)
-			go func(a *assignment) {
-				if _, live := s.c.cancelRun(a); live {
-					s.c.mFirstAcked.Add(1)
-				}
-			}(a)
-		}
-	})
-}
-
-// dispatch runs one round: every assignment of plan is a first-wins
-// slot (specSlot) whose first delivered outcome is the shard's. It
-// returns the slots, in plan order, once each has resolved. A copy's
-// reservation is released the moment its outcome is in, so a later
-// round plans into the freed capacity, and a solved outcome of a
-// wall-clock job stops every other copy of the round. In a speculating
-// round (p.progress) a straggler detector reads the copies' progress
-// and gives a lagging slot one backup copy. A loser still in flight is
-// NOT waited for: the stalled worker is the very thing being routed
-// around, and run's deferred hard cancel severs it when the job returns.
-func (c *Coordinator) dispatch(ctx context.Context, mode string, job *JobSpec, plan []assignment, prefix string, stop *jobStop, p shardParams) []specSlot {
-	slots := make([]specSlot, len(plan))
-	var resolved sync.WaitGroup
-	resolved.Add(len(plan))
-	launch := func(s *specSlot, a *assignment) {
-		go func() {
-			out := c.runShard(ctx, a, shardRequest(mode, job, a, &p))
-			c.releaseOne(a)
-			resolvedNow, final, loser := c.deliverSpec(s, a, out)
-			if !resolvedNow {
-				return
-			}
-			if loser != nil {
-				go c.cancelLoser(loser)
-			}
-			if mode == ModeRun && final.res.Solved {
-				stop.firstSolution(a)
-			}
-			resolved.Done()
-		}()
-	}
-
+// round dispatches plan as one round of the job, run ids under prefix,
+// and runs the job's loop until every slot of the round has resolved;
+// it returns the slots in plan order. A copy's reservation is released
+// the moment its outcome is in, so a later round plans into the freed
+// capacity, and a solved outcome of a wall-clock job stops every other
+// copy of the round. In a speculating round (p.progress) the detector
+// reads the copies' progress and gives a lagging slot one backup copy.
+// A loser still in flight is NOT waited for: the stalled worker is the
+// very thing being routed around, and run's hard cancel severs it when
+// the job returns.
+func (j *fleetJob) round(plan []assignment, prefix string, p *shardParams) []specSlot {
+	j.slots, j.open, j.prefix, j.params = make([]specSlot, len(plan)), len(plan), prefix, p
 	for i := range plan {
 		plan[i].runID = fmt.Sprintf("%s-s%d", prefix, i)
-		slots[i].primary, slots[i].inflight = &plan[i], 1
+		j.slots[i] = specSlot{primary: &plan[i], inflight: 1}
+		j.launch(&j.slots[i], &plan[i])
 	}
-	stop.beginRound(plan)
-	for i := range plan {
-		launch(&slots[i], &plan[i])
-	}
-
 	if p.progress {
-		backup := func(i int) {
-			s := &slots[i]
-			s.mu.Lock()
-			resolvedAlready := s.resolved
-			s.mu.Unlock()
-			if resolvedAlready || stop.won.Load() {
-				return
-			}
-			// The whole range on one worker other than the primary's:
-			// first-wins stays pairwise, and a range that fits nowhere
-			// simply does not speculate this tick.
-			c.reg.mu.Lock()
-			b, ok := mostFree(c.reg.workers, s.primary.start, s.primary.count, s.primary.count, s.primary.worker)
-			c.reg.mu.Unlock()
-			if !ok {
-				return
-			}
-			b.runID = fmt.Sprintf("%s-b1-s%d", prefix, i)
-			s.mu.Lock()
-			if s.resolved || stop.won.Load() {
-				// The primary landed (or the job solved) while we were reserving.
-				s.mu.Unlock()
-				c.releaseOne(&b)
-				return
-			}
-			s.backup = &b
-			s.inflight++
-			s.mu.Unlock()
-			c.mSpecLaunched.Add(1)
-			stop.add(&b)
-			launch(s, &b)
-		}
-		// The detector and its reads stop with the round.
-		detectCtx, stopDetect := context.WithCancel(ctx)
-		defer stopDetect()
-		go c.detectStragglers(detectCtx, job, slots, backup)
+		j.tick = j.c.after(j.c.specAfter)
 	}
-	resolved.Wait()
-	return slots
+	for j.open > 0 {
+		select {
+		case ev := <-j.in.events:
+			j.handle(ev)
+		case <-j.callerDone:
+			j.callerDone, j.cancelled = nil, true
+			j.stop(false)
+		case <-j.grace:
+			j.hardCancel()
+		case <-j.tick:
+			j.readProgress()
+		}
+	}
+	j.tick = nil
+	return j.slots
+}
+
+// launch starts copy a of slot s: one run call, posted as its outcome.
+func (j *fleetJob) launch(s *specSlot, a *assignment) {
+	c, ctx, in, mode, job, p := j.c, j.reqCtx, j.in, j.mode, j.job, j.params
+	go func() {
+		in.post(event{kind: evOutcome, slot: s, from: a, out: c.runShard(ctx, a, shardRequest(mode, job, a, p))})
+	}()
+}
+
+// handle applies one event to the job. A progress reading from an
+// earlier round is dropped (only a plan round speculates); the last
+// reading of a tick runs the detector and arms the next tick.
+func (j *fleetJob) handle(ev event) {
+	c := j.c
+	switch ev.kind {
+	case evProgress:
+		if j.params.progress {
+			ev.slot.seen = max(ev.slot.seen, ev.iters)
+			if j.reads--; j.reads == 0 {
+				j.detect()
+				j.tick = c.after(c.specInterval)
+			}
+		}
+		return
+	}
+	c.releaseOne(ev.from)
+	if ev.kind == evLoserCancelled {
+		return
+	}
+	resolved, final, loser := c.deliverSpec(ev.slot, ev.from, ev.out)
+	if !resolved {
+		return
+	}
+	j.open--
+	if loser != nil {
+		j.cancelLoser(loser)
+	}
+	if j.mode == ModeRun && final.res.Solved && !j.won {
+		j.won = true
+		j.stop(true)
+	}
+}
+
+// stop sends a best-effort cancel RPC to every copy of the round still
+// in flight and arms the grace timer behind them, once a job; a round
+// with no other copy has nobody to cancel and arms nothing. first marks
+// first-solution termination, the first solved shard of the job
+// stopping the rest of its round (the rounds before it have resolved);
+// otherwise the caller cancelled. Cancel RPCs, not aborted connections,
+// so the losers still deliver their partial statistics.
+func (j *fleetJob) stop(first bool) {
+	c := j.c
+	for i := range j.slots {
+		for _, a := range [2]*assignment{j.slots[i].primary, j.slots[i].backup} {
+			if a == nil || a.released {
+				continue
+			}
+			if j.grace == nil {
+				j.grace = c.after(cancelGrace)
+			}
+			if !first {
+				go c.cancelRun(a)
+				continue
+			}
+			c.mFirstSent.Add(1)
+			go func() {
+				if _, live := c.cancelRun(a); live {
+					c.mFirstAcked.Add(1)
+				}
+			}()
+		}
+	}
 }
 
 // lostShardResult synthesizes the stats of walkers [start, start+count)

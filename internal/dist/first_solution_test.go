@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,58 +428,100 @@ func TestRecoveryRoundWinnerCancelsItsRound(t *testing.T) {
 	}
 }
 
-// TestJobStopGraceTimer pins the grace timer's life: not armed when a
-// solved shard has nobody to cancel (a single-shard plan), armed once
-// by the job's first fan-out, stopped by release, and never armed after
-// release (a caller cancellation racing run's return).
-func TestJobStopGraceTimer(t *testing.T) {
-	f := newFleet(t, 1, 1)
-	runs := []*assignment{
-		{worker: f.coord.reg.workers[0], runID: "no-such-run-0"},
-		{worker: f.coord.reg.workers[1], runID: "no-such-run-1"},
-	}
-	sent := func() int64 { return f.coord.BackendMetrics()["first_solution_cancels_sent"] }
+// TestJobGraceTimer pins the grace timer's life in the job loop: a
+// solved shard with nobody to cancel (a single-shard plan) arms none,
+// the job's first fan-out arms it once, neither a second solved shard
+// nor a caller cancellation arms it again, and nothing waits on it, or
+// arms another, once run has returned.
+func TestJobGraceTimer(t *testing.T) {
+	job := JobSpec{Problem: "queens", Size: 30, Seed: 1, Engine: tunedEngine(t, "queens", 30)}
+	cfg := CoordinatorConfig{HeartbeatInterval: -1}
 
-	s := &jobStop{c: f.coord, hardCancel: func() {}}
-	s.add(runs[0])
-	s.firstSolution(runs[0])
-	if s.grace != nil || sent() != 0 {
-		t.Fatalf("single-shard job: timer armed = %v, %d cancels sent; want neither", s.grace != nil, sent())
+	// One shard: solved, nobody to cancel. A cancellation after run has
+	// returned finds no loop to act on it.
+	var cancels atomic.Int64
+	countCancels := func(r *http.Request) error {
+		if kind, _, _ := fleetCall(r); kind == "cancel" {
+			cancels.Add(1)
+		}
+		return nil
 	}
-
-	s = &jobStop{c: f.coord, hardCancel: func() {}}
-	s.add(runs[0])
-	s.add(runs[1])
-	s.firstSolution(runs[0])
-	armed := s.grace
-	if armed == nil || sent() != 1 {
-		t.Fatalf("two-shard job: timer armed = %v, %d cancels sent; want one of each", armed != nil, sent())
+	coord := newMemFleet(t, cfg, countCancels, 1)
+	armed := fakeClock(coord)
+	ctx, cancel := context.WithCancel(context.Background())
+	job.Walkers = 1
+	if res, err := coord.Run(ctx, job); err != nil || !res.Solved {
+		t.Fatalf("single-shard job: solved=%v err=%v", res.Solved, err)
 	}
-	s.firstSolution(runs[1]) // the other shard solved too: no second fan-out
-	s.armGrace()             // nor does a caller cancellation restart the clock
-	if s.grace != armed || sent() != 1 {
-		t.Fatalf("second fan-out: timer replaced = %v, %d cancels sent", s.grace != armed, sent())
-	}
-	s.release()
-	if armed.Stop() {
-		t.Fatal("release left the grace timer running")
+	cancel()
+	if len(armed) != 0 || cancels.Load() != 0 {
+		t.Fatalf("single-shard job: %d timers armed, %d cancels sent; want neither", len(armed), cancels.Load())
 	}
 
-	s = &jobStop{c: f.coord, hardCancel: func() {}}
-	s.release()
-	s.armGrace()
-	if s.grace != nil {
-		t.Fatal("grace timer armed after release")
+	// Two shards: w0 solves and its fan-out cancels w1, whose cancels are
+	// all dropped and whose run is held until the caller has cancelled
+	// too; w1 then solves on its own, a second solved shard.
+	w1Cancels, w1Run := make(chan struct{}), make(chan struct{})
+	hook := func(r *http.Request) error {
+		switch kind, host, _ := fleetCall(r); {
+		case host != "w1":
+		case kind == "run":
+			return hold(r, w1Run)
+		case kind == "cancel":
+			select {
+			case w1Cancels <- struct{}{}:
+			case <-r.Context().Done():
+			}
+			return errDropped
+		}
+		return nil
+	}
+	coord = newMemFleet(t, cfg, hook, 1, 1)
+	armed = fakeClock(coord)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	job.Walkers = 2
+	type runRes struct {
+		res multiwalk.Result
+		err error
+	}
+	done := make(chan runRes, 1)
+	go func() {
+		res, err := coord.Run(ctx, job)
+		done <- runRes{res, err}
+	}()
+	<-w1Cancels // the first solution's fan-out
+	grace := <-armed
+	if grace.d != cancelGrace {
+		t.Fatalf("the fan-out armed a %v timer, want the %v grace", grace.d, cancelGrace)
+	}
+	cancel()
+	<-w1Cancels // the caller's
+	close(w1Run)
+	r := <-done
+	if r.err != nil || !r.res.Walkers[0].Result.Solved || !r.res.Walkers[1].Result.Solved {
+		t.Fatalf("two-shard job: want both shards solved: %+v, err %v", r.res, r.err)
+	}
+	if n := len(armed); n != 0 {
+		t.Fatalf("%d more timers armed after the first fan-out", n)
+	}
+	if sent := coord.BackendMetrics()["first_solution_cancels_sent"]; sent != 1 {
+		t.Fatalf("first_solution_cancels_sent = %d, want 1", sent)
+	}
+	select {
+	case grace.fire <- time.Time{}:
+		t.Fatal("the grace timer still had a reader after run returned")
+	default:
 	}
 }
 
 // TestSolvedFleetJobsLeaveNothingBehind: every solved two-shard job
-// arms the grace timer behind its cancel fan-out, and run must stop it
-// on return — left to expire it pins the job's request context for 30 s,
-// about six heap objects a job. A few hundred solved jobs must leave
-// the live heap and the goroutine count where a warmed-up fleet had them,
-// through plain and speculative dispatch alike: a speculating job also
-// starts a straggler detector, which may not outlive it.
+// arms the grace timer behind its cancel fan-out, and nothing of it may
+// outlive run — a timer holding the job's request context would pin it
+// for 30 s, about six heap objects a job. A few hundred solved jobs must
+// leave the live heap and the goroutine count where a warmed-up fleet
+// had them, through plain and speculative dispatch alike: a speculating
+// job also arms detector ticks and reads progress.
 func TestSolvedFleetJobsLeaveNothingBehind(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

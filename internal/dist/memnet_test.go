@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // memNet is a coordinator's network in one process: the RoundTripper
@@ -141,4 +142,39 @@ func newMemFleet(t *testing.T, cfg CoordinatorConfig, hook func(*http.Request) e
 	}
 	t.Cleanup(coord.Close)
 	return coord
+}
+
+// armedTimer is one timer a job loop armed on a fake clock: its
+// duration, and the channel that fires it.
+type armedTimer struct {
+	d    time.Duration
+	fire chan<- time.Time
+}
+
+// fakeClock replaces coord's clock: every timer a job loop arms is
+// handed to the test on the returned channel and fires only when the
+// test sends on it. The channel holds more timers than any test here
+// arms, so arming never blocks a loop.
+func fakeClock(coord *Coordinator) <-chan armedTimer {
+	armed := make(chan armedTimer, 16)
+	coord.after = func(d time.Duration) <-chan time.Time {
+		fire := make(chan time.Time)
+		armed <- armedTimer{d, fire}
+		return fire
+	}
+	return armed
+}
+
+// ticksNow makes coord's straggler detector tick the moment it arms a
+// tick, instead of after SpeculateAfter or SpeculateInterval; the grace
+// timer keeps real time.
+func ticksNow(coord *Coordinator) {
+	coord.after = func(d time.Duration) <-chan time.Time {
+		if d == cancelGrace {
+			return time.After(d)
+		}
+		now := make(chan time.Time, 1)
+		now <- time.Time{}
+		return now
+	}
 }

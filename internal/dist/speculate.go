@@ -2,10 +2,9 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"net/http"
-	"sort"
-	"sync"
-	"time"
+	"slices"
 
 	"repro/internal/httpjson"
 )
@@ -23,23 +22,25 @@ import (
 // the straggler would eventually produce, and "take whichever copy
 // lands first" cannot change the result — only when it arrives.
 //
-// Three pieces:
+// Three pieces, all of them events and timers of the job's one loop
+// (coordinator.go's fleetJob):
 //
 //   - progress reads: speculation-enabled shard requests ask the worker
 //     to keep per-walker counters ("progress": true), and every detector
 //     tick reads each unresolved copy's count with GET /v1/runs/{id},
 //     on the same fleet client as run and cancel — the coordinator
 //     calls, the worker answers, and no second listener is opened;
-//   - a detector: per job, compare each unresolved shard's per-walker
-//     iteration count against the job median; lagging more than
-//     SpeculateThreshold behind (with a minimum job age, a
-//     remaining-work guard, and at most one backup per shard) launches
-//     a backup on a free healthy worker the primary is not on;
-//   - first-wins resolution: every shard is a slot (coordinator.go's
-//     dispatch runs them all) whose first delivered outcome wins; the
-//     loser is cancelled (releasing its reservation the moment the
-//     worker acks) and its late result is dropped before CombineShards
-//     ever sees it, so walker stats are never double-counted.
+//   - a detector: when a tick's last reading is in, compare each
+//     unresolved shard's per-walker iteration count against the job
+//     median; lagging more than SpeculateThreshold behind (with a
+//     minimum job age, a remaining-work guard, and at most one backup
+//     per shard) launches a backup on a free healthy worker the primary
+//     is not on, unless the job has solved or been cancelled;
+//   - first-wins resolution: every shard is a slot whose first
+//     delivered outcome wins; the loser is cancelled (releasing its
+//     reservation the moment the worker acks) and its late result is
+//     dropped before CombineShards ever sees it, so walker stats are
+//     never double-counted.
 
 // specMinRemaining is the remaining-work guard: a shard past this
 // close to its iteration budget finishes before any backup could help,
@@ -55,21 +56,19 @@ const specMinRemaining = 0.25
 // the slot while the other copy is still running — the whole point of
 // the backup is outliving a bad primary.
 type specSlot struct {
-	mu       sync.Mutex
 	primary  *assignment
 	backup   *assignment // nil until a backup launches
 	inflight int
 	resolved bool
 	outcome  shardOutcome
 	pending  *shardOutcome // first failed delivery, held for the other copy
+	seen     int64         // the highest iteration count either copy reported
 }
 
 // deliverSpec delivers one copy's outcome to its slot. It returns
 // whether this delivery resolved the slot, the resolved outcome, and
 // the loser still in flight (to cancel), if any.
 func (c *Coordinator) deliverSpec(s *specSlot, from *assignment, out shardOutcome) (resolvedNow bool, final shardOutcome, loser *assignment) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.inflight--
 	if s.resolved {
 		// Late loser: its duplicate stats are dropped here, before
@@ -109,16 +108,18 @@ func (c *Coordinator) deliverSpec(s *specSlot, from *assignment, out shardOutcom
 	return true, out, loser
 }
 
-// cancelLoser stops a speculation loser and, once the worker acks the
-// cancel, releases its slot reservation immediately — the loser's own
-// dispatch goroutine is still draining the HTTP response, and waiting
-// for that drain would hold capacity the planner could already reuse
-// (releases are idempotent, so the eventual second release is a no-op).
-func (c *Coordinator) cancelLoser(a *assignment) {
-	if acked, _ := c.cancelRun(a); acked {
-		c.mSpecCancelled.Add(1)
-		c.releaseOne(a)
-	}
+// cancelLoser stops a speculation loser. Once the worker acks, the
+// loop releases the loser's reservation: its run call is still
+// draining the HTTP response, and waiting for that drain would hold
+// capacity the planner could already reuse.
+func (j *fleetJob) cancelLoser(a *assignment) {
+	c, in := j.c, j.in
+	go func() {
+		if acked, _ := c.cancelRun(a); acked {
+			c.mSpecCancelled.Add(1)
+			in.post(event{kind: evLoserCancelled, from: a})
+		}
+	}()
 }
 
 // specBudget is the job's per-walker iteration budget, or 0 when it is
@@ -131,98 +132,91 @@ func specBudget(job *JobSpec) float64 {
 	return float64(job.Engine.MaxIterations) * float64(job.Engine.MaxRuns)
 }
 
-// detectStragglers is the per-job detector loop: every tick past the
-// minimum age it refreshes each slot's progress (readProgress),
-// normalizes it to per-walker iterations, takes the job median, and
-// launches a backup for every unresolved, backup-less slot lagging more
-// than the threshold behind — subject to the remaining-work guard. It
-// exits when ctx dies, which dispatch does when the round is over.
-func (c *Coordinator) detectStragglers(ctx context.Context, job *JobSpec, slots []specSlot, launch func(i int)) {
-	started := time.Now()
-	budget := specBudget(job)
-	tick := time.NewTicker(c.specInterval)
-	defer tick.Stop()
-	seen := make([]int64, len(slots))
-	open := make([]bool, len(slots))
-	norms := make([]float64, len(slots))
-	sorted := make([]float64, len(slots))
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		if time.Since(started) < c.specAfter {
+// readProgress is one detector tick: it reads the progress of every
+// copy of every unresolved slot. A copy that does not answer within one
+// detector interval (a frozen worker), or does not hold its run (not
+// registered yet, or already answered), reads 0 and so keeps the count
+// it gave last.
+func (j *fleetJob) readProgress() {
+	c, ctx, in := j.c, j.reqCtx, j.in
+	for i := range j.slots {
+		s := &j.slots[i]
+		if s.resolved {
 			continue
 		}
-		c.readProgress(ctx, slots, seen, open)
-		if ctx.Err() != nil {
-			return
-		}
-		for i := range slots {
-			norms[i] = float64(seen[i]) / float64(slots[i].primary.count)
-		}
-		copy(sorted, norms)
-		sort.Float64s(sorted)
-		median := sorted[len(sorted)/2]
-		if median <= 0 {
-			// Nothing has reported meaningful progress yet; there is no
-			// signal to compare against.
-			continue
-		}
-		for i := range slots {
-			if !open[i] {
+		for _, a := range [2]*assignment{s.primary, s.backup} {
+			if a == nil || a.released {
 				continue
 			}
-			if budget > 0 && budget-norms[i] < specMinRemaining*budget {
-				// Close enough to its budget to finish on its own.
-				continue
-			}
-			if norms[i]*c.specThreshold < median {
-				launch(i)
-			}
+			j.reads++
+			go func() {
+				in.post(event{kind: evProgress, slot: s, from: a, iters: c.runProgress(ctx, a)})
+			}()
 		}
 	}
 }
 
-// readProgress refreshes seen, each slot's highest iteration count so
-// far over both its copies, and open, whether the slot may still gain a
-// backup (unresolved, none yet). A resolved slot counts its outcome, so
-// the median keeps seeing finished work — a lone laggard among finished
-// peers must still look slow. The copies of every unresolved slot are
-// read at once; a copy that does not answer within one detector
-// interval (a frozen worker), or does not hold its run (not registered
-// yet, or already answered), keeps the count it gave last.
-func (c *Coordinator) readProgress(ctx context.Context, slots []specSlot, seen []int64, open []bool) {
-	got := make([]int64, 2*len(slots)) // primary, backup per slot
-	var wg sync.WaitGroup
-	for i := range slots {
-		s := &slots[i]
-		s.mu.Lock()
-		resolved, copies := s.resolved, [2]*assignment{s.primary, s.backup}
-		if resolved {
-			seen[i] = max(seen[i], outcomeIters(&s.outcome))
+// detect normalizes each slot's progress to per-walker iterations,
+// takes the round's median, and launches a backup for every
+// unresolved, backup-less slot lagging more than the threshold behind,
+// subject to the remaining-work guard. A resolved slot counts its
+// outcome, so the median keeps seeing finished work: a lone laggard
+// among finished peers must still look slow. A job that has solved or
+// been cancelled backs nothing up: its losers stay unresolved until
+// their cancelled replies land, and a backup then would search for
+// nobody.
+func (j *fleetJob) detect() {
+	if j.won || j.cancelled {
+		return
+	}
+	norms := make([]float64, len(j.slots))
+	for i := range j.slots {
+		s := &j.slots[i]
+		if s.resolved {
+			s.seen = max(s.seen, outcomeIters(&s.outcome))
 		}
-		s.mu.Unlock()
-		open[i] = !resolved && copies[1] == nil
-		if resolved {
+		norms[i] = float64(s.seen) / float64(s.primary.count)
+	}
+	sorted := slices.Sorted(slices.Values(norms))
+	median := sorted[len(sorted)/2]
+	if median <= 0 {
+		// Nothing has reported meaningful progress yet; there is no
+		// signal to compare against.
+		return
+	}
+	budget := specBudget(j.job)
+	for i := range j.slots {
+		s := &j.slots[i]
+		if s.resolved || s.backup != nil {
 			continue
 		}
-		for k, a := range copies {
-			if a == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(dst *int64) {
-				defer wg.Done()
-				*dst = c.runProgress(ctx, a)
-			}(&got[2*i+k])
+		if budget > 0 && budget-norms[i] < specMinRemaining*budget {
+			// Close enough to its budget to finish on its own.
+			continue
+		}
+		if norms[i]*j.c.specThreshold < median {
+			j.backup(i)
 		}
 	}
-	wg.Wait()
-	for k, n := range got {
-		seen[k/2] = max(seen[k/2], n)
+}
+
+// backup launches slot i's one backup: the whole range on one worker
+// other than the primary's, so first-wins stays pairwise. A range that
+// fits nowhere simply does not speculate this tick.
+func (j *fleetJob) backup(i int) {
+	c, s := j.c, &j.slots[i]
+	c.reg.mu.Lock()
+	b, ok := mostFree(c.reg.workers, s.primary.start, s.primary.count, s.primary.count, s.primary.worker)
+	c.reg.mu.Unlock()
+	if !ok {
+		return
 	}
+	b.runID = fmt.Sprintf("%s-b1-s%d", j.prefix, i)
+	s.backup = &b
+	s.inflight++
+	c.mSpecLaunched.Add(1)
+	j.backups = append(j.backups, &b)
+	j.launch(s, &b)
 }
 
 // runProgress reads one copy's iteration count (GET /v1/runs/{id}),

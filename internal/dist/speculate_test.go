@@ -139,6 +139,7 @@ func TestSpeculativeRunMatchesUnperturbed(t *testing.T) {
 			}
 
 			coord := newMemFleet(t, speculating, holdsRunsUntilCancelled("w0", nil), 2, 2, 2)
+			ticksNow(coord)
 			res, err := coord.Run(context.Background(), job)
 			if err != nil {
 				t.Fatal(err)
@@ -200,6 +201,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 		return nil
 	}
 	coord := newMemFleet(t, speculating, straggler, 2, 2, 2)
+	ticksNow(coord)
 
 	// With seed 38 walker 0 solves in 2 801 iterations and walkers 2-3
 	// churn their whole 40 000 unsolved (RunVirtual picked the seed), so
@@ -221,7 +223,7 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 	}()
 
 	// The held shard never starts, so the backup wins as soon as the
-	// detector fires; its cancel is acked instantly by the worker
+	// detector ticks; its cancel is acked instantly by the worker
 	// and must release the straggler's two reserved slots while the job
 	// (and the loser's held dispatch) is still running.
 	deadline := time.After(15 * time.Second)
@@ -314,6 +316,7 @@ func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 		return nil
 	}
 	c = newMemFleet(t, speculating, hook, 2, 2, 2)
+	ticksNow(c)
 
 	res, err := c.Run(context.Background(), job)
 	if err != nil {
@@ -510,6 +513,7 @@ func TestSpeculationBacksUpFrozenWorker(t *testing.T) {
 // listener.
 func TestSpeculationOpensNoListener(t *testing.T) {
 	coord := newMemFleet(t, speculating, holdsRunsUntilCancelled("w0", nil), 2, 2, 2)
+	ticksNow(coord)
 
 	engine := tunedEngine(t, "costas", 16)
 	engine.MaxIterations = 40000
@@ -563,6 +567,7 @@ func TestSpeculationStopsAtFirstSolution(t *testing.T) {
 		return nil
 	}
 	coord := newMemFleet(t, speculating, hook, 1, 1, 1)
+	ticksNow(coord)
 
 	// Walker 0 solves on w0, walker 1 is held on w1, and w2 is free for
 	// a backup.
@@ -581,5 +586,113 @@ func TestSpeculationStopsAtFirstSolution(t *testing.T) {
 	}
 	if !res.Solved || res.Winner != 0 || res.Truncated {
 		t.Fatalf("want solved by walker 0, untruncated: %+v", res)
+	}
+}
+
+// TestCancelledJobLaunchesNoBackup: a job its caller cancelled backs
+// nothing up. w0 answers neither its run, nor a progress read, nor a
+// cancel, so after the cancellation its slot stays unresolved and
+// lagging behind w1's, which ran out its budget; the detector's ticks
+// then launch nothing on the free w2, firing the grace timer ends the
+// job, and every reserved slot comes back.
+func TestCancelledJobLaunchesNoBackup(t *testing.T) {
+	frozen := make(chan struct{})
+	defer close(frozen)
+	var mu sync.Mutex
+	var runs []string
+	hook := func(r *http.Request) error {
+		kind, host, id := fleetCall(r)
+		if kind == "run" {
+			mu.Lock()
+			runs = append(runs, id)
+			mu.Unlock()
+		}
+		if host == "w0" && kind != "" {
+			return hold(r, frozen)
+		}
+		return nil
+	}
+	coord := newMemFleet(t, speculating, hook, 1, 1, 1)
+	armed := fakeClock(coord)
+
+	// Far below costas 18's solve horizon: w1's walker runs out its
+	// budget unsolved, and w0's lags it by the whole budget.
+	engine := tunedEngine(t, "costas", 18)
+	engine.MaxIterations, engine.MaxRuns = 4000, 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type runRes struct {
+		res multiwalk.Result
+		err error
+	}
+	done := make(chan runRes, 1)
+	go func() {
+		res, err := coord.Run(ctx, JobSpec{Problem: "costas", Size: 18, Walkers: 2, Seed: 1, Engine: engine})
+		done <- runRes{res, err}
+	}()
+	// The job must still be running whenever the test arms or fires
+	// one of its timers.
+	next := func() armedTimer {
+		t.Helper()
+		select {
+		case a := <-armed:
+			return a
+		case r := <-done:
+			t.Fatalf("the job ended early: %+v, err %v", r.res, r.err)
+		}
+		return armedTimer{}
+	}
+	fire := func(a armedTimer) {
+		t.Helper()
+		select {
+		case a.fire <- time.Time{}:
+		case r := <-done:
+			t.Fatalf("the job ended early: %+v, err %v", r.res, r.err)
+		}
+	}
+	tick := next()
+	if tick.d != speculating.SpeculateAfter {
+		t.Fatalf("the round armed a %v timer first, want the detector's %v", tick.d, speculating.SpeculateAfter)
+	}
+	// w1's outcome is in once its reservation is back.
+	for deadline := time.After(15 * time.Second); coord.Workers()[1].Busy != 0; {
+		select {
+		case <-deadline:
+			t.Fatal("w1's shard never came back")
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	cancel()
+	grace := next()
+	if grace.d != cancelGrace {
+		t.Fatalf("the cancellation armed a %v timer, want the %v grace", grace.d, cancelGrace)
+	}
+	for range 2 {
+		fire(tick)
+		if tick = next(); tick.d != speculating.SpeculateInterval {
+			t.Fatalf("the detector armed a %v timer, want its %v tick", tick.d, speculating.SpeculateInterval)
+		}
+	}
+	mu.Lock()
+	for _, id := range runs {
+		if strings.Contains(id, "-b1-") {
+			t.Errorf("backup %s launched for a cancelled job", id)
+		}
+	}
+	mu.Unlock()
+
+	fire(grace)
+	r := <-done
+	if r.err != nil || r.res.Solved || !r.res.Truncated {
+		t.Fatalf("want the cancelled job truncated and unsolved: %+v, err %v", r.res, r.err)
+	}
+	if n := coord.BackendMetrics()["speculations_launched"]; n != 0 {
+		t.Fatalf("speculations_launched = %d, want 0", n)
+	}
+	for _, wi := range coord.Workers() {
+		if wi.Busy != 0 {
+			t.Fatalf("slot leak after the cancelled job: %+v", wi)
+		}
 	}
 }
