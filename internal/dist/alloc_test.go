@@ -48,11 +48,11 @@ func (s fleetSpec) job(t testing.TB, seed uint64) JobSpec {
 // front door: two-walker wall-clock jobs through Coordinator.Run over
 // two one-slot in-process workers, bytes allocated a job, coordinator
 // and workers together, against a committed budget. The budgets sit
-// about 4 % above what a job reads with replies encoded into and read
-// from pooled buffers, one context a shard run and a flat timetable
-// (42.5 KB tiny, 61.7 KB medium on go1.24 amd64; with a json.Decoder a
-// reply, a streaming encoder, two contexts a run and a timetable of one
-// slice a session they read 45.3 KB and 67.6 KB).
+// about 4 % above what a job reads with the run request, the run reply
+// and the cancel ack written and read without reflection, and a
+// one-walker shard run deriving no context of its own (36.4 KB tiny,
+// 52.6 KB medium on go1.24 amd64; with encoding/json on both ends and a
+// derived context a run they read 40.8 KB and 57.1 KB).
 func TestFleetAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")
@@ -64,8 +64,8 @@ func TestFleetAllocationGate(t *testing.T) {
 		rounds int
 		budget uint64 // bytes per job
 	}{
-		{"tiny", tinyFleetSpecs, 40, 44_200},
-		{"medium", mediumFleetSpecs, 10, 64_300},
+		{"tiny", tinyFleetSpecs, 40, 37_900},
+		{"medium", mediumFleetSpecs, 10, 54_700},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var jobs []JobSpec

@@ -61,7 +61,10 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 // the coordinator sends. Each case is compared as a decoded JSON object,
 // so field order does not matter, and decoding the pinned body must
 // give back the request exactly: a renamed, dropped or retyped field
-// shows up as a diff of the testdata file.
+// shows up as a diff of the testdata file. The bytes Call sends,
+// RunRequest.AppendJSON's, must be json.Marshal's (the exchange job's
+// it leaves to encoding/json), and the worker's fast reader must take
+// every pinned body but the exchange job's.
 func TestRunRequestWireFormat(t *testing.T) {
 	raw, err := os.ReadFile(wireFormatFile)
 	if err != nil {
@@ -94,6 +97,15 @@ func TestRunRequestWireFormat(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotObj, wantObj) {
 			t.Errorf("%s: request body changed\n got: %s\nwant: %s", name, got, compact(t, want))
+		}
+		if sent := req.AppendJSON(nil); req.Exchange.Enabled && len(sent) > 0 || !req.Exchange.Enabled && !bytes.Equal(sent, got) {
+			t.Errorf("%s: AppendJSON sends\n%s\njson.Marshal writes\n%s", name, sent, got)
+		}
+		var fast RunRequest
+		if took := fast.ReadJSON(want); took == req.Exchange.Enabled {
+			t.Errorf("%s: the fast reader took the pinned body: %v, want %v", name, took, !took)
+		} else if took && !reflect.DeepEqual(fast, req) {
+			t.Errorf("%s: the fast reader reads the pinned body as\n%+v\nwant\n%+v", name, fast, req)
 		}
 		decoded, err := DecodeRunRequest(bytes.NewReader(want))
 		if err != nil {
@@ -285,6 +297,15 @@ func TestRunResponseWireFormat(t *testing.T) {
 		}
 		if want := wireResult(res); !reflect.DeepEqual(decoded, want) {
 			t.Errorf("%s: the pinned body decodes to\n%+v\nwant\n%+v", name, decoded, want)
+		}
+		var fast RunResponse
+		if !fast.ReadJSON([]byte(pinned[name].Body)) || !reflect.DeepEqual(fast, decoded) {
+			t.Errorf("%s: the fast reader reads the pinned body as\n%+v\nwant\n%+v", name, fast, decoded)
+		}
+	}
+	for name, want := range map[string]cancelAck{"cancel-live": {Cancelled: true}, "cancel-not-live": {}} {
+		if ack := (cancelAck{Cancelled: !want.Cancelled}); !ack.ReadJSON([]byte(pinned[name].Body)) || ack != want {
+			t.Errorf("%s: the fast reader reads the pinned ack as %+v, want %+v", name, ack, want)
 		}
 	}
 	// Two walkers under way, the lower cost of the two.

@@ -10,19 +10,24 @@
 // message is sent: it encodes the request, reads every reply to EOF
 // into a pooled buffer (so the keep-alive connection goes back to the
 // client's pool whatever the status), and turns a non-200 reply into a
-// *StatusError. One pooled buffer a message, whatever its size.
+// *StatusError. A reply over its cap is refused, as a body is, and
+// drops its connection. One pooled buffer a message, whatever its size.
 //
-// A hot message may skip reflection on either side. Write sends an
-// Appender's own bytes, which must be json.Marshal's; AppendString,
-// AppendFloat and AppendTime write a field as encoding/json does.
-// Decode offers the body to a FastReader first, which reads the
-// canonical shape of its message with a Lexer and refuses anything
-// else to the strict decoder, so every rejection and its error text
-// stay encoding/json's. The solve service's job record and request are
-// the two such messages: for a costas-9 job on a 2-vCPU Xeon
-// (service.BenchmarkFrontDoorCodec, -cpu 1, three runs) the request
-// read went from 2.4–3.6 µs and 10 allocations to 0.52–0.61 µs and 3,
-// and the reply from 3.3–4.4 µs and 7 allocations to 1.2–1.4 µs and 4.
+// A hot message may skip reflection on either side. Write and Call
+// send an Appender's own bytes, which must be json.Marshal's;
+// AppendString, AppendFloat and AppendTime write a field as
+// encoding/json does. Decode and Call offer the body to a FastReader
+// first, which reads the canonical shape of its message with a Lexer
+// and refuses anything else to encoding/json, so every rejection and
+// its error text stay encoding/json's. The solve service's request and
+// job record are two such messages: for a costas-9 job on a 2-vCPU
+// Xeon (service.BenchmarkFrontDoorCodec, -cpu 1, three runs) the
+// request read went from 2.4–3.6 µs and 10 allocations to 0.52–0.61 µs
+// and 3, and the reply from 3.3–4.4 µs and 7 allocations to 1.2–1.4 µs
+// and 4. The fleet's run request, run reply and cancel ack are the
+// other three (dist.BenchmarkFleetJob, costas-9: 39.8 to 35.7 KB and
+// 432 to 376 allocations a job, with a one-walker shard run deriving
+// no context).
 package httpjson
 
 import (
@@ -67,9 +72,7 @@ func putBuf(buf *bytes.Buffer) {
 func Write(w http.ResponseWriter, code int, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if a, ok := v.(Appender); ok {
-		buf.Write(append(a.AppendJSON(buf.AvailableBuffer()), '\n'))
-	} else if err := json.NewEncoder(buf).Encode(v); err != nil {
+	if err := encode(buf, v); err != nil {
 		buf.Reset()
 		code = http.StatusInternalServerError
 		// A map of strings always encodes.
@@ -81,6 +84,19 @@ func Write(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	// A failed write is a client that went away; there is no one to tell.
 	_, _ = w.Write(buf.Bytes())
+}
+
+// encode writes v into buf as one line of compact JSON: an Appender's
+// own bytes, anything else, or a value its Appender declines, as
+// encoding/json writes it.
+func encode(buf *bytes.Buffer, v any) error {
+	if a, ok := v.(Appender); ok {
+		if b := a.AppendJSON(buf.AvailableBuffer()); len(b) > 0 {
+			buf.Write(append(b, '\n'))
+			return nil
+		}
+	}
+	return json.NewEncoder(buf).Encode(v)
 }
 
 // errTrailing is Decode's answer to a body with more after its value.
@@ -97,14 +113,8 @@ var errTrailing = errors.New("data after the JSON value")
 func Decode(r io.Reader, limit int64, v any) error {
 	buf := getBuf()
 	defer putBuf(buf)
-	if limit > 0 {
-		r = io.LimitReader(r, limit+1)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
+	if err := readAll(buf, r, limit, "body"); err != nil {
 		return err
-	}
-	if limit > 0 && int64(buf.Len()) > limit {
-		return fmt.Errorf("body exceeds %d bytes", limit)
 	}
 	if fr, ok := v.(FastReader); ok && fr.ReadJSON(buf.Bytes()) {
 		return nil
@@ -122,15 +132,37 @@ func Decode(r io.Reader, limit int64, v any) error {
 	return nil
 }
 
-// read reads r to EOF and unmarshals the body into v. Reading to EOF
-// is what lets an HTTP client hand the keep-alive connection back to
-// its pool. Unmarshal copies every string it keeps, so v holds no
-// reference to the buffer once read returns.
-func read(r io.Reader, v any) error {
-	buf := getBuf()
-	defer putBuf(buf)
+// readAll reads r to EOF into buf, refusing a body of more than limit
+// bytes (0 = unbounded) as an error naming what it read; it reads one
+// byte past the limit to tell.
+func readAll(buf *bytes.Buffer, r io.Reader, limit int64, what string) error {
+	if limit > 0 {
+		r = io.LimitReader(r, limit+1)
+	}
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err
+	}
+	if limit > 0 && int64(buf.Len()) > limit {
+		return fmt.Errorf("%s exceeds %d bytes", what, limit)
+	}
+	return nil
+}
+
+// read reads a reply of at most limit bytes (0 = unbounded) to EOF and
+// unmarshals it into v, or drops it when v is nil. Reading to EOF is
+// what lets an HTTP client hand the keep-alive connection back to its
+// pool; an over-limit reply is refused after limit+1 bytes and so
+// drops its connection. A v that is a FastReader is offered the reply
+// first. Unmarshal copies every string it keeps, so v holds no
+// reference to the buffer once read returns.
+func read(r io.Reader, limit int64, v any) error {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := readAll(buf, r, limit, "reply"); err != nil || v == nil {
+		return err
+	}
+	if fr, ok := v.(FastReader); ok && fr.ReadJSON(buf.Bytes()) {
+		return nil
 	}
 	return json.Unmarshal(buf.Bytes(), v)
 }
@@ -150,17 +182,27 @@ func (e *StatusError) Error() string {
 }
 
 // Call sends one request and reads its reply. in is sent as the JSON
-// body (no body when nil). A 200 reply is unmarshalled into out (read
-// and dropped when out is nil), bounded by limit bytes (0 = unbounded);
-// any other status is returned as a *StatusError. Every reply is read
-// to EOF, so the connection is reused whatever the outcome; an error
-// reply is read up to 64 KB. A failure of client.Do comes back as the
-// *url.Error it is, so a caller tells a lost peer from one that
-// answered with errors.As.
+// body (no body when nil): an Appender's own bytes, anything else as
+// json.Marshal writes it. A 200 reply is unmarshalled into out (read
+// and dropped when out is nil), a FastReader offered it first; any
+// other status is returned as a *StatusError. Every reply is read to
+// EOF, so the connection is reused whatever the outcome, unless it is
+// longer than its cap: limit bytes for a 200 (0 = unbounded), 64 KB for
+// an error. Such a reply is refused, not cut short, and drops its
+// connection. A failure of client.Do comes back as the *url.Error it
+// is, so a caller tells a lost peer from one that answered with
+// errors.As.
 func Call(ctx context.Context, client *http.Client, method, url string, in, out any, limit int64) error {
 	var body io.Reader
 	if in != nil {
-		payload, err := json.Marshal(in)
+		buf := getBuf()
+		err := encode(buf, in)
+		// A fresh slice, not the pooled buffer: the Transport may read
+		// a request body after Do returns, and re-reads it through
+		// GetBody to retry a stale keep-alive connection. The newline
+		// encode ends with is not sent.
+		payload := bytes.Clone(bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}))
+		putBuf(buf)
 		if err != nil {
 			return fmt.Errorf("encoding the request: %w", err)
 		}
@@ -183,19 +225,10 @@ func Call(ctx context.Context, client *http.Client, method, url string, in, out 
 			Error string `json:"error"`
 		}
 		// An unreadable error body leaves Msg empty.
-		_ = read(io.LimitReader(resp.Body, maxErrorLen), &e)
+		_ = read(resp.Body, maxErrorLen, &e)
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
-	var r io.Reader = resp.Body
-	if limit > 0 {
-		r = io.LimitReader(r, limit)
-	}
-	if out == nil {
-		_, err = io.Copy(io.Discard, r)
-	} else {
-		err = read(r, out)
-	}
-	if err != nil {
+	if err := read(resp.Body, limit, out); err != nil {
 		return fmt.Errorf("reading the reply: %w", err)
 	}
 	return nil

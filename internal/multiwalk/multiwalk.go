@@ -318,7 +318,7 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	}
 
 	start := time.Now()
-	runCtx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := runContext(ctx, opts.Walkers)
 	defer cancel()
 
 	stats := make([]WalkerStat, opts.Walkers)
@@ -386,6 +386,16 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	res.Truncated = ctx.Err() != nil && !res.Solved
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// runContext is the context a run's walkers share: a solved walker
+// cancels the others through it. A one-walker run has no others and
+// derives none.
+func runContext(ctx context.Context, walkers int) (context.Context, context.CancelFunc) {
+	if walkers == 1 {
+		return ctx, func() {}
+	}
+	return context.WithCancel(ctx)
 }
 
 // RunVirtual executes the same k independent walks sequentially, each to

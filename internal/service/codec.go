@@ -1,7 +1,6 @@
 package service
 
 import (
-	"slices"
 	"strconv"
 
 	"repro/internal/httpjson"
@@ -50,28 +49,12 @@ func (j Job) AppendJSON(dst []byte) []byte {
 func (r *Request) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"problem":`...)
 	dst = httpjson.AppendString(dst, r.Problem)
-	dst = appendNonZero(dst, `,"size":`, int64(r.Size))
+	dst = httpjson.AppendNonZero(dst, `,"size":`, int64(r.Size))
 	if len(r.Params) > 0 {
-		// Sorted as encoding/json sorts a map's keys; a request's few
-		// parameters fit the array, which stays on the stack.
-		var arr [8]string
-		keys := arr[:0]
-		for k := range r.Params {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		dst = append(dst, `,"params":{`...)
-		for i, k := range keys {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = httpjson.AppendString(dst, k)
-			dst = append(dst, ':')
-			dst = strconv.AppendInt(dst, int64(r.Params[k]), 10)
-		}
-		dst = append(dst, '}')
+		dst = append(dst, `,"params":`...)
+		dst = httpjson.AppendIntMap(dst, r.Params)
 	}
-	dst = appendNonZero(dst, `,"walkers":`, int64(r.Walkers))
+	dst = httpjson.AppendNonZero(dst, `,"walkers":`, int64(r.Walkers))
 	if a := r.AutoSize; a != nil {
 		dst = append(dst, `,"autosize":{`...)
 		sep := len(dst)
@@ -79,12 +62,9 @@ func (r *Request) appendJSON(dst []byte) []byte {
 			dst = append(dst, `,"target_p95":`...)
 			dst = httpjson.AppendString(dst, a.TargetP95)
 		}
-		dst = appendNonZero(dst, `,"max_walkers":`, int64(a.MaxWalkers))
-		if a.MinGain != 0 {
-			dst = append(dst, `,"min_gain":`...)
-			dst = httpjson.AppendFloat(dst, a.MinGain)
-		}
-		dst = closeObject(dst, sep)
+		dst = httpjson.AppendNonZero(dst, `,"max_walkers":`, int64(a.MaxWalkers))
+		dst = httpjson.AppendNonZeroFloat(dst, `,"min_gain":`, a.MinGain)
+		dst = httpjson.CloseObject(dst, sep)
 	}
 	if r.Seed != 0 {
 		dst = append(dst, `,"seed":`...)
@@ -93,9 +73,9 @@ func (r *Request) appendJSON(dst []byte) []byte {
 	if r.Exchange != nil {
 		dst = appendExchange(dst, r.Exchange)
 	}
-	dst = appendNonZero(dst, `,"max_iterations":`, r.MaxIterations)
-	dst = appendNonZero(dst, `,"max_runs":`, int64(r.MaxRuns))
-	dst = appendNonZero(dst, `,"timeout_ms":`, r.TimeoutMS)
+	dst = httpjson.AppendNonZero(dst, `,"max_iterations":`, r.MaxIterations)
+	dst = httpjson.AppendNonZero(dst, `,"max_runs":`, int64(r.MaxRuns))
+	dst = httpjson.AppendNonZero(dst, `,"timeout_ms":`, r.TimeoutMS)
 	if r.Tenant != "" {
 		dst = append(dst, `,"tenant":`...)
 		dst = httpjson.AppendString(dst, r.Tenant)
@@ -110,12 +90,9 @@ func (r *Request) appendJSON(dst []byte) []byte {
 func appendExchange(dst []byte, x *multiwalk.ExchangeOptions) []byte {
 	dst = append(dst, `,"exchange":{"enabled":`...)
 	dst = strconv.AppendBool(dst, x.Enabled)
-	dst = appendNonZero(dst, `,"period_iters":`, x.Period)
-	if x.AdoptFactor != 0 {
-		dst = append(dst, `,"adopt_factor":`...)
-		dst = httpjson.AppendFloat(dst, x.AdoptFactor)
-	}
-	dst = appendNonZero(dst, `,"perturb_swaps":`, int64(x.PerturbSwaps))
+	dst = httpjson.AppendNonZero(dst, `,"period_iters":`, x.Period)
+	dst = httpjson.AppendNonZeroFloat(dst, `,"adopt_factor":`, x.AdoptFactor)
+	dst = httpjson.AppendNonZero(dst, `,"perturb_swaps":`, int64(x.PerturbSwaps))
 	return append(dst, '}')
 }
 
@@ -123,14 +100,8 @@ func (r *JobResult) appendJSON(dst []byte) []byte {
 	dst = append(dst, `{"solved":`...)
 	dst = strconv.AppendBool(dst, r.Solved)
 	if len(r.Solution) > 0 {
-		dst = append(dst, `,"solution":[`...)
-		for i, v := range r.Solution {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(v), 10)
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `,"solution":`...)
+		dst = httpjson.AppendInts(dst, r.Solution)
 	}
 	dst = append(dst, `,"winner":`...)
 	dst = strconv.AppendInt(dst, int64(r.Winner), 10)
@@ -144,46 +115,12 @@ func (r *JobResult) appendJSON(dst []byte) []byte {
 	dst = strconv.AppendBool(dst, r.Truncated)
 	dst = append(dst, `,"elapsed_ms":`...)
 	dst = strconv.AppendInt(dst, r.ElapsedMS, 10)
-	dst = appendNonZero(dst, `,"adoptions":`, r.Adoptions)
-	dst = appendNonZero(dst, `,"yielded_walkers":`, int64(r.YieldedWalkers))
+	dst = httpjson.AppendNonZero(dst, `,"adoptions":`, r.Adoptions)
+	dst = httpjson.AppendNonZero(dst, `,"yielded_walkers":`, int64(r.YieldedWalkers))
 	dst = append(dst, `,"best_cost":`...)
 	dst = strconv.AppendInt(dst, int64(r.BestCost), 10)
 	return append(dst, '}')
 }
-
-// appendNonZero appends an omitempty integer field, key included:
-// nothing when v is 0.
-func appendNonZero(dst []byte, key string, v int64) []byte {
-	if v == 0 {
-		return dst
-	}
-	dst = append(dst, key...)
-	return strconv.AppendInt(dst, v, 10)
-}
-
-// closeObject ends an object whose members were each appended with a
-// leading comma from sep on: the first comma goes.
-func closeObject(dst []byte, sep int) []byte {
-	if len(dst) > sep {
-		dst = append(dst[:sep], dst[sep+1:]...)
-	}
-	return append(dst, '}')
-}
-
-// Bits of solveBody.ReadJSON's seen set, one a field.
-const (
-	seenProblem = 1 << iota
-	seenSize
-	seenParams
-	seenWalkers
-	seenSeed
-	seenMaxIterations
-	seenMaxRuns
-	seenTimeoutMS
-	seenTenant
-	seenPriority
-	seenWait
-)
 
 // ReadJSON reads the body a client writes (httpjson.Decode offers it
 // first): one object of the fields below spelt exactly, each at most
@@ -195,102 +132,37 @@ const (
 // and error text stays encoding/json's.
 func (b *solveBody) ReadJSON(data []byte) bool {
 	lx := httpjson.NewLexer(data)
-	if !lx.Delim('{') {
-		return false
-	}
 	var body solveBody
-	if !lx.Delim('}') {
-		var seen int
-		for {
-			key, ok := lx.Key()
-			if !ok {
-				return false
-			}
-			var bit int
-			switch string(key) {
-			case "problem":
-				bit = seenProblem
-				body.Problem, ok = lx.Text()
-			case "size":
-				bit = seenSize
-				body.Size, ok = lx.Int()
-			case "params":
-				bit = seenParams
-				body.Params, ok = readParams(&lx)
-			case "walkers":
-				bit = seenWalkers
-				body.Walkers, ok = lx.Int()
-			case "seed":
-				bit = seenSeed
-				body.Seed, ok = lx.Uint64()
-			case "max_iterations":
-				bit = seenMaxIterations
-				body.MaxIterations, ok = lx.Int64()
-			case "max_runs":
-				bit = seenMaxRuns
-				body.MaxRuns, ok = lx.Int()
-			case "timeout_ms":
-				bit = seenTimeoutMS
-				body.TimeoutMS, ok = lx.Int64()
-			case "tenant":
-				bit = seenTenant
-				body.Tenant, ok = lx.Text()
-			case "priority":
-				bit = seenPriority
-				body.Priority, ok = lx.Text()
-			case "wait":
-				bit = seenWait
-				body.Wait, ok = lx.Bool()
-			default:
-				return false
-			}
-			if !ok || seen&bit != 0 {
-				return false
-			}
-			seen |= bit
-			if lx.Delim('}') {
-				break
-			}
-			if !lx.Delim(',') {
-				return false
-			}
+	ok := lx.Object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "problem":
+			body.Problem, ok = lx.Text()
+		case "size":
+			body.Size, ok = lx.Int()
+		case "params":
+			body.Params, ok = lx.IntMap()
+		case "walkers":
+			body.Walkers, ok = lx.Int()
+		case "seed":
+			body.Seed, ok = lx.Uint64()
+		case "max_iterations":
+			body.MaxIterations, ok = lx.Int64()
+		case "max_runs":
+			body.MaxRuns, ok = lx.Int()
+		case "timeout_ms":
+			body.TimeoutMS, ok = lx.Int64()
+		case "tenant":
+			body.Tenant, ok = lx.Text()
+		case "priority":
+			body.Priority, ok = lx.Text()
+		case "wait":
+			body.Wait, ok = lx.Bool()
 		}
-	}
-	if !lx.End() {
+		return ok
+	})
+	if !ok || !lx.End() {
 		return false
 	}
 	*b = body
 	return true
-}
-
-// readParams reads a flat object of integers, no key twice. {} is an
-// empty map, not nil, as encoding/json makes it.
-func readParams(lx *httpjson.Lexer) (map[string]int, bool) {
-	if !lx.Delim('{') {
-		return nil, false
-	}
-	params := make(map[string]int)
-	if lx.Delim('}') {
-		return params, true
-	}
-	for {
-		key, ok := lx.Key()
-		if !ok {
-			return nil, false
-		}
-		if _, dup := params[string(key)]; dup {
-			return nil, false
-		}
-		v, ok := lx.Int()
-		if !ok {
-			return nil, false
-		}
-		params[string(key)] = v
-		if lx.Delim('}') {
-			return params, true
-		}
-		if !lx.Delim(',') {
-			return nil, false
-		}
-	}
 }
