@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "%-15s default=%-5d paper=%-5d %s\n", info.Name, info.DefaultSize, info.PaperSize, info.Description)
+			fmt.Fprintf(stdout, "%-15s default=%-5d paper=%-5d max=%-6d %s\n", info.Name, info.DefaultSize, info.PaperSize, info.MaxSize, info.Description)
 		}
 		return nil
 	}

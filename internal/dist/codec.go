@@ -11,7 +11,7 @@ import (
 
 // The fleet's three hot messages — the run request out, the run reply
 // and the cancel ack back — are written and read here without
-// reflection. All are pinned to encoding/json: FuzzRunRequestJSON and
+// reflection (the cancel ack is written by encoding/json). All are pinned to encoding/json: FuzzRunRequestJSON and
 // FuzzRunResponseJSON compare them with it on arbitrary input, and the
 // wire files under testdata pin the bodies.
 
@@ -172,6 +172,64 @@ func readOptions(lx *httpjson.Lexer, o *core.Options) bool {
 		}
 		return ok
 	})
+}
+
+// runReply is a shard's result as the worker answers it: AppendJSON
+// writes the RunResponse json.Marshal writes for wireResult(res)
+// straight from the multiwalk.Result, with no wire copy made.
+type runReply multiwalk.Result
+
+// AppendJSON appends the reply. It never declines one: a reply holds
+// integers and booleans only.
+func (r *runReply) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"stats":[`...)
+	for i := range r.Walkers {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendStat(dst, &r.Walkers[i])
+	}
+	dst = append(dst, ']')
+	dst = appendInt(dst, `,"completed":`, int64(r.Completed))
+	dst = append(dst, `,"truncated":`...)
+	dst = strconv.AppendBool(dst, r.Truncated)
+	dst = appendInt(dst, `,"elapsed_ns":`, int64(r.Elapsed))
+	return append(dst, '}')
+}
+
+// appendStat appends one walker's stat as its WalkerStatWire.
+func appendStat(dst []byte, ws *multiwalk.WalkerStat) []byte {
+	r := &ws.Result
+	dst = appendInt(dst, `{"walker":`, int64(ws.Walker))
+	dst = append(dst, `,"solved":`...)
+	dst = strconv.AppendBool(dst, r.Solved)
+	if len(r.Solution) > 0 {
+		dst = append(dst, `,"solution":`...)
+		dst = httpjson.AppendInts(dst, r.Solution)
+	}
+	dst = appendInt(dst, `,"cost":`, int64(r.Cost))
+	dst = appendInt(dst, `,"iterations":`, r.Iterations)
+	dst = appendInt(dst, `,"swaps":`, r.Swaps)
+	dst = httpjson.AppendNonZero(dst, `,"assigns":`, r.Assigns)
+	dst = httpjson.AppendNonZero(dst, `,"flips":`, r.Flips)
+	dst = appendInt(dst, `,"local_minima":`, r.LocalMinima)
+	dst = appendInt(dst, `,"plateau_escapes":`, r.PlateauEscapes)
+	dst = appendInt(dst, `,"resets":`, r.Resets)
+	dst = appendInt(dst, `,"restarts":`, int64(r.Restarts))
+	dst = append(dst, `,"interrupted":`...)
+	dst = strconv.AppendBool(dst, r.Interrupted)
+	dst = appendInt(dst, `,"elapsed_ns":`, int64(r.Elapsed))
+	dst = httpjson.AppendNonZero(dst, `,"adoptions":`, ws.Adoptions)
+	if ws.Yielded {
+		dst = append(dst, `,"yielded":true`...)
+	}
+	return append(dst, '}')
+}
+
+// appendInt appends an integer member, its key given with the comma or
+// brace before it.
+func appendInt(dst []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(dst, key...), v, 10)
 }
 
 // ReadJSON reads a worker's run reply (httpjson.Call offers it first):

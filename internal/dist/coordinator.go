@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -1069,8 +1070,19 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 		c.mFailovers.Add(1)
 		return shardOutcome{lost: true}
 	}
+	// The request is written into a buffer on the stack and sent as a
+	// copy, so it reaches the heap boxed only when AppendJSON declines
+	// it (exchange, or a float json.Marshal refuses) and Call encodes
+	// it with encoding/json.
+	var stack [512]byte
+	var in any
+	if b := reqBody.AppendJSON(stack[:0]); len(b) > 0 {
+		in = bytes.Clone(b)
+	} else {
+		in = reqBody
+	}
 	var wire RunResponse
-	err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/run", reqBody, &wire, 0)
+	err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/run", in, &wire, 0)
 	if err == nil {
 		return shardOutcome{res: resultFromWire(wire)}
 	}

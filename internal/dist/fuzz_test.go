@@ -188,7 +188,9 @@ type (
 
 // FuzzRunResponseJSON: RunResponse.ReadJSON and cancelAck.ReadJSON
 // either refuse a reply and leave the value as it was, or read it to
-// what json.Unmarshal, httpjson.Call's lenient fallback, makes of it.
+// what json.Unmarshal, httpjson.Call's lenient fallback, makes of it;
+// and runReply.AppendJSON writes, for the shard result of any reply
+// Unmarshal reads, the bytes json.Marshal writes for its wire copy.
 // Unmarshal skips an unknown key and matches a case-folded one, so the
 // readers must refuse both rather than read them another way. A reply
 // as a worker writes it, json.Marshal's bytes for whatever Unmarshal
@@ -252,6 +254,16 @@ func FuzzRunResponseJSON(f *testing.F) {
 		if json.Unmarshal(data, &sent) == nil && sent.Stats != nil {
 			if body, err := json.Marshal(sent); err == nil && !read(body) {
 				t.Fatalf("the fast reader refuses what a worker sends: %s", body)
+			}
+			// The worker writes the reply of a shard's result as
+			// json.Marshal writes its wire copy.
+			res := resultFromWire(RunResponse(sent))
+			want, err := json.Marshal(wireResult(res))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (*runReply)(&res).AppendJSON(nil); !bytes.Equal(got, want) {
+				t.Fatalf("AppendJSON\n%s\njson.Marshal(wireResult)\n%s", got, want)
 			}
 		}
 

@@ -68,13 +68,13 @@ const (
 // proper (the fuzz suite leans on these).
 const (
 	maxWalkers        = 1 << 20
-	maxSize           = 1 << 20
 	maxProblemParams  = 256
 	maxInitialConfig  = 1 << 20
 	maxRequestBodyLen = 8 << 20
 	maxBoardURL       = 4096
-	// maxBoardSyncLen must hold one configuration of any protocol-legal
-	// instance (n up to maxSize, up to ~8 JSON bytes per value) —
+	// maxBoardSyncLen must hold one configuration of any instance the
+	// registry builds (at most 1<<20 variables, magic-square's at its
+	// MaxSize, up to ~8 JSON bytes per value) —
 	// otherwise large exchange jobs would silently degrade to
 	// independent walks with every sync rejected at the cap.
 	maxBoardSyncLen = 16 << 20
@@ -210,10 +210,23 @@ type cancelAck struct {
 // client mistakes from worker faults with errors.Is. Unknown fields are
 // errors: a coordinator speaking a retired spelling must not get a run
 // with that setting silently left at its default. So is anything but
-// whitespace after the request.
+// whitespace after the request. The body is offered to ReadJSON first
+// and decoded strictly only when that refuses it, into a value of its
+// own, so the request stays off the heap unless it takes that path.
 func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	var req RunRequest
-	if err := httpjson.Decode(r, maxRequestBodyLen, &req); err != nil {
+	err := httpjson.DecodeFunc(r, maxRequestBodyLen, func(body []byte) error {
+		if req.ReadJSON(body) {
+			return nil
+		}
+		strict := new(RunRequest)
+		if err := httpjson.Strict(body, strict); err != nil {
+			return err
+		}
+		req = *strict
+		return nil
+	})
+	if err != nil {
 		return RunRequest{}, fmt.Errorf("%w: invalid JSON: %v", ErrBadRequest, err)
 	}
 	if err := req.Validate(); err != nil {
@@ -223,10 +236,10 @@ func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 }
 
 // Validate checks what only the protocol knows — ids, mode, the problem
-// registry, the shard arithmetic, size caps and URLs — and hands the
-// engine options and exchange tuning to their own validators
-// (core.Options.Validate, multiwalk.ExchangeOptions.Validate). Errors
-// wrap ErrBadRequest.
+// registry and its size caps, the shard arithmetic, counts and URLs —
+// and hands the engine options and exchange tuning to their own
+// validators (core.Options.Validate, multiwalk.ExchangeOptions.Validate).
+// Errors wrap ErrBadRequest.
 func (req *RunRequest) Validate() error {
 	if req.ID == "" {
 		return fmt.Errorf("%w: missing run id", ErrBadRequest)
@@ -234,11 +247,12 @@ func (req *RunRequest) Validate() error {
 	if req.Mode != ModeRun && req.Mode != ModeVirtual {
 		return fmt.Errorf("%w: unknown mode %q (want %q or %q)", ErrBadRequest, req.Mode, ModeRun, ModeVirtual)
 	}
-	if _, err := problems.Describe(req.Problem); err != nil {
+	info, err := problems.Describe(req.Problem)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if req.Size < 0 || req.Size > maxSize {
-		return fmt.Errorf("%w: size %d outside [0, %d]", ErrBadRequest, req.Size, maxSize)
+	if req.Size < 0 || req.Size > info.MaxSize {
+		return fmt.Errorf("%w: size %d outside [0, %d]", ErrBadRequest, req.Size, info.MaxSize)
 	}
 	if len(req.Params) > maxProblemParams {
 		return fmt.Errorf("%w: %d problem parameters exceed %d", ErrBadRequest, len(req.Params), maxProblemParams)
@@ -282,29 +296,6 @@ func (req *RunRequest) Validate() error {
 	return nil
 }
 
-// wireStat converts one walker stat to its wire form.
-func wireStat(ws multiwalk.WalkerStat) WalkerStatWire {
-	r := ws.Result
-	return WalkerStatWire{
-		Walker:         ws.Walker,
-		Solved:         r.Solved,
-		Solution:       r.Solution,
-		Cost:           r.Cost,
-		Iterations:     r.Iterations,
-		Swaps:          r.Swaps,
-		Assigns:        r.Assigns,
-		Flips:          r.Flips,
-		LocalMinima:    r.LocalMinima,
-		PlateauEscapes: r.PlateauEscapes,
-		Resets:         r.Resets,
-		Restarts:       r.Restarts,
-		Interrupted:    r.Interrupted,
-		ElapsedNS:      int64(r.Elapsed),
-		Adoptions:      ws.Adoptions,
-		Yielded:        ws.Yielded,
-	}
-}
-
 // statFromWire converts one wire stat back into a WalkerStat.
 func statFromWire(w WalkerStatWire) multiwalk.WalkerStat {
 	return multiwalk.WalkerStat{
@@ -327,20 +318,6 @@ func statFromWire(w WalkerStatWire) multiwalk.WalkerStat {
 		Adoptions: w.Adoptions,
 		Yielded:   w.Yielded,
 	}
-}
-
-// wireResult converts a shard Result into a RunResponse.
-func wireResult(res multiwalk.Result) RunResponse {
-	out := RunResponse{
-		Stats:     make([]WalkerStatWire, len(res.Walkers)),
-		Completed: res.Completed,
-		Truncated: res.Truncated,
-		ElapsedNS: int64(res.Elapsed),
-	}
-	for i, ws := range res.Walkers {
-		out.Stats[i] = wireStat(ws)
-	}
-	return out
 }
 
 // resultFromWire converts a RunResponse back into a shard Result. The

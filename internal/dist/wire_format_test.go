@@ -198,6 +198,45 @@ func responseWireResults() map[string]multiwalk.Result {
 	}
 }
 
+// wireStat converts one walker stat to its wire form.
+func wireStat(ws multiwalk.WalkerStat) WalkerStatWire {
+	r := ws.Result
+	return WalkerStatWire{
+		Walker:         ws.Walker,
+		Solved:         r.Solved,
+		Solution:       r.Solution,
+		Cost:           r.Cost,
+		Iterations:     r.Iterations,
+		Swaps:          r.Swaps,
+		Assigns:        r.Assigns,
+		Flips:          r.Flips,
+		LocalMinima:    r.LocalMinima,
+		PlateauEscapes: r.PlateauEscapes,
+		Resets:         r.Resets,
+		Restarts:       r.Restarts,
+		Interrupted:    r.Interrupted,
+		ElapsedNS:      int64(r.Elapsed),
+		Adoptions:      ws.Adoptions,
+		Yielded:        ws.Yielded,
+	}
+}
+
+// wireResult converts a shard Result into a RunResponse: the reference
+// a worker's reply is held to, json.Marshal(wireResult(res)) being the
+// bytes runReply.AppendJSON must write.
+func wireResult(res multiwalk.Result) RunResponse {
+	out := RunResponse{
+		Stats:     make([]WalkerStatWire, len(res.Walkers)),
+		Completed: res.Completed,
+		Truncated: res.Truncated,
+		ElapsedNS: int64(res.Elapsed),
+	}
+	for i, ws := range res.Walkers {
+		out.Stats[i] = wireStat(ws)
+	}
+	return out
+}
+
 // responseWireReplies plays every pinned reply against a fresh worker:
 // the run replies through the writer handleRun answers with, the cancel
 // acks and the error body through the worker's own handler.
@@ -206,7 +245,7 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 	out := make(map[string]*httptest.ResponseRecorder)
 	for name, res := range responseWireResults() {
 		rec := httptest.NewRecorder()
-		httpjson.Write(rec, http.StatusOK, wireResult(res))
+		httpjson.Write(rec, http.StatusOK, (*runReply)(&res))
 		out[name] = rec
 	}
 
@@ -290,6 +329,14 @@ func TestRunResponseWireFormat(t *testing.T) {
 		}
 	}
 	for name, res := range responseWireResults() {
+		// The reply's writer against its reference, encoding/json.
+		want, err := json.Marshal(wireResult(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (*runReply)(&res).AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendJSON\n%s\njson.Marshal(wireResult)\n%s", name, got, want)
+		}
 		var decoded RunResponse
 		if err := json.Unmarshal([]byte(pinned[name].Body), &decoded); err != nil {
 			t.Errorf("%s: pinned body does not decode: %v", name, err)

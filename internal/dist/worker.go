@@ -332,7 +332,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wk.mRuns.Add(1)
-	httpjson.Write(w, http.StatusOK, wireResult(res))
+	httpjson.Write(w, http.StatusOK, (*runReply)(&res))
 }
 
 // progressOf folds a run's per-walker cells into its progress reply:

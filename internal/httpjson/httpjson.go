@@ -19,7 +19,9 @@
 // encoding/json does. Decode and Call offer the body to a FastReader
 // first, which reads the canonical shape of its message with a Lexer
 // and refuses anything else to encoding/json, so every rejection and
-// its error text stay encoding/json's. The solve service's request and
+// its error text stay encoding/json's. DecodeFunc hands the body to the
+// caller's own reader instead, so that the value read need not escape
+// to the heap, and Call sends a []byte the caller encoded as it is. The solve service's request and
 // job record are two such messages: for a costas-9 job on a 2-vCPU
 // Xeon (service.BenchmarkFrontDoorCodec, -cpu 1, three runs) the
 // request read went from 2.4–3.6 µs and 10 allocations to 0.52–0.61 µs
@@ -27,7 +29,9 @@
 // and 4. The fleet's run request, run reply and cancel ack are the
 // other three (dist.BenchmarkFleetJob, costas-9: 39.8 to 35.7 KB and
 // 432 to 376 allocations a job, with a one-walker shard run deriving
-// no context).
+// no context; 34.1 KB and 372 with the run request written on the
+// stack and read into a value that stays there, and the reply written
+// from the shard's result).
 package httpjson
 
 import (
@@ -111,17 +115,33 @@ var errTrailing = errors.New("data after the JSON value")
 // offered it first, and encoding/json reads what it refuses. Callers
 // wrap the error in their own bad-request type.
 func Decode(r io.Reader, limit int64, v any) error {
+	return DecodeFunc(r, limit, func(body []byte) error {
+		if fr, ok := v.(FastReader); ok && fr.ReadJSON(body) {
+			return nil
+		}
+		return Strict(body, v)
+	})
+}
+
+// DecodeFunc reads a body as Decode does and hands it to read, whose
+// error it returns. The body is the pooled buffer, valid only until
+// read returns: read decodes it — with a fast reader into a value of
+// its own, which then need not escape to the heap, and with Strict
+// into a fresh value when that refuses — and keeps no reference to it.
+func DecodeFunc(r io.Reader, limit int64, read func(body []byte) error) error {
 	buf := getBuf()
 	defer putBuf(buf)
 	if err := readAll(buf, r, limit, "body"); err != nil {
 		return err
 	}
-	if fr, ok := v.(FastReader); ok && fr.ReadJSON(buf.Bytes()) {
-		return nil
-	}
-	// The decoder copies every string it keeps, so v holds no reference
-	// to the buffer once Decode returns.
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	return read(buf.Bytes())
+}
+
+// Strict decodes body into v as Decode does: no field v does not have,
+// and nothing but whitespace after the value. The decoder copies every
+// string it keeps, so v holds no reference to body once Strict returns.
+func Strict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -182,8 +202,9 @@ func (e *StatusError) Error() string {
 }
 
 // Call sends one request and reads its reply. in is sent as the JSON
-// body (no body when nil): an Appender's own bytes, anything else as
-// json.Marshal writes it. A 200 reply is unmarshalled into out (read
+// body (no body when nil): a []byte as it is — JSON the caller encoded,
+// into a slice it hands over and no longer touches — an Appender's own
+// bytes, anything else as json.Marshal writes it. A 200 reply is unmarshalled into out (read
 // and dropped when out is nil), a FastReader offered it first; any
 // other status is returned as a *StatusError. Every reply is read to
 // EOF, so the connection is reused whatever the outcome, unless it is
@@ -194,7 +215,9 @@ func (e *StatusError) Error() string {
 // errors.As.
 func Call(ctx context.Context, client *http.Client, method, url string, in, out any, limit int64) error {
 	var body io.Reader
-	if in != nil {
+	if payload, ok := in.([]byte); ok {
+		body = bytes.NewReader(payload)
+	} else if in != nil {
 		buf := getBuf()
 		err := encode(buf, in)
 		// A fresh slice, not the pooled buffer: the Transport may read

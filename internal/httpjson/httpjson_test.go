@@ -248,8 +248,8 @@ func (e *echo) ReadJSON(data []byte) bool {
 }
 
 // TestCallCodec: Call sends an Appender's own bytes and json.Marshal's
-// for a value it declines, and offers a 200 reply to a FastReader
-// before json.Unmarshal.
+// for a value it declines, a []byte as it is, and offers a 200 reply to
+// a FastReader before json.Unmarshal.
 func TestCallCodec(t *testing.T) {
 	var bodies []string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -283,6 +283,14 @@ func TestCallCodec(t *testing.T) {
 		if out.N != tc.out || (fast > before) != tc.byReader {
 			t.Errorf("reply %s read as %d (by the fast reader: %v), want %d (%v)", tc.reply, out.N, fast > before, tc.out, tc.byReader)
 		}
+	}
+	// JSON the caller encoded goes as it is.
+	bodies = bodies[:0]
+	if err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL, []byte(` {"n":9}`), nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(bodies) != 1 || bodies[0] != ` {"n":9}` {
+		t.Errorf("a []byte body sent as %q, want it as it is", bodies)
 	}
 }
 

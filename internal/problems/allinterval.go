@@ -12,6 +12,7 @@ func init() {
 		description: "All-Interval Series: order 0..n-1 so the n-1 adjacent differences are all distinct (CSPLib prob007)",
 		defaultSize: 24,
 		paperSize:   700,
+		maxSize:     1 << 16,
 		build:       func(n int) (core.Problem, error) { return NewAllInterval(n) },
 	})
 }

@@ -14,6 +14,7 @@ func init() {
 		description: "The alphacipher: assign 1..26 to letters so 20 word-sum equations hold (rec.puzzles classic)",
 		defaultSize: 26,
 		paperSize:   26,
+		maxSize:     26,
 		build: func(n int) (core.Problem, error) {
 			if n != 26 {
 				return nil, fmt.Errorf("alpha: the alphacipher has exactly 26 variables, got size %d", n)

@@ -12,6 +12,7 @@ func init() {
 		description: "Costas Array Problem: n marks, one per row/column, with all n(n-1)/2 displacement vectors distinct",
 		defaultSize: 14,
 		paperSize:   22,
+		maxSize:     1024, // its tables grow as 20·n² bytes: 20 MiB
 		build:       func(n int) (core.Problem, error) { return NewCostas(n) },
 	})
 }

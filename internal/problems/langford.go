@@ -12,6 +12,7 @@ func init() {
 		description: "Langford pairs L(2,n): arrange two copies of 1..n so the copies of k are k+1 apart (CSPLib prob024)",
 		defaultSize: 32,
 		paperSize:   32,
+		maxSize:     1 << 16,
 		build:       func(n int) (core.Problem, error) { return NewLangford(n) },
 	})
 }

@@ -12,6 +12,7 @@ func init() {
 		description: "Magic Square: fill an n x n grid with 1..n^2 so rows, columns and diagonals share one sum (CSPLib prob019)",
 		defaultSize: 10,
 		paperSize:   100,
+		maxSize:     1024,
 		build:       func(n int) (core.Problem, error) { return NewMagicSquare(n) },
 	})
 }

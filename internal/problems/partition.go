@@ -12,6 +12,7 @@ func init() {
 		description: "Number partitioning: split 1..n into two halves with equal sums and equal sums of squares (CSPLib prob049 flavour)",
 		defaultSize: 64,
 		paperSize:   2600,
+		maxSize:     1 << 16,
 		build:       func(n int) (core.Problem, error) { return NewPartition(n) },
 	})
 }

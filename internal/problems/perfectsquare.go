@@ -12,6 +12,7 @@ func init() {
 		description: "Perfect Square placement: tile a master rectangle exactly with the given set of squares (CSPLib prob009)",
 		defaultSize: 9,
 		paperSize:   21,
+		maxSize:     4096, // 64x64 unit squares: the synthetic master splits no further
 		build:       func(n int) (core.Problem, error) { return NewPerfectSquare(n) },
 	})
 }

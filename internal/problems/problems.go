@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -38,6 +39,11 @@ type Factory func() (core.Problem, error)
 // own typed bad-request error.
 var ErrBadParams = errors.New("problems: invalid problem parameters")
 
+// ErrTooLarge marks a construction request above its benchmark's
+// MaxSize. It is refused before anything is allocated, so one request
+// cannot make a server build an instance that exhausts its memory.
+var ErrTooLarge = errors.New("problems: instance too large")
+
 // builder couples a constructor validating its size parameter with
 // registry metadata.
 type builder struct {
@@ -45,6 +51,7 @@ type builder struct {
 	description string
 	defaultSize int
 	paperSize   int // instance size used in the paper's experiments
+	maxSize     int // largest size NewWithParams builds
 	build       func(n int) (core.Problem, error)
 	// buildParams, when non-nil, is the params-aware constructor used by
 	// finite-domain benchmarks (build must then wrap it with nil
@@ -81,6 +88,10 @@ type Info struct {
 	// clusters (see DESIGN.md §2 for the scaling substitution).
 	DefaultSize int
 	PaperSize   int
+	// MaxSize is the largest size the benchmark builds: at it, and at
+	// its parameters' caps, one instance is built and reduced within
+	// 64 MiB (TestMaxSizeBudget).
+	MaxSize int
 }
 
 // Describe returns metadata for a registered benchmark name.
@@ -89,7 +100,7 @@ func Describe(name string) (Info, error) {
 	if !ok {
 		return Info{}, fmt.Errorf("problems: unknown benchmark %q (known: %v)", name, Names())
 	}
-	return Info{Name: b.name, Description: b.description, DefaultSize: b.defaultSize, PaperSize: b.paperSize}, nil
+	return Info{Name: b.name, Description: b.description, DefaultSize: b.defaultSize, PaperSize: b.paperSize, MaxSize: b.maxSize}, nil
 }
 
 // New constructs a single instance of the named benchmark with the given
@@ -103,7 +114,8 @@ func New(name string, size int) (core.Problem, error) {
 // finite-domain benchmarks' knobs, e.g. timetable's slots/rooms/
 // teachers). A nil or empty map selects the benchmark's defaults;
 // benchmarks that take no parameters reject a non-empty map with an
-// error wrapping ErrBadParams.
+// error wrapping ErrBadParams. A size above the benchmark's MaxSize is
+// refused with an error wrapping ErrTooLarge.
 func NewWithParams(name string, size int, params map[string]int) (core.Problem, error) {
 	b, ok := registry[name]
 	if !ok {
@@ -111,6 +123,9 @@ func NewWithParams(name string, size int, params map[string]int) (core.Problem, 
 	}
 	if size <= 0 {
 		size = b.defaultSize
+	}
+	if size > b.maxSize {
+		return nil, fmt.Errorf("%w: %s size %d exceeds %d", ErrTooLarge, name, size, b.maxSize)
 	}
 	if b.buildParams != nil {
 		return b.buildParams(size, params)
@@ -158,26 +173,65 @@ func NewFactoryParams(name string, size int, params map[string]int) (Factory, er
 // (multiwalk.Run calls it from every walker's). A template lives and
 // dies with its job; nothing is kept across calls of NewTemplate.
 func NewTemplate(name string, size int, params map[string]int) (core.Problem, Factory, error) {
-	template, err := NewWithParams(name, size, params)
+	t := &template{name: name, size: size, params: params}
+	t.once.Do(t.build)
+	if t.err != nil {
+		return nil, nil, t.err
+	}
+	return t.p, t.instance, nil
+}
+
+// LazyFactory is NewTemplate's Factory with the template built on its
+// first call, not up front: for a caller that knows the instance builds
+// and reduces (it has built one before) and reads nothing off it, so
+// that a job which never calls its Factory — one whose walkers run in
+// other processes — builds nothing. Every call returns the
+// construction's error, if it fails.
+func LazyFactory(name string, size int, params map[string]int) Factory {
+	t := &template{name: name, size: size, params: params}
+	return t.instance
+}
+
+// template is the state behind a job's Factory: its spec and, once
+// built, its template or the error building it returned.
+type template struct {
+	name      string
+	size      int
+	params    map[string]int
+	once      sync.Once   // guards build
+	handedOut atomic.Bool // the template itself went to a caller
+	p         core.Problem
+	err       error
+}
+
+// build constructs and reduces the template.
+func (t *template) build() {
+	p, err := NewWithParams(t.name, t.size, t.params)
+	if err == nil {
+		if dr, ok := p.(core.DomainReducer); ok {
+			err = dr.ReduceDomains()
+		}
+	}
 	if err != nil {
-		return nil, nil, err
+		t.err = err
+		return
 	}
-	if dr, ok := template.(core.DomainReducer); ok {
-		if err := dr.ReduceDomains(); err != nil {
-			return nil, nil, err
-		}
+	t.p = p
+}
+
+// instance is the Factory NewTemplate documents.
+func (t *template) instance() (core.Problem, error) {
+	t.once.Do(t.build)
+	if t.err != nil {
+		return nil, t.err
 	}
-	cloner, _ := template.(core.Cloner)
-	var handedOut atomic.Bool
-	return template, func() (core.Problem, error) {
-		if !handedOut.Swap(true) {
-			return template, nil
-		}
-		if cloner != nil {
-			return cloner.Clone(), nil
-		}
-		return NewWithParams(name, size, params)
-	}, nil
+	if !t.handedOut.Swap(true) {
+		return t.p, nil
+	}
+	if cloner, ok := t.p.(core.Cloner); ok {
+		return cloner.Clone(), nil
+	}
+	return NewWithParams(t.name, t.size, t.params)
 }
 
 // abs is the integer absolute value used throughout the encodings.

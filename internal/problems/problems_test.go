@@ -332,6 +332,9 @@ func TestRegistry(t *testing.T) {
 		if info.DefaultSize <= 0 || info.PaperSize <= 0 || info.Description == "" {
 			t.Fatalf("Describe(%q) incomplete: %+v", n, info)
 		}
+		if info.MaxSize < info.DefaultSize || info.MaxSize < info.PaperSize {
+			t.Fatalf("Describe(%q): MaxSize %d below the default or the paper's size: %+v", n, info.MaxSize, info)
+		}
 	}
 	if _, err := Describe("nope"); err == nil {
 		t.Fatal("Describe accepted unknown name")
@@ -382,7 +385,8 @@ func TestFactoryInstancesAreIndependent(t *testing.T) {
 // from many goroutines at once (as multiwalk.Run does) every call gets
 // an instance nobody else holds, and a search on the first instance —
 // the one built to validate the arguments — is the golden trace of a
-// fresh one, for every benchmark.
+// fresh one, for every benchmark. LazyFactory, which builds that
+// instance on its first call instead, is held to the same contract.
 func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 	blob, err := os.ReadFile(goldenPath())
 	if err != nil {
@@ -395,47 +399,55 @@ func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 	for _, problem := range Names() {
 		t.Run(problem, func(t *testing.T) {
 			size := goldenSizes[problem]
-			f, err := NewFactoryParams(problem, size, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first, err := f()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, ok := golden[problem+"/"+core.StrategyAdaptive]
-			if !ok {
-				t.Fatalf("no golden trace for %s/%s", problem, core.StrategyAdaptive)
-			}
-			if got := goldenTraceOn(t, first, size, goldenSeed); got != want {
-				t.Fatalf("validated instance drifted from the golden trace:\n got %s\nwant %s", formatTrace(got), formatTrace(want))
-			}
-
-			f, err = NewFactoryParams(problem, size, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const callers = 16
-			got := make([]core.Problem, callers)
-			var wg sync.WaitGroup
-			for i := range got {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					p, err := f()
-					if err != nil {
-						t.Error(err)
-					}
-					got[i] = p
-				}(i)
-			}
-			wg.Wait()
-			seen := make(map[core.Problem]bool, callers)
-			for i, p := range got {
-				if p == nil || seen[p] {
-					t.Fatalf("caller %d got an instance another caller holds (or none)", i)
+			for _, factory := range []struct {
+				name string
+				make func() (Factory, error)
+			}{
+				{"NewFactoryParams", func() (Factory, error) { return NewFactoryParams(problem, size, nil) }},
+				{"LazyFactory", func() (Factory, error) { return LazyFactory(problem, size, nil), nil }},
+			} {
+				f, err := factory.make()
+				if err != nil {
+					t.Fatal(err)
 				}
-				seen[p] = true
+				first, err := f()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, ok := golden[problem+"/"+core.StrategyAdaptive]
+				if !ok {
+					t.Fatalf("no golden trace for %s/%s", problem, core.StrategyAdaptive)
+				}
+				if got := goldenTraceOn(t, first, size, goldenSeed); got != want {
+					t.Fatalf("%s: validated instance drifted from the golden trace:\n got %s\nwant %s", factory.name, formatTrace(got), formatTrace(want))
+				}
+
+				f, err = factory.make()
+				if err != nil {
+					t.Fatal(err)
+				}
+				const callers = 16
+				got := make([]core.Problem, callers)
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						p, err := f()
+						if err != nil {
+							t.Error(err)
+						}
+						got[i] = p
+					}(i)
+				}
+				wg.Wait()
+				seen := make(map[core.Problem]bool, callers)
+				for i, p := range got {
+					if p == nil || seen[p] {
+						t.Fatalf("%s: caller %d got an instance another caller holds (or none)", factory.name, i)
+					}
+					seen[p] = true
+				}
 			}
 		})
 	}

@@ -12,6 +12,7 @@ func init() {
 		description: "N-Queens: place n queens on an n x n board with no two attacking (CSPLib prob054)",
 		defaultSize: 100,
 		paperSize:   100,
+		maxSize:     1 << 16,
 		build:       func(n int) (core.Problem, error) { return NewQueens(n) },
 	})
 }

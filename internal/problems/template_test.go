@@ -145,6 +145,12 @@ func TestTemplateUnsatisfiable(t *testing.T) {
 	if _, err := NewWithParams("timetable", 3, params); err != nil {
 		t.Fatalf("NewWithParams = %v: it builds, it does not reduce", err)
 	}
+	lazy := LazyFactory("timetable", 3, params)
+	for call := 0; call < 2; call++ {
+		if p, err := lazy(); p != nil || !errors.Is(err, domain.ErrUnsatisfiable) {
+			t.Fatalf("LazyFactory call %d = %v, %v, want ErrUnsatisfiable", call, p, err)
+		}
+	}
 }
 
 // TestTemplateAllocations pins what a job's instances cost in heap
@@ -307,5 +313,65 @@ func TestWalkerAllocations(t *testing.T) {
 				t.Errorf("one solved walker allocates %d B, its working set is %d B: something besides the working set is allocated per walker", got, budget)
 			}
 		})
+	}
+}
+
+// TestMaxSizeBudget: one request must not be able to make a server
+// build an instance that exhausts its memory. Every benchmark builds
+// and reduces within 64 MiB at its MaxSize, and timetable also with its
+// parameters at their caps: all three at once, and the over-committed
+// shape (one room) whose every domain holds every slot. The size above
+// each cap, and each timetable parameter above its own, is refused
+// before anything like an instance is allocated.
+func TestMaxSizeBudget(t *testing.T) {
+	const budget = 64 << 20
+	type spec struct {
+		name   string
+		size   int
+		params map[string]int
+	}
+	var specs []spec
+	for _, name := range Names() {
+		info, err := Describe(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec{name, info.MaxSize, nil})
+
+		var refused error
+		cost := allocated(func() { _, refused = NewWithParams(name, info.MaxSize+1, nil) })
+		if !errors.Is(refused, ErrTooLarge) {
+			t.Errorf("%s size %d: %v, want ErrTooLarge", name, info.MaxSize+1, refused)
+		}
+		if cost > 4<<10 {
+			t.Errorf("%s size %d: the refusal allocated %d B", name, info.MaxSize+1, cost)
+		}
+	}
+	caps := timetableParams
+	n := registry["timetable"].maxSize
+	specs = append(specs,
+		spec{"timetable", n, map[string]int{"slots": caps["slots"], "rooms": caps["rooms"], "teachers": caps["teachers"]}},
+		spec{"timetable", n, map[string]int{"slots": caps["slots"], "rooms": 1}},
+	)
+	for k, hi := range caps {
+		var refused error
+		cost := allocated(func() { _, refused = NewWithParams("timetable", 4, map[string]int{k: hi + 1}) })
+		if !errors.Is(refused, ErrBadParams) {
+			t.Errorf("timetable %s=%d: %v, want ErrBadParams", k, hi+1, refused)
+		}
+		if cost > 4<<10 {
+			t.Errorf("timetable %s=%d: the refusal allocated %d B", k, hi+1, cost)
+		}
+	}
+	for _, s := range specs {
+		var err error
+		cost := allocated(func() { _, _, err = NewTemplate(s.name, s.size, s.params) })
+		t.Logf("%s %d %v: %.1f MiB", s.name, s.size, s.params, float64(cost)/(1<<20))
+		if err != nil && !errors.Is(err, domain.ErrUnsatisfiable) {
+			t.Errorf("%s %d %v: %v", s.name, s.size, s.params, err)
+		}
+		if cost > budget {
+			t.Errorf("%s %d %v: %d B to build, budget %d", s.name, s.size, s.params, cost, budget)
+		}
 	}
 }

@@ -14,6 +14,7 @@ func init() {
 		description: "Session timetabling: assign each session a time slot from its finite domain with no room or teacher double-booked (first non-permutation benchmark)",
 		defaultSize: 60,
 		paperSize:   60,
+		maxSize:     1024,
 		build:       func(n int) (core.Problem, error) { return NewTimetable(n, nil) },
 		buildParams: func(n int, params map[string]int) (core.Problem, error) { return NewTimetable(n, params) },
 	})
@@ -64,22 +65,28 @@ type Timetable struct {
 	errVec []int // errVec[i] = double-bookings session i participates in
 }
 
-// timetableParams are the recognized params keys.
-var timetableParams = map[string]bool{"slots": true, "rooms": true, "teachers": true}
+// timetableParams are the recognized params keys, each with its cap. A
+// model grows as sessions × slots (domains, and the reduction's
+// matching) plus resources × slots (occupancy): at the size cap, 1024
+// sessions in 256 slots build and reduce in about 20 MiB; in 1024 slots
+// they would take 80.
+var timetableParams = map[string]int{"slots": 256, "rooms": 1024, "teachers": 1024}
 
 // NewTimetable builds an n-session instance. Recognized params:
-// "slots", "rooms", "teachers" (each >= 1); unknown keys or
-// out-of-range values return an error wrapping ErrBadParams.
+// "slots", "rooms", "teachers" (each >= 1 and at most its cap in
+// timetableParams); unknown keys or out-of-range values return an error
+// wrapping ErrBadParams.
 func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("timetable: size must be >= 1, got %d", n)
 	}
 	for k, v := range params {
-		if !timetableParams[k] {
+		hi, ok := timetableParams[k]
+		if !ok {
 			return nil, fmt.Errorf("%w: timetable has no parameter %q (known: rooms, slots, teachers)", ErrBadParams, k)
 		}
-		if v < 1 {
-			return nil, fmt.Errorf("%w: timetable parameter %q must be >= 1, got %d", ErrBadParams, k, v)
+		if v < 1 || v > hi {
+			return nil, fmt.Errorf("%w: timetable parameter %q must be in [1, %d], got %d", ErrBadParams, k, hi, v)
 		}
 	}
 	slots := (n + 3) / 4

@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/multiwalk"
+	"repro/internal/problems"
 )
 
 // allocated returns the bytes the process allocated while fn ran. The
@@ -47,10 +49,16 @@ type gateSpec struct {
 }
 
 // TestAllocationGate is the repository benchmark's alloc_bytes_per_job
-// for its search-fd and small-local request shapes, as a test any box
-// can hold: the same front door (POST /v1/solve, wait, two walkers,
-// fixed seeds) played in-process, bytes allocated per job against a
-// committed budget. The budgets sit about a tenth above what a job
+// for its search-fd, small-local and fleet-mixed request shapes, as a
+// test any box can hold: the same front door (POST /v1/solve, wait, two
+// walkers, fixed seeds) played in-process, bytes allocated per job
+// against a committed budget. Fleet-mixed runs its jobs over two
+// one-slot workers on loopback, as the benchmark does, and counts
+// front door, coordinator and workers together; its budget sits about
+// 4 % above the 41.1 KB a job reads with admission answering a spec it
+// has seen from its verdict memo, building no template, and the run
+// request and reply crossing the hop unboxed (45.8 KB without either).
+// The other two budgets sit about a tenth above what a job
 // reads, 40.8 KB and 7.05 KB: one template a job, compact responses, the
 // job run on the handler's goroutine, walkers that keep one
 // configuration, a reduction that copies nothing, and a request read
@@ -68,27 +76,37 @@ func TestAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")
 	}
+	tiny := []gateSpec{
+		{"costas", 9, nil},
+		{"queens", 32, nil},
+		{"all-interval", 10, nil},
+		{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
+	}
 	for _, tc := range []struct {
 		name   string
 		specs  []gateSpec
 		rounds int
 		budget uint64 // bytes per job
+		fleet  bool   // over two one-slot workers, as cmd/serve -workers runs
 	}{
 		{"search-fd", []gateSpec{
 			{"timetable", 200, map[string]int{"slots": 8}},
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 46_000},
-		{"small-local", []gateSpec{
-			{"costas", 9, nil},
-			{"queens", 32, nil},
-			{"all-interval", 10, nil},
-			{"timetable", 20, map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
-		}, 50, 7_800},
+		}, 4, 46_000, false},
+		{"small-local", tiny, 50, 7_800, false},
+		// The benchmark's pattern: every fifth job medium, the two medium
+		// specs alternating.
+		{"fleet-mixed", append(append(append(tiny[:4:4], gateSpec{"costas", 14, nil}), tiny...),
+			gateSpec{"timetable", 100, map[string]int{"slots": 10}}), 10, 42_800, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Slots: 2})
+			cfg := Config{Slots: 2}
+			if tc.fleet {
+				cfg.Backend = gateFleet(t)
+			}
+			s := New(cfg)
 			defer s.Close()
 			h := NewHandler(s)
 			var bodies [][]byte
@@ -130,6 +148,28 @@ func TestAllocationGate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gateFleet is the benchmark's fleet: a coordinator over two one-slot
+// workers, each behind its own loopback server, as cmd/worker serves
+// one. The scheduler it is handed to closes the coordinator.
+func gateFleet(t *testing.T) *dist.Coordinator {
+	t.Helper()
+	var urls []string
+	for k := 0; k < 2; k++ {
+		wk := dist.NewWorker(dist.WorkerConfig{Slots: 1})
+		srv := httptest.NewServer(wk.Handler())
+		t.Cleanup(func() {
+			srv.Close()
+			wk.Close()
+		})
+		urls = append(urls, srv.URL)
+	}
+	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{Workers: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord
 }
 
 // BenchmarkSolveHandler is one waited two-walker job through the front
@@ -175,10 +215,17 @@ func BenchmarkSolveHandler(b *testing.B) {
 // before anything is built. Every case names a 240-session timetable,
 // whose construction alone is over 30 KB — the control case shows this
 // test sees it — and each refusal must cost a small fraction of that.
+// The two cap cases ask for more than the registry builds (one session
+// over timetable's MaxSize, or a million slots): a refusal that came
+// after the construction would cost megabytes.
 func TestRejectBeforeBuild(t *testing.T) {
 	s := New(Config{Slots: 2})
 	defer s.Close()
 	base := Request{Problem: "timetable", Size: 240, Params: map[string]int{"slots": 8}, Walkers: 2, Seed: 1}
+	info, err := problems.Describe(base.Problem)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var built uint64
 	{
 		req := base
@@ -201,6 +248,8 @@ func TestRejectBeforeBuild(t *testing.T) {
 		"unknown priority":       func(r *Request) { r.Priority = "urgent" },
 		"exchange adopt factor":  func(r *Request) { r.Exchange = &multiwalk.ExchangeOptions{Enabled: true, AdoptFactor: 0.5} },
 		"autosize with walkers":  func(r *Request) { r.AutoSize = &AutoSizeSpec{} },
+		"size above the cap":     func(r *Request) { r.Size = info.MaxSize + 1 },
+		"slots above the cap":    func(r *Request) { r.Params = map[string]int{"slots": 1 << 20} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			req := base
