@@ -152,9 +152,3 @@ type ResetHandler interface {
 type Tuner interface {
 	Tune(o *Options)
 }
-
-// Namer is implemented by problems that expose a human-readable name
-// for harness output. Optional.
-type Namer interface {
-	Name() string
-}

@@ -194,9 +194,6 @@ var _ core.MoveEvaluator = (*Compiled)(nil)
 // Size implements core.Problem.
 func (p *Compiled) Size() int { return p.model.n }
 
-// Name implements core.Namer.
-func (p *Compiled) Name() string { return "csp-model" }
-
 // sumOf computes the linear sum Σ coeff*value of constraint ci under
 // cfg. Only meaningful when the constraint is linear (fn == nil).
 func (p *Compiled) sumOf(ci int, cfg []int) int {

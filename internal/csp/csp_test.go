@@ -194,7 +194,7 @@ func TestModelAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 7 || c.Name() != "csp-model" {
+	if c.Size() != 7 {
 		t.Fatal("Compiled accessors wrong")
 	}
 }

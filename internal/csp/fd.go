@@ -117,9 +117,6 @@ var _ core.AssignEvaluator = (*CompiledFD)(nil)
 var _ core.DomainReducer = (*CompiledFD)(nil)
 var _ core.MaintainedErrorVector = (*CompiledFD)(nil)
 
-// Name implements core.Namer.
-func (p *CompiledFD) Name() string { return "csp-fd-model" }
-
 // Domain implements core.FDProblem. The returned slice is owned by the
 // problem; ReduceDomains shrinks it in place before search starts.
 func (p *CompiledFD) Domain(i int) []int { return p.doms[i] }

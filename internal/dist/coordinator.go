@@ -427,8 +427,8 @@ func (c *Coordinator) Run(ctx context.Context, job JobSpec) (multiwalk.Result, e
 // RunVirtual executes the job in deterministic virtual mode: every
 // walker runs to completion and the fewest-iterations walker wins.
 // The merged result is bit-for-bit identical to a single-process
-// multiwalk.RunVirtual with the same (problem, options, seed) — the
-// property the experiment harness and the golden-trace suite pin.
+// multiwalk.RunVirtual with the same (problem, options, seed), which
+// TestDistributedVirtualMatrix pins. Nothing but tests calls it.
 func (c *Coordinator) RunVirtual(ctx context.Context, job JobSpec) (multiwalk.Result, error) {
 	return c.run(ctx, ModeVirtual, job)
 }
@@ -1082,7 +1082,7 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 		in = reqBody
 	}
 	var wire RunResponse
-	err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/run", in, &wire, 0)
+	err := httpjson.Call(ctx, c.client, http.MethodPost, a.worker.base+"/v1/run", in, &wire, runReplyCap(reqBody.Count))
 	if err == nil {
 		return shardOutcome{res: resultFromWire(wire)}
 	}
@@ -1110,6 +1110,21 @@ func (c *Coordinator) runShard(ctx context.Context, a *assignment, reqBody RunRe
 // maxReplyLen bounds a worker's health, cancel and progress replies;
 // each is a few dozen bytes.
 const maxReplyLen = 64 << 10
+
+// maxStatLen bounds one walker's stat in a run reply, its solution
+// aside (sixteen members, each number at most 20 bytes), and the
+// reply's own members around its stats.
+const maxStatLen = 512
+
+// runReplyCap bounds a worker's reply to a run of count walkers: count
+// stats, each with at most one solution of at most maxInitialConfig
+// values. A value of any instance the registry builds has at most seven
+// digits (magic-square's reach 1<<20 at its MaxSize), eight bytes with
+// its comma. A longer reply is refused after cap+1 bytes, and its shard
+// is lost.
+func runReplyCap(count int) int64 {
+	return int64(count)*(maxStatLen+8*maxInitialConfig) + maxStatLen
+}
 
 // cancelGrace is how long the coordinator waits, after delivering
 // cancel RPCs, for workers to flush their partial statistics before it

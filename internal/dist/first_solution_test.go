@@ -272,7 +272,7 @@ func TestEarlyCancelSparesTheNextCoordinator(t *testing.T) {
 
 	idA, resA := firstJob()
 	var ack cancelAck
-	if err := httpjson.Call(context.Background(), client, http.MethodPost, "http://w0/v1/runs/"+idA+"/cancel", nil, &ack, 0); err != nil {
+	if err := httpjson.Call(context.Background(), client, http.MethodPost, "http://w0/v1/runs/"+idA+"/cancel", nil, &ack, maxReplyLen); err != nil {
 		t.Fatal(err)
 	}
 	if ack.Cancelled {

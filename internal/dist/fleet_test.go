@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -336,6 +338,99 @@ func TestDispatchRevalidatesWorker(t *testing.T) {
 	}
 	if got := coord.BackendMetrics()["dispatch_failovers"]; got != 1 {
 		t.Fatalf("dispatch_failovers = %d, want 1", got)
+	}
+}
+
+// runReplyNet answers every run sent to w0 with body, and its probes
+// from a real worker; read counts the run-reply bytes the coordinator
+// takes.
+type runReplyNet struct {
+	memNet
+	body io.Reader
+	read int64
+}
+
+func (n *runReplyNet) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != "/v1/run" {
+		return n.memNet.RoundTrip(r)
+	}
+	return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(n)}, nil
+}
+
+func (n *runReplyNet) Read(p []byte) (int, error) {
+	k, err := n.body.Read(p)
+	n.read += int64(k)
+	return k, err
+}
+
+// blanks reads as endless JSON whitespace.
+type blanks struct{}
+
+func (blanks) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRunReplyCap: the coordinator reads a run reply up to what the
+// shard can return — a stat a walker, each with a solution of up to
+// maxInitialConfig values — and no further. A worker whose reply runs
+// past the cap has it refused after cap+1 bytes, and its shard is lost
+// as a dropped one is; the largest legitimate reply still reads.
+func TestRunReplyCap(t *testing.T) {
+	runOne := func(body io.Reader) (shardOutcome, int64) {
+		t.Helper()
+		wk := NewWorker(WorkerConfig{Slots: 1})
+		t.Cleanup(wk.Close)
+		n := &runReplyNet{memNet: memNet{hosts: map[string]http.Handler{"w0": wk.Handler()}}, body: body}
+		coord, err := NewCoordinator(CoordinatorConfig{Workers: []string{"http://w0"}, Client: &http.Client{Transport: n}, HeartbeatInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		a := assignment{worker: coord.reg.workers[0], count: 1, reserved: 1, runID: "capped"}
+		out := coord.runShard(context.Background(), &a, RunRequest{
+			ID: a.runID, Mode: ModeRun, Problem: "queens", Size: 8,
+			TotalWalkers: 1, Count: 1, Engine: core.Options{MaxIterations: 10, MaxRuns: 1},
+		})
+		return out, n.read
+	}
+
+	limit := runReplyCap(1)
+	out, read := runOne(io.MultiReader(strings.NewReader(`{"stats":[`), io.LimitReader(blanks{}, limit+1<<20)))
+	if !out.lost || out.err != nil {
+		t.Errorf("a reply 1 MiB over the %d-byte cap: %+v, want the shard lost", limit, out)
+	}
+	if read > limit+1 {
+		t.Errorf("the coordinator read %d bytes of a reply over the cap, want at most %d", read, limit+1)
+	}
+
+	// The largest reply a one-walker shard makes: every number at its
+	// widest, and a solution of maxInitialConfig seven-digit values.
+	solution := make([]int, maxInitialConfig)
+	for i := range solution {
+		solution[i] = maxInitialConfig
+	}
+	const wide = math.MinInt64
+	res := multiwalk.Result{
+		Walkers: []multiwalk.WalkerStat{{
+			Result: core.Result{
+				Solved: true, Solution: solution, Cost: wide, Iterations: wide, Swaps: wide,
+				Assigns: wide, Flips: wide, LocalMinima: wide, PlateauEscapes: wide, Resets: wide,
+				Restarts: wide, Interrupted: true, Elapsed: wide,
+			},
+			Adoptions: wide, Yielded: true,
+		}},
+		Completed: wide, Truncated: true, Elapsed: wide,
+	}
+	reply := (*runReply)(&res).AppendJSON(nil)
+	if int64(len(reply)) > limit {
+		t.Fatalf("the widest one-walker reply is %d bytes, over its %d-byte cap", len(reply), limit)
+	}
+	out, _ = runOne(bytes.NewReader(reply))
+	if out.lost || out.err != nil || len(out.res.Walkers) != 1 || len(out.res.Walkers[0].Result.Solution) != maxInitialConfig {
+		t.Errorf("the widest one-walker reply: lost %v, err %v, %d walkers; want it read", out.lost, out.err, len(out.res.Walkers))
 	}
 }
 

@@ -172,7 +172,7 @@ func TestRunRequestAppendDeclines(t *testing.T) {
 			t.Errorf("%+v appended %q", req, got[1:])
 		}
 		_, want := json.Marshal(strictRunRequest(req))
-		err := httpjson.Call(t.Context(), nil, "POST", "http://unused", req, nil, 0)
+		err := httpjson.Call(t.Context(), nil, "POST", "http://unused", req, nil, maxReplyLen)
 		if want == nil || err == nil || err.Error() != "encoding the request: "+want.Error() {
 			t.Errorf("%+v: Call says %v, json.Marshal %v", req, err, want)
 		}

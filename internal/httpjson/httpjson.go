@@ -107,7 +107,7 @@ func encode(buf *bytes.Buffer, v any) error {
 var errTrailing = errors.New("data after the JSON value")
 
 // Decode reads one JSON value from r into v, strictly: at most limit
-// bytes of r (0 = unbounded; a longer body is an error, not cut short),
+// bytes of r (a longer body is an error, not cut short),
 // no field v does not have, and nothing but whitespace after the value.
 // A misspelt or retired field would otherwise be dropped and its
 // setting left at a default, and a second object silently ignored. The
@@ -153,22 +153,19 @@ func Strict(body []byte, v any) error {
 }
 
 // readAll reads r to EOF into buf, refusing a body of more than limit
-// bytes (0 = unbounded) as an error naming what it read; it reads one
-// byte past the limit to tell.
+// bytes as an error naming what it read; it reads one byte past the
+// limit to tell.
 func readAll(buf *bytes.Buffer, r io.Reader, limit int64, what string) error {
-	if limit > 0 {
-		r = io.LimitReader(r, limit+1)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(r, limit+1)); err != nil {
 		return err
 	}
-	if limit > 0 && int64(buf.Len()) > limit {
+	if int64(buf.Len()) > limit {
 		return fmt.Errorf("%s exceeds %d bytes", what, limit)
 	}
 	return nil
 }
 
-// read reads a reply of at most limit bytes (0 = unbounded) to EOF and
+// read reads a reply of at most limit bytes to EOF and
 // unmarshals it into v, or drops it when v is nil. Reading to EOF is
 // what lets an HTTP client hand the keep-alive connection back to its
 // pool; an over-limit reply is refused after limit+1 bytes and so
@@ -208,7 +205,7 @@ func (e *StatusError) Error() string {
 // and dropped when out is nil), a FastReader offered it first; any
 // other status is returned as a *StatusError. Every reply is read to
 // EOF, so the connection is reused whatever the outcome, unless it is
-// longer than its cap: limit bytes for a 200 (0 = unbounded), 64 KB for
+// longer than its cap: limit bytes for a 200, 64 KB for
 // an error. Such a reply is refused, not cut short, and drops its
 // connection. A failure of client.Do comes back as the *url.Error it
 // is, so a caller tells a lost peer from one that answered with

@@ -107,7 +107,7 @@ func TestCall(t *testing.T) {
 		t.Fatalf("200: %+v, %v", out, err)
 	}
 
-	err := Call(ctx, srv.Client(), http.MethodPost, srv.URL, map[string]int{"m": 1}, &out, 0)
+	err := Call(ctx, srv.Client(), http.MethodPost, srv.URL, map[string]int{"m": 1}, &out, 1<<10)
 	var status *StatusError
 	if !errors.As(err, &status) || status.Code != http.StatusBadRequest || !strings.HasPrefix(status.Msg, "bad body: ") {
 		t.Fatalf("400: %#v", err)
@@ -116,7 +116,7 @@ func TestCall(t *testing.T) {
 		t.Fatalf("400: Error() %q, want the reply's text %q", err.Error(), status.Msg)
 	}
 
-	err = Call(ctx, srv.Client(), http.MethodPost, srv.URL, map[string]int{"n": -1}, &out, 0)
+	err = Call(ctx, srv.Client(), http.MethodPost, srv.URL, map[string]int{"n": -1}, &out, 1<<10)
 	if !errors.As(err, &status) || status.Code != http.StatusTeapot || status.Msg != "" || err.Error() != "status 418" {
 		t.Fatalf("418 with a text body: %#v", err)
 	}
@@ -127,7 +127,7 @@ func TestCall(t *testing.T) {
 	}
 	refused := "http://" + ln.Addr().String()
 	ln.Close()
-	err = Call(ctx, http.DefaultClient, http.MethodGet, refused, nil, &out, 0)
+	err = Call(ctx, http.DefaultClient, http.MethodGet, refused, nil, &out, 1<<10)
 	var lost *url.Error
 	if !errors.As(err, &lost) {
 		t.Fatalf("refused dial: %#v, want a *url.Error", err)
@@ -166,7 +166,7 @@ func TestCallReusesItsConnection(t *testing.T) {
 	const n = 30
 	var failed int
 	for i := 0; i < n; i++ {
-		if err := Call(context.Background(), client, http.MethodPost, srv.URL, map[string]int{"i": i}, nil, 0); err != nil {
+		if err := Call(context.Background(), client, http.MethodPost, srv.URL, map[string]int{"i": i}, nil, 1<<10); err != nil {
 			failed++
 		}
 	}
@@ -273,7 +273,7 @@ func TestCallCodec(t *testing.T) {
 		bodies = bodies[:0]
 		out := echo{fast: &fast}
 		before := fast
-		err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL+"?reply="+url.QueryEscape(tc.reply), tc.in, &out, 0)
+		err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL+"?reply="+url.QueryEscape(tc.reply), tc.in, &out, 1<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestCallCodec(t *testing.T) {
 	}
 	// JSON the caller encoded goes as it is.
 	bodies = bodies[:0]
-	if err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL, []byte(` {"n":9}`), nil, 0); err != nil {
+	if err := Call(context.Background(), srv.Client(), http.MethodPost, srv.URL, []byte(` {"n":9}`), nil, 1<<10); err != nil {
 		t.Fatal(err)
 	}
 	if len(bodies) != 1 || bodies[0] != ` {"n":9}` {

@@ -125,9 +125,6 @@ func (a *AllInterval) removeEdge(d, e int) {
 	a.occ[d] = cnt - 1
 }
 
-// Name implements core.Namer.
-func (a *AllInterval) Name() string { return "all-interval" }
-
 // Size implements core.Problem.
 func (a *AllInterval) Size() int { return a.n }
 

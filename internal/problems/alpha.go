@@ -91,9 +91,6 @@ func newAlphaFromEquations(eqs map[string]int) (*Alpha, error) {
 	return &Alpha{Compiled: compiled}, nil
 }
 
-// Name implements core.Namer.
-func (a *Alpha) Name() string { return "alpha" }
-
 // Tune implements core.Tuner: alpha is small (26 variables) and densely
 // constrained, so the exhaustive pair scan pays for itself; plateau
 // cycling is broken by bounded runs with unlimited restarts.

@@ -84,9 +84,6 @@ var (
 	_ core.MoveEvaluator         = (*Costas)(nil)
 )
 
-// Name implements core.Namer.
-func (c *Costas) Name() string { return "costas" }
-
 // Size implements core.Problem.
 func (c *Costas) Size() int { return c.n }
 

@@ -56,9 +56,6 @@ func NewLangford(n int) (*Langford, error) {
 	return &Langford{n: n, dev: make([]int, n), errVec: make([]int, 2*n)}, nil
 }
 
-// Name implements core.Namer.
-func (l *Langford) Name() string { return "langford" }
-
 // Values returns n, the number of distinct values.
 func (l *Langford) Values() int { return l.n }
 

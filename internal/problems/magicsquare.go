@@ -63,9 +63,6 @@ var (
 	_ core.MoveEvaluator         = (*MagicSquare)(nil)
 )
 
-// Name implements core.Namer.
-func (ms *MagicSquare) Name() string { return "magic-square" }
-
 // Side returns the grid side n.
 func (ms *MagicSquare) Side() int { return ms.side }
 

@@ -81,9 +81,6 @@ func sign(x int) int {
 	}
 }
 
-// Name implements core.Namer.
-func (p *Partition) Name() string { return "partition" }
-
 // Size implements core.Problem.
 func (p *Partition) Size() int { return p.n }
 

@@ -129,9 +129,6 @@ func subdivisionInstance(n int) (sizes []int, master int) {
 	return sizes, master
 }
 
-// Name implements core.Namer.
-func (p *PerfectSquare) Name() string { return "perfect-square" }
-
 // Master returns the master rectangle dimensions.
 func (p *PerfectSquare) Master() (width, height int) { return p.width, p.height }
 

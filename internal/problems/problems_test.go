@@ -453,17 +453,7 @@ func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 	}
 }
 
-func TestNamersAndAccessors(t *testing.T) {
-	for _, fx := range fixtures() {
-		p := fx.make(t)
-		if nm, ok := p.(core.Namer); ok {
-			if nm.Name() == "" {
-				t.Errorf("%s: empty Name()", fx.name)
-			}
-		} else {
-			t.Errorf("%s: does not implement Namer", fx.name)
-		}
-	}
+func TestAccessors(t *testing.T) {
 	ms, _ := NewMagicSquare(5)
 	if ms.Side() != 5 || ms.Size() != 25 {
 		t.Error("magic-square accessors wrong")

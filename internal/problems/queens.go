@@ -70,9 +70,6 @@ var (
 	_ core.MoveEvaluator         = (*Queens)(nil)
 )
 
-// Name implements core.Namer.
-func (q *Queens) Name() string { return "queens" }
-
 // Size implements core.Problem.
 func (q *Queens) Size() int { return q.n }
 

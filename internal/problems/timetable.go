@@ -211,9 +211,6 @@ var (
 	_ core.MaintainedErrorVector = (*Timetable)(nil)
 )
 
-// Name implements core.Namer.
-func (t *Timetable) Name() string { return "timetable" }
-
 // Size implements core.Problem.
 func (t *Timetable) Size() int { return t.n }
 

@@ -183,15 +183,17 @@ func (s *Scheduler) autoSize(req *Request) error {
 // draw of the sequential distribution — and only single-walker runs are
 // flagged Sequential (a k-walker winner effort is a min-of-k draw, which
 // would bias the fit; it still carries rate information and a measured
-// speedup observation).
-func (s *Scheduler) recordOutcome(j *job, res *jobOutcome) {
-	if s.cfg.Calibration == nil || res == nil || !res.solved {
+// speedup observation). It reads j.res, which no one writes once the
+// job is terminal.
+func (s *Scheduler) recordOutcome(j *job) {
+	res := j.res
+	if s.cfg.Calibration == nil || res == nil || !res.Solved {
 		return
 	}
 	if j.req.Exchange != nil && j.req.Exchange.Enabled {
 		return
 	}
-	if res.winnerIterations <= 0 {
+	if res.WinnerIterations <= 0 {
 		return
 	}
 	b := calibrate.Batch{
@@ -199,22 +201,13 @@ func (s *Scheduler) recordOutcome(j *job, res *jobOutcome) {
 		RecordedAt: time.Now(),
 		Sequential: j.opts.Walkers == 1,
 		Walkers:    j.opts.Walkers,
-		Iters:      []float64{float64(res.winnerIterations)},
+		Iters:      []float64{float64(res.WinnerIterations)},
 	}
-	if sec := res.elapsed.Seconds(); sec > 0 && res.totalIterations > 0 {
+	if sec := res.Elapsed.Seconds(); sec > 0 && res.TotalIterations > 0 {
 		// Per-walker rate: total engine iterations over walker-seconds.
-		b.ItersPerSec = float64(res.totalIterations) / sec / float64(j.opts.Walkers)
+		b.ItersPerSec = float64(res.TotalIterations) / sec / float64(j.opts.Walkers)
 	}
 	// A validation failure here only means the outcome was degenerate
 	// (e.g. zero-effort); dropping it is the right response.
 	_ = s.cfg.Calibration.Record(calibrationKey(&j.req), b)
-}
-
-// jobOutcome is the slice of a multiwalk result the calibration feed
-// needs, decoupled so finalize can hand it over without re-locking.
-type jobOutcome struct {
-	solved           bool
-	winnerIterations int64
-	totalIterations  int64
-	elapsed          time.Duration
 }

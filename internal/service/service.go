@@ -115,47 +115,39 @@ func (c *Config) normalize() {
 	}
 }
 
-// job is the scheduler-internal mutable job record; Job snapshots are
-// derived from it under its lock.
+// job is the scheduler-internal job record. Its first fields never
+// change after newJob; the rest change under Scheduler.mu only, where
+// startLocked moves the job to running and finishAndUnlock to its
+// terminal state. A run reads factory and opts without the lock: both
+// are set before admission, and finishAndUnlock drops the factory, the
+// Progress hook and the run's cancel only once the run has returned, so
+// a finished job kept for ResultTTL holds its record and result, not
+// its instance or its run.
 type job struct {
 	id      string
 	req     Request
-	factory problems.Factory
-	opts    multiwalk.Options
 	timeout time.Duration
 	tenant  string
 	class   int // priority class, from classOf
 
 	done chan struct{} // closed on reaching a terminal state
 
-	mu        sync.Mutex
+	factory   problems.Factory
+	opts      multiwalk.Options
 	state     State
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	res       *multiwalk.Result
+	res       *multiwalk.Result // set once, when the job turns terminal
 	err       error
 	cancelRun context.CancelFunc // set while running
 }
 
-// release drops what only a run reads: the factory, which holds the
-// job's template, the Progress hook, and the run's cancel, which holds
-// its context and deadline timer. A job leaves the queued and running
-// states exactly once, and nothing reads these fields after that —
-// runJob reads the first two only once it has moved the job from
-// queued to running under mu, and Cancel calls the third only while
-// the job is running — so a finished job kept for ResultTTL holds its
-// record and result, not its instance or its run. Callers hold mu.
-func (j *job) release() {
-	j.factory = nil
-	j.opts.Progress = nil
-	j.cancelRun = nil
-}
-
-// snapshot builds the immutable transport view.
-func (j *job) snapshot() Job {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// snapshot builds the immutable transport view: the record is copied
+// under s.mu, and its result, which no one writes once it is set, is
+// condensed outside it.
+func (s *Scheduler) snapshot(j *job) Job {
+	s.mu.Lock()
 	out := Job{
 		ID:          j.id,
 		State:       j.state,
@@ -163,10 +155,12 @@ func (j *job) snapshot() Job {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
-		Result:      condenseResult(j.res),
 	}
-	if j.err != nil {
-		out.Error = j.err.Error()
+	res, err := j.res, j.err
+	s.mu.Unlock()
+	out.Result = condenseResult(res)
+	if err != nil {
+		out.Error = err.Error()
 	}
 	return out
 }
@@ -182,13 +176,12 @@ type Scheduler struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup // dispatcher + janitor + running jobs
 
-	// mu guards the slot pool, the admission queue, the tenant ledgers
-	// and the jobs store; cond (on mu) is broadcast whenever any of them
-	// changes — new work, freed slots, a capacity change from the
-	// backend, a cancellation, shutdown — and wakes the dispatcher. The
-	// queue is a slice, not a channel, so Submit can never block on a
-	// send while holding mu (a queued job that is cancelled leaves the
-	// queue immediately, keeping len(q) == nQueued).
+	// mu guards the slot pool, the admission queue, the tenant ledgers,
+	// the jobs store, every job's lifecycle and the lifecycle counters;
+	// cond (on mu) is broadcast whenever any of them changes — new work,
+	// freed slots, a capacity change from the backend, a cancellation,
+	// shutdown — and wakes the dispatcher. The queue is a slice, not a
+	// channel, so Submit can never block on a send while holding mu.
 	mu        sync.Mutex
 	cond      *sync.Cond
 	slots     int // live pool size, synced from Backend.Slots()
@@ -200,6 +193,8 @@ type Scheduler struct {
 	// nQueued counts admitted-but-not-yet-running jobs; admission
 	// control tests it against QueueDepth.
 	nQueued int
+	// Lifecycle counters for /metrics, moved with the job they count.
+	mSubmitted, mRunning, mSolved, mUnsolved, mCancelled, mFailed, mAdoptions, mYielded int64
 
 	// verdicts is admission's memo (see verdict): the tuned engine
 	// options of each spec that built and reduced, keyed by specKey. It
@@ -214,20 +209,12 @@ type Scheduler struct {
 	// but for a test that pins a job record's bytes.
 	now func() time.Time
 
-	// Counters for /metrics. Gauges (queued, running, slots busy) live
-	// under mu or as atomics; the rest are cumulative.
-	mRunning    atomic.Int64
-	mSubmitted  atomic.Int64
-	mRejected   atomic.Int64
-	mSolved     atomic.Int64
-	mUnsolved   atomic.Int64
-	mCancelled  atomic.Int64
-	mFailed     atomic.Int64
-	mIterations atomic.Int64
-	mAdoptions  atomic.Int64
-	mYielded    atomic.Int64
-	// Auto-size outcomes: predictions that chose a walker count, and
-	// typed rejections (no calibration / unsatisfiable target).
+	// Counters bumped where mu is not held: walkers' iterations (through
+	// the Progress hook), requests refused before admission, and
+	// auto-size outcomes (predictions that chose a walker count, typed
+	// rejections).
+	mIterations   atomic.Int64
+	mRejected     atomic.Int64
 	mAutoSized    atomic.Int64
 	mAutoRejected atomic.Int64
 }
@@ -317,7 +304,7 @@ func (s *Scheduler) Submit(req Request) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	return j.snapshot(), nil
+	return s.snapshot(j), nil
 }
 
 // SubmitWait submits a job and blocks until it reaches a terminal
@@ -337,19 +324,19 @@ func (s *Scheduler) SubmitWait(ctx context.Context, req Request) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
-	started, err := s.admit(j, ctx.Done() == nil)
+	runCtx, err := s.admit(j, ctx.Done() == nil)
 	if err != nil {
 		return Job{}, err
 	}
-	if started {
-		s.runJob(j)
-		return j.snapshot(), nil
+	if runCtx != nil {
+		s.runJob(runCtx, j)
+		return s.snapshot(j), nil
 	}
 	select {
 	case <-j.done:
-		return j.snapshot(), nil
+		return s.snapshot(j), nil
 	case <-ctx.Done():
-		return j.snapshot(), ctx.Err()
+		return s.snapshot(j), ctx.Err()
 	}
 }
 
@@ -388,37 +375,37 @@ func (s *Scheduler) newJob(req Request) (*job, error) {
 // admit counts j against the queue's depth and queues it for the
 // dispatcher. With inline set, a job the dispatcher would start at once
 // — nothing queued ahead of it, its slots free, its tenant under quota —
-// is started here instead: admit reports true, and the caller must run
-// it (runJob). Such a job is the dispatcher's only candidate and fits,
-// so starting it here changes no pick.
-func (s *Scheduler) admit(j *job, inline bool) (started bool, err error) {
+// is started here instead: admit returns its run context, and the
+// caller must run it (runJob). Such a job is the dispatcher's only
+// candidate and fits, so starting it here changes no pick.
+func (s *Scheduler) admit(j *job, inline bool) (context.Context, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.mRejected.Add(1)
-		return false, ErrClosed
+		return nil, ErrClosed
 	}
 	if s.nQueued >= s.cfg.QueueDepth {
 		s.mu.Unlock()
 		s.mRejected.Add(1)
-		return false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
-	s.mSubmitted.Add(1)
+	s.mSubmitted++
 	s.nQueued++
 	s.tenantLocked(j.tenant).queued++
 	s.jobs[j.id] = j
 	if inline && len(s.q) == 0 {
 		s.syncSlotsLocked()
 		if s.slotsFree >= j.opts.Walkers && !s.quotaBlockedLocked(j) {
-			s.startLocked(j)
+			runCtx := s.startLocked(j)
 			s.mu.Unlock()
-			return true, nil
+			return runCtx, nil
 		}
 	}
 	s.q = append(s.q, j)
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	return false, nil
+	return nil, nil
 }
 
 // Get returns a job snapshot by id.
@@ -429,7 +416,7 @@ func (s *Scheduler) Get(id string) (Job, error) {
 	if !ok {
 		return Job{}, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	return j.snapshot(), nil
+	return s.snapshot(j), nil
 }
 
 // Wait blocks until the job reaches a terminal state or ctx is done.
@@ -445,64 +432,33 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (Job, error) {
 	}
 	select {
 	case <-j.done:
-		return j.snapshot(), nil
+		return s.snapshot(j), nil
 	case <-ctx.Done():
 		return Job{}, ctx.Err()
 	}
 }
 
-// Cancel cancels a job: a queued job is finalized immediately, a
-// running one has its context cancelled (the walkers notice within
-// CheckEvery iterations). Cancelling a finished job is a no-op.
+// Cancel cancels a job: a queued job leaves the queue and is finished
+// at once, a running one has its context cancelled (the walkers notice
+// within CheckEvery iterations). Cancelling a finished job is a no-op.
 func (s *Scheduler) Cancel(id string) (Job, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	switch {
+	case !ok:
+		s.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if !s.tryCancelQueued(j) {
-		j.mu.Lock()
-		cancel := j.cancelRun
-		running := j.state == StateRunning
-		j.mu.Unlock()
-		if running && cancel != nil {
+	case j.state == StateQueued:
+		s.removeQueuedLocked(j)
+		s.finishAndUnlock(j, StateCancelled, nil, fmt.Errorf("cancelled while queued"))
+	default:
+		cancel := j.cancelRun // nil unless the job is running
+		s.mu.Unlock()
+		if cancel != nil {
 			cancel()
 		}
 	}
-	return j.snapshot(), nil
-}
-
-// tryCancelQueued finalizes a still-queued job as cancelled, removing
-// it from the FIFO so it stops occupying a queue position. The removal
-// happens under s.mu — the same lock the dispatcher pops under — so a
-// job cannot be both removed here and dispatched. It returns false if
-// the job already left the queued state, including when runJob's
-// queued→running transition interleaves after the removal scan: the
-// transition is re-checked atomically in finalizeQueued, so a job that
-// made it to running is never marked cancelled with its walkers still
-// live — the caller falls through to cancelRun instead.
-func (s *Scheduler) tryCancelQueued(j *job) bool {
-	s.mu.Lock()
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if !queued {
-		s.mu.Unlock()
-		return false
-	}
-	for i, qj := range s.q {
-		if qj == j {
-			s.q = append(s.q[:i:i], s.q[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !s.finalizeQueued(j, fmt.Errorf("cancelled while queued")) {
-		return false
-	}
-	s.cond.Broadcast()
-	return true
+	return s.snapshot(j), nil
 }
 
 // Close shuts the scheduler down: new submissions fail with ErrClosed,
@@ -548,12 +504,13 @@ func (s *Scheduler) dispatch() {
 	for {
 		if s.ctx.Err() != nil {
 			// Shutdown: cancel everything still queued.
-			q := s.q
-			s.q = nil
-			s.mu.Unlock()
-			for _, j := range q {
-				s.finalizeQueued(j, fmt.Errorf("scheduler shut down"))
+			for len(s.q) > 0 {
+				j := s.q[0]
+				s.q = s.q[1:]
+				s.finishAndUnlock(j, StateCancelled, nil, fmt.Errorf("scheduler shut down"))
+				s.mu.Lock()
 			}
+			s.mu.Unlock()
 			return
 		}
 		s.syncSlotsLocked()
@@ -568,8 +525,7 @@ func (s *Scheduler) dispatch() {
 			// (An empty pool is transient — workers rejoin — so jobs
 			// wait it out instead.)
 			s.removeQueuedLocked(j)
-			s.mu.Unlock()
-			s.finalizeQueued(j, fmt.Errorf("pool shrank to %d slots below the job's %d walkers", s.slots, j.opts.Walkers))
+			s.finishAndUnlock(j, StateCancelled, nil, fmt.Errorf("pool shrank to %d slots below the job's %d walkers", s.slots, j.opts.Walkers))
 			s.mu.Lock()
 			continue
 		}
@@ -577,29 +533,38 @@ func (s *Scheduler) dispatch() {
 			s.cond.Wait()
 			continue
 		}
-		s.removeQueuedLocked(j)
-		s.startLocked(j)
+		runCtx := s.startLocked(j)
 		s.mu.Unlock()
-		go s.runJob(j)
+		go s.runJob(runCtx, j)
 		s.mu.Lock()
 	}
 }
 
-// startLocked hands j its walker slots and books the start in its
-// tenant's ledger; the caller then runs j (runJob), which releases
-// them. The dispatcher and an inline SubmitWait both start jobs through
-// it, so the ledger cannot tell which one did. Callers hold s.mu, which
-// also orders the wg.Add before Close's Wait.
-func (s *Scheduler) startLocked(j *job) {
+// startLocked moves j from the queue to running: it hands j its walker
+// slots, books the start in its tenant's ledger, and makes the run's
+// context, whose deadline counts from here. The caller then runs j
+// (runJob) under that context. The dispatcher and an inline SubmitWait
+// both start jobs through it, so the ledger cannot tell which one did.
+// Callers hold s.mu, which also orders the wg.Add before Close's Wait.
+func (s *Scheduler) startLocked(j *job) context.Context {
+	s.removeQueuedLocked(j)
+	s.nQueued--
 	s.slotsFree -= j.opts.Walkers
 	t := s.tenantLocked(j.tenant)
+	t.queued--
 	t.inUse += j.opts.Walkers
 	t.dispatched++
 	// An up-front charge of one walker-second-equivalent per walker
 	// moves the fairness needle even for near-instant jobs, so a
 	// tenant flooding short jobs cannot stay at zero accrued service.
 	t.charge += float64(j.opts.Walkers) / float64(t.weight)
+	s.mRunning++
+	j.state = StateRunning
+	j.started = s.now()
+	runCtx, cancel := context.WithTimeout(s.ctx, j.timeout)
+	j.cancelRun = cancel
 	s.wg.Add(1)
+	return runCtx
 }
 
 // pickLocked selects the next dispatch candidate: the earliest-arrived
@@ -657,66 +622,25 @@ func (s *Scheduler) removeQueuedLocked(j *job) {
 	}
 }
 
-// releaseSlots returns a job's slots to the pool and settles its
-// tenant's weighted-service charge for the walker-seconds consumed.
-func (s *Scheduler) releaseSlots(j *job) {
-	j.mu.Lock()
-	started := j.started
-	j.mu.Unlock()
-	var elapsed float64
-	if !started.IsZero() {
-		elapsed = time.Since(started).Seconds()
-	}
-	s.mu.Lock()
-	s.slotsFree += j.opts.Walkers
-	t := s.tenantLocked(j.tenant)
-	t.inUse -= j.opts.Walkers
-	t.charge += float64(j.opts.Walkers) * elapsed / float64(t.weight)
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// runJob executes one started job (see startLocked), holding its slots
-// for the duration. The slots go back before done is closed, as the
-// counters do (see finalizeQueued): a client that awaits the job and
-// then reads Stats must not find it still counted in SlotsBusy.
-func (s *Scheduler) runJob(j *job) {
+// runJob executes one started job (see startLocked) under its run
+// context and finishes it with the run's outcome.
+func (s *Scheduler) runJob(runCtx context.Context, j *job) {
 	defer s.wg.Done()
-
-	runCtx, cancel := context.WithTimeout(s.ctx, j.timeout)
-	defer cancel()
-
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Lost a race with Cancel between startLocked and here.
-		j.mu.Unlock()
-		s.releaseSlots(j)
-		return
-	}
-	j.state = StateRunning
-	j.started = s.now()
-	j.cancelRun = cancel
-	j.mu.Unlock()
-	s.decQueued(j)
-	s.mRunning.Add(1)
-
 	res, err := s.runBackend(runCtx, j)
-	s.releaseSlots(j)
+	state, out := StateUnsolved, &res
 	switch {
 	case err != nil:
-		s.finalize(j, StateFailed, nil, err)
+		state, out = StateFailed, nil
 	case res.Solved:
-		s.finalize(j, StateSolved, &res, nil)
+		state = StateSolved
 	case res.Truncated:
-		cause := context.Cause(runCtx)
-		if cause == context.DeadlineExceeded {
-			s.finalize(j, StateCancelled, &res, fmt.Errorf("deadline exceeded after %v", j.timeout))
-		} else {
-			s.finalize(j, StateCancelled, &res, fmt.Errorf("cancelled"))
+		state, err = StateCancelled, fmt.Errorf("cancelled")
+		if context.Cause(runCtx) == context.DeadlineExceeded {
+			err = fmt.Errorf("deadline exceeded after %v", j.timeout)
 		}
-	default:
-		s.finalize(j, StateUnsolved, &res, nil)
 	}
+	s.mu.Lock()
+	s.finishAndUnlock(j, state, out, err)
 }
 
 // runBackend runs j on the backend and turns a panic there into the
@@ -732,90 +656,53 @@ func (s *Scheduler) runBackend(ctx context.Context, j *job) (res multiwalk.Resul
 	return s.cfg.Backend.RunJob(ctx, j.req.Problem, j.req.Size, j.req.Params, j.factory, j.opts)
 }
 
-// finalizeQueued cancels a job if and only if it is still queued —
-// the state re-check happens under j.mu, so a concurrent
-// queued→running transition in runJob makes this a no-op rather than
-// marking a live run cancelled.
-func (s *Scheduler) finalizeQueued(j *job, err error) bool {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
+// finishAndUnlock moves j, queued or running, to its terminal state:
+// every way out — a queued cancel, a pool shrink, shutdown and the end
+// of a run — goes through it once. Callers hold s.mu, and a queued j
+// has left s.q; finishAndUnlock releases s.mu. Under it, a running job's
+// slots go back and its tenant is charged for the walker-seconds used,
+// the record turns terminal and drops what only a run reads, and the
+// counters move. Only then are waiters woken, so one that reads Stats
+// finds its job's slots and counts settled.
+func (s *Scheduler) finishAndUnlock(j *job, state State, res *multiwalk.Result, err error) {
+	t := s.tenantLocked(j.tenant)
+	if j.state == StateQueued {
+		s.nQueued--
+		t.queued--
+	} else {
+		s.mRunning--
+		s.slotsFree += j.opts.Walkers
+		t.inUse -= j.opts.Walkers
+		t.charge += float64(j.opts.Walkers) * time.Since(j.started).Seconds() / float64(t.weight)
 	}
-	j.state = StateCancelled
-	j.finished = s.now()
-	j.err = err
-	j.release()
-	j.mu.Unlock()
-	// Counters move before done is closed so a waiter woken by
-	// Wait/SubmitWait never reads Stats from before its own job's
-	// terminal transition.
-	s.decQueued(j)
-	s.mCancelled.Add(1)
-	close(j.done)
-	return true
-}
-
-// finalize moves a job to a terminal state exactly once, updating the
-// metric counters and waking waiters.
-func (s *Scheduler) finalize(j *job, state State, res *multiwalk.Result, err error) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	prev := j.state
-	j.state = state
-	j.finished = s.now()
-	j.res = res
-	j.err = err
-	j.release()
-	j.mu.Unlock()
-
-	// Counters move before done is closed (see finalizeQueued).
-	switch prev {
-	case StateQueued:
-		s.decQueued(j)
-	case StateRunning:
-		s.mRunning.Add(-1)
-	}
+	cancel := j.cancelRun
+	j.state, j.finished, j.res, j.err = state, s.now(), res, err
+	j.factory, j.opts.Progress, j.cancelRun = nil, nil, nil
 	switch state {
 	case StateSolved:
-		s.mSolved.Add(1)
+		s.mSolved++
 	case StateUnsolved:
-		s.mUnsolved.Add(1)
+		s.mUnsolved++
 	case StateCancelled:
-		s.mCancelled.Add(1)
+		s.mCancelled++
 	case StateFailed:
-		s.mFailed.Add(1)
+		s.mFailed++
 	}
 	if res != nil {
-		s.mAdoptions.Add(res.Adoptions)
+		s.mAdoptions += res.Adoptions
 		for _, ws := range res.Walkers {
 			if ws.Yielded {
-				s.mYielded.Add(1)
+				s.mYielded++
 			}
 		}
-		if state == StateSolved {
-			s.recordOutcome(j, &jobOutcome{
-				solved:           res.Solved,
-				winnerIterations: res.WinnerIterations,
-				totalIterations:  res.TotalIterations,
-				elapsed:          res.Elapsed,
-			})
-		}
 	}
-	close(j.done)
-}
-
-// decQueued releases one admission-queue position and the tenant's
-// queued count. Callers must not hold s.mu (finalize is only ever
-// invoked outside it).
-func (s *Scheduler) decQueued(j *job) {
-	s.mu.Lock()
-	s.nQueued--
-	s.tenantLocked(j.tenant).queued--
 	s.mu.Unlock()
+	s.cond.Broadcast()
+	if cancel != nil {
+		cancel()
+	}
+	s.recordOutcome(j)
+	close(j.done)
 }
 
 // janitor evicts finished jobs past their ResultTTL.
@@ -846,10 +733,7 @@ func (s *Scheduler) evict(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, j := range s.jobs {
-		j.mu.Lock()
-		dead := j.state.Terminal() && j.finished.Before(cutoff)
-		j.mu.Unlock()
-		if dead {
+		if j.state.Terminal() && j.finished.Before(cutoff) {
 			delete(s.jobs, id)
 		}
 	}
@@ -923,19 +807,32 @@ type TenantStats struct {
 	Charge     float64 `json:"charge"`
 }
 
-// Stats assembles the current metrics snapshot.
+// Stats assembles the current metrics snapshot. The pool, the queue,
+// the tenant ledgers and the lifecycle counters are read in one
+// critical section, so they always agree with each other.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	s.syncSlotsLocked()
-	slots := s.slots
-	busy := slots - s.slotsFree
-	stored := len(s.jobs)
-	depth := s.nQueued
-	var tenants map[string]TenantStats
+	st := Stats{
+		Slots:         s.slots,
+		SlotsBusy:     s.slots - s.slotsFree,
+		QueueDepth:    s.nQueued,
+		QueueCapacity: s.cfg.QueueDepth,
+		JobsQueued:    int64(s.nQueued),
+		JobsRunning:   s.mRunning,
+		JobsSubmitted: s.mSubmitted,
+		JobsSolved:    s.mSolved,
+		JobsUnsolved:  s.mUnsolved,
+		JobsCancelled: s.mCancelled,
+		JobsFailed:    s.mFailed,
+		JobsStored:    len(s.jobs),
+		Adoptions:     s.mAdoptions,
+		Yielded:       s.mYielded,
+	}
 	if len(s.tenants) > 0 {
-		tenants = make(map[string]TenantStats, len(s.tenants))
+		st.Tenants = make(map[string]TenantStats, len(s.tenants))
 		for name, t := range s.tenants {
-			tenants[name] = TenantStats{
+			st.Tenants[name] = TenantStats{
 				Weight:     t.weight,
 				MaxSlots:   t.maxSlots,
 				SlotsBusy:  t.inUse,
@@ -947,32 +844,14 @@ func (s *Scheduler) Stats() Stats {
 	}
 	s.mu.Unlock()
 	up := time.Since(s.start)
-	iters := s.mIterations.Load()
-	st := Stats{
-		Backend:       s.cfg.Backend.Name(),
-		Slots:         slots,
-		SlotsBusy:     busy,
-		QueueDepth:    depth,
-		QueueCapacity: s.cfg.QueueDepth,
-		JobsQueued:    int64(depth),
-		JobsRunning:   s.mRunning.Load(),
-		JobsSubmitted: s.mSubmitted.Load(),
-		JobsRejected:  s.mRejected.Load(),
-		JobsSolved:    s.mSolved.Load(),
-		JobsUnsolved:  s.mUnsolved.Load(),
-		JobsCancelled: s.mCancelled.Load(),
-		JobsFailed:    s.mFailed.Load(),
-		JobsStored:    stored,
-		Iterations:    iters,
-		Adoptions:     s.mAdoptions.Load(),
-		Yielded:       s.mYielded.Load(),
-		AutoSized:     s.mAutoSized.Load(),
-		AutoRejected:  s.mAutoRejected.Load(),
-		UptimeMS:      up.Milliseconds(),
-		Tenants:       tenants,
-	}
+	st.Backend = s.cfg.Backend.Name()
+	st.JobsRejected = s.mRejected.Load()
+	st.Iterations = s.mIterations.Load()
+	st.AutoSized = s.mAutoSized.Load()
+	st.AutoRejected = s.mAutoRejected.Load()
+	st.UptimeMS = up.Milliseconds()
 	if sec := up.Seconds(); sec > 0 {
-		st.IterationsPerSec = float64(iters) / sec
+		st.IterationsPerSec = float64(st.Iterations) / sec
 	}
 	if mp, ok := s.cfg.Backend.(MetricsProvider); ok {
 		st.Fleet = mp.BackendMetrics()

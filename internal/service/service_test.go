@@ -391,6 +391,92 @@ func TestConcurrentMixedJobs(t *testing.T) {
 	}
 }
 
+// TestStatsIsOneSnapshot reads Stats while one-walker jobs are run
+// inline, dispatched and cancelled in the queue, and checks that every
+// read adds up: each admitted job is in exactly one state, every busy
+// slot is a running job's, and the tenants' ledgers sum to the totals.
+func TestStatsIsOneSnapshot(t *testing.T) {
+	const clients, jobs = 4, 100
+	s := newTestScheduler(t, Config{Slots: 2, QueueDepth: clients * jobs})
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		reads := 0
+		defer func() { polled <- reads }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := s.Stats()
+			reads++
+			if sum := st.JobsQueued + st.JobsRunning + st.JobsSolved + st.JobsUnsolved + st.JobsCancelled + st.JobsFailed; sum != st.JobsSubmitted {
+				t.Errorf("read %d: the states sum to %d, jobs_submitted is %d: %+v", reads, sum, st.JobsSubmitted, st)
+				return
+			}
+			if int64(st.SlotsBusy) != st.JobsRunning {
+				t.Errorf("read %d: slots_busy %d, jobs_running %d", reads, st.SlotsBusy, st.JobsRunning)
+				return
+			}
+			var queued, busy int
+			for _, ts := range st.Tenants {
+				queued += ts.Queued
+				busy += ts.SlotsBusy
+			}
+			if int64(queued) != st.JobsQueued || busy != st.SlotsBusy {
+				t.Errorf("read %d: tenants hold %d queued and %d slots, totals %d and %d", reads, queued, busy, st.JobsQueued, st.SlotsBusy)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				req := fastReq()
+				req.Seed = uint64(c*jobs + i + 1)
+				req.Tenant = []string{"a", "b"}[c%2]
+				if c%2 == 0 {
+					// Run on this goroutine whenever the pool is idle.
+					if _, err := s.SubmitWait(context.Background(), req); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				job, err := s.Submit(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i%4 == 0 {
+					if _, err := s.Cancel(job.ID); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if _, err := s.Wait(context.Background(), job.ID); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if reads := <-polled; reads == 0 {
+		t.Fatal("Stats was never read while jobs ran")
+	}
+	st := s.Stats()
+	if st.JobsSubmitted != clients*jobs || st.JobsQueued != 0 || st.JobsRunning != 0 || st.SlotsBusy != 0 {
+		t.Errorf("after every wait returned: %+v", st)
+	}
+}
+
 // TestSubmitCancelChurnWhileBlocked regression-tests a scheduler
 // deadlock: cancelling queued jobs while the dispatcher is head-of-line
 // blocked used to leak queue-buffer slots until Submit blocked forever
