@@ -70,12 +70,12 @@ func NewProblem(name string, size int) (Problem, error) {
 }
 
 // NewProblemFactory returns a factory of independent instances of a
-// registered benchmark, for SolveParallel. Every call returns an
-// instance nobody else holds: the first the template that was built to
-// validate name and size (and, finite-domain, reduced: a model proven
-// unsatisfiable is this constructor's ErrUnsatisfiable), the later ones
-// clones of it where the benchmark can share its model, fresh
-// constructions where it cannot.
+// registered benchmark, for SolveParallel. The spec is built once per
+// process, to validate name and size (and, finite-domain, reduced: a
+// model proven unsatisfiable is this constructor's ErrUnsatisfiable),
+// and every call returns an instance nobody else holds: a clone of that
+// model where the benchmark can share it, a fresh construction where it
+// cannot.
 func NewProblemFactory(name string, size int) (ProblemFactory, error) {
 	f, err := problems.NewFactory(name, size)
 	if err != nil {

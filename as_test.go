@@ -104,7 +104,7 @@ func TestFacadeFiniteDomain(t *testing.T) {
 	if _, err := repro.Solve(context.Background(), unsat, repro.TunedOptions(unsat)); !errors.Is(err, repro.ErrUnsatisfiable) {
 		t.Fatalf("unsatisfiable parameter set not rejected by reduction: %v", err)
 	}
-	// A factory reduces its template once, up front, so there the proof
+	// A factory's model is reduced once, up front, so there the proof
 	// is the constructor's error: no walker is ever started.
 	if _, err := repro.NewProblemFactoryParams("timetable", 3, map[string]int{"rooms": 1, "slots": 2, "teachers": 3}); !errors.Is(err, repro.ErrUnsatisfiable) {
 		t.Fatalf("unsatisfiable parameter set not rejected by the factory: %v", err)

@@ -110,11 +110,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	defer cancel()
 
-	p, err := problems.NewWithParams(c.problem, c.size, c.params)
+	// One resolve builds (and, finite-domain, reduces) the instance
+	// once; p, the sequential walk's instance, is also what the
+	// solution is printed against.
+	opts, factory, err := resolve(c.problem, c.size, c.params)
 	if err != nil {
 		return err
 	}
-	opts := core.TunedOptions(p)
+	p, err := factory()
+	if err != nil {
+		return err
+	}
 	opts.Seed = c.seed
 
 	if c.walkers <= 1 {
@@ -129,10 +135,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return exitStatus(res.Solved)
 	}
 
-	factory, err := problems.NewFactoryParams(c.problem, c.size, c.params)
-	if err != nil {
-		return err
-	}
 	mopts := multiwalk.Options{Walkers: c.walkers, Seed: c.seed, Engine: opts}
 	if c.exchange {
 		mopts.Exchange = multiwalk.ExchangeOptions{Enabled: true}
@@ -175,6 +177,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	return exitStatus(res.Solved)
 }
+
+// resolve is problems.Resolve, the one way run reaches an instance.
+var resolve = problems.Resolve
 
 // paramFlags collects repeated -param key=value pairs into the
 // problem-parameter map the finite-domain benchmarks consume.

@@ -3,9 +3,12 @@ package main
 import (
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/doccmd"
+	"repro/internal/problems"
 )
 
 // TestRejectedCombinations: flags that would be ignored, or that could
@@ -38,6 +41,47 @@ func TestRejectedCombinations(t *testing.T) {
 	} {
 		if _, err := parse(args, io.Discard); err != nil {
 			t.Errorf("parse %q: %v", args, err)
+		}
+	}
+}
+
+// TestRunResolvesOnce: a run resolves its spec once and takes every
+// instance from that one factory — the one it searches on sequentially,
+// or prints a multi-walk solution against, and one per walker. It used
+// to build a probe beside the factory, so a timetable was constructed
+// and reduced twice.
+func TestRunResolvesOnce(t *testing.T) {
+	defer func(r func(string, int, map[string]int) (core.Options, problems.Factory, error)) { resolve = r }(resolve)
+	var resolves int
+	var instances atomic.Int64 // multiwalk.Run calls the factory from its walkers' goroutines
+	resolve = func(name string, size int, params map[string]int) (core.Options, problems.Factory, error) {
+		resolves++
+		opts, factory, err := problems.Resolve(name, size, params)
+		return opts, func() (core.Problem, error) {
+			instances.Add(1)
+			return factory()
+		}, err
+	}
+	spec := []string{"-problem", "timetable", "-size", "20", "-param", "slots=6", "-param", "rooms=4", "-param", "teachers=4", "-seed", "3"}
+	for _, tc := range []struct {
+		args      []string
+		instances int64
+	}{
+		{nil, 1},
+		{[]string{"-walkers", "2", "-virtual"}, 3},
+		{[]string{"-walkers", "3"}, 4},
+	} {
+		resolves = 0
+		instances.Store(0)
+		var out strings.Builder
+		if err := run(append(tc.args, spec...), &out, io.Discard); err != nil {
+			t.Fatalf("run %q: %v\n%s", tc.args, err, out.String())
+		}
+		if n := instances.Load(); resolves != 1 || n > tc.instances {
+			t.Errorf("run %q resolved %d times and took %d instances, want 1 and at most %d", tc.args, resolves, n, tc.instances)
+		}
+		if !strings.Contains(out.String(), "SOLVED") {
+			t.Errorf("run %q printed no solution:\n%s", tc.args, out.String())
 		}
 	}
 }

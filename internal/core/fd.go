@@ -71,7 +71,7 @@ type AssignEvaluator interface {
 // typed error. Reduction must be sound (never remove a value some
 // solution uses) and idempotent — so it may be a no-op on an instance
 // already reduced, which is what makes Solve's own call free on the
-// instances a reduced template hands out (see Cloner).
+// clones of a reduced model (see Cloner).
 type DomainReducer interface {
 	ReduceDomains() error
 }
@@ -82,11 +82,15 @@ type DomainReducer interface {
 // construction followed by the reductions the receiver has had would
 // be, so search traces cannot tell them apart — that shares the model
 // and owns its mutable search state. It must read nothing a search
-// writes: callers clone an instance while another goroutine is
-// searching on it. Optional: problems.NewTemplate builds fresh
-// instances of an encoding without it.
+// writes. problems.Resolve keeps one reduced instance of a spec for
+// the life of the process, searches on it never, and clones it
+// concurrently from every walker of every job of that spec.
+// ModelBytes is the heap the receiver holds — the model its clones
+// share and its own search state — and is what that cache bounds.
+// Optional: Resolve builds fresh instances of an encoding without it.
 type Cloner interface {
 	Clone() Problem
+	ModelBytes() int64
 }
 
 // ValidateFDConfig is ValidateConfig for a problem known to be

@@ -275,6 +275,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// Through the process's spec cache: a spec this worker has run
+	// before builds nothing, and every walker clones its one model.
 	factory, err := problems.NewFactoryParams(req.Problem, req.Size, req.Params)
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))

@@ -545,24 +545,29 @@ func TestRunWaitsForSelfClaimedWalker(t *testing.T) {
 	}
 }
 
-// TestRunSharedTimetableTemplate is for the race detector: four walkers
-// of one Run draw from one timetable factory, so one searches on the
-// template while the others clone it and search on clones that share
-// its domains. Every repeat must also be the walk RunVirtual replays.
+// TestRunSharedTimetableTemplate is for the race detector: the four
+// walkers of one Run are clones of the one timetable model the spec
+// cache keeps for the process, searching side by side on clones that
+// share its domains, each cloned while others search. Every repeat
+// must also be the walk RunVirtual replays.
 func TestRunSharedTimetableTemplate(t *testing.T) {
 	const size = 48
 	params := map[string]int{"slots": 8}
-	template, _, err := problems.NewTemplate("timetable", size, params)
+	tuned, _, err := problems.Resolve("timetable", size, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Walkers: 4, Engine: core.TunedOptions(template)}
+	opts := Options{Walkers: 4, Engine: tuned}
 	factory := func() Factory {
 		f, err := problems.NewFactoryParams("timetable", size, params)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
+	}
+	checker, err := factory()()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		opts.Seed = seed
@@ -571,10 +576,11 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A sub-millisecond search can end before any spawned walker
-		// starts, and Run then never builds their problems. So a poll
-		// waits until a second problem has been built: on one P too, a
-		// walker clones the template after another has searched on it,
-		// with nothing ordering the search's writes before the clone.
+		// starts, and Run then never takes their problems. So a poll
+		// waits until a second problem has been taken: on one P too, a
+		// walker clones the model after another has searched on a clone
+		// of it, with nothing ordering the search's writes before the
+		// clone.
 		built := factory()
 		var calls atomic.Int64
 		twoBuilt := make(chan struct{})
@@ -591,7 +597,7 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if calls.Load() < 2 {
-			t.Fatalf("seed %d: one walker built a problem, none cloned the template", seed)
+			t.Fatalf("seed %d: one walker took a problem, none cloned the model after it", seed)
 		}
 		if !res.Solved || !virtual.Solved {
 			t.Fatalf("seed %d: solved %v, virtual %v", seed, res.Solved, virtual.Solved)
@@ -601,7 +607,7 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 		if !won.Solved || won.Iterations != res.WinnerIterations || !reflect.DeepEqual(won.Solution, res.Solution) {
 			t.Fatalf("seed %d: walker %d won in %d iterations, alone it needs %d (solved %v)", seed, res.Winner, res.WinnerIterations, won.Iterations, won.Solved)
 		}
-		if !template.(*problems.Timetable).Verify(res.Solution) {
+		if !checker.(*problems.Timetable).Verify(res.Solution) {
 			t.Fatalf("seed %d: solution fails Verify", seed)
 		}
 	}

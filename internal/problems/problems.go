@@ -15,15 +15,17 @@
 // incremental deltas also implement core.SwapExecutor, mirroring the
 // Cost_If_Swap / Executed_Swap structure of the C code. Encodings that
 // maintain cached state are NOT safe for concurrent use: the multi-walk
-// engine constructs one instance per walker via the Factory type.
+// engine takes one instance per walker from a Factory. Resolve hands
+// out every Factory, off a process-wide cache that builds each spec —
+// (problem, size, params) — once: a finite-domain model is constructed
+// and reduced on the spec's first resolve, and every instance after is
+// a clone of it (see Resolve).
 package problems
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -137,101 +139,16 @@ func NewWithParams(name string, size int, params map[string]int) (core.Problem, 
 }
 
 // NewFactory returns a Factory producing independent instances of the
-// named benchmark: NewTemplate's Factory, for callers that need nothing
-// read off the template.
+// named benchmark: Resolve's Factory, for callers that need nothing
+// else it answers.
 func NewFactory(name string, size int) (Factory, error) {
 	return NewFactoryParams(name, size, nil)
 }
 
 // NewFactoryParams is the params-aware NewFactory.
 func NewFactoryParams(name string, size int, params map[string]int) (Factory, error) {
-	_, factory, err := NewTemplate(name, size, params)
+	_, factory, err := Resolve(name, size, params)
 	return factory, err
-}
-
-// NewTemplate builds the one instance a multi-walk job has to build,
-// its template, and the Factory that hands out the job's instances.
-// Size and params are validated by constructing the template, and a
-// finite-domain model is reduced here, once: an error wrapping
-// domain.ErrUnsatisfiable proves it has no solution before any walker
-// exists. The template is returned for reading only (core.TunedOptions);
-// instances come from the Factory:
-//
-//   - the first call returns the template itself — touched by nothing
-//     but the reduction, so indistinguishable from a fresh reduced
-//     instance;
-//   - a later call returns template.Clone() when the encoding is a
-//     core.Cloner (the model and its reduced domains are shared: no
-//     construction, no reduction), and a fresh NewWithParams instance
-//     otherwise (core.Solve reduces that one itself).
-//
-// The first caller may search on the template while later callers
-// clone it because Clone reads nothing a search writes and the
-// reduction — the only writer of the shared model — is finished before
-// the Factory exists. Every call returns an instance nobody else
-// holds, and the Factory is safe to call from concurrent goroutines
-// (multiwalk.Run calls it from every walker's). A template lives and
-// dies with its job; nothing is kept across calls of NewTemplate.
-func NewTemplate(name string, size int, params map[string]int) (core.Problem, Factory, error) {
-	t := &template{name: name, size: size, params: params}
-	t.once.Do(t.build)
-	if t.err != nil {
-		return nil, nil, t.err
-	}
-	return t.p, t.instance, nil
-}
-
-// LazyFactory is NewTemplate's Factory with the template built on its
-// first call, not up front: for a caller that knows the instance builds
-// and reduces (it has built one before) and reads nothing off it, so
-// that a job which never calls its Factory — one whose walkers run in
-// other processes — builds nothing. Every call returns the
-// construction's error, if it fails.
-func LazyFactory(name string, size int, params map[string]int) Factory {
-	t := &template{name: name, size: size, params: params}
-	return t.instance
-}
-
-// template is the state behind a job's Factory: its spec and, once
-// built, its template or the error building it returned.
-type template struct {
-	name      string
-	size      int
-	params    map[string]int
-	once      sync.Once   // guards build
-	handedOut atomic.Bool // the template itself went to a caller
-	p         core.Problem
-	err       error
-}
-
-// build constructs and reduces the template.
-func (t *template) build() {
-	p, err := NewWithParams(t.name, t.size, t.params)
-	if err == nil {
-		if dr, ok := p.(core.DomainReducer); ok {
-			err = dr.ReduceDomains()
-		}
-	}
-	if err != nil {
-		t.err = err
-		return
-	}
-	t.p = p
-}
-
-// instance is the Factory NewTemplate documents.
-func (t *template) instance() (core.Problem, error) {
-	t.once.Do(t.build)
-	if t.err != nil {
-		return nil, t.err
-	}
-	if !t.handedOut.Swap(true) {
-		return t.p, nil
-	}
-	if cloner, ok := t.p.(core.Cloner); ok {
-		return cloner.Clone(), nil
-	}
-	return NewWithParams(t.name, t.size, t.params)
 }
 
 // abs is the integer absolute value used throughout the encodings.

@@ -381,12 +381,11 @@ func TestFactoryInstancesAreIndependent(t *testing.T) {
 }
 
 // TestFactoryHandsOutValidatedInstanceOnce pins the factory contract
-// behind "validate by building, then hand that instance out": called
+// behind "validate by building once, then hand out instances": called
 // from many goroutines at once (as multiwalk.Run does) every call gets
 // an instance nobody else holds, and a search on the first instance —
-// the one built to validate the arguments — is the golden trace of a
-// fresh one, for every benchmark. LazyFactory, which builds that
-// instance on its first call instead, is held to the same contract.
+// a clone of the model resolving validated, or a fresh construction —
+// is the golden trace of a fresh one, for every benchmark.
 func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 	blob, err := os.ReadFile(goldenPath())
 	if err != nil {
@@ -404,7 +403,6 @@ func TestFactoryHandsOutValidatedInstanceOnce(t *testing.T) {
 				make func() (Factory, error)
 			}{
 				{"NewFactoryParams", func() (Factory, error) { return NewFactoryParams(problem, size, nil) }},
-				{"LazyFactory", func() (Factory, error) { return LazyFactory(problem, size, nil), nil }},
 			} {
 				f, err := factory.make()
 				if err != nil {

@@ -51,28 +51,30 @@ func traceOn(t *testing.T, p core.Problem, seed uint64) core.Result {
 	return res
 }
 
-// TestTemplateInstancesSearchAlike is the rule NewTemplate states, run:
-// the first instance a factory hands out is the template itself, the
-// later ones are clones, and neither can be told from a freshly built
-// and reduced instance by any search — same trace for every seed —
-// while the domains all of them share stay what the one reduction
-// left.
+// TestTemplateInstancesSearchAlike is the rule Resolve states, run:
+// every instance a spec's factory hands out is a clone of the cached
+// model, never the model itself, and no clone can be told from a
+// freshly built and reduced instance by any search — same trace for
+// every seed, whether it is the first clone or one taken after others
+// searched — while the domains all of them share stay what the one
+// reduction left.
 func TestTemplateInstancesSearchAlike(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
 		seeds = 3
 	}
 	for _, spec := range templateSpecs {
-		template, factory, err := NewTemplate("timetable", spec.size, spec.params)
+		_, factory, err := Resolve("timetable", spec.size, spec.params)
 		if err != nil {
 			t.Fatal(err)
 		}
+		model := cachedModel(t, "timetable", spec.size, spec.params)
 		first, err := factory()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first != template {
-			t.Fatalf("timetable %d: the first factory call built something instead of handing out the template", spec.size)
+		if first == model {
+			t.Fatalf("timetable %d: the factory handed out the cached model", spec.size)
 		}
 		fresh, err := NewWithParams("timetable", spec.size, spec.params)
 		if err != nil {
@@ -82,9 +84,9 @@ func TestTemplateInstancesSearchAlike(t *testing.T) {
 		if err := fresh.(core.DomainReducer).ReduceDomains(); err != nil {
 			t.Fatal(err)
 		}
-		shared := domainsOf(template.(core.FDProblem))
+		shared := domainsOf(model.(core.FDProblem))
 		if !reflect.DeepEqual(shared, domainsOf(fresh.(core.FDProblem))) {
-			t.Fatalf("timetable %d: the template's domains are not a fresh instance's reduced ones", spec.size)
+			t.Fatalf("timetable %d: the cached model's domains are not a fresh instance's reduced ones", spec.size)
 		}
 		if spec.size >= 100 && reflect.DeepEqual(shared, unreduced) {
 			t.Fatalf("timetable %d: reduction removed nothing; NewWithParams no longer returns an unreduced instance, or the spec has nothing to propagate", spec.size)
@@ -94,19 +96,19 @@ func TestTemplateInstancesSearchAlike(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if clone == template {
-				t.Fatalf("timetable %d: a later factory call handed out the template again", spec.size)
+			if clone == model || clone == first {
+				t.Fatalf("timetable %d: a later factory call handed out an instance already handed out, or the model", spec.size)
 			}
 			want := traceOn(t, fresh, seed)
 			if got := traceOn(t, clone, seed); !reflect.DeepEqual(got, want) {
 				t.Fatalf("timetable %d seed %d: clone searched\n%+v, fresh reduced instance\n%+v", spec.size, seed, got, want)
 			}
-			if got := traceOn(t, template, seed); !reflect.DeepEqual(got, want) {
-				t.Fatalf("timetable %d seed %d: template searched\n%+v, fresh reduced instance\n%+v", spec.size, seed, got, want)
+			if got := traceOn(t, first, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("timetable %d seed %d: first clone searched\n%+v, fresh reduced instance\n%+v", spec.size, seed, got, want)
 			}
 		}
-		if !reflect.DeepEqual(domainsOf(template.(core.FDProblem)), shared) {
-			t.Fatalf("timetable %d: searching on the template and its clones changed the shared domains", spec.size)
+		if !reflect.DeepEqual(domainsOf(model.(core.FDProblem)), shared) {
+			t.Fatalf("timetable %d: searching on the clones changed the shared domains", spec.size)
 		}
 	}
 }
@@ -132,37 +134,36 @@ func TestTemplateUnreducedCloneOwnsDomains(t *testing.T) {
 	}
 }
 
-// TestTemplateUnsatisfiable: the proof is NewTemplate's error, typed,
-// before a factory exists — through every constructor built on it.
+// TestTemplateUnsatisfiable: the proof is Resolve's error, typed,
+// before a factory exists — through every constructor built on it, and
+// on every call, since a refusal is never cached.
 func TestTemplateUnsatisfiable(t *testing.T) {
 	params := map[string]int{"rooms": 1, "slots": 2}
-	if _, _, err := NewTemplate("timetable", 3, params); !errors.Is(err, domain.ErrUnsatisfiable) {
-		t.Fatalf("NewTemplate = %v, want ErrUnsatisfiable", err)
-	}
-	if _, err := NewFactoryParams("timetable", 3, params); !errors.Is(err, domain.ErrUnsatisfiable) {
-		t.Fatalf("NewFactoryParams = %v, want ErrUnsatisfiable", err)
+	for call := 0; call < 2; call++ {
+		if _, f, err := Resolve("timetable", 3, params); f != nil || !errors.Is(err, domain.ErrUnsatisfiable) {
+			t.Fatalf("Resolve call %d = %v, want ErrUnsatisfiable and no factory", call, err)
+		}
+		if _, err := NewFactoryParams("timetable", 3, params); !errors.Is(err, domain.ErrUnsatisfiable) {
+			t.Fatalf("NewFactoryParams call %d = %v, want ErrUnsatisfiable", call, err)
+		}
 	}
 	if _, err := NewWithParams("timetable", 3, params); err != nil {
 		t.Fatalf("NewWithParams = %v: it builds, it does not reduce", err)
 	}
-	lazy := LazyFactory("timetable", 3, params)
-	for call := 0; call < 2; call++ {
-		if p, err := lazy(); p != nil || !errors.Is(err, domain.ErrUnsatisfiable) {
-			t.Fatalf("LazyFactory call %d = %v, %v, want ErrUnsatisfiable", call, p, err)
-		}
-	}
 }
 
-// TestTemplateAllocations pins what a job's instances cost in heap
-// objects, which is how "one construction and one fixpoint a job" is
+// TestTemplateAllocations pins what a spec's instances cost in heap
+// objects, which is how "one construction and one fixpoint a spec" is
 // asserted without a counter in the product: a construction is a
 // handful of objects at any size (every domain is a window of one
 // array, every resource's session list of another), a clone is three
 // (the struct, occ, errVec), a reduction is one (its group list: the
 // groups are the resources' own session lists), a reduction asked of
-// an instance already reduced is none, and a template plus the two
-// instances of a two-walker job is one construction, one reduction and
-// one clone — not the three constructions and three reductions it was.
+// an instance already reduced is none, the first resolve of a spec is
+// one construction and one reduction, and a job of a spec resolved
+// before is one clone a walker — not the construction and reduction a
+// job paid when it built its own template, nor the three of each it
+// paid before that.
 func TestTemplateAllocations(t *testing.T) {
 	const size = 200
 	params := map[string]int{"slots": 8}
@@ -178,12 +179,15 @@ func TestTemplateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	template := build()
-	reduce(template)
-	if n := testing.AllocsPerRun(100, func() { template.Clone() }); n > 3 {
-		t.Errorf("Timetable.Clone allocates %v objects, want <= 3", n)
+	model := build()
+	reduce(model)
+	var kept core.Problem
+	clone := testing.AllocsPerRun(100, func() { kept = model.Clone() })
+	_ = kept
+	if clone > 3 {
+		t.Errorf("Timetable.Clone allocates %v objects, want <= 3", clone)
 	}
-	if n := testing.AllocsPerRun(100, func() { reduce(template) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { reduce(model) }); n != 0 {
 		t.Errorf("a second ReduceDomains allocates %v objects, want 0", n)
 	}
 
@@ -195,9 +199,24 @@ func TestTemplateAllocations(t *testing.T) {
 	if reduction > 1 {
 		t.Errorf("one ReduceDomains on timetable %d allocates %v objects, want one: the group list, whose groups are the resources' own session lists (it was 848, then 2 with a copy of those lists)", size, reduction)
 	}
+
+	// The tuned options, the entry, its factory closure, its key and the
+	// cache's map (header and one group) are six objects on top; a
+	// second construction would be 11 more, a second fixpoint one more,
+	// which is one over the allowance.
+	const entry = 6
+	miss := testing.AllocsPerRun(20, func() {
+		resetSpecCache()
+		if _, _, err := Resolve("timetable", size, params); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := construction + reduction; miss < want || miss > want+entry {
+		t.Errorf("the first resolve of timetable %d allocates %v objects, one construction + one reduction is %v", size, miss, want)
+	}
 	job := func(walkers int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			_, factory, err := NewTemplate("timetable", size, params)
+			_, factory, err := Resolve("timetable", size, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,15 +229,11 @@ func TestTemplateAllocations(t *testing.T) {
 			}
 		})
 	}
-	// The factory closure and its hand-out flag are two objects on top;
-	// a second construction would be 11 more, a second fixpoint one
-	// more, which is one over the allowance.
-	const closure = 2
-	if got, want := job(1), construction+reduction; got < want || got > want+closure {
-		t.Errorf("a one-walker job allocates %v objects, one construction + one reduction is %v", got, want)
+	if got, want := job(1), clone; got != want {
+		t.Errorf("a one-walker job of a resolved spec allocates %v objects, one clone is %v", got, want)
 	}
-	if got, want := job(2), construction+reduction+3; got < want || got > want+closure {
-		t.Errorf("a two-walker job allocates %v objects, one construction + one reduction + one clone is %v", got, want)
+	if got, want := job(2), 2*clone; got != want {
+		t.Errorf("a two-walker job of a resolved spec allocates %v objects, two clones are %v", got, want)
 	}
 }
 
@@ -273,17 +288,13 @@ func TestWalkerAllocations(t *testing.T) {
 		}},
 	} {
 		t.Run(fmt.Sprintf("%s-%d", tc.name, tc.size), func(t *testing.T) {
-			template, factory, err := NewTemplate(tc.name, tc.size, tc.params)
+			opts, factory, err := Resolve(tc.name, tc.size, tc.params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := factory(); err != nil { // hands out the template
-				t.Fatal(err)
-			}
-			opts := core.TunedOptions(template)
 			opts.Seed = 1
-			// solve runs one walker on an instance of its own, built
-			// outside the count, as a job's second walker gets a clone.
+			// solve runs one walker on an instance of its own, taken
+			// outside the count, as a job's walker takes its clone.
 			solve := func(ctx context.Context) (res core.Result, bytes uint64) {
 				bytes = math.MaxUint64
 				for try := 0; try < 3; try++ {
@@ -365,7 +376,7 @@ func TestMaxSizeBudget(t *testing.T) {
 	}
 	for _, s := range specs {
 		var err error
-		cost := allocated(func() { _, _, err = NewTemplate(s.name, s.size, s.params) })
+		cost := allocated(func() { _, err = buildSpec(s.name, s.size, s.params) })
 		t.Logf("%s %d %v: %.1f MiB", s.name, s.size, s.params, float64(cost)/(1<<20))
 		if err != nil && !errors.Is(err, domain.ErrUnsatisfiable) {
 			t.Errorf("%s %d %v: %v", s.name, s.size, s.params, err)

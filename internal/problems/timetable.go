@@ -223,7 +223,7 @@ func (t *Timetable) Domain(i int) []int { return t.domains[i] }
 // neighbours of pinned sessions and the pigeonhole check proves
 // over-committed resources unsatisfiable before any iteration runs.
 // The fixpoint is reached once per model: on an instance already
-// reduced (a template, or a clone of one) this is a no-op.
+// reduced (a cached model, or a clone of one) this is a no-op.
 func (t *Timetable) ReduceDomains() error {
 	if t.reduced {
 		return nil
@@ -260,6 +260,21 @@ func (t *Timetable) Clone() core.Problem {
 		}
 	}
 	return &c
+}
+
+// ModelBytes implements core.Cloner: the bytes of the ids, session
+// lists and domains its clones share, and of its own occ and errVec.
+func (t *Timetable) ModelBytes() int64 {
+	const word, header = 8, 24 // an int, and a slice header
+	b := word * (cap(t.idA) + cap(t.idB) + cap(t.occ) + cap(t.errVec))
+	b += header * (len(t.resSessions) + len(t.domains))
+	for _, s := range t.resSessions {
+		b += 4 * cap(s)
+	}
+	for _, d := range t.domains {
+		b += word * cap(d)
+	}
+	return int64(b)
 }
 
 // Cost implements core.Problem: the number of double-bookings. It

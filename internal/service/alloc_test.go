@@ -54,24 +54,27 @@ type gateSpec struct {
 // walkers, fixed seeds) played in-process, bytes allocated per job
 // against a committed budget. Fleet-mixed runs its jobs over two
 // one-slot workers on loopback, as the benchmark does, and counts
-// front door, coordinator and workers together; its budget sits about
-// 4 % above the 41.1 KB a job reads with admission answering a spec it
-// has seen from its verdict memo, building no template, and the run
-// request and reply crossing the hop unboxed (45.8 KB without either).
-// The other two budgets sit about a tenth above what a job
-// reads, 40.8 KB and 7.05 KB: one template a job, compact responses, the
-// job run on the handler's goroutine, walkers that keep one
-// configuration, a reduction that copies nothing, and a request read
-// and a reply written without reflection. What each earlier shape read:
-// indented responses through the dispatcher 62 KB and 13.3 KB; building
-// and reducing every walker's instance and a discarded probe 331 KB and
-// 18.6 KB; a walker that copied its best configuration and a reduction
-// that copied the session lists 48.2 KB and 8.6 KB; the request and the
-// reply through encoding/json 41.8 KB and 8.2 KB, which breaks the
-// small-local budget. One more construction in a search-fd job is
-// 24 KB. Each of the others breaks the search-fd budget. The finer
-// counts, one reduction a job and a walker's working set, are
-// problems.TestTemplateAllocations and problems.TestWalkerAllocations.
+// front door, coordinator and workers together. Each budget sits about
+// a tenth above what a job reads, 22.3 KB, 6.2 KB and 37.6 KB: every
+// walker a clone of the model the process's spec cache built on the
+// spec's first resolve (no construction or reduction a job, at
+// admission or on a worker), compact responses, the job run on the
+// handler's goroutine, walkers that keep one configuration, a reduction
+// that copies nothing, a request read and a reply written without
+// reflection, and the run request and reply crossing the fleet hop
+// unboxed. What each earlier shape read: indented responses through
+// the dispatcher 62 KB and 13.3 KB; building and reducing every
+// walker's instance and a discarded probe 331 KB and 18.6 KB; a walker
+// that copied its best configuration and a reduction that copied the
+// session lists 48.2 KB and 8.6 KB; the request and the reply through
+// encoding/json 41.8 KB and 8.2 KB; fleet-mixed with a template built
+// at admission and its run messages boxed 45.8 KB; one template built
+// and reduced a job, memoizing only a spec's options, 40.2 KB, 6.9 KB
+// and 41.0 KB. One construction in a search-fd job is 24 KB, which
+// breaks its budget, as each of the other earlier shapes does one of
+// the three. The finer counts, one reduction a spec and a walker's
+// working set, are problems.TestTemplateAllocations and
+// problems.TestWalkerAllocations.
 func TestAllocationGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budgets are for a plain build")
@@ -94,12 +97,12 @@ func TestAllocationGate(t *testing.T) {
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 46_000, false},
-		{"small-local", tiny, 50, 7_800, false},
+		}, 4, 24_500, false},
+		{"small-local", tiny, 50, 6_900, false},
 		// The benchmark's pattern: every fifth job medium, the two medium
 		// specs alternating.
 		{"fleet-mixed", append(append(append(tiny[:4:4], gateSpec{"costas", 14, nil}), tiny...),
-			gateSpec{"timetable", 100, map[string]int{"slots": 10}}), 10, 42_800, true},
+			gateSpec{"timetable", 100, map[string]int{"slots": 10}}), 10, 41_500, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Slots: 2}
@@ -212,16 +215,19 @@ func BenchmarkSolveHandler(b *testing.B) {
 }
 
 // TestRejectBeforeBuild: a request that is a plain 400 is refused
-// before anything is built. Every case names a 240-session timetable,
-// whose construction alone is over 30 KB — the control case shows this
-// test sees it — and each refusal must cost a small fraction of that.
-// The two cap cases ask for more than the registry builds (one session
-// over timetable's MaxSize, or a million slots): a refusal that came
-// after the construction would cost megabytes.
+// before anything is built. Every case names a 240-session timetable
+// that nothing has resolved before, whose construction alone is over
+// 30 KB — the control case shows this test sees it — and
+// each refusal must cost a small fraction of that. Each try names a
+// spec of its own: once resolved, a spec costs admission nothing, so a
+// refusal that came after a resolve would cost a construction on its
+// first try only. The two cap cases ask for more than the registry
+// builds (one session over timetable's MaxSize, or a million slots): a
+// refusal that came after the construction would cost megabytes.
 func TestRejectBeforeBuild(t *testing.T) {
 	s := New(Config{Slots: 2})
 	defer s.Close()
-	base := Request{Problem: "timetable", Size: 240, Params: map[string]int{"slots": 8}, Walkers: 2, Seed: 1}
+	base := Request{Problem: "timetable", Size: 240, Walkers: 2, Seed: 1}
 	info, err := problems.Describe(base.Problem)
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +235,7 @@ func TestRejectBeforeBuild(t *testing.T) {
 	var built uint64
 	{
 		req := base
+		req.Params = unresolvedTimetable()
 		built = allocated(func() {
 			if _, _, err := s.normalizeRequest(&req); err != nil {
 				t.Fatal(err)
@@ -252,12 +259,13 @@ func TestRejectBeforeBuild(t *testing.T) {
 		"slots above the cap":    func(r *Request) { r.Params = map[string]int{"slots": 1 << 20} },
 	} {
 		t.Run(name, func(t *testing.T) {
-			req := base
-			mutate(&req)
 			// The cheapest of a few tries: a construction is in every one
 			// of them or in none, a stray background allocation is not.
 			cost := uint64(math.MaxUint64)
 			for try := 0; try < 3; try++ {
+				req := base
+				req.Params = unresolvedTimetable()
+				mutate(&req)
 				var err error
 				cost = min(cost, allocated(func() { _, err = s.Submit(req) }))
 				if !errors.Is(err, ErrBadRequest) {

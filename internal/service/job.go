@@ -3,8 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -238,8 +236,9 @@ func condenseResult(res *multiwalk.Result) *JobResult {
 //
 // Every check that needs no problem instance runs first, so a request
 // that is a plain 400 never pays for a construction. The instance's own
-// checks come last, from verdict: it builds at most one template a
-// job, and none for a spec admission has seen build before.
+// checks come last, from problems.Resolve: it builds and reduces a
+// spec's model on the spec's first resolve in the process and nothing
+// after, so only the first job of a spec builds anything.
 func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.Options, error) {
 	var zero multiwalk.Options
 	if req.Problem == "" {
@@ -291,7 +290,7 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 		return nil, zero, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
-	factory, tuned, err := s.verdict(req)
+	tuned, factory, err := problems.Resolve(req.Problem, req.Size, req.Params)
 	if err != nil {
 		switch {
 		case errors.Is(err, domain.ErrUnsatisfiable):
@@ -311,77 +310,6 @@ func (s *Scheduler) normalizeRequest(req *Request) (problems.Factory, multiwalk.
 		opts.Engine.MaxRuns = req.MaxRuns
 	}
 	return factory, opts, nil
-}
-
-// verdictMemoCap bounds the verdict memo. An entry is a key of a few
-// dozen bytes and one core.Options, so a full memo is some 40 KB.
-const verdictMemoCap = 256
-
-// verdict returns the job's factory and the tuned engine options of
-// its spec — (problem, size, params) — and refuses a spec that does not
-// build or that its reduction proves unsatisfiable.
-//
-// A spec not in the memo is built here as the job's template
-// (problems.NewTemplate: constructed and, for a finite-domain model,
-// reduced once), its tuned options are read off it and memoized, and
-// the factory hands the template to the job's first walker and clones
-// of it to the others. A memoized spec is known to build, so nothing is
-// built here: its factory is problems.LazyFactory, which builds the
-// template on the job's first call of it. A local job thus builds one
-// template either way, and a fleet job, whose walkers are built by the
-// workers and which never calls its factory, builds none at admission
-// once its spec is memoized. A refusal is never memoized; a full memo
-// drops an entry, the one map iteration meets first, to take a new one.
-func (s *Scheduler) verdict(req *Request) (problems.Factory, core.Options, error) {
-	var buf [64]byte
-	key := specKey(buf[:0], req)
-	s.verdictMu.Lock()
-	tuned, ok := s.verdicts[string(key)]
-	s.verdictMu.Unlock()
-	if ok {
-		return problems.LazyFactory(req.Problem, req.Size, req.Params), tuned, nil
-	}
-	template, factory, err := problems.NewTemplate(req.Problem, req.Size, req.Params)
-	if err != nil {
-		return nil, core.Options{}, err
-	}
-	tuned = core.TunedOptions(template)
-	s.verdictMu.Lock()
-	if len(s.verdicts) >= verdictMemoCap {
-		for k := range s.verdicts {
-			delete(s.verdicts, k)
-			break
-		}
-	}
-	s.verdicts[string(key)] = tuned
-	s.verdictMu.Unlock()
-	return factory, tuned, nil
-}
-
-// specKey appends req's memo key to dst: the problem, the size and the
-// params in key order. Every string is prefixed with its length, so no
-// two specs share a key whatever their params' names hold.
-func specKey(dst []byte, req *Request) []byte {
-	dst = appendKeyString(dst, req.Problem)
-	dst = strconv.AppendInt(dst, int64(req.Size), 10)
-	var stack [4]string
-	names := stack[:0]
-	for name := range req.Params {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		dst = append(dst, ',')
-		dst = appendKeyString(dst, name)
-		dst = strconv.AppendInt(dst, int64(req.Params[name]), 10)
-	}
-	return dst
-}
-
-func appendKeyString(dst []byte, s string) []byte {
-	dst = strconv.AppendInt(dst, int64(len(s)), 10)
-	dst = append(dst, ':')
-	return append(dst, s...)
 }
 
 // timeoutFor resolves the job deadline from the request and the

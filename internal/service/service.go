@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
-	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -196,13 +195,6 @@ type Scheduler struct {
 	// Lifecycle counters for /metrics, moved with the job they count.
 	mSubmitted, mRunning, mSolved, mUnsolved, mCancelled, mFailed, mAdoptions, mYielded int64
 
-	// verdicts is admission's memo (see verdict): the tuned engine
-	// options of each spec that built and reduced, keyed by specKey. It
-	// holds options, never an instance, and at most verdictMemoCap of
-	// them.
-	verdictMu sync.Mutex
-	verdicts  map[string]core.Options
-
 	seq   atomic.Uint64
 	start time.Time
 	// now stamps a job's submitted, started and finished times: time.Now,
@@ -231,7 +223,6 @@ func New(cfg Config) *Scheduler {
 		slotsFree: cfg.Slots,
 		jobs:      make(map[string]*job),
 		tenants:   make(map[string]*tenantAcct),
-		verdicts:  make(map[string]core.Options),
 		start:     time.Now(),
 		now:       time.Now,
 	}

@@ -5,37 +5,54 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/multiwalk"
 )
 
-// TestAdmissionVerdictMemo: admission builds a spec's template the
-// first time it sees the spec, and answers it from the memo — tuned
-// options, no instance — every time after. Fleet-mixed admits the same
-// six specs over and over, and its coordinator never calls a job's
-// factory, so each admission after the first of its spec builds nothing.
-func TestAdmissionVerdictMemo(t *testing.T) {
+// unresolved counts the specs unresolvedTimetable has handed out.
+var unresolved atomic.Int64
+
+// unresolvedTimetable returns params that make a timetable of any size
+// a spec nothing in this process has resolved before: room and teacher
+// counts no other test names, moved on by each call however often the
+// tests repeat. At the default slot count a timetable needs four rooms
+// and four teachers; eight or more only make it easier.
+func unresolvedTimetable() map[string]int {
+	k := int(unresolved.Add(1)) - 1
+	return map[string]int{"rooms": 8 + k%1000, "teachers": 8 + k/1000}
+}
+
+// TestAdmissionSpecCache: admission resolves a spec through the
+// process's spec cache, so it builds the spec's model the first time
+// any job names the spec and answers it from the cache — tuned
+// options, no instance built — every time after. Fleet-mixed admits
+// the same six specs over and over, and its coordinator never calls a
+// job's factory, so each admission after the first of its spec builds
+// nothing. The cache's key and bounds are problems.TestSpecCacheKey and
+// problems.TestSpecCacheBounds.
+func TestAdmissionSpecCache(t *testing.T) {
 	s := New(Config{Slots: 2})
 	defer s.Close()
-	spec := Request{Problem: "timetable", Size: 100, Params: map[string]int{"slots": 10}, Walkers: 2, Seed: 7}
+	spec := Request{Problem: "timetable", Size: 100, Params: unresolvedTimetable(), Walkers: 2, Seed: 7}
 
 	req := spec
 	var miss, hit multiwalk.Options
 	var err error
 	if built := allocated(func() { _, miss, err = s.normalizeRequest(&req) }); err != nil || built < 14_000 {
-		t.Fatalf("the first admission of timetable-100 allocated %d B (%v); it builds the template, 14 KB or more", built, err)
+		t.Fatalf("the first admission of timetable-%d allocated %d B (%v); it builds the model, 14 KB or more", spec.Size, built, err)
 	}
 	req = spec
 	if cost := allocated(func() { _, hit, err = s.normalizeRequest(&req) }); err != nil || cost >= 1<<10 {
-		t.Errorf("the second admission of timetable-100 allocated %d B (%v); it builds nothing, under 1 KB", cost, err)
+		t.Errorf("the second admission of timetable-%d allocated %d B (%v); it builds nothing, under 1 KB", spec.Size, cost, err)
 	}
 	if !reflect.DeepEqual(hit.Engine, miss.Engine) {
 		t.Errorf("engine options on a hit\n%+v\nwant those of the miss\n%+v", hit.Engine, miss.Engine)
 	}
 
-	// The request's own budgets override the memoized options, and
-	// leave them as they were.
+	// The request's own budgets override the cached options, and leave
+	// them as they were.
 	req = spec
 	req.MaxIterations, req.MaxRuns = 1234, 3
 	_, over, err := s.normalizeRequest(&req)
@@ -46,29 +63,14 @@ func TestAdmissionVerdictMemo(t *testing.T) {
 	}
 	req = spec
 	if _, again, err := s.normalizeRequest(&req); err != nil || !reflect.DeepEqual(again.Engine, miss.Engine) {
-		t.Errorf("after an override the memo answers %+v (%v), want %+v", again.Engine, err, miss.Engine)
+		t.Errorf("after an override the cache answers %+v (%v), want %+v", again.Engine, err, miss.Engine)
 	}
 
-	// The order params are given in is not part of the key.
-	for _, order := range [][]string{{"slots", "rooms", "teachers"}, {"teachers", "rooms", "slots"}, {"rooms", "slots", "teachers"}} {
-		params := map[string]int{}
-		for _, k := range order {
-			params[k] = map[string]int{"slots": 6, "rooms": 4, "teachers": 4}[k]
-		}
-		req = Request{Problem: "timetable", Size: 20, Params: params, Walkers: 2}
-		if _, _, err := s.normalizeRequest(&req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(s.verdicts); n != 2 {
-		t.Errorf("the memo holds %d specs after timetable-100 and timetable-20 in three orders, want 2", n)
-	}
-
-	// A local job on a hit builds its template at its first walker's
-	// call instead of at admission: the same search, so one seed
+	// A local job's walkers are clones of the cached model whether its
+	// admission built it or found it: the same search, so one seed
 	// answers alike.
 	for _, spec := range []Request{
-		{Problem: "timetable", Size: 60, Seed: 11},
+		{Problem: "timetable", Size: 60, Params: unresolvedTimetable(), Seed: 11},
 		{Problem: "costas", Size: 10, Seed: 5},
 	} {
 		var results []*JobResult
@@ -85,8 +87,8 @@ func TestAdmissionVerdictMemo(t *testing.T) {
 		}
 	}
 
-	// A refusal answers alike on every call and is never memoized.
-	held := len(s.verdicts)
+	// A refusal answers alike on every call (the cache keeps none:
+	// problems.TestSpecCacheRebuildsEveryRefusal).
 	h := NewHandler(s)
 	for _, tc := range []struct {
 		body string
@@ -103,19 +105,5 @@ func TestAdmissionVerdictMemo(t *testing.T) {
 				t.Errorf("%s, call %d: status %d, want %d", tc.body, call, rec.Code, tc.code)
 			}
 		}
-	}
-	if n := len(s.verdicts); n != held {
-		t.Errorf("the memo holds %d specs after three refused specs, want %d", n, held)
-	}
-
-	// Ten times as many distinct specs as it holds leave it at its cap.
-	for size := 4; size < 4+10*verdictMemoCap; size++ {
-		req = Request{Problem: "queens", Size: size}
-		if _, _, err := s.normalizeRequest(&req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(s.verdicts); n != verdictMemoCap {
-		t.Errorf("the memo holds %d specs, cap %d", n, verdictMemoCap)
 	}
 }
