@@ -10,9 +10,15 @@ import (
 	"repro/internal/problems"
 )
 
-// Problem is the permutation-CSP interface solved by the Adaptive
-// Search engine. See internal/core for the full contract, including the
-// optional incremental interfaces encodings implement.
+// Problem is a CSP the Adaptive Search engine solves. Every problem
+// answers Size, Cost, CostOnVariable, CostIfSwap and LiveErrors (its
+// live per-variable error vector), and Solve runs one only with the
+// rest of its encoding's contract: a permutation problem adds
+// CostsIfSwapAll and ExecutedSwap (core.PermProblem), a finite-domain
+// one Domain, CostIfAssign, CostsIfAssignAll and ExecutedAssign
+// (core.FDProblem). A problem with neither is refused with an error.
+// Every NewProblem benchmark and every compiled Model has its whole
+// contract; see internal/core for what each method must do.
 type Problem = core.Problem
 
 // Options configures one Adaptive Search engine run.

@@ -10,106 +10,55 @@ import (
 	"repro/internal/problems"
 )
 
-// unsolvable shifts a problem's global cost up by one, uniformly. Every
-// cost comparison the engine makes is relative, so the search dynamics
-// (and the hot path exercised: bulk move evaluation, delta error
-// maintenance, resets) are identical to the real problem's — but cost 0
-// is unreachable, so a bounded run executes its full iteration budget.
-// The allocation assertions need that: a run that solves early would
-// trivially report zero marginal allocations without covering the loop.
-type unsolvable struct {
-	p core.Problem
-}
+// unsolvable shifts a permutation problem's global cost up by one,
+// uniformly. Every cost comparison the engine makes is relative, so the
+// search dynamics (and the hot path exercised: row evaluation, delta
+// error maintenance, resets) are identical to the real problem's — but
+// cost 0 is unreachable, so a bounded run executes its full iteration
+// budget. The allocation assertions need that: a run that solves early
+// would trivially report zero marginal allocations without covering the
+// loop. Every other method of the contract is the wrapped problem's.
+type unsolvable struct{ core.PermProblem }
 
-func (u unsolvable) Size() int                           { return u.p.Size() }
-func (u unsolvable) Cost(cfg []int) int                  { return u.p.Cost(cfg) + 1 }
-func (u unsolvable) CostOnVariable(cfg []int, i int) int { return u.p.CostOnVariable(cfg, i) }
+func (u unsolvable) Cost(cfg []int) int { return u.PermProblem.Cost(cfg) + 1 }
+
 func (u unsolvable) CostIfSwap(cfg []int, cost, i, j int) int {
-	return u.p.CostIfSwap(cfg, cost-1, i, j) + 1
+	return u.PermProblem.CostIfSwap(cfg, cost-1, i, j) + 1
 }
 
-func (u unsolvable) ExecutedSwap(cfg []int, i, j int) {
-	if sw, ok := u.p.(core.SwapExecutor); ok {
-		sw.ExecutedSwap(cfg, i, j)
-	}
-}
-
-// unsolvableFast additionally forwards the bulk-evaluation and
-// delta-maintained-error fast paths, so the engine drives the wrapped
-// problem through exactly the interfaces it would use on the real one.
-type unsolvableFast struct {
-	unsolvable
-	me  core.MoveEvaluator
-	mev core.MaintainedErrorVector
-}
-
-func (u unsolvableFast) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
-	u.me.CostsIfSwapAll(cfg, cost-1, i, out)
+func (u unsolvable) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
+	u.PermProblem.CostsIfSwapAll(cfg, cost-1, i, out)
 	for k := range out {
 		out[k]++
 	}
 }
 
-func (u unsolvableFast) LiveErrors(cfg []int) []int { return u.mev.LiveErrors(cfg) }
+// unsolvableFD is the finite-domain counterpart, over assign moves.
+type unsolvableFD struct{ core.FDProblem }
 
-func (u unsolvableFast) ErrorsOnVariables(cfg []int, out []int) {
-	u.mev.ErrorsOnVariables(cfg, out)
+func (u unsolvableFD) Cost(cfg []int) int { return u.FDProblem.Cost(cfg) + 1 }
+
+func (u unsolvableFD) CostIfSwap(cfg []int, cost, i, j int) int {
+	return u.FDProblem.CostIfSwap(cfg, cost-1, i, j) + 1
 }
-
-// unsolvableFD is the finite-domain counterpart: it forwards the FD
-// encoding interfaces (domains, assign moves, batched assign rows) so
-// the engine keeps running over assign moves — hiding FDProblem would
-// silently demote the benchmark to swap moves, which feed
-// out-of-domain values to its cost function.
-type unsolvableFD struct {
-	unsolvable
-	fd  core.FDProblem
-	ae  core.AssignEvaluator
-	ax  core.AssignExecutor
-	mev core.MaintainedErrorVector
-}
-
-func (u unsolvableFD) Domain(i int) []int { return u.fd.Domain(i) }
 
 func (u unsolvableFD) CostIfAssign(cfg []int, cost, i, v int) int {
-	return u.fd.CostIfAssign(cfg, cost-1, i, v) + 1
+	return u.FDProblem.CostIfAssign(cfg, cost-1, i, v) + 1
 }
 
 func (u unsolvableFD) CostsIfAssignAll(cfg []int, cost, i int, out []int) {
-	u.ae.CostsIfAssignAll(cfg, cost-1, i, out)
+	u.FDProblem.CostsIfAssignAll(cfg, cost-1, i, out)
 	for k := range out {
 		out[k]++
 	}
 }
 
-func (u unsolvableFD) ExecutedAssign(cfg []int, i, old int) { u.ax.ExecutedAssign(cfg, i, old) }
-
-func (u unsolvableFD) LiveErrors(cfg []int) []int { return u.mev.LiveErrors(cfg) }
-
-func (u unsolvableFD) ErrorsOnVariables(cfg []int, out []int) {
-	u.mev.ErrorsOnVariables(cfg, out)
-}
-
-// wrapUnsolvable picks the wrapper matching p's capabilities: the fast
-// wrappers only advertise interfaces the wrapped problem actually
-// implements, so a future benchmark without the fast paths exercises
-// the engine's per-call fallback instead of panicking on a type
-// assertion.
+// wrapUnsolvable wraps p in the wrapper of its encoding.
 func wrapUnsolvable(p core.Problem) core.Problem {
 	if fd, ok := p.(core.FDProblem); ok {
-		ae, okA := p.(core.AssignEvaluator)
-		ax, okX := p.(core.AssignExecutor)
-		mev, okE := p.(core.MaintainedErrorVector)
-		if okA && okX && okE {
-			return unsolvableFD{unsolvable{p}, fd, ae, ax, mev}
-		}
+		return unsolvableFD{fd}
 	}
-	me, okM := p.(core.MoveEvaluator)
-	mev, okE := p.(core.MaintainedErrorVector)
-	if okM && okE {
-		return unsolvableFast{unsolvable{p}, me, mev}
-	}
-	return unsolvable{p}
+	return unsolvable{p.(core.PermProblem)}
 }
 
 // TestHotLoopZeroAllocs pins the engine's allocation discipline: once a

@@ -15,16 +15,20 @@
 // implicit, and assignments, for problems over finite domains
 // (FDProblem, fd.go).
 //
-// Problems plug in through the Problem interface; incremental encodings
-// additionally implement SwapExecutor and/or ResetHandler, mirroring the
-// Cost_If_Swap / Executed_Swap / Reset hooks of the original C library.
+// A problem plugs in through its encoding's one contract, PermProblem
+// or FDProblem: the live error vector, the batched row of its move and
+// the executor that keeps its incremental state current, as every
+// benchmark of the original C library supplies Cost_If_Swap and
+// Executed_Swap. Solve refuses a problem that implements neither, so no
+// search runs on a slower path.
 package core
 
-import "repro/internal/rng"
-
-// Problem is a CSP encoded over permutations of [0, n). The engine owns
-// the configuration slice and mutates it in place; a Problem must never
-// retain it between calls.
+// Problem is what every encoding answers about a CSP over n variables:
+// the reference evaluations, which the consistency tests hold the
+// batched ones to, and the live error vector the engine selects from.
+// The engine owns the configuration slice and mutates it in place; a
+// Problem must never retain it between calls. Solve runs a Problem
+// that is also a PermProblem or an FDProblem, and refuses any other.
 //
 // Contract:
 //   - Cost fully recomputes the global error of cfg and, for problems
@@ -39,6 +43,12 @@ import "repro/internal/rng"
 //   - CostIfSwap returns the global cost that Cost would return after
 //     swapping cfg[i] and cfg[j]; cost is the current global cost so the
 //     implementation can compute a delta. It must not mutate state.
+//   - LiveErrors returns a vector v with v[i] == CostOnVariable(cfg, i)
+//     for every i, valid for the configuration the engine last
+//     established through Cost and the encoding's executor. It may
+//     revalidate lazily (after a full Cost, say), but an executed move
+//     must never leave a stale entry behind. The slice is owned by the
+//     problem; callers read it and do not retain it across mutations.
 type Problem interface {
 	// Size returns the number of variables n.
 	Size() int
@@ -49,99 +59,28 @@ type Problem interface {
 	// CostIfSwap returns the global cost after a hypothetical swap of
 	// positions i and j, given the current global cost.
 	CostIfSwap(cfg []int, cost, i, j int) int
-}
-
-// MoveEvaluator is the batched companion of CostIfSwap: problems that
-// can evaluate every swap partner of one variable in a single pass
-// implement it, and the engine's move selection fills a whole cost row
-// through one devirtualized call instead of issuing n-1 interface-
-// dispatched CostIfSwap calls per iteration. Implementations typically
-// hoist the removal of variable i's own contributions out of the
-// partner loop, which a per-call CostIfSwap must redo for every j.
-//
-// Contract:
-//   - CostsIfSwapAll fills out[j], for every j != i, with exactly the
-//     value CostIfSwap(cfg, cost, i, j) would return, and out[i] with
-//     cost (the stay-put cost). len(out) == len(cfg).
-//   - Like CostIfSwap it must not change observable state: cfg and all
-//     incremental caches are bit-identical afterwards. Search traces
-//     must not depend on which path served the costs.
-type MoveEvaluator interface {
-	CostsIfSwapAll(cfg []int, cost, i int, out []int)
-}
-
-// SwapExecutor is implemented by problems that maintain incremental
-// state. ExecutedSwap is invoked after the engine has swapped cfg[i] and
-// cfg[j] so the problem can update cached structures in O(1)/O(n) rather
-// than recomputing from scratch.
-type SwapExecutor interface {
-	ExecutedSwap(cfg []int, i, j int)
-}
-
-// ErrorVector is the incremental error-cache fast path: problems that
-// can report the projected errors of all variables in one call
-// implement it, and the engine's worst-variable selection scans the
-// resulting vector instead of issuing one CostOnVariable call per
-// variable per iteration.
-//
-// Contract:
-//   - ErrorsOnVariables fills out[i] with exactly the value
-//     CostOnVariable(cfg, i) would return, for every i; len(out) ==
-//     len(cfg). The engine relies on this equivalence: search traces
-//     must not depend on which path served the errors.
-//   - Implementations typically cache the vector and invalidate or
-//     update it through ExecutedSwap (and rebuild it in Cost), so
-//     iterations that do not move — frozen local minima — serve the
-//     vector for free and iterations that do move pay only for the
-//     entries a swap actually changed. A problem that also implements
-//     ResetHandler must invalidate the cache in Reset as well: the
-//     engine does not call Cost or ExecutedSwap around a custom reset.
-type ErrorVector interface {
-	ErrorsOnVariables(cfg []int, out []int)
-}
-
-// MaintainedErrorVector is the delta-maintenance tier above ErrorVector:
-// the problem keeps its error vector current at all times — ExecutedSwap
-// updates only the entries a swap touches, and Cost (plus Reset, for
-// ResetHandler implementers) rebuilds or revalidates it — so the engine
-// skips the blanket invalidation after every swap and serves worst-
-// variable selection straight from the live vector, with no per-
-// iteration refetch or copy.
-//
-// Contract:
-//   - LiveErrors returns a vector v with v[i] == CostOnVariable(cfg, i)
-//     for every i, valid for the configuration the engine last
-//     established through Cost / ExecutedSwap / Reset. Implementations
-//     may revalidate lazily inside LiveErrors (e.g. after a full Cost
-//     recompute), but a swap applied through ExecutedSwap must never
-//     leave a stale entry behind.
-//   - The returned slice is owned by the problem; callers treat it as
-//     read-only and must not retain it across mutations.
-//
-// Problems that cannot maintain deltas simply do not implement this
-// interface and fall back to the invalidate-and-refetch ErrorVector
-// path (or, without ErrorVector, to per-variable CostOnVariable calls).
-//
-// SwapExecutor is embedded because delta maintenance is only possible
-// when the problem sees every executed swap: without ExecutedSwap the
-// engine would skip invalidation (that is the point of this interface)
-// while nothing updated the vector, silently serving stale errors. The
-// embedding makes that dependency structural instead of a convention.
-type MaintainedErrorVector interface {
-	ErrorVector
-	SwapExecutor
+	// LiveErrors returns every variable's projected error, current.
 	LiveErrors(cfg []int) []int
 }
 
-// ResetHandler is implemented by problems that want a custom partial
-// reset (the C library's Reset hook). Reset perturbs cfg in place and
-// returns the new global cost; incremental state must be left consistent
-// with the returned cfg (for ErrorVector implementers that includes
-// invalidating or refreshing the cached error vector). If a problem
-// does not implement ResetHandler the engine applies a generic partial
-// shuffle followed by a full Cost recompute.
-type ResetHandler interface {
-	Reset(cfg []int, r *rng.Rand) int
+// PermProblem is the permutation encoding's contract: a move swaps two
+// variables, so all-different stays implicit.
+//
+// Contract, on top of Problem's:
+//   - CostsIfSwapAll fills out[j], for every j != i, with exactly the
+//     value CostIfSwap(cfg, cost, i, j) would return, and out[i] with
+//     cost (the stay-put cost); len(out) == len(cfg). It must leave cfg
+//     and every incremental cache bit-identical. Implementations
+//     typically hoist the removal of variable i's own contributions out
+//     of the partner loop, which a per-call CostIfSwap must redo for
+//     every j.
+//   - ExecutedSwap is invoked after the engine has swapped cfg[i] and
+//     cfg[j], so the problem updates its cached structures, the live
+//     error vector among them, in O(delta) rather than recomputing them.
+type PermProblem interface {
+	Problem
+	CostsIfSwapAll(cfg []int, cost, i int, out []int)
+	ExecutedSwap(cfg []int, i, j int)
 }
 
 // Tuner is implemented by problems that ship benchmark-specific engine

@@ -24,10 +24,11 @@ func TunedOptions(p Problem) Options {
 // Solve runs the constraint-based local search engine on p until a
 // solution is found, the restart budget is exhausted, or ctx is
 // cancelled. A nil ctx is treated as context.Background(). The search
-// is Adaptive Search, the one algorithm there is. The returned error
-// reports invalid options or an ill-formed problem; search outcomes
-// (including running out of budget) are reported in the Result, not as
-// errors.
+// is Adaptive Search, the one algorithm there is. p must implement its
+// encoding's contract, FDProblem or PermProblem. The returned error
+// reports invalid options or an ill-formed problem, one implementing
+// neither contract included; search outcomes (including running out of
+// budget) are reported in the Result, not as errors.
 func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -47,17 +48,21 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 		rand: rng.New(opts.Seed),
 		done: ctx.Done(),
 	}
-	e.resetter, _ = p.(ResetHandler)
 	// The one place that branches on which encoding p is: everything the
 	// two differ in goes into the move set, and the loop runs over it.
-	if fd, ok := p.(FDProblem); ok {
+	switch p := p.(type) {
+	case FDProblem:
 		var err error
-		if e.mv, err = newAssignMoves(fd); err != nil {
+		if e.mv, err = newAssignMoves(p); err != nil {
 			return Result{}, err
 		}
-	} else {
-		sw, _ := p.(SwapExecutor)
-		e.mv = &swapMoves{swapper: sw}
+	case interface{ Domain(int) []int }:
+		// Domains make p finite-domain: it is never run over swaps.
+		return Result{}, fmt.Errorf("core: %T has domains but does not implement FDProblem", p)
+	case PermProblem:
+		e.mv = &swapMoves{p: p}
+	default:
+		return Result{}, fmt.Errorf("core: %T implements neither PermProblem nor FDProblem", p)
 	}
 	if opts.InitialConfig != nil {
 		if err := ValidateConfig(p, opts.InitialConfig); err != nil {
@@ -106,7 +111,7 @@ type moves interface {
 	// escape executes localMinimum's forced move on (vi, vj), uphill or
 	// not.
 	escape(e *engine, vi, vj int)
-	// perturb is the generic partial reset: it re-randomizes k variables
+	// perturb is the partial reset: it re-randomizes k variables
 	// of e.st.Cfg and leaves the cost to the caller.
 	perturb(e *engine, k int)
 }
@@ -116,12 +121,11 @@ type moves interface {
 // (configuration, cost, tabu marks) lives in st, which the selection
 // kernels scan.
 type engine struct {
-	p        Problem
-	opts     Options
-	rand     *rng.Rand
-	done     <-chan struct{}
-	resetter ResetHandler
-	mv       moves
+	p    Problem
+	opts Options
+	rand *rng.Rand
+	done <-chan struct{}
+	mv   moves
 
 	st State
 
@@ -214,7 +218,6 @@ func (e *engine) runOnce(first bool) (solved, interrupted bool) {
 		e.mv.randomize(e)
 	}
 	e.st.Cost = e.p.Cost(e.st.Cfg)
-	e.st.InvalidateErrors()
 	clear(e.st.Marks)
 	e.st.Iter = 0
 	e.marked = 0
@@ -266,11 +269,9 @@ func (e *engine) cancelled() bool {
 }
 
 // landed records cost as the cost of the configuration the walker has
-// just moved to, by whatever means: the error buffer is stale and the
-// cost may be the best seen.
+// just moved to, by whatever means: it may be the best seen.
 func (e *engine) landed(cost int) {
 	e.st.Cost = cost
-	e.st.InvalidateErrors()
 	e.bestCost = min(e.bestCost, cost)
 }
 
@@ -288,16 +289,11 @@ func (e *engine) adoptConfig(cfg []int) bool {
 	return true
 }
 
-// partialReset perturbs the current configuration: problems implementing
-// ResetHandler control their own reset; otherwise a ResetFraction of the
-// variables, at least two and at most all, is re-randomized by the move
-// set and the cost recomputed from scratch.
+// partialReset perturbs the current configuration: a ResetFraction of
+// the variables, at least two and at most all, is re-randomized by the
+// move set and the cost recomputed from scratch.
 func (e *engine) partialReset() {
 	e.res.Resets++
-	if e.resetter != nil {
-		e.landed(e.resetter.Reset(e.st.Cfg, e.rand))
-		return
-	}
 	n := len(e.st.Cfg)
 	k := max(2, int(e.opts.ResetFraction*float64(n)))
 	e.mv.perturb(e, min(k, n))
@@ -307,7 +303,7 @@ func (e *engine) partialReset() {
 // swapMoves is the permutation move set: a move swaps two variables, so
 // a configuration that starts a permutation stays one.
 type swapMoves struct {
-	swapper SwapExecutor // nil without incremental state to update
+	p PermProblem
 
 	// Scratch of perturb: n positions to draw from, the k values drawn.
 	resetIdx, resetVals []int
@@ -351,9 +347,7 @@ func (m *swapMoves) escape(e *engine, vi, vj int) {
 // state of the problem.
 func (m *swapMoves) swap(e *engine, i, j, newCost int) {
 	e.st.Cfg[i], e.st.Cfg[j] = e.st.Cfg[j], e.st.Cfg[i]
-	if m.swapper != nil {
-		m.swapper.ExecutedSwap(e.st.Cfg, i, j)
-	}
+	m.p.ExecutedSwap(e.st.Cfg, i, j)
 	e.res.Swaps++
 	e.landed(newCost)
 }

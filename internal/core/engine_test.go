@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/perm"
-	"repro/internal/rng"
 )
 
 // sortProblem is a toy CSP: the solution is the identity permutation.
@@ -78,12 +78,42 @@ func (f floorProblem) CostIfSwap(cfg []int, cost, i, j int) int {
 	return f.sortProblem.CostIfSwap(cfg, cost-1, i, j) + 1
 }
 
+// toy is what the toy problems above define: a problem's reference
+// evaluations. asPerm and asFD complete one to an encoding's contract.
+type toy interface {
+	Size() int
+	Cost(cfg []int) int
+	CostOnVariable(cfg []int, i int) int
+	CostIfSwap(cfg []int, cost, i, j int) int
+}
+
+// permOf completes a toy to the permutation contract from its
+// references: the error vector and the swap row are recomputed on every
+// call, so there is no incremental state for ExecutedSwap to update.
+type permOf struct{ toy }
+
+func (p permOf) LiveErrors(cfg []int) []int {
+	errs := make([]int, len(cfg))
+	for i := range errs {
+		errs[i] = p.CostOnVariable(cfg, i)
+	}
+	return errs
+}
+
+func (p permOf) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
+	for j := range out {
+		out[j] = p.CostIfSwap(cfg, cost, i, j)
+	}
+	out[i] = cost
+}
+
+func (permOf) ExecutedSwap([]int, int, int) {}
+
 // hookedProblem wraps sortProblem and records engine hook invocations to
 // verify the incremental-state contract.
 type hookedProblem struct {
-	sortProblem
+	permOf
 	swaps      int
-	resets     int
 	lastSwapOK bool
 }
 
@@ -93,14 +123,8 @@ func (h *hookedProblem) ExecutedSwap(cfg []int, i, j int) {
 	h.lastSwapOK = perm.IsPermutation(cfg)
 }
 
-func (h *hookedProblem) Reset(cfg []int, r *rng.Rand) int {
-	h.resets++
-	perm.RandomSwaps(cfg, 2, r)
-	return h.Cost(cfg)
-}
-
 // tunedProblem verifies TunedOptions plumbing.
-type tunedProblem struct{ sortProblem }
+type tunedProblem struct{ permOf }
 
 func (tunedProblem) Tune(o *Options) { o.FreezeLocMin = 42 }
 
@@ -109,7 +133,7 @@ func (tunedProblem) Tune(o *Options) { o.FreezeLocMin = 42 }
 // configurations, and an assignment costs what Cost says of the changed
 // configuration.
 type fdOf struct {
-	Problem
+	permOf
 	dom []int
 }
 
@@ -123,13 +147,21 @@ func (p fdOf) CostIfAssign(cfg []int, _, i, v int) int {
 	return c
 }
 
-func asPerm(p Problem) Problem { return p }
-func asFD(p Problem) Problem   { return fdOf{p, perm.Identity(p.Size())} }
+func (p fdOf) CostsIfAssignAll(cfg []int, cost, i int, out []int) {
+	for k, v := range p.dom {
+		out[k] = p.CostIfAssign(cfg, cost, i, v)
+	}
+}
+
+func (fdOf) ExecutedAssign([]int, int, int) {}
+
+func asPerm(p toy) Problem { return permOf{p} }
+func asFD(p toy) Problem   { return fdOf{permOf{p}, perm.Identity(p.Size())} }
 
 // bothEncodings runs a test of the engine loop once over swap moves and
 // once over assign moves: enc turns a toy problem into the encoding the
 // subtest is about.
-func bothEncodings(t *testing.T, test func(t *testing.T, enc func(Problem) Problem)) {
+func bothEncodings(t *testing.T, test func(t *testing.T, enc func(toy) Problem)) {
 	t.Run("perm", func(t *testing.T) { test(t, asPerm) })
 	t.Run("fd", func(t *testing.T) { test(t, asFD) })
 }
@@ -142,12 +174,17 @@ func (p oneVar) Size() int                              { return 1 }
 func (p oneVar) Cost(cfg []int) int                     { return p[cfg[0]] }
 func (p oneVar) CostOnVariable(cfg []int, _ int) int    { return p[cfg[0]] }
 func (p oneVar) CostIfSwap(_ []int, cost, _, _ int) int { return cost }
+func (p oneVar) LiveErrors(cfg []int) []int             { return []int{p[cfg[0]]} }
 func (p oneVar) Domain(int) []int                       { return perm.Identity(len(p)) }
 func (p oneVar) CostIfAssign(_ []int, _, _, v int) int  { return p[v] }
+func (p oneVar) CostsIfAssignAll(_ []int, _, _ int, out []int) {
+	copy(out, p)
+}
+func (oneVar) ExecutedAssign([]int, int, int) {}
 
 func TestSolveSortProblem(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 10, 50, 200} {
-		res, err := Solve(context.Background(), sortProblem{n}, Options{Seed: 1})
+		res, err := Solve(context.Background(), asPerm(sortProblem{n}), Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -166,11 +203,11 @@ func TestSolveSortProblem(t *testing.T) {
 }
 
 func TestSolveDeterministicForSeed(t *testing.T) {
-	a, err := Solve(context.Background(), sortProblem{30}, Options{Seed: 7})
+	a, err := Solve(context.Background(), asPerm(sortProblem{30}), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), sortProblem{30}, Options{Seed: 7})
+	b, err := Solve(context.Background(), asPerm(sortProblem{30}), Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +219,8 @@ func TestSolveDeterministicForSeed(t *testing.T) {
 func TestSolveSeedsDiffer(t *testing.T) {
 	// Different seeds should (almost surely) take different trajectories
 	// on a size-50 instance.
-	a, _ := Solve(context.Background(), sortProblem{50}, Options{Seed: 1})
-	b, _ := Solve(context.Background(), sortProblem{50}, Options{Seed: 2})
+	a, _ := Solve(context.Background(), asPerm(sortProblem{50}), Options{Seed: 1})
+	b, _ := Solve(context.Background(), asPerm(sortProblem{50}), Options{Seed: 2})
 	if a.Iterations == b.Iterations && a.Swaps == b.Swaps {
 		t.Skip("seeds coincided; astronomically unlikely but not an error")
 	}
@@ -191,7 +228,7 @@ func TestSolveSeedsDiffer(t *testing.T) {
 
 func TestInitialConfigSolution(t *testing.T) {
 	n := 10
-	res, err := Solve(context.Background(), sortProblem{n}, Options{
+	res, err := Solve(context.Background(), asPerm(sortProblem{n}), Options{
 		Seed:          3,
 		InitialConfig: perm.Identity(n),
 	})
@@ -204,11 +241,11 @@ func TestInitialConfigSolution(t *testing.T) {
 }
 
 func TestInitialConfigInvalid(t *testing.T) {
-	_, err := Solve(context.Background(), sortProblem{3}, Options{InitialConfig: []int{0, 0, 1}})
+	_, err := Solve(context.Background(), asPerm(sortProblem{3}), Options{InitialConfig: []int{0, 0, 1}})
 	if err == nil {
 		t.Fatal("invalid InitialConfig accepted")
 	}
-	_, err = Solve(context.Background(), sortProblem{3}, Options{InitialConfig: []int{0, 1}})
+	_, err = Solve(context.Background(), asPerm(sortProblem{3}), Options{InitialConfig: []int{0, 1}})
 	if err == nil {
 		t.Fatal("wrong-length InitialConfig accepted")
 	}
@@ -226,14 +263,14 @@ func TestInvalidOptions(t *testing.T) {
 		{MaxRuns: -1},
 	}
 	for i, o := range bad {
-		if _, err := Solve(context.Background(), sortProblem{5}, o); err == nil {
+		if _, err := Solve(context.Background(), asPerm(sortProblem{5}), o); err == nil {
 			t.Errorf("case %d: invalid options accepted: %+v", i, o)
 		}
 	}
 }
 
 func TestBudgetExhaustionAndRestarts(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		res, err := Solve(context.Background(), enc(stuckProblem{8}), Options{
 			Seed:          1,
 			MaxIterations: 50,
@@ -261,7 +298,7 @@ func TestBudgetExhaustionAndRestarts(t *testing.T) {
 }
 
 func TestContextCancellation(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel() // already cancelled: the run must not start at all
 		res, err := Solve(ctx, enc(stuckProblem{8}), Options{Seed: 1, CheckEvery: 1})
@@ -281,7 +318,7 @@ func TestContextTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res, err := Solve(ctx, stuckProblem{16}, Options{Seed: 1})
+	res, err := Solve(ctx, asPerm(stuckProblem{16}), Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,14 +331,14 @@ func TestContextTimeout(t *testing.T) {
 }
 
 func TestNilContext(t *testing.T) {
-	res, err := Solve(nil, sortProblem{5}, Options{Seed: 1}) //nolint:staticcheck // nil ctx is part of the API contract
+	res, err := Solve(nil, asPerm(sortProblem{5}), Options{Seed: 1}) //nolint:staticcheck // nil ctx is part of the API contract
 	if err != nil || !res.Solved {
 		t.Fatalf("nil context should behave as Background: %v %v", res, err)
 	}
 }
 
 func TestHooksInvoked(t *testing.T) {
-	h := &hookedProblem{sortProblem: sortProblem{40}}
+	h := &hookedProblem{permOf: permOf{sortProblem{40}}}
 	res, err := Solve(context.Background(), h, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -317,45 +354,6 @@ func TestHooksInvoked(t *testing.T) {
 	}
 }
 
-func TestResetHandlerInvoked(t *testing.T) {
-	// pitProblem forces constant strict local minima, so resets must
-	// occur.
-	rh := &resetCounter{inner: pitProblem{10}}
-	res, err := Solve(context.Background(), rh, Options{
-		Seed:          2,
-		MaxIterations: 500,
-		MaxRuns:       1,
-		ResetLimit:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resets == 0 {
-		t.Fatalf("no resets on a problem that is all local minima: %v", res)
-	}
-	if int64(rh.resets) != res.Resets {
-		t.Fatalf("ResetHandler fired %d times, engine reports %d", rh.resets, res.Resets)
-	}
-}
-
-// resetCounter decorates a Problem with a counting ResetHandler.
-type resetCounter struct {
-	inner  Problem
-	resets int
-}
-
-func (r *resetCounter) Size() int                           { return r.inner.Size() }
-func (r *resetCounter) Cost(cfg []int) int                  { return r.inner.Cost(cfg) }
-func (r *resetCounter) CostOnVariable(cfg []int, i int) int { return r.inner.CostOnVariable(cfg, i) }
-func (r *resetCounter) CostIfSwap(cfg []int, c, i, j int) int {
-	return r.inner.CostIfSwap(cfg, c, i, j)
-}
-func (r *resetCounter) Reset(cfg []int, rnd *rng.Rand) int {
-	r.resets++
-	perm.PartialShuffle(cfg, 4, rnd)
-	return r.inner.Cost(cfg)
-}
-
 // TestDegenerateSizes: below the move set's smallest size there is one
 // configuration and its cost is reported without a search. That size is
 // 2 for a permutation and 1 for finite domains, where a single variable
@@ -366,9 +364,9 @@ func TestDegenerateSizes(t *testing.T) {
 		p      Problem
 		solved bool
 	}{
-		{"perm n=0", sortProblem{0}, true},
-		{"perm n=1", sortProblem{1}, true},
-		{"perm n=1 unsolvable", stuckProblem{1}, false},
+		{"perm n=0", asPerm(sortProblem{0}), true},
+		{"perm n=1", asPerm(sortProblem{1}), true},
+		{"perm n=1 unsolvable", asPerm(stuckProblem{1}), false},
 		{"fd n=0", asFD(sortProblem{0}), true},
 		{"fd n=0 unsolvable", asFD(stuckProblem{0}), false},
 	} {
@@ -412,15 +410,15 @@ func TestValidateConfig(t *testing.T) {
 		cfg  []int
 		ok   bool
 	}{
-		{"perm", sortProblem{4}, []int{2, 0, 3, 1}, true},
-		{"perm wrong length", sortProblem{4}, []int{0, 1, 2}, false},
-		{"perm repeated value", sortProblem{4}, []int{0, 1, 1, 3}, false},
-		{"perm value out of range", sortProblem{4}, []int{0, 1, 2, 4}, false},
+		{"perm", asPerm(sortProblem{4}), []int{2, 0, 3, 1}, true},
+		{"perm wrong length", asPerm(sortProblem{4}), []int{0, 1, 2}, false},
+		{"perm repeated value", asPerm(sortProblem{4}), []int{0, 1, 1, 3}, false},
+		{"perm value out of range", asPerm(sortProblem{4}), []int{0, 1, 2, 4}, false},
 		{"fd", asFD(sortProblem{4}), []int{1, 1, 0, 3}, true},
 		{"fd wrong length", asFD(sortProblem{4}), []int{0, 1, 2, 3, 0}, false},
 		{"fd out of domain", asFD(sortProblem{4}), []int{0, 1, 2, 4}, false},
 		{"fd below domain", oneVar{0, 1}, []int{-1}, false},
-		{"empty", sortProblem{0}, nil, true},
+		{"empty", asPerm(sortProblem{0}), nil, true},
 	} {
 		if err := ValidateConfig(tc.p, tc.cfg); (err == nil) != tc.ok {
 			t.Errorf("%s: ValidateConfig(%v) = %v, want ok=%v", tc.name, tc.cfg, err, tc.ok)
@@ -428,8 +426,65 @@ func TestValidateConfig(t *testing.T) {
 	}
 }
 
+// TestSolveRefusesIncompleteContract: a problem one method short of its
+// encoding's contract is refused before any search, on each encoding.
+// A finite-domain problem is not run over permutations either when it
+// happens to hold the whole permutation contract.
+func TestSolveRefusesIncompleteContract(t *testing.T) {
+	type (
+		swapRow interface {
+			CostsIfSwapAll(cfg []int, cost, i int, out []int)
+		}
+		swapExec  interface{ ExecutedSwap(cfg []int, i, j int) }
+		assignRow interface {
+			CostsIfAssignAll(cfg []int, cost, i int, out []int)
+		}
+		assignExec interface{ ExecutedAssign(cfg []int, i, old int) }
+		domains    interface {
+			Domain(i int) []int
+			CostIfAssign(cfg []int, cost, i, v int) int
+		}
+	)
+	p := asPerm(sortProblem{6}).(permOf)
+	f := asFD(sortProblem{6}).(fdOf)
+	for _, tc := range []struct {
+		name string
+		p    Problem
+		ok   bool
+	}{
+		{"perm", p, true},
+		{"perm without ExecutedSwap", struct {
+			Problem
+			swapRow
+		}{p, p}, false},
+		{"perm without CostsIfSwapAll", struct {
+			Problem
+			swapExec
+		}{p, p}, false},
+		{"fd", f, true},
+		{"fd without ExecutedAssign", struct {
+			PermProblem
+			domains
+			assignRow
+		}{f, f, f}, false},
+		{"fd without CostsIfAssignAll", struct {
+			PermProblem
+			domains
+			assignExec
+		}{f, f, f}, false},
+	} {
+		res, err := Solve(context.Background(), tc.p, Options{Seed: 1})
+		if tc.ok != (err == nil) || tc.ok != res.Solved {
+			t.Errorf("%s: Solve = %v, %v; want accepted and solved = %v", tc.name, res, err, tc.ok)
+		}
+		if !tc.ok && (res.Iterations != 0 || !strings.Contains(err.Error(), "FDProblem")) {
+			t.Errorf("%s: refused after %d iterations with %v, want no search and an error naming the contract", tc.name, res.Iterations, err)
+		}
+	}
+}
+
 func TestTunedOptions(t *testing.T) {
-	o := TunedOptions(tunedProblem{sortProblem{10}})
+	o := TunedOptions(tunedProblem{permOf{sortProblem{10}}})
 	if o.FreezeLocMin != 42 {
 		t.Fatalf("Tune not applied: FreezeLocMin = %d", o.FreezeLocMin)
 	}
@@ -437,14 +492,14 @@ func TestTunedOptions(t *testing.T) {
 		t.Fatal("defaults not applied before Tune")
 	}
 	// A problem without Tune gets plain defaults.
-	o2 := TunedOptions(sortProblem{10})
+	o2 := TunedOptions(asPerm(sortProblem{10}))
 	if o2.FreezeLocMin != 5 {
 		t.Fatalf("default FreezeLocMin = %d, want 5", o2.FreezeLocMin)
 	}
 }
 
 func TestFirstBestStillSolves(t *testing.T) {
-	res, err := Solve(context.Background(), sortProblem{60}, Options{Seed: 9, FirstBest: true})
+	res, err := Solve(context.Background(), asPerm(sortProblem{60}), Options{Seed: 9, FirstBest: true})
 	if err != nil || !res.Solved {
 		t.Fatalf("FirstBest run failed: %v %v", res, err)
 	}
@@ -455,7 +510,7 @@ func TestProbSelectLocMinEscapes(t *testing.T) {
 	// permutation is sorted; with ProbSelectLocMin = 1 the engine must
 	// take forced moves instead of freezing, so PlateauEscapes > 0 and
 	// Resets == 0.
-	res, err := Solve(context.Background(), floorProblem{sortProblem{12}}, Options{
+	res, err := Solve(context.Background(), asPerm(floorProblem{sortProblem{12}}), Options{
 		Seed:             4,
 		MaxIterations:    300,
 		MaxRuns:          1,
@@ -473,7 +528,7 @@ func TestProbSelectLocMinEscapes(t *testing.T) {
 }
 
 func TestUnsolvedReportsBestSeenCost(t *testing.T) {
-	res, err := Solve(context.Background(), floorProblem{sortProblem{10}}, Options{
+	res, err := Solve(context.Background(), asPerm(floorProblem{sortProblem{10}}), Options{
 		Seed:          6,
 		MaxIterations: 2_000,
 		MaxRuns:       1,
@@ -490,7 +545,7 @@ func TestUnsolvedReportsBestSeenCost(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res, _ := Solve(context.Background(), sortProblem{5}, Options{Seed: 1})
+	res, _ := Solve(context.Background(), asPerm(sortProblem{5}), Options{Seed: 1})
 	s := res.String()
 	if s == "" {
 		t.Fatal("empty Result.String()")
@@ -499,7 +554,7 @@ func TestResultString(t *testing.T) {
 
 func TestSolvePropertySolvesAnySeed(t *testing.T) {
 	f := func(seed uint64) bool {
-		res, err := Solve(context.Background(), sortProblem{12}, Options{Seed: seed})
+		res, err := Solve(context.Background(), asPerm(sortProblem{12}), Options{Seed: seed})
 		return err == nil && res.Solved && perm.IsPermutation(res.Solution)
 	}
 	cfg := &quick.Config{MaxCount: 25}
@@ -509,9 +564,9 @@ func TestSolvePropertySolvesAnySeed(t *testing.T) {
 }
 
 func TestSolutionIsPrivateCopy(t *testing.T) {
-	res, _ := Solve(context.Background(), sortProblem{8}, Options{Seed: 1})
+	res, _ := Solve(context.Background(), asPerm(sortProblem{8}), Options{Seed: 1})
 	res.Solution[0] = 99
-	res2, _ := Solve(context.Background(), sortProblem{8}, Options{Seed: 1})
+	res2, _ := Solve(context.Background(), asPerm(sortProblem{8}), Options{Seed: 1})
 	if res2.Solution[0] == 99 {
 		t.Fatal("Solution aliases engine state across calls")
 	}
@@ -519,7 +574,7 @@ func TestSolutionIsPrivateCopy(t *testing.T) {
 
 func BenchmarkSolveSort100(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Solve(context.Background(), sortProblem{100}, Options{Seed: uint64(i)})
+		res, err := Solve(context.Background(), asPerm(sortProblem{100}), Options{Seed: uint64(i)})
 		if err != nil || !res.Solved {
 			b.Fatalf("%v %v", res, err)
 		}

@@ -8,7 +8,7 @@ import (
 // TestExhaustiveSolves: the pair-scan mode must solve the toy problem
 // like the worst-variable mode does.
 func TestExhaustiveSolves(t *testing.T) {
-	res, err := Solve(context.Background(), sortProblem{30}, Options{Seed: 1, Exhaustive: true})
+	res, err := Solve(context.Background(), asPerm(sortProblem{30}), Options{Seed: 1, Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestExhaustiveSolves(t *testing.T) {
 // statistical one).
 func TestExhaustiveFewerIterations(t *testing.T) {
 	n := 40
-	res, err := Solve(context.Background(), sortProblem{n}, Options{Seed: 9, Exhaustive: true})
+	res, err := Solve(context.Background(), asPerm(sortProblem{n}), Options{Seed: 9, Exhaustive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestExhaustiveFewerIterations(t *testing.T) {
 // TestExhaustiveLocalMinimum: on pitProblem every pair is worse, so the
 // engine must count local minima and reset rather than move.
 func TestExhaustiveLocalMinimum(t *testing.T) {
-	res, err := Solve(context.Background(), pitProblem{8}, Options{
+	res, err := Solve(context.Background(), asPerm(pitProblem{8}), Options{
 		Seed:          2,
 		Exhaustive:    true,
 		MaxIterations: 100,
@@ -69,7 +69,7 @@ func TestExhaustiveLocalMinimum(t *testing.T) {
 // invariant is escapes == local minima and no resets, not a fixed
 // escape count.)
 func TestExhaustiveProbEscape(t *testing.T) {
-	res, err := Solve(context.Background(), pitProblem{8}, Options{
+	res, err := Solve(context.Background(), asPerm(pitProblem{8}), Options{
 		Seed:             3,
 		Exhaustive:       true,
 		MaxIterations:    50,
@@ -92,7 +92,7 @@ func TestExhaustiveProbEscape(t *testing.T) {
 
 // TestExhaustiveFirstBest: first-best short-circuiting must still solve.
 func TestExhaustiveFirstBest(t *testing.T) {
-	res, err := Solve(context.Background(), sortProblem{25}, Options{
+	res, err := Solve(context.Background(), asPerm(sortProblem{25}), Options{
 		Seed:       4,
 		Exhaustive: true,
 		FirstBest:  true,
@@ -105,11 +105,11 @@ func TestExhaustiveFirstBest(t *testing.T) {
 // TestExhaustiveDeterministic: same seed, same trace.
 func TestExhaustiveDeterministic(t *testing.T) {
 	opts := Options{Seed: 11, Exhaustive: true}
-	a, err := Solve(context.Background(), sortProblem{20}, opts)
+	a, err := Solve(context.Background(), asPerm(sortProblem{20}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), sortProblem{20}, opts)
+	b, err := Solve(context.Background(), asPerm(sortProblem{20}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

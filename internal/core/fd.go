@@ -8,22 +8,20 @@ import (
 )
 
 // This file defines the finite-domain (FD) encoding layer: the
-// interfaces a non-permutation problem implements, the State accessors
-// the FD kernels use, and min-conflict assign selection (SelectAssign).
-// Both encodings run the one engine loop; an FD problem runs it over
-// assign moves (fdengine.go) instead of swaps, with batched assign
-// evaluation instead of CostsIfSwapAll and a pre-search
+// contract a non-permutation problem implements, the State view the FD
+// kernels use, and min-conflict assign selection (SelectAssign). Both
+// encodings run the one engine loop; an FD problem runs it over assign
+// moves (fdengine.go) instead of swaps, with a pre-search
 // domain-reduction pass.
 
-// FDProblem is a CSP over finite domains: variable i takes values from
-// Domain(i) instead of the permutation invariant, and the engine's move
-// is an assignment cfg[i] = v rather than a swap. Implementing this
-// interface switches Solve onto assign moves; the embedded Problem
-// contract (Cost, CostOnVariable, CostIfSwap) is unchanged, with
-// CostIfSwap retained because harnesses and exchange probes still
-// evaluate swap perturbations on any encoding.
+// FDProblem is the finite-domain encoding's contract: variable i takes
+// values from Domain(i) instead of the permutation invariant, and the
+// engine's move is an assignment cfg[i] = v rather than a swap.
+// Implementing it switches Solve onto assign moves. The embedded
+// Problem is unchanged, CostIfSwap included, because harnesses and
+// exchange probes still evaluate swap perturbations on any encoding.
 //
-// Contract:
+// Contract, on top of Problem's:
 //   - Domain returns the current domain of variable i: sorted ascending,
 //     distinct, non-empty (after reduction), owned by the problem.
 //     Callers must not mutate or retain it. Domains never grow during a
@@ -32,36 +30,19 @@ import (
 //     setting cfg[i] = v, given the current cost; v == cfg[i] must
 //     return cost unchanged. Like CostIfSwap it must not mutate
 //     observable state.
+//   - CostsIfAssignAll fills out[k], for every k, with exactly the value
+//     CostIfAssign(cfg, cost, i, Domain(i)[k]) would return (so the
+//     entry of the current value holds cost); len(out) ==
+//     len(Domain(i)). It must not change observable state.
+//   - ExecutedAssign is invoked after the engine has written cfg[i]
+//     (old is the previous value), so the problem updates its caches,
+//     the live error vector among them, in O(delta).
 type FDProblem interface {
 	Problem
 	Domain(i int) []int
 	CostIfAssign(cfg []int, cost, i, v int) int
-}
-
-// AssignExecutor is the FD counterpart of SwapExecutor: problems with
-// incremental state implement it, and the engine invokes ExecutedAssign
-// after writing cfg[i] (old is the previous value) so caches update in
-// O(delta) instead of a full Cost rebuild. A problem maintaining a live
-// error vector (MaintainedErrorVector) must keep it current here, just
-// as ExecutedSwap does on the perm path.
-type AssignExecutor interface {
-	ExecutedAssign(cfg []int, i, old int)
-}
-
-// AssignEvaluator is the batched companion of CostIfAssign, mirroring
-// MoveEvaluator: one call fills the cost of every candidate value of
-// variable i, letting move selection scan a dense row instead of
-// issuing len(Domain(i)) interface-dispatched calls.
-//
-// Contract:
-//   - CostsIfAssignAll fills out[k], for every k, with exactly the value
-//     CostIfAssign(cfg, cost, i, Domain(i)[k]) would return (so the
-//     entry of the current value holds cost). len(out) ==
-//     len(Domain(i)).
-//   - It must not change observable state, and search traces must not
-//     depend on which path served the costs.
-type AssignEvaluator interface {
 	CostsIfAssignAll(cfg []int, cost, i int, out []int)
+	ExecutedAssign(cfg []int, i, old int)
 }
 
 // DomainReducer is implemented by FD problems that support the
@@ -125,52 +106,19 @@ func validateFDDomains(p FDProblem) error {
 	return nil
 }
 
-// DomainOf returns the current domain of variable i, or nil when the
-// problem is not finite-domain. Owned by the problem; read-only.
-func (s *State) DomainOf(i int) []int {
-	if s.fd == nil {
-		return nil
-	}
-	return s.fd.Domain(i)
-}
-
-// CostIfAssign returns the global cost after a hypothetical assignment
-// cfg[i] = v under the current configuration.
-func (s *State) CostIfAssign(i, v int) int {
-	return s.fd.CostIfAssign(s.Cfg, s.Cost, i, v)
-}
-
-// AssignCosts returns the cost row for variable i — entry k holds the
-// global cost assigning Domain(i)[k] would produce — or nil when the
-// problem does not implement AssignEvaluator. Like SwapCosts the slice
-// is a reused buffer: consume before the next call, do not retain.
-func (s *State) AssignCosts(i int) []int {
-	if s.assignEval == nil {
-		return nil
-	}
-	buf := s.assignBuf[:len(s.fd.Domain(i))]
-	s.assignEval.CostsIfAssignAll(s.Cfg, s.Cost, i, buf)
-	return buf
-}
-
-// bindFD wires the FD fast-path interfaces of p into the state; no-op
-// for permutation problems.
+// bindFD wires the FD view of p into the state, with an assign row as
+// long as the longest domain; no-op unless p is an FDProblem.
 func (s *State) bindFD(p Problem, n int) {
 	fd, ok := p.(FDProblem)
 	if !ok {
 		return
 	}
 	s.fd = fd
-	if ae, ok := p.(AssignEvaluator); ok {
-		s.assignEval = ae
-		maxd := 0
-		for i := 0; i < n; i++ {
-			if l := len(fd.Domain(i)); l > maxd {
-				maxd = l
-			}
-		}
-		s.assignBuf = make([]int, maxd)
+	maxd := 0
+	for i := 0; i < n; i++ {
+		maxd = max(maxd, len(fd.Domain(i)))
 	}
+	s.assignBuf = make([]int, maxd)
 }
 
 // SelectAssign is SelectMove on the FD encoding: it scans variable i's
@@ -178,18 +126,17 @@ func (s *State) bindFD(p Problem, n int) {
 // cost, ties broken uniformly, with the current value seeding the pool
 // so sideways moves compete on equal footing and strictly-worse values
 // are never taken; v == s.Cfg[i] on return signals a local minimum.
-// The batched AssignEvaluator row is scanned by scanMin;
-// selectAssignByCall scans in the same order with the same acceptance
-// rules and RNG consumption, so FD traces do not depend on which path
-// served the costs. FirstBest keeps the per-call path for the same
-// reason SelectMove does: its point is to stop at the first improvement.
+// The CostsIfAssignAll row is scanned by scanMin. FirstBest scans per
+// call instead (selectAssignByCall, same order, acceptance rules and
+// draws), for the reason SelectMove does: its point is to stop at the
+// first improvement.
 func (s *State) SelectAssign(i int) (v, cost int) {
-	d := s.DomainOf(i)
-	if s.assignEval == nil || s.Opts.FirstBest {
+	d := s.fd.Domain(i)
+	if s.Opts.FirstBest {
 		return selectAssignByCall(s, i, d)
 	}
 	costs := s.assignBuf[:len(d)]
-	s.assignEval.CostsIfAssignAll(s.Cfg, s.Cost, i, costs)
+	s.fd.CostsIfAssignAll(s.Cfg, s.Cost, i, costs)
 	if pick, best, _ := scanMin(costs, indexOf(d, s.Cfg[i]), s.Cost, 1, s.Rand); pick >= 0 {
 		return d[pick], best
 	}
@@ -206,9 +153,8 @@ func indexOf(d []int, v int) int {
 	return -1
 }
 
-// selectAssignByCall is SelectAssign through one CostIfAssign call per
-// value of d, returning at the first strict improvement under
-// FirstBest.
+// selectAssignByCall is SelectAssign under FirstBest: one CostIfAssign
+// call per value of d, returning at the first strict improvement.
 func selectAssignByCall(s *State, i int, d []int) (v, cost int) {
 	cur := s.Cfg[i]
 	bestV := cur
@@ -218,15 +164,10 @@ func selectAssignByCall(s *State, i int, d []int) (v, cost int) {
 		if cand == cur {
 			continue
 		}
-		c := s.CostIfAssign(i, cand)
+		c := s.fd.CostIfAssign(s.Cfg, s.Cost, i, cand)
 		switch {
 		case c < bestCost:
-			bestCost = c
-			bestV = cand
-			ties = 1
-			if s.Opts.FirstBest {
-				return bestV, bestCost
-			}
+			return cand, c
 		case c == bestCost:
 			ties++
 			if s.Rand.Intn(ties) == 0 {

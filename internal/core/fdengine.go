@@ -6,11 +6,10 @@ import "fmt"
 // engine.go: a move assigns cfg[i] = v with v in Domain(i), where
 // swapMoves exchanges two variables. A fresh configuration draws each
 // variable uniformly from its (reduced) domain, the forced escape and
-// the generic partial reset re-draw variables the same way, and the
+// the partial reset re-draw variables the same way, and the
 // selected variable's value comes from SelectAssign.
 type assignMoves struct {
-	fd       FDProblem
-	assigner AssignExecutor // nil without incremental state to update
+	fd FDProblem
 }
 
 // newAssignMoves runs what must precede the first draw on a
@@ -27,9 +26,7 @@ func newAssignMoves(fd FDProblem) (*assignMoves, error) {
 	if err := validateFDDomains(fd); err != nil {
 		return nil, err
 	}
-	m := &assignMoves{fd: fd}
-	m.assigner, _ = fd.(AssignExecutor)
-	return m, nil
+	return &assignMoves{fd: fd}, nil
 }
 
 // minSize is 1: unlike a 1-variable permutation, a single FD variable
@@ -80,9 +77,7 @@ func (m *assignMoves) escape(e *engine, vi, _ int) {
 func (m *assignMoves) assign(e *engine, i, v, newCost int) {
 	old := e.st.Cfg[i]
 	e.st.Cfg[i] = v
-	if m.assigner != nil {
-		m.assigner.ExecutedAssign(e.st.Cfg, i, old)
-	}
+	m.fd.ExecutedAssign(e.st.Cfg, i, old)
 	e.res.Assigns++
 	if len(m.fd.Domain(i)) == 2 {
 		e.res.Flips++
@@ -103,9 +98,9 @@ func (m *assignMoves) perturb(e *engine, k int) {
 // assignment minimizing the resulting cost — Exhaustive mode on the FD
 // encoding, the counterpart of selectBestPair. "Staying put" seeds the
 // tie pool; v == cfg[i] on return signals a strict local minimum. Tabu
-// marks are ignored, as on the perm path. Batched AssignEvaluator rows
-// serve whole domains when available; FirstBest keeps the per-call path
-// and returns the first strict improvement.
+// marks are ignored, as on the perm path. A domain is one
+// CostsIfAssignAll row; under FirstBest it is scanned per call instead,
+// and the first strict improvement returned.
 func (e *engine) selectBestAssign() (i, v, cost int) {
 	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
 	bestI, bestV := 0, st.Cfg[0]
@@ -113,9 +108,9 @@ func (e *engine) selectBestAssign() (i, v, cost int) {
 	ties := 1
 	for a, cur := range st.Cfg {
 		d := st.fd.Domain(a)
-		if !firstBest && st.assignEval != nil {
+		if !firstBest {
 			costs := st.assignBuf[:len(d)]
-			st.assignEval.CostsIfAssignAll(st.Cfg, st.Cost, a, costs)
+			st.fd.CostsIfAssignAll(st.Cfg, st.Cost, a, costs)
 			var pick int
 			pick, bestCost, ties = scanMin(costs, indexOf(d, cur), bestCost, ties, r)
 			if pick >= 0 {

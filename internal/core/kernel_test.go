@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,27 +11,22 @@ import (
 
 // The selection kernels (SelectVariable, SelectMove, SelectAssign and
 // the two exhaustive scans) promise the selection and the RNG
-// consumption of the loops they replaced. This file keeps those loops,
-// copied as they stood before the kernels, and compares the two over
-// thousands of seeded random states: same return values, and the same
-// next Rand.Uint64(), which differs as soon as one side draws once more
-// or once less.
+// consumption of the loops they replaced: one reference call
+// (CostOnVariable, CostIfSwap, CostIfAssign) per candidate, where the
+// kernels scan the live error vector and the batched rows. This file
+// keeps those loops and compares the two over thousands of seeded
+// random states: same return values, and the same next Rand.Uint64(),
+// which differs as soon as one side draws once more or once less.
 
 func refSelectVariable(s *State) int {
 	worst := -1
 	bestErr := math.MinInt
 	ties := 0
-	errs := s.Errors()
 	for i := range s.Cfg {
-		if s.Frozen(i) {
+		if s.Marks[i] >= s.Iter {
 			continue
 		}
-		var err int
-		if errs != nil {
-			err = errs[i]
-		} else {
-			err = s.Problem.CostOnVariable(s.Cfg, i)
-		}
+		err := s.Problem.CostOnVariable(s.Cfg, i)
 		switch {
 		case err > bestErr:
 			bestErr = err
@@ -53,25 +49,6 @@ func refSelectMove(s *State, i int) (j, cost int) {
 	bestJ := i
 	bestCost := s.Cost
 	ties := 1
-	if costs := s.SwapCosts(i); costs != nil && !s.Opts.FirstBest {
-		for cand, c := range costs {
-			if cand == i {
-				continue
-			}
-			switch {
-			case c < bestCost:
-				bestCost = c
-				bestJ = cand
-				ties = 1
-			case c == bestCost:
-				ties++
-				if s.Rand.Intn(ties) == 0 {
-					bestJ = cand
-				}
-			}
-		}
-		return bestJ, bestCost
-	}
 	for cand := range s.Cfg {
 		if cand == i {
 			continue
@@ -96,35 +73,15 @@ func refSelectMove(s *State, i int) (j, cost int) {
 }
 
 func refSelectAssign(s *State, i int) (v, cost int) {
-	d := s.DomainOf(i)
 	cur := s.Cfg[i]
 	bestV := cur
 	bestCost := s.Cost
 	ties := 1
-	if costs := s.AssignCosts(i); costs != nil && !s.Opts.FirstBest {
-		for k, c := range costs {
-			if d[k] == cur {
-				continue
-			}
-			switch {
-			case c < bestCost:
-				bestCost = c
-				bestV = d[k]
-				ties = 1
-			case c == bestCost:
-				ties++
-				if s.Rand.Intn(ties) == 0 {
-					bestV = d[k]
-				}
-			}
-		}
-		return bestV, bestCost
-	}
-	for _, cand := range d {
+	for _, cand := range s.fd.Domain(i) {
 		if cand == cur {
 			continue
 		}
-		c := s.CostIfAssign(i, cand)
+		c := s.fd.CostIfAssign(s.Cfg, s.Cost, i, cand)
 		switch {
 		case c < bestCost:
 			bestCost = c
@@ -149,17 +106,8 @@ func refSelectBestPair(e *engine) (i, j, cost int) {
 	bestCost := e.st.Cost
 	ties := 1
 	for a := 0; a < n; a++ {
-		var costs []int
-		if !e.opts.FirstBest && 2*(n-1-a) >= n-1 {
-			costs = e.st.SwapCosts(a)
-		}
 		for b := a + 1; b < n; b++ {
-			var c int
-			if costs != nil {
-				c = costs[b]
-			} else {
-				c = e.p.CostIfSwap(e.st.Cfg, e.st.Cost, a, b)
-			}
+			c := e.p.CostIfSwap(e.st.Cfg, e.st.Cost, a, b)
 			switch {
 			case c < bestCost:
 				bestCost = c
@@ -184,23 +132,12 @@ func refSelectBestAssign(e *engine) (i, v, cost int) {
 	bestI, bestV := 0, st.Cfg[0]
 	bestCost := st.Cost
 	ties := 1
-	for a := range st.Cfg {
-		d := st.fd.Domain(a)
-		cur := st.Cfg[a]
-		var costs []int
-		if !e.opts.FirstBest {
-			costs = st.AssignCosts(a)
-		}
-		for k, val := range d {
+	for a, cur := range st.Cfg {
+		for _, val := range st.fd.Domain(a) {
 			if val == cur {
 				continue
 			}
-			var c int
-			if costs != nil {
-				c = costs[k]
-			} else {
-				c = st.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
-			}
+			c := st.fd.CostIfAssign(st.Cfg, st.Cost, a, val)
 			switch {
 			case c < bestCost:
 				bestCost = c
@@ -223,7 +160,7 @@ func refSelectBestAssign(e *engine) (i, v, cost int) {
 // tableProblem answers every query from tables the test fills at
 // random: nothing relates an error to a cost, which the selectors do
 // not need. It is a permutation problem and a finite-domain one at
-// once; the wrappers below add the fast-path interfaces one by one.
+// once, each contract served from the same tables as the references.
 type tableProblem struct {
 	cost   int
 	errs   []int   // errs[i] = CostOnVariable(i)
@@ -236,23 +173,15 @@ func (p *tableProblem) Size() int                           { return len(p.errs)
 func (p *tableProblem) Cost([]int) int                      { return p.cost }
 func (p *tableProblem) CostOnVariable(_ []int, i int) int   { return p.errs[i] }
 func (p *tableProblem) CostIfSwap(_ []int, _, i, j int) int { return p.swap[i][j] }
+func (p *tableProblem) LiveErrors([]int) []int              { return p.errs }
 func (p *tableProblem) Domain(i int) []int                  { return p.doms[i] }
 func (p *tableProblem) CostIfAssign(_ []int, _, i, v int) int {
 	return p.assign[i][sort.SearchInts(p.doms[i], v)]
 }
-
-type tableVec struct{ *tableProblem }
-
-func (p tableVec) ErrorsOnVariables(_ []int, out []int) { copy(out, p.errs) }
-
-type tableLive struct{ tableVec }
-
-func (p tableLive) LiveErrors([]int) []int { return p.errs }
-
-type tableBulk struct{ *tableProblem }
-
-func (p tableBulk) CostsIfSwapAll(_ []int, _, i int, out []int)   { copy(out, p.swap[i]) }
-func (p tableBulk) CostsIfAssignAll(_ []int, _, i int, out []int) { copy(out, p.assign[i]) }
+func (p *tableProblem) CostsIfSwapAll(_ []int, _, i int, out []int)   { copy(out, p.swap[i]) }
+func (p *tableProblem) CostsIfAssignAll(_ []int, _, i int, out []int) { copy(out, p.assign[i]) }
+func (p *tableProblem) ExecutedSwap([]int, int, int)                  {}
+func (p *tableProblem) ExecutedAssign([]int, int, int)                {}
 
 // randomTable draws a problem of n variables and a configuration inside
 // its domains. Values come from ranges a few wide, so equal errors and
@@ -303,26 +232,52 @@ func freeze(s *State, r *rng.Rand, mode int) {
 	}
 }
 
+// lazyVec serves LiveErrors as a problem that revalidates its vector
+// lazily may: from a buffer of its own, refilled on each call. Between
+// calls the test scribbles over the buffer, as an executed move leaves
+// a stale cache behind until the next LiveErrors; a kernel that kept
+// the slice of an earlier call reads the scribbles.
+type lazyVec struct {
+	*tableProblem
+	buf []int
+}
+
+func (p *lazyVec) LiveErrors([]int) []int { return append(p.buf[:0], p.errs...) }
+
+// The kernels' input paths, one subtest each:
+//   - scan: FirstBest on, so every move kernel evaluates one candidate
+//     per call and stops at the first improvement;
+//   - bulk: FirstBest off, so every move kernel scans the batched rows;
+//   - live: the live error vector is the problem's own table, which the
+//     kernels must read and never write;
+//   - vec: the vector is rebuilt on each LiveErrors call, and
+//     SelectVariable must ask for it again rather than keep an old one.
+//
+// live and vec draw FirstBest at random, a quarter of the time on.
 func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
-	wrappers := map[string]func(*tableProblem) Problem{
-		"scan": func(p *tableProblem) Problem { return p },
-		"vec":  func(p *tableProblem) Problem { return tableVec{p} },
-		"live": func(p *tableProblem) Problem { return tableLive{tableVec{p}} },
-		"bulk": func(p *tableProblem) Problem { return tableBulk{p} },
-	}
-	for name, wrap := range wrappers {
+	for _, name := range []string{"scan", "vec", "live", "bulk"} {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(0); seed < 3000; seed++ {
 				gen := rng.New(seed)
 				n := 1 + int(seed%67)
 				table, cfg := randomTable(gen, n)
 				opts := Options{FirstBest: gen.Intn(4) == 0}
-				// Two states over one table, their streams in step.
-				ref := NewState(wrap(table), opts, seed, append([]int(nil), cfg...))
-				got := NewState(wrap(table), opts, seed, append([]int(nil), cfg...))
-				if noVector := name == "scan" || name == "bulk"; noVector != (got.Errors() == nil) {
-					t.Fatalf("%s: Errors() == nil is %v", name, got.Errors() == nil)
+				switch name {
+				case "scan":
+					opts.FirstBest = true
+				case "bulk":
+					opts.FirstBest = false
 				}
+				var p Problem = table
+				var lazy *lazyVec
+				if name == "vec" {
+					lazy = &lazyVec{table, make([]int, n)}
+					p = lazy
+				}
+				errs := append([]int(nil), table.errs...)
+				// Two states over one table, their streams in step.
+				ref := NewState(p, opts, seed, append([]int(nil), cfg...))
+				got := NewState(p, opts, seed, append([]int(nil), cfg...))
 				freeze(ref, gen, int(seed%3))
 				copy(got.Marks, ref.Marks)
 				got.Iter = ref.Iter
@@ -337,6 +292,15 @@ func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
 					t.Fatalf("seed %d n %d: SelectVariable = %d, reference loop %d", seed, n, have, want)
 				}
 				inStep("SelectVariable")
+				if lazy != nil {
+					for k := range lazy.buf {
+						lazy.buf[k] = math.MaxInt - k // stale: above every error
+					}
+					if want, have := refSelectVariable(ref), got.SelectVariable(); want != have {
+						t.Fatalf("seed %d n %d: SelectVariable over a revalidated vector = %d, reference loop %d", seed, n, have, want)
+					}
+					inStep("SelectVariable, again")
+				}
 
 				i := gen.Intn(n)
 				wj, wc := refSelectMove(ref, i)
@@ -371,6 +335,10 @@ func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
 					t.Fatalf("seed %d n %d: selectBestAssign = (%d, %d, %d), reference loop (%d, %d, %d)", seed, n, hi, hv, hc, wi, wv, wc)
 				}
 				inStep("selectBestAssign")
+
+				if name == "live" && !slices.Equal(table.errs, errs) {
+					t.Fatalf("seed %d n %d: the kernels wrote into the live error vector", seed, n)
+				}
 			}
 		})
 	}

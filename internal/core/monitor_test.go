@@ -14,7 +14,7 @@ import (
 // TestMonitorCadence: the monitor must fire every CheckEvery iterations
 // with the current iteration count.
 func TestMonitorCadence(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		var calls []int64
 		opts := Options{
 			Seed:          1,
@@ -49,7 +49,7 @@ func TestMonitorCadence(t *testing.T) {
 
 // TestMonitorStop: a Stop directive interrupts the solve.
 func TestMonitorStop(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		opts := Options{
 			Seed:       2,
 			CheckEvery: 5,
@@ -73,7 +73,7 @@ func TestMonitorStop(t *testing.T) {
 // TestMonitorRestart: a Restart directive abandons the current run; with
 // MaxRuns=2 the engine performs exactly two runs.
 func TestMonitorRestart(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		opts := Options{
 			Seed:          3,
 			MaxIterations: 1000,
@@ -103,7 +103,7 @@ func TestMonitorRestart(t *testing.T) {
 // TestMonitorSetConfig: a SetConfig directive teleports the walker; the
 // engine accepts a valid configuration and solves from it immediately.
 func TestMonitorSetConfig(t *testing.T) {
-	bothEncodings(t, func(t *testing.T, enc func(Problem) Problem) {
+	bothEncodings(t, func(t *testing.T, enc func(toy) Problem) {
 		n := 12
 		target := perm.Identity(n)
 		injected := false
@@ -140,7 +140,7 @@ func TestMonitorSetConfig(t *testing.T) {
 func TestMonitorSetConfigInvalidIgnored(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		enc  func(Problem) Problem
+		enc  func(toy) Problem
 		bad  [][]int
 	}{
 		{"perm", asPerm, [][]int{

@@ -42,9 +42,8 @@ type Options struct {
 	// triggers a partial reset. 0 selects the default of max(2, n/10).
 	ResetLimit int `json:"reset_limit,omitempty"`
 
-	// ResetFraction is the fraction of variables perturbed by a generic
-	// partial reset (ignored when the problem implements ResetHandler).
-	// 0 selects the default of 0.1 (the C library's 10%).
+	// ResetFraction is the fraction of variables perturbed by a partial
+	// reset. 0 selects the default of 0.1 (the C library's 10%).
 	ResetFraction float64 `json:"reset_fraction,omitempty"`
 
 	// ProbSelectLocMin is the probability, upon hitting a local minimum,

@@ -17,24 +17,15 @@ import (
 // a uniformly random index when every variable is frozen — exactly the
 // C library's behavior.
 //
-// When the problem implements ErrorVector it scans the incrementally
-// maintained error vector instead of issuing one CostOnVariable call
-// per variable; both paths produce identical selections (and consume
-// the RNG identically), so the fast path never changes a trace. With
-// an error vector the scan is a kernel over locals that compares the
-// error before it looks at the tabu mark: an entry below the running
-// best is neither a new maximum nor a tie, frozen or not, so most
-// entries cost one load and one predictable branch, and the chosen
-// index and every tie-break draw are those of selectVariableByCall,
-// the frozen-first scan that problems without an ErrorVector still
-// take.
+// It scans the problem's live error vector as a kernel over locals that
+// compares the error before it looks at the tabu mark: an entry below
+// the running best is neither a new maximum nor a tie, frozen or not,
+// so most entries cost one load and one predictable branch, while the
+// chosen index and every tie-break draw are those of the frozen-first
+// scan of the C library.
 func (s *State) SelectVariable() int {
-	errs := s.Errors()
-	if errs == nil {
-		return selectVariableByCall(s)
-	}
 	marks, iter, r := s.Marks, s.Iter, s.Rand
-	errs = errs[:len(marks)]
+	errs := s.Problem.LiveErrors(s.Cfg)[:len(marks)]
 	worst, bestErr, ties := -1, math.MinInt, 0
 	for i, err := range errs {
 		if err < bestErr || marks[i] >= iter {
@@ -57,36 +48,6 @@ func (s *State) SelectVariable() int {
 	return worst
 }
 
-// selectVariableByCall is SelectVariable without an error vector: one
-// CostOnVariable call per non-frozen variable, the same comparisons and
-// the same draws.
-func selectVariableByCall(s *State) int {
-	worst := -1
-	bestErr := math.MinInt
-	ties := 0
-	for i := range s.Cfg {
-		if s.Frozen(i) {
-			continue
-		}
-		err := s.Problem.CostOnVariable(s.Cfg, i)
-		switch {
-		case err > bestErr:
-			bestErr = err
-			worst = i
-			ties = 1
-		case err == bestErr:
-			ties++
-			if s.Rand.Intn(ties) == 0 {
-				worst = i
-			}
-		}
-	}
-	if worst < 0 {
-		worst = s.Rand.Intn(len(s.Cfg))
-	}
-	return worst
-}
-
 // SelectMove scans all swap partners of variable i and returns the
 // partner j minimizing the resulting global cost, and that cost, ties
 // broken uniformly. Following the original Select_Var_Min_Conflict,
@@ -96,14 +57,13 @@ func selectVariableByCall(s *State) int {
 // genuine local minimum. With Options.FirstBest set it returns the
 // first strictly improving partner immediately.
 //
-// When the problem implements MoveEvaluator the whole cost row is
-// filled in one batched call and scanned by scanMin; the scan order,
-// acceptance rules and tie-break RNG consumption are those of
-// selectMoveByCall, so the fast path never changes a trace. FirstBest
-// keeps the per-call path: its whole point is to stop evaluating at
-// the first improving candidate, which an eager row fill would defeat.
+// The whole cost row is filled by one CostsIfSwapAll call and scanned
+// by scanMin. FirstBest scans per call instead (selectMoveByCall, same
+// order, acceptance rules and draws): its whole point is to stop
+// evaluating at the first improving candidate, which an eager row fill
+// would defeat.
 func (s *State) SelectMove(i int) (j, cost int) {
-	if s.moveEval == nil || s.Opts.FirstBest {
+	if s.Opts.FirstBest {
 		return selectMoveByCall(s, i)
 	}
 	if pick, best, _ := scanMin(s.SwapCosts(i), i, s.Cost, 1, s.Rand); pick >= 0 {
@@ -141,8 +101,8 @@ func scanMin(costs []int, skip, bestCost, ties int, r *rng.Rand) (pick, newBest,
 	return pick, bestCost, ties
 }
 
-// selectMoveByCall is SelectMove through one CostIfSwap call per
-// partner, returning at the first strict improvement under FirstBest.
+// selectMoveByCall is SelectMove under FirstBest: one CostIfSwap call
+// per partner, returning at the first strict improvement.
 func selectMoveByCall(s *State, i int) (j, cost int) {
 	bestJ := i
 	bestCost := s.Cost
@@ -154,12 +114,7 @@ func selectMoveByCall(s *State, i int) (j, cost int) {
 		c := s.Problem.CostIfSwap(s.Cfg, s.Cost, i, cand)
 		switch {
 		case c < bestCost:
-			bestCost = c
-			bestJ = cand
-			ties = 1
-			if s.Opts.FirstBest {
-				return bestJ, bestCost
-			}
+			return cand, c
 		case c == bestCost:
 			ties++
 			if s.Rand.Intn(ties) == 0 {
@@ -220,14 +175,12 @@ func (e *engine) localMinimum(i int) {
 // in the tie pool exactly as in SelectMove; i == j on return signals a
 // strict local minimum. Tabu marks are ignored. Exhaustive mode
 // replaces SelectVariable and SelectMove wholesale, since a pair scan
-// has no separate variable-selection step. Problems
-// implementing MoveEvaluator serve rows of the pair matrix through one
-// batched call while the upper-triangle remainder of the row is the
-// majority of it; the short tail rows, where a full-row bulk fill would
-// mostly compute already-scanned pairs, fall back to per-call
-// CostIfSwap — as does FirstBest mode, whose early exit an eager row
-// fill would defeat. Values, scan order and tie-break RNG consumption
-// are identical on every path.
+// has no separate variable-selection step. A row of the pair matrix is
+// one CostsIfSwapAll call while the upper-triangle remainder of the row
+// is the majority of it; the short tail rows, where a full-row fill
+// would mostly compute already-scanned pairs, are scanned per call, as
+// is every row under FirstBest, whose early exit an eager row fill
+// would defeat. Values, scan order and draws are the same either way.
 func (e *engine) selectBestPair() (i, j, cost int) {
 	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
 	n := len(st.Cfg)
@@ -235,7 +188,7 @@ func (e *engine) selectBestPair() (i, j, cost int) {
 	bestCost := st.Cost
 	ties := 1
 	for a := 0; a < n; a++ {
-		if !firstBest && st.moveEval != nil && 2*(n-1-a) >= n-1 {
+		if !firstBest && 2*(n-1-a) >= n-1 {
 			var pick int
 			pick, bestCost, ties = scanMin(st.SwapCosts(a)[a+1:], -1, bestCost, ties, r)
 			if pick >= 0 {

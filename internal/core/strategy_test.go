@@ -9,11 +9,11 @@ import (
 // TestStrategyDefaultMatchesAdaptiveName: the empty Strategy and its
 // one legal name run the same search.
 func TestStrategyDefaultMatchesAdaptiveName(t *testing.T) {
-	a, err := Solve(context.Background(), sortProblem{25}, Options{Seed: 5})
+	a, err := Solve(context.Background(), asPerm(sortProblem{25}), Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), sortProblem{25}, Options{Seed: 5, Strategy: StrategyAdaptive})
+	b, err := Solve(context.Background(), asPerm(sortProblem{25}), Options{Seed: 5, Strategy: StrategyAdaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestStrategyDefaultMatchesAdaptiveName(t *testing.T) {
 // asked for and the one there is.
 func TestStrategyUnknownRejected(t *testing.T) {
 	for _, name := range []string{"no-such-strategy", "metropolis"} {
-		_, err := Solve(context.Background(), sortProblem{5}, Options{Strategy: name})
+		_, err := Solve(context.Background(), asPerm(sortProblem{5}), Options{Strategy: name})
 		if err == nil {
 			t.Fatalf("strategy %q accepted", name)
 		}
@@ -37,22 +37,12 @@ func TestStrategyUnknownRejected(t *testing.T) {
 	}
 }
 
-// TestStateErrorsNilWithoutFastPath: problems without ErrorVector must
-// yield a nil error vector so selectors fall back to the scan.
-func TestStateErrorsNilWithoutFastPath(t *testing.T) {
-	var st State
-	st.bindProblem(sortProblem{5}, 5)
-	if st.Errors() != nil {
-		t.Fatal("State.Errors non-nil for a problem without ErrorVector")
-	}
-}
-
 // TestExhaustiveWithStrategyName: the pair scan runs whether Strategy
 // is empty or names adaptive. On the sort problem it fixes at least one
 // element per move, bounding iterations by n.
 func TestExhaustiveWithStrategyName(t *testing.T) {
 	for _, s := range []string{"", StrategyAdaptive} {
-		res, err := Solve(context.Background(), sortProblem{10}, Options{
+		res, err := Solve(context.Background(), asPerm(sortProblem{10}), Options{
 			Seed:       1,
 			Exhaustive: true,
 			Strategy:   s,
@@ -66,19 +56,13 @@ func TestExhaustiveWithStrategyName(t *testing.T) {
 	}
 }
 
-// TestSwapCostsMatchesPerCall: the State.SwapCosts helper must agree
-// with per-call CostIfSwap on problems implementing MoveEvaluator and
-// report nil on problems that do not.
+// TestSwapCostsMatchesPerCall: the State.SwapCosts helper fills the
+// row of the variable asked for at the state's configuration and cost:
+// per-call CostIfSwap for every partner, the current cost for itself.
 func TestSwapCostsMatchesPerCall(t *testing.T) {
-	if costs := NewState(sortProblem{6}, Options{}, 3, nil).SwapCosts(2); costs != nil {
-		t.Fatalf("SwapCosts on a plain Problem = %v, want nil", costs)
-	}
-	p := bulkSortProblem{sortProblem{9}}
+	p := asPerm(sortProblem{9})
 	s := NewState(p, Options{}, 3, nil)
 	costs := s.SwapCosts(4)
-	if costs == nil {
-		t.Fatal("SwapCosts on a MoveEvaluator problem returned nil")
-	}
 	for j := range costs {
 		want := s.Cost
 		if j != 4 {
@@ -87,19 +71,5 @@ func TestSwapCostsMatchesPerCall(t *testing.T) {
 		if costs[j] != want {
 			t.Fatalf("SwapCosts[%d] = %d, want %d", j, costs[j], want)
 		}
-	}
-}
-
-// bulkSortProblem adds a MoveEvaluator view to sortProblem by looping
-// over per-call CostIfSwap — the reference semantics of the interface.
-type bulkSortProblem struct{ sortProblem }
-
-func (b bulkSortProblem) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
-	for j := range cfg {
-		if j == i {
-			out[i] = cost
-			continue
-		}
-		out[j] = b.CostIfSwap(cfg, cost, i, j)
 	}
 }

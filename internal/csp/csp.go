@@ -186,10 +186,7 @@ type Compiled struct {
 	vals []int
 }
 
-var _ core.Problem = (*Compiled)(nil)
-var _ core.SwapExecutor = (*Compiled)(nil)
-var _ core.MaintainedErrorVector = (*Compiled)(nil)
-var _ core.MoveEvaluator = (*Compiled)(nil)
+var _ core.PermProblem = (*Compiled)(nil)
 
 // Size implements core.Problem.
 func (p *Compiled) Size() int { return p.model.n }
@@ -231,7 +228,7 @@ func (p *Compiled) violationOf(ci int, cfg []int) int {
 
 // Cost implements core.Problem, rebuilding every cached violation and
 // linear sum. The cached error vector is invalidated and rebuilt lazily
-// on the next LiveErrors/ErrorsOnVariables call.
+// on the next LiveErrors call.
 func (p *Compiled) Cost(cfg []int) int {
 	total := 0
 	for ci := range p.model.cons {
@@ -346,7 +343,7 @@ func (p *Compiled) CostIfSwap(cfg []int, cost, i, j int) int {
 	return cost + p.swapDelta(cfg, i, j)
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator: the full cost row for
+// CostsIfSwapAll implements core.PermProblem: the full cost row for
 // variable i. The stamping of variable i's constraints is hoisted out
 // of the partner loop; each candidate then pays O(1) per affected
 // linear constraint, never re-summing anything.
@@ -362,10 +359,10 @@ func (p *Compiled) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	}
 }
 
-// ExecutedSwap implements core.SwapExecutor: cfg is already swapped;
+// ExecutedSwap implements core.PermProblem: cfg is already swapped;
 // refresh the cached sums and violations of the affected constraints
-// and push the deltas onto the cached error vector, keeping the
-// error-vector fast path valid without a rebuild.
+// and push the deltas onto the cached error vector, keeping LiveErrors
+// valid without a rebuild.
 func (p *Compiled) ExecutedSwap(cfg []int, i, j int) {
 	dv := cfg[i] - cfg[j] // value change at position i (post- minus pre-swap)
 	p.markI(i)
@@ -425,13 +422,12 @@ func (p *Compiled) applyViolation(ci, v int) {
 	p.viol[ci] = v
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the engine's
-// batched fast path for worst-variable selection. The vector is
-// maintained incrementally by ExecutedSwap (only constraints touching a
-// swapped variable push deltas) and rebuilt from the cached violations
-// lazily after a full Cost recompute, so the per-iteration O(n)
-// CostOnVariable scan never recomputes constraint sums from scratch —
-// and the engine serves it without invalidation or copying.
+// LiveErrors implements core.Problem: the vector worst-variable
+// selection scans. ExecutedSwap and ExecutedAssign maintain it
+// incrementally (only constraints touching a moved variable push
+// deltas), and it is rebuilt from the cached violations lazily after a
+// full Cost recompute, so no iteration recomputes a constraint sum from
+// scratch.
 func (p *Compiled) LiveErrors(cfg []int) []int {
 	if !p.errValid {
 		for i := range p.errVec {
@@ -448,11 +444,6 @@ func (p *Compiled) LiveErrors(cfg []int) []int {
 		p.errValid = true
 	}
 	return p.errVec
-}
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (p *Compiled) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, p.LiveErrors(cfg))
 }
 
 // Violations returns a copy of the per-constraint violations as of the

@@ -251,8 +251,8 @@ func TestCompiledMatchesNaiveEvaluation(t *testing.T) {
 
 // TestErrorVectorConsistency drives the compiled model through the
 // engine's Cost / ExecutedSwap call pattern and checks the incremental
-// error vector (the core.ErrorVector fast path) against the
-// per-variable CostOnVariable scan at every step.
+// error vector (LiveErrors) against the per-variable CostOnVariable
+// scan at every step.
 func TestErrorVectorConsistency(t *testing.T) {
 	// A model with overlapping constraints so swaps push deltas onto
 	// shared variables.
@@ -284,14 +284,13 @@ func TestErrorVectorConsistency(t *testing.T) {
 	r := rng.New(2012)
 	cfg := r.Perm(n)
 	p.Cost(cfg)
-	out := make([]int, n)
 	check := func(step string) {
 		t.Helper()
-		p.ErrorsOnVariables(cfg, out)
+		live := p.LiveErrors(cfg)
 		for i := 0; i < n; i++ {
-			if want := p.CostOnVariable(cfg, i); out[i] != want {
-				t.Fatalf("%s: ErrorsOnVariables[%d] = %d, CostOnVariable = %d",
-					step, i, out[i], want)
+			if want := p.CostOnVariable(cfg, i); live[i] != want {
+				t.Fatalf("%s: LiveErrors[%d] = %d, CostOnVariable = %d",
+					step, i, live[i], want)
 			}
 		}
 	}

@@ -112,10 +112,7 @@ type CompiledFD struct {
 }
 
 var _ core.FDProblem = (*CompiledFD)(nil)
-var _ core.AssignExecutor = (*CompiledFD)(nil)
-var _ core.AssignEvaluator = (*CompiledFD)(nil)
 var _ core.DomainReducer = (*CompiledFD)(nil)
-var _ core.MaintainedErrorVector = (*CompiledFD)(nil)
 
 // Domain implements core.FDProblem. The returned slice is owned by the
 // problem; ReduceDomains shrinks it in place before search starts.
@@ -167,7 +164,7 @@ func (p *CompiledFD) CostIfAssign(cfg []int, cost, i, v int) int {
 	return cost + p.assignDelta(cfg, i, v)
 }
 
-// CostsIfAssignAll implements core.AssignEvaluator: the full cost row
+// CostsIfAssignAll implements core.FDProblem: the full cost row
 // of variable i, indexed by domain position.
 func (p *CompiledFD) CostsIfAssignAll(cfg []int, cost, i int, out []int) {
 	cur := cfg[i]
@@ -180,7 +177,7 @@ func (p *CompiledFD) CostsIfAssignAll(cfg []int, cost, i int, out []int) {
 	}
 }
 
-// ExecutedAssign implements core.AssignExecutor: cfg[i] already holds
+// ExecutedAssign implements core.FDProblem: cfg[i] already holds
 // the new value; refresh the cached sums and violations of the
 // constraints touching i and push the deltas onto the cached error
 // vector, exactly as ExecutedSwap does on the permutation path.

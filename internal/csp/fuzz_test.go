@@ -112,11 +112,10 @@ func FuzzCompile(f *testing.F) {
 			for v := 0; v < n; v++ {
 				_ = p.CostOnVariable(cfg, v)
 			}
-			out := make([]int, n)
-			p.ErrorsOnVariables(cfg, out)
+			live := p.LiveErrors(cfg)
 			for v := 0; v < n; v++ {
-				if want := p.CostOnVariable(cfg, v); out[v] != want {
-					t.Fatalf("errVec[%d] = %d, CostOnVariable = %d", v, out[v], want)
+				if want := p.CostOnVariable(cfg, v); live[v] != want {
+					t.Fatalf("errVec[%d] = %d, CostOnVariable = %d", v, live[v], want)
 				}
 			}
 			cost = p.Cost(cfg)

@@ -191,6 +191,13 @@ func (p hubProbe) CostIfSwap(cfg []int, cost, i, j int) int {
 	cfg[i], cfg[j] = cfg[j], cfg[i]
 	return c
 }
+func (p hubProbe) LiveErrors(cfg []int) []int {
+	errs := make([]int, len(cfg))
+	for i := range errs {
+		errs[i] = p.CostOnVariable(cfg, i)
+	}
+	return errs
+}
 
 // TestBoardHubProtocol unit-tests the coordinator-side board endpoint:
 // merge semantics, the monotone global best, and the verification of

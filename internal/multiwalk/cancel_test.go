@@ -389,9 +389,9 @@ func TestRunWalkerErrorCancelsEitherWay(t *testing.T) {
 
 // panicky is a problem whose move evaluation panics, as a user cost
 // function with a bug would.
-type panicky struct{ core.Problem }
+type panicky struct{ core.PermProblem }
 
-func (panicky) CostIfSwap([]int, int, int, int) int { panic("cost function bug") }
+func (panicky) CostsIfSwapAll([]int, int, int, []int) { panic("cost function bug") }
 
 // onRunCaller reports whether the calling goroutine is the one that
 // called Run (its last walker) rather than a walker Run spawned.
@@ -431,7 +431,7 @@ func TestRunWalkerPanicIsItsError(t *testing.T) {
 				if err != nil || onRunCaller() != tc.inline {
 					return p, err
 				}
-				return panicky{p}, nil
+				return panicky{p.(core.PermProblem)}, nil
 			}
 			opts := Options{Walkers: tc.walkers, Seed: 1, Engine: hardOptions(t, 20)}
 			done := make(chan error, 1)

@@ -53,6 +53,27 @@ func (p inversionsProblem) CostIfSwap(cfg []int, cost, i, j int) int {
 	return c
 }
 
+// The rest of the permutation contract, from the references: the error
+// vector and the swap row are recomputed on every call, so there is no
+// incremental state for ExecutedSwap to update.
+
+func (p inversionsProblem) LiveErrors(cfg []int) []int {
+	errs := make([]int, len(cfg))
+	for i := range errs {
+		errs[i] = p.CostOnVariable(cfg, i)
+	}
+	return errs
+}
+
+func (p inversionsProblem) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
+	for j := range out {
+		out[j] = p.CostIfSwap(cfg, cost, i, j)
+	}
+	out[i] = cost
+}
+
+func (inversionsProblem) ExecutedSwap([]int, int, int) {}
+
 // TestExchangeCadenceNotQuantized is the regression test for the
 // silent Period-quantization bug: the engine polls its Monitor every
 // CheckEvery iterations (default 64), so an Exchange.Period below that
@@ -252,6 +273,7 @@ func TestShardedExchangeSharedBoard(t *testing.T) {
 type laggardProblem struct{ inversionsProblem }
 
 func (laggardProblem) CostOnVariable([]int, int) int { return 0 }
+func (laggardProblem) LiveErrors(cfg []int) []int    { return make([]int, len(cfg)) }
 
 // TestExchangeAdoptionHeterogeneousPortfolio covers the interaction
 // the exchange scheme was designed around: weaker walkers lag far

@@ -32,7 +32,7 @@ type AllInterval struct {
 	occ []int // occ[d] = number of adjacent pairs with difference d
 
 	// errVec[i] = number of variable i's adjacent differences that are
-	// duplicated — always current (MaintainedErrorVector). A swap can
+	// duplicated — always current (LiveErrors). A swap can
 	// flip the duplicated-ness of edges away from the swapped positions
 	// (when a difference's occurrence count crosses the 1<->2
 	// threshold), so intrusive membership lists track which edges
@@ -59,11 +59,7 @@ func NewAllInterval(n int) (*AllInterval, error) {
 	}, nil
 }
 
-var (
-	_ core.SwapExecutor          = (*AllInterval)(nil)
-	_ core.MaintainedErrorVector = (*AllInterval)(nil)
-	_ core.MoveEvaluator         = (*AllInterval)(nil)
-)
+var _ core.PermProblem = (*AllInterval)(nil)
 
 // link pushes edge e onto difference d's membership list.
 func (a *AllInterval) link(d, e int) {
@@ -229,7 +225,7 @@ func (a *AllInterval) CostIfSwap(cfg []int, cost, i, j int) int {
 	return cost
 }
 
-// ExecutedSwap implements core.SwapExecutor: cfg is already swapped;
+// ExecutedSwap implements core.PermProblem: cfg is already swapped;
 // the affected edges migrate between difference lists through
 // removeEdge/addEdge, which keep the error vector exact as a side
 // effect. The pre-swap configuration is recovered by swapping back
@@ -249,7 +245,7 @@ func (a *AllInterval) ExecutedSwap(cfg []int, i, j int) {
 	}
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator. The cost is a function
+// CostsIfSwapAll implements core.PermProblem. The cost is a function
 // of the occurrence table alone, so the order in which a swap's old
 // differences leave it and its new ones enter cannot change the result:
 // variable i's own differences are taken out once for the whole row and
@@ -383,14 +379,9 @@ func (a *AllInterval) rowEntry(cfg []int, c, i, j int) int {
 	return c
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the vector is kept
+// LiveErrors implements core.Problem: the vector is kept
 // exact by Cost/ExecutedSwap, so there is nothing to rebuild.
 func (a *AllInterval) LiveErrors(cfg []int) []int { return a.errVec }
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (a *AllInterval) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, a.errVec)
-}
 
 // Tune implements core.Tuner with the C benchmark's character: a strong
 // probabilistic plateau escape works well on this very plateau-heavy

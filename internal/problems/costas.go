@@ -49,7 +49,7 @@ type Costas struct {
 	occ []int16 // pairs per cell
 
 	// errVec[i] = number of duplicated displacement vectors involving
-	// column i. Always current (MaintainedErrorVector): Cost rebuilds
+	// column i. Always current (LiveErrors): Cost rebuilds
 	// it and ExecutedSwap maintains it through addPair/removePair.
 	errVec []int
 	// Membership lists: head[cell] chains the lo indices of the pairs
@@ -78,11 +78,7 @@ func NewCostas(n int) (*Costas, error) {
 	}, nil
 }
 
-var (
-	_ core.SwapExecutor          = (*Costas)(nil)
-	_ core.MaintainedErrorVector = (*Costas)(nil)
-	_ core.MoveEvaluator         = (*Costas)(nil)
-)
+var _ core.PermProblem = (*Costas)(nil)
 
 // Size implements core.Problem.
 func (c *Costas) Size() int { return c.n }
@@ -359,7 +355,7 @@ func (c *Costas) swapWithDropped(cfg []int, i, j int) int {
 	return delta
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator. Column i's pairs are
+// CostsIfSwapAll implements core.PermProblem. Column i's pairs are
 // removed from the occurrence table once, outside the partner loop;
 // each candidate j then pays only swapWithDropped, roughly halving the
 // table traffic of n-1 independent CostIfSwap calls on top of the
@@ -376,7 +372,7 @@ func (c *Costas) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	c.shiftPairs(cfg, i, +1)
 }
 
-// ExecutedSwap implements core.SwapExecutor: cfg arrives already
+// ExecutedSwap implements core.PermProblem: cfg arrives already
 // swapped; the affected pairs migrate between cells through
 // removePair/addPair, which keep the error vector exact as a side
 // effect.
@@ -406,15 +402,10 @@ func (c *Costas) ExecutedSwap(cfg []int, i, j int) {
 	}
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the vector is kept
+// LiveErrors implements core.Problem: the vector is kept
 // exact by Cost/ExecutedSwap, so frozen (no-move) iterations and moved
 // iterations alike serve it with zero work.
 func (c *Costas) LiveErrors(cfg []int) []int { return c.errVec }
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (c *Costas) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, c.errVec)
-}
 
 // Tune implements core.Tuner. Costas landscapes reward frequent resets
 // of a small magnitude (the settings follow the C benchmark's spirit).

@@ -1,7 +1,6 @@
 package problems
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -11,31 +10,21 @@ import (
 	"repro/internal/rng"
 )
 
-// errVecProblem is the intersection the hot-path consistency tests
-// exercise: the full engine contract plus the delta-maintained error
-// vector and the batched move evaluator.
-type errVecProblem interface {
-	core.Problem
-	core.SwapExecutor
-	core.MaintainedErrorVector
-	core.MoveEvaluator
-}
-
 // hotPathBuilders constructs one instance of every incremental encoding
 // — all eight registered benchmarks plus a mixed linear/custom csp
 // model — for the equivalence suites.
-func hotPathBuilders(t *testing.T) map[string]func() errVecProblem {
+func hotPathBuilders(t *testing.T) map[string]func() core.PermProblem {
 	t.Helper()
-	builders := map[string]func() errVecProblem{
-		"magic-square":   func() errVecProblem { p, _ := NewMagicSquare(5); return p },
-		"costas":         func() errVecProblem { p, _ := NewCostas(9); return p },
-		"all-interval":   func() errVecProblem { p, _ := NewAllInterval(12); return p },
-		"queens":         func() errVecProblem { p, _ := NewQueens(11); return p },
-		"langford":       func() errVecProblem { p, _ := NewLangford(8); return p },
-		"partition":      func() errVecProblem { p, _ := NewPartition(16); return p },
-		"perfect-square": func() errVecProblem { p, _ := NewPerfectSquare(7); return p },
-		"alpha":          func() errVecProblem { p, _ := NewAlpha(); return p },
-		"csp-mixed": func() errVecProblem {
+	builders := map[string]func() core.PermProblem{
+		"magic-square":   func() core.PermProblem { p, _ := NewMagicSquare(5); return p },
+		"costas":         func() core.PermProblem { p, _ := NewCostas(9); return p },
+		"all-interval":   func() core.PermProblem { p, _ := NewAllInterval(12); return p },
+		"queens":         func() core.PermProblem { p, _ := NewQueens(11); return p },
+		"langford":       func() core.PermProblem { p, _ := NewLangford(8); return p },
+		"partition":      func() core.PermProblem { p, _ := NewPartition(16); return p },
+		"perfect-square": func() core.PermProblem { p, _ := NewPerfectSquare(7); return p },
+		"alpha":          func() core.PermProblem { p, _ := NewAlpha(); return p },
+		"csp-mixed": func() core.PermProblem {
 			// A model mixing weighted linear sums (with a repeated
 			// variable) and a custom constraint, covering the compiler's
 			// cached-sum fast path and its fn fallback side by side.
@@ -63,51 +52,43 @@ func hotPathBuilders(t *testing.T) map[string]func() errVecProblem {
 	// with no left or no right neighbour — the edges of the flat
 	// (distance, difference) indexing.
 	for n := 1; n <= 4; n++ {
-		builders[fmt.Sprintf("costas-%d", n)] = func() errVecProblem { p, _ := NewCostas(n); return p }
+		builders[fmt.Sprintf("costas-%d", n)] = func() core.PermProblem { p, _ := NewCostas(n); return p }
 	}
 	// All-interval where the row evaluator has no interior partner, a
 	// border variable or only adjacent partners; magic squares with a
 	// centre cell on both diagonals (odd sides) and with disjoint
 	// diagonals (even sides), up to the benchmark's side 9.
 	for n := 2; n <= 5; n++ {
-		builders[fmt.Sprintf("all-interval-%d", n)] = func() errVecProblem { p, _ := NewAllInterval(n); return p }
+		builders[fmt.Sprintf("all-interval-%d", n)] = func() core.PermProblem { p, _ := NewAllInterval(n); return p }
 	}
 	for _, n := range []int{1, 3, 4, 6, 9} {
-		builders[fmt.Sprintf("magic-square-%d", n)] = func() errVecProblem { p, _ := NewMagicSquare(n); return p }
+		builders[fmt.Sprintf("magic-square-%d", n)] = func() core.PermProblem { p, _ := NewMagicSquare(n); return p }
 	}
 	return builders
 }
 
 // checkErrVecAgainstScan verifies the error-vector contract at the
-// current configuration: both ErrorsOnVariables and LiveErrors must
-// report exactly what a per-variable CostOnVariable scan reports.
-func checkErrVecAgainstScan(t *testing.T, p errVecProblem, cfg []int, step string) {
+// current configuration: LiveErrors must report exactly what a
+// per-variable CostOnVariable scan reports.
+func checkErrVecAgainstScan(t *testing.T, p core.PermProblem, cfg []int, step string) {
 	t.Helper()
-	n := p.Size()
-	out := make([]int, n)
-	p.ErrorsOnVariables(cfg, out)
 	live := p.LiveErrors(cfg)
-	for i := 0; i < n; i++ {
-		want := p.CostOnVariable(cfg, i)
-		if out[i] != want {
-			t.Fatalf("%s: ErrorsOnVariables[%d] = %d, CostOnVariable = %d (cfg %v)",
-				step, i, out[i], want, cfg)
-		}
-		if live[i] != want {
+	for i := 0; i < p.Size(); i++ {
+		if want := p.CostOnVariable(cfg, i); live[i] != want {
 			t.Fatalf("%s: LiveErrors[%d] = %d, CostOnVariable = %d (cfg %v)",
 				step, i, live[i], want, cfg)
 		}
 	}
 }
 
-// checkBulkAgainstPerCall verifies the MoveEvaluator contract at the
+// checkBulkAgainstPerCall verifies the CostsIfSwapAll contract at the
 // current configuration: CostsIfSwapAll must report exactly what n-1
 // individual CostIfSwap calls report (and the stay-put entry the
 // current cost), for every variable, without disturbing state: a row
 // evaluator may borrow the encoding's caches (all-interval and costas
 // take variable i out of their occurrence tables) but must hand back
 // every cached field, and cfg, exactly as it found them.
-func checkBulkAgainstPerCall(t *testing.T, p errVecProblem, cfg []int, cost int, step string) {
+func checkBulkAgainstPerCall(t *testing.T, p core.PermProblem, cfg []int, cost int, step string) {
 	t.Helper()
 	n := p.Size()
 	out := make([]int, n)
@@ -140,7 +121,7 @@ func checkBulkAgainstPerCall(t *testing.T, p errVecProblem, cfg []int, cost int,
 // included, for a before/after comparison — for the encodings whose
 // fields are all search state. (perfect-square and the csp compiler
 // keep scratch buffers and generation stamps a row fill may move.)
-func cacheSnapshot(p errVecProblem) string {
+func cacheSnapshot(p core.PermProblem) string {
 	switch p.(type) {
 	case *AllInterval, *MagicSquare, *Costas, *Queens:
 		return fmt.Sprintf("%+v", p)
@@ -152,7 +133,7 @@ func cacheSnapshot(p errVecProblem) string {
 // pattern — Cost at run start, random swaps through ExecutedSwap,
 // repeated queries, periodic full rebuilds — invoking check at every
 // step.
-func driveHotPath(t *testing.T, p errVecProblem, steps int, check func(cfg []int, cost int, step string)) {
+func driveHotPath(t *testing.T, p core.PermProblem, steps int, check func(cfg []int, cost int, step string)) {
 	t.Helper()
 	n := p.Size()
 	r := rng.New(2012)
@@ -202,7 +183,7 @@ func TestErrorVectorConsistency(t *testing.T) {
 
 // TestMoveEvaluatorConsistency drives the same walk and checks the
 // batched CostsIfSwapAll row against per-call CostIfSwap for every
-// variable at every step, so the bulk fast path can never drift from
+// variable at every step, so the batched row can never drift from
 // the reference — and, via the incremental-vs-rebuilt cost assertion in
 // the driver, that neither evaluator corrupts cached state.
 func TestMoveEvaluatorConsistency(t *testing.T) {
@@ -216,60 +197,37 @@ func TestMoveEvaluatorConsistency(t *testing.T) {
 	}
 }
 
-// TestErrorVectorSolveTraceUnchanged pins the fast path to the slow
-// path end to end: hiding the ErrorVector interface from the engine
-// must not change the search trace for a fixed seed.
-func TestErrorVectorSolveTraceUnchanged(t *testing.T) {
-	cases := []struct {
-		name string
-		size int
-	}{
-		{"magic-square", 5},
-		{"costas", 10},
-		{"all-interval", 14},
-		{"queens", 10},
-		{"langford", 8},
-		{"partition", 16},
-		{"perfect-square", 7},
+// TestEncodingContracts: every shipped encoding — each registered
+// benchmark and both outputs of the csp compiler — implements the whole
+// contract of its encoding, so core.Solve runs it on the one path there
+// is.
+func TestEncodingContracts(t *testing.T) {
+	finite := map[string]bool{"timetable": true, "csp.CompiledFD": true}
+	encodings := map[string]core.Problem{}
+	for _, name := range Names() {
+		p, err := New(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encodings[name] = p
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fast, err := New(tc.name, tc.size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slowBase, err := New(tc.name, tc.size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := core.TunedOptions(fast)
-			opts.Seed = 77
-			a, err := core.Solve(context.Background(), fast, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := core.Solve(context.Background(), hideErrVec{slowBase}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Iterations != b.Iterations || a.Swaps != b.Swaps ||
-				a.LocalMinima != b.LocalMinima || a.Resets != b.Resets {
-				t.Fatalf("fast path changed the trace:\nfast: %v\nslow: %v", a, b)
-			}
-		})
+	m := csp.NewModel(4, 1)
+	m.AddLinearSum("sum", []int{0, 1, 2}, nil, 6)
+	var err error
+	if encodings["csp.Compiled"], err = m.Compile(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// hideErrVec forwards the engine contract but hides ErrorVector,
-// forcing the per-variable CostOnVariable path.
-type hideErrVec struct{ p core.Problem }
-
-func (h hideErrVec) Size() int                             { return h.p.Size() }
-func (h hideErrVec) Cost(cfg []int) int                    { return h.p.Cost(cfg) }
-func (h hideErrVec) CostOnVariable(cfg []int, i int) int   { return h.p.CostOnVariable(cfg, i) }
-func (h hideErrVec) CostIfSwap(cfg []int, c, i, j int) int { return h.p.CostIfSwap(cfg, c, i, j) }
-func (h hideErrVec) ExecutedSwap(cfg []int, i, j int) {
-	if sw, ok := h.p.(core.SwapExecutor); ok {
-		sw.ExecutedSwap(cfg, i, j)
+	if encodings["csp.CompiledFD"], err = m.CompileFD(); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range encodings {
+		_, isFD := p.(core.FDProblem)
+		_, isPerm := p.(core.PermProblem)
+		if finite[name] && !isFD {
+			t.Errorf("%s (%T) does not implement core.FDProblem", name, p)
+		}
+		if !finite[name] && !isPerm {
+			t.Errorf("%s (%T) does not implement core.PermProblem", name, p)
+		}
 	}
 }

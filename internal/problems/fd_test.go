@@ -11,26 +11,15 @@ import (
 	"repro/internal/rng"
 )
 
-// fdHotPathProblem is the FD intersection the consistency suites
-// exercise: the finite-domain engine contract plus the incremental
-// executor, the batched assign evaluator and the maintained error
-// vector.
-type fdHotPathProblem interface {
-	core.FDProblem
-	core.AssignExecutor
-	core.AssignEvaluator
-	core.MaintainedErrorVector
-}
-
 // fdHotPathBuilders constructs one instance of every incremental FD
 // encoding: the timetable benchmark and a mixed linear/custom csp model
 // compiled onto the FD path (with a binary domain so flip moves are
 // exercised too). Domains are reduced before the walk, matching the
 // engine's pre-search pass.
-func fdHotPathBuilders(t *testing.T) map[string]func() fdHotPathProblem {
+func fdHotPathBuilders(t *testing.T) map[string]func() core.FDProblem {
 	t.Helper()
-	return map[string]func() fdHotPathProblem{
-		"timetable": func() fdHotPathProblem {
+	return map[string]func() core.FDProblem{
+		"timetable": func() core.FDProblem {
 			p, err := NewTimetable(20, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -40,7 +29,7 @@ func fdHotPathBuilders(t *testing.T) map[string]func() fdHotPathProblem {
 			}
 			return p
 		},
-		"csp-fd-mixed": func() fdHotPathProblem {
+		"csp-fd-mixed": func() core.FDProblem {
 			m := csp.NewModel(6, 1)
 			m.AddLinearSum("lin", []int{0, 1, 2, 1}, nil, 14)
 			m.AddLinearSum("coef", []int{2, 3, 4}, []int{2, -1, 3}, 11)
@@ -76,7 +65,7 @@ func fdHotPathBuilders(t *testing.T) map[string]func() fdHotPathProblem {
 // mutation pattern — Cost at run start, random in-domain assignments
 // through ExecutedAssign, repeated queries, periodic full rebuilds —
 // invoking check at every step.
-func driveFDHotPath(t *testing.T, p fdHotPathProblem, steps int, check func(cfg []int, cost int, step string)) {
+func driveFDHotPath(t *testing.T, p core.FDProblem, steps int, check func(cfg []int, cost int, step string)) {
 	t.Helper()
 	n := p.Size()
 	r := rng.New(2012)
@@ -147,15 +136,12 @@ func TestFDErrorVectorConsistency(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := build()
 			n := p.Size()
-			out := make([]int, n)
 			driveFDHotPath(t, p, 200, func(cfg []int, cost int, step string) {
-				p.ErrorsOnVariables(cfg, out)
 				live := p.LiveErrors(cfg)
 				for i := 0; i < n; i++ {
-					want := p.CostOnVariable(cfg, i)
-					if out[i] != want || live[i] != want {
-						t.Fatalf("%s: errVec[%d] out=%d live=%d, CostOnVariable=%d (cfg %v)",
-							step, i, out[i], live[i], want, cfg)
+					if want := p.CostOnVariable(cfg, i); live[i] != want {
+						t.Fatalf("%s: LiveErrors[%d] = %d, CostOnVariable = %d (cfg %v)",
+							step, i, live[i], want, cfg)
 					}
 				}
 			})

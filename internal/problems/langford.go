@@ -37,11 +37,7 @@ type Langford struct {
 	errVec []int
 }
 
-var (
-	_ core.SwapExecutor          = (*Langford)(nil)
-	_ core.MaintainedErrorVector = (*Langford)(nil)
-	_ core.MoveEvaluator         = (*Langford)(nil)
-)
+var _ core.PermProblem = (*Langford)(nil)
 
 // NewLangford returns an L(2,n) instance. Solutions exist only for
 // n ≡ 0 or 3 (mod 4); other n are rejected so searches cannot run
@@ -105,7 +101,7 @@ func (l *Langford) CostIfSwap(cfg []int, cost, i, j int) int {
 	return cost
 }
 
-// ExecutedSwap implements core.SwapExecutor: only the (at most two)
+// ExecutedSwap implements core.PermProblem: only the (at most two)
 // values owning the swapped items change, so only their deviations and
 // error-vector entries are refreshed.
 func (l *Langford) ExecutedSwap(cfg []int, i, j int) {
@@ -126,7 +122,7 @@ func (l *Langford) ExecutedSwap(cfg []int, i, j int) {
 	}
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator. Item i's value and
+// CostsIfSwapAll implements core.PermProblem. Item i's value and
 // current deviation are hoisted; each candidate costs two deviation
 // recomputes at most.
 func (l *Langford) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
@@ -149,14 +145,9 @@ func (l *Langford) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	}
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the vector is kept
+// LiveErrors implements core.Problem: the vector is kept
 // current by Cost and ExecutedSwap.
 func (l *Langford) LiveErrors(cfg []int) []int { return l.errVec }
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (l *Langford) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, l.errVec)
-}
 
 // Tune implements core.Tuner (settings in the spirit of the C
 // benchmark: moderate tabu with value-scaled reset threshold).

@@ -31,8 +31,8 @@ type MagicSquare struct {
 	d1   int // main diagonal (r == c)
 	d2   int // anti-diagonal (r + c == n-1)
 
-	// errVec caches the per-cell projected errors (the ErrorVector
-	// fast path). ExecutedSwap moves only the cells on lines whose sum
+	// errVec caches the per-cell projected errors (LiveErrors).
+	// ExecutedSwap moves only the cells on lines whose sum
 	// changed — O(side) work instead of the O(side^2) per-iteration
 	// scan — and Cost invalidates it for a lazy rebuild.
 	errVec   []int
@@ -57,11 +57,7 @@ func NewMagicSquare(n int) (*MagicSquare, error) {
 	}, nil
 }
 
-var (
-	_ core.SwapExecutor          = (*MagicSquare)(nil)
-	_ core.MaintainedErrorVector = (*MagicSquare)(nil)
-	_ core.MoveEvaluator         = (*MagicSquare)(nil)
-)
+var _ core.PermProblem = (*MagicSquare)(nil)
 
 // Side returns the grid side n.
 func (ms *MagicSquare) Side() int { return ms.side }
@@ -148,7 +144,7 @@ func (ms *MagicSquare) diagGains(r1, c1, r2, c2, dv int) (dd1, dd2 int) {
 	return dd1, dd2
 }
 
-// ExecutedSwap implements core.SwapExecutor: cfg is already swapped, so
+// ExecutedSwap implements core.PermProblem: cfg is already swapped, so
 // cell i gained cfg[i]-cfg[j] and cell j lost as much. A line through
 // both cells keeps its sum.
 func (ms *MagicSquare) ExecutedSwap(cfg []int, i, j int) {
@@ -203,7 +199,7 @@ func (ms *MagicSquare) refreshCellError(k int) {
 	ms.errVec[k] = e
 }
 
-// LiveErrors implements core.MaintainedErrorVector: ExecutedSwap keeps
+// LiveErrors implements core.Problem: ExecutedSwap keeps
 // the vector current by shifting only the cells on changed lines;
 // after a full Cost recompute (run start, partial reset, teleport) the
 // vector is rebuilt here once, lazily.
@@ -217,12 +213,7 @@ func (ms *MagicSquare) LiveErrors(cfg []int) []int {
 	return ms.errVec
 }
 
-// ErrorsOnVariables implements core.ErrorVector.
-func (ms *MagicSquare) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, ms.LiveErrors(cfg))
-}
-
-// CostsIfSwapAll implements core.MoveEvaluator. The partners are walked
+// CostsIfSwapAll implements core.PermProblem. The partners are walked
 // row by row, so no candidate pays a division: cell i's deviations are
 // resolved once a call, a partner row's once a row, and a candidate is
 // then a handful of absolute values. The main pass prices every partner

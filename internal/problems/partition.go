@@ -63,11 +63,7 @@ func NewPartition(n int) (*Partition, error) {
 	}, nil
 }
 
-var (
-	_ core.SwapExecutor          = (*Partition)(nil)
-	_ core.MaintainedErrorVector = (*Partition)(nil)
-	_ core.MoveEvaluator         = (*Partition)(nil)
-)
+var _ core.PermProblem = (*Partition)(nil)
 
 // sign returns -1, 0 or 1.
 func sign(x int) int {
@@ -132,7 +128,7 @@ func (p *Partition) CostIfSwap(cfg []int, cost, i, j int) int {
 	return abs(sum-p.targetSum) + abs(sq-p.targetSq)
 }
 
-// ExecutedSwap implements core.SwapExecutor. The cached error vector is
+// ExecutedSwap implements core.PermProblem. The cached error vector is
 // delta-maintained: an in-half swap only exchanges two values, and a
 // cross-half swap that leaves both aggregate-deviation signs unchanged
 // perturbs only the two swapped entries; a sign flip schedules a lazy
@@ -164,7 +160,7 @@ func (p *Partition) ExecutedSwap(cfg []int, i, j int) {
 	}
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator. Position i's half and
+// CostsIfSwapAll implements core.PermProblem. Position i's half and
 // value are hoisted; same-half candidates are cost-neutral by
 // construction and cross-half candidates cost O(1) arithmetic.
 func (p *Partition) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
@@ -192,7 +188,7 @@ func (p *Partition) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	}
 }
 
-// LiveErrors implements core.MaintainedErrorVector, rebuilding the
+// LiveErrors implements core.Problem, rebuilding the
 // vector lazily after a full Cost recompute or a sign flip.
 func (p *Partition) LiveErrors(cfg []int) []int {
 	if !p.errValid {
@@ -204,11 +200,6 @@ func (p *Partition) LiveErrors(cfg []int) []int {
 		p.errValid = true
 	}
 	return p.errVec
-}
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (p *Partition) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, p.LiveErrors(cfg))
 }
 
 // Tune implements core.Tuner: partition landscapes are dominated by

@@ -231,7 +231,7 @@ func (p *PerfectSquare) CostIfSwap(cfg []int, cost, i, j int) int {
 	return c
 }
 
-// CostsIfSwapAll implements core.MoveEvaluator: one devirtualized pass
+// CostsIfSwapAll implements core.PermProblem: one devirtualized pass
 // of scratch decodes (the decoder is inherently global, so each
 // candidate still pays a full decode).
 func (p *PerfectSquare) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
@@ -246,26 +246,17 @@ func (p *PerfectSquare) CostsIfSwapAll(cfg []int, cost, i int, out []int) {
 	}
 }
 
-// ExecutedSwap implements core.SwapExecutor by re-decoding to refresh
+// ExecutedSwap implements core.PermProblem by re-decoding to refresh
 // the per-step error cache.
 func (p *PerfectSquare) ExecutedSwap(cfg []int, i, j int) {
 	p.decode(cfg, p.heights, p.stepErr)
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the per-step error
+// LiveErrors implements core.Problem: the per-step error
 // cache IS the error vector, and Cost/ExecutedSwap keep it current.
 func (p *PerfectSquare) LiveErrors(cfg []int) []int { return p.stepErr }
 
-// ErrorsOnVariables implements core.ErrorVector.
-func (p *PerfectSquare) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, p.stepErr)
-}
-
-var (
-	_ core.SwapExecutor          = (*PerfectSquare)(nil)
-	_ core.MaintainedErrorVector = (*PerfectSquare)(nil)
-	_ core.MoveEvaluator         = (*PerfectSquare)(nil)
-)
+var _ core.PermProblem = (*PerfectSquare)(nil)
 
 // Tune implements core.Tuner: the decoder landscape is plateau-rich, so
 // a substantial probabilistic escape and frequent small resets help.

@@ -11,10 +11,10 @@
 // distribution (queens, alpha, langford, partition), which round out the
 // library for downstream users and appear in the extended experiments.
 //
-// Every encoding implements core.Problem; the ones with cheap
-// incremental deltas also implement core.SwapExecutor, mirroring the
-// Cost_If_Swap / Executed_Swap structure of the C code. Encodings that
-// maintain cached state are NOT safe for concurrent use: the multi-walk
+// Every encoding implements its encoding's whole contract,
+// core.PermProblem or (timetable) core.FDProblem, mirroring the
+// Cost_If_Swap / Executed_Swap structure of the C code. Encodings keep
+// cached state, so they are NOT safe for concurrent use: the multi-walk
 // engine takes one instance per walker from a Factory. Resolve hands
 // out every Factory, off a process-wide cache that builds each spec —
 // (problem, size, params) — once: a finite-domain model is constructed

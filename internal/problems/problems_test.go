@@ -107,10 +107,7 @@ func TestExecutedSwapKeepsStateConsistent(t *testing.T) {
 		t.Run(fx.name, func(t *testing.T) {
 			p := fx.make(t)
 			oracle := fx.make(t)
-			se, hasSwap := p.(core.SwapExecutor)
-			if !hasSwap {
-				t.Skipf("%s does not implement SwapExecutor", fx.name)
-			}
+			se := p.(core.PermProblem)
 			r := rng.New(7)
 			n := p.Size()
 			cfg := r.Perm(n)

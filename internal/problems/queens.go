@@ -33,7 +33,7 @@ type Queens struct {
 	down []int // down[r-c+n-1] = queens on the descending diagonal
 
 	// errVec[r] = (up[r+c]-1) + (down[r-c+n-1]-1), the number of queens
-	// attacking row r's queen — always current (MaintainedErrorVector).
+	// attacking row r's queen — always current (LiveErrors).
 	errVec []int
 	// Intrusive doubly-linked membership lists: upHead[s] is the first
 	// row on ascending diagonal s (-1 when empty), upNext/upPrev chain
@@ -64,11 +64,7 @@ func NewQueens(n int) (*Queens, error) {
 	}, nil
 }
 
-var (
-	_ core.SwapExecutor          = (*Queens)(nil)
-	_ core.MaintainedErrorVector = (*Queens)(nil)
-	_ core.MoveEvaluator         = (*Queens)(nil)
-)
+var _ core.PermProblem = (*Queens)(nil)
 
 // Size implements core.Problem.
 func (q *Queens) Size() int { return q.n }
@@ -213,7 +209,7 @@ func (dd *diagDelta) add(id, delta int) {
 	dd.n++
 }
 
-// ExecutedSwap implements core.SwapExecutor: cfg has already been
+// ExecutedSwap implements core.PermProblem: cfg has already been
 // swapped, so cfg[i] holds the old cfg[j] and vice versa. Counters,
 // membership lists and the error vector are updated in place; only the
 // rows sitting on a diagonal whose occupancy changed are refreshed.
@@ -277,16 +273,11 @@ func (q *Queens) ExecutedSwap(cfg []int, i, j int) {
 	q.errVec[j] = (q.up[newUpJ] - 1) + (q.down[newDownJ] - 1)
 }
 
-// LiveErrors implements core.MaintainedErrorVector: the vector is kept
+// LiveErrors implements core.Problem: the vector is kept
 // current by Cost and ExecutedSwap, so there is nothing to rebuild.
 func (q *Queens) LiveErrors(cfg []int) []int { return q.errVec }
 
-// ErrorsOnVariables implements core.ErrorVector.
-func (q *Queens) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, q.errVec)
-}
-
-// CostsIfSwapAll implements core.MoveEvaluator. Queen i's own diagonal
+// CostsIfSwapAll implements core.PermProblem. Queen i's own diagonal
 // contributions are removed once, outside the partner loop, leaving an
 // O(1) body per candidate: remove queen j, re-add both queens with
 // swapped columns, correcting for the one diagonal of each family the

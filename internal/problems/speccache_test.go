@@ -138,8 +138,8 @@ func TestSpecCacheKey(t *testing.T) {
 	resetSpecCache()
 	var miss, hit core.Options
 	var err error
-	if built := allocated(func() { miss, _, err = Resolve("timetable", 100, map[string]int{"slots": 10}) }); err != nil || built < 14_000 {
-		t.Fatalf("the first resolve of timetable-100 allocated %d B (%v); it builds the model, 14 KB or more", built, err)
+	if built := allocated(func() { miss, _, err = Resolve("timetable", 100, map[string]int{"slots": 10}) }); err != nil || built < 10_000 {
+		t.Fatalf("the first resolve of timetable-100 allocated %d B (%v); it builds the model, 10 KB or more", built, err)
 	}
 	if cost := allocated(func() { hit, _, err = Resolve("timetable", 100, map[string]int{"slots": 10}) }); err != nil || cost >= 1<<10 {
 		t.Errorf("the second resolve of timetable-100 allocated %d B (%v); it builds nothing, under 1 KB", cost, err)
@@ -190,9 +190,11 @@ func TestSpecCacheKey(t *testing.T) {
 func TestSpecCacheBounds(t *testing.T) {
 	resetSpecCache()
 	t.Cleanup(resetSpecCache)
-	// Over-provisioned rooms and teachers: some 5 MiB of model each
-	// (mostly the occupancy table), and a reduction with next to
-	// nothing to propagate.
+	// Over-provisioned rooms and teachers: some 1 MiB of model each
+	// (mostly the domains), and a reduction with next to nothing to
+	// propagate. The 4 MiB occupancy table is a searched instance's
+	// state, not the model's: the cached model holds none, and counts
+	// none, of what a clone allocates to search.
 	var resolved int64
 	var count int
 	for slots := 256; resolved <= specCacheBytes+specCacheBytes/4; slots-- {
@@ -203,6 +205,15 @@ func TestSpecCacheBounds(t *testing.T) {
 		}
 		e := cachedEntry(t, "timetable", 1024, params)
 		resolved += e.bytes
+		if count == 1 {
+			model := e.model.(*Timetable)
+			clone := model.Clone().(*Timetable)
+			search := int64(8 * (len(clone.occ) + len(clone.errVec)))
+			if model.occ != nil || model.errVec != nil || clone.ModelBytes()-e.bytes != search {
+				t.Fatalf("the cached model holds occ %d and errVec %d long and counts %d B, a clone %d B; want no search state in the model, and the clone's %d B of it counted on the clone only",
+					len(model.occ), len(model.errVec), e.bytes, clone.ModelBytes(), search)
+			}
+		}
 		n, held := cacheSize()
 		var sum int64
 		specs.mu.Lock()

@@ -9,32 +9,16 @@ import (
 )
 
 // Hot-loop micro-benchmarks for the engine's two selection primitives
-// on the paper's benchmarks, with and without the ErrorVector fast
-// path. The "errvec" variants serve worst-variable selection from the
-// incrementally maintained error cache; the "scan" variants hide the
-// ErrorVector interface (via hideErrVec) and fall back to one
-// CostOnVariable call per variable per selection, which is what every
-// iteration paid before the cache existed. Each benchmark iteration
-// also executes a random swap through ExecutedSwap so the cache's
-// invalidation/update cost is charged to the fast path honestly.
-
-// benchProblem builds the instance, optionally hiding ErrorVector.
-func benchProblem(b *testing.B, name string, size int, hide bool) core.Problem {
-	b.Helper()
-	p, err := New(name, size)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if hide {
-		return hideErrVec{p}
-	}
-	return p
-}
+// on the paper's benchmarks. Worst-variable selection scans the live
+// error vector; each benchmark iteration also executes a random swap
+// through ExecutedSwap, so the vector's maintenance is charged to the
+// selection honestly. (The names keep the ErrVec suffix they had when a
+// per-variable Scan variant stood beside them.)
 
 // randomSwap executes one random swap on the state, keeping the
-// problem's incremental caches in sync — the engine's doSwap without
-// the bookkeeping.
-func randomSwap(st *core.State, p core.Problem, r *rng.Rand) {
+// problem's incremental caches in sync — the engine's swap without the
+// bookkeeping.
+func randomSwap(st *core.State, p core.PermProblem, r *rng.Rand) {
 	n := len(st.Cfg)
 	i := r.Intn(n)
 	j := r.Intn(n - 1)
@@ -43,17 +27,23 @@ func randomSwap(st *core.State, p core.Problem, r *rng.Rand) {
 	}
 	c := p.CostIfSwap(st.Cfg, st.Cost, i, j)
 	st.Cfg[i], st.Cfg[j] = st.Cfg[j], st.Cfg[i]
-	if sw, ok := p.(core.SwapExecutor); ok {
-		sw.ExecutedSwap(st.Cfg, i, j)
-	}
+	p.ExecutedSwap(st.Cfg, i, j)
 	st.Cost = c
 	st.Iter++
-	st.InvalidateErrors()
 }
 
-func benchmarkSelectWorstVariable(b *testing.B, name string, size int, hide bool) {
-	p := benchProblem(b, name, size, hide)
-	st := core.NewState(p, core.Options{}, 1, nil)
+// benchState builds the instance and a state over it.
+func benchState(b *testing.B, name string, size int) (*core.State, core.PermProblem) {
+	b.Helper()
+	p, err := New(name, size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return core.NewState(p, core.Options{}, 1, nil), p.(core.PermProblem)
+}
+
+func benchmarkSelectWorstVariable(b *testing.B, name string, size int) {
+	st, p := benchState(b, name, size)
 	r := rng.New(7)
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
@@ -62,9 +52,8 @@ func benchmarkSelectWorstVariable(b *testing.B, name string, size int, hide bool
 	}
 }
 
-func benchmarkSelectBestSwap(b *testing.B, name string, size int, hide bool) {
-	p := benchProblem(b, name, size, hide)
-	st := core.NewState(p, core.Options{}, 1, nil)
+func benchmarkSelectBestSwap(b *testing.B, name string, size int) {
+	st, p := benchState(b, name, size)
 	r := rng.New(7)
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
@@ -73,83 +62,49 @@ func benchmarkSelectBestSwap(b *testing.B, name string, size int, hide bool) {
 	}
 }
 
-func BenchmarkSelectWorstVariableMagicSquare10Scan(b *testing.B) {
-	benchmarkSelectWorstVariable(b, "magic-square", 10, true)
-}
-
 func BenchmarkSelectWorstVariableMagicSquare10ErrVec(b *testing.B) {
-	benchmarkSelectWorstVariable(b, "magic-square", 10, false)
-}
-
-func BenchmarkSelectWorstVariableCostas14Scan(b *testing.B) {
-	benchmarkSelectWorstVariable(b, "costas", 14, true)
+	benchmarkSelectWorstVariable(b, "magic-square", 10)
 }
 
 func BenchmarkSelectWorstVariableCostas14ErrVec(b *testing.B) {
-	benchmarkSelectWorstVariable(b, "costas", 14, false)
-}
-
-func BenchmarkSelectBestSwapMagicSquare10Scan(b *testing.B) {
-	benchmarkSelectBestSwap(b, "magic-square", 10, true)
+	benchmarkSelectWorstVariable(b, "costas", 14)
 }
 
 func BenchmarkSelectBestSwapMagicSquare10ErrVec(b *testing.B) {
-	benchmarkSelectBestSwap(b, "magic-square", 10, false)
-}
-
-func BenchmarkSelectBestSwapCostas14Scan(b *testing.B) {
-	benchmarkSelectBestSwap(b, "costas", 14, true)
+	benchmarkSelectBestSwap(b, "magic-square", 10)
 }
 
 func BenchmarkSelectBestSwapCostas14ErrVec(b *testing.B) {
-	benchmarkSelectBestSwap(b, "costas", 14, false)
+	benchmarkSelectBestSwap(b, "costas", 14)
 }
 
-// The Solve benchmarks measure the end-to-end iteration rate with the
-// fast path on vs off — the acceptance bar for the error cache. The
+// The Solve benchmarks measure the end-to-end iteration rate. The
 // microbenchmarks above charge a swap to every selection; a real search
 // also has freeze iterations (local minima that do not move), which the
-// cache serves for free, so the end-to-end delta is the honest number.
+// live vector serves for free, so the end-to-end rate is the honest
+// number.
 func BenchmarkSolveMagicSquare10ErrVec(b *testing.B) {
-	benchmarkSolveIterRate(b, "magic-square", 10, false)
-}
-
-func BenchmarkSolveMagicSquare10Scan(b *testing.B) {
-	benchmarkSolveIterRate(b, "magic-square", 10, true)
+	benchmarkSolveIterRate(b, "magic-square", 10)
 }
 
 func BenchmarkSolveCostas14ErrVec(b *testing.B) {
-	benchmarkSolveIterRate(b, "costas", 14, false)
-}
-
-func BenchmarkSolveCostas14Scan(b *testing.B) {
-	benchmarkSolveIterRate(b, "costas", 14, true)
+	benchmarkSolveIterRate(b, "costas", 14)
 }
 
 func BenchmarkSolveAllInterval24ErrVec(b *testing.B) {
-	benchmarkSolveIterRate(b, "all-interval", 24, false)
+	benchmarkSolveIterRate(b, "all-interval", 24)
 }
 
-func BenchmarkSolveAllInterval24Scan(b *testing.B) {
-	benchmarkSolveIterRate(b, "all-interval", 24, true)
-}
-
-func benchmarkSolveIterRate(b *testing.B, name string, size int, hide bool) {
+func benchmarkSolveIterRate(b *testing.B, name string, size int) {
 	var iters int64
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		raw, err := New(name, size)
+		p, err := New(name, size)
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Tune from the raw problem so both variants run identical
-		// engine options (hideErrVec does not forward the Tuner hook).
-		opts := core.TunedOptions(raw)
+		opts := core.TunedOptions(p)
 		opts.Seed = uint64(k) + 1
-		p := raw
-		if hide {
-			p = hideErrVec{raw}
-		}
 		res, err := core.Solve(nil, p, opts) //nolint:staticcheck // nil ctx is part of the API
 		if err != nil || !res.Solved {
 			b.Fatalf("%v %v", res, err)
@@ -244,7 +199,7 @@ func BenchmarkCostsIfSwapAll(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s-%d", tc.problem, tc.size), func(b *testing.B) {
 			st := midSearchState(b, tc.problem, tc.size, nil)
-			p := st.Problem.(core.MoveEvaluator)
+			p := st.Problem.(core.PermProblem)
 			n := len(st.Cfg)
 			out := make([]int, n)
 			b.ResetTimer()

@@ -31,8 +31,8 @@ func init() {
 // slot, each occupant beyond the first adds 1. The encoding keeps a
 // resource-by-slot occupancy table for O(1) CostIfAssign, a static
 // session list per resource for O(sessions-per-resource) delta
-// maintenance of the per-session error vector (MaintainedErrorVector),
-// and a batched AssignEvaluator that hoists the removal term out of the
+// maintenance of the per-session error vector (LiveErrors), and a
+// batched CostsIfAssignAll that hoists the removal term out of the
 // per-value loop.
 //
 // Instances are generated deterministically from (size, params): a
@@ -60,14 +60,16 @@ type Timetable struct {
 
 	// Per-walker search state: everything above is the model, which
 	// Clone shares; only these two are written after construction and
-	// reduction.
+	// reduction. A model that is never searched never holds them: the
+	// constructor leaves them nil, and the first Cost allocates them.
 	occ    []int // occ[res*slots+s] = sessions of resource res in slot s
 	errVec []int // errVec[i] = double-bookings session i participates in
 }
 
 // timetableParams are the recognized params keys, each with its cap. A
 // model grows as sessions × slots (domains, and the reduction's
-// matching) plus resources × slots (occupancy): at the size cap, 1024
+// matching), and a searched instance adds resources × slots
+// (occupancy): at the size cap, 1024
 // sessions in 256 slots build and reduce in about 20 MiB; in 1024 slots
 // they would take 80.
 var timetableParams = map[string]int{"slots": 256, "rooms": 1024, "teachers": 1024}
@@ -116,10 +118,8 @@ func NewTimetable(n int, params map[string]int) (*Timetable, error) {
 		teach:       teach,
 		idA:         make([]int, n),
 		idB:         make([]int, n),
-		occ:         make([]int, (rooms+teach)*slots),
 		resSessions: make([][]int32, rooms+teach),
 		domains:     make([]domain.Domain, n),
-		errVec:      make([]int, n),
 	}
 
 	// Deterministic generation: the instance depends only on the
@@ -202,13 +202,9 @@ func (t *Timetable) drawDomains(r *rng.Rand, feasible bool, all []int) int {
 }
 
 var (
-	_ core.FDProblem             = (*Timetable)(nil)
-	_ core.AssignExecutor        = (*Timetable)(nil)
-	_ core.AssignEvaluator       = (*Timetable)(nil)
-	_ core.DomainReducer         = (*Timetable)(nil)
-	_ core.Cloner                = (*Timetable)(nil)
-	_ core.SwapExecutor          = (*Timetable)(nil)
-	_ core.MaintainedErrorVector = (*Timetable)(nil)
+	_ core.FDProblem     = (*Timetable)(nil)
+	_ core.DomainReducer = (*Timetable)(nil)
+	_ core.Cloner        = (*Timetable)(nil)
 )
 
 // Size implements core.Problem.
@@ -263,7 +259,8 @@ func (t *Timetable) Clone() core.Problem {
 }
 
 // ModelBytes implements core.Cloner: the bytes of the ids, session
-// lists and domains its clones share, and of its own occ and errVec.
+// lists and domains its clones share, and of its own occ and errVec,
+// which a model that was never searched does not hold.
 func (t *Timetable) ModelBytes() int64 {
 	const word, header = 8, 24 // an int, and a slice header
 	b := word * (cap(t.idA) + cap(t.idB) + cap(t.occ) + cap(t.errVec))
@@ -278,8 +275,13 @@ func (t *Timetable) ModelBytes() int64 {
 }
 
 // Cost implements core.Problem: the number of double-bookings. It
-// rebuilds the occupancy table and the error vector from scratch.
+// rebuilds the occupancy table and the error vector from scratch, and
+// allocates them on an instance's first call.
 func (t *Timetable) Cost(cfg []int) int {
+	if t.occ == nil {
+		t.occ = make([]int, (t.rooms+t.teach)*t.slots)
+		t.errVec = make([]int, t.n)
+	}
 	clear(t.occ)
 	S := t.slots
 	for i, s := range cfg {
@@ -329,7 +331,7 @@ func (t *Timetable) CostIfAssign(cfg []int, cost, i, v int) int {
 	return cost
 }
 
-// CostsIfAssignAll implements core.AssignEvaluator: the removal term of
+// CostsIfAssignAll implements core.FDProblem: the removal term of
 // leaving the current slot is hoisted out of the per-value loop.
 func (t *Timetable) CostsIfAssignAll(cfg []int, cost, i int, out []int) {
 	cur := cfg[i]
@@ -391,7 +393,7 @@ func (t *Timetable) CostIfSwap(cfg []int, cost, i, j int) int {
 	return cost
 }
 
-// ExecutedAssign implements core.AssignExecutor: cfg[i] already holds
+// ExecutedAssign implements core.FDProblem: cfg[i] already holds
 // the new slot. The occupancy cells move, and only the sessions sharing
 // a resource with i in the vacated or entered slot have their error
 // entries adjusted; session i's own entry is recomputed exactly.
@@ -419,22 +421,9 @@ func (t *Timetable) ExecutedAssign(cfg []int, i, old int) {
 	t.errVec[i] = (t.occ[t.idA[i]*S+v] - 1) + (t.occ[t.idB[i]*S+v] - 1)
 }
 
-// ExecutedSwap implements core.SwapExecutor for harness use (the FD
-// engine never swaps): a swap touches up to four resource/slot cells in
-// a pattern the assign delta does not cover, so the incremental state
-// is simply rebuilt.
-func (t *Timetable) ExecutedSwap(cfg []int, i, j int) {
-	t.Cost(cfg)
-}
-
-// LiveErrors implements core.MaintainedErrorVector: the vector is kept
-// current by Cost and ExecutedAssign.
+// LiveErrors implements core.Problem: the vector is kept current by
+// Cost and ExecutedAssign.
 func (t *Timetable) LiveErrors(cfg []int) []int { return t.errVec }
-
-// ErrorsOnVariables implements core.ErrorVector.
-func (t *Timetable) ErrorsOnVariables(cfg []int, out []int) {
-	copy(out, t.errVec)
-}
 
 // Verify reports whether cfg is a conflict-free timetable with every
 // session inside its domain, checked independently of the incremental
