@@ -14,15 +14,14 @@
 // accounting and cross-worker first-solution cancellation. The pool
 // size becomes the fleet's total slot capacity, so -slots is a usage
 // error there. Dependent jobs ({"exchange": {"enabled": true}})
-// cooperate across workers through a coordinator-hosted elite board;
-// -board-addr, -board-advertise and -board-sync tune where it listens,
-// how workers reach it and how often their caches reconcile; -board-sync
-// is the only setting of that period, which each run request carries to
-// its worker (see DESIGN.md §10).
+// cooperate across workers: every -board-sync the coordinator relays
+// the job's best configuration to each shard and reads theirs back, on
+// the same client and connections as its run calls, so serve opens no
+// listener for it (see DESIGN.md §10).
 //
 // A flag the chosen backend would ignore is a usage error, not a silent
-// no-op: -fleet-heartbeat, -recover-attempts, -board-*, -speculate and
-// -speculate-threshold need -workers or -fleet, -speculate-threshold
+// no-op: -fleet-heartbeat, -recover-attempts, -board-sync, -speculate
+// and -speculate-threshold need -workers or -fleet, -speculate-threshold
 // needs -speculate, and -telemetry-interval needs -telemetry.
 //
 // With -fleet, the worker set is dynamic instead of (or in addition
@@ -40,8 +39,7 @@
 //
 // With -speculate, the coordinator also routes around *slow* workers:
 // a detector reads each shard's progress from its worker (GET
-// /v1/runs/{id}; serve opens no listener for it, so -board-addr and
-// -board-advertise concern exchange jobs only), flags any shard lagging
+// /v1/runs/{id}; serve opens no listener for it), flags any shard lagging
 // more than -speculate-threshold behind the job's median, and the
 // lagging range is re-dispatched on a free healthy worker — whichever
 // copy finishes first wins, the loser is cancelled and its duplicate
@@ -137,18 +135,18 @@ func main() {
 
 // config is one parsed invocation.
 type config struct {
-	addr, workers, tenants, boardAddr, boardAdvertise string
-	telemetryPath, calibration, pprofAddr             string
-	slots, queueDepth, recoverRounds                  int
-	defaultTimeout, maxTimeout, ttl                   time.Duration
-	fleetHeartbeat, boardSync, telemetryEvery         time.Duration
-	fleet, speculate                                  bool
-	speculateThr                                      float64
+	addr, workers, tenants                    string
+	telemetryPath, calibration, pprofAddr     string
+	slots, queueDepth, recoverRounds          int
+	defaultTimeout, maxTimeout, ttl           time.Duration
+	fleetHeartbeat, boardSync, telemetryEvery time.Duration
+	fleet, speculate                          bool
+	speculateThr                              float64
 }
 
 // distributedFlags configure the coordinator, which exists only under
 // -workers or -fleet.
-var distributedFlags = []string{"fleet-heartbeat", "recover-attempts", "board-addr", "board-advertise", "board-sync", "speculate", "speculate-threshold"}
+var distributedFlags = []string{"fleet-heartbeat", "recover-attempts", "board-sync", "speculate", "speculate-threshold"}
 
 // parse reads args into a config and rejects flags the chosen backend
 // would ignore, before anything is started.
@@ -167,9 +165,7 @@ func parse(args []string, stderr io.Writer) (*config, error) {
 	fs.DurationVar(&c.fleetHeartbeat, "fleet-heartbeat", 0, "fleet health-monitor probe period for silent workers (0 = 2s)")
 	fs.IntVar(&c.recoverRounds, "recover-attempts", 0, "rounds of lost-shard re-execution on surviving workers before a job is truncated (0 = 2, negative disables recovery)")
 	fs.StringVar(&c.tenants, "tenants", "", "per-tenant admission policy as name=weight[:maxslots],... (e.g. batch=1:8,interactive=3); unlisted tenants get weight 1, no cap")
-	fs.StringVar(&c.boardAddr, "board-addr", "", "listen address of the coordinator's exchange board server (empty = 127.0.0.1:0; it starts lazily on the first exchange job)")
-	fs.StringVar(&c.boardAdvertise, "board-advertise", "", "base URL workers use to reach the exchange board server (empty = derived from its listener; set it when workers are on other hosts)")
-	fs.DurationVar(&c.boardSync, "board-sync", 0, "worker board-cache sync period for dependent runs, sent in each run request (0 = 50ms)")
+	fs.DurationVar(&c.boardSync, "board-sync", 0, "relay period of dependent jobs: how often the coordinator relays the best configuration between a job's shards (0 = 50ms)")
 	fs.BoolVar(&c.speculate, "speculate", false, "re-dispatch straggling shards speculatively on free healthy workers and keep whichever copy finishes first")
 	fs.Float64Var(&c.speculateThr, "speculate-threshold", 0, "straggler threshold: a shard speculates when its per-walker progress x threshold < the job median (0 = 2, must be > 1)")
 	fs.StringVar(&c.telemetryPath, "telemetry", "", "append FTDC-style telemetry frames to this file (empty = off)")
@@ -240,8 +236,6 @@ func run(ctx context.Context, args []string, _, stderr io.Writer) error {
 			Workers:            workerURLs,
 			HeartbeatInterval:  c.fleetHeartbeat,
 			RecoverAttempts:    c.recoverRounds,
-			BoardAddr:          c.boardAddr,
-			BoardAdvertise:     c.boardAdvertise,
 			BoardSync:          c.boardSync,
 			Speculate:          c.speculate,
 			SpeculateThreshold: c.speculateThr,

@@ -20,8 +20,8 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-speculate-threshold", "3"}, "-speculate-threshold configures the distributed backend"},
 		{[]string{"-recover-attempts", "3"}, "-recover-attempts configures the distributed backend"},
 		{[]string{"-fleet-heartbeat", "1s"}, "-fleet-heartbeat configures the distributed backend"},
-		{[]string{"-board-addr", "127.0.0.1:9190"}, "-board-addr configures the distributed backend"},
-		{[]string{"-board-advertise", "http://10.0.0.1:9190"}, "-board-advertise configures the distributed backend"},
+		{[]string{"-board-addr", "127.0.0.1:9190"}, "flag provided but not defined: -board-addr"},
+		{[]string{"-board-advertise", "http://10.0.0.1:9190"}, "flag provided but not defined: -board-advertise"},
 		{[]string{"-board-sync", "20ms"}, "-board-sync configures the distributed backend"},
 		{[]string{"-fleet", "-slots", "4"}, "-slots sizes the in-process pool"},
 		{[]string{"-workers", "http://127.0.0.1:9101", "-slots", "4"}, "-slots sizes the in-process pool"},

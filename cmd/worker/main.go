@@ -21,9 +21,10 @@
 // -telemetry-interval without -telemetry, are usage errors: the worker
 // would ignore them.
 //
-// Dependent (exchange) shard runs sync a local board cache with the
-// coordinator's board by POST, on change, on the tick the coordinator
-// puts in the run request (serve -board-sync).
+// The walkers of a dependent (exchange) shard run share a board of the
+// run's own, which the coordinator's relay calls (POST
+// /v1/runs/{id}/board, every -board-sync on serve) publish the job's
+// best into and read the run's best out of.
 // When a run request asks for progress (the coordinator's -speculate
 // mode), the worker keeps per-walker iteration counters for the run and
 // answers them on GET /v1/runs/{id}, which the coordinator's straggler

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/multiwalk"
-	"repro/internal/problems"
 )
 
 // callerTransport is a caller-supplied client's transport: it counts
@@ -64,11 +63,11 @@ func settlesTo(t *testing.T, what string, baseline int) {
 	}
 }
 
-// TestCloseReleasesOwnedConnections: Close on a Coordinator or Worker
-// releases the keep-alive connections of the HTTP client the component
-// built for itself — its peers stay up throughout, so nothing else
-// would close them before the 90s idle timeout — and a Coordinator
-// leaves a caller-supplied client alone.
+// TestCloseReleasesOwnedConnections: Close on a Coordinator releases
+// the keep-alive connections of the HTTP client it built for itself —
+// its peers stay up throughout, so nothing else would close them before
+// the 90s idle timeout — and leaves a caller-supplied client alone; a
+// Worker, which builds none, leaves nothing running.
 func TestCloseReleasesOwnedConnections(t *testing.T) {
 	engine := tunedEngine(t, "costas", 12)
 	runJobs := func(coord *Coordinator) {
@@ -111,19 +110,9 @@ func TestCloseReleasesOwnedConnections(t *testing.T) {
 	})
 
 	t.Run("worker", func(t *testing.T) {
-		// The worker's peer is a board hub; the shard run below syncs
-		// against it through the worker's board client.
-		probe, err := problems.New("costas", 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hub := newBoardHub("", "")
-		t.Cleanup(hub.close)
-		board, _, release, err := hub.open("jobClose", probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(release)
+		// A worker builds no client: the coordinator's relay calls come
+		// to it, as its run calls do. An exchange shard run leaves
+		// nothing running once the worker closes.
 		spec := engine
 		spec.MaxIterations, spec.MaxRuns = 2000, 1
 		runShard := func(wk *Worker, id string) {
@@ -131,18 +120,12 @@ func TestCloseReleasesOwnedConnections(t *testing.T) {
 			body, _ := json.Marshal(RunRequest{
 				ID: id, Mode: ModeRun, Problem: "costas", Size: 12, Seed: 7,
 				TotalWalkers: 1, Count: 1, Engine: spec,
-				Exchange:    multiwalk.ExchangeOptions{Enabled: true, Period: 16, AdoptFactor: 1},
-				Board:       board,
-				BoardSyncMS: 1,
+				Exchange: multiwalk.ExchangeOptions{Enabled: true, Period: 16, AdoptFactor: 1},
 			})
-			before := hub.mHTTPSyncs.Load()
 			rec := httptest.NewRecorder()
 			wk.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("shard run: status %d: %s", rec.Code, rec.Body)
-			}
-			if hub.mHTTPSyncs.Load() == before {
-				t.Fatal("precondition: the shard run never synced, so the board client opened no connection")
 			}
 		}
 		baseline := goroutineBaseline()

@@ -9,11 +9,13 @@ import (
 	"repro/internal/multiwalk"
 )
 
-// The fleet's three hot messages — the run request out, the run reply
-// and the cancel ack back — are written and read here without
-// reflection (the cancel ack is written by encoding/json). All are pinned to encoding/json: FuzzRunRequestJSON and
-// FuzzRunResponseJSON compare them with it on arbitrary input, and the
-// wire files under testdata pin the bodies.
+// The fleet's two hot messages — the run request out and the run reply
+// back — are written and read here without reflection. Both are pinned
+// to encoding/json: FuzzRunRequestJSON and FuzzRunResponseJSON compare
+// them with it on arbitrary input, and the wire files under testdata
+// pin the bodies. The cancel ack, read once a loser a job, goes through
+// encoding/json both ways: reading it by hand saved under 1 % of a
+// fleet job's bytes.
 
 // AppendJSON appends req as json.Marshal writes it (httpjson.Call sends
 // a RunRequest through it). It declines, appending nothing, an exchange
@@ -47,11 +49,6 @@ func (req RunRequest) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `,"engine":{`...)
 	dst = appendOptions(dst, e)
 	dst = httpjson.AppendNonZero(dst, `,"deadline_ms":`, req.DeadlineMS)
-	if req.Board != "" {
-		dst = append(dst, `,"board":`...)
-		dst = httpjson.AppendString(dst, req.Board)
-	}
-	dst = httpjson.AppendNonZero(dst, `,"board_sync_ms":`, req.BoardSyncMS)
 	if req.Progress {
 		dst = append(dst, `,"progress":true`...)
 	}
@@ -125,10 +122,6 @@ func (req *RunRequest) ReadJSON(data []byte) bool {
 			ok = readOptions(&lx, &r.Engine)
 		case "deadline_ms":
 			r.DeadlineMS, ok = lx.Int64()
-		case "board":
-			r.Board, ok = lx.Text()
-		case "board_sync_ms":
-			r.BoardSyncMS, ok = lx.Int64()
 		case "progress":
 			r.Progress, ok = lx.Bool()
 		}
@@ -304,22 +297,4 @@ func readStat(lx *httpjson.Lexer, w *WalkerStatWire) bool {
 		}
 		return ok
 	})
-}
-
-// ReadJSON reads a cancel ack, {"cancelled":true} or false, as
-// RunResponse.ReadJSON reads a run reply.
-func (a *cancelAck) ReadJSON(data []byte) bool {
-	lx := httpjson.NewLexer(data)
-	var ack cancelAck
-	ok := lx.Object(func(key []byte) (ok bool) {
-		if string(key) == "cancelled" {
-			ack.Cancelled, ok = lx.Bool()
-		}
-		return ok
-	})
-	if !ok || !lx.End() {
-		return false
-	}
-	*a = ack
-	return true
 }

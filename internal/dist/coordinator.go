@@ -42,21 +42,9 @@ type CoordinatorConfig struct {
 	// 0 selects 2; negative disables recovery (lost shards truncate
 	// immediately, the pre-elastic behavior).
 	RecoverAttempts int
-	// BoardAddr is the listen address of the coordinator's global
-	// exchange-board server, which workers sync against during
-	// dependent (Exchange) jobs. Empty selects 127.0.0.1:0 — correct
-	// for single-host fleets and tests. The server starts lazily on the
-	// first exchange-enabled job, so independent-only fleets never open
-	// the port.
-	BoardAddr string
-	// BoardAdvertise is the base URL workers use to reach the board
-	// server (e.g. "http://10.0.0.1:9190"). Empty derives it from the
-	// listener address; set it explicitly when workers are on other
-	// hosts or behind NAT.
-	BoardAdvertise string
-	// BoardSync is the period at which worker-side board caches
-	// reconcile with the global board, stamped into every exchange
-	// shard's request. 0 selects 50ms.
+	// BoardSync is the relay period of a dependent (Exchange) job: how
+	// often the job's loop relays its best configuration to each shard
+	// and reads theirs back. 0 selects 50ms.
 	BoardSync time.Duration
 	// Speculate enables straggler speculation for wall-clock (Run mode)
 	// jobs: a detector reads each running shard's progress from its
@@ -102,8 +90,8 @@ type JobSpec struct {
 	// Engine holds the per-walker engine options.
 	Engine core.Options
 	// Exchange, when Enabled, runs the job in the dependent
-	// (communicating) multi-walk scheme: the coordinator hosts a global
-	// elite board and every worker shard cooperates through it, so
+	// (communicating) multi-walk scheme: the job's loop relays the best
+	// configuration between its shards' boards every BoardSync, so
 	// adoptions cross process boundaries. Run mode only; dependent runs
 	// are timing-dependent by nature (see DESIGN.md §10), unlike the
 	// bit-for-bit deterministic independent modes.
@@ -131,22 +119,21 @@ type Coordinator struct {
 	hbInterval      time.Duration
 	recoverAttempts int
 
-	// epoch, drawn once at random, leads every run id and board id, and
+	// epoch, drawn once at random, leads every run id, and
 	// seq numbers the jobs behind it. Workers outlive
 	// coordinators and remember run ids (Worker.early), so the ids of two
 	// coordinators must not meet although both count from 1.
 	epoch string
 	seq   atomic.Uint64
 
-	boards      *boardHub
-	boardSyncMS int64
+	boardSync time.Duration
 
 	speculate     bool
 	specThreshold float64
 	specAfter     time.Duration
 	specInterval  time.Duration
-	// after is the job loops' clock (grace period, detector ticks):
-	// time.After, and a fake in tests.
+	// after is the job loops' clock (grace period, detector and relay
+	// ticks): time.After, and a fake in tests.
 	after func(time.Duration) <-chan time.Time
 
 	monitorStop    chan struct{}
@@ -166,6 +153,9 @@ type Coordinator struct {
 	mSpecCancelled atomic.Int64
 	mFirstSent     atomic.Int64
 	mFirstAcked    atomic.Int64
+	mBoardSyncs    atomic.Int64
+	mBoardRx       atomic.Int64
+	mBoardTx       atomic.Int64
 }
 
 // newFleetClient is the coordinator's default HTTP client: one shared
@@ -233,8 +223,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		epoch:           fmt.Sprintf("c%08x", rand.Uint32()),
 		hbInterval:      hbInterval,
 		recoverAttempts: recoverAttempts,
-		boards:          newBoardHub(cfg.BoardAddr, cfg.BoardAdvertise),
-		boardSyncMS:     max(cfg.BoardSync.Milliseconds(), 1),
+		boardSync:       cfg.BoardSync,
 		speculate:       cfg.Speculate,
 		specThreshold:   specThreshold,
 		specAfter:       specAfter,
@@ -330,16 +319,16 @@ func (c *Coordinator) sweep() {
 	wg.Wait()
 }
 
-// BoardTraffic reports the cumulative exchange-board sync body bytes
-// moved each way — the board-sync bytes metric the telemetry sampler
-// records.
+// BoardTraffic reports the cumulative body bytes of the exchange
+// relay: rx the replies it read, tx the requests it sent — the
+// board bytes metrics the telemetry sampler records.
 func (c *Coordinator) BoardTraffic() (rx, tx int64) {
-	return c.boards.traffic()
+	return c.mBoardRx.Load(), c.mBoardTx.Load()
 }
 
-// BoardHTTPSyncs reports how many board sync POSTs the hub has served.
+// BoardHTTPSyncs reports how many relay calls the coordinator has made.
 func (c *Coordinator) BoardHTTPSyncs() int64 {
-	return c.boards.mHTTPSyncs.Load()
+	return c.mBoardSyncs.Load()
 }
 
 // Name identifies the backend in service logs and metrics.
@@ -400,17 +389,14 @@ func (c *Coordinator) BackendMetrics() map[string]int64 {
 	}
 }
 
-// Close releases the coordinator: the liveness monitor stops, the
-// exchange-board server shuts down (its absence degrades in-flight
-// dependent runs to independent walks — the scheme's designed failure
-// mode) and the fleet client's keep-alive connections are released when
-// the coordinator built the client itself; a caller-supplied Client
-// stays the caller's to close. Runs in flight keep their slot
-// reservations until they unwind.
+// Close releases the coordinator: the liveness monitor stops and the
+// fleet client's keep-alive connections are released when the
+// coordinator built the client itself; a caller-supplied Client stays
+// the caller's to close. Runs in flight keep their slot reservations
+// until they unwind.
 func (c *Coordinator) Close() {
 	c.monitorOnce.Do(func() { close(c.monitorStop) })
 	<-c.monitorDone
-	c.boards.close()
 	if c.ownsClient {
 		c.client.CloseIdleConnections()
 	}
@@ -469,6 +455,7 @@ type assignment struct {
 	reserved int
 	released bool // written under registry.mu, by the job's loop only
 	runID    string
+	held     uint64 // the jobBoard generation the copy holds (exchange jobs)
 }
 
 // shardOutcome is the terminal state of one shard request.
@@ -516,26 +503,18 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	start := time.Now()
 	jobID := fmt.Sprintf("%s-job%06d", c.epoch, c.seq.Add(1))
 
-	// Dependent jobs get a job-wide global board: every shard receives
-	// the same sync URL, so elite configurations flow between workers.
-	// The board lives exactly as long as the job — run() waits for all
-	// shard responses (including recovery rounds) before releasing it,
-	// so no shard ever syncs into a reassigned board.
-	var params shardParams
+	// A dependent job's best configuration lives in its loop, which
+	// relays it between the shards (jobBoard, fleetJob.relay).
+	var board *jobBoard
 	if job.Exchange.Enabled {
-		// The probe instance lets the board server verify every publish
-		// against the actual problem (see boardHub.handleSync); building
-		// it here also validates the job's problem/size coordinator-side.
+		// The probe verifies every claim a shard sends back (see
+		// jobBoard.merge); building it here also validates the job's
+		// problem/size coordinator-side.
 		probe, err := problems.NewWithParams(job.Problem, job.Size, job.Params)
 		if err != nil {
 			return multiwalk.Result{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
-		url, _, releaseBoard, err := c.boards.open(jobID, probe)
-		if err != nil {
-			return multiwalk.Result{}, err
-		}
-		defer releaseBoard()
-		params.boardURL, params.boardSyncMS = url, c.boardSyncMS
+		board = &jobBoard{probe: probe}
 	}
 
 	// Pre-cancelled caller: don't contact the fleet at all — report
@@ -564,7 +543,10 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 	reqCtx, hardCancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer hardCancel()
 	j := fleetJob{c: c, mode: mode, job: &job, reqCtx: reqCtx, hardCancel: hardCancel,
-		in: inbox{events: make(chan event), done: make(chan struct{})}, callerDone: ctx.Done()}
+		in: inbox{events: make(chan event), done: make(chan struct{})}, callerDone: ctx.Done(), board: board}
+	if board != nil {
+		j.relayTick = c.after(c.boardSync)
+	}
 	defer func() {
 		// Posts still in flight are dropped, and the backups still
 		// running give back their reservations (the hard cancel severs
@@ -574,7 +556,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 			c.releaseOne(b)
 		}
 	}()
-	params.deadline = deadlineMS(ctx)
+	params := shardParams{deadline: deadlineMS(ctx)}
 
 	// Straggler speculation reads the plan's progress from the workers,
 	// so its shard requests ask them to keep counters. Virtual mode is
@@ -669,9 +651,7 @@ func (c *Coordinator) run(ctx context.Context, mode string, job JobSpec) (multiw
 // job's own, shared by every shard dispatch (initial plan and recovery
 // rounds alike).
 type shardParams struct {
-	boardURL    string
-	boardSyncMS int64
-	deadline    int64
+	deadline int64
 	// progress marks a speculating round: its shards keep counters for
 	// the straggler detector to read.
 	progress bool
@@ -695,8 +675,6 @@ func shardRequest(mode string, job *JobSpec, a *assignment, p *shardParams) RunR
 		Engine:       job.Engine,
 		DeadlineMS:   p.deadline,
 		Exchange:     job.Exchange,
-		Board:        p.boardURL,
-		BoardSyncMS:  p.boardSyncMS,
 		Progress:     p.progress,
 	}
 }
@@ -717,11 +695,11 @@ func deadlineMS(ctx context.Context) int64 {
 }
 
 // fleetJob is one job's state while it runs: the current round's
-// slots, first-solution and cancellation state, the grace timer and the
-// straggler detector. One goroutine owns all of it, the caller's own in
-// run; every other goroutine of the job makes one HTTP call (a run, a
-// cancel or a progress read) and posts what it got, so nothing here is
-// locked.
+// slots, first-solution and cancellation state, the grace timer, the
+// straggler detector and an exchange job's relay. One goroutine owns
+// all of it, the caller's own in run; every other goroutine of the job
+// makes one HTTP call (a run, a cancel, a progress read or a relay
+// call) and posts what it got, so nothing here is locked.
 type fleetJob struct {
 	c          *Coordinator
 	mode       string
@@ -748,6 +726,13 @@ type fleetJob struct {
 	tick    <-chan time.Time
 	reads   int
 	backups []*assignment
+
+	// An exchange job's best (nil for an independent job), the relay's
+	// next tick, and how many of the last tick's relay calls are out.
+	// The relay spans the job's rounds.
+	board     *jobBoard
+	relayTick <-chan time.Time
+	relays    int
 }
 
 // event is what one HTTP call of a job found about copy from of slot.
@@ -757,6 +742,8 @@ type event struct {
 	from  *assignment
 	out   shardOutcome // evOutcome
 	iters int64        // evProgress
+	gen   uint64       // evRelay: the board generation the call delivered, 0 if it failed
+	reply BoardSync    // evRelay: the worker's answer
 }
 
 type eventKind uint8
@@ -765,6 +752,7 @@ const (
 	evOutcome        eventKind = iota // the copy's run call returned
 	evProgress                        // a read of the copy's progress returned
 	evLoserCancelled                  // the worker acked a speculation loser's cancel
+	evRelay                           // a relay call to the copy returned
 )
 
 // inbox is a job loop's event channel, and done, closed when run
@@ -812,6 +800,9 @@ func (j *fleetJob) round(plan []assignment, prefix string, p *shardParams) []spe
 			j.hardCancel()
 		case <-j.tick:
 			j.readProgress()
+		case <-j.relayTick:
+			j.relayTick = nil
+			j.relay()
 		}
 	}
 	j.tick = nil
@@ -832,6 +823,9 @@ func (j *fleetJob) launch(s *specSlot, a *assignment) {
 func (j *fleetJob) handle(ev event) {
 	c := j.c
 	switch ev.kind {
+	case evRelay:
+		j.relayed(ev)
+		return
 	case evProgress:
 		if j.params.progress {
 			ev.slot.seen = max(ev.slot.seen, ev.iters)

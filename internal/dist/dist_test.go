@@ -332,8 +332,8 @@ func TestDecodeRunRequestTypedErrors(t *testing.T) {
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"prob_select_loc_min":-1e-9}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"max_iterations":-1}}`,
 		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"check_every":-1}}`,
-		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true,"adopt_factor":0.5},"board":"http://b"}`,
-		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true},"board":"http://b","board_sync_ms":-1}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true,"adopt_factor":0.5}}`,
+		`{"id":"x","mode":"run","problem":"queens","total_walkers":1,"count":1,"exchange":{"enabled":true},"board_sync_ms":-1}`,
 		// Whatever follows the request is not ignored.
 		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1}{"problem":"queens"}`,
 		`{"id":"x","mode":"run","problem":"costas","size":8,"total_walkers":1,"count":1} trailing garbage`,
@@ -366,8 +366,10 @@ func TestDecodeRunRequestUnknownFields(t *testing.T) {
 		{`"board_stream":"127.0.0.1:5678"`, "board_stream"},
 		{`"board_job":"job000009"`, "board_job"},
 		{`"progress_stream":"127.0.0.1:5678"`, "progress_stream"},
-		{`"exchange":{"enabled":true,"period":64},"board":"http://b"`, "period"},
-		{`"exchange":{"enabled":true,"sync_ms":2},"board":"http://b"`, "sync_ms"},
+		{`"exchange":{"enabled":true,"period":64}`, "period"},
+		{`"exchange":{"enabled":true,"sync_ms":2}`, "sync_ms"},
+		{`"exchange":{"enabled":true},"board":"http://b"`, "board"},
+		{`"exchange":{"enabled":true},"board_sync_ms":2`, "board_sync_ms"},
 		{`"engine":{"max_iters":100}`, "max_iters"},
 		{`"portfolio":[{"weight":1,"engine":{}}]`, "portfolio"},
 	} {

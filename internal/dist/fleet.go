@@ -63,8 +63,8 @@ func workerBase(raw string) (string, error) {
 	if raw == "" {
 		return "", fmt.Errorf("%w: worker url required", ErrBadRequest)
 	}
-	if len(raw) > maxBoardURL {
-		return "", fmt.Errorf("%w: worker url exceeds %d bytes", ErrBadRequest, maxBoardURL)
+	if len(raw) > maxWorkerURL {
+		return "", fmt.Errorf("%w: worker url exceeds %d bytes", ErrBadRequest, maxWorkerURL)
 	}
 	u, err := url.Parse(raw)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {

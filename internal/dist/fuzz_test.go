@@ -29,7 +29,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"id":"a","mode":"virtual","problem":"costas","size":9,"seed":7,"total_walkers":8,"count":8,"portfolio":[{"weight":2,"engine":{"strategy":"adaptive"}},{"engine":{"strategy":"metropolis"}}]}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":1,"count":1,"engine":{"reset_fraction":1e308}}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":9007199254740993,"count":1}`))
-	f.Add([]byte(`{"id":"a","mode":"run","problem":"costas","total_walkers":2,"count":1,"engine":{"prob_select_loc_min":0.5,"initial_config":[1,0]},"exchange":{"enabled":true,"period_iters":64,"adopt_factor":1.5},"board":"http://b","board_sync_ms":2}`))
+	f.Add([]byte(`{"id":"a","mode":"run","problem":"costas","total_walkers":2,"count":1,"engine":{"prob_select_loc_min":0.5,"initial_config":[1,0]},"exchange":{"enabled":true,"period_iters":64,"adopt_factor":1.5}}`))
 	f.Add([]byte(`{"id":"a","mode":"virtual","problem":"queens","total_walkers":4,"start":4611686018427387904,"count":4611686018427387904}`))
 	f.Add([]byte(`{"id":"a","mode":"run","problem":"queens","total_walkers":1,"count":1,"board_stream":"127.0.0.1:1"}`))
 	// Data after the request: rejected.
@@ -81,7 +81,7 @@ func FuzzRunRequestJSON(f *testing.F) {
 		f.Add([]byte(body), "")
 	}
 	f.Add([]byte(`{}`), "\u2028\xff<&>\"\\\x01\x7f")
-	f.Add([]byte(`{"id":"a","mode":"run","problem":"timetable","size":20,"params":{"slots":6,"rooms":4,"teachers":4},"seed":18446744073709551615,"total_walkers":2,"start":1,"count":1,"engine":{"max_iterations":4000,"max_runs":-1,"freeze_loc_min":1,"freeze_swap":0,"reset_limit":3,"reset_fraction":5e-324,"prob_select_loc_min":-0,"strategy":"adaptive","first_best":true,"exhaustive":false,"initial_config":[],"check_every":64},"deadline_ms":9,"board":"http://b","board_sync_ms":2,"progress":false}`), "")
+	f.Add([]byte(`{"id":"a","mode":"run","problem":"timetable","size":20,"params":{"slots":6,"rooms":4,"teachers":4},"seed":18446744073709551615,"total_walkers":2,"start":1,"count":1,"engine":{"max_iterations":4000,"max_runs":-1,"freeze_loc_min":1,"freeze_swap":0,"reset_limit":3,"reset_fraction":5e-324,"prob_select_loc_min":-0,"strategy":"adaptive","first_best":true,"exhaustive":false,"initial_config":[],"check_every":64},"deadline_ms":9,"progress":false}`), "")
 	f.Add([]byte(` {"id" : "a", "params":{}, "engine":{ "reset_fraction":1E+2, "initial_config":[ 1 , 0 ] } }`+"\n"), "")
 	// Shapes left to the strict decoder.
 	for _, body := range []string{
@@ -134,7 +134,6 @@ func FuzzRunRequestJSON(f *testing.F) {
 			req.ID += s
 			req.Problem = s
 			req.Engine.Strategy = s
-			req.Board = s
 			if req.Params == nil {
 				req.Params = make(map[string]int)
 			}
@@ -179,20 +178,17 @@ func TestRunRequestAppendDeclines(t *testing.T) {
 	}
 }
 
-// plainRunResponse and plainCancelAck are the replies without their
-// fast readers: json.Unmarshal reads them by reflection.
-type (
-	plainRunResponse RunResponse
-	plainCancelAck   cancelAck
-)
+// plainRunResponse is the reply without its fast reader: json.Unmarshal
+// reads it by reflection.
+type plainRunResponse RunResponse
 
-// FuzzRunResponseJSON: RunResponse.ReadJSON and cancelAck.ReadJSON
-// either refuse a reply and leave the value as it was, or read it to
+// FuzzRunResponseJSON: RunResponse.ReadJSON either refuses a reply and
+// leaves the value as it was, or reads it to
 // what json.Unmarshal, httpjson.Call's lenient fallback, makes of it;
 // and runReply.AppendJSON writes, for the shard result of any reply
 // Unmarshal reads, the bytes json.Marshal writes for its wire copy.
 // Unmarshal skips an unknown key and matches a case-folded one, so the
-// readers must refuse both rather than read them another way. A reply
+// reader must refuse both rather than read them another way. A reply
 // as a worker writes it, json.Marshal's bytes for whatever Unmarshal
 // made of the input, the reader must take.
 func FuzzRunResponseJSON(f *testing.F) {
@@ -265,19 +261,6 @@ func FuzzRunResponseJSON(f *testing.F) {
 			if got := (*runReply)(&res).AppendJSON(nil); !bytes.Equal(got, want) {
 				t.Fatalf("AppendJSON\n%s\njson.Marshal(wireResult)\n%s", got, want)
 			}
-		}
-
-		ack := cancelAck{Cancelled: true}
-		if ack.ReadJSON(data) {
-			var plain plainCancelAck
-			if err := json.Unmarshal(data, &plain); err != nil {
-				t.Fatalf("fast reader took ack %q, json.Unmarshal refuses it: %v", data, err)
-			}
-			if cancelAck(plain) != ack {
-				t.Fatalf("%q: fast reader %+v, json.Unmarshal %+v", data, ack, plain)
-			}
-		} else if !ack.Cancelled {
-			t.Fatalf("%q: refused, but the ack became %+v", data, ack)
 		}
 	})
 }

@@ -67,8 +67,8 @@ func hold(r *http.Request, ch <-chan struct{}) error {
 }
 
 // fleetCall names a fleet request for a hook: its kind ("run",
-// "cancel" or "progress"; empty for a probe), the worker host it goes
-// to, and the run id it concerns.
+// "cancel", "board" or "progress"; empty for a probe), the worker host
+// it goes to, and the run id it concerns.
 func fleetCall(r *http.Request) (kind, host, id string) {
 	host = r.URL.Host
 	rest, perRun := strings.CutPrefix(r.URL.Path, "/v1/runs/")
@@ -83,6 +83,8 @@ func fleetCall(r *http.Request) (kind, host, id string) {
 		return "run", host, req.ID
 	case perRun && strings.HasSuffix(rest, "/cancel"):
 		return "cancel", host, strings.TrimSuffix(rest, "/cancel")
+	case perRun && strings.HasSuffix(rest, "/board"):
+		return "board", host, strings.TrimSuffix(rest, "/board")
 	case perRun:
 		return "progress", host, rest
 	}
@@ -167,10 +169,10 @@ func fakeClock(coord *Coordinator) <-chan armedTimer {
 
 // ticksNow makes coord's straggler detector tick the moment it arms a
 // tick, instead of after SpeculateAfter or SpeculateInterval; the grace
-// timer keeps real time.
+// timer and an exchange job's relay keep real time.
 func ticksNow(coord *Coordinator) {
 	coord.after = func(d time.Duration) <-chan time.Time {
-		if d == cancelGrace {
+		if d == cancelGrace || d == coord.boardSync {
 			return time.After(d)
 		}
 		now := make(chan time.Time, 1)

@@ -71,12 +71,12 @@ const (
 	maxProblemParams  = 256
 	maxInitialConfig  = 1 << 20
 	maxRequestBodyLen = 8 << 20
-	maxBoardURL       = 4096
+	maxWorkerURL      = 4096
 	// maxBoardSyncLen must hold one configuration of any instance the
 	// registry builds (at most 1<<20 variables, magic-square's at its
 	// MaxSize, up to ~8 JSON bytes per value) —
 	// otherwise large exchange jobs would silently degrade to
-	// independent walks with every sync rejected at the cap.
+	// independent walks with every relay call refused at the cap.
 	maxBoardSyncLen = 16 << 20
 )
 
@@ -119,20 +119,11 @@ type RunRequest struct {
 	// slots forever. 0 means no worker-side deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Exchange, when Enabled, runs the shard's walkers in the dependent
-	// (communicating) multi-walk scheme against the job-wide global
-	// board at Board. Requires ModeRun: the virtual mode's sequential
-	// sweeps have no concurrent peers to cooperate with.
+	// (communicating) multi-walk scheme on a board of the run's own,
+	// which the coordinator relays the job's best through
+	// (POST /v1/runs/{id}/board). Requires ModeRun: the virtual mode's
+	// sequential sweeps have no concurrent peers to cooperate with.
 	Exchange multiwalk.ExchangeOptions `json:"exchange,omitzero"`
-	// Board is the coordinator-hosted global board endpoint for the job
-	// (combined publish-and-fetch, POST BoardSync). Required when
-	// Exchange is enabled; every shard of one job receives the same URL.
-	Board string `json:"board,omitempty"`
-	// BoardSyncMS is the worker cache's board sync period in
-	// milliseconds — how often the write-through cache reconciles with
-	// the global board. The coordinator always sets it on an exchange
-	// shard (CoordinatorConfig.BoardSync); 0 selects 50ms. The hot loop
-	// never waits on this: walkers always read and write the local cache.
-	BoardSyncMS int64 `json:"board_sync_ms,omitempty"`
 	// Progress asks the worker to keep per-walker iteration counters for
 	// the run and answer them on GET /v1/runs/{id} (RunProgress), so
 	// the coordinator's straggler detector can compare shards. The
@@ -149,24 +140,18 @@ type RunProgress struct {
 	Best    int64 `json:"best"`
 }
 
-// BoardSync is one combined publish-and-fetch exchange against a job's
-// global board: the request carries the caller's current best (Valid
-// false when it has none yet), the response the global best after the
-// merge. One round trip per sync period is the scheme's entire network
-// footprint — the paper's minimal-data-transfer goal, kept across
-// process boundaries.
-// Gen is the board's generation counter: the hub bumps it on every
-// accepted improvement and stamps responses with it. A request whose
-// Gen matches the hub's current generation receives a compact
-// "unchanged" answer (Valid false, no Cfg, same Gen) instead of a
-// re-sent configuration; peers that never set Gen (older workers)
-// always get the full response, so the field is purely an
-// optimization.
+// BoardSync is one relay call of an exchange job, both ways
+// (POST /v1/runs/{id}/board). The coordinator sends the job's best cost
+// (Valid false while it has none), with its configuration only when the
+// copy has not been sent it yet. The worker answers with its run's best
+// only when that beats the cost it was sent, and with Valid false
+// otherwise. A configuration crosses the hop only when it improves on
+// what the receiving side holds — the paper's minimal-data-transfer
+// goal, kept across process boundaries.
 type BoardSync struct {
-	Valid bool   `json:"valid"`
-	Cost  int    `json:"cost,omitempty"`
-	Gen   uint64 `json:"gen,omitempty"`
-	Cfg   []int  `json:"cfg,omitempty"`
+	Valid bool  `json:"valid"`
+	Cost  int   `json:"cost,omitempty"`
+	Cfg   []int `json:"cfg,omitempty"`
 }
 
 // WalkerStatWire is the wire form of multiwalk.WalkerStat. Walker is
@@ -236,7 +221,7 @@ func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 }
 
 // Validate checks what only the protocol knows — ids, mode, the problem
-// registry and its size caps, the shard arithmetic, counts and URLs —
+// registry and its size caps, the shard arithmetic and counts —
 // and hands the engine options and exchange tuning to their own
 // validators (core.Options.Validate, multiwalk.ExchangeOptions.Validate).
 // Errors wrap ErrBadRequest.
@@ -277,15 +262,6 @@ func (req *RunRequest) Validate() error {
 		if req.Mode != ModeRun {
 			return fmt.Errorf("%w: exchange requires mode %q (virtual sweeps have no concurrent peers)", ErrBadRequest, ModeRun)
 		}
-		if req.Board == "" {
-			return fmt.Errorf("%w: exchange enabled without a board URL", ErrBadRequest)
-		}
-	}
-	if req.BoardSyncMS < 0 {
-		return fmt.Errorf("%w: negative board_sync_ms", ErrBadRequest)
-	}
-	if len(req.Board) > maxBoardURL {
-		return fmt.Errorf("%w: board URL of %d bytes exceeds %d", ErrBadRequest, len(req.Board), maxBoardURL)
 	}
 	if len(req.Engine.InitialConfig) > maxInitialConfig {
 		return fmt.Errorf("%w: engine: initial_config of %d variables exceeds %d", ErrBadRequest, len(req.Engine.InitialConfig), maxInitialConfig)

@@ -43,11 +43,7 @@ func wireFormatCases(t *testing.T) map[string]RunRequest {
 		"exchange": shardRequest(ModeRun,
 			&JobSpec{Problem: "magic-square", Size: 6, Walkers: 2, Seed: 11, Engine: tunedEngine(t, "magic-square", 6),
 				Exchange: multiwalk.ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 1.5, PerturbSwaps: 3}},
-			shard("job000004-s0", 0, 1), &shardParams{
-				boardURL:    "http://127.0.0.1:9190/v1/runs/" + epoch + "-job000004/board",
-				boardSyncMS: 2,
-				deadline:    60000,
-			}),
+			shard("job000004-s0", 0, 1), &shardParams{deadline: 60000}),
 		"speculating": shardRequest(ModeRun,
 			&JobSpec{Problem: "costas", Size: 14, Walkers: 4, Seed: 13, Engine: tunedEngine(t, "costas", 14)},
 			shard("job000005-s1", 2, 2), &shardParams{
@@ -269,12 +265,12 @@ func responseWireReplies(t *testing.T) map[string]*httptest.ResponseRecorder {
 	// A speculating run's counters, as its walkers' Progress hook leaves
 	// them: walkers 2 and 3 under way, walker 4 not started yet.
 	const specRun = "c0000abcd-job000005-s1"
-	release, cells, err := wk.reserve(&RunRequest{ID: specRun, Mode: ModeRun, Start: 2, Count: 3, Progress: true}, func() {})
+	release, run, err := wk.reserve(&RunRequest{ID: specRun, Mode: ModeRun, Start: 2, Count: 3, Progress: true}, func() {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range []int64{3_120, 4, 2_988, 2} {
-		cells[i].Store(v)
+		run.cells[i].Store(v)
 	}
 	out["progress"] = serve(http.MethodGet, "/v1/runs/"+specRun, "")
 	release()
@@ -348,11 +344,6 @@ func TestRunResponseWireFormat(t *testing.T) {
 		var fast RunResponse
 		if !fast.ReadJSON([]byte(pinned[name].Body)) || !reflect.DeepEqual(fast, decoded) {
 			t.Errorf("%s: the fast reader reads the pinned body as\n%+v\nwant\n%+v", name, fast, decoded)
-		}
-	}
-	for name, want := range map[string]cancelAck{"cancel-live": {Cancelled: true}, "cancel-not-live": {}} {
-		if ack := (cancelAck{Cancelled: !want.Cancelled}); !ack.ReadJSON([]byte(pinned[name].Body)) || ack != want {
-			t.Errorf("%s: the fast reader reads the pinned ack as %+v, want %+v", name, ack, want)
 		}
 	}
 	// Two walkers under way, the lower cost of the two.

@@ -31,25 +31,13 @@ type WorkerConfig struct {
 	TelemetryInterval time.Duration
 }
 
-// newBoardClient is the worker's board sync client: board traffic goes
-// to a single coordinator host at a steady cadence, so a few kept-alive
-// connections replace the per-tick churn of the zero-value client (each
-// sync is bounded by its own timeout, so no global one is set).
-func newBoardClient() *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		Proxy:               http.ProxyFromEnvironment,
-		MaxIdleConns:        8,
-		MaxIdleConnsPerHost: 4,
-		IdleConnTimeout:     90 * time.Second,
-	}}
-}
-
 // Worker executes shard runs on behalf of a coordinator. Expose it
 // over HTTP with Handler (cmd/worker does exactly that):
 //
 //	POST /v1/run              run a walker shard, respond with its stats
 //	GET  /v1/runs/{id}        an in-flight run's progress (RunProgress)
 //	POST /v1/runs/{id}/cancel cancel an in-flight shard run
+//	POST /v1/runs/{id}/board  relay an exchange run's best (BoardSync)
 //	GET  /healthz             liveness + slot capacity and usage
 //
 // A run request blocks until the shard finishes (or is cancelled) and
@@ -57,11 +45,12 @@ func newBoardClient() *http.Client {
 // through the cancel endpoint (first-solution termination — the shard
 // still reports its partial stats) or by the coordinator dropping the
 // connection (orphan protection — the request context aborts the run).
+// A Worker only answers calls and makes none; registration with a
+// coordinator, when wanted, is a FleetAgent's.
 type Worker struct {
-	slots       int
-	boardClient *http.Client
-	telem       *telemetry.Recorder
-	telemEvery  time.Duration
+	slots      int
+	telem      *telemetry.Recorder
+	telemEvery time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -90,15 +79,17 @@ type Worker struct {
 // fleet's concurrent shard count per worker.
 const earlyCancels = 256
 
-// workerRun is one registered run: the cancel a cancel RPC calls and,
+// workerRun is one registered run: the cancel a cancel RPC calls;
 // when the request asked for progress or telemetry is on, the run's
 // counters — an (iterations, cost) atomic pair per walker, written by
 // the run's Progress hook and read by GET /v1/runs/{id} and the FTDC
-// sampler.
+// sampler; and an exchange run's board, which its walkers share and the
+// coordinator's relay calls read and publish into.
 type workerRun struct {
 	cancel context.CancelFunc
 	start  int
 	cells  []atomic.Int64 // 2 per walker: iterations, cost; nil when nobody reads them
+	board  multiwalk.Board
 }
 
 // NewWorker creates a worker with the given slot capacity.
@@ -111,13 +102,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	wk := &Worker{
-		slots:       cfg.Slots,
-		boardClient: newBoardClient(),
-		telem:       cfg.Telemetry,
-		telemEvery:  cfg.TelemetryInterval,
-		ctx:         ctx,
-		cancel:      cancel,
-		runs:        make(map[string]workerRun),
+		slots:      cfg.Slots,
+		telem:      cfg.Telemetry,
+		telemEvery: cfg.TelemetryInterval,
+		ctx:        ctx,
+		cancel:     cancel,
+		runs:       make(map[string]workerRun),
 	}
 	if wk.telem != nil {
 		go wk.sampleTelemetry()
@@ -136,15 +126,13 @@ func (wk *Worker) Busy() int {
 }
 
 // Close cancels every in-flight run and waits for them to unwind. New
-// runs are rejected afterwards, and the board client's keep-alive
-// connections are released.
+// runs are rejected afterwards.
 func (wk *Worker) Close() {
 	wk.mu.Lock()
 	wk.closed = true
 	wk.mu.Unlock()
 	wk.cancel()
 	wk.wg.Wait()
-	wk.boardClient.CloseIdleConnections()
 }
 
 // sampleTelemetry is the worker's FTDC sampler: one row per interval
@@ -189,6 +177,7 @@ func (wk *Worker) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/run", wk.handleRun)
 	mux.HandleFunc("GET /v1/runs/{id}", wk.handleProgress)
 	mux.HandleFunc("POST /v1/runs/{id}/cancel", wk.handleCancel)
+	mux.HandleFunc("POST /v1/runs/{id}/board", wk.handleBoard)
 	mux.HandleFunc("GET /healthz", wk.handleHealth)
 	return mux
 }
@@ -199,28 +188,33 @@ func (wk *Worker) Handler() http.Handler {
 // its walkers sequentially on one core regardless of the shard size.
 // The run's counters are built here when someone will read them — the
 // request asked for progress, or telemetry is on — and are nil
-// otherwise, so the Progress hook costs nothing.
-func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release func(), cells []atomic.Int64, err error) {
+// otherwise, so the Progress hook costs nothing. An exchange run's
+// board is built here too.
+func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release func(), run workerRun, err error) {
 	need := req.Count
 	if req.Mode == ModeVirtual {
 		need = 1
 	}
+	run = workerRun{cancel: cancel, start: req.Start}
 	if req.Progress || wk.telem != nil {
-		cells = make([]atomic.Int64, 2*req.Count)
+		run.cells = make([]atomic.Int64, 2*req.Count)
+	}
+	if req.Exchange.Enabled {
+		run.board = multiwalk.NewLocalBoard()
 	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	if wk.closed {
-		return nil, nil, errors.New("dist: worker shutting down")
+		return nil, workerRun{}, errors.New("dist: worker shutting down")
 	}
 	if _, dup := wk.runs[req.ID]; dup {
-		return nil, nil, fmt.Errorf("%w: duplicate run id %q", ErrBadRequest, req.ID)
+		return nil, workerRun{}, fmt.Errorf("%w: duplicate run id %q", ErrBadRequest, req.ID)
 	}
 	if wk.busy+need > wk.slots {
-		return nil, nil, fmt.Errorf("%w: %d slots requested, %d of %d free", ErrBusy, need, wk.slots-wk.busy, wk.slots)
+		return nil, workerRun{}, fmt.Errorf("%w: %d slots requested, %d of %d free", ErrBusy, need, wk.slots-wk.busy, wk.slots)
 	}
 	wk.busy += need
-	wk.runs[req.ID] = workerRun{cancel: cancel, start: req.Start, cells: cells}
+	wk.runs[req.ID] = run
 	wk.wg.Add(1)
 	id := req.ID
 	for k := range wk.early {
@@ -240,7 +234,7 @@ func (wk *Worker) reserve(req *RunRequest, cancel context.CancelFunc) (release f
 		delete(wk.runs, id)
 		wk.mu.Unlock()
 		wk.wg.Done()
-	}, cells, nil
+	}, run, nil
 }
 
 // handleRun executes one shard run and answers with its statistics.
@@ -268,7 +262,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	stop := context.AfterFunc(wk.ctx, cancel)
 	defer stop()
 
-	release, cells, err := wk.reserve(&req, cancel)
+	release, run, err := wk.reserve(&req, cancel)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -282,16 +276,20 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}
+	// A dependent run's walkers share the run's board; the coordinator
+	// relays the job's best into it and reads the shard's out.
 	opts := multiwalk.Options{
-		Walkers: req.Count,
-		Seed:    req.Seed,
-		Engine:  req.Engine,
-		Shard:   &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
+		Walkers:  req.Count,
+		Seed:     req.Seed,
+		Engine:   req.Engine,
+		Shard:    &multiwalk.Shard{Start: req.Start, Total: req.TotalWalkers},
+		Exchange: req.Exchange,
+		Board:    run.board,
 	}
 	// One set of per-walker (iteration, cost) cells feeds both consumers
 	// that want live counters: the FTDC sampler and the coordinator's
 	// straggler detector, which reads them with GET /v1/runs/{id}.
-	if cells != nil {
+	if cells := run.cells; cells != nil {
 		start := req.Start
 		opts.Progress = func(walker int, iter int64, cost int) {
 			i := walker - start
@@ -303,29 +301,11 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Dependent runs cooperate through a write-through cache of the
-	// coordinator's global board: walkers touch only local memory, the
-	// cache syncs in the background, and the final stop() flush pushes
-	// a late win to the board before the shard answers — while the
-	// coordinator still holds the board open (it waits for every shard
-	// response before releasing it).
-	var board *remoteBoard
-	if req.Exchange.Enabled {
-		opts.Exchange = req.Exchange
-		board = newRemoteBoard(req.Board, wk.boardClient, time.Duration(req.BoardSyncMS)*time.Millisecond)
-		board.start(runCtx)
-		defer board.stop() // idempotent backstop for early returns
-		opts.Board = board
-	}
-
 	var res multiwalk.Result
 	if req.Mode == ModeVirtual {
 		res, err = multiwalk.RunVirtual(runCtx, multiwalk.Factory(factory), opts)
 	} else {
 		res, err = multiwalk.Run(runCtx, multiwalk.Factory(factory), opts)
-	}
-	if board != nil {
-		board.stop()
 	}
 	if err != nil {
 		// Deep option validation failed (multiwalk/core reject) — the

@@ -15,12 +15,13 @@ import (
 // interesting crossroads as restart points.
 //
 // Run creates a private in-process board per exchange-enabled run;
-// Options.Board overrides it with an external implementation, which is
-// how the scheme crosses process boundaries: internal/dist hands each
-// worker a write-through cache of a coordinator-hosted global board, so
-// walkers on different machines share one elite pool while the hot loop
-// only ever touches process-local memory. Implementations must be safe
-// for concurrent use by all walkers of a run.
+// Options.Board hands it one made elsewhere, which is how the scheme
+// crosses process boundaries: an internal/dist worker gives each
+// exchange shard a board of its own, and the coordinator relays the
+// job's best between those boards, so walkers on different machines
+// share one elite pool while the hot loop only ever touches
+// process-local memory. Implementations must be safe for concurrent use
+// by all walkers of a run.
 type Board interface {
 	// Publish offers a (cost, cfg) pair; the board keeps it if it
 	// improves on the current best. The configuration is copied, so
@@ -41,8 +42,8 @@ type localBoard struct {
 }
 
 // NewLocalBoard returns the in-process Board implementation. Run
-// creates one automatically for exchange-enabled runs; external
-// executors reuse it as the coordinator-side global board.
+// creates one automatically for exchange-enabled runs; an internal/dist
+// worker creates one per exchange shard and hands it to Run.
 func NewLocalBoard() Board {
 	return &localBoard{}
 }
@@ -62,16 +63,6 @@ func (b *localBoard) Publish(cost int, cfg []int) {
 		copy(b.bestCfg, cfg)
 		b.valid = true
 	}
-}
-
-// Best returns the current best cost without copying the
-// configuration — the cheap read the dist layer's dirty-flag sync uses
-// to classify a Publish as an improvement before paying for a
-// Snapshot. The second return is false while the board is empty.
-func (b *localBoard) Best() (int, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.bestCost, b.valid
 }
 
 // Snapshot implements Board.

@@ -90,11 +90,12 @@ type Options struct {
 	// Board, when non-nil, supplies the exchange scheme's shared elite
 	// board in place of the run's private in-process one. This is the
 	// seam that lifts the dependent scheme across process boundaries:
-	// internal/dist passes each worker shard a write-through cache of
-	// the coordinator-hosted global board, so publishes and snapshots
-	// stay in-memory on the hot path and only the cache's background
-	// sync touches the network. Setting Board requires Exchange.Enabled
-	// and is mandatory for sharded exchange runs.
+	// an internal/dist worker passes each exchange shard a board of the
+	// run's own, which the coordinator's relay calls publish the job's
+	// best into and read the shard's best out of, so publishes and
+	// snapshots stay in-memory on the hot path and no walker touches
+	// the network. Setting Board requires Exchange.Enabled and is
+	// mandatory for sharded exchange runs.
 	Board Board
 
 	// Progress, when non-nil, is invoked from each walker every

@@ -96,8 +96,8 @@ type Request struct {
 	// Exchange, when non-nil and Enabled, runs the job in the dependent
 	// (communicating) multi-walk scheme: walkers publish their best to
 	// a shared elite board and laggards teleport to perturbed elites.
-	// On a distributed backend the board is coordinator-hosted and
-	// cooperation crosses worker processes. Dependent runs are
+	// On a distributed backend the coordinator relays the best between
+	// the workers' boards, so cooperation crosses worker processes. Dependent runs are
 	// timing-dependent; independent jobs (the default) keep their
 	// bit-for-bit reproducibility.
 	// The zero value of each tuning field selects the multiwalk default
