@@ -33,7 +33,8 @@ type MultiWalkOptions = multiwalk.Options
 // MultiWalkResult aggregates a parallel multi-walk run.
 type MultiWalkResult = multiwalk.Result
 
-// ProblemFactory builds fresh problem instances, one per walker.
+// ProblemFactory hands out problem instances, one per walker, and
+// takes back those of finished walkers (core.Factory).
 type ProblemFactory = multiwalk.Factory
 
 // Model is the declarative CSP builder: add constraints over a
@@ -79,15 +80,12 @@ func NewProblem(name string, size int) (Problem, error) {
 // registered benchmark, for SolveParallel. The spec is built once per
 // process, to validate name and size (and, finite-domain, reduced: a
 // model proven unsatisfiable is this constructor's ErrUnsatisfiable),
-// and every call returns an instance nobody else holds: a clone of that
-// model where the benchmark can share it, a fresh construction where it
+// and every call returns an instance nobody else holds: one a finished
+// walker handed back or, when there is none, a clone of that model
+// where the benchmark can share it and a fresh construction where it
 // cannot.
 func NewProblemFactory(name string, size int) (ProblemFactory, error) {
-	f, err := problems.NewFactory(name, size)
-	if err != nil {
-		return nil, err
-	}
-	return ProblemFactory(f), nil
+	return problems.NewFactory(name, size)
 }
 
 // NewProblemWithParams constructs a registered benchmark with
@@ -101,11 +99,7 @@ func NewProblemWithParams(name string, size int, params map[string]int) (Problem
 
 // NewProblemFactoryParams is the factory form of NewProblemWithParams.
 func NewProblemFactoryParams(name string, size int, params map[string]int) (ProblemFactory, error) {
-	f, err := problems.NewFactoryParams(name, size, params)
-	if err != nil {
-		return nil, err
-	}
-	return ProblemFactory(f), nil
+	return problems.NewFactoryParams(name, size, params)
 }
 
 // Benchmarks lists the registered benchmark names.

@@ -111,19 +111,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer cancel()
 
 	// One resolve builds (and, finite-domain, reduces) the instance
-	// once; p, the sequential walk's instance, is also what the
-	// solution is printed against.
+	// once; every instance below comes from its factory.
 	opts, factory, err := resolve(c.problem, c.size, c.params)
-	if err != nil {
-		return err
-	}
-	p, err := factory()
 	if err != nil {
 		return err
 	}
 	opts.Seed = c.seed
 
 	if c.walkers <= 1 {
+		p, err := factory.New()
+		if err != nil {
+			return err
+		}
 		res, err := core.Solve(ctx, p, opts)
 		if err != nil {
 			return err
@@ -145,6 +144,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		res, err = multiwalk.Run(ctx, factory, mopts)
 	}
+	if err != nil {
+		return err
+	}
+	// What the solution is printed against: taken once the walkers have
+	// handed theirs back, so it is one of theirs, not one more built.
+	p, err := factory.New()
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,7 @@ package main
 import (
 	"io"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -46,39 +46,62 @@ func TestRejectedCombinations(t *testing.T) {
 }
 
 // TestRunResolvesOnce: a run resolves its spec once and takes every
-// instance from that one factory — the one it searches on sequentially,
-// or prints a multi-walk solution against, and one per walker. It used
-// to build a probe beside the factory, so a timetable was constructed
-// and reduced twice.
+// instance from that one factory: the one it searches on sequentially,
+// or one per walker, the multi-walk solution being printed against an
+// instance taken once the walkers have handed theirs back. It used to
+// build a probe beside the factory, so a timetable was constructed and
+// reduced twice, and then to take the printing instance before the
+// walkers started, so a multi-walk run built one instance more than it
+// had walkers. The factory here keeps its own free list, so what it
+// counts does not depend on when a GC empties the spec's.
 func TestRunResolvesOnce(t *testing.T) {
 	defer func(r func(string, int, map[string]int) (core.Options, problems.Factory, error)) { resolve = r }(resolve)
-	var resolves int
-	var instances atomic.Int64 // multiwalk.Run calls the factory from its walkers' goroutines
+	var (
+		resolves int
+		mu       sync.Mutex // multiwalk.Run calls the factory from its walkers' goroutines
+		free     []core.Problem
+		built    int // instances the spec's factory handed out
+		late     int // instances taken since the last one handed back
+	)
 	resolve = func(name string, size int, params map[string]int) (core.Options, problems.Factory, error) {
 		resolves++
 		opts, factory, err := problems.Resolve(name, size, params)
-		return opts, func() (core.Problem, error) {
-			instances.Add(1)
-			return factory()
+		return opts, func(done ...core.Problem) (core.Problem, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if len(done) > 0 {
+				free, late = append(free, done...), 0
+				return nil, nil
+			}
+			late++
+			if k := len(free); k > 0 {
+				p := free[k-1]
+				free = free[:k-1]
+				return p, nil
+			}
+			built++
+			return factory.New()
 		}, err
 	}
 	spec := []string{"-problem", "timetable", "-size", "20", "-param", "slots=6", "-param", "rooms=4", "-param", "teachers=4", "-seed", "3"}
 	for _, tc := range []struct {
-		args      []string
-		instances int64
+		args    []string
+		walkers int
 	}{
 		{nil, 1},
-		{[]string{"-walkers", "2", "-virtual"}, 3},
-		{[]string{"-walkers", "3"}, 4},
+		{[]string{"-walkers", "2", "-virtual"}, 2},
+		{[]string{"-walkers", "3"}, 3},
 	} {
-		resolves = 0
-		instances.Store(0)
+		resolves, free, built, late = 0, nil, 0, 0
 		var out strings.Builder
 		if err := run(append(tc.args, spec...), &out, io.Discard); err != nil {
 			t.Fatalf("run %q: %v\n%s", tc.args, err, out.String())
 		}
-		if n := instances.Load(); resolves != 1 || n > tc.instances {
-			t.Errorf("run %q resolved %d times and took %d instances, want 1 and at most %d", tc.args, resolves, n, tc.instances)
+		if resolves != 1 || built > tc.walkers {
+			t.Errorf("run %q resolved %d times and built %d instances, want 1 and at most %d", tc.args, resolves, built, tc.walkers)
+		}
+		if tc.walkers > 1 && late != 1 {
+			t.Errorf("run %q took %d instances after its walkers handed theirs back, want 1: the one its solution is printed against", tc.args, late)
 		}
 		if !strings.Contains(out.String(), "SOLVED") {
 			t.Errorf("run %q printed no solution:\n%s", tc.args, out.String())

@@ -33,8 +33,12 @@ package core
 // Contract:
 //   - Cost fully recomputes the global error of cfg and, for problems
 //     that keep incremental state (cached row sums, difference tables,
-//     ...), rebuilds that state from scratch. Cost must return 0 if and
-//     only if cfg is a solution.
+//     ...), rebuilds that state from scratch: every piece of state the
+//     other methods read, so that nothing an earlier search left behind
+//     survives it. The engine calls Cost before its first step, which is
+//     what lets a Factory hand a finished walker's instance to the next
+//     one (Factory). Cost must return 0 if and only if cfg is a
+//     solution.
 //   - CostOnVariable returns the error projected onto variable i under
 //     the current configuration. It must be consistent with Cost in the
 //     weak sense required by Adaptive Search: variables involved in
@@ -90,4 +94,36 @@ type PermProblem interface {
 // always authoritative.
 type Tuner interface {
 	Tune(o *Options)
+}
+
+// Factory hands out the instances of one problem, one per walker, and
+// takes back the ones walkers are done with. Encodings keep incremental
+// state, so two walkers never hold one instance at the same time.
+//
+// A Factory is one function with two uses. New — f called with no
+// argument — returns an instance nobody else holds: one taken back
+// earlier, or a fresh one. Recycle — f called with the instances — takes
+// them back and returns nil, nil. A walker recycles its instance once
+// Solve has returned normally, and never one that a panic or an error
+// left behind; whoever recycles an instance stops using it and hands
+// back only what this Factory handed out. A recycled instance searches
+// exactly as a fresh one, because Cost rebuilds every piece of state
+// the other methods read (Problem) and runs before the first step.
+type Factory func(done ...Problem) (Problem, error)
+
+// New returns an instance nobody else holds.
+func (f Factory) New() (Problem, error) { return f() }
+
+// Recycle hands p back to f, which may hand it out again.
+func (f Factory) Recycle(p Problem) { f(p) }
+
+// FactoryFunc is the Factory of a constructor: New calls build, and
+// Recycle drops the instance.
+func FactoryFunc(build func() (Problem, error)) Factory {
+	return func(done ...Problem) (Problem, error) {
+		if len(done) > 0 {
+			return nil, nil
+		}
+		return build()
+	}
 }

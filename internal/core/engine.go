@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/perm"
@@ -42,25 +43,27 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 		return Result{}, err
 	}
 
-	e := &engine{
-		p:    p,
-		opts: opts,
-		rand: rng.New(opts.Seed),
-		done: ctx.Done(),
+	e, _ := engines.Get().(*engine)
+	if e == nil {
+		e = new(engine)
 	}
+	e.p, e.opts, e.done = p, opts, ctx.Done()
+	e.rand.Reseed(opts.Seed)
 	// The one place that branches on which encoding p is: everything the
 	// two differ in goes into the move set, and the loop runs over it.
 	switch p := p.(type) {
 	case FDProblem:
-		var err error
-		if e.mv, err = newAssignMoves(p); err != nil {
+		if err := prepareFD(p); err != nil {
 			return Result{}, err
 		}
+		e.assign.fd = p
+		e.mv = &e.assign
 	case interface{ Domain(int) []int }:
 		// Domains make p finite-domain: it is never run over swaps.
 		return Result{}, fmt.Errorf("core: %T has domains but does not implement FDProblem", p)
 	case PermProblem:
-		e.mv = &swapMoves{p: p}
+		e.swap.p = p
+		e.mv = &e.swap
 	default:
 		return Result{}, fmt.Errorf("core: %T implements neither PermProblem nor FDProblem", p)
 	}
@@ -73,7 +76,39 @@ func Solve(ctx context.Context, p Problem, opts Options) (Result, error) {
 	start := time.Now()
 	res := e.solve()
 	res.Elapsed = time.Since(start)
+	e.release()
 	return res, nil
+}
+
+// engines holds the engines of finished Solve calls, with their
+// buffers, for the next call to take. Solve returns its engine only on
+// a normal return, so one a panic or an error left behind is never
+// reused. The GC empties the pool, and an idle engine keeps a few words
+// a variable, so it has no bound of its own.
+var engines sync.Pool
+
+// release pools e with its buffers and nothing else: the problem, the
+// move set's view of it, the options with their Monitor and
+// InitialConfig, the context's done channel and the result are dropped
+// first, so a pooled engine keeps no caller's data alive. A solved
+// walk's configuration is not among the buffers: finishResult has
+// handed it out.
+func (e *engine) release() {
+	*e = engine{
+		swap: swapMoves{resetIdx: e.swap.resetIdx, resetVals: e.swap.resetVals},
+		st:   State{Marks: e.st.Marks, Cfg: e.st.Cfg, moveBuf: e.st.moveBuf, assignBuf: e.st.assignBuf},
+	}
+	engines.Put(e)
+}
+
+// resize returns s resliced to length n when its capacity allows, and
+// a new slice of n otherwise: how a pooled engine fits its buffers to
+// each Solve call's size.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ValidateConfig reports whether cfg is a well-formed configuration of
@@ -119,13 +154,17 @@ type moves interface {
 // engine holds the mutable state of one Solve call: the loop skeleton
 // and the move set it dispatches to. The search state proper
 // (configuration, cost, tabu marks) lives in st, which the selection
-// kernels scan.
+// kernels scan. Engines are pooled across Solve calls (engines), with
+// their stream, their move sets and the buffers of st.
 type engine struct {
 	p    Problem
 	opts Options
-	rand *rng.Rand
+	rand rng.Rand
 	done <-chan struct{}
-	mv   moves
+	mv   moves // &swap or &assign
+
+	swap   swapMoves
+	assign assignMoves
 
 	st State
 
@@ -169,10 +208,10 @@ func (e *engine) solve() Result {
 		return e.res
 	}
 
-	e.st.Rand = e.rand
+	e.st.Rand = &e.rand
 	e.st.Opts = &e.opts
-	e.st.Marks = make([]int64, n)
-	e.st.Cfg = make([]int, n) // reused across all runs
+	e.st.Marks = resize(e.st.Marks, n)
+	e.st.Cfg = resize(e.st.Cfg, n) // reused across all runs
 	e.st.bindProblem(e.p, n)
 	e.checkLeft = int64(e.opts.CheckEvery)
 
@@ -196,12 +235,13 @@ func (e *engine) solve() Result {
 
 // finishResult stamps the best cost into the Result and, on a solved
 // walk, hands out the configuration that solved it: the walker's own
-// buffer, which this Solve allocated and writes no more, so the caller
-// may keep it without a copy.
+// buffer, which the engine then drops, so that no later Solve on this
+// engine writes it and the caller may keep it without a copy.
 func (e *engine) finishResult() {
 	e.res.Cost = e.bestCost
 	if e.res.Solved {
 		e.res.Solution = e.st.Cfg
+		e.st.Cfg = nil
 	}
 }
 
@@ -353,10 +393,10 @@ func (m *swapMoves) swap(e *engine, i, j, newCost int) {
 }
 
 // perturb shuffles the values of k random positions among themselves.
+// Its scratch is sized on every call, since a pooled engine may have
+// last perturbed a problem of another n or k.
 func (m *swapMoves) perturb(e *engine, k int) {
-	if m.resetIdx == nil {
-		m.resetIdx = make([]int, len(e.st.Cfg))
-		m.resetVals = make([]int, k)
-	}
-	perm.PartialShuffleScratch(e.st.Cfg, k, e.rand, m.resetIdx, m.resetVals)
+	m.resetIdx = resize(m.resetIdx, len(e.st.Cfg))
+	m.resetVals = resize(m.resetVals, k)
+	perm.PartialShuffleScratch(e.st.Cfg, k, &e.rand, m.resetIdx, m.resetVals)
 }

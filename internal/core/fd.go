@@ -65,10 +65,12 @@ type DomainReducer interface {
 // and owns its mutable search state. It must read nothing a search
 // writes. problems.Resolve keeps one reduced instance of a spec for
 // the life of the process, searches on it never, and clones it
-// concurrently from every walker of every job of that spec.
-// ModelBytes is the heap the receiver holds — the model its clones
-// share and its own search state — and is what that cache bounds.
-// Optional: Resolve builds fresh instances of an encoding without it.
+// concurrently from walkers of any job of that spec — but only on a
+// miss: a spec's Factory hands out a recycled instance first, and a
+// clone only when it has none. ModelBytes is the heap the receiver
+// holds — the model its clones share and its own search state — and is
+// what that cache bounds. Optional: Resolve builds fresh instances of
+// an encoding without it.
 type Cloner interface {
 	Clone() Problem
 	ModelBytes() int64
@@ -118,7 +120,7 @@ func (s *State) bindFD(p Problem, n int) {
 	for i := 0; i < n; i++ {
 		maxd = max(maxd, len(fd.Domain(i)))
 	}
-	s.assignBuf = make([]int, maxd)
+	s.assignBuf = resize(s.assignBuf, maxd)
 }
 
 // SelectAssign is SelectMove on the FD encoding: it scans variable i's

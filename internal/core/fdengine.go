@@ -12,21 +12,17 @@ type assignMoves struct {
 	fd FDProblem
 }
 
-// newAssignMoves runs what must precede the first draw on a
-// finite-domain problem — the pre-search reduction pass and the proof
-// that every domain is habitable; an empty one wraps
-// domain.ErrUnsatisfiable, a proof surfaced as a typed error rather
-// than an unsolved Result.
-func newAssignMoves(fd FDProblem) (*assignMoves, error) {
+// prepareFD runs what must precede the first draw on a finite-domain
+// problem — the pre-search reduction pass and the proof that every
+// domain is habitable; an empty one wraps domain.ErrUnsatisfiable, a
+// proof surfaced as a typed error rather than an unsolved Result.
+func prepareFD(fd FDProblem) error {
 	if dr, ok := fd.(DomainReducer); ok {
 		if err := dr.ReduceDomains(); err != nil {
-			return nil, fmt.Errorf("core: domain reduction: %w", err)
+			return fmt.Errorf("core: domain reduction: %w", err)
 		}
 	}
-	if err := validateFDDomains(fd); err != nil {
-		return nil, err
-	}
-	return &assignMoves{fd: fd}, nil
+	return validateFDDomains(fd)
 }
 
 // minSize is 1: unlike a 1-variable permutation, a single FD variable
@@ -102,7 +98,7 @@ func (m *assignMoves) perturb(e *engine, k int) {
 // CostsIfAssignAll row; under FirstBest it is scanned per call instead,
 // and the first strict improvement returned.
 func (e *engine) selectBestAssign() (i, v, cost int) {
-	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
+	st, r, firstBest := &e.st, &e.rand, e.opts.FirstBest
 	bestI, bestV := 0, st.Cfg[0]
 	bestCost := st.Cost
 	ties := 1

@@ -318,11 +318,15 @@ func TestSelectionKernelsMatchReferenceLoops(t *testing.T) {
 				inStep("SelectAssign")
 
 				// The exhaustive scans are engine methods; an engine needs
-				// no more than its state, problem, options and stream.
+				// no more than its state, problem, options and stream. Each
+				// engine draws from its own copy of the stream, as Solve's
+				// does, so the check compares those copies.
 				engines := [2]*engine{}
 				for k, s := range []*State{ref, got} {
-					engines[k] = &engine{p: s.Problem, opts: opts, rand: s.Rand, st: *s}
+					engines[k] = &engine{p: s.Problem, opts: opts, rand: *s.Rand, st: *s}
+					engines[k].st.Rand = &engines[k].rand
 				}
+				ref, got = &engines[0].st, &engines[1].st
 				wi, wj, wc := refSelectBestPair(engines[0])
 				hi, hj, hc := engines[1].selectBestPair()
 				if wi != hi || wj != hj || wc != hc {

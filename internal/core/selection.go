@@ -182,7 +182,7 @@ func (e *engine) localMinimum(i int) {
 // is every row under FirstBest, whose early exit an eager row fill
 // would defeat. Values, scan order and draws are the same either way.
 func (e *engine) selectBestPair() (i, j, cost int) {
-	st, r, firstBest := &e.st, e.rand, e.opts.FirstBest
+	st, r, firstBest := &e.st, &e.rand, e.opts.FirstBest
 	n := len(st.Cfg)
 	bestI, bestJ := 0, 0
 	bestCost := st.Cost

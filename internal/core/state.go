@@ -49,12 +49,13 @@ func (s *State) SwapCosts(i int) []int {
 }
 
 // bindProblem wires the encoding views of p into the state: each
-// contract p implements, with the row buffer its kernels fill.
+// contract p implements, with the row buffer its kernels fill (reused
+// when a pooled engine's is long enough).
 func (s *State) bindProblem(p Problem, n int) {
 	s.Problem = p
 	if pp, ok := p.(PermProblem); ok {
 		s.perm = pp
-		s.moveBuf = make([]int, n)
+		s.moveBuf = resize(s.moveBuf, n)
 	}
 	s.bindFD(p, n)
 }

@@ -48,11 +48,14 @@ func (s fleetSpec) job(t testing.TB, seed uint64) JobSpec {
 // front door: two-walker wall-clock jobs through Coordinator.Run over
 // two one-slot in-process workers, bytes allocated a job, coordinator
 // and workers together, against a committed budget. The budgets sit
-// about 4 % above what a job reads with the run request written on the
-// stack and read into a value that stays there, and the run reply
-// written straight from the shard's result (35.0 KB tiny, 51.2 KB
-// medium on go1.24 amd64). Each earlier shape breaks them: the request
-// boxed on both ends and the reply copied into its wire form read
+// about 4 % above what a job reads with every walker on an instance an
+// earlier walker of its spec handed back and an engine a finished Solve
+// pooled, the run request written on the stack and read into a value
+// that stays there, and the run reply written straight from the shard's
+// result (29.4 KB tiny, 30.1 KB medium on go1.24 amd64). Each earlier
+// shape breaks them: a clone or a construction every walker and a
+// fresh engine every Solve read 33.9-35.0 KB and 39.8-51.2 KB; the
+// request boxed on both ends and the reply copied into its wire form
 // 36.4 KB and 52.6 KB; with encoding/json on both ends and a derived
 // context a run, 40.8 KB and 57.1 KB.
 func TestFleetAllocationGate(t *testing.T) {
@@ -66,8 +69,8 @@ func TestFleetAllocationGate(t *testing.T) {
 		rounds int
 		budget uint64 // bytes per job
 	}{
-		{"tiny", tinyFleetSpecs, 40, 36_400},
-		{"medium", mediumFleetSpecs, 10, 53_300},
+		{"tiny", tinyFleetSpecs, 40, 30_600},
+		{"medium", mediumFleetSpecs, 10, 31_400},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var jobs []JobSpec

@@ -303,9 +303,9 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	var res multiwalk.Result
 	if req.Mode == ModeVirtual {
-		res, err = multiwalk.RunVirtual(runCtx, multiwalk.Factory(factory), opts)
+		res, err = multiwalk.RunVirtual(runCtx, factory, opts)
 	} else {
-		res, err = multiwalk.Run(runCtx, multiwalk.Factory(factory), opts)
+		res, err = multiwalk.Run(runCtx, factory, opts)
 	}
 	if err != nil {
 		// Deep option validation failed (multiwalk/core reject) — the

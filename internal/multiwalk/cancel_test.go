@@ -292,7 +292,7 @@ func TestEngineMonitorChained(t *testing.T) {
 func TestRunSingleWalkerInline(t *testing.T) {
 	inline := false
 	inner := costasFactory(t, 9)
-	factory := func() (core.Problem, error) {
+	factory := core.FactoryFunc(func() (core.Problem, error) {
 		pcs := make([]uintptr, 32)
 		frames := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
 		for {
@@ -305,7 +305,7 @@ func TestRunSingleWalkerInline(t *testing.T) {
 			}
 		}
 		return inner()
-	}
+	})
 	opts := Options{Walkers: 1, Seed: 13, Engine: tunedEngine(t, "costas", 9)}
 	res, err := Run(context.Background(), factory, opts)
 	if err != nil {
@@ -412,7 +412,9 @@ func onRunCaller() bool {
 // TestRunWalkerPanicIsItsError: a problem that panics mid-search fails
 // its walker, not the process, whether that walker is a spawned one or
 // the caller's goroutine; the run ends — the healthy walker's budget is
-// endless — and its error names the walker.
+// endless — and its error names the walker. The panicking walker's
+// instance, whose state the panic left half-written, is never handed
+// back to the factory.
 func TestRunWalkerPanicIsItsError(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -426,13 +428,22 @@ func TestRunWalkerPanicIsItsError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := hardFactory(t, 20)
-			factory := func() (core.Problem, error) {
-				p, err := inner()
+			var recycled atomic.Int64
+			factory := Factory(func(done ...core.Problem) (core.Problem, error) {
+				for _, p := range done {
+					if _, broken := p.(panicky); broken {
+						recycled.Add(1)
+					}
+				}
+				if len(done) > 0 {
+					return nil, nil
+				}
+				p, err := inner.New()
 				if err != nil || onRunCaller() != tc.inline {
 					return p, err
 				}
 				return panicky{p.(core.PermProblem)}, nil
-			}
+			})
 			opts := Options{Walkers: tc.walkers, Seed: 1, Engine: hardOptions(t, 20)}
 			done := make(chan error, 1)
 			go func() {
@@ -443,6 +454,9 @@ func TestRunWalkerPanicIsItsError(t *testing.T) {
 			case err := <-done:
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+				if n := recycled.Load(); n != 0 {
+					t.Fatal("the panicking walker handed its instance back")
 				}
 			case <-time.After(30 * time.Second):
 				t.Fatal("the panicking walker did not end the run")
@@ -467,10 +481,10 @@ func TestRunClaimsUnstartedWalker(t *testing.T) {
 	for _, shard := range []*Shard{nil, {Start: 4, Total: 6}} {
 		before := runtime.NumGoroutine()
 		var calls atomic.Int64
-		factory := func() (core.Problem, error) {
+		factory := core.FactoryFunc(func() (core.Problem, error) {
 			calls.Add(1)
 			return solvedAtStart{inversionsProblem{n: 8}}, nil
-		}
+		})
 		res, err := Run(context.Background(), factory, Options{Walkers: 2, Seed: 1, Shard: shard})
 		if err != nil {
 			t.Fatal(err)
@@ -509,14 +523,14 @@ func TestRunWaitsForSelfClaimedWalker(t *testing.T) {
 	searching := make(chan struct{})
 	var once sync.Once
 	var calls atomic.Int64
-	factory := func() (core.Problem, error) {
+	factory := core.FactoryFunc(func() (core.Problem, error) {
 		calls.Add(1)
 		if onRunCaller() {
 			<-searching
 			return solvedAtStart{inversionsProblem{n: 8}}, nil
 		}
 		return inversionsProblem{n: 8}, nil
-	}
+	})
 	res, err := Run(context.Background(), factory, Options{
 		Walkers: 2,
 		Seed:    1,
@@ -586,13 +600,13 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 		twoBuilt := make(chan struct{})
 		concurrent := opts
 		concurrent.Progress = func(int, int64, int) { <-twoBuilt }
-		res, err := Run(context.Background(), func() (core.Problem, error) {
+		res, err := Run(context.Background(), core.FactoryFunc(func() (core.Problem, error) {
 			p, err := built()
 			if calls.Add(1) == 2 {
 				close(twoBuilt)
 			}
 			return p, err
-		}, concurrent)
+		}), concurrent)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func (inversionsProblem) ExecutedSwap([]int, int, int) {}
 // tightens the poll period for exchange-enabled walkers; the chained
 // Progress hook observes the effective cadence.
 func TestExchangeCadenceNotQuantized(t *testing.T) {
-	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	factory := core.FactoryFunc(func() (core.Problem, error) { return inversionsProblem{n: 24}, nil })
 	var mu sync.Mutex
 	var polls []int64
 	opts := Options{
@@ -157,7 +157,7 @@ func TestBoardPublishLengthGuard(t *testing.T) {
 // Yielded — reported Interrupted by the engine, but distinguishable
 // from a context cancel in dependent-run accounting.
 func TestYieldedWalkerDistinguishableFromCancelled(t *testing.T) {
-	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	factory := core.FactoryFunc(func() (core.Problem, error) { return inversionsProblem{n: 24}, nil })
 	board := NewLocalBoard()
 	board.Publish(0, identityPerm(24)) // someone else already won
 	eo := core.Options{MaxIterations: 1000, MaxRuns: 1, CheckEvery: 4}
@@ -220,7 +220,7 @@ func TestSolvedWalkerPublishesWin(t *testing.T) {
 // shard-private board could never provide. It also pins the validation
 // rules around Options.Board.
 func TestShardedExchangeSharedBoard(t *testing.T) {
-	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	factory := core.FactoryFunc(func() (core.Problem, error) { return inversionsProblem{n: 24}, nil })
 	engine := core.Options{MaxIterations: 600, MaxRuns: 1, CheckEvery: 4}
 	exch := ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: 1.0}
 
@@ -310,8 +310,8 @@ func TestExchangeAdoptionHeterogeneousPortfolio(t *testing.T) {
 		}
 		return res
 	}
-	leaders := shard(0, func() (core.Problem, error) { return inversionsProblem{n: 24}, nil })
-	laggards := shard(2, func() (core.Problem, error) { return laggardProblem{inversionsProblem{n: 24}}, nil })
+	leaders := shard(0, core.FactoryFunc(func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }))
+	laggards := shard(2, core.FactoryFunc(func() (core.Problem, error) { return laggardProblem{inversionsProblem{n: 24}}, nil }))
 	if leaders.Adoptions+laggards.Adoptions == 0 {
 		t.Fatal("AdoptFactor=1.0 with leader and laggard shards produced no adoptions")
 	}
@@ -326,7 +326,7 @@ func TestExchangeAdoptionHeterogeneousPortfolio(t *testing.T) {
 // never at an AdoptFactor no cost can exceed: the threshold is what
 // licenses teleports.
 func TestExchangeAdoptFactorGatesAdoption(t *testing.T) {
-	factory := func() (core.Problem, error) { return inversionsProblem{n: 24}, nil }
+	factory := core.FactoryFunc(func() (core.Problem, error) { return inversionsProblem{n: 24}, nil })
 	run := func(adoptFactor float64) Result {
 		res, err := Run(context.Background(), factory, Options{
 			Walkers:  4,
@@ -457,7 +457,7 @@ func TestBoardMonitorFDPerturbation(t *testing.T) {
 // the finite-domain benchmark: teleports must pass the engine's FD
 // config validation and the run must still solve.
 func TestExchangeRunOnFDProblem(t *testing.T) {
-	factory := func() (core.Problem, error) { return problems.NewTimetable(20, nil) }
+	factory := core.FactoryFunc(func() (core.Problem, error) { return problems.NewTimetable(20, nil) })
 	probe, err := factory()
 	if err != nil {
 		t.Fatal(err)

@@ -46,10 +46,11 @@ import (
 	"repro/internal/rng"
 )
 
-// Factory builds a fresh, independent core.Problem per walker. Problem
-// encodings cache incremental state, so walkers must never share one
-// instance. problems.NewFactory returns compatible values.
-type Factory = func() (core.Problem, error)
+// Factory is core.Factory: every walker takes an instance of its own
+// from it, since problem encodings cache incremental state, and hands
+// the instance back once its search has returned normally.
+// problems.Resolve returns one; core.FactoryFunc adapts a constructor.
+type Factory = core.Factory
 
 // Options configures a multi-walk run.
 type Options struct {
@@ -465,21 +466,23 @@ func walkerSeeds(seed uint64, k int) []uint64 {
 	return seeds
 }
 
-// runWalker builds a fresh problem instance and runs one engine with
-// the walker's seed. The walker's effective Monitor is the chain of
-// the exchange-board policy, the Progress hook and the caller's engine
-// Monitor; every link runs each poll and the
+// runWalker takes a problem instance from the factory, runs one engine
+// on it with the walker's seed and, once the search has returned
+// normally, hands the instance back. The walker's effective Monitor is
+// the chain of the exchange-board policy, the Progress hook and the
+// caller's engine Monitor; every link runs each poll and the
 // directives merge (any Stop stops, any Restart restarts, the first
 // SetConfig wins). A panic in the walker — a problem's cost function,
 // its factory, a monitor — is the walker's error, so it ends the run
-// like any other walker error instead of the process.
+// like any other walker error instead of the process; an instance a
+// panic or an error left behind is not handed back.
 func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w int, seed uint64, board Board, progress func(int, int64, int)) (_ WalkerStat, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("multiwalk: walker %d panicked: %v", w, r)
 		}
 	}()
-	p, err := factory()
+	p, err := factory.New()
 	if err != nil {
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d factory: %w", w, err)
 	}
@@ -518,6 +521,7 @@ func runWalker(ctx context.Context, factory Factory, eo core.Options, exch Excha
 	if err != nil {
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d: %w", w, err)
 	}
+	factory.Recycle(p)
 	if board != nil && res.Solved {
 		// Post the win to the board. The monitor only ever publishes
 		// costs observed mid-search (all > 0, since a solved engine

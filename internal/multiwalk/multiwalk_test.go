@@ -179,7 +179,7 @@ func TestOptionValidation(t *testing.T) {
 
 func TestFactoryErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	f := func() (core.Problem, error) { return nil, boom }
+	f := core.FactoryFunc(func() (core.Problem, error) { return nil, boom })
 	if _, err := Run(context.Background(), f, Options{Walkers: 2}); !errors.Is(err, boom) {
 		t.Fatalf("factory error not propagated: %v", err)
 	}

@@ -15,11 +15,12 @@
 // core.PermProblem or (timetable) core.FDProblem, mirroring the
 // Cost_If_Swap / Executed_Swap structure of the C code. Encodings keep
 // cached state, so they are NOT safe for concurrent use: the multi-walk
-// engine takes one instance per walker from a Factory. Resolve hands
-// out every Factory, off a process-wide cache that builds each spec —
-// (problem, size, params) — once: a finite-domain model is constructed
-// and reduced on the spec's first resolve, and every instance after is
-// a clone of it (see Resolve).
+// engine takes one instance per walker from a Factory and hands it back
+// when the walker is done. Resolve hands out every Factory, off a
+// process-wide cache that builds each spec — (problem, size, params) —
+// once: a finite-domain model is constructed and reduced on the spec's
+// first resolve, and every instance after is a finished walker's, or a
+// clone of the model when none is free (see Resolve).
 package problems
 
 import (
@@ -30,10 +31,10 @@ import (
 	"repro/internal/core"
 )
 
-// Factory returns an independent Problem instance: unused, and held by
-// nobody else. Multi-walk execution requires one instance per walker
-// because encodings cache incremental state.
-type Factory func() (core.Problem, error)
+// Factory is core.Factory: it hands out instances held by nobody else,
+// one per walker, because encodings cache incremental state, and takes
+// back the ones walkers are done with.
+type Factory = core.Factory
 
 // ErrBadParams marks a construction request with unknown or invalid
 // problem parameters (the params map of finite-domain benchmarks).

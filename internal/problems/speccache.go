@@ -34,19 +34,26 @@ var specs = &specCache{maxEntries: specCacheEntries, maxBytes: specCacheBytes}
 // drops the entries map iteration meets first until the new one fits.
 //
 // The Factory is safe to call from concurrent goroutines (multiwalk.Run
-// calls it from every walker's), and every call returns an unused
-// instance nobody else holds:
+// calls it from every walker's), and every New returns an instance
+// nobody else holds: one a walker of the spec recycled, off the spec's
+// free list, or, when that is empty,
 //
-//   - for a core.Cloner (timetable) it is a Clone() of the cached
-//     reduced model: no construction, no reduction. The model itself
-//     is never handed out, so no search ever writes it, and Clone reads
-//     nothing else;
-//   - otherwise it is a fresh NewWithParams instance (core.Solve
-//     reduces that one itself, when it is finite-domain).
+//   - for a core.Cloner (timetable) a Clone() of the cached reduced
+//     model: no construction, no reduction. The model itself is never
+//     handed out, so no search ever writes it, and Clone reads nothing
+//     else;
+//   - otherwise a fresh NewWithParams instance (core.Solve reduces that
+//     one itself, when it is finite-domain). The instance the first
+//     resolve built to read the tuned options is the free list's first.
 //
-// Either way an instance cannot be told from a fresh construction plus
-// reduction by any search, so caching the model moves no trace: the
-// cache holds models and options, never a search's result.
+// The free list is a sync.Pool, which the GC empties, and has no bound
+// of its own: the cache's bounds count models only, so an idle instance
+// stays on the heap until two GC cycles pass (DESIGN §7). No instance
+// can be told from a fresh construction plus reduction by any search,
+// since Cost rebuilds all the state a search reads (core.Problem), so
+// neither caching the model nor recycling instances moves a trace: the
+// cache holds models, options and idle instances, never a search's
+// result.
 func Resolve(name string, size int, params map[string]int) (core.Options, Factory, error) {
 	return specs.resolve(name, size, params)
 }
@@ -64,13 +71,35 @@ type specCache struct {
 // specEntry is one resolved spec.
 type specEntry struct {
 	tuned   core.Options
-	factory Factory
-	model   core.Cloner // what clone clones; nil when factory builds afresh
+	factory Factory     // e.instance
+	model   core.Cloner // what a miss clones; nil when a miss builds afresh
 	bytes   int64       // model's ModelBytes
+	free    sync.Pool   // instances walkers recycled
+
+	// What a miss builds when there is no model.
+	name   string
+	size   int
+	params map[string]int
 }
 
-// clone is the factory of a spec with a model.
-func (e *specEntry) clone() (core.Problem, error) { return e.model.Clone(), nil }
+// instance is the spec's Factory: New takes a recycled instance off the
+// free list and, on a miss, clones the model or builds afresh; Recycle
+// puts instances on the free list.
+func (e *specEntry) instance(done ...core.Problem) (core.Problem, error) {
+	if len(done) > 0 {
+		for _, p := range done {
+			e.free.Put(p)
+		}
+		return nil, nil
+	}
+	if p, ok := e.free.Get().(core.Problem); ok {
+		return p, nil
+	}
+	if e.model != nil {
+		return e.model.Clone(), nil
+	}
+	return NewWithParams(e.name, e.size, e.params)
+}
 
 func (c *specCache) resolve(name string, size int, params map[string]int) (core.Options, Factory, error) {
 	if b, ok := registry[name]; ok && size <= 0 {
@@ -120,6 +149,8 @@ func (c *specCache) put(key string, e *specEntry) *specEntry {
 
 // buildSpec constructs the spec's model, reduces it and reads its tuned
 // options: the one construction and reduction a spec costs a process.
+// Without a model to keep, the instance built goes on the free list, so
+// the spec's first walker searches on it instead of building another.
 func buildSpec(name string, size int, params map[string]int) (*specEntry, error) {
 	p, err := NewWithParams(name, size, params)
 	if err != nil {
@@ -131,13 +162,14 @@ func buildSpec(name string, size int, params map[string]int) (*specEntry, error)
 		}
 	}
 	e := &specEntry{tuned: core.TunedOptions(p)}
+	e.factory = e.instance
 	if model, ok := p.(core.Cloner); ok {
 		e.model, e.bytes = model, model.ModelBytes()
-		e.factory = e.clone
 		return e, nil
 	}
-	params = maps.Clone(params) // the caller's map may change; the entry outlives the call
-	e.factory = func() (core.Problem, error) { return NewWithParams(name, size, params) }
+	// The caller's map may change; the entry outlives the call.
+	e.name, e.size, e.params = name, size, maps.Clone(params)
+	e.free.Put(p)
 	return e, nil
 }
 

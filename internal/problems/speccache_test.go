@@ -66,13 +66,13 @@ func TestSpecCacheSharesNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned.MaxIterations, tuned.MaxRuns = 20_000, 1
-	fresh := func() (core.Problem, error) {
+	fresh := core.FactoryFunc(func() (core.Problem, error) {
 		p, err := NewWithParams("timetable", size, params)
 		if err != nil {
 			return nil, err
 		}
 		return p, p.(core.DomainReducer).ReduceDomains()
-	}
+	})
 	seed := func(run int) uint64 { return uint64(4600 + run) }
 	got := make([]multiwalk.Result, runs)
 	errs := make([]error, runs)

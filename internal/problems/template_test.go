@@ -160,10 +160,11 @@ func TestTemplateUnsatisfiable(t *testing.T) {
 // (the struct, occ, errVec), a reduction is one (its group list: the
 // groups are the resources' own session lists), a reduction asked of
 // an instance already reduced is none, the first resolve of a spec is
-// one construction and one reduction, and a job of a spec resolved
-// before is one clone a walker — not the construction and reduction a
-// job paid when it built its own template, nor the three of each it
-// paid before that.
+// one construction and one reduction, a job of a spec resolved before
+// whose free list is empty is one clone a walker — not the construction
+// and reduction a job paid when it built its own template, nor the
+// three of each it paid before that — and a job whose walkers find the
+// instances of earlier ones on the free list clones nothing.
 func TestTemplateAllocations(t *testing.T) {
 	const size = 200
 	params := map[string]int{"slots": 8}
@@ -214,26 +215,41 @@ func TestTemplateAllocations(t *testing.T) {
 	if want := construction + reduction; miss < want || miss > want+entry {
 		t.Errorf("the first resolve of timetable %d allocates %v objects, one construction + one reduction is %v", size, miss, want)
 	}
-	job := func(walkers int) float64 {
+	// job runs the walkers of one job as multiwalk does, minus the
+	// search: each takes an instance, reduces it as core.Solve does, and
+	// with recycle hands it back once all have taken theirs.
+	job := func(walkers int, recycle bool) float64 {
 		return testing.AllocsPerRun(20, func() {
 			_, factory, err := Resolve("timetable", size, params)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var held [2]core.Problem
 			for w := 0; w < walkers; w++ {
-				p, err := factory()
-				if err != nil {
+				if held[w], err = factory.New(); err != nil {
 					t.Fatal(err)
 				}
-				reduce(p) // as core.Solve does on every walker's instance
+				reduce(held[w])
+			}
+			for w := 0; recycle && w < walkers; w++ {
+				factory.Recycle(held[w])
 			}
 		})
 	}
-	if got, want := job(1), clone; got != want {
-		t.Errorf("a one-walker job of a resolved spec allocates %v objects, one clone is %v", got, want)
+	free := &cachedEntry(t, "timetable", size, params).free
+	for free.Get() != nil { // what earlier tests' walkers recycled
 	}
-	if got, want := job(2), 2*clone; got != want {
-		t.Errorf("a two-walker job of a resolved spec allocates %v objects, two clones are %v", got, want)
+	if got, want := job(1, false), clone; got != want {
+		t.Errorf("a one-walker job of a resolved spec with no free instance allocates %v objects, one clone is %v", got, want)
+	}
+	if got, want := job(2, false), 2*clone; got != want {
+		t.Errorf("a two-walker job of a resolved spec with no free instance allocates %v objects, two clones are %v", got, want)
+	}
+	// A Recycle's argument list is the one object left: 16 B a walker
+	// where a clone was three objects and 9 KB. (Under the race detector
+	// a sync.Pool drops a quarter of what it is handed, on purpose.)
+	if got := job(2, true); got > 2 && !raceEnabled {
+		t.Errorf("a two-walker job whose walkers recycle allocates %v objects, want at most one a Recycle: a walker took a clone though an instance was free", got)
 	}
 }
 
@@ -250,16 +266,29 @@ func allocated(fn func()) uint64 {
 }
 
 // TestWalkerAllocations pins what core.Solve allocates for one solved
-// walker: what it allocates before its first step (engine, stream
-// and move set, read off a Solve whose context is already
-// cancelled) plus its working set — the tabu marks, the configuration,
-// the row or assign buffer its evaluator fills and, on a permutation,
-// the partial reset's n positions and k values — each at the size the
-// allocator gives it. The solution is the configuration buffer itself,
-// so a shadow copy of the configuration (a walker used to keep its best
-// one and copy it again into the Result) or a reset scratch of n values
-// fails the budget. Every count is the least of three tries, so a stray
-// runtime background allocation is not in it.
+// walker, on a warm engine pool and on a cold one.
+//
+// Warm, once an earlier Solve has pooled its engine: the configuration
+// it hands out as the solution, and nothing else. The engine, its
+// stream and move set, the tabu marks, the row or assign buffer its
+// evaluator fills and, on a permutation, the partial reset's scratch
+// all come back from the pool, so a Solve cancelled before its first
+// step allocates nothing at all. The solution is the walker's
+// configuration buffer itself, which the engine drops once it has
+// handed it out, so a shadow copy of the configuration (a walker used
+// to keep its best one and copy it again into the Result) or a pooled
+// buffer rebuilt a call fails the count.
+//
+// Cold, after two GC cycles have emptied the pool, as every job after
+// an idle spell runs: the engine (read off a cancelled Solve) plus its
+// working set — the tabu marks, the configuration, the row or assign
+// buffer and, on a permutation, the partial reset's n positions and k
+// values — each at the size the allocator gives it. So a buffer sized
+// past its need, such as a reset scratch of n values, fails the budget.
+//
+// Every count is the least of three tries, so a stray runtime
+// background allocation, or a goroutine that moved to another P between
+// the pool's Put and Get, is not in it.
 func TestWalkerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates differently; the budget is for a plain build")
@@ -293,36 +322,60 @@ func TestWalkerAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.Seed = 1
-			// solve runs one walker on an instance of its own, taken
-			// outside the count, as a job's walker takes its clone.
-			solve := func(ctx context.Context) (res core.Result, bytes uint64) {
+			// solve runs one walker on an instance of the spec's, taken
+			// and recycled outside the count, as a job's walker does;
+			// cold, two GC cycles empty the engine pool first.
+			solve := func(ctx context.Context, cold bool) (res core.Result, bytes uint64) {
 				bytes = math.MaxUint64
 				for try := 0; try < 3; try++ {
-					p, err := factory()
+					p, err := factory.New()
 					if err != nil {
 						t.Fatal(err)
+					}
+					if cold {
+						runtime.GC()
+						runtime.GC()
 					}
 					bytes = min(bytes, allocated(func() { res, err = core.Solve(ctx, p, opts) }))
 					if err != nil {
 						t.Fatal(err)
 					}
+					factory.Recycle(p)
 				}
 				return res, bytes
 			}
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, fixed := solve(cancelled)
-			res, got := solve(context.Background())
-			if !res.Solved {
-				t.Fatalf("seed %d did not solve: %+v", opts.Seed, res)
-			}
-			n := tc.size
-			k := min(max(2, int(opts.ResetFraction*float64(n))), n) // as the engine sizes a reset
-			budget := fixed + tc.working(n, k)
-			t.Logf("%d B for one solved walker (%d before its first step), budget %d", got, fixed, budget)
-			if got > budget {
-				t.Errorf("one solved walker allocates %d B, its working set is %d B: something besides the working set is allocated per walker", got, budget)
-			}
+
+			t.Run("cold", func(t *testing.T) {
+				_, fixed := solve(cancelled, true)
+				res, got := solve(context.Background(), true)
+				if !res.Solved {
+					t.Fatalf("seed %d did not solve: %+v", opts.Seed, res)
+				}
+				n := tc.size
+				k := min(max(2, int(opts.ResetFraction*float64(n))), n) // as the engine sizes a reset
+				budget := fixed + tc.working(n, k)
+				t.Logf("%d B for one solved walker on a cold pool (%d before its first step), budget %d", got, fixed, budget)
+				if got > budget {
+					t.Errorf("one solved walker allocates %d B on a cold pool, its engine and working set are %d B: something besides the working set is allocated per walker", got, budget)
+				}
+			})
+			t.Run("warm", func(t *testing.T) {
+				solve(context.Background(), false) // warm the pool
+				if _, fixed := solve(cancelled, false); fixed != 0 {
+					t.Errorf("a Solve cancelled before its first step allocates %d B on a warm pool, want 0", fixed)
+				}
+				res, got := solve(context.Background(), false)
+				if !res.Solved {
+					t.Fatalf("seed %d did not solve: %+v", opts.Seed, res)
+				}
+				solution := words(tc.size)
+				t.Logf("%d B for one solved walker on a warm pool, its solution is %d B", got, solution)
+				if got != solution {
+					t.Errorf("one solved walker allocates %d B on a warm pool, its handed-out solution is %d B", got, solution)
+				}
+			})
 		})
 	}
 }

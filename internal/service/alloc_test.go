@@ -53,16 +53,19 @@ type gateSpec struct {
 // test any box can hold: the same front door (POST /v1/solve, wait, two
 // walkers, fixed seeds) played in-process, bytes allocated per job
 // against a committed budget. Fleet-mixed runs its jobs over two
-// one-slot workers on loopback, as the benchmark does, and counts
-// front door, coordinator and workers together. Each budget sits about
-// a tenth above what a job reads, 22.3 KB, 6.2 KB and 37.6 KB: every
-// walker a clone of the model the process's spec cache built on the
-// spec's first resolve (no construction or reduction a job, at
-// admission or on a worker), compact responses, the job run on the
-// handler's goroutine, walkers that keep one configuration, a reduction
-// that copies nothing, a request read and a reply written without
-// reflection, and the run request and reply crossing the fleet hop
-// unboxed. What each earlier shape read: indented responses through
+// one-slot workers on loopback, as the benchmark does, and counts front
+// door, coordinator and workers together. Each budget sits about a
+// tenth above what a job reads at the least of three plays, 6.8-7.4 KB,
+// 3.6-3.7 KB and 32.0-32.2 KB: every walker an instance an earlier
+// walker of its spec handed back (a clone of the model the process's
+// spec cache built on the spec's first resolve, or a construction where
+// there is no model, only when none is free: no construction or
+// reduction a job, at admission or on a worker), every Solve on a
+// pooled engine whose buffers are reused, compact responses, the job
+// run on the handler's goroutine, walkers that keep one configuration,
+// a reduction that copies nothing, a request read and a reply written
+// without reflection, and the run request and reply crossing the fleet
+// hop unboxed. What each earlier shape read: indented responses through
 // the dispatcher 62 KB and 13.3 KB; building and reducing every
 // walker's instance and a discarded probe 331 KB and 18.6 KB; a walker
 // that copied its best configuration and a reduction that copied the
@@ -70,10 +73,12 @@ type gateSpec struct {
 // encoding/json 41.8 KB and 8.2 KB; fleet-mixed with a template built
 // at admission and its run messages boxed 45.8 KB; one template built
 // and reduced a job, memoizing only a spec's options, 40.2 KB, 6.9 KB
-// and 41.0 KB. One construction in a search-fd job is 24 KB, which
-// breaks its budget, as each of the other earlier shapes does one of
-// the three. The finer counts, one reduction a spec and a walker's
-// working set, are problems.TestTemplateAllocations and
+// and 41.0 KB; a clone or a construction every walker and a fresh
+// engine and buffers every Solve 22.3 KB, 6.2 KB and 37.6 KB. One clone
+// a walker in a search-fd job is 9 KB, which breaks its budget, as each
+// of the other earlier shapes does one of the three. The finer counts,
+// one reduction a spec, no clone a warm job and a walker's working set,
+// are problems.TestTemplateAllocations and
 // problems.TestWalkerAllocations.
 func TestAllocationGate(t *testing.T) {
 	if raceEnabled {
@@ -97,12 +102,12 @@ func TestAllocationGate(t *testing.T) {
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 24_500, false},
-		{"small-local", tiny, 50, 6_900, false},
+		}, 4, 8_200, false},
+		{"small-local", tiny, 50, 4_100, false},
 		// The benchmark's pattern: every fifth job medium, the two medium
 		// specs alternating.
 		{"fleet-mixed", append(append(append(tiny[:4:4], gateSpec{"costas", 14, nil}), tiny...),
-			gateSpec{"timetable", 100, map[string]int{"slots": 10}}), 10, 41_500, true},
+			gateSpec{"timetable", 100, map[string]int{"slots": 10}}), 10, 35_500, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Slots: 2}
@@ -144,7 +149,12 @@ func TestAllocationGate(t *testing.T) {
 				})
 			}
 			play() // warm the pools and lazy set-up every job after the first reuses
-			perJob := play() / uint64(len(bodies))
+			// The least of three plays: a walker whose spec's free
+			// instance sits in another P's private pool slot, which no
+			// other P can take from, clones one instead, and how often
+			// that happens is the scheduler's doing, not the code's. One
+			// play of search-fd's 16 jobs read 6 946-8 529 B.
+			perJob := min(play(), play(), play()) / uint64(len(bodies))
 			t.Logf("%s: %d B a job, budget %d", tc.name, perJob, tc.budget)
 			if perJob > tc.budget {
 				t.Errorf("%s: %d B allocated a job, budget %d", tc.name, perJob, tc.budget)

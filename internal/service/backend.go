@@ -63,5 +63,5 @@ func (b *localBackend) Slots() int   { return b.slots }
 func (b *localBackend) Close()       {}
 
 func (b *localBackend) RunJob(ctx context.Context, problem string, size int, params map[string]int, factory problems.Factory, opts multiwalk.Options) (multiwalk.Result, error) {
-	return multiwalk.Run(ctx, multiwalk.Factory(factory), opts)
+	return multiwalk.Run(ctx, factory, opts)
 }
