@@ -188,7 +188,7 @@ func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error
 	var totalIters int64
 	var totalSecs float64
 	for run := 0; run < w.Runs; run++ {
-		p, err := factory()
+		p, err := factory.New()
 		if err != nil {
 			return nil, err
 		}
@@ -199,6 +199,9 @@ func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s run %d: %w", w, run, err)
 		}
+		// Hand the instance back for the next run, as a multi-walk
+		// walker does: one instance serves every run, not one a run.
+		factory.Recycle(p)
 		if res.Interrupted {
 			return nil, fmt.Errorf("bench: %s run %d interrupted: %w", w, run, ctx.Err())
 		}
@@ -244,11 +247,12 @@ func CollectVirtualSpeedup(ctx context.Context, w Workload, k, reps int, seed ui
 	if err != nil {
 		return 0, err
 	}
-	probe, err := factory()
+	probe, err := factory.New()
 	if err != nil {
 		return 0, err
 	}
 	engine := core.TunedOptions(probe)
+	factory.Recycle(probe)
 	var sum float64
 	for rep := 0; rep < reps; rep++ {
 		res, err := multiwalk.RunVirtual(ctx, factory, multiwalk.Options{

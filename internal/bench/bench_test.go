@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/problems"
 )
 
 func TestParseScale(t *testing.T) {
@@ -284,5 +287,38 @@ func TestExtendedTableTiny(t *testing.T) {
 	}
 	if d.Iters.N() != 20 {
 		t.Fatalf("collected %d", d.Iters.N())
+	}
+}
+
+// TestCollectRecyclesItsInstance: Collect hands each run's instance
+// back to the factory once its search has returned, so the next run
+// searches on it. Fifty costas-12 runs then allocate less than ten
+// instances' bytes, where taking a fresh instance a run allocated
+// fifty (about 160 KB).
+func TestCollectRecyclesItsInstance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a share of what it is handed")
+	}
+	w := Workload{"costas", 12, 50}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	instance := allocated(func() {
+		if _, err := problems.New(w.Benchmark, w.Size); err != nil {
+			t.Fatal(err)
+		}
+	})
+	collect := func() {
+		if _, err := Collect(context.Background(), w, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect() // the spec's model and the engine pool, built once a process
+	if got := allocated(collect); got > 10*instance {
+		t.Errorf("%d runs allocated %d B; one instance is %d B, so the runs built about %d", w.Runs, got, instance, got/instance)
 	}
 }

@@ -410,11 +410,12 @@ func AblationComm(ctx context.Context, w Workload, ks []int, reps int, seed uint
 	if err != nil {
 		return nil, err
 	}
-	probe, err := factory()
+	probe, err := factory.New()
 	if err != nil {
 		return nil, err
 	}
 	engine := core.TunedOptions(probe)
+	factory.Recycle(probe)
 	for _, k := range ks {
 		for _, scheme := range []string{"independent", "dependent"} {
 			var winSum, totSum float64
@@ -473,11 +474,12 @@ func AblationKnobs(ctx context.Context, w Workload, runsPer int, seed uint64) (*
 	if err != nil {
 		return nil, err
 	}
-	probe, err := factory()
+	probe, err := factory.New()
 	if err != nil {
 		return nil, err
 	}
 	base := core.TunedOptions(probe)
+	factory.Recycle(probe)
 	variants := []struct {
 		name string
 		mod  func(o *core.Options)
@@ -497,7 +499,7 @@ func AblationKnobs(ctx context.Context, w Workload, runsPer int, seed uint64) (*
 		var iterSum, resetSum float64
 		solved := 0
 		for run := 0; run < runsPer; run++ {
-			p, err := factory()
+			p, err := factory.New()
 			if err != nil {
 				return nil, err
 			}
@@ -507,6 +509,7 @@ func AblationKnobs(ctx context.Context, w Workload, runsPer int, seed uint64) (*
 			if err != nil {
 				return nil, err
 			}
+			factory.Recycle(p)
 			if res.Solved {
 				solved++
 				iterSum += float64(res.Iterations)

@@ -626,3 +626,98 @@ func TestRunSharedTimetableTemplate(t *testing.T) {
 		}
 	}
 }
+
+// TestRunStopFlagStopsSiblings: the first solution stops the run's
+// other walkers through the run's stop flag, which each walker's
+// Monitor turns into a Stop at its next poll without calling the
+// links behind it.
+//
+// A searching walker stops within one CheckEvery: walker 0 searches
+// without end before the caller's walker 1 has its problem, walker 1
+// solves at its start, and walker 0's last Progress call is exactly
+// one poll before the iteration it stopped at.
+//
+// A walker claimed after the win builds nothing: with one P, the
+// caller's walker yields in its factory until both spawned goroutines
+// are gone, so the first of them claims walker 0 and solves at its
+// start, and the second claims walker 1 after the win. Walker 1's
+// problem is never built, and it is recorded as never run.
+func TestRunStopFlagStopsSiblings(t *testing.T) {
+	t.Run("searching walker", func(t *testing.T) {
+		const checkEvery = 4
+		searching := make(chan struct{})
+		var once sync.Once
+		var lastPoll atomic.Int64
+		factory := core.FactoryFunc(func() (core.Problem, error) {
+			if onRunCaller() {
+				<-searching
+				return solvedAtStart{inversionsProblem{n: 8}}, nil
+			}
+			return inversionsProblem{n: 8}, nil
+		})
+		res, err := Run(context.Background(), factory, Options{
+			Walkers: 2,
+			Seed:    1,
+			Engine:  core.Options{MaxIterations: math.MaxInt64 / 4, MaxRuns: 1, CheckEvery: checkEvery},
+			Progress: func(w int, iter int64, _ int) {
+				if w == 0 {
+					lastPoll.Store(iter)
+					once.Do(func() { close(searching) })
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved || res.Winner != 1 || res.Truncated {
+			t.Fatalf("solved %v winner %d truncated %v, want solved by walker 1, not truncated", res.Solved, res.Winner, res.Truncated)
+		}
+		stopped := res.Walkers[0].Result
+		if !stopped.Interrupted || stopped.Solved {
+			t.Fatalf("walker 0 reports %+v, want interrupted", stopped)
+		}
+		if want := lastPoll.Load() + checkEvery; stopped.Iterations != want {
+			t.Fatalf("walker 0 stopped after %d iterations, want %d: one poll after its last Progress call", stopped.Iterations, want)
+		}
+	})
+	t.Run("walker claimed after the win", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		before := runtime.NumGoroutine()
+		var spawnedBuilds atomic.Int64
+		factory := core.FactoryFunc(func() (core.Problem, error) {
+			if !onRunCaller() {
+				if spawnedBuilds.Add(1) == 1 {
+					return solvedAtStart{inversionsProblem{n: 8}}, nil
+				}
+				return inversionsProblem{n: 8}, nil
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					return nil, fmt.Errorf("%d goroutines, %d before Run: the spawned walkers never finished", runtime.NumGoroutine(), before)
+				}
+			}
+			return inversionsProblem{n: 8}, nil
+		})
+		res, err := Run(context.Background(), factory, Options{
+			Walkers: 3,
+			Seed:    1,
+			Engine:  core.Options{MaxIterations: math.MaxInt64 / 4, MaxRuns: 1, CheckEvery: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Solved || res.Winner != 0 || res.Completed != 3 {
+			t.Fatalf("solved %v winner %d completed %d, want solved by walker 0, 3 completed", res.Solved, res.Winner, res.Completed)
+		}
+		if n := spawnedBuilds.Load(); n != 1 {
+			t.Fatalf("spawned walkers built %d problems, want 1: walker 1 was claimed after the win", n)
+		}
+		never := WalkerStat{Walker: 1, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
+		if !reflect.DeepEqual(res.Walkers[1], never) {
+			t.Fatalf("walker 1 recorded as %+v, want %+v", res.Walkers[1], never)
+		}
+		if caller := res.Walkers[2].Result; !caller.Interrupted || caller.Iterations > 4 {
+			t.Fatalf("the caller's walker, built before the win, reports %+v: want it stopped within one poll", caller)
+		}
+	})
+}

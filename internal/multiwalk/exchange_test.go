@@ -162,7 +162,7 @@ func TestYieldedWalkerDistinguishableFromCancelled(t *testing.T) {
 	board.Publish(0, identityPerm(24)) // someone else already won
 	eo := core.Options{MaxIterations: 1000, MaxRuns: 1, CheckEvery: 4}
 	exch := ExchangeOptions{Enabled: true, Period: 4, AdoptFactor: 2}
-	stat, err := runWalker(context.Background(), factory, eo, exch, 0, 11, board, nil)
+	stat, err := runWalker(context.Background(), factory, eo, exch, 0, 11, board, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestYieldedWalkerDistinguishableFromCancelled(t *testing.T) {
 	// Yielded.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	stat2, err := runWalker(cancelled, factory, eo, exch, 0, 11, NewLocalBoard(), nil)
+	stat2, err := runWalker(cancelled, factory, eo, exch, 0, 11, NewLocalBoard(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSolvedWalkerPublishesWin(t *testing.T) {
 	board := NewLocalBoard()
 	eo.InitialConfig = sol // solves on iteration zero
 	exch := ExchangeOptions{Enabled: true, Period: 64, AdoptFactor: 2}
-	stat, err := runWalker(context.Background(), f, eo, exch, 0, 5, board, nil)
+	stat, err := runWalker(context.Background(), f, eo, exch, 0, 5, board, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

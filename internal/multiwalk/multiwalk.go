@@ -2,14 +2,14 @@
 // parallel execution of Adaptive Search in a multiple independent-walk
 // manner. k search engines start from different random configurations
 // and run with no communication except completion detection — the first
-// walker to find a solution cancels the rest.
+// walker to find a solution stops the rest.
 //
 // Two execution modes are provided:
 //
 //   - Run launches one goroutine per walker and measures real wall-clock
 //     behaviour; it is the production API and matches the paper's MPI
-//     deployment one-to-one (goroutine = MPI process, context
-//     cancellation = the paper's termination detection).
+//     deployment one-to-one (goroutine = MPI process, the run's shared
+//     stop flag = the paper's termination detection).
 //   - RunVirtual executes the same independent walks sequentially to
 //     completion and determines the winner by iteration count. It is
 //     deterministic and hardware-independent, and is what the experiment
@@ -282,18 +282,22 @@ func (o *Options) Validate() error {
 }
 
 // Run executes k independent walks concurrently, one goroutine per
-// walker (the caller's own being the last walker's), cancelling the
+// walker (the caller's own being the last walker's), stopping the
 // others as soon as a solution is found ("no communication between the
 // simultaneous computations except for completion"). The context
 // bounds the whole run.
 //
-// Once the caller's walker returns with the run over (a solution, an
-// error or a dead context), Run does not wait for spawned walkers that
-// have not started: each spawned walker is claimed exactly once, by a
-// spawned goroutine before it calls the factory or by Run at the end,
-// and a walker Run claims is recorded as never run (see
-// WalkerStat.Result) without building its problem. Run waits only for
-// the walkers goroutines claimed.
+// The stop is one flag the walkers share: the first solution or walker
+// error sets it, and every other walker's engine Monitor turns it into
+// Directive{Stop} at its next poll, the path a board's "solved
+// elsewhere" takes. Once the caller's walker returns with the run over
+// (the flag set or a dead context), Run does not wait for spawned
+// walkers that have not started: each spawned walker is claimed exactly
+// once, by a spawned goroutine before it calls the factory or by Run at
+// the end, and a walker Run claims, or one claimed after the flag was
+// set, is recorded as never run (see WalkerStat.Result) without
+// building its problem. Run waits only for the walkers goroutines
+// claimed.
 func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -313,35 +317,28 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 		opts.Exchange.AdoptFactor = 2.0
 	}
 
-	seeds := walkerSeeds(opts.Seed, opts.total())
-	board := opts.Board
-	if board == nil && opts.Exchange.Enabled {
-		board = NewLocalBoard()
-	}
-
 	start := time.Now()
-	runCtx, cancel := runContext(ctx, opts.Walkers)
-	defer cancel()
-
-	stats := make([]WalkerStat, opts.Walkers)
-	errs := make([]error, opts.Walkers)
-	walk := func(w int) {
-		g := opts.start() + w // global walker identity
-		stat, err := runWalker(runCtx, factory, opts.Engine, opts.Exchange, g, seeds[g], board, opts.Progress)
-		stats[w] = stat
-		errs[w] = err
-		if err != nil || stat.Result.Solved {
-			// Completion detection: the first solution wins. A
-			// walker error (bad engine options, a factory failure, a
-			// panic) also cancels the run — the error is returned either
-			// way, so letting the healthy walkers burn the deadline
-			// first would only delay it.
-			cancel()
-		}
+	// One allocation for what the walkers share: the fields of opts they
+	// read, not opts itself, and the claim counter and the stop flag.
+	r := &run{
+		ctx:      ctx,
+		factory:  factory,
+		engine:   opts.Engine,
+		exchange: opts.Exchange,
+		board:    opts.Board,
+		progress: opts.Progress,
+		first:    opts.start(),
+		seeds:    walkerSeeds(opts.Seed, opts.total()),
+		stats:    make([]WalkerStat, opts.Walkers),
+		errs:     make([]error, opts.Walkers),
+	}
+	if r.board == nil && opts.Exchange.Enabled {
+		r.board = NewLocalBoard()
 	}
 	// The caller's goroutine is a walker too: it runs the last one
 	// itself instead of parking in Wait, so k walkers cost k-1 spawns
-	// and a one-walker run starts no goroutine at all.
+	// and a one-walker run starts no goroutine at all, and has no
+	// sibling to stop.
 	//
 	// Each spawned walker is claimed exactly once, by taking the next
 	// index: a spawned goroutine takes one, and Run takes all that are
@@ -349,40 +346,31 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	// its Done; a goroutine that finds none left returns without
 	// touching the run's state.
 	last := opts.Walkers - 1
-	var claim struct { // one allocation for what the goroutines share
-		next atomic.Int64
-		wg   sync.WaitGroup
-	}
-	claim.wg.Add(last)
+	r.wg.Add(last)
 	for range last {
-		go func() {
-			if w := int(claim.next.Add(1)) - 1; w < last {
-				defer claim.wg.Done()
-				walk(w)
-			}
-		}()
+		go r.spawned(last)
 	}
-	walk(last)
-	if runCtx.Err() != nil {
+	r.walk(last)
+	if r.stop.Load() || ctx.Err() != nil {
 		// The run is over: a walker that has not started would only
-		// build its problem to see the cancel. On a sub-millisecond job
+		// build its problem to see the stop. On a sub-millisecond job
 		// that is most spawned walkers (DESIGN.md §7).
-		for w := int(claim.next.Swap(int64(last))); w < last; w++ {
-			stats[w] = WalkerStat{Walker: opts.start() + w, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
-			claim.wg.Done()
+		for w := int(r.next.Swap(int64(last))); w < last; w++ {
+			r.stats[w] = r.neverRun(w)
+			r.wg.Done()
 		}
 	}
-	claim.wg.Wait()
+	r.wg.Wait()
 
-	for _, err := range errs {
+	for _, err := range r.errs {
 		if err != nil {
 			return Result{}, err
 		}
 	}
-	res := aggregate(stats, wallClockWinner)
+	res := aggregate(r.stats, wallClockWinner)
 	res.Completed = opts.Walkers
 	// Distinguish external cancellation from internal completion
-	// detection: losers are interrupted by the winner's cancel on every
+	// detection: losers are stopped by the winner's flag on every
 	// solved run, so only an unsolved run whose parent context died was
 	// genuinely cut short.
 	res.Truncated = ctx.Err() != nil && !res.Solved
@@ -390,14 +378,61 @@ func Run(ctx context.Context, factory Factory, opts Options) (Result, error) {
 	return res, nil
 }
 
-// runContext is the context a run's walkers share: a solved walker
-// cancels the others through it. A one-walker run has no others and
-// derives none.
-func runContext(ctx context.Context, walkers int) (context.Context, context.CancelFunc) {
-	if walkers == 1 {
-		return ctx, func() {}
+// run is what the walkers of one Run share.
+type run struct {
+	ctx      context.Context
+	factory  Factory
+	engine   core.Options
+	exchange ExchangeOptions
+	board    Board
+	progress func(walker int, iter int64, cost int)
+	first    int // global index of walker 0
+	seeds    []uint64
+	stats    []WalkerStat
+	errs     []error
+
+	next atomic.Int64   // the next spawned walker to claim
+	wg   sync.WaitGroup // the claimed spawned walkers
+	stop atomic.Bool    // set by the first solution or walker error
+}
+
+// spawned is a spawned goroutine's body: claim the next walker, if
+// Run has not claimed it, and walk it.
+func (r *run) spawned(last int) {
+	if w := int(r.next.Add(1)) - 1; w < last {
+		defer r.wg.Done()
+		r.walk(w)
 	}
-	return context.WithCancel(ctx)
+}
+
+// walk runs walker w and, if it solved or failed, sets the stop flag.
+// A walker claimed after the flag was set builds nothing.
+func (r *run) walk(w int) {
+	if r.stop.Load() {
+		r.stats[w] = r.neverRun(w)
+		return
+	}
+	g := r.first + w // global walker identity
+	var stop *atomic.Bool
+	if len(r.stats) > 1 {
+		stop = &r.stop
+	}
+	stat, err := runWalker(r.ctx, r.factory, r.engine, r.exchange, g, r.seeds[g], r.board, r.progress, stop)
+	r.stats[w], r.errs[w] = stat, err
+	if err != nil || stat.Result.Solved {
+		// Completion detection: the first solution wins. A walker
+		// error (bad engine options, a factory failure, a panic) also
+		// stops the run — the error is returned either way, so letting
+		// the healthy walkers burn the deadline first would only delay
+		// it.
+		r.stop.Store(true)
+	}
+}
+
+// neverRun is the stat of walker w when it never started: the run was
+// over first.
+func (r *run) neverRun(w int) WalkerStat {
+	return WalkerStat{Walker: r.first + w, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}}
 }
 
 // RunVirtual executes the same k independent walks sequentially, each to
@@ -436,7 +471,7 @@ func RunVirtual(ctx context.Context, factory Factory, opts Options) (Result, err
 			truncated = true
 			continue
 		}
-		stat, err := runWalker(ctx, factory, opts.Engine, opts.Exchange, g, seeds[g], nil, opts.Progress)
+		stat, err := runWalker(ctx, factory, opts.Engine, opts.Exchange, g, seeds[g], nil, opts.Progress, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -472,11 +507,13 @@ func walkerSeeds(seed uint64, k int) []uint64 {
 // the chain of the exchange-board policy, the Progress hook and the
 // caller's engine Monitor; every link runs each poll and the
 // directives merge (any Stop stops, any Restart restarts, the first
-// SetConfig wins). A panic in the walker — a problem's cost function,
+// SetConfig wins). A non-nil stop goes before the chain: once it is
+// set, the poll stops the walker and calls no link, as a cancelled
+// context does. A panic in the walker — a problem's cost function,
 // its factory, a monitor — is the walker's error, so it ends the run
 // like any other walker error instead of the process; an instance a
 // panic or an error left behind is not handed back.
-func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w int, seed uint64, board Board, progress func(int, int64, int)) (_ WalkerStat, err error) {
+func runWalker(ctx context.Context, factory Factory, eo core.Options, exch ExchangeOptions, w int, seed uint64, board Board, progress func(int, int64, int), stop *atomic.Bool) (_ WalkerStat, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("multiwalk: walker %d panicked: %v", w, r)
@@ -487,12 +524,19 @@ func runWalker(ctx context.Context, factory Factory, eo core.Options, exch Excha
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d factory: %w", w, err)
 	}
 	eo.Seed = seed
-	stat := WalkerStat{Walker: w}
+	if progress != nil {
+		eo.Monitor = chain(func(iter int64, cost int, _ []int) core.Directive {
+			progress(w, iter, cost)
+			return core.Directive{}
+		}, eo.Monitor)
+	}
 	// The board monitor goes first: its SetConfig directive carries
 	// side effects (the Adoptions count, the perturbation RNG), so it
 	// must win the first-SetConfig-wins merge over a caller monitor
-	// that happens to teleport on the same poll.
-	monitors := make([]func(int64, int, []int) core.Directive, 0, 3)
+	// that happens to teleport on the same poll. It is the one link
+	// that writes the walker's stat, which therefore lives on the heap
+	// only when there is a board.
+	var tally *WalkerStat
 	if board != nil {
 		// The engine polls its Monitor only every CheckEvery iterations,
 		// so an Exchange.Period below that would silently degrade to
@@ -505,23 +549,30 @@ func runWalker(ctx context.Context, factory Factory, eo core.Options, exch Excha
 		if exch.Period < int64(eo.CheckEvery) {
 			eo.CheckEvery = int(exch.Period)
 		}
-		monitors = append(monitors, boardMonitor(board, &stat, exch, p, seed))
+		tally = new(WalkerStat)
+		eo.Monitor = chain(boardMonitor(board, tally, exch, p, seed), eo.Monitor)
 	}
-	if progress != nil {
-		monitors = append(monitors, func(iter int64, cost int, _ []int) core.Directive {
-			progress(w, iter, cost)
-			return core.Directive{}
-		})
+	if stop != nil {
+		next := eo.Monitor
+		eo.Monitor = func(iter int64, cost int, cfg []int) core.Directive {
+			if stop.Load() {
+				return core.Directive{Stop: true}
+			}
+			if next == nil {
+				return core.Directive{}
+			}
+			return next(iter, cost, cfg)
+		}
 	}
-	if eo.Monitor != nil {
-		monitors = append(monitors, eo.Monitor)
-	}
-	eo.Monitor = chainMonitors(monitors)
 	res, err := core.Solve(ctx, p, eo)
 	if err != nil {
 		return WalkerStat{}, fmt.Errorf("multiwalk: walker %d: %w", w, err)
 	}
 	factory.Recycle(p)
+	stat := WalkerStat{Walker: w, Result: res}
+	if tally != nil {
+		stat.Adoptions, stat.Yielded = tally.Adoptions, tally.Yielded
+	}
 	if board != nil && res.Solved {
 		// Post the win to the board. The monitor only ever publishes
 		// costs observed mid-search (all > 0, since a solved engine
@@ -532,28 +583,23 @@ func runWalker(ctx context.Context, factory Factory, eo core.Options, exch Excha
 		// as soon as the win propagates.
 		board.Publish(0, res.Solution)
 	}
-	stat.Result = res
 	return stat, nil
 }
 
-// chainMonitors folds several engine monitors into one, merging their
-// directives.
-func chainMonitors(monitors []func(int64, int, []int) core.Directive) func(int64, int, []int) core.Directive {
-	switch len(monitors) {
-	case 0:
-		return nil
-	case 1:
-		return monitors[0]
+// chain runs monitor m, then next (if any), on every poll and merges
+// their directives: either Stop stops, either Restart restarts, and
+// m's SetConfig wins over next's.
+func chain(m, next func(int64, int, []int) core.Directive) func(int64, int, []int) core.Directive {
+	if next == nil {
+		return m
 	}
 	return func(iter int64, cost int, cfg []int) core.Directive {
-		var out core.Directive
-		for _, m := range monitors {
-			d := m(iter, cost, cfg)
-			out.Stop = out.Stop || d.Stop
-			out.Restart = out.Restart || d.Restart
-			if out.SetConfig == nil {
-				out.SetConfig = d.SetConfig
-			}
+		out := m(iter, cost, cfg)
+		d := next(iter, cost, cfg)
+		out.Stop = out.Stop || d.Stop
+		out.Restart = out.Restart || d.Restart
+		if out.SetConfig == nil {
+			out.SetConfig = d.SetConfig
 		}
 		return out
 	}

@@ -55,8 +55,11 @@ type gateSpec struct {
 // against a committed budget. Fleet-mixed runs its jobs over two
 // one-slot workers on loopback, as the benchmark does, and counts front
 // door, coordinator and workers together. Each budget sits about a
-// tenth above what a job reads at the least of three plays, 6.8-7.4 KB,
-// 3.6-3.7 KB and 32.0-32.2 KB: every walker an instance an earlier
+// tenth above what a job read at the least of three plays when it was
+// set, 4.6-4.9 KB, 3.6-3.7 KB and 32.0-32.2 KB (small-local's and
+// fleet-mixed's now read 2.7 KB and 31.3 KB, but how many of their
+// second walkers start is the scheduler's doing, DESIGN.md §7; both of
+// search-fd's always start): every walker an instance an earlier
 // walker of its spec handed back (a clone of the model the process's
 // spec cache built on the spec's first resolve, or a construction where
 // there is no model, only when none is free: no construction or
@@ -64,9 +67,12 @@ type gateSpec struct {
 // pooled engine whose buffers are reused, compact responses, the job
 // run on the handler's goroutine, walkers that keep one configuration,
 // a reduction that copies nothing, a request read and a reply written
-// without reflection, and the run request and reply crossing the fleet
-// hop unboxed. What each earlier shape read: indented responses through
-// the dispatcher 62 KB and 13.3 KB; building and reducing every
+// without reflection, the run request and reply crossing the fleet hop
+// unboxed, the answer condensed once into the job's record, which its
+// snapshots share, and a run's walkers stopped through a shared flag,
+// not a derived context. What each earlier shape read: indented
+// responses through the dispatcher 62 KB and 13.3 KB; building and
+// reducing every
 // walker's instance and a discarded probe 331 KB and 18.6 KB; a walker
 // that copied its best configuration and a reduction that copied the
 // session lists 48.2 KB and 8.6 KB; the request and the reply through
@@ -74,9 +80,11 @@ type gateSpec struct {
 // at admission and its run messages boxed 45.8 KB; one template built
 // and reduced a job, memoizing only a spec's options, 40.2 KB, 6.9 KB
 // and 41.0 KB; a clone or a construction every walker and a fresh
-// engine and buffers every Solve 22.3 KB, 6.2 KB and 37.6 KB. One clone
-// a walker in a search-fd job is 9 KB, which breaks its budget, as each
-// of the other earlier shapes does one of the three. The finer counts,
+// engine and buffers every Solve 22.3 KB, 6.2 KB and 37.6 KB; the
+// solution copied a snapshot, a derived run context and the options
+// moved to the heap 7.1 KB, 3.6 KB and 32.1 KB. One clone a walker in
+// a search-fd job is 9 KB, which breaks its budget, as each of the
+// other earlier shapes does one of the three. The finer counts,
 // one reduction a spec, no clone a warm job and a walker's working set,
 // are problems.TestTemplateAllocations and
 // problems.TestWalkerAllocations.
@@ -102,7 +110,7 @@ func TestAllocationGate(t *testing.T) {
 			{"timetable", 160, map[string]int{"slots": 8}},
 			{"timetable", 100, map[string]int{"slots": 10}},
 			{"timetable", 240, map[string]int{"slots": 8}},
-		}, 4, 8_200, false},
+		}, 4, 5_400, false},
 		{"small-local", tiny, 50, 4_100, false},
 		// The benchmark's pattern: every fifth job medium, the two medium
 		// specs alternating.
@@ -153,7 +161,8 @@ func TestAllocationGate(t *testing.T) {
 			// instance sits in another P's private pool slot, which no
 			// other P can take from, clones one instead, and how often
 			// that happens is the scheduler's doing, not the code's. One
-			// play of search-fd's 16 jobs read 6 946-8 529 B.
+			// play of search-fd's 16 jobs read 6 946-8 529 B when the
+			// least of three read 6.8-7.4 KB.
 			perJob := min(play(), play(), play()) / uint64(len(bodies))
 			t.Logf("%s: %d B a job, budget %d", tc.name, perJob, tc.budget)
 			if perJob > tc.budget {

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
+	"repro/internal/multiwalk"
 )
 
 // AutoSizeSpec asks admission to choose the walker count from
@@ -183,10 +184,9 @@ func (s *Scheduler) autoSize(req *Request) error {
 // draw of the sequential distribution — and only single-walker runs are
 // flagged Sequential (a k-walker winner effort is a min-of-k draw, which
 // would bias the fit; it still carries rate information and a measured
-// speedup observation). It reads j.res, which no one writes once the
-// job is terminal.
-func (s *Scheduler) recordOutcome(j *job) {
-	res := j.res
+// speedup observation). res is the run's result, nil if there was no
+// run.
+func (s *Scheduler) recordOutcome(j *job, res *multiwalk.Result) {
 	if s.cfg.Calibration == nil || res == nil || !res.Solved {
 		return
 	}

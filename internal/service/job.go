@@ -149,8 +149,9 @@ func classOf(p string) (int, error) {
 // maxTenantLen bounds tenant names; they appear in metrics keys.
 const maxTenantLen = 64
 
-// Job is an immutable snapshot of a job's state, safe to retain and
-// serialize.
+// Job is a snapshot of a job's state, safe to retain and serialize.
+// Its Result and its Request.Params are shared with the stored record
+// and with every other snapshot of the job: they are read-only.
 type Job struct {
 	ID          string     `json:"id"`
 	State       State      `json:"state"`
@@ -188,20 +189,15 @@ type JobResult struct {
 }
 
 // condenseResult maps the multiwalk result into the transport shape.
+// The solution moves, not copied: it is the winning walker's own
+// buffer, which no one writes once its search has returned.
 func condenseResult(res *multiwalk.Result) *JobResult {
 	if res == nil {
 		return nil
 	}
-	// Copy the solution so snapshots honor Job's immutability contract
-	// — every snapshot of one job would otherwise share the stored
-	// result's backing array.
-	var solution []int
-	if res.Solution != nil {
-		solution = append([]int(nil), res.Solution...)
-	}
 	jr := &JobResult{
 		Solved:           res.Solved,
-		Solution:         solution,
+		Solution:         res.Solution,
 		Winner:           res.Winner,
 		WinnerIterations: res.WinnerIterations,
 		TotalIterations:  res.TotalIterations,

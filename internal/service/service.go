@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/calibrate"
+	"repro/internal/core"
 	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
@@ -120,8 +121,8 @@ func (c *Config) normalize() {
 // terminal state. A run reads factory and opts without the lock: both
 // are set before admission, and finishAndUnlock drops the factory, the
 // Progress hook and the run's cancel only once the run has returned, so
-// a finished job kept for ResultTTL holds its record and result, not
-// its instance or its run.
+// a finished job kept for ResultTTL holds its record and its condensed
+// result, not its instance, its run or its walkers' stats.
 type job struct {
 	id      string
 	req     Request
@@ -137,14 +138,13 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	res       *multiwalk.Result // set once, when the job turns terminal
+	res       *JobResult // set once, when the job turns terminal; read-only
 	err       error
 	cancelRun context.CancelFunc // set while running
 }
 
-// snapshot builds the immutable transport view: the record is copied
-// under s.mu, and its result, which no one writes once it is set, is
-// condensed outside it.
+// snapshot builds the transport view: the record is copied under s.mu,
+// and its result, which no one writes once it is set, is shared.
 func (s *Scheduler) snapshot(j *job) Job {
 	s.mu.Lock()
 	out := Job{
@@ -154,10 +154,10 @@ func (s *Scheduler) snapshot(j *job) Job {
 		SubmittedAt: j.submitted,
 		StartedAt:   j.started,
 		FinishedAt:  j.finished,
+		Result:      j.res,
 	}
-	res, err := j.res, j.err
+	err := j.err
 	s.mu.Unlock()
-	out.Result = condenseResult(res)
 	if err != nil {
 		out.Error = err.Error()
 	}
@@ -193,7 +193,7 @@ type Scheduler struct {
 	// control tests it against QueueDepth.
 	nQueued int
 	// Lifecycle counters for /metrics, moved with the job they count.
-	mSubmitted, mRunning, mSolved, mUnsolved, mCancelled, mFailed, mAdoptions, mYielded int64
+	mSubmitted, mRunning, mSolved, mUnsolved, mCancelled, mFailed, mAdoptions, mYielded, mUnstarted int64
 
 	seq   atomic.Uint64
 	start time.Time
@@ -652,9 +652,10 @@ func (s *Scheduler) runBackend(ctx context.Context, j *job) (res multiwalk.Resul
 // of a run — goes through it once. Callers hold s.mu, and a queued j
 // has left s.q; finishAndUnlock releases s.mu. Under it, a running job's
 // slots go back and its tenant is charged for the walker-seconds used,
-// the record turns terminal and drops what only a run reads, and the
-// counters move. Only then are waiters woken, so one that reads Stats
-// finds its job's slots and counts settled.
+// the record turns terminal with the run's result condensed, once, and
+// drops what only a run reads, and the counters move. Only then are
+// waiters woken, so one that reads Stats finds its job's slots and
+// counts settled.
 func (s *Scheduler) finishAndUnlock(j *job, state State, res *multiwalk.Result, err error) {
 	t := s.tenantLocked(j.tenant)
 	if j.state == StateQueued {
@@ -667,7 +668,7 @@ func (s *Scheduler) finishAndUnlock(j *job, state State, res *multiwalk.Result, 
 		t.charge += float64(j.opts.Walkers) * time.Since(j.started).Seconds() / float64(t.weight)
 	}
 	cancel := j.cancelRun
-	j.state, j.finished, j.res, j.err = state, s.now(), res, err
+	j.state, j.finished, j.res, j.err = state, s.now(), condenseResult(res), err
 	j.factory, j.opts.Progress, j.cancelRun = nil, nil, nil
 	switch state {
 	case StateSolved:
@@ -685,6 +686,9 @@ func (s *Scheduler) finishAndUnlock(j *job, state State, res *multiwalk.Result, 
 			if ws.Yielded {
 				s.mYielded++
 			}
+			if ws.Result.Interrupted && ws.Result.Iterations == 0 && ws.Result.Cost == core.CostUnknown {
+				s.mUnstarted++
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -692,7 +696,7 @@ func (s *Scheduler) finishAndUnlock(j *job, state State, res *multiwalk.Result, 
 	if cancel != nil {
 		cancel()
 	}
-	s.recordOutcome(j)
+	s.recordOutcome(j, res)
 	close(j.done)
 }
 
@@ -771,6 +775,11 @@ type Stats struct {
 	// elsewhere. Both stay 0 on a fleet running only independent jobs.
 	Adoptions int64 `json:"adoptions_total"`
 	Yielded   int64 `json:"yielded_total"`
+	// Unstarted counts walkers of finished jobs that never searched:
+	// the run was over before they started (multiwalk.Run records them
+	// Interrupted, with 0 iterations and cost core.CostUnknown), or
+	// they were lost with their shard.
+	Unstarted int64 `json:"unstarted_total"`
 	// AutoSized counts AutoSize requests admission resolved to a
 	// predictor-chosen walker count; AutoRejected counts typed
 	// auto-size rejections (no calibration, unsatisfiable target). Both
@@ -819,6 +828,7 @@ func (s *Scheduler) Stats() Stats {
 		JobsStored:    len(s.jobs),
 		Adoptions:     s.mAdoptions,
 		Yielded:       s.mYielded,
+		Unstarted:     s.mUnstarted,
 	}
 	if len(s.tenants) > 0 {
 		st.Tenants = make(map[string]TenantStats, len(s.tenants))

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/multiwalk"
+	"repro/internal/problems"
 )
 
 // fastReq is a request that solves in milliseconds.
@@ -626,5 +628,90 @@ func TestExchangeJobRunsAndValidates(t *testing.T) {
 	})
 	if err != nil || job2.State != StateSolved {
 		t.Fatalf("disabled exchange spec broke an independent job: %v %+v", err, job2)
+	}
+}
+
+// TestSnapshotsShareOneResult: a job's result is condensed once, when
+// the job turns terminal, and every snapshot shares it rather than a
+// copy. Readers polling while the job runs and finishes see no result,
+// then that one result, and encode it side by side (for the race
+// detector); its solution, the winning walker's own buffer, solves the
+// instance.
+func TestSnapshotsShareOneResult(t *testing.T) {
+	s := newTestScheduler(t, Config{Slots: 2})
+	for round := range 5 {
+		req := Request{Problem: "costas", Size: 12, Walkers: 2, Seed: uint64(round + 1), TimeoutMS: 30_000}
+		submitted, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const readers = 4
+		seen := make([]*JobResult, readers)
+		var wg sync.WaitGroup
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					snap, err := s.Get(submitted.ID)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					snap.AppendJSON(nil)
+					if snap.State.Terminal() {
+						seen[r] = snap.Result
+						return
+					}
+					if snap.Result != nil {
+						t.Errorf("a %s snapshot carries a result", snap.State)
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		wg.Wait()
+		final, err := s.Wait(context.Background(), submitted.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateSolved || final.Result == nil {
+			t.Fatalf("round %d: %s, result %+v", round, final.State, final.Result)
+		}
+		for r, res := range seen {
+			if res != final.Result {
+				t.Fatalf("round %d: reader %d holds result %p, the record %p: snapshots copy the result", round, r, res, final.Result)
+			}
+		}
+		p, err := problems.New(req.Problem, req.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost := p.Cost(final.Result.Solution); cost != 0 {
+			t.Fatalf("round %d: the shared solution costs %d", round, cost)
+		}
+	}
+}
+
+// TestStatsCountsUnstartedWalkers: /metrics counts, beside the yielded
+// walkers, the walkers of finished jobs that never searched, in the
+// shape multiwalk.Run records them: interrupted, no iterations, cost
+// unknown. A walker interrupted after it searched is neither.
+func TestStatsCountsUnstartedWalkers(t *testing.T) {
+	s := newTestScheduler(t, Config{Backend: &funcBackend{slots: 3, run: func(context.Context, multiwalk.Options) (multiwalk.Result, error) {
+		return multiwalk.Result{Solved: true, Winner: 2, Solution: []int{0}, Walkers: []multiwalk.WalkerStat{
+			{Walker: 0, Result: core.Result{Interrupted: true, Cost: core.CostUnknown}},
+			{Walker: 1, Result: core.Result{Interrupted: true, Cost: 3, Iterations: 64}, Yielded: true},
+			{Walker: 2, Result: core.Result{Solved: true, Iterations: 10}},
+		}}, nil
+	}}})
+	for range 2 {
+		if _, err := s.SubmitWait(context.Background(), Request{Problem: "costas", Size: 8, Walkers: 3, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Unstarted != 2 || st.Yielded != 2 {
+		t.Fatalf("unstarted_total %d, yielded_total %d; want 2 and 2", st.Unstarted, st.Yielded)
 	}
 }
