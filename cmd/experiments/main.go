@@ -11,7 +11,9 @@
 //
 // With no subcommand it runs the figure suite. -exp takes a
 // comma-separated list of fig1, fig2, fig3, summary, times, distrib,
-// validate, ablation-comm, extended, ablation-knobs or all:
+// validate, ablation-comm, extended, ablation-knobs or all. validate
+// reads k-walker jobs off held-out 8-walker RunVirtual rows; fig1 and
+// fig2 print times' HA8000 and Suno curves, each simulated once:
 //
 //	experiments -exp all                  # everything, laptop scale
 //	experiments -exp fig1,fig3 -scale tiny

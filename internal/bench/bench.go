@@ -2,25 +2,30 @@
 // and figure of the paper's evaluation (see DESIGN.md §4 for the
 // experiment index). The pipeline for the speedup figures is:
 //
-//  1. Collect — run R sequential Adaptive Search solves of a benchmark
-//     and record the runtime distribution (in iterations, the
-//     machine-independent work unit, and in seconds for calibration).
+//  1. Collect — draw R sequential walks of a benchmark and record the
+//     runtime distribution, in iterations (the machine-independent work
+//     unit) and seconds. Every walk comes from one sampler: walk g of
+//     row r is walker g of the multiwalk.RunVirtual job whose master
+//     seed is derived from (seed, r), so a row's first k walks are a
+//     k-walker job. Collect pools rows 8 wide; validate and
+//     predict-accuracy read k <= 8 off the rows after them.
 //  2. Predict — the order-statistics estimator E[min_k] from
 //     internal/stats gives the hardware-independent speedup curve.
 //  3. Simulate — internal/cluster replays the multi-walk jobs on the
 //     paper's platform models (HA8000, Grid'5000) including launch
-//     overheads and node jitter, giving the platform-colored curves.
+//     overheads and node jitter, once per (benchmark, platform).
 //
 // The paper's instances take CPU-hours sequentially; the default Scale
-// uses smaller instances of the same benchmarks whose runtime
-// distributions belong to the same family (EXPERIMENTS.md quantifies
-// this), so every figure regenerates in minutes on a laptop.
+// uses smaller instances (DESIGN.md §2), so every figure regenerates in
+// minutes on a laptop. That their runtime distributions belong to the
+// paper-size family is untested (ROADMAP item 20).
 package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/multiwalk"
@@ -159,6 +164,8 @@ type Distribution struct {
 	ItersPerSecond float64
 	// Model is the fitted shifted-exponential runtime model.
 	Model stats.ShiftedExp
+	// sampler drew the walks; heldOut reads the rows after them.
+	sampler *sampler
 }
 
 // SimItersPerSecond returns the iteration rate that makes the simulated
@@ -168,51 +175,23 @@ func (d *Distribution) SimItersPerSecond() float64 {
 	return d.Iters.Mean() / PaperSeqSeconds(d.Workload.Benchmark)
 }
 
-// Collect runs w.Runs sequential solves and assembles the Distribution.
-// Seeds are derived deterministically from seed. Unsolved runs (budget
-// exhaustion cannot happen with unlimited restarts, but context
-// cancellation can) abort the collection with an error.
+// Collect pools w.Runs sequential walks from the sampler of (w, seed)
+// and assembles the Distribution. A walk cut short by the context
+// aborts the collection with an error.
 func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if w.Runs < 2 {
 		return nil, fmt.Errorf("bench: workload %s needs >= 2 runs, got %d", w, w.Runs)
 	}
-	factory, err := problems.NewFactory(w.Benchmark, w.Size)
+	s, err := newSampler(w, seed)
 	if err != nil {
 		return nil, err
 	}
-	iters := make([]int64, 0, w.Runs)
-	secs := make([]float64, 0, w.Runs)
-	var totalIters int64
-	var totalSecs float64
-	for run := 0; run < w.Runs; run++ {
-		p, err := factory.New()
-		if err != nil {
-			return nil, err
-		}
-		opts := core.TunedOptions(p)
-		opts.Seed = seed ^ (uint64(run)*0x9e3779b97f4a7c15 + 1)
-		start := time.Now()
-		res, err := core.Solve(ctx, p, opts)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s run %d: %w", w, run, err)
-		}
-		// Hand the instance back for the next run, as a multi-walk
-		// walker does: one instance serves every run, not one a run.
-		factory.Recycle(p)
-		if res.Interrupted {
-			return nil, fmt.Errorf("bench: %s run %d interrupted: %w", w, run, ctx.Err())
-		}
-		if !res.Solved {
-			return nil, fmt.Errorf("bench: %s run %d exhausted its budget unsolved", w, run)
-		}
-		el := time.Since(start).Seconds()
-		iters = append(iters, res.Iterations)
-		secs = append(secs, el)
-		totalIters += res.Iterations
-		totalSecs += el
+	iters, secs := make([]int64, 0, w.Runs), make([]float64, 0, w.Runs)
+	err = s.walks(ctx, w.Runs, func(res core.Result) {
+		iters, secs = append(iters, res.Iterations), append(secs, res.Elapsed.Seconds())
+	})
+	if err != nil {
+		return nil, err
 	}
 	is, err := stats.FromInts(iters)
 	if err != nil {
@@ -222,9 +201,9 @@ func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error
 	if err != nil {
 		return nil, err
 	}
-	ips := float64(totalIters) / totalSecs
-	if totalSecs == 0 {
-		ips = 1e9 // degenerate: instant solves
+	ips := 1e9 // degenerate: instant solves
+	if ss.Mean() > 0 {
+		ips = is.Mean() / ss.Mean()
 	}
 	return &Distribution{
 		Workload:       w,
@@ -232,41 +211,96 @@ func Collect(ctx context.Context, w Workload, seed uint64) (*Distribution, error
 		Seconds:        ss,
 		ItersPerSecond: ips,
 		Model:          stats.FitShiftedExp(is),
+		sampler:        s,
 	}, nil
 }
 
-// CollectVirtualSpeedup cross-validates the order-statistics predictor
-// with actual multi-walk executions: it runs reps RunVirtual jobs at k
-// walkers and returns the mean winner iterations. Used by the harness's
-// validation table, the prediction-accuracy report and by tests.
-func CollectVirtualSpeedup(ctx context.Context, w Workload, k, reps int, seed uint64) (meanWinnerIters float64, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	factory, err := problems.NewFactory(w.Benchmark, w.Size)
+// rowWidth is the width of the rows Collect pools: the largest walker
+// count any table measures.
+const rowWidth = 8
+
+// sampler is the one source of the harness's walks: walk g of row r is
+// walker g of the RunVirtual job of factory and engine whose master
+// seed is rowSeed(r).
+type sampler struct {
+	w       Workload
+	factory problems.Factory
+	engine  core.Options
+	seed    uint64
+}
+
+// newSampler is the sampler of w's tuned engine under seed.
+func newSampler(w Workload, seed uint64) (*sampler, error) {
+	engine, factory, err := problems.Resolve(w.Benchmark, w.Size, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	probe, err := factory.New()
-	if err != nil {
-		return 0, err
+	return &sampler{w: w, factory: factory, engine: engine, seed: seed}, nil
+}
+
+// rowSeed is row r's master seed. The row sits above the seed's low 32
+// bits, so two seeds below 2^32 share no row.
+func (s *sampler) rowSeed(r int) uint64 { return s.seed + uint64(r)<<32 }
+
+// runRow runs the first width walks of row r, every one of which must
+// solve (with unlimited restarts only a cancelled context stops one).
+func (s *sampler) runRow(ctx context.Context, r, width int) ([]multiwalk.WalkerStat, error) {
+	res, err := multiwalk.RunVirtual(ctx, s.factory, multiwalk.Options{Walkers: width, Seed: s.rowSeed(r), Engine: s.engine})
+	for _, st := range res.Walkers {
+		if err == nil && !st.Result.Solved {
+			err = errors.Join(fmt.Errorf("bench: %s walk %d of row %d unsolved", s.w, st.Walker, r), ctx.Err())
+		}
 	}
-	engine := core.TunedOptions(probe)
-	factory.Recycle(probe)
-	var sum float64
-	for rep := 0; rep < reps; rep++ {
-		res, err := multiwalk.RunVirtual(ctx, factory, multiwalk.Options{
-			Walkers: k,
-			Seed:    seed + uint64(rep)*7919,
-			Engine:  engine,
-		})
+	return res.Walkers, err
+}
+
+// walks hands n walks to each, pooled from rows 0, 1, … rowWidth walks
+// wide; the last row runs only the walks it hands on.
+func (s *sampler) walks(ctx context.Context, n int, each func(core.Result)) error {
+	for r := 0; n > 0; r++ {
+		row, err := s.runRow(ctx, r, min(rowWidth, n))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if !res.Solved {
-			return 0, fmt.Errorf("bench: virtual %d-walk of %s unsolved", k, w)
+		for _, st := range row {
+			each(st.Result)
 		}
-		sum += float64(res.WinnerIterations)
+		n -= len(row)
 	}
-	return sum / float64(reps), nil
+	return nil
+}
+
+// heldOut reads each k of ks off reps held-out rows of d's sampler,
+// the rows after those Collect pooled: it returns the mean over the
+// rows of the winner iterations of each row's first k walks, which is
+// the mean winner iterations of reps k-walker RunVirtual jobs.
+func (d *Distribution) heldOut(ctx context.Context, reps int, ks []int) ([]float64, error) {
+	means := make([]float64, len(ks))
+	first := (d.Workload.Runs + rowWidth - 1) / rowWidth
+	for r := first; r < first+reps; r++ {
+		row, err := d.sampler.runRow(ctx, r, slices.Max(ks))
+		if err != nil {
+			return nil, err
+		}
+		_, iters := prefixWinners(row)
+		for i, k := range ks {
+			means[i] += float64(iters[k-1]) / float64(reps)
+		}
+	}
+	return means, nil
+}
+
+// prefixWinners returns, for each k from 1 to len(row), the winner of
+// the row's first k walks and its iterations by RunVirtual's rule: the
+// fewest iterations, the first walk on a tie. Every walk must have
+// solved.
+func prefixWinners(row []multiwalk.WalkerStat) (winners []int, iters []int64) {
+	best := 0
+	for g, st := range row {
+		if st.Result.Iterations < row[best].Result.Iterations {
+			best = g
+		}
+		winners, iters = append(winners, best), append(iters, row[best].Result.Iterations)
+	}
+	return winners, iters
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/multiwalk"
 	"repro/internal/problems"
 )
 
@@ -98,18 +99,42 @@ func TestCollectDeterministicIterations(t *testing.T) {
 	}
 }
 
-func TestCollectVirtualSpeedup(t *testing.T) {
-	w := Workload{"costas", 9, 0}
-	mean1, err := CollectVirtualSpeedup(context.Background(), w, 1, 5, 7)
+// TestSamplerRowsAreRunVirtualJobs: the first k walks of a sampler's
+// row are exactly the k-walker RunVirtual job of the row's master
+// seed, so the row's prefix minimum and its argmin are that job's
+// WinnerIterations and Winner, for every k up to the row's width. The
+// validate table and predict-accuracy read their measured k-walker jobs
+// off this identity; an engine or seed-derivation change that breaks
+// it fails here.
+func TestSamplerRowsAreRunVirtualJobs(t *testing.T) {
+	ctx := context.Background()
+	timetable := Workload{Benchmark: "timetable", Size: 20}
+	engine, factory, err := problems.Resolve(timetable.Benchmark, timetable.Size, map[string]int{"slots": 6, "rooms": 4, "teachers": 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean8, err := CollectVirtualSpeedup(context.Background(), w, 8, 5, 7)
+	costas, err := newSampler(Workload{Benchmark: "costas", Size: PaperWorkloads(ScaleTiny)["costas"].Size}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mean8 > mean1 {
-		t.Fatalf("8 walkers mean winner %v > single walker %v", mean8, mean1)
+	for _, smp := range []*sampler{costas, {w: timetable, factory: factory, engine: engine, seed: 7}} {
+		for r := range 3 {
+			row, err := smp.runRow(ctx, r, rowWidth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			winners, iters := prefixWinners(row)
+			for k := 1; k <= rowWidth; k++ {
+				job, err := multiwalk.RunVirtual(ctx, smp.factory, multiwalk.Options{Walkers: k, Seed: smp.rowSeed(r), Engine: smp.engine})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !job.Solved || job.Winner != winners[k-1] || job.WinnerIterations != iters[k-1] {
+					t.Fatalf("%s row %d k=%d: prefix winner %d in %d iterations, RunVirtual's %d in %d (solved %v)",
+						smp.w, r, k, winners[k-1], iters[k-1], job.Winner, job.WinnerIterations, job.Solved)
+				}
+			}
+		}
 	}
 }
 
@@ -197,6 +222,53 @@ func TestTinySuiteEndToEnd(t *testing.T) {
 	}
 	if err := AsciiChart(&buf, "chart", CoreCounts, series1, 10); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFiguresAreTimesRows: fig1 and fig2 print the times table's
+// HA8000 and Suno rows, cell for cell, since each (benchmark,
+// platform) curve is simulated once.
+func TestFiguresAreTimesRows(t *testing.T) {
+	suite := &Suite{Seed: 5, Dists: map[string]*Distribution{}}
+	for name, w := range PaperWorkloads(ScaleTiny) {
+		w.Runs = 16
+		d, err := Collect(context.Background(), w, suite.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite.Dists[name] = d
+	}
+	f1, _, err := suite.Fig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, _, err := suite.Fig2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, err := suite.TimesTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// times: benchmark, platform, cores, wall(s), speedup.
+	cells := map[[3]string][2]string{}
+	for _, row := range times.Rows {
+		cells[[3]string{row[0], row[1], row[2]}] = [2]string{row[3], row[4]}
+	}
+	for _, fig := range []struct {
+		t        *Table
+		platform string
+	}{{f1, "HA8000"}, {f2, "Grid5000/Suno"}} {
+		if len(fig.t.Rows) != 3*len(CoreCounts) {
+			t.Fatalf("%s has %d rows, want %d", fig.t.ID, len(fig.t.Rows), 3*len(CoreCounts))
+		}
+		// fig: benchmark, cores, wall(s), speedup, ...
+		for _, row := range fig.t.Rows {
+			want, ok := cells[[3]string{row[0], fig.platform, row[1]}]
+			if !ok || want != [2]string{row[2], row[3]} {
+				t.Errorf("%s %s at %s cores: wall %s speedup %s; times has %v (found %v)", fig.t.ID, row[0], row[1], row[2], row[3], want, ok)
+			}
+		}
 	}
 }
 

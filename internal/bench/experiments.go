@@ -3,7 +3,8 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -24,11 +25,13 @@ const simReps = 400
 
 // Suite bundles everything the experiment commands need: collected
 // distributions plus derived artifacts, so figures can share the
-// expensive collection step.
+// expensive collection step. It is not safe for concurrent use.
 type Suite struct {
 	Scale Scale
 	Seed  uint64
 	Dists map[string]*Distribution
+	// curves holds each (benchmark, platform) curve once simulated.
+	curves map[[2]string]cluster.Curve
 }
 
 // NewSuite collects the runtime distributions of the paper's four
@@ -59,54 +62,76 @@ func platformFor(base cluster.Platform, d *Distribution) cluster.Platform {
 	return base
 }
 
-// speedupFigure builds one speedup-vs-cores figure (Fig. 1 or Fig. 2).
-func (s *Suite) speedupFigure(id, title string, platform cluster.Platform, benchmarks []string, ks []int) (*Table, map[string][]float64, error) {
+// curve is the simulated speedup curve of benchmark name on pf at the
+// core counts of CoreCounts that pf has. It is simulated on the first
+// call and kept, so times, fig1 and fig2 print the same curve.
+func (s *Suite) curve(name string, pf cluster.Platform) (cluster.Curve, error) {
+	key := [2]string{name, pf.Name}
+	if c, ok := s.curves[key]; ok {
+		return c, nil
+	}
+	d, ok := s.Dists[name]
+	if !ok {
+		return cluster.Curve{}, fmt.Errorf("bench: no distribution for %s", name)
+	}
+	src, err := cluster.NewEmpiricalSource(d.Iters)
+	if err != nil {
+		return cluster.Curve{}, err
+	}
+	sim, err := cluster.NewSim(platformFor(pf, d), src)
+	if err != nil {
+		return cluster.Curve{}, err
+	}
+	ks := slices.DeleteFunc(slices.Clone(CoreCounts), func(k int) bool { return k > pf.Cores() })
+	c, err := sim.SpeedupCurve(ks, simReps, s.Seed+uint64(pf.Cores()))
+	if err != nil {
+		return cluster.Curve{}, err
+	}
+	if s.curves == nil {
+		s.curves = map[[2]string]cluster.Curve{}
+	}
+	s.curves[key] = c
+	return c, nil
+}
+
+// speedupFigure builds one speedup-vs-cores figure (Fig. 1 or Fig. 2):
+// the times table's rows of platform for the CSPLib benchmarks, beside
+// the two hardware-free predictions.
+func (s *Suite) speedupFigure(id, title string, platform cluster.Platform, paperShape string) (*Table, map[string][]float64, error) {
 	t := &Table{
 		ID:     id,
 		Title:  title,
 		Header: []string{"benchmark", "cores", "wall(s)", "speedup", "orderstat-pred", "model-pred"},
 	}
 	series := map[string][]float64{}
-	for _, name := range benchmarks {
-		d, ok := s.Dists[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("bench: no distribution for %s", name)
-		}
-		src, err := cluster.NewEmpiricalSource(d.Iters)
+	for _, name := range csplibBenchmarks {
+		curve, err := s.curve(name, platform)
 		if err != nil {
 			return nil, nil, err
 		}
-		sim, err := cluster.NewSim(platformFor(platform, d), src)
-		if err != nil {
-			return nil, nil, err
-		}
-		curve, err := sim.SpeedupCurve(ks, simReps, s.Seed+uint64(len(name)))
-		if err != nil {
-			return nil, nil, err
-		}
-		for i, pt := range curve.Points {
+		d := s.Dists[name]
+		for _, pt := range curve.Points {
 			pred, err := d.Iters.Speedup(pt.Cores)
 			if err != nil {
 				return nil, nil, err
 			}
-			model := d.Model.Speedup(pt.Cores)
 			t.Rows = append(t.Rows, []string{
 				d.Workload.String(),
 				fmt.Sprintf("%d", pt.Cores),
 				fmt.Sprintf("%.3f", pt.MeanWall),
 				fmt.Sprintf("%.1f", pt.Speedup),
 				fmt.Sprintf("%.1f", pred),
-				fmt.Sprintf("%.1f", model),
+				fmt.Sprintf("%.1f", d.Model.Speedup(pt.Cores)),
 			})
 			series[name] = append(series[name], pt.Speedup)
-			_ = i
 		}
 	}
 	t.Notes = append(t.Notes,
-		"speedup: simulated multi-walk jobs on the platform model, relative to the 1-core mean",
+		fmt.Sprintf("wall(s), speedup: the times table's %s rows, simulated multi-walk jobs relative to the 1-core mean", platform.Name),
 		"orderstat-pred: hardware-free E[T]/E[min_k] from the measured runtime distribution",
 		"model-pred: fitted shifted-exponential model (saturation = mean/shift)",
 		"simulated durations are dilated to the paper's sequential time scale (DESIGN.md §2)",
+		paperShape,
 	)
 	return t, series, nil
 }
@@ -114,24 +139,14 @@ func (s *Suite) speedupFigure(id, title string, platform cluster.Platform, bench
 // Fig1 reproduces Figure 1: speedups on HA8000 for the CSPLib
 // benchmarks.
 func (s *Suite) Fig1() (*Table, map[string][]float64, error) {
-	t, series, err := s.speedupFigure("fig1", "speedups on HA8000 (paper Fig. 1)", cluster.HA8000(), csplibBenchmarks, CoreCounts)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.Notes = append(t.Notes, "paper shape: ~30x at 64 cores, ~40x at 128, >50x at 256, flattening away from linear")
-	return t, series, nil
+	return s.speedupFigure("fig1", "speedups on HA8000 (paper Fig. 1)", cluster.HA8000(),
+		"paper shape: ~30x at 64 cores, ~40x at 128, >50x at 256, flattening away from linear")
 }
 
 // Fig2 reproduces Figure 2: speedups on Grid'5000 (Suno).
 func (s *Suite) Fig2() (*Table, map[string][]float64, error) {
-	t, series, err := s.speedupFigure("fig2", "speedups on Grid'5000 Suno (paper Fig. 2)", cluster.Grid5000Suno(), csplibBenchmarks, CoreCounts)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.Notes = append(t.Notes,
-		"paper shape: nearly identical to HA8000; perfect-square diverges at 128-256 cores when runtimes drop under a second",
-	)
-	return t, series, nil
+	return s.speedupFigure("fig2", "speedups on Grid'5000 Suno (paper Fig. 2)", cluster.Grid5000Suno(),
+		"paper shape: nearly identical to HA8000; perfect-square diverges at 128-256 cores when runtimes drop under a second")
 }
 
 // Fig3 reproduces Figure 3: Costas array speedups w.r.t. 32 cores on a
@@ -255,7 +270,7 @@ func (s *Suite) SummaryTable() (*Table, error) {
 	t.Rows = append(t.Rows, []string{"Costas runtime CV (exponential = 1)", "memoryless", fmt.Sprintf("%.2f", d.Iters.CV())})
 	t.Notes = append(t.Notes,
 		"measured speedups use the order-statistics estimator on this machine's runtime distributions",
-		"instance sizes are scaled down from the paper's (see EXPERIMENTS.md); shapes, not absolute numbers, are the claim",
+		"instance sizes are scaled down from the paper's (DESIGN.md §2); that their runtime distributions share the paper's family is untested, so shapes, not absolute numbers, are the claim",
 	)
 	return t, nil
 }
@@ -269,33 +284,15 @@ func (s *Suite) TimesTable() (*Table, error) {
 		Title:  "execution times by platform (EvoCOP'11-style table behind Figs. 1-2)",
 		Header: []string{"benchmark", "platform", "cores", "wall(s)", "speedup"},
 	}
-	platforms := []cluster.Platform{cluster.HA8000(), cluster.Grid5000Suno(), cluster.Grid5000Helios()}
-	names := append([]string{}, csplibBenchmarks...)
-	names = append(names, "costas")
-	for _, name := range names {
-		d := s.Dists[name]
-		src, err := cluster.NewEmpiricalSource(d.Iters)
-		if err != nil {
-			return nil, err
-		}
-		for _, pf := range platforms {
-			ks := make([]int, 0, len(CoreCounts))
-			for _, k := range CoreCounts {
-				if k <= pf.Cores() {
-					ks = append(ks, k)
-				}
-			}
-			sim, err := cluster.NewSim(platformFor(pf, d), src)
-			if err != nil {
-				return nil, err
-			}
-			curve, err := sim.SpeedupCurve(ks, simReps, s.Seed+uint64(pf.Cores()))
+	for _, name := range append(slices.Clone(csplibBenchmarks), "costas") {
+		for _, pf := range []cluster.Platform{cluster.HA8000(), cluster.Grid5000Suno(), cluster.Grid5000Helios()} {
+			curve, err := s.curve(name, pf)
 			if err != nil {
 				return nil, err
 			}
 			for _, pt := range curve.Points {
 				t.Rows = append(t.Rows, []string{
-					d.Workload.String(), pf.Name,
+					s.Dists[name].Workload.String(), pf.Name,
 					fmt.Sprintf("%d", pt.Cores),
 					fmt.Sprintf("%.3f", pt.MeanWall),
 					fmt.Sprintf("%.1f", pt.Speedup),
@@ -310,13 +307,8 @@ func (s *Suite) TimesTable() (*Table, error) {
 // DistributionTable is EXP-D1 over the suite's workloads, sorted by
 // name.
 func (s *Suite) DistributionTable() (*Table, error) {
-	names := make([]string, 0, len(s.Dists))
-	for n := range s.Dists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	dists := make([]*Distribution, 0, len(names))
-	for _, name := range names {
+	dists := make([]*Distribution, 0, len(s.Dists))
+	for _, name := range slices.Sorted(maps.Keys(s.Dists)) {
 		dists = append(dists, s.Dists[name])
 	}
 	return Diagnostics(dists...), nil
@@ -361,36 +353,31 @@ func Diagnostics(dists ...*Distribution) *Table {
 
 // ValidationTable cross-checks the order-statistics predictor against
 // real RunVirtual executions at small k — the end-to-end consistency
-// check tying the estimator to the actual parallel engine.
+// check tying the estimator to the actual parallel engine. Every k is
+// read off the same reps held-out rows (Distribution.heldOut).
 func (s *Suite) ValidationTable(ctx context.Context, ks []int, reps int) (*Table, error) {
 	t := &Table{
 		ID:     "validate",
 		Title:  "order-statistics predictor vs real multi-walk runs (winner iterations)",
 		Header: []string{"benchmark", "walkers", "E[min_k] predicted", "measured mean", "ratio"},
 	}
-	names := make([]string, 0, len(s.Dists))
-	for n := range s.Dists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(s.Dists)) {
 		d := s.Dists[name]
-		for _, k := range ks {
+		meas, err := d.heldOut(ctx, reps, ks)
+		if err != nil {
+			return nil, err
+		}
+		for i, k := range ks {
 			pred, err := d.Iters.ExpectedMin(k)
 			if err != nil {
 				return nil, err
 			}
-			meas, err := CollectVirtualSpeedup(ctx, d.Workload, k, reps, s.Seed+uint64(k))
-			if err != nil {
-				return nil, err
-			}
-			ratio := meas / pred
 			t.Rows = append(t.Rows, []string{
 				d.Workload.String(),
 				fmt.Sprintf("%d", k),
 				fmt.Sprintf("%.0f", pred),
-				fmt.Sprintf("%.0f", meas),
-				fmt.Sprintf("%.2f", ratio),
+				fmt.Sprintf("%.0f", meas[i]),
+				fmt.Sprintf("%.2f", meas[i]/pred),
 			})
 		}
 	}
@@ -464,22 +451,19 @@ func AblationComm(ctx context.Context, w Workload, ks []int, reps int, seed uint
 // AblationKnobs is EXP-A2: engine parameter sensitivity on one
 // benchmark, covering the design choices DESIGN.md calls out (tabu
 // tenure, reset fraction, plateau escape probability, move selection).
+// Every variant draws runsPer walks from the same rows of the sampler of
+// (w, seed), each under its own engine options; a walk the context cuts
+// short is an error, so every variant reports runsPer solved.
 func AblationKnobs(ctx context.Context, w Workload, runsPer int, seed uint64) (*Table, error) {
 	t := &Table{
 		ID:     "ablation-knobs",
 		Title:  fmt.Sprintf("engine knob ablation on %s (mean iterations to solve)", w),
 		Header: []string{"variant", "solved", "mean iters", "mean resets"},
 	}
-	factory, err := problems.NewFactory(w.Benchmark, w.Size)
+	base, err := newSampler(w, seed)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := factory.New()
-	if err != nil {
-		return nil, err
-	}
-	base := core.TunedOptions(probe)
-	factory.Recycle(probe)
 	variants := []struct {
 		name string
 		mod  func(o *core.Options)
@@ -494,34 +478,18 @@ func AblationKnobs(ctx context.Context, w Workload, runsPer int, seed uint64) (*
 		{"first-best", func(o *core.Options) { o.FirstBest = true }},
 	}
 	for _, v := range variants {
-		opts := base
-		v.mod(&opts)
+		smp := *base
+		v.mod(&smp.engine)
 		var iterSum, resetSum float64
-		solved := 0
-		for run := 0; run < runsPer; run++ {
-			p, err := factory.New()
-			if err != nil {
-				return nil, err
-			}
-			o := opts
-			o.Seed = seed + uint64(run)*6151
-			res, err := core.Solve(ctx, p, o)
-			if err != nil {
-				return nil, err
-			}
-			factory.Recycle(p)
-			if res.Solved {
-				solved++
-				iterSum += float64(res.Iterations)
-				resetSum += float64(res.Resets)
-			}
+		err := smp.walks(ctx, runsPer, func(res core.Result) {
+			iterSum += float64(res.Iterations)
+			resetSum += float64(res.Resets)
+		})
+		if err != nil {
+			return nil, err
 		}
-		row := []string{v.name, fmt.Sprintf("%d/%d", solved, runsPer), "-", "-"}
-		if solved > 0 {
-			row[2] = fmt.Sprintf("%.0f", iterSum/float64(solved))
-			row[3] = fmt.Sprintf("%.0f", resetSum/float64(solved))
-		}
-		t.Rows = append(t.Rows, row)
+		n := float64(runsPer)
+		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%d/%d", runsPer, runsPer), fmt.Sprintf("%.0f", iterSum/n), fmt.Sprintf("%.0f", resetSum/n)})
 	}
 	return t, nil
 }

@@ -17,8 +17,8 @@ import (
 // predict-accuracy FILE` and the committed BENCH_predicted_speedup.json: for
 // each benchmark it fits the sequential runtime distribution
 // (stats.FitBest), predicts expected speedup at each walker count with
-// a bootstrap confidence band, then actually runs multi-walk jobs at
-// those counts and records the measured speedup beside the prediction.
+// a bootstrap confidence band, then reads real multi-walk jobs at those
+// counts off held-out rows and records the measured speedup beside it.
 // The committed artifact is the repo's standing answer to "how far can
 // the auto-sizer be trusted?" — a future fit or predictor regression
 // shows up as measured speedups drifting out of the bands.
@@ -68,8 +68,8 @@ type PredictReport struct {
 	Note      string `json:"note"`
 	GoVersion string `json:"go_version"`
 	Scale     string `json:"scale"`
-	// Reps is the number of multi-walk jobs measured per (benchmark,
-	// k); BootstrapIters/Confidence parameterize the predicted bands.
+	// Reps is the number of held-out rows, each one job at every k, per
+	// benchmark; BootstrapIters/Confidence parameterize the bands.
 	Reps           int            `json:"reps"`
 	BootstrapIters int            `json:"bootstrap_iters"`
 	Confidence     float64        `json:"confidence"`
@@ -91,8 +91,8 @@ const (
 
 // CollectPredictReport builds the prediction-accuracy report for the
 // named benchmarks of the scale's paper workloads: fit on a fresh
-// sequential collection, predict at each k in ks, then measure reps
-// multi-walk runs per k.
+// sequential collection, predict at each k in ks, then measure each k
+// on the same reps held-out rows.
 func CollectPredictReport(ctx context.Context, scale Scale, names []string, ks []int, reps int, seed uint64) (*PredictReport, error) {
 	if reps < 2 {
 		return nil, fmt.Errorf("bench: predict report needs reps >= 2, got %d", reps)
@@ -122,11 +122,16 @@ func CollectPredictReport(ctx context.Context, scale Scale, names []string, ks [
 }
 
 // collectPredictEntry measures one benchmark: sequential fit, per-k
-// prediction with bands, per-k measured speedup.
+// prediction with bands, per-k measured speedup. Every k is measured on
+// the same reps held-out rows.
 func collectPredictEntry(ctx context.Context, w Workload, ks []int, reps int, seed uint64) (*PredictEntry, error) {
 	d, err := Collect(ctx, w, seed)
 	if err != nil {
 		return nil, err
+	}
+	winners, err := d.heldOut(ctx, reps, ks)
+	if err != nil {
+		return nil, fmt.Errorf("bench: measuring %s: %w", w, err)
 	}
 	fit := stats.FitBest(d.Iters)
 	entry := &PredictEntry{
@@ -137,7 +142,7 @@ func collectPredictEntry(ctx context.Context, w Workload, ks []int, reps int, se
 		KS:        fit.KS,
 	}
 	seqMean := d.Iters.Mean()
-	for _, k := range ks {
+	for i, k := range ks {
 		pred, err := stats.PredictSpeedup(d.Iters, k, PredictBootstrapIters, PredictConfidence, rng.New(seed^uint64(k)*0x9e3779b97f4a7c15))
 		if err != nil {
 			return nil, fmt.Errorf("bench: predicting %s at k=%d: %w", w, k, err)
@@ -148,14 +153,10 @@ func collectPredictEntry(ctx context.Context, w Workload, ks []int, reps int, se
 			// measured run would only re-estimate the sequential mean.
 			pt.Measured = 1
 		} else {
-			meanWinner, err := CollectVirtualSpeedup(ctx, w, k, reps, seed+uint64(1000*k))
-			if err != nil {
-				return nil, fmt.Errorf("bench: measuring %s at k=%d: %w", w, k, err)
-			}
-			if meanWinner <= 0 {
+			if winners[i] <= 0 {
 				return nil, fmt.Errorf("bench: degenerate winner mean for %s at k=%d", w, k)
 			}
-			pt.Measured = seqMean / meanWinner
+			pt.Measured = seqMean / winners[i]
 			// Delta-method relative SE of the measured ratio: the
 			// numerator's noise from the sequential sample's own spread,
 			// the denominator's conservatively taken as one relative

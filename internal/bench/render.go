@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -117,18 +119,7 @@ func AsciiChart(w io.Writer, title string, xs []int, series map[string][]float64
 	if maxY == 0 {
 		maxY = 1
 	}
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	// Stable marker assignment by sorted name.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
+	names := slices.Sorted(maps.Keys(series)) // stable marker assignment
 	markers := "*o+x#@%&"
 	cols := len(xs)
 	grid := make([][]byte, height)

@@ -48,12 +48,19 @@ func goroutineBaseline() int {
 	return n
 }
 
-// settlesTo waits up to a second for the goroutine count to come back
-// down to baseline (connection goroutines on both ends exit
+// settleBound is how long settlesTo waits. Connection goroutines exit
+// within milliseconds on an idle machine but can take over a second on
+// a loaded one, so the bound is generous; it stays well under the
+// coordinator's 90 s IdleConnTimeout, past which a leaked keep-alive
+// connection would close on its own and the check could not fail.
+const settleBound = 20 * time.Second
+
+// settlesTo waits up to settleBound for the goroutine count to come
+// back down to baseline (connection goroutines on both ends exit
 // asynchronously once the client side closes).
 func settlesTo(t *testing.T, what string, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(time.Second)
+	deadline := time.Now().Add(settleBound)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s left goroutines behind: %d running, %d before it was built (keep-alive connections of its own HTTP client still open?)",

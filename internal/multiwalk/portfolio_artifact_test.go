@@ -454,7 +454,8 @@ func pfCensored(xs []int64, cap int64) (censored int, mean float64) {
 // decision under the stored rule. The full check redoes 4 × 50 000
 // joint resamples over 6 walker counts (about 12 s on a 2-vCPU Xeon,
 // one problem a core); -short skips the resampling and checks
-// everything else.
+// everything else, and so does a -race build, where the resampling
+// alone takes minutes.
 func TestPortfolioArtifact(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("..", "..", "BENCH_portfolio_vs_adaptive.json"))
 	if err != nil {
@@ -473,7 +474,7 @@ func TestPortfolioArtifact(t *testing.T) {
 	nDev := art.DevSeeds[1] - art.DevSeeds[0] + 1
 	nConfirm := art.ConfirmSeeds[1] - art.ConfirmSeeds[0] + 1
 	iters := art.BootstrapIters
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		iters = 0
 	}
 	var wg sync.WaitGroup
@@ -533,7 +534,7 @@ func TestPortfolioArtifact(t *testing.T) {
 	for p, pr := range art.Problems {
 		for c, stored := range pr.Cells {
 			g := got[p].Cells[c]
-			if iters == 0 { // -short: take the stored CIs, recompute the rest
+			if iters == 0 { // -short or -race: take the stored CIs, recompute the rest
 				for a := range g.Arms {
 					s := stored.Arms[a]
 					g.Arms[a].RatioRawLo, g.Arms[a].RatioRawHi = s.RatioRawLo, s.RatioRawHi

@@ -30,7 +30,8 @@ const bouwkampMaster = 112
 // lowest-leftmost filler reproduces the tiling. It is the smallest
 // classical instance of the family and the default for laptop-scale
 // experiments (the paper-scale Bouwkamp square takes far longer per
-// solve; see EXPERIMENTS.md).
+// solve; DESIGN.md §2 describes the scaled instances, and that their
+// runtime distributions share the paper-scale family is untested).
 var moron9 = []int{18, 15, 7, 8, 14, 4, 10, 1, 9}
 
 const (
