@@ -33,7 +33,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-bench-json", "x.json"}, "not defined: -bench-json"},
 		{[]string{"-bench-tail", "x.json"}, "not defined: -bench-tail"},
 		{[]string{"-ftdc-decode", "x.ftdc"}, "not defined: -ftdc-decode"},
-		{[]string{"-calibrate", "cal.json"}, "not defined: -calibrate"},
+		{[]string{"-calibrate", "cal.json"}, "flag provided but not defined: -calibrate"},
 		{[]string{"-predict", "cal.json"}, "not defined: -predict"},
 		{[]string{"-whatif", "cal.json"}, "not defined: -whatif"},
 		{[]string{"-bench-predict", "x.json"}, "not defined: -bench-predict"},

@@ -88,7 +88,7 @@
 //
 // With -pprof ADDR, net/http/pprof is served on ADDR — a listener apart
 // from -addr, so profiles can stay on loopback — until the server
-// drains: `serve -pprof 127.0.0.1:6060` under examples/loadgen, then
+// drains: `serve -pprof 127.0.0.1:6060` under a `curl` loop, then
 // `go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=20`.
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: the listener drains,

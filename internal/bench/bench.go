@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -273,21 +274,33 @@ func (s *sampler) walks(ctx context.Context, n int, each func(core.Result)) erro
 // heldOut reads each k of ks off reps held-out rows of d's sampler,
 // the rows after those Collect pooled: it returns the mean over the
 // rows of the winner iterations of each row's first k walks, which is
-// the mean winner iterations of reps k-walker RunVirtual jobs.
-func (d *Distribution) heldOut(ctx context.Context, reps int, ks []int) ([]float64, error) {
-	means := make([]float64, len(ks))
+// the mean winner iterations of reps k-walker RunVirtual jobs, and that
+// mean's standard error over the rows (0 for one row).
+func (d *Distribution) heldOut(ctx context.Context, reps int, ks []int) (means, ses []float64, err error) {
+	means = make([]float64, len(ks))
+	perK := make([][]float64, len(ks))
 	first := (d.Workload.Runs + rowWidth - 1) / rowWidth
 	for r := first; r < first+reps; r++ {
 		row, err := d.sampler.runRow(ctx, r, slices.Max(ks))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		_, iters := prefixWinners(row)
 		for i, k := range ks {
+			// Summed in this order, the means recompute the committed
+			// BENCH_predicted_speedup.json to the last bit.
 			means[i] += float64(iters[k-1]) / float64(reps)
+			perK[i] = append(perK[i], float64(iters[k-1]))
 		}
 	}
-	return means, nil
+	for _, xs := range perK {
+		s, err := stats.New(xs)
+		if err != nil {
+			return nil, nil, err
+		}
+		ses = append(ses, s.Std()/math.Sqrt(float64(reps)))
+	}
+	return means, ses, nil
 }
 
 // prefixWinners returns, for each k from 1 to len(row), the winner of

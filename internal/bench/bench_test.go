@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,7 +106,8 @@ func TestCollectDeterministicIterations(t *testing.T) {
 // WinnerIterations and Winner, for every k up to the row's width. The
 // validate table and predict-accuracy read their measured k-walker jobs
 // off this identity; an engine or seed-derivation change that breaks
-// it fails here.
+// it fails here, and so does a heldOut whose mean or standard error
+// over the rows differs from the hand computation.
 func TestSamplerRowsAreRunVirtualJobs(t *testing.T) {
 	ctx := context.Background()
 	timetable := Workload{Benchmark: "timetable", Size: 20}
@@ -118,12 +120,16 @@ func TestSamplerRowsAreRunVirtualJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, smp := range []*sampler{costas, {w: timetable, factory: factory, engine: engine, seed: 7}} {
+		var byK [rowWidth][]float64
 		for r := range 3 {
 			row, err := smp.runRow(ctx, r, rowWidth)
 			if err != nil {
 				t.Fatal(err)
 			}
 			winners, iters := prefixWinners(row)
+			for k := range rowWidth {
+				byK[k] = append(byK[k], float64(iters[k]))
+			}
 			for k := 1; k <= rowWidth; k++ {
 				job, err := multiwalk.RunVirtual(ctx, smp.factory, multiwalk.Options{Walkers: k, Seed: smp.rowSeed(r), Engine: smp.engine})
 				if err != nil {
@@ -133,6 +139,22 @@ func TestSamplerRowsAreRunVirtualJobs(t *testing.T) {
 					t.Fatalf("%s row %d k=%d: prefix winner %d in %d iterations, RunVirtual's %d in %d (solved %v)",
 						smp.w, r, k, winners[k-1], iters[k-1], job.Winner, job.WinnerIterations, job.Solved)
 				}
+			}
+		}
+		// With no pooled runs the held-out rows are rows 0-2: heldOut's
+		// mean and standard error are those of the three rows' winners.
+		ks := []int{1, 2, 4, 8}
+		means, ses, err := (&Distribution{Workload: smp.w, sampler: smp}).heldOut(ctx, 3, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range ks {
+			x := byK[k-1]
+			mean := (x[0] + x[1] + x[2]) / 3
+			ss := (x[0]-mean)*(x[0]-mean) + (x[1]-mean)*(x[1]-mean) + (x[2]-mean)*(x[2]-mean)
+			se := math.Sqrt(ss/2) / math.Sqrt(3)
+			if math.Abs(means[i]-mean) > 1e-9*mean || math.Abs(ses[i]-se) > 1e-9*mean {
+				t.Errorf("%s k=%d: heldOut mean %g SE %g, by hand %g and %g (winners %v)", smp.w, k, means[i], ses[i], mean, se, x)
 			}
 		}
 	}

@@ -354,16 +354,17 @@ func Diagnostics(dists ...*Distribution) *Table {
 // ValidationTable cross-checks the order-statistics predictor against
 // real RunVirtual executions at small k — the end-to-end consistency
 // check tying the estimator to the actual parallel engine. Every k is
-// read off the same reps held-out rows (Distribution.heldOut).
+// read off the same reps held-out rows (Distribution.heldOut), and
+// printed with its standard error over them.
 func (s *Suite) ValidationTable(ctx context.Context, ks []int, reps int) (*Table, error) {
 	t := &Table{
 		ID:     "validate",
 		Title:  "order-statistics predictor vs real multi-walk runs (winner iterations)",
-		Header: []string{"benchmark", "walkers", "E[min_k] predicted", "measured mean", "ratio"},
+		Header: []string{"benchmark", "walkers", "E[min_k] predicted", "measured mean", "SE", "ratio"},
 	}
 	for _, name := range slices.Sorted(maps.Keys(s.Dists)) {
 		d := s.Dists[name]
-		meas, err := d.heldOut(ctx, reps, ks)
+		meas, ses, err := d.heldOut(ctx, reps, ks)
 		if err != nil {
 			return nil, err
 		}
@@ -377,11 +378,14 @@ func (s *Suite) ValidationTable(ctx context.Context, ks []int, reps int) (*Table
 				fmt.Sprintf("%d", k),
 				fmt.Sprintf("%.0f", pred),
 				fmt.Sprintf("%.0f", meas[i]),
+				fmt.Sprintf("%.0f", ses[i]),
 				fmt.Sprintf("%.2f", meas[i]/pred),
 			})
 		}
 	}
-	t.Notes = append(t.Notes, "ratios near 1.0 validate using the estimator for core counts beyond this machine")
+	t.Notes = append(t.Notes,
+		"SE: the measured mean's standard error over the held-out runs; a row with |measured - predicted| < 2 SE is consistent with the predictor",
+		"rows consistent at every k validate using the estimator for core counts beyond this machine")
 	return t, nil
 }
 

@@ -129,7 +129,7 @@ func collectPredictEntry(ctx context.Context, w Workload, ks []int, reps int, se
 	if err != nil {
 		return nil, err
 	}
-	winners, err := d.heldOut(ctx, reps, ks)
+	winners, _, err := d.heldOut(ctx, reps, ks)
 	if err != nil {
 		return nil, fmt.Errorf("bench: measuring %s: %w", w, err)
 	}

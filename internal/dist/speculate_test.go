@@ -271,7 +271,10 @@ func TestSpeculationLoserReleasesSlotsPromptly(t *testing.T) {
 // then drops the connection; the backup is held until
 // the coordinator has taken the loss (the primary's reservation is
 // gone, which runShard's return precedes), so the loss is delivered
-// while the backup still has its whole search to run.
+// while the backup still has its whole search to run. The detector's
+// first tick fires only once w1's healthy shard is back: a shard still
+// running when the backup searches can read twice as slow as the
+// backup on a loaded box, and would be backed up too.
 func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 	engine := tunedEngine(t, "costas", 18)
 	engine.MaxIterations = 4000
@@ -317,9 +320,33 @@ func TestSpeculationBackupOutlivesLostPrimary(t *testing.T) {
 		return nil
 	}
 	c = newMemFleet(t, speculating, hook, 2, 2, 2)
-	ticksNow(c)
+	armed := fakeClock(c)
 
-	res, err := c.Run(context.Background(), job)
+	type runRes struct {
+		res multiwalk.Result
+		err error
+	}
+	done := make(chan runRes, 1)
+	go func() {
+		res, err := c.Run(context.Background(), job)
+		done <- runRes{res, err}
+	}()
+	tick := <-armed
+	if tick.d != speculating.SpeculateAfter {
+		t.Fatalf("the round armed a %v timer first, want the detector's %v", tick.d, speculating.SpeculateAfter)
+	}
+	// w1's outcome is in once its reservation is back; no backup holds
+	// a slot before the first tick.
+	for deadline := time.After(15 * time.Second); c.Workers()[1].Busy != 0; {
+		select {
+		case <-deadline:
+			t.Fatal("w1's shard never came back")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	tick.fire <- time.Time{}
+	r := <-done
+	res, err := r.res, r.err
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // so that a profile of the service under load is one flag away:
 //
 //	serve -pprof 127.0.0.1:6060 &
-//	go run ./examples/loadgen -addr http://localhost:8080 -jobs 200
+//	seq 1 200 | xargs -P 8 -I{} curl -s -o /dev/null localhost:8080/v1/solve -d '{"problem":"costas","size":10,"seed":{},"wait":true}'
 //	go tool pprof -top http://127.0.0.1:6060/debug/pprof/profile?seconds=20
 package profiling
 

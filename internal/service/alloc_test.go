@@ -120,7 +120,7 @@ func TestAllocationGate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Slots: 2}
 			if tc.fleet {
-				cfg.Backend = gateFleet(t)
+				cfg.Backend = gateFleet(t, 2, 1)
 			}
 			s := New(cfg)
 			defer s.Close()
@@ -172,14 +172,15 @@ func TestAllocationGate(t *testing.T) {
 	}
 }
 
-// gateFleet is the benchmark's fleet: a coordinator over two one-slot
-// workers, each behind its own loopback server, as cmd/worker serves
-// one. The scheduler it is handed to closes the coordinator.
-func gateFleet(t *testing.T) *dist.Coordinator {
+// gateFleet is a coordinator over n workers of slots each, each behind
+// its own loopback server, as cmd/worker serves one; the benchmark's
+// fleet is two one-slot workers. The scheduler it is handed to closes
+// the coordinator.
+func gateFleet(t *testing.T, n, slots int) *dist.Coordinator {
 	t.Helper()
 	var urls []string
-	for k := 0; k < 2; k++ {
-		wk := dist.NewWorker(dist.WorkerConfig{Slots: 1})
+	for range n {
+		wk := dist.NewWorker(dist.WorkerConfig{Slots: slots})
 		srv := httptest.NewServer(wk.Handler())
 		t.Cleanup(func() {
 			srv.Close()

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -536,64 +538,104 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 }
 
-// TestHTTPLoad drives a mixed workload through the real HTTP stack —
-// the in-process version of the loadgen smoke scenario.
+// TestHTTPLoad drives the mixed workload through the real HTTP stack,
+// on the local pool and on an in-process fleet of three two-slot
+// workers: 60 jobs from 16 clients, every one terminal and none failed
+// or dropped, and every fifth async and awaited by long-poll at one GET
+// apiece (each ends inside the wait cap). A 429 is retried.
 func TestHTTPLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load scenario skipped in -short mode")
+	mix := []map[string]any{
+		{"problem": "costas", "size": 8, "walkers": 1},
+		{"problem": "costas", "size": 10, "walkers": 2},
+		{"problem": "queens", "size": 32, "walkers": 1},
+		{"problem": "all-interval", "size": 10, "walkers": 2},
+		{"problem": "magic-square", "size": 5, "walkers": 1},
+		{"problem": "timetable", "size": 20, "walkers": 2, "params": map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
 	}
-	_, srv := newTestServer(t, Config{Slots: 8, QueueDepth: 128})
-	client := srv.Client()
-	const n = 60
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			probs := []string{"costas", "queens", "all-interval"}
-			sizes := []int{8, 16, 8}
-			req := map[string]any{
-				"problem": probs[i%3], "size": sizes[i%3],
-				"walkers": 1 + i%2, "seed": i + 1, "wait": true,
+	for _, fleet := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fleet=%v", fleet), func(t *testing.T) {
+			cfg := Config{Slots: 8, QueueDepth: 128}
+			if fleet {
+				cfg.Backend = gateFleet(t, 3, 2)
 			}
-			buf, _ := json.Marshal(req)
-			for {
-				resp, err := client.Post(srv.URL+"/v1/solve", "application/json", bytes.NewReader(buf))
-				if err != nil {
-					errs <- err
-					return
-				}
-				var job Job
-				err = json.NewDecoder(resp.Body).Decode(&job)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusTooManyRequests {
-					time.Sleep(2 * time.Millisecond)
-					continue
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("status %d for %+v", resp.StatusCode, job)
-					return
-				}
-				if !job.State.Terminal() {
-					errs <- fmt.Errorf("non-terminal sync response: %+v", job)
-					return
-				}
-				if job.State == StateFailed {
-					errs <- fmt.Errorf("job failed: %s", job.Error)
-					return
-				}
-				errs <- nil
-				return
+			_, srv := newTestServer(t, cfg)
+			const n, clients, asyncEvery = 60, 16, 5
+			next, gets := make(chan int), make(chan int, n)
+			for range clients {
+				go func() {
+					for i := range next {
+						req := map[string]any{"seed": i + 1, "timeout_ms": 15000, "wait": i%asyncEvery != 0}
+						maps.Copy(req, mix[i%len(mix)])
+						job, get, err := solveOverHTTP(srv.Client(), srv.URL, req)
+						if err == nil && job.State == StateFailed {
+							err = fmt.Errorf("job %s failed: %s", job.ID, job.Error)
+						}
+						if err != nil {
+							t.Error(err)
+						}
+						gets <- get
+					}
+				}()
 			}
-		}(i)
+			for i := range n {
+				next <- i
+			}
+			close(next)
+			awaited, total := 0, 0
+			for range n {
+				if get := <-gets; get > 0 {
+					awaited, total = awaited+1, total+get
+				}
+			}
+			if awaited != n/asyncEvery || total != awaited {
+				t.Errorf("%d jobs awaited with %d GETs, want %d with one GET each", awaited, total, n/asyncEvery)
+			}
+		})
 	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil && !strings.Contains(err.Error(), "EOF") {
-			t.Error(err)
+}
+
+// solveOverHTTP runs req to a terminal state, retrying 429s: waited on
+// the POST, or awaited by long-poll (GET /v1/jobs/{id}?wait=10s, asked
+// again while the answer is not terminal). It returns the job and the
+// GETs an async one cost.
+func solveOverHTTP(client *http.Client, base string, req map[string]any) (job Job, gets int, err error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return job, 0, err
+	}
+	call := func(resp *http.Response, err error) (int, error) {
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode/100 == 2 {
+			err = json.Unmarshal(reply, &job)
+		} else if err == nil && resp.StatusCode != http.StatusTooManyRequests {
+			err = fmt.Errorf("%s %s: status %d: %s", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode, reply)
+		}
+		return resp.StatusCode, err
+	}
+	code := http.StatusTooManyRequests
+	for retries := 0; code == http.StatusTooManyRequests; retries++ {
+		if retries > 0 {
+			// Backpressure: pace the retry rather than spin on it.
+			<-time.After(time.Duration(min(retries, 50)) * time.Millisecond)
+		}
+		if code, err = call(client.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))); err != nil {
+			return job, 0, err
 		}
 	}
+	if wait := req["wait"] == true; wait != (code == http.StatusOK) {
+		return job, 0, fmt.Errorf("%v: status %d", req, code)
+	}
+	for !job.State.Terminal() {
+		gets++
+		if _, err := call(client.Get(base + "/v1/jobs/" + job.ID + "?wait=10s")); err != nil {
+			return job, gets, err
+		}
+	}
+	return job, gets, nil
 }
 
 // TestHTTPProblemParams covers the finite-domain params plumbing end to
