@@ -538,20 +538,22 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// loadMix is the mixed workload the HTTP load tests cycle through.
+var loadMix = []map[string]any{
+	{"problem": "costas", "size": 8, "walkers": 1},
+	{"problem": "costas", "size": 10, "walkers": 2},
+	{"problem": "queens", "size": 32, "walkers": 1},
+	{"problem": "all-interval", "size": 10, "walkers": 2},
+	{"problem": "magic-square", "size": 5, "walkers": 1},
+	{"problem": "timetable", "size": 20, "walkers": 2, "params": map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
+}
+
 // TestHTTPLoad drives the mixed workload through the real HTTP stack,
 // on the local pool and on an in-process fleet of three two-slot
 // workers: 60 jobs from 16 clients, every one terminal and none failed
 // or dropped, and every fifth async and awaited by long-poll at one GET
 // apiece (each ends inside the wait cap). A 429 is retried.
 func TestHTTPLoad(t *testing.T) {
-	mix := []map[string]any{
-		{"problem": "costas", "size": 8, "walkers": 1},
-		{"problem": "costas", "size": 10, "walkers": 2},
-		{"problem": "queens", "size": 32, "walkers": 1},
-		{"problem": "all-interval", "size": 10, "walkers": 2},
-		{"problem": "magic-square", "size": 5, "walkers": 1},
-		{"problem": "timetable", "size": 20, "walkers": 2, "params": map[string]int{"slots": 6, "rooms": 4, "teachers": 4}},
-	}
 	for _, fleet := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fleet=%v", fleet), func(t *testing.T) {
 			cfg := Config{Slots: 8, QueueDepth: 128}
@@ -559,45 +561,69 @@ func TestHTTPLoad(t *testing.T) {
 				cfg.Backend = gateFleet(t, 3, 2)
 			}
 			_, srv := newTestServer(t, cfg)
-			const n, clients, asyncEvery = 60, 16, 5
-			next, gets := make(chan int), make(chan int, n)
-			for range clients {
-				go func() {
-					for i := range next {
-						req := map[string]any{"seed": i + 1, "timeout_ms": 15000, "wait": i%asyncEvery != 0}
-						maps.Copy(req, mix[i%len(mix)])
-						job, get, err := solveOverHTTP(srv.Client(), srv.URL, req)
-						if err == nil && job.State == StateFailed {
-							err = fmt.Errorf("job %s failed: %s", job.ID, job.Error)
-						}
-						if err != nil {
-							t.Error(err)
-						}
-						gets <- get
-					}
-				}()
-			}
-			for i := range n {
-				next <- i
-			}
-			close(next)
-			awaited, total := 0, 0
-			for range n {
-				if get := <-gets; get > 0 {
-					awaited, total = awaited+1, total+get
-				}
-			}
-			if awaited != n/asyncEvery || total != awaited {
-				t.Errorf("%d jobs awaited with %d GETs, want %d with one GET each", awaited, total, n/asyncEvery)
+			const n, asyncEvery = 60, 5
+			if awaited, gets := runHTTPLoad(t, srv, n, 16, asyncEvery); awaited != n/asyncEvery || gets != awaited {
+				t.Errorf("%d jobs awaited with %d GETs, want %d with one GET each", awaited, gets, n/asyncEvery)
 			}
 		})
 	}
 }
 
+// TestAsyncJobsCostOneGetEach runs the mix with every job async: each is
+// awaited by long-poll, none dropped or failed, and — every job ending
+// far inside the server's wait cap — with exactly one GET apiece. The
+// scheduler then drains: Close returns once every job has.
+func TestAsyncJobsCostOneGetEach(t *testing.T) {
+	s, srv := newTestServer(t, Config{Slots: 8, QueueDepth: 128})
+	const n = 40
+	if awaited, gets := runHTTPLoad(t, srv, n, 8, 1); awaited != n || gets != n {
+		t.Errorf("%d jobs awaited with %d GETs, want %d with one GET each", awaited, gets, n)
+	}
+	s.Close()
+	if st := s.Stats(); st.JobsSubmitted != n || st.JobsSolved+st.JobsUnsolved+st.JobsCancelled+st.JobsFailed != n || st.JobsFailed != 0 {
+		t.Errorf("after drain: %+v, want %d jobs terminal and none failed", st, n)
+	}
+}
+
+// runHTTPLoad submits n jobs of loadMix from the given number of
+// clients, every asyncEvery-th one async, and fails t on a dropped or
+// failed job. It returns how many jobs were awaited and the GETs they
+// cost.
+func runHTTPLoad(t *testing.T, srv *httptest.Server, n, clients, asyncEvery int) (awaited, gets int) {
+	t.Helper()
+	next, cost := make(chan int), make(chan int, n)
+	for range clients {
+		go func() {
+			for i := range next {
+				req := map[string]any{"seed": i + 1, "timeout_ms": 15000, "wait": i%asyncEvery != 0}
+				maps.Copy(req, loadMix[i%len(loadMix)])
+				job, get, err := solveOverHTTP(srv.Client(), srv.URL, req)
+				if err == nil && job.State == StateFailed {
+					err = fmt.Errorf("job %s failed: %s", job.ID, job.Error)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				cost <- get
+			}
+		}()
+	}
+	for i := range n {
+		next <- i
+	}
+	close(next)
+	for range n {
+		if get := <-cost; get > 0 {
+			awaited, gets = awaited+1, gets+get
+		}
+	}
+	return awaited, gets
+}
+
 // solveOverHTTP runs req to a terminal state, retrying 429s: waited on
 // the POST, or awaited by long-poll (GET /v1/jobs/{id}?wait=10s, asked
 // again while the answer is not terminal). It returns the job and the
-// GETs an async one cost.
+// GETs an async one cost: at least one.
 func solveOverHTTP(client *http.Client, base string, req map[string]any) (job Job, gets int, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -626,10 +652,13 @@ func solveOverHTTP(client *http.Client, base string, req map[string]any) (job Jo
 			return job, 0, err
 		}
 	}
-	if wait := req["wait"] == true; wait != (code == http.StatusOK) {
+	wait := req["wait"] == true
+	if wait != (code == http.StatusOK) {
 		return job, 0, fmt.Errorf("%v: status %d", req, code)
 	}
-	for !job.State.Terminal() {
+	// An async job is always awaited, even when its 202 ack already
+	// reads terminal (a job can finish before the ack is written).
+	for !wait && gets == 0 || !job.State.Terminal() {
 		gets++
 		if _, err := call(client.Get(base + "/v1/jobs/" + job.ID + "?wait=10s")); err != nil {
 			return job, gets, err
